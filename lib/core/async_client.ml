@@ -57,7 +57,7 @@ module Breaker = struct
     end
 end
 
-(* One lookup is a small state machine: [queue] of servers not yet
+(* One lookup is a small state machine: [order] of servers not yet
    contacted, [inflight] contacts awaiting a reply, [seen] the merged
    distinct entries.  Replies and timeouts race per attempt; a flag per
    attempt makes the timeout a no-op once the reply has won (and vice
@@ -88,7 +88,7 @@ type state = {
   breaker : Breaker.t option;
   jitter : Plookup_util.Rng.t option;
   seen : (int, Entry.t) Hashtbl.t;
-  mutable queue : int list;
+  order : Probe_order.t;
   mutable inflight : int;
   mutable contacted : int;
   mutable attempts : int;
@@ -127,22 +127,18 @@ let finish st =
 
 let satisfied st = Hashtbl.length st.seen >= st.target
 
-(* Pop the next contactable server, dropping (and counting) servers
-   whose breaker circuit is open.  Without a breaker this is exactly
-   "pop the head". *)
-let next_candidate st =
-  let rec pop () =
-    match st.queue with
-    | [] -> None
-    | server :: rest -> (
-      st.queue <- rest;
-      match st.breaker with
-      | Some b when not (Breaker.allow b server ~now:(Engine.now st.engine)) ->
-        st.breaker_skips <- st.breaker_skips + 1;
-        pop ()
-      | _ -> Some server)
-  in
-  pop ()
+(* Take the next contactable server from the order, dropping (and
+   counting) servers whose breaker circuit is open.  Without a breaker
+   this is exactly "take the next". *)
+let rec next_candidate st =
+  match Probe_order.next st.order with
+  | None -> None
+  | Some server -> (
+    match st.breaker with
+    | Some b when not (Breaker.allow b server ~now:(Engine.now st.engine)) ->
+      st.breaker_skips <- st.breaker_skips + 1;
+      next_candidate st
+    | _ -> Some server)
 
 let record_breaker st server ~ok =
   match st.breaker with
@@ -152,15 +148,15 @@ let record_breaker st server ~ok =
 let rec pump st =
   if not st.finished then begin
     if satisfied st then finish st
-    else if st.inflight = 0 && st.queue = [] then finish st (* order exhausted *)
     else if st.inflight < st.wave then begin
       match next_candidate st with
       | Some server ->
         contact st server;
         pump st
       | None ->
-        (* Everything left was breaker-skipped; if nothing is in flight
-           either, the lookup is over. *)
+        (* The order is exhausted (or everything left was
+           breaker-skipped); once nothing is in flight either, the
+           lookup is over. *)
         if st.inflight = 0 then finish st
     end
   end
@@ -261,17 +257,6 @@ and attempt st server ~live ~tries_left ~timeout =
         end
       end)
 
-let dedup_order order =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun s ->
-      if Hashtbl.mem seen s then false
-      else begin
-        Hashtbl.add seen s ();
-        true
-      end)
-    order
-
 let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
     ~breaker ~jitter ~order k =
   { cluster;
@@ -286,7 +271,7 @@ let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedg
     breaker;
     jitter;
     seen = Hashtbl.create 32;
-    queue = dedup_order order;
+    order;
     inflight = 0;
     contacted = 0;
     attempts = 0;
@@ -312,8 +297,10 @@ let schedule_deadline st deadline =
            end))
   | None -> ()
 
-let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline
-    ?hedge ?breaker ?jitter ?cache ~order ?(wave = 1) ~t k =
+(* [order_of ()] makes the lookup's fresh cursor when (and only if) it
+   probes: a cache-served lookup builds no order and draws nothing. *)
+let lookup_with cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline
+    ?hedge ?breaker ?jitter ?cache ~order_of ?(wave = 1) ~t k =
   if t <= 0 then invalid_arg "Async_client.lookup: t must be positive";
   if timeout <= 0. then invalid_arg "Async_client.lookup: timeout must be positive";
   if wave <= 0 then invalid_arg "Async_client.lookup: wave must be positive";
@@ -329,7 +316,7 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
   | None ->
     let st =
       make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
-        ~breaker ~jitter ~order k
+        ~breaker ~jitter ~order:(order_of ()) k
     in
     schedule_deadline st deadline;
     (* Launch lazily from the engine so the caller can schedule lookups
@@ -360,7 +347,7 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
            let probe k =
              let st =
                make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t
-                 ~hedge ~breaker ~jitter ~order k
+                 ~hedge ~breaker ~jitter ~order:(order_of ()) k
              in
              schedule_deadline st deadline;
              pump st
@@ -384,10 +371,19 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
              served r ~now:started_at;
              probe complete))
 
+let lookup cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
+    ?jitter ?cache ~order ?wave ~t k =
+  lookup_with cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
+    ?jitter ?cache
+    ~order_of:(fun () -> Probe_order.of_list order)
+    ?wave ~t k
+
+(* The cursor runs over all n ids, not just the servers up at launch:
+   servers fail and recover while the lookup is in flight, and a down
+   one simply times out like any lost request. *)
 let lookup_random_order cluster engine ~latency ~timeout ?retries ?backoff ?deadline
     ?hedge ?breaker ?jitter ?cache ?wave ~t k =
-  let order =
-    Array.to_list (Plookup_util.Rng.perm (Cluster.rng cluster) (Cluster.n cluster))
-  in
-  lookup cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
-    ?jitter ?cache ~order ?wave ~t k
+  lookup_with cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
+    ?jitter ?cache
+    ~order_of:(fun () -> Probe_order.random (Cluster.rng cluster) ~n:(Cluster.n cluster))
+    ?wave ~t k

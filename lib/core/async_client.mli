@@ -150,4 +150,8 @@ val lookup_random_order :
   (outcome -> unit) ->
   unit
 (** {!lookup} over all servers in uniformly random order (the
-    RandomServer-x / Hash-y client). *)
+    RandomServer-x / Hash-y client).  The order is a lazy
+    {!Probe_order.random} cursor over [0, n), drawn from the cluster's
+    RNG one server at a time as the lookup advances — down servers
+    included, since membership can change while the lookup is in
+    flight. *)

@@ -63,7 +63,6 @@ let heal t ~name = Net.heal t.net ~name
 let heal_all t = Net.heal_all t.net
 
 let up_count t = Net.up_count t.net
-let up_servers_into t buf = Net.up_servers_into t.net buf
 
 (* One [Rng.int] draw over the up-count, resolved by rank — the same
    draw (and the same server: the k-th smallest up id) as the old

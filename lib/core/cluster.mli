@@ -39,10 +39,6 @@ val up_servers : t -> int list
 val up_count : t -> int
 (** Number of up servers, O(1). *)
 
-val up_servers_into : t -> int array -> int
-(** Ascending up server ids into [buf] (which must hold {!up_count});
-    returns the count.  {!up_servers} without the list allocation. *)
-
 val fail_exactly : t -> int list -> unit
 val random_up_server : t -> int option
 (** Uniform among up servers; [None] if all are down — the paper's

@@ -10,17 +10,16 @@ let handle_data t dst _src (msg : Msg.data) : Msg.reply =
   match msg with
   | Msg.Place entries ->
     (* Broadcast only the first x of the h entries. *)
-    ignore
-      (Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch (List_util.take t.x entries)));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch (List_util.take t.x entries));
     Msg.Ack
   | Msg.Add e ->
     (* Selective broadcast: only while below x, and only for new ids. *)
     if Server_store.cardinal local < t.x && not (Server_store.mem local e) then
-      ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.store e));
+      Net.broadcast net ~src:(Net.Server dst) (Msg.store e);
     Msg.Ack
   | Msg.Delete e ->
     if Server_store.mem local e then
-      ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.remove e));
+      Net.broadcast net ~src:(Net.Server dst) (Msg.remove e);
     Msg.Ack
   | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
 

@@ -10,13 +10,13 @@ let handle_data cluster dst _src (msg : Msg.data) : Msg.reply =
   let net = Cluster.net cluster in
   match msg with
   | Msg.Place entries ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries);
     Msg.Ack
   | Msg.Add e ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.store e));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.store e);
     Msg.Ack
   | Msg.Delete e ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.remove e));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.remove e);
     Msg.Ack
   | Msg.Lookup t -> Strategy_common.lookup_reply cluster dst t
 

@@ -2,28 +2,6 @@ open Plookup_store
 open Plookup_util
 module Net = Plookup_net.Net
 
-(* Reachable up servers in ascending id order — the same contents (and
-   order) as filtering [Cluster.up_servers], built as an array with no
-   per-element list cells.  The no-predicate path fills straight from
-   the network's up bitmap. *)
-let candidates_array ?reachable cluster =
-  match reachable with
-  | None ->
-    let arr = Array.make (max 1 (Cluster.up_count cluster)) 0 in
-    let count = Cluster.up_servers_into cluster arr in
-    if count = Array.length arr then arr else Array.sub arr 0 count
-  | Some ok ->
-    let n = Cluster.n cluster in
-    let arr = Array.make (max 1 n) 0 in
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if Cluster.is_up cluster i && ok i then begin
-        arr.(!count) <- i;
-        incr count
-      end
-    done;
-    if !count = Array.length arr then arr else Array.sub arr 0 !count
-
 (* Send one Lookup and merge the distinct answers into [seen]. *)
 let contact cluster ~t ~seen server =
   match Net.send (Cluster.net cluster) ~src:Net.Client ~dst:server (Msg.lookup t) with
@@ -64,67 +42,75 @@ let result_of cluster seen ~contacted ~target =
     servers_contacted = contacted;
     target }
 
+(* The k-th smallest reachable up server, for a random [k] below their
+   count — one draw, the same one (and the same server) as indexing the
+   ascending array of reachable up servers.  Without a predicate this is
+   an O(log n) rank select; with one, an O(n) scan. *)
+let random_reachable ?reachable cluster =
+  match reachable with
+  | None -> Cluster.random_up_server cluster
+  | Some ok ->
+    let n = Cluster.n cluster in
+    let usable i = Cluster.is_up cluster i && ok i in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      if usable i then incr count
+    done;
+    if !count = 0 then None
+    else begin
+      let k = ref (Rng.int (Cluster.rng cluster) !count) in
+      let i = ref 0 in
+      while not (usable !i && !k = 0) do
+        if usable !i then decr k;
+        incr i
+      done;
+      Some !i
+    end
+
 let single ?reachable cluster ~t =
-  let up = candidates_array ?reachable cluster in
-  match Array.length up with
-  | 0 -> Lookup_result.empty ~target:t
-  | len ->
-    let server = up.(Rng.int (Cluster.rng cluster) len) in
+  match random_reachable ?reachable cluster with
+  | None -> Lookup_result.empty ~target:t
+  | Some server ->
     let seen = Hashtbl.create 16 in
     let answered = contact cluster ~t ~seen server in
     result_of cluster seen ~contacted:(if answered then 1 else 0) ~target:t
 
-(* Walk [order.(0 .. len-1)] until [t] distinct entries are in hand. *)
-let probe_in_order_arr cluster ~t order =
+(* Walk [order] until [t] distinct entries are in hand; the order is
+   generated only as far as the walk gets. *)
+let probe_order cluster ~t order =
   let seen = Hashtbl.create 16 in
   let contacted = ref 0 in
-  let len = Array.length order in
-  let i = ref 0 in
-  while !i < len && Hashtbl.length seen < t do
-    if contact cluster ~t ~seen order.(!i) then incr contacted;
-    incr i
-  done;
+  let rec walk () =
+    if Hashtbl.length seen < t then
+      match Probe_order.next order with
+      | Some server ->
+        if contact cluster ~t ~seen server then incr contacted;
+        walk ()
+      | None -> ()
+  in
+  walk ();
   result_of cluster seen ~contacted:!contacted ~target:t
 
-let probe_in_order cluster ~t order = probe_in_order_arr cluster ~t (Array.of_list order)
-
 let random_order ?reachable cluster ~t =
-  let up = candidates_array ?reachable cluster in
-  Rng.shuffle_in_place (Cluster.rng cluster) up;
-  probe_in_order_arr cluster ~t up
+  probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
+
+let all_usable ?reachable cluster =
+  let n = Cluster.n cluster in
+  Cluster.up_count cluster = n
+  &&
+  match reachable with
+  | None -> true
+  | Some ok ->
+    let rec from i = i >= n || (ok i && from (i + 1)) in
+    from 0
 
 let stride ?reachable cluster ~start ~step ~t =
   let n = Cluster.n cluster in
-  (* Normalize into [0, n): OCaml's [mod] is sign-preserving, so a raw
-     negative step would walk [pos] below 0 and crash the array access;
-     step = 0 (mod n) degenerates to the single start residue, which the
-     rest-extension below already handles. *)
-  let step = ((step mod n) + n) mod n in
-  let usable = candidates_array ?reachable cluster in
-  if Array.length usable = n then begin
-    (* Failure-free fast path: the deterministic sequence start,
-       start+step, ... visits gcd-many residue classes; extend with the
-       remaining servers so the probe can always reach full coverage. *)
-    let visited = Array.make n false in
-    let order = ref [] in
-    let pos = ref (((start mod n) + n) mod n) in
-    let continue = ref true in
-    while !continue do
-      if visited.(!pos) then continue := false
-      else begin
-        visited.(!pos) <- true;
-        order := !pos :: !order;
-        pos := (!pos + step) mod n
-      end
-    done;
-    let rest =
-      List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
-    in
-    probe_in_order cluster ~t (List.rev !order @ rest)
-  end
-  else begin
-    (* Failures (or restricted reachability): random order, per the
-       paper. *)
-    Rng.shuffle_in_place (Cluster.rng cluster) usable;
-    probe_in_order_arr cluster ~t usable
-  end
+  let order =
+    if all_usable ?reachable cluster then Probe_order.stride ~n ~start ~step
+    else
+      (* Failures (or restricted reachability): random order, per the
+         paper. *)
+      Probe_order.random_up ?keep:reachable cluster
+  in
+  probe_order cluster ~t order

@@ -9,7 +9,12 @@
 
     All probes honour an optional [reachable] predicate (the
     limited-reachability variation of Section 7.2): servers outside the
-    client's reach are never contacted. *)
+    client's reach are never contacted.
+
+    Orders are {!Probe_order} cursors, generated only as far as the
+    probe walks them: a lookup that stops after k contacts costs O(k)
+    order work (k draws and k O(log n) rank selects for a random order),
+    not O(n). *)
 
 val pick_from_table :
   (int, Plookup_store.Entry.t) Hashtbl.t ->
@@ -29,12 +34,21 @@ val single :
     server to do the lookup").  If that one answer is short, no further
     server is tried, matching the paper (those strategies make every
     server identical, so retrying is pointless).  Returns
-    {!Lookup_result.empty} if no server is reachable. *)
+    {!Lookup_result.empty} if no server is reachable.  The pick is one
+    draw over the reachable up servers, resolved by rank: O(log n)
+    without [reachable], an O(n) scan with it. *)
 
 val random_order :
   ?reachable:(int -> bool) -> Cluster.t -> t:int -> Lookup_result.t
 (** Contact reachable up servers in uniformly random order without
-    repetition until satisfied — the RandomServer-x / Hash-y client. *)
+    repetition until satisfied — the RandomServer-x / Hash-y client.
+    The order is {!Probe_order.random_up}: one draw per up server
+    visited, unreachable ones skipped. *)
+
+val all_usable : ?reachable:(int -> bool) -> Cluster.t -> bool
+(** Whether every server is up and reachable — the condition under
+    which the RoundRobin client may follow its stride.  O(1) without
+    [reachable], an O(n) scan with it. *)
 
 val stride :
   ?reachable:(int -> bool) -> Cluster.t -> start:int -> step:int -> t:int -> Lookup_result.t
@@ -46,4 +60,7 @@ val stride :
     random servers instead").  [start] and [step] may be any integers
     (both are normalized mod n, so negative, zero and >= n strides are
     all safe); when the stride cycle covers only some residues the probe
-    extends to the remaining servers rather than looping. *)
+    extends to the remaining servers rather than looping.  The
+    failure-free order is {!Probe_order.stride} and draws nothing; only
+    a given [reachable] costs an O(n) scan, to decide between the two
+    orders. *)

@@ -1,0 +1,113 @@
+open Plookup_util
+module Net = Plookup_net.Net
+
+(* Inline records keep every cursor one block: an async lookup holds its
+   cursor for its whole lifetime, and at a flash crowd's peak thousands
+   of them are in flight at once. *)
+type t =
+  | Shuffle of {
+      (* Forward Fisher–Yates over the virtual array [0, m): step i
+         swaps slot i with a uniform slot j in [i, m) and yields the new
+         slot i.  Only displaced slots are stored, so k steps cost k
+         draws and O(k) memory whatever m is.  [resolve] maps a yielded
+         slot value to a server id, and ids failing [keep] are
+         skipped. *)
+      rng : Rng.t;
+      m : int;
+      mutable i : int;
+      swaps : (int, int) Hashtbl.t;
+      resolve : int -> int;
+      keep : int -> bool;
+    }
+  | Stride of {
+      (* The cycle yields [cycle = n / g] ids, g = gcd(step, n): exactly
+         the ids congruent to [start] mod g.  The tail then scans
+         ascending ids from [rest], skipping that residue class. *)
+      n : int;
+      step : int;
+      g : int;
+      residue : int;
+      cycle : int;
+      mutable j : int;
+      mutable pos : int;
+      mutable rest : int;
+    }
+  | Listed of { mutable pending : int list }
+
+let shuffle rng ~m ~resolve ~keep =
+  if m < 0 then invalid_arg "Probe_order: negative size";
+  Shuffle { rng; m; i = 0; swaps = Hashtbl.create 8; resolve; keep }
+
+let random rng ~n = shuffle rng ~m:n ~resolve:Fun.id ~keep:(fun _ -> true)
+
+let random_up ?(keep = fun _ -> true) cluster =
+  shuffle (Cluster.rng cluster) ~m:(Cluster.up_count cluster)
+    ~resolve:(Net.kth_up (Cluster.net cluster))
+    ~keep
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let stride ~n ~start ~step =
+  if n <= 0 then invalid_arg "Probe_order.stride: n must be positive";
+  (* OCaml's [mod] is sign-preserving: normalize both into [0, n). *)
+  let step = ((step mod n) + n) mod n in
+  let start = ((start mod n) + n) mod n in
+  let g = gcd step n in
+  Stride { n; step; g; residue = start mod g; cycle = n / g; j = 0; pos = start; rest = 0 }
+
+(* Repeats are dropped up front, so the table is garbage before the
+   walk starts rather than held for a lookup's lifetime. *)
+let of_list order =
+  let seen = Hashtbl.create 16 in
+  Listed
+    { pending =
+        List.filter
+          (fun s ->
+            if Hashtbl.mem seen s then false
+            else begin
+              Hashtbl.add seen s ();
+              true
+            end)
+          order }
+
+let slot swaps k = match Hashtbl.find_opt swaps k with Some v -> v | None -> k
+
+let rec next t =
+  match t with
+  | Shuffle s ->
+    if s.i >= s.m then None
+    else begin
+      let i = s.i in
+      let j = if s.m - i > 1 then i + Rng.int s.rng (s.m - i) else i in
+      let picked = slot s.swaps j in
+      if j <> i then Hashtbl.replace s.swaps j (slot s.swaps i);
+      (* Slot i is never read again. *)
+      Hashtbl.remove s.swaps i;
+      s.i <- i + 1;
+      let id = s.resolve picked in
+      if s.keep id then Some id else next t
+    end
+  | Stride s ->
+    if s.j < s.cycle then begin
+      let id = s.pos in
+      s.j <- s.j + 1;
+      s.pos <- (s.pos + s.step) mod s.n;
+      Some id
+    end
+    else begin
+      while s.rest < s.n && s.rest mod s.g = s.residue do
+        s.rest <- s.rest + 1
+      done;
+      if s.rest >= s.n then None
+      else begin
+        let id = s.rest in
+        s.rest <- id + 1;
+        Some id
+      end
+    end
+  | Listed l -> (
+    match l.pending with
+    | [] -> None
+    | s :: rest ->
+      l.pending <- rest;
+      Some s)

@@ -17,30 +17,29 @@ let fetch_replacement t ~self ~deleted =
   let net = Cluster.net t.cluster in
   let local = Cluster.store t.cluster self in
   let have = Entry.id deleted :: Server_store.ids local in
-  let others =
-    List.filter (fun i -> i <> self) (Cluster.up_servers t.cluster) |> Array.of_list
-  in
-  Rng.shuffle_in_place (Cluster.rng t.cluster) others;
-  Array.exists
-    (fun peer ->
+  let peers = Probe_order.random_up ~keep:(fun i -> i <> self) t.cluster in
+  let rec ask () =
+    match Probe_order.next peers with
+    | None -> ()
+    | Some peer -> (
       match Net.send net ~src:(Net.Server self) ~dst:peer (Msg.fetch_candidate have) with
-      | Some (Msg.Candidate (Some e)) -> Server_store.add local e
+      | Some (Msg.Candidate (Some e)) -> if not (Server_store.add local e) then ask ()
       | Some (Msg.Candidate None | Msg.Ack | Msg.Entries _ | Msg.Digest _ | Msg.Busy) | None ->
-        false)
-    others
-  |> ignore
+        ask ())
+  in
+  ask ()
 
 let handle_data t dst _src (msg : Msg.data) : Msg.reply =
   let net = Cluster.net t.cluster in
   match msg with
   | Msg.Place entries ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries);
     Msg.Ack
   | Msg.Add e ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.add_sampled e));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.add_sampled e);
     Msg.Ack
   | Msg.Delete e ->
-    ignore (Net.broadcast net ~src:(Net.Server dst) (Msg.remove_counted e));
+    Net.broadcast net ~src:(Net.Server dst) (Msg.remove_counted e);
     Msg.Ack
   | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
 

@@ -422,10 +422,8 @@ let daemon_tick t =
         (* One digest broadcast (cost n), then targeted point-to-point
            repairs. *)
         let dig = Array.make n None in
-        List.iter
-          (fun (i, reply) ->
-            match (reply : Msg.reply) with Msg.Digest b -> dig.(i) <- Some b | _ -> ())
-          (Net.broadcast (net t) ~src:(Net.Server c) Msg.digest_pull);
+        Net.broadcast (net t) ~src:(Net.Server c) Msg.digest_pull ~on_reply:(fun i reply ->
+            match (reply : Msg.reply) with Msg.Digest b -> dig.(i) <- Some b | _ -> ());
         let holds i id = match dig.(i) with Some b -> has b id | None -> false in
         (* A server down for less than the grace period still counts as
            a copy (its store survives the outage): transient blips must

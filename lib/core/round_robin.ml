@@ -147,7 +147,7 @@ let do_delete t ~self e =
   match apply_delete t.ledgers.(self) e with
   | None -> ()
   | Some plan ->
-    ignore (Net.broadcast (Cluster.net t.cluster) ~src:(Net.Server self) (Msg.remove e));
+    Net.broadcast (Cluster.net t.cluster) ~src:(Net.Server self) (Msg.remove e);
     (match plan.migration with
     | None -> ()
     | Some (u, old_pos) ->
@@ -344,18 +344,7 @@ let servers_needed t ~t:target =
 let partial_lookup_parallel ?reachable t target =
   let n = Cluster.n t.cluster in
   let rng = Cluster.rng t.cluster in
-  let all_up =
-    match reachable with
-    | None -> Cluster.up_count t.cluster = n
-    | Some f ->
-      Cluster.up_count t.cluster = n
-      && (let ok = ref true in
-          for i = 0 to n - 1 do
-            if not (f i) then ok := false
-          done;
-          !ok)
-  in
-  if not all_up then
+  if not (Probe.all_usable ?reachable t.cluster) then
     (* Failures: the wave size is no longer predictable; fall back to the
        paper's random sequential probing. *)
     partial_lookup ?reachable t target
@@ -375,30 +364,23 @@ let partial_lookup_parallel ?reachable t target =
       | Some (Msg.Ack | Msg.Candidate _ | Msg.Digest _ | Msg.Busy) | None -> ()
     in
     (* The stride order, extended with the untouched servers (the stride
-       cycle only visits n/gcd(y,n) residues). *)
-    let visited = Array.make n false in
-    let order = ref [] in
-    let pos = ref start in
-    while not visited.(!pos) do
-      visited.(!pos) <- true;
-      order := !pos :: !order;
-      pos := (!pos + t.y) mod n
-    done;
-    let order =
-      List.rev !order @ List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
+       cycle only visits n/gcd(y,n) residues).  The whole wave fires
+       unconditionally — that is the point: one round trip, no
+       data-dependent stopping.  Shortfall (imbalance can cost up to y
+       entries per server) tops up along the rest. *)
+    let order = Probe_order.stride ~n ~start ~step:t.y in
+    let rec walk i =
+      if i < wave || Hashtbl.length seen < target then
+        match Probe_order.next order with
+        | Some server ->
+          contact server;
+          walk (i + 1)
+        | None -> ()
     in
-    (* The whole wave fires unconditionally — that is the point: one
-       round trip, no data-dependent stopping.  Shortfall (imbalance can
-       cost up to y entries per server) tops up along the rest. *)
-    List.iteri
-      (fun i server -> if i < wave || Hashtbl.length seen < target then contact server)
-      order;
-    let entries = Hashtbl.fold (fun _ e acc -> e :: acc) seen [] in
-    let entries =
-      if List.length entries <= target then entries
-      else Array.to_list (Plookup_util.Rng.sample rng (Array.of_list entries) target)
-    in
-    { Lookup_result.entries; servers_contacted = !contacted; target }
+    walk 0;
+    { Lookup_result.entries = Probe.pick_from_table seen ~rng ~target;
+      servers_contacted = !contacted;
+      target }
   end
 
 let check_invariants t =

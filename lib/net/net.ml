@@ -557,15 +557,16 @@ let send t ~src ~dst msg =
   check_node t dst;
   sync_transmit t ~src ~dst msg
 
-let broadcast t ~src msg =
+(* Replies are handed to [on_reply] as they come rather than collected:
+   at n = 10k a reply list per update is 10k cells that survive long
+   enough to be promoted, and almost every caller ignores it. *)
+let broadcast t ~src ?on_reply msg =
   Metrics.incr t.broadcast_count;
-  let replies = ref [] in
   for dst = t.n - 1 downto 0 do
-    match sync_transmit t ~src ~dst msg with
-    | Some reply -> replies := (dst, reply) :: !replies
-    | None -> ()
-  done;
-  !replies
+    match (sync_transmit t ~src ~dst msg, on_reply) with
+    | Some reply, Some f -> f dst reply
+    | (Some _ | None), _ -> ()
+  done
 
 let messages_received t = Array.fold_left (fun acc c -> acc + Metrics.value c) 0 t.received
 

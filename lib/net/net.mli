@@ -289,10 +289,15 @@ val send : ('msg, 'reply) t -> src:sender -> dst:int -> 'msg -> 'reply option
     delivery (2 when duplication fires — the duplicate is processed and
     its reply discarded, as a datagram server would). *)
 
-val broadcast : ('msg, 'reply) t -> src:sender -> 'msg -> (int * 'reply) list
-(** Deliver to every *up* server, in server order (including the sender
-    if it is an up server — the paper charges broadcasts n messages).
-    Counts one received message per delivery and one broadcast. *)
+val broadcast :
+  ('msg, 'reply) t -> src:sender -> ?on_reply:(int -> 'reply -> unit) -> 'msg -> unit
+(** Deliver to every *up* server, from the highest id down to 0
+    (including the sender if it is an up server — the paper charges
+    broadcasts n messages).  Counts one received message per delivery
+    and one broadcast.  Each delivered reply is passed to
+    [on_reply dst reply] as soon as its handler returns; without
+    [on_reply] the replies are discarded, so a broadcast allocates
+    nothing per server. *)
 
 (** {1 Accounting} *)
 

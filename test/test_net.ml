@@ -23,14 +23,25 @@ let test_server_to_server_not_client () =
   Helpers.check_int "no client request" 0 (Net.client_requests net);
   Helpers.check_int "message counted" 1 (Net.messages_received net)
 
+(* Broadcast, collecting the replies in arrival order. *)
+let broadcast_replies net ~src msg =
+  let replies = ref [] in
+  Net.broadcast net ~src msg ~on_reply:(fun dst reply -> replies := (dst, reply) :: !replies);
+  List.rev !replies
+
 let test_broadcast_costs_n () =
   let net = make ~n:5 () in
-  let replies = Net.broadcast net ~src:(Net.Server 1) "b" in
+  let replies = broadcast_replies net ~src:(Net.Server 1) "b" in
   Helpers.check_int "all reply" 5 (List.length replies);
   Helpers.check_int "cost n" 5 (Net.messages_received net);
   Helpers.check_int "one broadcast" 1 (Net.broadcasts net);
-  (* Replies come in server order, including the sender. *)
-  Alcotest.(check (list int)) "server order" [ 0; 1; 2; 3; 4 ] (List.map fst replies)
+  (* Deliveries run from the highest id down, including the sender. *)
+  Alcotest.(check (list int)) "delivery order" [ 4; 3; 2; 1; 0 ] (List.map fst replies);
+  Alcotest.(check bool) "each reply from its server" true
+    (List.for_all (fun (dst, (from, msg)) -> dst = from && msg = "b") replies);
+  (* Without [on_reply] the replies are dropped but the cost is the same. *)
+  Net.broadcast net ~src:Net.Client "c";
+  Helpers.check_int "cost 2n" 10 (Net.messages_received net)
 
 let test_failure_drops () =
   let net = make () in
@@ -50,8 +61,8 @@ let test_broadcast_skips_failed () =
   let net = make ~n:4 () in
   Net.fail net 0;
   Net.fail net 3;
-  let replies = Net.broadcast net ~src:Net.Client "b" in
-  Alcotest.(check (list int)) "only up servers" [ 1; 2 ] (List.map fst replies);
+  let replies = broadcast_replies net ~src:Net.Client "b" in
+  Alcotest.(check (list int)) "only up servers" [ 2; 1 ] (List.map fst replies);
   Helpers.check_int "cost = up servers" 2 (Net.messages_received net);
   Helpers.check_int "dropped two" 2 (Net.messages_dropped net)
 
@@ -63,7 +74,7 @@ let test_fail_exactly () =
 
 let test_reset_counters () =
   let net = make () in
-  ignore (Net.broadcast net ~src:Net.Client "x");
+  Net.broadcast net ~src:Net.Client "x";
   Net.reset_counters net;
   Helpers.check_int "received reset" 0 (Net.messages_received net);
   Helpers.check_int "broadcasts reset" 0 (Net.broadcasts net);

@@ -193,6 +193,126 @@ let prop_never_exceeds_target =
       let r = Probe.random_order cluster ~t in
       Lookup_result.count r <= t)
 
+(* {2 Probe_order cursors} *)
+
+module Rng = Plookup_util.Rng
+
+let drain order =
+  let rec go acc = match Probe_order.next order with Some s -> go (s :: acc) | None -> List.rev acc in
+  go []
+
+(* A cluster of [n] servers with [down] failed; no handler is needed,
+   the cursors only read membership. *)
+let cluster_with_down ~seed ~n down =
+  let cluster = Cluster.create ~seed ~n () in
+  List.iter (Cluster.fail cluster) down;
+  cluster
+
+let prop_random_up_is_permutation =
+  Helpers.qcheck ~count:300 "drained random cursor is a permutation of the reachable up servers"
+    QCheck2.Gen.(
+      triple (int_range 1 40) (list_size (int_range 0 40) (int_bound 39)) (pair int int))
+    (fun (n, down, (seed, mask)) ->
+      let down = List.filter (fun s -> s < n) down in
+      let cluster = cluster_with_down ~seed ~n down in
+      let keep s = (mask lsr (s mod 60)) land 1 = 1 || s mod 3 = 0 in
+      let got = drain (Probe_order.random_up ~keep cluster) in
+      let want = List.filter (fun s -> Cluster.is_up cluster s && keep s) (List.init n Fun.id) in
+      List.sort compare got = want)
+
+let prop_random_is_permutation =
+  Helpers.qcheck "drained random cursor over [0, n) is a permutation"
+    QCheck2.Gen.(pair (int_range 0 200) int)
+    (fun (n, seed) ->
+      let got = drain (Probe_order.random (Rng.create seed) ~n) in
+      List.sort compare got = List.init n Fun.id)
+
+let test_random_up_prefix_uniform () =
+  (* n = 8 with servers 2 and 5 down: each of the first three positions
+     must be uniform over the 6 up servers.  Chi-square with 5 degrees of
+     freedom; 20.5 is the 0.1% critical value.  The seed is fixed, so the
+     verdict is deterministic. *)
+  let n = 8 and down = [ 2; 5 ] and trials = 6000 in
+  let cluster = cluster_with_down ~seed:2024 ~n down in
+  let counts = Array.make_matrix 3 n 0 in
+  for _ = 1 to trials do
+    let order = Probe_order.random_up cluster in
+    for pos = 0 to 2 do
+      match Probe_order.next order with
+      | Some s -> counts.(pos).(s) <- counts.(pos).(s) + 1
+      | None -> Alcotest.fail "cursor drained early"
+    done
+  done;
+  let expected = float_of_int trials /. 6. in
+  for pos = 0 to 2 do
+    List.iter
+      (fun s -> Helpers.check_int (Printf.sprintf "down server %d at %d" s pos) 0 counts.(pos).(s))
+      down;
+    let chi2 =
+      Array.fold_left
+        (fun acc c ->
+          if c = 0 then acc
+          else
+            let d = float_of_int c -. expected in
+            acc +. (d *. d /. expected))
+        0. counts.(pos)
+    in
+    if chi2 > 20.5 then Alcotest.failf "position %d: chi-square %.2f > 20.5" pos chi2
+  done
+
+(* The stride order as it was built before the cursor: walk the cycle
+   marking a visited array, then append the unvisited ids ascending. *)
+let reference_stride ~n ~start ~step =
+  let step = ((step mod n) + n) mod n in
+  let visited = Array.make n false in
+  let order = ref [] in
+  let pos = ref (((start mod n) + n) mod n) in
+  while not visited.(!pos) do
+    visited.(!pos) <- true;
+    order := !pos :: !order;
+    pos := (!pos + step) mod n
+  done;
+  List.rev !order @ List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
+
+let test_stride_matches_reference () =
+  for n = 1 to 12 do
+    for start = -30 to 30 do
+      for step = -30 to 30 do
+        let got = drain (Probe_order.stride ~n ~start ~step) in
+        if got <> reference_stride ~n ~start ~step then
+          Alcotest.failf "n=%d start=%d step=%d" n start step
+      done
+    done
+  done
+
+let test_of_list_drops_duplicates () =
+  Alcotest.(check (list int)) "first occurrences" [ 3; 1; 4; 5; 9; 2; 6 ]
+    (drain (Probe_order.of_list [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3 ]))
+
+let prop_single_same_server_as_before =
+  (* The reference is the old formulation: index the ascending array of
+     reachable up servers with one draw from the same generator state.
+     Each server stores only its own id, so the answer names the server
+     contacted. *)
+  Helpers.qcheck ~count:300 "single picks the same server as the array formulation"
+    QCheck2.Gen.(triple (int_range 1 20) (list_size (int_range 0 20) (int_bound 19)) (pair bool int))
+    (fun (n, down, (restrict, mask)) ->
+      let cluster = manual_cluster ~n (List.init n (fun s -> [ s ])) in
+      List.iter (fun s -> if s < n then Cluster.fail cluster s) down;
+      let reachable = if restrict then Some (fun s -> (mask lsr s) land 1 = 1) else None in
+      let usable =
+        List.filter
+          (fun s -> Cluster.is_up cluster s && match reachable with Some ok -> ok s | None -> true)
+          (List.init n Fun.id)
+        |> Array.of_list
+      in
+      let want =
+        if Array.length usable = 0 then []
+        else [ usable.(Rng.int (Rng.copy (Cluster.rng cluster)) (Array.length usable)) ]
+      in
+      let r = Probe.single ?reachable cluster ~t:1 in
+      List.map Entry.id r.Lookup_result.entries = want)
+
 let () =
   Helpers.run "probe"
     [ ( "probe",
@@ -216,4 +336,11 @@ let () =
           Alcotest.test_case "message accounting" `Quick test_each_contact_counts_a_message;
           Alcotest.test_case "pick_from_table matches fold" `Quick
             test_pick_from_table_matches_fold_formulation;
-          prop_never_exceeds_target ] ) ]
+          prop_never_exceeds_target ] );
+      ( "order",
+        [ prop_random_up_is_permutation;
+          prop_random_is_permutation;
+          Alcotest.test_case "random prefix uniform" `Quick test_random_up_prefix_uniform;
+          Alcotest.test_case "stride matches reference" `Quick test_stride_matches_reference;
+          Alcotest.test_case "of_list drops duplicates" `Quick test_of_list_drops_duplicates;
+          prop_single_same_server_as_before ] ) ]

@@ -1,5 +1,6 @@
 open Plookup
 open Plookup_store
+module Net = Plookup_net.Net
 
 let test_config_names () =
   List.iter
@@ -178,6 +179,63 @@ let prop_every_strategy_satisfies_within_coverage =
       let r = Service.partial_lookup service t in
       if t <= coverage then Lookup_result.satisfied r else true)
 
+(* {2 Allocation regressions at n = 10k}
+
+   A lookup that reaches ~18 of 10k servers must allocate in proportion
+   to those contacts, and a broadcast update must not collect a reply
+   list: either O(n) cost would come back as 10k+ words per call.  Each
+   bound has at least 2x headroom over the measured value. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+let test_lookup_allocates_o_contacts () =
+  (* Measured: ~165 words per contact (the server's answer list, the
+     merge table, the cursor).  A bare n-element order alone would add
+     10k / 18 > 550. *)
+  let n = 10_000 in
+  let service, _ = Helpers.placed_service ~n ~h:n (Service.hash 2) in
+  let words = ref 0. and contacts = ref 0 in
+  for _ = 1 to 50 do
+    let r, w = minor_words (fun () -> Service.partial_lookup service 35) in
+    words := !words +. w;
+    contacts := !contacts + r.Lookup_result.servers_contacted
+  done;
+  let per_contact = !words /. float_of_int !contacts in
+  if per_contact > 400. then
+    Alcotest.failf "%.0f minor words per contacted server (bound 400)" per_contact
+
+let test_broadcast_update_allocates_no_list () =
+  (* The receivers' own work (reservoir draws) is O(n) by design, so it
+     is measured apart: the wrapper sums the words allocated inside
+     handler calls nested in another handler — the broadcast's
+     deliveries — in a flat float array, which itself allocates
+     nothing.  What remains is routing and the broadcast loop: measured
+     2 words per delivery (the reply option); a reply list would add 6. *)
+  let n = 10_000 in
+  let service, batch = Helpers.placed_service ~n ~h:100 (Service.random_server 2) in
+  let net = Cluster.net (Service.cluster service) in
+  let depth = ref 0 and delivered = [| 0. |] in
+  Net.wrap_handler net (fun handler dst src msg ->
+      incr depth;
+      let before = Gc.minor_words () in
+      let reply = handler dst src msg in
+      if !depth > 1 then delivered.(0) <- delivered.(0) +. (Gc.minor_words () -. before);
+      decr depth;
+      reply);
+  let victim = List.hd batch in
+  Net.reset_counters net;
+  let (), words =
+    minor_words (fun () ->
+        Service.delete service victim;
+        Service.add service victim)
+  in
+  let per_delivery = (words -. delivered.(0)) /. float_of_int (Net.messages_received net) in
+  if per_delivery > 4. then
+    Alcotest.failf "%.1f minor words per delivery outside the handlers (bound 4)" per_delivery
+
 let () =
   Helpers.run "service"
     [ ( "service",
@@ -196,4 +254,8 @@ let () =
           Alcotest.test_case "pref spans servers" `Quick test_lookup_pref_spans_servers;
           Alcotest.test_case "reachability" `Quick test_reachability_restriction;
           Alcotest.test_case "of_cluster" `Quick test_of_cluster_rebinds;
-          prop_every_strategy_satisfies_within_coverage ] ) ]
+          prop_every_strategy_satisfies_within_coverage ] );
+      ( "alloc",
+        [ Alcotest.test_case "lookup is O(contacts)" `Quick test_lookup_allocates_o_contacts;
+          Alcotest.test_case "broadcast builds no list" `Quick
+            test_broadcast_update_allocates_no_list ] ) ]
