@@ -3,24 +3,46 @@ module Service = Plookup.Service
 module Analytic = Plookup_metrics.Analytic
 module Update_gen = Plookup_workload.Update_gen
 module Replay = Plookup_workload.Replay
+module Obs = Plookup_obs.Obs
 
 let id = "fig14"
 let title = "Fig 14: update overhead, Fixed-50 vs Hash-y (t=40, 20000 updates)"
 
 let default_entry_counts = [ 100; 120; 133; 150; 175; 200; 250; 300; 350; 400 ]
 
-let measure_messages ctx ~n ~h ~updates ~config ~runs =
-  Runner.mean_of
-    (Runner.map_obs ctx ~count:runs (fun i ~obs ->
-         let run = i + 1 in
-         let seed = Ctx.run_seed ctx ((h * 131) + run) in
-         let stream =
-           Update_gen.generate (Rng.create seed)
-             { Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false;
-               updates }
-         in
-         let service = Service.create ~seed ~obs ~n config in
-         float_of_int (Replay.messages_for_updates ~service ~stream)))
+(* Mean update messages for Fixed-x and Hash-y at one h.  Each run's
+   stream is generated once and replayed on both configs, each replay
+   into its own obs child.  All Fixed-x children merge before the Hash-y
+   ones, in run order. *)
+let measure_messages ctx ~n ~h ~updates ~fixed ~hash ~runs =
+  let replays =
+    Runner.map ctx ~count:runs (fun i ->
+        let run = i + 1 in
+        let seed = Ctx.run_seed ctx ((h * 131) + run) in
+        let stream =
+          Update_gen.generate (Rng.create seed)
+            { Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false;
+              updates }
+        in
+        let replay config =
+          let obs = Obs.child ctx.Ctx.obs in
+          let service = Service.create ~seed ~obs ~n config in
+          (float_of_int (Replay.messages_for_updates ~service ~stream), obs)
+        in
+        let fixed_replay = replay fixed in
+        (fixed_replay, replay hash))
+  in
+  let mean_merged pick =
+    Runner.mean_of
+      (Array.map
+         (fun r ->
+           let msgs, obs = pick r in
+           Obs.merge ctx.Ctx.obs obs;
+           msgs)
+         replays)
+  in
+  let fixed_msgs = mean_merged fst in
+  (fixed_msgs, mean_merged snd)
 
 let run ?(n = 10) ?(t = 40) ?(x = 50) ?(entry_counts = default_entry_counts)
     ?(updates = 20000) ctx =
@@ -39,8 +61,10 @@ let run ?(n = 10) ?(t = 40) ?(x = 50) ?(entry_counts = default_entry_counts)
   List.iter
     (fun h ->
       let y = Analytic.optimal_hash_y ~n ~h ~t in
-      let fixed_msgs = measure_messages ctx ~n ~h ~updates ~config:(Service.fixed x) ~runs in
-      let hash_msgs = measure_messages ctx ~n ~h ~updates ~config:(Service.hash y) ~runs in
+      let fixed_msgs, hash_msgs =
+        measure_messages ctx ~n ~h ~updates ~fixed:(Service.fixed x) ~hash:(Service.hash y)
+          ~runs
+      in
       let u = float_of_int updates in
       Table.add_row table
         [ Table.I h;

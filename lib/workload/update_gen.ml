@@ -1,5 +1,6 @@
 open Plookup_util
 open Plookup_store
+module Event_queue = Plookup_sim.Event_queue
 
 type op = Add of Entry.t | Delete of Entry.t
 type event = { time : float; op : op }
@@ -13,7 +14,7 @@ type spec = {
 
 let default_spec = { steady_entries = 100; add_period = 10.; tail_heavy = false; updates = 10000 }
 
-type stream = { initial : Entry.t list; events : event list; gen : Entry.Gen.t }
+type stream = { initial : Entry.t list; events : event list }
 
 let generate rng spec =
   if spec.steady_entries <= 0 then invalid_arg "Update_gen.generate: steady_entries";
@@ -22,44 +23,44 @@ let generate rng spec =
   let gen = Entry.Gen.create () in
   let mean_lifetime = spec.add_period *. float_of_int spec.steady_entries in
   let lifetime = Dist.lifetime_of_mean ~tail_heavy:spec.tail_heavy ~mean:mean_lifetime in
-  let events = ref [] in
-  let emit time op = events := { time; op } :: !events in
+  (* Deletes wait here until they are due, ordered by time and then by
+     push order, which is the order their entries were born in. *)
+  let deletes = Event_queue.create () in
   (* Initial steady-state population: alive at time 0 with full lifetime
      draws, their deletes scheduled like any other entry's. *)
   let initial =
     List.init spec.steady_entries (fun _ ->
         let e = Entry.Gen.fresh gen in
-        emit (Dist.draw_lifetime rng lifetime) (Delete e);
+        ignore (Event_queue.push deletes ~time:(Dist.draw_lifetime rng lifetime) e);
         e)
   in
-  (* Poisson adds: generate enough arrivals that, after merging with the
-     initial population's deletes, we can truncate to [updates] events.
-     Each add contributes itself plus (usually) one delete, so [updates]
-     arrivals always suffice. *)
+  (* The next Poisson add, drawn only when the merge needs it: its
+     interarrival, then its lifetime. *)
   let clock = ref 0. in
-  for _ = 1 to spec.updates do
+  let draw_add () =
     clock := !clock +. Dist.poisson_interarrival rng ~rate:(1. /. spec.add_period);
     let e = Entry.Gen.fresh gen in
-    emit !clock (Add e);
-    emit (!clock +. Dist.draw_lifetime rng lifetime) (Delete e)
-  done;
-  let sorted =
-    List.stable_sort (fun a b -> Float.compare a.time b.time) (List.rev !events)
+    (!clock, e, !clock +. Dist.draw_lifetime rng lifetime)
   in
-  (* Truncate to the requested number of updates, dropping deletes whose
-     adds got cut (can only happen right at the horizon). *)
-  let rec take k added acc = function
-    | [] -> List.rev acc
-    | _ when k = 0 -> List.rev acc
-    | ({ op = Add e; _ } as ev) :: rest ->
-      take (k - 1) (Entry.Set.add e added) (ev :: acc) rest
-    | ({ op = Delete e; _ } as ev) :: rest ->
-      let known =
-        Entry.Set.mem e added || List.exists (fun e' -> Entry.equal e e') initial
+  (* Merge the monotone add clock with the pending deletes.  A delete
+     due at the same time as the next add goes first, because its entry
+     was born before that add.  An entry's own delete is pushed only once
+     its add is out, so it never overtakes it. *)
+  let rec merge remaining next acc =
+    if remaining = 0 then List.rev acc
+    else
+      let ((add_time, e, delete_time) as add) =
+        match next with Some add -> add | None -> draw_add ()
       in
-      if known then take (k - 1) added (ev :: acc) rest else take k added acc rest
+      match Event_queue.peek deletes with
+      | Some (time, victim) when time <= add_time ->
+        ignore (Event_queue.pop deletes);
+        merge (remaining - 1) (Some add) ({ time; op = Delete victim } :: acc)
+      | Some _ | None ->
+        ignore (Event_queue.push deletes ~time:delete_time e);
+        merge (remaining - 1) None ({ time = add_time; op = Add e } :: acc)
   in
-  { initial; events = take spec.updates Entry.Set.empty [] sorted; gen }
+  { initial; events = merge spec.updates None [] }
 
 let pp_event ppf { time; op } =
   match op with

@@ -4,12 +4,20 @@
     lambda = 10 time units); each added entry lives for a random
     lifetime — exponential or Zipf-like — scaled to expectation
     [lambda * h], so the system holds [h] entries in steady state.  The
-    stream is generated up front as timestamped events and replayed,
-    exactly like the paper's event-driven simulation.
+    stream is a list of timestamped events that callers replay, exactly
+    like the paper's event-driven simulation.
 
     The generator also emits an initial population of [h] entries (the
     steady state to start from) whose deletes are scheduled like any
-    other entry's. *)
+    other entry's.
+
+    Events are produced in time order by merging the Poisson add clock
+    with a queue of pending deletes, and generation stops at the
+    [updates]-th event.  The draws are [h] initial lifetimes, then an
+    interarrival and a lifetime per add, but only for the adds the
+    stream actually reaches: [generate] consumes a prefix of that
+    sequence, so the caller's [rng] is left in a state that depends on
+    how many adds were needed.  Pass a fresh generator per stream. *)
 
 open Plookup_store
 
@@ -30,13 +38,14 @@ val default_spec : spec
 type stream = {
   initial : Entry.t list;  (** the steady-state population placed at time 0 *)
   events : event list;  (** updates in non-decreasing time order *)
-  gen : Entry.Gen.t;  (** the id source, for bitset capacities *)
 }
 
 val generate : Plookup_util.Rng.t -> spec -> stream
-(** Events are truncated to exactly [spec.updates] operations; deletes of
-    entries whose lifetime ends beyond the horizon are dropped with
-    their adds kept (the entry simply outlives the simulation). *)
+(** Exactly [spec.updates] events.  Deletes of entries whose lifetime
+    ends beyond the last event are never emitted (the entry simply
+    outlives the simulation).  Equal times keep birth order: an entry's
+    delete follows its own add but precedes the add of any entry born
+    after it. *)
 
 val pp_event : Format.formatter -> event -> unit
 

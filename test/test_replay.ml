@@ -6,9 +6,7 @@ module Replay = Plookup_workload.Replay
 module Net = Plookup_net.Net
 
 let stream_of_events ~initial events =
-  let gen = Entry.Gen.create () in
-  let initial = List.init initial (fun _ -> Entry.Gen.fresh gen) in
-  { Update_gen.initial;
+  { Update_gen.initial = Helpers.entries initial;
     events =
       List.map
         (fun (time, op) ->
@@ -17,8 +15,7 @@ let stream_of_events ~initial events =
               (match op with
               | `Add id -> Update_gen.Add (Entry.v id)
               | `Delete id -> Update_gen.Delete (Entry.v id)) })
-        events;
-    gen }
+        events }
 
 let test_run_applies_events () =
   let stream = stream_of_events ~initial:3 [ (1., `Add 10); (2., `Delete 0) ] in

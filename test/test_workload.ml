@@ -6,6 +6,64 @@ let generate ?(seed = 1) ?(updates = 500) ?(tail_heavy = false) ?(h = 50) () =
   Update_gen.generate (Rng.create seed)
     { Update_gen.steady_entries = h; add_period = 10.; tail_heavy; updates }
 
+(* Reference generator: every add's events built up front, stable-sorted
+   by time and truncated to [updates].  [Update_gen.generate] streams the
+   same events without the sort; the properties below hold it to this. *)
+let reference_stream ~seed ~h ~updates ~tail_heavy =
+  let rng = Rng.create seed in
+  let gen = Entry.Gen.create () in
+  let lifetime = Dist.lifetime_of_mean ~tail_heavy ~mean:(10. *. float_of_int h) in
+  let events = ref [] in
+  let emit time op = events := { Update_gen.time; op } :: !events in
+  let initial =
+    List.init h (fun _ ->
+        let e = Entry.Gen.fresh gen in
+        emit (Dist.draw_lifetime rng lifetime) (Update_gen.Delete e);
+        e)
+  in
+  let clock = ref 0. in
+  for _ = 1 to updates do
+    clock := !clock +. Dist.poisson_interarrival rng ~rate:(1. /. 10.);
+    let e = Entry.Gen.fresh gen in
+    emit !clock (Update_gen.Add e);
+    emit (!clock +. Dist.draw_lifetime rng lifetime) (Update_gen.Delete e)
+  done;
+  let sorted =
+    List.stable_sort
+      (fun a b -> Float.compare a.Update_gen.time b.Update_gen.time)
+      (List.rev !events)
+  in
+  let rec take k added acc = function
+    | [] -> List.rev acc
+    | _ when k = 0 -> List.rev acc
+    | ({ Update_gen.op = Update_gen.Add e; _ } as ev) :: rest ->
+      take (k - 1) (Entry.Set.add e added) (ev :: acc) rest
+    | ({ Update_gen.op = Update_gen.Delete e; _ } as ev) :: rest ->
+      let known =
+        Entry.Set.mem e added || List.exists (fun e' -> Entry.equal e e') initial
+      in
+      if known then take (k - 1) added (ev :: acc) rest else take k added acc rest
+  in
+  (initial, take updates Entry.Set.empty [] sorted)
+
+(* Streams compared bit for bit: times through their IEEE bits, ops by
+   kind and entry id. *)
+let event_key { Update_gen.time; op } =
+  let kind, e = match op with Update_gen.Add e -> (0, e) | Update_gen.Delete e -> (1, e) in
+  (Int64.bits_of_float time, kind, Entry.id e)
+
+let matches_reference ~seed ~h ~updates ~tail_heavy =
+  let stream = generate ~seed ~h ~updates ~tail_heavy () in
+  let initial, events = reference_stream ~seed ~h ~updates ~tail_heavy in
+  List.map Entry.id stream.Update_gen.initial = List.map Entry.id initial
+  && List.map event_key stream.Update_gen.events = List.map event_key events
+
+let check_reference ~seed ~h ~updates ~tail_heavy =
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d h %d updates %d tail_heavy %b" seed h updates tail_heavy)
+    true
+    (matches_reference ~seed ~h ~updates ~tail_heavy)
+
 let test_initial_population () =
   let stream = generate ~h:50 () in
   Helpers.check_int "initial size" 50 (List.length stream.Update_gen.initial);
@@ -129,6 +187,21 @@ let prop_event_count_exact =
       let stream = generate ~seed ~updates () in
       List.length stream.Update_gen.events = updates)
 
+let test_no_updates () =
+  List.iter
+    (fun tail_heavy -> check_reference ~seed:9 ~h:30 ~updates:0 ~tail_heavy)
+    [ false; true ]
+
+let test_single_entry () =
+  List.iter
+    (fun (seed, updates, tail_heavy) -> check_reference ~seed ~h:1 ~updates ~tail_heavy)
+    [ (1, 1, false); (2, 2, true); (3, 500, false); (4, 5000, true) ]
+
+let prop_matches_reference =
+  Helpers.qcheck ~count:60 "streamed generator equals the sort-and-truncate reference"
+    QCheck2.Gen.(quad int (int_range 1 400) (int_range 0 20000) bool)
+    (fun (seed, h, updates, tail_heavy) -> matches_reference ~seed ~h ~updates ~tail_heavy)
+
 let prop_ids_unique =
   Helpers.qcheck ~count:20 "every add introduces a fresh id"
     QCheck2.Gen.int
@@ -158,5 +231,8 @@ let () =
           Alcotest.test_case "live_after" `Quick test_live_after;
           Alcotest.test_case "default spec" `Quick test_default_spec;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "no updates" `Quick test_no_updates;
+          Alcotest.test_case "single entry" `Quick test_single_entry;
           prop_event_count_exact;
+          prop_matches_reference;
           prop_ids_unique ] ) ]
