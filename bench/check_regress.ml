@@ -11,8 +11,6 @@
      day_runs_per_sec[].per_sec       (BENCH_day.json)
      cached_lookups_per_sec[].per_sec (BENCH_cache.json raw cache ops)
      cache[].hit_rate                 (BENCH_cache.json, per strategy)
-     shard_events_per_sec[].per_sec   (BENCH_parallel.json, keyed
-                                       "n=SIZE w=WORKERS")
      instrumentation.*_per_sec_*      (when present in both files)
 
    Tail-latency metrics gated (lower is better — a GROWTH beyond the
@@ -32,8 +30,8 @@
    all-"gone".  Skipped baseline metrics are therefore summarised at
    the end, and the gate fails when more than --max-missing (a
    fraction, default 0.5) of them vanished.  Smoke runs legitimately
-   drop the large-n rows of the scale and parallel sweeps, which stays
-   under the default; wholesale disappearance does not.
+   drop the large-n rows of the scale sweep, which stays under the
+   default; wholesale disappearance does not.
 
    Absolute hit-rate floor: every cache[].hit_rate must clear 40% in
    both files — the claim that the cache absorbs the flash crowd is an
@@ -252,10 +250,6 @@ let throughput_metrics json =
   rate_array "day_runs_per_sec";
   (* BENCH_cache.json: raw Client_cache operation rates... *)
   rate_array "cached_lookups_per_sec";
-  (* BENCH_parallel.json: domain-sharded simulation events/s, keyed
-     "n=SIZE w=WORKERS".  The w=1 rows gate the windowed driver's
-     sequential overhead; the w>1 rows gate the parallel path itself. *)
-  rate_array "shard_events_per_sec";
   (* ...and the tuned+cache day cell per strategy: hit rate must not
      drop, data-plane traffic and the crowd tail must not grow. *)
   (match member "cache" json with

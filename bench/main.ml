@@ -1252,120 +1252,6 @@ let bench_cache ~smoke () =
   print_endline "(wrote BENCH_cache.json)"
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: domain-sharded simulation -> BENCH_parallel.json           *)
-
-(* The striped data-plane simulation (Shard_sim: 4 server-id stripes,
-   conservative lookahead windows) run at worker counts 1, 2 and 4, at
-   n=1k and n=10k.  Three numbers per cell: wall clock, simulation
-   events per second, and — the determinism contract, re-checked here
-   where the speedup is claimed — the byte-identical digest across
-   worker counts.  events/s rows are written in the rate_array shape
-   check_regress gates (higher is better); wall clock and speedup are
-   reported for context only, because they measure the CI machine's
-   core count and load as much as the code.  The w=1 row doubles as a
-   sequential-overhead gate: the windowed driver with one worker must
-   not fall behind its own baseline. *)
-let bench_parallel ~smoke () =
-  let sizes = if smoke then [ 1000 ] else [ 1000; 10_000 ] in
-  let worker_counts = [ 1; 2; 4 ] in
-  let min_elapsed = if smoke then 0.1 else 0.4 in
-  let horizon = 40. in
-  let cells =
-    List.concat_map
-      (fun n ->
-        let entries = 2 * n in
-        let rate = float_of_int n /. 10. in
-        let run workers =
-          E.Shard_sim.run ~workers ~n ~entries ~rate ~horizon ~seed:42 ()
-        in
-        let reference = E.Shard_sim.to_string (run 1) in
-        List.map
-          (fun workers ->
-            let digest = E.Shard_sim.to_string (run workers) in
-            if digest <> reference then
-              failwith
-                (Printf.sprintf
-                   "bench_parallel: n=%d diverged at workers=%d\n%s\nvs\n%s" n
-                   workers reference digest);
-            (* Repeat whole runs until enough wall clock accumulates;
-               every run is identical, so repetition measures
-               steady-state throughput. *)
-            let t0 = Unix.gettimeofday () in
-            let rounds = ref 0 and events = ref 0 in
-            while Unix.gettimeofday () -. t0 < min_elapsed do
-              events := !events + (run workers).E.Shard_sim.events;
-              incr rounds
-            done;
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let wall = elapsed /. float_of_int !rounds in
-            let per_sec = float_of_int !events /. elapsed in
-            (n, workers, wall, per_sec))
-          worker_counts)
-      sizes
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "domain-sharded simulation (stripes=%d, horizon=%g%s)"
-           E.Shard_sim.stripes horizon
-           (if smoke then ", smoke" else ""))
-      ~columns:[ "n"; "workers"; "wall ms"; "events/s"; "speedup vs w=1" ]
-  in
-  let wall_of n workers =
-    List.find_map
-      (fun (n', w, wall, _) -> if n' = n && w = workers then Some wall else None)
-      cells
-  in
-  List.iter
-    (fun (n, workers, wall, per_sec) ->
-      Table.add_row table
-        [ Table.I n;
-          Table.I workers;
-          Table.F (1000. *. wall);
-          Table.S (Printf.sprintf "%.0f" per_sec);
-          (match wall_of n 1 with
-          | Some w1 -> Table.F (w1 /. wall)
-          | None -> Table.S "-") ])
-    cells;
-  Table.print table;
-  let rate_rows =
-    String.concat ",\n"
-      (List.map
-         (fun (n, workers, _, per_sec) ->
-           Printf.sprintf "    {\"strategy\": \"n=%d w=%d\", \"per_sec\": %.0f}" n
-             workers per_sec)
-         cells)
-  in
-  let wall_rows =
-    String.concat ",\n"
-      (List.map
-         (fun (n, workers, wall, _) ->
-           Printf.sprintf
-             "    {\"cell\": \"n=%d w=%d\", \"wall_s\": %.4f, \"speedup_vs_w1\": %s}" n
-             workers wall
-             (match wall_of n 1 with
-             | Some w1 -> Printf.sprintf "%.3f" (w1 /. wall)
-             | None -> "null"))
-         cells)
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"parallel_shards\",\n\
-    \  \"params\": {\"stripes\": %d, \"horizon\": %g, \"smoke\": %b, \"sizes\": [%s], \
-     \"workers\": [%s], \"cores\": %d, \"parallel_available\": %b, \"determinism\": \
-     \"byte-identical digest across all worker counts, checked before timing\"},\n\
-    \  \"shard_events_per_sec\": [\n%s\n  ],\n\
-    \  \"wall_clock\": [\n%s\n  ]\n\
-     }\n"
-    E.Shard_sim.stripes horizon smoke
-    (String.concat ", " (List.map string_of_int sizes))
-    (String.concat ", " (List.map string_of_int worker_counts))
-    (Pool.recommended_jobs ()) Pool.parallel_available rate_rows wall_rows;
-  close_out oc;
-  print_endline "(wrote BENCH_parallel.json)"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let jobs = ref 0 in
@@ -1373,7 +1259,6 @@ let () =
   let scale_only = ref false in
   let day_only = ref false in
   let cache_only = ref false in
-  let parallel_only = ref false in
   Arg.parse
     [ ("-j", Arg.Set_int jobs, "JOBS worker domains for Parts 2 and 5 (0 = one per core)");
       ("--jobs", Arg.Set_int jobs, "JOBS same as -j");
@@ -1388,12 +1273,9 @@ let () =
        " run only Part 8 (the production-day chaos benchmark -> BENCH_day.json)");
       ("--cache-only",
        Arg.Set cache_only,
-       " run only Part 9 (the client-cache benchmark -> BENCH_cache.json)");
-      ("--parallel-only",
-       Arg.Set parallel_only,
-       " run only Part 10 (the domain-sharded simulation -> BENCH_parallel.json)") ]
+       " run only Part 9 (the client-cache benchmark -> BENCH_cache.json)") ]
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
-    "bench [-j JOBS] [--smoke] [--scale-only] [--day-only] [--cache-only] [--parallel-only]";
+    "bench [-j JOBS] [--smoke] [--scale-only] [--day-only] [--cache-only]";
   let jobs = if !jobs = 0 then Pool.recommended_jobs () else !jobs in
   let t0 = Unix.gettimeofday () in
   if !scale_only then begin
@@ -1414,13 +1296,6 @@ let () =
     print_endline "=== Part 9: client-cache benchmark (BENCH_cache.json) ===";
     print_newline ();
     bench_cache ~smoke:!smoke ();
-    Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
-    exit 0
-  end;
-  if !parallel_only then begin
-    print_endline "=== Part 10: domain-sharded simulation (BENCH_parallel.json) ===";
-    print_newline ();
-    bench_parallel ~smoke:!smoke ();
     Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
     exit 0
   end;
@@ -1484,8 +1359,4 @@ let () =
   print_endline "=== Part 9: client-cache benchmark (BENCH_cache.json) ===";
   print_newline ();
   bench_cache ~smoke:!smoke ();
-  print_newline ();
-  print_endline "=== Part 10: domain-sharded simulation (BENCH_parallel.json) ===";
-  print_newline ();
-  bench_parallel ~smoke:!smoke ();
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

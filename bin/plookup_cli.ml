@@ -27,17 +27,6 @@ let jobs_arg =
 let resolve_jobs jobs =
   if jobs = 0 then Plookup_util.Pool.recommended_jobs () else jobs
 
-let shards_arg =
-  let doc =
-    "Worker domains inside a single simulation or cell (intra-run parallelism; see \
-     DESIGN.md \"Parallelism\").  Composes with $(b,--jobs); results are byte-identical \
-     at any value; 0 means one worker per available core."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"SHARDS" ~doc)
-
-let resolve_shards shards =
-  if shards = 0 then Plookup_util.Pool.recommended_jobs () else shards
-
 let loss_arg =
   let doc =
     "Ambient per-transmission message-loss probability for fault-aware experiments \
@@ -257,9 +246,9 @@ let repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap =
            }))
 
 (* run subcommand *)
-let run_experiment ids seed scale jobs shards loss duplication jitter mttf mttr horizon
-    repair grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker
-    degrade cache cache_cap cache_ttl swr hotspot csv plot =
+let run_experiment ids seed scale jobs loss duplication jitter mttf mttr horizon repair
+    grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker degrade
+    cache cache_cap cache_ttl swr hotspot csv plot =
   match repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap with
   | Error msg -> `Error (false, msg)
   | Ok repair -> (
@@ -268,9 +257,8 @@ let run_experiment ids seed scale jobs shards loss duplication jitter mttf mttr 
   in
   let cache = cache_config ~cache ~cache_cap ~cache_ttl ~swr ~hotspot in
   match
-    Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs)
-      ~shards:(resolve_shards shards) ~loss ~duplication ~jitter ?mttf ?mttr ?horizon
-      ?repair ?overload ?cache ()
+    Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication ~jitter
+      ?mttf ?mttr ?horizon ?repair ?overload ?cache ()
   with
   | exception Invalid_argument msg -> `Error (false, msg)
   | ctx ->
@@ -310,8 +298,7 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run_experiment $ ids $ seed_arg $ scale_arg $ jobs_arg $ shards_arg
-        $ loss_arg
+        (const run_experiment $ ids $ seed_arg $ scale_arg $ jobs_arg $ loss_arg
         $ duplication_arg $ jitter_arg $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg
         $ grace_arg $ repair_period_arg $ hint_ttl_arg $ hint_cap_arg $ capacity_arg
         $ service_rate_arg $ deadline_arg $ hedge_arg $ breaker_arg $ degrade_arg
@@ -320,13 +307,13 @@ let run_cmd =
 
 (* day subcommand: the production-day chaos experiment with its overload
    knobs front and center *)
-let day_experiment smoke seed scale jobs shards loss duplication jitter mttf mttr horizon
-    repair grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker
-    degrade cache cache_cap cache_ttl swr hotspot csv plot =
+let day_experiment smoke seed scale jobs loss duplication jitter mttf mttr horizon repair
+    grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker degrade
+    cache cache_cap cache_ttl swr hotspot csv plot =
   let scale = if smoke then 0.05 else scale in
-  run_experiment [ "day" ] seed scale jobs shards loss duplication jitter mttf mttr
-    horizon repair grace period hint_ttl hint_cap capacity service_rate deadline hedge
-    breaker degrade cache cache_cap cache_ttl swr hotspot csv plot
+  run_experiment [ "day" ] seed scale jobs loss duplication jitter mttf mttr horizon
+    repair grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker
+    degrade cache cache_cap cache_ttl swr hotspot csv plot
 
 let day_cmd =
   let smoke =
@@ -345,8 +332,7 @@ let day_cmd =
   Cmd.v (Cmd.info "day" ~doc)
     Term.(
       ret
-        (const day_experiment $ smoke $ seed_arg $ scale_arg $ jobs_arg $ shards_arg
-        $ loss_arg
+        (const day_experiment $ smoke $ seed_arg $ scale_arg $ jobs_arg $ loss_arg
         $ duplication_arg $ jitter_arg $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg
         $ grace_arg $ repair_period_arg $ hint_ttl_arg $ hint_cap_arg $ capacity_arg
         $ service_rate_arg $ deadline_arg $ hedge_arg $ breaker_arg $ degrade_arg
@@ -536,7 +522,7 @@ let sweep_cmd =
 
 (* trace subcommand: one experiment with the observability layer on *)
 let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_planes seed
-    scale jobs shards loss duplication jitter csv =
+    scale jobs loss duplication jitter csv =
   let module Obs = Plookup_obs.Obs in
   let module Trace = Plookup_obs.Trace in
   match Experiments.Registry.find id with
@@ -576,8 +562,8 @@ let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_plan
           trace_out
       in
       match
-        Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs)
-          ~shards:(resolve_shards shards) ~loss ~duplication ~jitter ~obs ()
+        Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication
+          ~jitter ~obs ()
       with
       | exception Invalid_argument msg -> `Error (false, msg)
       | ctx ->
@@ -657,12 +643,12 @@ let trace_cmd =
     Term.(
       ret
         (const trace_experiment $ id $ trace_out $ metrics_dump $ trace_cap $ trace_sample
-        $ trace_planes $ seed_arg $ scale_arg $ jobs_arg $ shards_arg $ loss_arg
-        $ duplication_arg $ jitter_arg $ csv_arg))
+        $ trace_planes $ seed_arg $ scale_arg $ jobs_arg $ loss_arg $ duplication_arg
+        $ jitter_arg $ csv_arg))
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.11.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.12.0" ~doc in
   Cmd.group info
     [ run_cmd; day_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd;
       trace_cmd ]

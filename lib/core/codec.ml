@@ -1,7 +1,9 @@
 open Plookup_store
 open Plookup_util
 
-(* Varints: LEB128, unsigned, for non-negative ints. *)
+(* Varints: LEB128, unsigned, for non-negative ints.  A ninth byte can
+   reach the sign bit, so decoding rejects any value that does not read
+   back as a non-negative int. *)
 let put_varint buf v =
   if v < 0 then invalid_arg "Codec.put_varint: negative";
   let rec go v =
@@ -21,7 +23,9 @@ let get_varint s ~pos =
     else begin
       let b = Char.code s.[pos] in
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+      if acc < 0 then Error "varint: overflow"
+      else if b land 0x80 = 0 then Ok (acc, pos + 1)
+      else go (pos + 1) (shift + 7) acc
     end
   in
   go pos 0 0
@@ -44,7 +48,7 @@ let decode_entry s ~pos =
   if tagged_len = 0 then Ok (Entry.v id, pos)
   else begin
     let len = tagged_len - 1 in
-    if pos + len > String.length s then Error "entry payload: truncated"
+    if len > String.length s - pos then Error "entry payload: truncated"
     else Ok (Entry.v ~payload:(String.sub s pos len) id, pos + len)
   end
 

@@ -34,7 +34,6 @@ type t = {
   seed : int;
   scale : float;
   jobs : int;
-  shards : int;
   loss : float;
   duplication : float;
   jitter : float;
@@ -51,7 +50,6 @@ let default =
   { seed = 42;
     scale = 1.0;
     jobs = 1;
-    shards = 1;
     loss = 0.;
     duplication = 0.;
     jitter = 0.;
@@ -63,12 +61,10 @@ let default =
     cache = None;
     obs = Plookup_obs.Obs.create () }
 
-let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(shards = 1) ?(loss = 0.)
-    ?(duplication = 0.) ?(jitter = 0.) ?mttf ?mttr ?horizon ?repair ?overload ?cache
-    ?obs () =
+let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
+    ?(jitter = 0.) ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs () =
   if scale <= 0. then invalid_arg "Ctx.v: scale must be positive";
   if jobs < 1 then invalid_arg "Ctx.v: jobs must be at least 1";
-  if shards < 1 then invalid_arg "Ctx.v: shards must be at least 1";
   if loss < 0. || loss >= 1. then invalid_arg "Ctx.v: loss must be in [0, 1)";
   if duplication < 0. || duplication > 1. then
     invalid_arg "Ctx.v: duplication must be in [0, 1]";
@@ -86,7 +82,6 @@ let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(shards = 1) ?(loss = 0.)
   { seed;
     scale;
     jobs;
-    shards;
     loss;
     duplication;
     jitter;
@@ -98,7 +93,6 @@ let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(shards = 1) ?(loss = 0.)
     cache;
     obs }
 
-let workers t = t.jobs * t.shards
 let faulty t = t.loss > 0. || t.duplication > 0. || t.jitter > 0.
 
 let apply_faults t cluster =

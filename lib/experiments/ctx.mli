@@ -50,17 +50,9 @@ type t = {
   seed : int;
   scale : float;
   jobs : int;
-      (** worker count for {!Runner}'s replicate fan-out; results are
-          byte-identical at any value (DESIGN.md, "Performance") *)
-  shards : int;
-      (** intra-run parallelism knob: how many workers execute {e inside}
-          one simulation or one cell.  The logical decomposition is fixed
-          (stripes in {!Shard_sim}, instance-space partitions in the
-          metric loops), so results are byte-identical at any value —
-          [shards] only scales physical execution.  Replicate-level and
-          shard-level parallelism compose: experiments that fan out
-          replicates use {!workers} [= jobs * shards] domains
-          (DESIGN.md, "Parallelism"). *)
+      (** worker count for {!Runner}'s replicate fan-out, the repo's one
+          parallel axis; results are byte-identical at any value
+          (DESIGN.md, "Parallelism") *)
   loss : float;  (** per-transmission drop probability, in [0, 1) *)
   duplication : float;  (** per-transmission duplicate probability, in [0, 1] *)
   jitter : float;  (** max extra per-delivery delay (engine time units) *)
@@ -94,7 +86,6 @@ val v :
   ?seed:int ->
   ?scale:float ->
   ?jobs:int ->
-  ?shards:int ->
   ?loss:float ->
   ?duplication:float ->
   ?jitter:float ->
@@ -107,13 +98,6 @@ val v :
   ?obs:Plookup_obs.Obs.t ->
   unit ->
   t
-
-val workers : t -> int
-(** [jobs * shards] — the total domain budget an experiment may spread
-    its work over when the two parallelism axes fold into one fan-out
-    (the day and churn experiments, whose per-cell simulations are
-    globally coupled and cannot be striped without changing results;
-    see DESIGN.md, "Parallelism"). *)
 
 val faulty : t -> bool
 (** Whether any fault knob is non-zero. *)

@@ -174,12 +174,8 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 40) ?(mttf = 50.) ?(mttr = 50
            (if repair_cfg.Repair.mode <> Repair.Off then [ (config, repair_cfg) ] else []))
          configs)
   in
-  (* Each cell is one globally-coupled simulation (per-lookup coverage
-     folds read every store), so it cannot be striped without changing
-     results; the [--shards] budget folds into the cell fan-out
-     instead (DESIGN.md, "Parallelism"). *)
   let measured =
-    Runner.map_obs ~workers:(Ctx.workers ctx) ctx ~count:(Array.length cells)
+    Runner.map_obs ctx ~count:(Array.length cells)
       (fun i ~obs ->
         let config, repair = cells.(i) in
         (config, repair,

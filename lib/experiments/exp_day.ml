@@ -312,12 +312,8 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(keys = 50) ?(alpha = 1.
     Array.of_list
       (List.concat_map (fun config -> List.map (fun m -> (config, m)) modes) configs)
   in
-  (* A day cell is one globally-coupled simulation (shared client
-     state: breakers, cache, tallies), so the [--shards] budget folds
-     into the cell fan-out rather than striping the simulation
-     (DESIGN.md, "Parallelism"). *)
   let measured =
-    Runner.map_obs ~workers:(Ctx.workers ctx) ctx ~count:(Array.length cells)
+    Runner.map_obs ctx ~count:(Array.length cells)
       (fun i ~obs ->
         let config, mode = cells.(i) in
         ( config,

@@ -19,29 +19,7 @@ let messages_per_update ctx ~obs ~n ~h ~config ~updates ~runs =
     let msgs = Replay.messages_for_updates ~service ~stream in
     float_of_int msgs /. float_of_int updates
   in
-  let shards = ctx.Ctx.shards in
-  let samples =
-    if shards <= 1 then Array.map (measure ~obs) seeds
-    else begin
-      (* Same replicate decomposition, spread over the shard workers:
-         seeds are fixed above, each worker reports into its own obs
-         child, and children merge back in input order — byte-identical
-         to the sequential map (DESIGN.md, "Parallelism"). *)
-      let pairs =
-        Pool.map ~jobs:shards
-          (fun seed ->
-            let child = Plookup_obs.Obs.child obs in
-            (measure ~obs:child seed, child))
-          seeds
-      in
-      Array.map
-        (fun (sample, child) ->
-          Plookup_obs.Obs.merge obs child;
-          sample)
-        pairs
-    end
-  in
-  Runner.mean_of samples
+  Runner.mean_of (Array.map (measure ~obs) seeds)
 
 (* Turn measured columns into 1..4 star ranks over the four partial
    strategies (the paper's Table 2 omits full replication), ties sharing
@@ -92,11 +70,8 @@ let stars_of_measurements rows =
 let measure_rows ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ctx =
   let runs = Ctx.scaled ctx 20 in
   let configs = Array.of_list (Service.all_configs ~budget ~n ~h ()) in
-  (* One parallel unit per strategy ([--jobs] axis); within each cell
-     the instance loops of the measured metrics are spread over the
-     [--shards] workers.  All seeds derive from the context alone, so
-     results do not depend on evaluation order on either axis. *)
-  let shards = ctx.Ctx.shards in
+  (* One parallel unit per strategy.  All seeds derive from the context
+     alone, so results do not depend on evaluation order. *)
   let rows =
     Runner.map_obs ctx ~count:(Array.length configs) (fun index ~obs ->
         let config = configs.(index) in
@@ -104,23 +79,23 @@ let measure_rows ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ctx =
       (* Static metrics on one representative placement family. *)
       let coverage =
         fst
-          (Metrics.Coverage.measured_over_instances ~seed ~obs ~shards ~n ~entries:h
-             ~config ~runs ())
+          (Metrics.Coverage.measured_over_instances ~seed ~obs ~n ~entries:h ~config
+             ~runs ())
       in
       let fault_tol =
         fst
-          (Metrics.Fault_tolerance.measure_over_instances ~seed ~obs ~shards ~n
-             ~entries:h ~config ~t ~runs ())
+          (Metrics.Fault_tolerance.measure_over_instances ~seed ~obs ~n ~entries:h
+             ~config ~t ~runs ())
       in
       let lookup =
-        Metrics.Lookup_cost.measure_over_instances ~seed ~obs ~shards ~n ~entries:h
-          ~config ~t
+        Metrics.Lookup_cost.measure_over_instances ~seed ~obs ~n ~entries:h ~config
+          ~t
           ~runs:(max 1 (runs / 2))
           ~lookups_per_run:(Ctx.scaled ctx 200) ()
       in
       let unfairness =
         fst
-          (Metrics.Unfairness.of_strategy ~seed ~obs ~shards ~n ~entries:h ~config ~t
+          (Metrics.Unfairness.of_strategy ~seed ~obs ~n ~entries:h ~config ~t
              ~instances:(max 1 (runs / 4))
              ~lookups_per_instance:(Ctx.scaled ctx 2000) ())
       in

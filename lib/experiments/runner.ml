@@ -1,24 +1,19 @@
-let map ?workers ctx ~count f =
-  let jobs = match workers with Some w -> w | None -> ctx.Ctx.jobs in
-  Plookup_util.Pool.map ~jobs f (Array.init count Fun.id)
+let map ctx ~count f = Plookup_util.Pool.map ~jobs:ctx.Ctx.jobs f (Array.init count Fun.id)
 
-let replicates ?workers ctx ~count f =
-  map ?workers ctx ~count (fun i -> f ~seed:(Ctx.run_seed ctx (i + 1)))
+let replicates ctx ~count f =
+  map ctx ~count (fun i -> f ~seed:(Ctx.run_seed ctx (i + 1)))
 
 (* Observability threading: each unit of work gets a private child
    handle (no shared mutable cells across workers), and the children are
    merged back into [ctx.obs] by walking the result array in input
    order — the same discipline that makes the results themselves
    jobs-deterministic makes the metrics and trace so. *)
-let map_obs ?workers ctx ~count f =
-  let jobs = match workers with Some w -> w | None -> ctx.Ctx.jobs in
+let map_obs ctx ~count f =
   let pairs =
-    Plookup_util.Pool.map ~jobs
-      (fun i ->
+    map ctx ~count (fun i ->
         let obs = Plookup_obs.Obs.child ctx.Ctx.obs in
         let r = f i ~obs in
         (r, obs))
-      (Array.init count Fun.id)
   in
   Array.map
     (fun (r, obs) ->
@@ -26,8 +21,8 @@ let map_obs ?workers ctx ~count f =
       r)
     pairs
 
-let replicates_obs ?workers ctx ~count f =
-  map_obs ?workers ctx ~count (fun i ~obs -> f ~seed:(Ctx.run_seed ctx (i + 1)) ~obs)
+let replicates_obs ctx ~count f =
+  map_obs ctx ~count (fun i ~obs -> f ~seed:(Ctx.run_seed ctx (i + 1)) ~obs)
 
 let mean_of samples =
   let acc = Plookup_util.Stats.Accum.create () in

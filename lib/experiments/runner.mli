@@ -2,7 +2,7 @@
 
     All parallelism in the reproduction flows through these two
     functions, and both enforce the determinism contract documented in
-    DESIGN.md ("Performance"):
+    DESIGN.md ("Parallelism"):
 
     - each unit of work is a self-contained closure of its index — it
       derives any randomness from a seed that is a pure function of the
@@ -13,27 +13,20 @@
 
     Together these make every experiment's output byte-identical at any
     [ctx.jobs] value: scheduling only changes {e when} a replicate
-    runs, never what it computes nor the order it is folded in.
+    runs, never what it computes nor the order it is folded in. *)
 
-    [?workers] overrides the worker count (default [ctx.jobs]):
-    experiments whose replicate fan-out is their {e only} parallelism
-    opportunity pass [Ctx.workers ctx] so the [--shards] budget folds
-    into the same axis (DESIGN.md, "Parallelism").  The override never
-    changes results, only scheduling. *)
-
-val map : ?workers:int -> Ctx.t -> count:int -> (int -> 'a) -> 'a array
+val map : Ctx.t -> count:int -> (int -> 'a) -> 'a array
 (** [map ctx ~count f] is [| f 0; f 1; ...; f (count-1) |], computed by
-    up to [ctx.jobs] (or [workers]) workers ({!Plookup_util.Pool.map}).
+    up to [ctx.jobs] workers ({!Plookup_util.Pool.map}).
     Use this when the experiment derives its own composite seed from
     the index. *)
 
-val replicates : ?workers:int -> Ctx.t -> count:int -> (seed:int -> 'a) -> 'a array
+val replicates : Ctx.t -> count:int -> (seed:int -> 'a) -> 'a array
 (** [replicates ctx ~count f] runs [count] Monte-Carlo replicates,
     handing replicate [i] (1-based, matching the historical
     [for run = 1 to runs] loops) the seed [Ctx.run_seed ctx i]. *)
 
-val map_obs :
-  ?workers:int -> Ctx.t -> count:int -> (int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
+val map_obs : Ctx.t -> count:int -> (int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
 (** {!map}, with observability threaded: each unit receives a fresh
     child of [ctx.obs] (pass it to the services it builds — workers
     never share mutable metric cells), and every child is merged back
@@ -41,8 +34,7 @@ val map_obs :
     snapshot and trace contents are therefore byte-identical at any
     [ctx.jobs]. *)
 
-val replicates_obs :
-  ?workers:int -> Ctx.t -> count:int -> (seed:int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
+val replicates_obs : Ctx.t -> count:int -> (seed:int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
 (** {!replicates} with the {!map_obs} observability threading. *)
 
 val mean_of : float array -> float

@@ -4,44 +4,14 @@ module Service = Plookup.Service
 
 let measured cluster = Entry.Set.cardinal (Plookup.Cluster.coverage cluster)
 
-let measured_over_instances ?(seed = 0) ?obs ?(shards = 1) ~n ~entries ~config ?budget
-    ~runs () =
+let measured_over_instances ?(seed = 0) ?obs ~n ~entries ~config ?budget ~runs () =
   let master = Rng.create seed in
   let acc = Stats.Accum.create () in
-  if shards <= 1 then
-    for _ = 1 to runs do
-      let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-      let service = Service.create ~seed:run_seed ?obs ~n config in
-      let gen = Entry.Gen.create () in
-      Service.place ?budget service (Entry.Gen.batch gen entries);
-      Stats.Accum.add acc (float_of_int (measured (Service.cluster service)))
-    done
-  else begin
-    (* Fixed instance-space decomposition: seeds are pre-drawn in index
-       order (explicit loop — [Array.init] order is unspecified), each
-       worker owns its own service and obs child, and samples are
-       replayed into the accumulator in instance order, so the result
-       is byte-identical to the sequential loop at any shard count. *)
-    let seeds = Array.make runs 0 in
-    for i = 0 to runs - 1 do
-      seeds.(i) <- Int64.to_int (Rng.bits64 master) land max_int
-    done;
-    let outputs =
-      Pool.map ~jobs:shards
-        (fun run_seed ->
-          let child = Option.map Plookup_obs.Obs.child obs in
-          let service = Service.create ~seed:run_seed ?obs:child ~n config in
-          let gen = Entry.Gen.create () in
-          Service.place ?budget service (Entry.Gen.batch gen entries);
-          (float_of_int (measured (Service.cluster service)), child))
-        seeds
-    in
-    Array.iter
-      (fun (sample, child) ->
-        Stats.Accum.add acc sample;
-        match (obs, child) with
-        | Some parent, Some c -> Plookup_obs.Obs.merge parent c
-        | _ -> ())
-      outputs
-  end;
+  for _ = 1 to runs do
+    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
+    let service = Service.create ~seed:run_seed ?obs ~n config in
+    let gen = Entry.Gen.create () in
+    Service.place ?budget service (Entry.Gen.batch gen entries);
+    Stats.Accum.add acc (float_of_int (measured (Service.cluster service)))
+  done;
   (Stats.Accum.mean acc, Stats.Accum.ci95_half_width acc)

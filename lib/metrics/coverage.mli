@@ -7,7 +7,6 @@ val measured : Plookup.Cluster.t -> int
 val measured_over_instances :
   ?seed:int ->
   ?obs:Plookup_obs.Obs.t ->
-  ?shards:int ->
   n:int ->
   entries:int ->
   config:Plookup.Service.config ->

@@ -106,47 +106,15 @@ let exact placement ~t =
     !best - 1
   end
 
-let measure_over_instances ?(seed = 0) ?obs ?(shards = 1) ~n ~entries ~config ~t ~runs
-    () =
+let measure_over_instances ?(seed = 0) ?obs ~n ~entries ~config ~t ~runs () =
   let master = Rng.create seed in
   let acc = Stats.Accum.create () in
-  if shards <= 1 then
-    for _ = 1 to runs do
-      let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-      let service = Service.create ~seed:run_seed ?obs ~n config in
-      let gen = Entry.Gen.create () in
-      Service.place service (Entry.Gen.batch gen entries);
-      let placement =
-        snapshot (Service.cluster service) ~capacity:(Entry.Gen.next_id gen)
-      in
-      Stats.Accum.add acc (float_of_int (greedy placement ~t))
-    done
-  else begin
-    (* Instance-space sharding with in-order replay; see coverage.ml
-       for why this is byte-identical to the sequential loop. *)
-    let seeds = Array.make runs 0 in
-    for i = 0 to runs - 1 do
-      seeds.(i) <- Int64.to_int (Rng.bits64 master) land max_int
-    done;
-    let outputs =
-      Pool.map ~jobs:shards
-        (fun run_seed ->
-          let child = Option.map Plookup_obs.Obs.child obs in
-          let service = Service.create ~seed:run_seed ?obs:child ~n config in
-          let gen = Entry.Gen.create () in
-          Service.place service (Entry.Gen.batch gen entries);
-          let placement =
-            snapshot (Service.cluster service) ~capacity:(Entry.Gen.next_id gen)
-          in
-          (float_of_int (greedy placement ~t), child))
-        seeds
-    in
-    Array.iter
-      (fun (sample, child) ->
-        Stats.Accum.add acc sample;
-        match (obs, child) with
-        | Some parent, Some c -> Plookup_obs.Obs.merge parent c
-        | _ -> ())
-      outputs
-  end;
+  for _ = 1 to runs do
+    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
+    let service = Service.create ~seed:run_seed ?obs ~n config in
+    let gen = Entry.Gen.create () in
+    Service.place service (Entry.Gen.batch gen entries);
+    let placement = snapshot (Service.cluster service) ~capacity:(Entry.Gen.next_id gen) in
+    Stats.Accum.add acc (float_of_int (greedy placement ~t))
+  done;
   (Stats.Accum.mean acc, Stats.Accum.ci95_half_width acc)

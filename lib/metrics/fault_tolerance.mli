@@ -34,7 +34,6 @@ val greedy_failure_order : placement -> int list
 val measure_over_instances :
   ?seed:int ->
   ?obs:Plookup_obs.Obs.t ->
-  ?shards:int ->
   n:int ->
   entries:int ->
   config:Plookup.Service.config ->

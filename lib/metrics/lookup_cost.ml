@@ -23,60 +23,16 @@ let measure service ~t ~lookups =
   measure_into acc failures service ~t ~lookups;
   finish acc failures
 
-(* The instance seeds are pre-drawn from the master stream in index
-   order, so the sharded path consumes exactly the draws the sequential
-   loop would.  ([Array.init]'s evaluation order is unspecified — use
-   an explicit loop.) *)
-let instance_seeds master runs =
-  let seeds = Array.make runs 0 in
-  for i = 0 to runs - 1 do
-    seeds.(i) <- Int64.to_int (Rng.bits64 master) land max_int
-  done;
-  seeds
-
-let measure_over_instances ?(seed = 0) ?obs ?(shards = 1) ~n ~entries ~config ~t ~runs
-    ~lookups_per_run () =
+let measure_over_instances ?(seed = 0) ?obs ~n ~entries ~config ~t ~runs ~lookups_per_run
+    () =
   let master = Rng.create seed in
   let acc = Stats.Accum.create () in
   let failures = ref 0 in
-  if shards <= 1 then
-    for _ = 1 to runs do
-      let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-      let service = Service.create ~seed:run_seed ?obs ~n config in
-      let gen = Entry.Gen.create () in
-      Service.place service (Entry.Gen.batch gen entries);
-      measure_into acc failures service ~t ~lookups:lookups_per_run
-    done
-  else begin
-    (* Instance-space sharding with raw-sample replay: workers return
-       the per-lookup costs verbatim and the Welford accumulation is
-       replayed here in instance order, because [Stats.Accum.add] is
-       floating-point order-sensitive — merging partial accumulators
-       would not be byte-identical to the sequential loop. *)
-    let outputs =
-      Pool.map ~jobs:shards
-        (fun run_seed ->
-          let child = Option.map Plookup_obs.Obs.child obs in
-          let service = Service.create ~seed:run_seed ?obs:child ~n config in
-          let gen = Entry.Gen.create () in
-          Service.place service (Entry.Gen.batch gen entries);
-          let costs = Array.make lookups_per_run 0 in
-          let fails = ref 0 in
-          for k = 0 to lookups_per_run - 1 do
-            let result = Service.partial_lookup service t in
-            costs.(k) <- result.Plookup.Lookup_result.servers_contacted;
-            if not (Plookup.Lookup_result.satisfied result) then incr fails
-          done;
-          (costs, !fails, child))
-        (instance_seeds master runs)
-    in
-    Array.iter
-      (fun (costs, fails, child) ->
-        Array.iter (fun c -> Stats.Accum.add acc (float_of_int c)) costs;
-        failures := !failures + fails;
-        match (obs, child) with
-        | Some parent, Some c -> Plookup_obs.Obs.merge parent c
-        | _ -> ())
-      outputs
-  end;
+  for _ = 1 to runs do
+    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
+    let service = Service.create ~seed:run_seed ?obs ~n config in
+    let gen = Entry.Gen.create () in
+    Service.place service (Entry.Gen.batch gen entries);
+    measure_into acc failures service ~t ~lookups:lookups_per_run
+  done;
   finish acc failures

@@ -16,7 +16,6 @@ val measure : Plookup.Service.t -> t:int -> lookups:int -> measurement
 val measure_over_instances :
   ?seed:int ->
   ?obs:Plookup_obs.Obs.t ->
-  ?shards:int ->
   n:int ->
   entries:int ->
   config:Plookup.Service.config ->
@@ -28,12 +27,4 @@ val measure_over_instances :
 (** The paper's protocol for Fig. 4: for each of [runs] independent
     placements of [entries] entries on [n] servers, run
     [lookups_per_run] lookups; aggregate over everything.  Each run
-    re-places with a fresh generator split from [seed].
-
-    [shards] spreads the instances over that many workers
-    ({!Plookup_util.Pool.map}).  The decomposition is by instance with
-    pre-drawn seeds and in-order raw-sample replay, so the measurement
-    (and the metrics merged into [obs]) is byte-identical at any
-    [shards] value — same contract as every other parallel knob in the
-    repo (DESIGN.md, "Parallelism").  The other [*_over_instances]
-    metrics take the same option with the same guarantee. *)
+    re-places with a fresh generator split from [seed]. *)

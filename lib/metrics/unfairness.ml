@@ -26,43 +26,16 @@ let of_instance service ~live ~t ~lookups =
   in
   Stats.coefficient_of_variation ~ideal:(float_of_int t /. float_of_int h) probabilities
 
-let of_strategy ?(seed = 0) ?obs ?(shards = 1) ~n ~entries ~config ~t ~instances
-    ~lookups_per_instance () =
+let of_strategy ?(seed = 0) ?obs ~n ~entries ~config ~t ~instances ~lookups_per_instance
+    () =
   let master = Rng.create seed in
   let acc = Stats.Accum.create () in
-  if shards <= 1 then
-    for _ = 1 to instances do
-      let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-      let service = Service.create ~seed:run_seed ?obs ~n config in
-      let gen = Entry.Gen.create () in
-      let live = Entry.Gen.batch gen entries in
-      Service.place service live;
-      Stats.Accum.add acc (of_instance service ~live ~t ~lookups:lookups_per_instance)
-    done
-  else begin
-    (* Instance-space sharding with in-order replay; see coverage.ml
-       for why this is byte-identical to the sequential loop. *)
-    let seeds = Array.make instances 0 in
-    for i = 0 to instances - 1 do
-      seeds.(i) <- Int64.to_int (Rng.bits64 master) land max_int
-    done;
-    let outputs =
-      Pool.map ~jobs:shards
-        (fun run_seed ->
-          let child = Option.map Plookup_obs.Obs.child obs in
-          let service = Service.create ~seed:run_seed ?obs:child ~n config in
-          let gen = Entry.Gen.create () in
-          let live = Entry.Gen.batch gen entries in
-          Service.place service live;
-          (of_instance service ~live ~t ~lookups:lookups_per_instance, child))
-        seeds
-    in
-    Array.iter
-      (fun (sample, child) ->
-        Stats.Accum.add acc sample;
-        match (obs, child) with
-        | Some parent, Some c -> Plookup_obs.Obs.merge parent c
-        | _ -> ())
-      outputs
-  end;
+  for _ = 1 to instances do
+    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
+    let service = Service.create ~seed:run_seed ?obs ~n config in
+    let gen = Entry.Gen.create () in
+    let live = Entry.Gen.batch gen entries in
+    Service.place service live;
+    Stats.Accum.add acc (of_instance service ~live ~t ~lookups:lookups_per_instance)
+  done;
   (Stats.Accum.mean acc, Stats.Accum.ci95_half_width acc)

@@ -16,7 +16,6 @@ val of_instance :
 val of_strategy :
   ?seed:int ->
   ?obs:Plookup_obs.Obs.t ->
-  ?shards:int ->
   n:int ->
   entries:int ->
   config:Plookup.Service.config ->

@@ -51,14 +51,6 @@ type 'reply capacity = {
   shed : Metrics.counter;
 }
 
-(* Per-stripe mirrors of [up_fen] over a contiguous partition of the id
-   space: stripe [s] covers global ids [bounds.(s), bounds.(s + 1)) and
-   [fens.(s)] indexes them by {e local} offset.  The point of the local
-   views is the sharded simulation: a shard that owns stripe [s] can do
-   up-counts and k-th-up picks over its own servers without reading the
-   global Fenwick that other shards are concurrently updating. *)
-type stripe_views = { bounds : int array; fens : Fenwick.t array }
-
 type ('msg, 'reply) t = {
   n : int;
   metrics : Metrics.t;
@@ -67,7 +59,6 @@ type ('msg, 'reply) t = {
   (* 0/1 per server, mirroring [up]: O(1) up-count and O(log n) k-th-up
      selection for the uniform-pick hot paths. *)
   up_fen : Fenwick.t;
-  mutable stripe_views : stripe_views option;
   (* Counters are registry cells private to this network instance, so the
      accessors below report exactly this network's traffic (snapshots
      aggregate across instances; see {!Plookup_obs.Metrics}). *)
@@ -105,7 +96,6 @@ let create ?metrics ~n () =
     handler = None;
     up = Array.make n true;
     up_fen;
-    stripe_views = None;
     received =
       Array.init n (fun i ->
           Metrics.counter m
@@ -155,29 +145,11 @@ let check_node t i =
 
 let notify_status t i up = List.iter (fun f -> f i ~up) t.status_listeners
 
-(* Stripe lookup by binary search over the bounds array (stripes are
-   contiguous and cover [0, n)). *)
-let stripe_of_views v i =
-  let lo = ref 0 and hi = ref (Array.length v.bounds - 1) in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if i < v.bounds.(mid) then hi := mid else lo := mid
-  done;
-  !lo
-
-let stripe_update t i delta =
-  match t.stripe_views with
-  | None -> ()
-  | Some v ->
-      let s = stripe_of_views v i in
-      Fenwick.add v.fens.(s) (i - v.bounds.(s)) delta
-
 let fail t i =
   check_node t i;
   if t.up.(i) then begin
     t.up.(i) <- false;
     Fenwick.add t.up_fen i (-1);
-    stripe_update t i (-1);
     notify_status t i false
   end
 
@@ -186,7 +158,6 @@ let recover t i =
   if not t.up.(i) then begin
     t.up.(i) <- true;
     Fenwick.add t.up_fen i 1;
-    stripe_update t i 1;
     notify_status t i true
   end
 
@@ -206,72 +177,6 @@ let up_count t = Fenwick.total t.up_fen
 let kth_up t k =
   if k < 0 || k >= up_count t then invalid_arg "Net.kth_up: rank out of range";
   Fenwick.select t.up_fen k
-
-let up_servers_into t buf =
-  let count = up_count t in
-  if Array.length buf < count then invalid_arg "Net.up_servers_into: buffer too small";
-  let j = ref 0 in
-  for i = 0 to t.n - 1 do
-    if t.up.(i) then begin
-      buf.(!j) <- i;
-      incr j
-    end
-  done;
-  count
-
-let attach_stripe_views t ~stripes =
-  if stripes < 1 then invalid_arg "Net.attach_stripe_views: stripes must be at least 1";
-  (* Contiguous near-equal stripes: the first [n mod stripes] get one
-     extra server.  Stripes beyond n are empty, so stripes > n is legal
-     (the oversubscribed --shards case). *)
-  let base = t.n / stripes and rem = t.n mod stripes in
-  let bounds = Array.make (stripes + 1) 0 in
-  for s = 0 to stripes - 1 do
-    bounds.(s + 1) <- bounds.(s) + base + (if s < rem then 1 else 0)
-  done;
-  let fens =
-    Array.init stripes (fun s ->
-        let lo = bounds.(s) and hi = bounds.(s + 1) in
-        let fen = Fenwick.create (hi - lo) in
-        for i = lo to hi - 1 do
-          if t.up.(i) then Fenwick.add fen (i - lo) 1
-        done;
-        fen)
-  in
-  t.stripe_views <- Some { bounds; fens }
-
-let stripes t =
-  match t.stripe_views with None -> 0 | Some v -> Array.length v.fens
-
-let stripe_views_exn t name =
-  match t.stripe_views with
-  | None -> invalid_arg (name ^ ": no stripe views attached")
-  | Some v -> v
-
-let check_stripe v name s =
-  if s < 0 || s >= Array.length v.fens then invalid_arg (name ^ ": stripe out of range")
-
-let stripe_of t i =
-  check_node t i;
-  let v = stripe_views_exn t "Net.stripe_of" in
-  stripe_of_views v i
-
-let stripe_bounds t s =
-  let v = stripe_views_exn t "Net.stripe_bounds" in
-  check_stripe v "Net.stripe_bounds" s;
-  (v.bounds.(s), v.bounds.(s + 1))
-
-let stripe_up_count t s =
-  let v = stripe_views_exn t "Net.stripe_up_count" in
-  check_stripe v "Net.stripe_up_count" s;
-  Fenwick.total v.fens.(s)
-
-let stripe_kth_up t s k =
-  let v = stripe_views_exn t "Net.stripe_kth_up" in
-  check_stripe v "Net.stripe_kth_up" s;
-  if k < 0 || k >= Fenwick.total v.fens.(s) then
-    invalid_arg "Net.stripe_kth_up: rank out of range";
-  v.bounds.(s) + Fenwick.select v.fens.(s) k
 
 let fail_exactly t down =
   for i = 0 to t.n - 1 do

@@ -116,50 +116,8 @@ val kth_up : ('msg, 'reply) t -> int -> int
     element [List.nth (up_servers t) k] names, in O(log n).  Requires
     [0 <= k < up_count t]. *)
 
-val up_servers_into : ('msg, 'reply) t -> int array -> int
-(** Fill [buf] with the up server ids in ascending order and return how
-    many there are — {!up_servers} without the list allocation.  [buf]
-    must hold at least {!up_count} elements. *)
-
 val fail_exactly : ('msg, 'reply) t -> int list -> unit
 (** Recover everyone, then fail exactly the given servers. *)
-
-(** {1 Stripe views}
-
-    A contiguous partition of the server id space into near-equal
-    stripes, each with its own up-server Fenwick mirror.  These exist
-    for the domain-sharded simulation (see {!Plookup_sim.Shard} and
-    DESIGN.md, "Parallelism"): a shard that owns stripe [s] can answer
-    "how many of {e my} servers are up" and "pick the k-th up server of
-    {e my} stripe" without touching the global Fenwick that events on
-    other shards are concurrently updating through their own nets.
-    Views are maintained incrementally by {!fail}/{!recover}. *)
-
-val attach_stripe_views : ('msg, 'reply) t -> stripes:int -> unit
-(** Partition [0 .. n-1] into [stripes] contiguous stripes whose sizes
-    differ by at most one (the first [n mod stripes] stripes take the
-    extra server) and build their up-view Fenwicks from the current up
-    state.  [stripes > n] is legal and leaves the tail stripes empty —
-    the oversubscribed [--shards] case.  Re-attaching replaces the
-    previous views.  Raises [Invalid_argument] on [stripes < 1]. *)
-
-val stripes : ('msg, 'reply) t -> int
-(** Number of attached stripes; [0] when none are attached. *)
-
-val stripe_of : ('msg, 'reply) t -> int -> int
-(** Stripe owning server [i].  Raises if no views are attached. *)
-
-val stripe_bounds : ('msg, 'reply) t -> int -> int * int
-(** [stripe_bounds t s] is the global id interval [(lo, hi)] (half-open
-    [\[lo, hi)]) covered by stripe [s]. *)
-
-val stripe_up_count : ('msg, 'reply) t -> int -> int
-(** Up servers inside stripe [s] — O(1). *)
-
-val stripe_kth_up : ('msg, 'reply) t -> int -> int -> int
-(** [stripe_kth_up t s k] is the {e global} id of the k-th smallest up
-    server inside stripe [s].  Requires [0 <= k < stripe_up_count t s].
-    O(log stripe size). *)
 
 (** {1 Fault injection}
 

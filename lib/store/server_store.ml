@@ -58,27 +58,12 @@ let clear t =
    evaluation, so the k-subset draw runs over a per-store scratch
    buffer: no [Array.init]/[Array.sub]/[Array.map] garbage per call,
    and the exact same generator draws as Rng.sample_indices. *)
-let pick_indices t rng k =
-  if Array.length t.scratch < t.size then t.scratch <- Array.make (max 8 (2 * t.size)) 0;
-  Rng.sample_indices_into rng t.scratch ~n:t.size ~k
-
-let random_pick_into t rng k buf =
-  let k = min k t.size in
-  if k <= 0 then 0
-  else begin
-    if Array.length buf < k then invalid_arg "Server_store.random_pick_into: buffer too small";
-    pick_indices t rng k;
-    for i = 0 to k - 1 do
-      buf.(i) <- t.slots.(t.scratch.(i))
-    done;
-    k
-  end
-
 let random_pick t rng k =
   let k = min k t.size in
   if k <= 0 then []
   else begin
-    pick_indices t rng k;
+    if Array.length t.scratch < t.size then t.scratch <- Array.make (max 8 (2 * t.size)) 0;
+    Rng.sample_indices_into rng t.scratch ~n:t.size ~k;
     let rec build i acc = if i < 0 then acc else build (i - 1) (t.slots.(t.scratch.(i)) :: acc) in
     build (k - 1) []
   end

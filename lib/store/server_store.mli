@@ -32,13 +32,6 @@ val random_pick : t -> Plookup_util.Rng.t -> int -> Entry.t list
     store ({!Plookup_util.Rng.sample_indices_into}), so the only
     allocation is the returned list. *)
 
-val random_pick_into : t -> Plookup_util.Rng.t -> int -> Entry.t array -> int
-(** Allocation-free {!random_pick} for hot paths: writes the sample into
-    [buf.(0 .. m-1)] and returns [m = min k (cardinal t)].  Consumes the
-    same generator draws as {!random_pick}, so the two are
-    interchangeable without perturbing seeded runs.  Raises
-    [Invalid_argument] when [buf] cannot hold [m] entries. *)
-
 val random_one : t -> Plookup_util.Rng.t -> Entry.t option
 val to_list : t -> Entry.t list
 (** Unspecified order. *)

@@ -1,10 +1,11 @@
 (** A fixed-size, work-stealing-free parallel map.
 
-    [Pool] is the single concurrency primitive of the repo: experiments
-    hand it an array of independent replicate descriptions and get the
-    results back {e in input order}, so aggregation code never observes
-    completion order and every caller is deterministic at any [jobs]
-    value (see DESIGN.md, "Performance").
+    [Pool] is the single concurrency primitive of the repo and [--jobs]
+    its single parallel axis: experiments hand it an array of
+    independent replicate descriptions and get the results back {e in
+    input order}, so aggregation code never observes completion order
+    and every caller is deterministic at any [jobs] value (see
+    DESIGN.md, "Parallelism").
 
     Two implementations exist, selected at build time by dune
     [enabled_if] on the compiler version: on OCaml >= 5.0 workers are
@@ -22,50 +23,6 @@ val parallel_available : bool
 val recommended_jobs : unit -> int
 (** A sensible default worker count: the runtime's recommended domain
     count on OCaml 5 (usually the core count), [1] for the fallback. *)
-
-module Gang : sig
-  (** A gang of long-lived workers for repeated barrier-synchronized
-      steps.
-
-      [Pool.map] spawns and joins a fresh domain per call, which is fine
-      for replicate fan-out (milliseconds of work per element) but far
-      too expensive for the sharded simulation driver, which needs a
-      barrier every lookahead window — often tens of thousands of times
-      per run.  A [Gang.t] spawns its domains once at [create] and
-      parks them on a condition variable between steps, so each [run]
-      costs two lock round-trips per worker instead of a domain spawn.
-
-      Like [Pool.map], the gang has a sequential twin on OCaml 4.x:
-      [create] succeeds at any [workers] value, [run] executes the body
-      for every worker index in ascending order in the calling thread,
-      and exception behaviour is identical.  Callers therefore never
-      need to branch on [parallel_available]. *)
-
-  type t
-
-  val create : workers:int -> t
-  (** [create ~workers] spawns a gang of [workers] workers (the calling
-      domain acts as worker [0]; [workers - 1] domains are spawned on
-      OCaml 5, none on 4.x).  Raises [Invalid_argument] if
-      [workers < 1].  Call [shutdown] when done; an un-shut-down gang
-      keeps its domains parked forever. *)
-
-  val size : t -> int
-  (** Number of workers, as passed to [create]. *)
-
-  val run : t -> (int -> unit) -> unit
-  (** [run t body] executes [body w] once for every worker index
-      [w] in [0 .. size t - 1], worker [w] always executing on the same
-      domain across calls, and returns once {e all} of them have
-      finished (a full barrier).  [body] must only touch state owned by
-      its worker index.  If one or more bodies raise, every body still
-      runs to completion and the exception of the lowest failing worker
-      index is re-raised.  Raises [Invalid_argument] after
-      [shutdown]. *)
-
-  val shutdown : t -> unit
-  (** Terminates and joins the gang's domains.  Idempotent. *)
-end
 
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f arr] is [Array.map f arr] computed by up to [jobs]

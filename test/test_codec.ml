@@ -75,6 +75,12 @@ let test_empty_vs_absent_payload () =
     Alcotest.(check (option string)) "empty stays empty" (Some "") (Entry.payload e)
   | _ -> Alcotest.fail "wrong constructor"
 
+(* Nine-byte varints: [minus_one] sets every bit up to the sign bit and
+   decodes as -1 unless rejected; [max_int_varint] is the largest legal
+   value, so a payload length built from it overflows [pos + len]. *)
+let minus_one = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+let max_int_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x3f"
+
 let test_malformed_inputs () =
   List.iter
     (fun s ->
@@ -83,7 +89,20 @@ let test_malformed_inputs () =
       | Ok msg -> Alcotest.failf "accepted garbage as %s" (Format.asprintf "%a" Msg.pp msg))
     [ ""; "\xff"; "\x04" (* lookup with no varint *); "\x01\xff" (* truncated count *);
       "\x01\x02\x01\x00" (* count 2, one entry *);
-      "\x02\x01\x05abc" (* payload shorter than declared *) ]
+      "\x02\x01\x05abc" (* payload shorter than declared *);
+      "\x02\x00" ^ minus_one (* add, negative payload length *);
+      "\x02\x00" ^ max_int_varint (* add, payload length max_int *);
+      "\x02" ^ minus_one ^ "\x00" (* add, entry id -1 *);
+      "\x04" ^ minus_one (* lookup, t = -1 *) ];
+  List.iter
+    (fun s ->
+      match Codec.decode_reply s with
+      | Error _ -> ()
+      | Ok r -> Alcotest.failf "accepted garbage as %s" (Format.asprintf "%a" Msg.pp_reply r))
+    [ "\x65\x01\x00" ^ minus_one (* entries, negative payload length *);
+      "\x65\x01\x00" ^ max_int_varint (* entries, payload length max_int *);
+      "\x65\x01" ^ minus_one ^ "\x00" (* entries, entry id -1 *);
+      "\x67" ^ minus_one ^ "\x00" (* candidate, entry id -1 *) ]
 
 let test_trailing_bytes_rejected () =
   let good = Codec.encode (Msg.lookup 3) in

@@ -131,26 +131,6 @@ let prop_random_pick_subset =
       && List.length (List.sort_uniq compare picked_ids) = List.length picked
       && List.for_all (fun i -> Server_store.mem s (Entry.v i)) picked_ids)
 
-let test_random_pick_into_agrees () =
-  (* The allocation-free variant must be a drop-in replacement: same
-     generator draws, same sample, for every k including clamped ones. *)
-  let s = Server_store.create () in
-  List.iter (fun i -> ignore (Server_store.add s (Entry.v i))) (List.init 30 Fun.id);
-  let a = Rng.create 77 and b = Rng.create 77 in
-  let buf = Array.make 30 (Entry.v 0) in
-  List.iter
-    (fun k ->
-      let expected = Server_store.random_pick s a k in
-      let m = Server_store.random_pick_into s b k buf in
-      Helpers.check_int "sample size" (List.length expected) m;
-      Alcotest.(check (list int)) "same entries"
-        (List.map Entry.id expected)
-        (List.map Entry.id (Array.to_list (Array.sub buf 0 m))))
-    [ 0; 1; 7; 30; 99 ];
-  Alcotest.check_raises "buffer too small"
-    (Invalid_argument "Server_store.random_pick_into: buffer too small") (fun () ->
-      ignore (Server_store.random_pick_into s (Rng.create 1) 10 (Array.make 3 (Entry.v 0))))
-
 let () =
   Helpers.run "server_store"
     [ ( "server_store",
@@ -163,7 +143,5 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "iter/fold/ids" `Quick test_iter_fold_ids;
           Alcotest.test_case "snapshot bitset" `Quick test_snapshot_bitset;
-          Alcotest.test_case "random_pick_into agrees" `Quick
-            test_random_pick_into_agrees;
           prop_model;
           prop_random_pick_subset ] ) ]
