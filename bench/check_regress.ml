@@ -1,459 +1,124 @@
-(* Bench regression gate: compare a freshly generated BENCH_core.json
-   against the committed baseline and fail (exit 1) when any throughput
-   metric dropped by more than the allowed fraction.
+(* Bench regression gate.
 
-       check_regress [--threshold 0.30] BASELINE.json FRESH.json
+       check_regress [--threshold 0.30] BASE_DIR FRESH_DIR
 
-   Throughput metrics gated (higher is better):
-     engine.events_per_sec
-     lookups_per_sec[].per_sec        (keyed by strategy)
-     updates_per_sec[].per_sec        (keyed by strategy)
-     day_runs_per_sec[].per_sec       (BENCH_day.json)
-     cached_lookups_per_sec[].per_sec (BENCH_cache.json raw cache ops)
-     cache[].hit_rate                 (BENCH_cache.json, per strategy)
-     instrumentation.*_per_sec_*      (when present in both files)
+   Pairs every BENCH_*.json in BASE_DIR with the file of the same name
+   in FRESH_DIR and judges each baseline row (see baseline.ml) by one
+   rule.  The row's direction and bounds come from the baseline.
 
-   Tail-latency metrics gated (lower is better — a GROWTH beyond the
-   threshold fails):
-     tail_ms[].p99_ms / .p999_ms      (BENCH_day.json crowd-window
-                                       tails, keyed by strategy/mode)
-     cache[].msgs_per_lookup          (BENCH_cache.json: data-plane
-     cache[].p99_cached_ms             traffic and crowd tail of the
-                                       tuned+cache day cell)
+   - A file present on one side only fails, and so does a baseline row
+     missing from the fresh file: a baseline nobody regenerates, or a
+     fresh run that stopped measuring something, is a broken gate.
+   - A row fails when it moves past the threshold in its worse
+     direction: a [higher] row dropping by more, a [lower] row growing
+     by more.  A [lower] row whose baseline is 0 fails on any positive
+     value.
+   - [limit] is checked on the baseline value and [fresh_limit] on the
+     fresh one: each must stay strictly on the better side of its bound.
 
-   Wall-clock and speedup fields are reported for context but not
-   gated — they measure the CI machine as much as the code.  Metrics
-   present in only one file are reported and skipped, so the gate
-   tolerates baseline refreshes that add or drop rows — but silently:
-   a fresh run that stopped producing most of its metrics (a renamed
-   JSON key, a benchmark that bailed early) used to sail through as
-   all-"gone".  Skipped baseline metrics are therefore summarised at
-   the end, and the gate fails when more than --max-missing (a
-   fraction, default 0.5) of them vanished.  Smoke runs legitimately
-   drop the large-n rows of the scale sweep, which stays under the
-   default; wholesale disappearance does not.
+   Fresh rows without a baseline are listed as new and not judged.
+   Exits 1 when any check fails, 2 on unreadable input. *)
 
-   Absolute hit-rate floor: every cache[].hit_rate must clear 40% in
-   both files — the claim that the cache absorbs the flash crowd is an
-   absolute one, and the day simulation behind it is deterministic, so
-   no noise headroom is needed.
+open Baseline
 
-   Absolute overhead gate: always-on tracing must cost less than 10%
-   (ROADMAP target), on both posted net sends and service updates at
-   sample=1.0.  The committed baseline is held to the strict bound —
-   it is the claim the repo makes — while the fresh run gets 2x
-   headroom (shared CI runners add several points of scheduler and
-   page-placement noise to a percentage whose true value is ~3-4%);
-   a genuine emit-path regression still trips either the doubled
-   absolute bound or the relative band on the tracing-on rate.
+(* The verdict when [v] is not strictly on the better side of [bound]. *)
+let past what bound r v =
+  match bound with
+  | Some l when (match r.better with Higher -> v <= l | Lower -> v >= l) ->
+    [ Printf.sprintf "%s %s" what (number l) ]
+  | _ -> []
 
-   The parser below is a minimal JSON reader (objects, arrays, strings,
-   numbers, booleans, null) — the container deliberately has no JSON
-   library, and BENCH_core.json is machine-written by bench/main.ml. *)
+let bench_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort compare
 
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | None -> fail "unterminated escape"
-        | Some c ->
-          advance ();
-          (match c with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-            (* Benchmark names are ASCII; decode the code point bluntly. *)
-            if !pos + 4 > len then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-            in
-            if code < 128 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_char buf '?'
-          | _ -> fail "unknown escape");
-          go ())
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        List (elements [])
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
-
-let num_opt = function Some (Num f) -> Some f | _ -> None
-
-let str_opt = function Some (Str s) -> Some s | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Metric extraction: a flat (name, value, direction) list.  [Higher]
-   metrics fail when they DROP past the threshold; [Lower] metrics
-   (latency tails) fail when they GROW past it.                        *)
-
-type direction =
-  | Higher
-  | Lower
-
-let throughput_metrics json =
-  let out = ref [] in
-  let push ?(dir = Higher) name v = out := (name, v, dir) :: !out in
-  (match num_opt (Option.bind (member "engine" json) (member "events_per_sec")) with
-  | Some v -> push "engine.events_per_sec" v
-  | None -> ());
-  let rate_array field =
-    match member field json with
-    | Some (List rows) ->
-      List.iter
-        (fun row ->
-          match (str_opt (member "strategy" row), num_opt (member "per_sec" row)) with
-          | Some name, Some v -> push (Printf.sprintf "%s.%s" field name) v
-          | _ -> ())
-        rows
-    | _ -> ()
-  in
-  rate_array "lookups_per_sec";
-  rate_array "updates_per_sec";
-  (* BENCH_scale.json rows ("Strategy@n=SIZE" keys) gate through the
-     same shape. *)
-  rate_array "placements_per_sec";
-  (* BENCH_day.json: one simulated-day throughput row... *)
-  rate_array "day_runs_per_sec";
-  (* BENCH_cache.json: raw Client_cache operation rates... *)
-  rate_array "cached_lookups_per_sec";
-  (* ...and the tuned+cache day cell per strategy: hit rate must not
-     drop, data-plane traffic and the crowd tail must not grow. *)
-  (match member "cache" json with
-  | Some (List rows) ->
-    List.iter
-      (fun row ->
-        match str_opt (member "strategy" row) with
-        | Some name ->
-          (match num_opt (member "hit_rate" row) with
-          | Some v -> push (Printf.sprintf "cache.%s.hit_rate" name) v
-          | None -> ());
-          List.iter
-            (fun field ->
-              match num_opt (member field row) with
-              | Some v -> push ~dir:Lower (Printf.sprintf "cache.%s.%s" name field) v
-              | None -> ())
-            [ "msgs_per_lookup"; "p99_cached_ms" ]
-        | None -> ())
-      rows
-  | _ -> ());
-  (* ...and per-strategy/mode crowd-window tails, gated lower-is-better
-     so a shedding/hedging/breaker regression reads as a fatter tail. *)
-  (match member "tail_ms" json with
-  | Some (List rows) ->
-    List.iter
-      (fun row ->
-        match str_opt (member "strategy" row) with
-        | Some name ->
-          List.iter
-            (fun field ->
-              match num_opt (member field row) with
-              | Some v -> push ~dir:Lower (Printf.sprintf "tail_ms.%s.%s" name field) v
-              | None -> ())
-            [ "p99_ms"; "p999_ms" ]
-        | None -> ())
-      rows
-  | _ -> ());
-  (match member "instrumentation" json with
-  | Some (Obj fields) ->
-    List.iter
-      (fun (key, v) ->
-        match v with
-        | Num f ->
-          (* Only the rates; counts and percentages are not throughput. *)
-          let is_rate =
-            let needle = "_per_sec" in
-            let rec search i =
-              i + String.length needle <= String.length key
-              && (String.sub key i (String.length needle) = needle || search (i + 1))
-            in
-            search 0
-          in
-          if is_rate then push (Printf.sprintf "instrumentation.%s" key) f
-        | _ -> ())
-      fields
-  | _ -> ());
-  List.rev !out
-
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let load path =
+  try read path with
+  | Json.Parse_error msg | Failure msg | Sys_error msg ->
+    Printf.eprintf "check_regress: %s: %s\n" path msg;
+    exit 2
 
 let () =
   let threshold = ref 0.30 in
-  let max_missing = ref 0.5 in
-  let paths = ref [] in
+  let dirs = ref [] in
+  let usage = "check_regress [--threshold F] BASE_DIR FRESH_DIR" in
   Arg.parse
     [ ( "--threshold",
         Arg.Set_float threshold,
-        "FRACTION maximum tolerated throughput drop (default 0.30)" );
-      ( "--max-missing",
-        Arg.Set_float max_missing,
-        "FRACTION maximum fraction of baseline metrics allowed to be missing from \
-         the fresh run (default 0.5)" ) ]
-    (fun p -> paths := p :: !paths)
-    "check_regress [--threshold F] [--max-missing F] BASELINE.json FRESH.json";
-  let baseline_path, fresh_path =
-    match List.rev !paths with
+        "F largest tolerated relative move (default 0.30)" ) ]
+    (fun d -> dirs := d :: !dirs)
+    usage;
+  let base_dir, fresh_dir =
+    match List.rev !dirs with
     | [ b; f ] -> (b, f)
     | _ ->
-      prerr_endline "usage: check_regress [--threshold F] BASELINE.json FRESH.json";
+      prerr_endline ("usage: " ^ usage);
       exit 2
   in
-  let load path =
-    match parse_json (read_file path) with
-    | json -> json
-    | exception Parse_error msg ->
-      Printf.eprintf "%s: %s\n" path msg;
-      exit 2
-    | exception Sys_error msg ->
-      prerr_endline msg;
+  let files dir =
+    try bench_files dir
+    with Sys_error msg ->
+      prerr_endline ("check_regress: " ^ msg);
       exit 2
   in
-  let baseline_json = load baseline_path in
-  let fresh_json = load fresh_path in
-  let baseline = throughput_metrics baseline_json in
-  let fresh = throughput_metrics fresh_json in
-  Printf.printf
-    "bench gate: %s -> %s (throughput fails below -%.0f%%, tails fail above +%.0f%%)\n\n"
-    baseline_path fresh_path (100. *. !threshold) (100. *. !threshold);
-  Printf.printf "  %-48s %14s %14s %9s\n" "metric" "baseline" "fresh" "delta %";
+  let base_files = files base_dir and fresh_files = files fresh_dir in
   let failures = ref 0 in
-  let missing = ref [] in
-  let lookup name rows =
-    List.find_map (fun (n, v, _) -> if n = name then Some v else None) rows
-  in
+  Printf.printf "bench gate: %s -> %s (a row fails past %.0f%% in its worse direction)\n" base_dir
+    fresh_dir (100. *. !threshold);
   List.iter
-    (fun (name, base, dir) ->
-      match lookup name fresh with
-      | None ->
-        missing := name :: !missing;
-        Printf.printf "  %-48s %14.0f %14s %9s\n" name base "-" "gone"
-      | Some now ->
-        let delta = if base > 0. then 100. *. ((now /. base) -. 1.) else 0. in
-        let verdict =
-          match dir with
-          | Higher -> delta < -100. *. !threshold
-          | Lower -> delta > 100. *. !threshold
+    (fun f ->
+      match (List.mem f base_files, List.mem f fresh_files) with
+      | true, false ->
+        incr failures;
+        Printf.printf "\n%s: MISSING from %s\n" f fresh_dir
+      | false, _ ->
+        incr failures;
+        Printf.printf "\n%s: MISSING from %s (written but not committed)\n" f base_dir
+      | true, true ->
+        let base = load (Filename.concat base_dir f) in
+        let fresh = load (Filename.concat fresh_dir f) in
+        Printf.printf "\n%s\n  %-50s %12s %12s %9s  %s\n" f "row" "baseline" "fresh" "delta"
+          "verdict";
+        let find r rows =
+          List.find_opt (fun x -> x.layer = r.layer && x.metric = r.metric && x.key = r.key) rows
         in
-        if verdict then incr failures;
-        Printf.printf "  %-48s %14.0f %14.0f %+8.1f%%%s\n" name base now delta
-          (if verdict then "  << REGRESSION" else ""))
-    baseline;
-  List.iter
-    (fun (name, now, _) ->
-      if lookup name baseline = None then
-        Printf.printf "  %-48s %14s %14.0f %9s\n" name "-" now "new")
-    fresh;
-  (* Absolute always-on overhead gate (see header): strict bound on the
-     committed baseline, doubled for the fresh run's runner noise. *)
-  let check_overhead label json limit =
-    match member "instrumentation" json with
-    | None -> ()
-    | Some inst ->
-      List.iter
-        (fun field ->
-          match num_opt (member field inst) with
-          | Some v ->
-            let bad = v >= limit in
-            if bad then incr failures;
-            Printf.printf "  %-48s %14s %14.2f %9s%s\n"
-              (Printf.sprintf "%s.%s" label field)
-              (Printf.sprintf "< %.0f%%" limit) v ""
-              (if bad then "  << OVERHEAD" else "")
-          | None -> ())
-        [ "overhead_tracing_on_pct"; "service_overhead_tracing_on_pct" ]
-  in
-  check_overhead "baseline" baseline_json 10.;
-  check_overhead "fresh" fresh_json 20.;
-  (* Absolute hit-rate floor (see header): the cache must keep
-     absorbing the crowd, not merely regress slower than 30%. *)
-  let check_hit_floor label json floor =
-    match member "cache" json with
-    | Some (List rows) ->
-      List.iter
-        (fun row ->
-          match (str_opt (member "strategy" row), num_opt (member "hit_rate" row)) with
-          | Some name, Some v ->
-            let bad = v < floor in
-            if bad then incr failures;
-            Printf.printf "  %-48s %14s %14.2f %9s%s\n"
-              (Printf.sprintf "%s.cache.%s.hit_rate" label name)
-              (Printf.sprintf ">= %.0f%%" floor)
-              v ""
-              (if bad then "  << HIT-RATE FLOOR" else "")
-          | _ -> ())
-        rows
-    | _ -> ()
-  in
-  check_hit_floor "baseline" baseline_json 40.;
-  check_hit_floor "fresh" fresh_json 40.;
-  (* Skipped-metric gate (see header): each "gone" row above was a
-     baseline metric the fresh run never produced, so it was compared
-     against nothing.  A bounded number of them is routine (smoke runs
-     drop the large-n sweep rows); most of the file vanishing means the
-     fresh run is not measuring what the baseline measured, and the
-     comparison above proved nothing. *)
-  let gone = List.rev !missing in
-  let total = List.length baseline in
-  (match gone with
-  | [] -> ()
-  | _ ->
-    let frac = float_of_int (List.length gone) /. float_of_int (max 1 total) in
-    Printf.printf "\n  skipped (in baseline, missing from fresh): %d of %d metric(s) \
-                   (%.0f%%, limit %.0f%%)\n"
-      (List.length gone) total (100. *. frac) (100. *. !max_missing);
-    List.iter (fun name -> Printf.printf "    - %s\n" name) gone;
-    if frac > !max_missing then begin
-      incr failures;
-      Printf.printf "  << MISSING: the fresh run lost %.0f%% of the baseline's metrics \
-                     (--max-missing %.2f)\n"
-        (100. *. frac) !max_missing
-    end);
+        List.iter
+          (fun r ->
+            match find r fresh with
+            | None ->
+              incr failures;
+              Printf.printf "  %-50s %12s %12s %9s  MISSING\n" (name r) (number r.value) "-" "-"
+            | Some x ->
+              let delta =
+                if r.value <> 0. then 100. *. ((x.value /. r.value) -. 1.)
+                else if x.value = 0. then 0.
+                else Float.copy_sign Float.infinity x.value
+              in
+              let bound = 100. *. !threshold in
+              let regressed =
+                match r.better with Higher -> delta < -.bound | Lower -> delta > bound
+              in
+              let verdicts =
+                (if regressed then [ "REGRESSION" ] else [])
+                @ past "BASELINE PAST LIMIT" r.limit r r.value
+                @ past "PAST FRESH LIMIT" r.fresh_limit r x.value
+              in
+              if verdicts <> [] then incr failures;
+              Printf.printf "  %-50s %12s %12s %+8.1f%%  %s\n" (name r) (number r.value)
+                (number x.value) delta
+                (if verdicts = [] then "ok" else String.concat ", " verdicts))
+          base;
+        List.iter
+          (fun x ->
+            if find x base = None then
+              Printf.printf "  %-50s %12s %12s %9s  new\n" (name x) "-" (number x.value) "-")
+          fresh)
+    (List.sort_uniq compare (base_files @ fresh_files));
   print_newline ();
   if !failures > 0 then begin
-    Printf.printf
-      "FAIL: %d check(s) failed — a metric regressed more than %.0f%%, broke an \
-       absolute gate, or too many baseline metrics went missing\n"
-      !failures (100. *. !threshold);
+    Printf.printf "FAIL: %d check(s) failed\n" !failures;
     exit 1
   end
-  else print_endline "OK: no gated metric regressed beyond the threshold"
+  else print_endline "OK: every baseline row holds"

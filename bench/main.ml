@@ -1,20 +1,19 @@
 (* Benchmark harness.
 
-   Part 1 — Bechamel micro-benchmarks: one Test.make per paper table /
-   figure, timing a single reduced-size generation of that experiment's
-   data, plus micro-benchmarks of the hot core operations.
-
    Part 2 — Reproduction: regenerate every table and figure series at
-   the default Monte-Carlo scale and print them (tee this into
-   bench_output.txt; EXPERIMENTS.md interprets the rows against the
-   paper's plots).
+   the default Monte-Carlo scale and print them (EXPERIMENTS.md
+   interprets the rows against the paper's plots).
 
    Part 3 — Ablations: design-choice studies DESIGN.md calls out
    (greedy-vs-exact fault tolerance, cushion-vs-replacement deletes,
-   collision-aware Hash-y sizing). *)
+   collision-aware Hash-y sizing).
 
-open Bechamel
-open Toolkit
+   Parts 4–9 — Baselines: each part measures one layer and returns
+   typed rows (baseline.ml); one emitter prints them as a table and
+   writes them to a tracked BENCH_*.json file that check_regress gates.
+   --smoke skips Parts 2–3 only, so the committed baselines and a CI
+   smoke run measure the same work at the same sizes. *)
+
 open Plookup
 open Plookup_store
 open Plookup_util
@@ -22,86 +21,6 @@ module Metrics = Plookup_metrics
 module Workload = Plookup_workload
 module Net = Plookup_net.Net
 module E = Plookup_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: bechamel micro-benchmarks                                   *)
-
-let tiny = E.Ctx.v ~seed:1 ~scale:0.02 ()
-
-let experiment_tests =
-  List.map
-    (fun e ->
-      Test.make ~name:e.E.Registry.id
-        (Staged.stage (fun () -> ignore (e.E.Registry.run tiny))))
-    E.Registry.all
-
-let core_op_tests =
-  let placed config =
-    let service = Service.create ~seed:3 ~n:10 config in
-    Service.place service (Entry.Gen.batch (Entry.Gen.create ()) 100);
-    service
-  in
-  let lookup_bench name config t =
-    let service = placed config in
-    Test.make ~name (Staged.stage (fun () -> ignore (Service.partial_lookup service t)))
-  in
-  let update_bench name config =
-    let service = placed config in
-    let i = ref 1000 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr i;
-           Service.add service (Entry.v !i);
-           Service.delete service (Entry.v !i)))
-  in
-  let store = Server_store.create () in
-  List.iter (fun i -> ignore (Server_store.add store (Entry.v i))) (List.init 100 Fun.id);
-  let rng = Rng.create 9 in
-  [ Test.make ~name:"store:random_pick-20of100"
-      (Staged.stage (fun () -> ignore (Server_store.random_pick store rng 20)));
-    lookup_bench "lookup:full-t35" Service.full_replication 35;
-    lookup_bench "lookup:round2-t35" (Service.round_robin 2) 35;
-    lookup_bench "lookup:randomserver20-t35" (Service.random_server 20) 35;
-    lookup_bench "lookup:hash2-t35" (Service.hash 2) 35;
-    update_bench "update:fixed-50" (Service.fixed 50);
-    update_bench "update:hash-2" (Service.hash 2);
-    update_bench "update:round-2" (Service.round_robin 2);
-    (let service = placed (Service.random_server 20) in
-     let placement =
-       Metrics.Fault_tolerance.snapshot (Service.cluster service) ~capacity:100
-     in
-     Test.make ~name:"metric:greedy-fault-tolerance"
-       (Staged.stage (fun () -> ignore (Metrics.Fault_tolerance.greedy placement ~t:35))))
-  ]
-
-let run_bechamel tests =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~stabilize:false ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let grouped = Test.make_grouped ~name:"plookup" ~fmt:"%s %s" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let table =
-    Table.create ~title:"bechamel micro-benchmarks (monotonic clock)"
-      ~columns:[ "benchmark"; "time/run" ]
-  in
-  let pretty ns =
-    if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> pretty e | _ -> "n/a"
-      in
-      Table.add_row table [ Table.S name; Table.S estimate ])
-    (List.sort (fun (a, _) (b, _) -> compare a b) rows);
-  Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: ablations                                                   *)
@@ -314,15 +233,102 @@ let ablation_hash_sizing () =
   Table.print table
 
 (* ------------------------------------------------------------------ *)
+(* Baseline rows: one timing loop, one row maker, one emitter          *)
+
+(* Every rate comes from this loop.  Each case is a window of [ops]
+   operations; the cases run interleaved over 40 rounds, alternating
+   direction, and each keeps its fastest window.  One long
+   shot per case confounds it with CPU frequency drift and lets one
+   burst of competing host load poison a whole row; with short windows
+   and many rounds, noise can only lose a window, never bias the best. *)
+let best_rates cases =
+  let m = Array.length cases in
+  let best = Array.make m infinity in
+  for round = 1 to 40 do
+    for j = 0 to m - 1 do
+      let k = if round land 1 = 0 then m - 1 - j else j in
+      let t0 = Unix.gettimeofday () in
+      snd cases.(k) ();
+      best.(k) <- Float.min best.(k) (Unix.gettimeofday () -. t0)
+    done
+  done;
+  Array.mapi (fun k (ops, _) -> float_of_int ops /. Float.max 1e-6 best.(k)) cases
+
+(* Values are rounded here, once, to the precision they are reported
+   at: the file, the console and the gate all show that decimal. *)
+let row ?(digits = 0) ?(better = Baseline.Higher) ?limit ?fresh_limit ~unit layer metric key v =
+  { Baseline.layer;
+    metric;
+    key;
+    value = float_of_string (Printf.sprintf "%.*f" digits v);
+    unit;
+    better;
+    limit;
+    fresh_limit }
+
+(* Rate rows for [(layer, metric, key, ops, window)] cases timed
+   together by [best_rates]. *)
+let rate_rows cases =
+  let rates = best_rates (Array.of_list (List.map (fun (_, _, _, ops, f) -> (ops, f)) cases)) in
+  List.mapi (fun i (layer, metric, key, _, _) -> row ~unit:"1/s" layer metric key rates.(i)) cases
+
+let manifest =
+  [ ("ocaml", Json.Str Sys.ocaml_version);
+    ("profile", Json.Str Build_profile.name);
+    ("cores", Json.Num (float_of_int (Pool.recommended_jobs ()))) ]
+
+let emit file ~benchmark (params, rows) =
+  let table =
+    Table.create ~title:(benchmark ^ " -> " ^ file)
+      ~columns:[ "layer"; "metric"; "key"; "value"; "unit" ]
+  in
+  List.iter
+    (fun (r : Baseline.row) ->
+      Table.add_row table
+        [ Table.S r.layer; Table.S r.metric; Table.S r.key; Table.S (Baseline.number r.value);
+          Table.S r.unit ])
+    rows;
+  Table.print table;
+  Baseline.write file ~benchmark ~params:(params @ manifest) rows;
+  Printf.printf "(wrote %s)\n" file
+
+(* One named column of an experiment table, top to bottom. *)
+let column table name =
+  let rec index i = function
+    | [] -> failwith ("bench: no column " ^ name)
+    | c :: rest -> if c = name then i else index (i + 1) rest
+  in
+  let i = index 0 (Table.columns table) in
+  List.map (fun cells -> List.nth cells i) (Table.rows table)
+
+let texts table name = List.map Table.cell_to_string (column table name)
+
+let numbers table name =
+  List.map
+    (function
+      | Table.F f | Table.F4 f -> f
+      | Table.I i -> float_of_int i
+      | Table.S s -> failwith (Printf.sprintf "bench: text %S in column %s" s name))
+    (column table name)
+
+(* [where client table read name]: column [name] on the rows of [client]. *)
+let where client table read name =
+  List.combine (texts table "client") (read table name)
+  |> List.filter_map (fun (c, v) -> if c = client then Some v else None)
+
+let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Part 4: churn/repair benchmark -> BENCH_repair.json                  *)
 
 (* One churned run per strategy with the full repair stack on (recovery
    sync + hinted handoff + daemon), reporting what the self-healing
    layer buys and what it costs: lookup success rate, stale reads,
-   mean time-to-restore-degree, and repair messages per recovery. *)
+   mean time-to-restore-degree, and repair messages. *)
 let bench_repair () =
   let n = 10 and h = 100 and t = 40 in
   let mttf = 50. and mttr = 50. and horizon = 2000. and update_every = 10. in
+  let churn = Workload.Churn.generate (Rng.create 7) ~n ~mttf ~mttr ~horizon in
   let scenario config =
     let service = Service.create ~seed:99 ~repair:Repair.default_config ~n config in
     let gen = Entry.Gen.create () in
@@ -332,10 +338,6 @@ let bench_repair () =
     let rep = Option.get (Service.repair service) in
     let engine = Plookup_sim.Engine.create () in
     Repair.attach_engine ~until:horizon rep engine;
-    let churn = Workload.Churn.generate (Rng.create 7) ~n ~mttf ~mttr ~horizon in
-    let recoveries =
-      List.length (List.filter (fun ev -> ev.Workload.Churn.up) churn)
-    in
     Workload.Churn.drive engine
       ~apply:(fun ev ->
         if ev.Workload.Churn.up then Cluster.recover cluster ev.Workload.Churn.server
@@ -411,201 +413,106 @@ let bench_repair () =
                    (List.filter (fun e -> Hashtbl.mem deleted (Entry.id e)) returned)))
     done;
     ignore (Plookup_sim.Engine.run ~until:horizon engine);
-    ( Service.config_name config,
-      float_of_int !satisfied /. float_of_int (max 1 !lookups),
-      !stale,
-      (Repair.stats rep).Repair.mean_restore_time,
-      Repair.repair_messages rep,
-      recoveries )
+    let key = Service.config_name config in
+    [ row ~digits:2 ~unit:"%" "repair" "success_pct" key
+        (100. *. float_of_int !satisfied /. float_of_int (max 1 !lookups));
+      row ~better:Lower ~unit:"entries" "repair" "stale_reads" key (float_of_int !stale) ]
+    @ (match (Repair.stats rep).Repair.mean_restore_time with
+      | Some rt -> [ row ~digits:4 ~better:Lower ~unit:"time" "repair" "restore_time" key rt ]
+      | None -> [])
+    @ [ row ~better:Lower ~unit:"msgs" "repair" "messages" key
+          (float_of_int (Repair.repair_messages rep)) ]
   in
-  let rows = List.map scenario (Service.all_configs ~budget:200 ~n ~h ()) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "churn/repair benchmark (repair=full, mttf=%.0f mttr=%.0f horizon=%.0f)" mttf
-           mttr horizon)
-      ~columns:
-        [ "strategy"; "success %"; "stale reads"; "time to repair"; "repair msgs";
-          "msgs/recovery" ]
+  (* Fixed-x needs x >= t to answer at all: it gets the t + 5 that
+     Exp_churn and Exp_day give it. *)
+  let configs =
+    List.map
+      (fun config -> if Service.kind config = "Fixed" then Service.fixed (t + 5) else config)
+      (Service.all_configs ~budget:200 ~n ~h ())
   in
-  List.iter
-    (fun (name, success, stale, restore, msgs, recoveries) ->
-      Table.add_row table
-        [ Table.S name;
-          Table.F (100. *. success);
-          Table.I stale;
-          (match restore with Some rt -> Table.F rt | None -> Table.S "-");
-          Table.I msgs;
-          Table.F (float_of_int msgs /. float_of_int (max 1 recoveries)) ])
-    rows;
-  Table.print table;
-  let oc = open_out "BENCH_repair.json" in
-  let field_of (name, success, stale, restore, msgs, recoveries) =
-    Printf.sprintf
-      "    {\"strategy\": %S, \"success_rate\": %.4f, \"stale_reads\": %d, \
-       \"mean_time_to_repair\": %s, \"repair_messages\": %d, \"recoveries\": %d, \
-       \"repair_messages_per_recovery\": %.2f}"
-      name success stale
-      (match restore with Some rt -> Printf.sprintf "%.4f" rt | None -> "null")
-      msgs recoveries
-      (float_of_int msgs /. float_of_int (max 1 recoveries))
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"churn_repair\",\n\
-    \  \"params\": {\"n\": %d, \"h\": %d, \"t\": %d, \"mttf\": %.1f, \"mttr\": %.1f, \
-     \"horizon\": %.1f, \"repair\": \"full\"},\n\
-    \  \"strategies\": [\n%s\n  ]\n}\n"
-    n h t mttf mttr horizon
-    (String.concat ",\n" (List.map field_of rows));
-  close_out oc;
-  print_endline "(wrote BENCH_repair.json)"
+  let recoveries = List.length (List.filter (fun ev -> ev.Workload.Churn.up) churn) in
+  ( Json.
+      [ ("seed", Num 99.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
+        ("t", Num (float_of_int t)); ("mttf", Num mttf); ("mttr", Num mttr);
+        ("horizon", Num horizon); ("repair", Str "full");
+        ("recoveries", Num (float_of_int recoveries)) ],
+    List.concat_map scenario configs )
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: core throughput baseline -> BENCH_core.json                  *)
+(* Part 5: core throughput -> BENCH_core.json                           *)
 
-(* Sustained-throughput numbers for the per-event hot paths the engine
-   and strategies run on, plus the parallel-runner speedup on the full
-   reproduction.  Written to BENCH_core.json so perf regressions show up
-   as a diff against the committed baseline. *)
-let bench_core ~jobs ~scale () =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+(* Sustained throughput of the per-event hot paths the engine and the
+   strategies run on. *)
+let bench_core () =
+  let n = 10 and h = 100 and t = 35 in
   (* Engine events/sec: schedule-then-fire batches through the queue,
      with a slice of same-batch cancellations to exercise the lazy
      cancellation path the experiments lean on. *)
-  let engine_events = int_of_float (1_000_000. *. Float.min 1.0 (4. *. scale)) in
-  let events_per_sec =
-    let engine = Plookup_sim.Engine.create () in
-    let batch = 1000 in
-    let handles = Array.make batch None in
-    let fired = ref 0 in
-    let (), elapsed =
-      timed (fun () ->
-          for round = 1 to engine_events / batch do
-            let base = Plookup_sim.Engine.now engine in
-            for i = 0 to batch - 1 do
-              handles.(i) <-
-                Some
-                  (Plookup_sim.Engine.schedule_at engine
-                     ~time:(base +. float_of_int ((i + round) mod 97))
-                     (fun _ -> incr fired))
-            done;
-            (* Cancel a tenth of each batch before it fires. *)
-            for i = 0 to (batch / 10) - 1 do
-              match handles.(i * 10) with
-              | Some id -> Plookup_sim.Engine.cancel engine id
-              | None -> ()
-            done;
-            ignore (Plookup_sim.Engine.run engine)
-          done)
-    in
-    float_of_int engine_events /. elapsed
+  let engine = Plookup_sim.Engine.create () in
+  let batch = 1000 and batches = 20 in
+  let handles = Array.make batch None in
+  let fired = ref 0 and round = ref 0 in
+  let engine_window () =
+    for _ = 1 to batches do
+      incr round;
+      let base = Plookup_sim.Engine.now engine in
+      for i = 0 to batch - 1 do
+        handles.(i) <-
+          Some
+            (Plookup_sim.Engine.schedule_at engine
+               ~time:(base +. float_of_int ((i + !round) mod 97))
+               (fun _ -> incr fired))
+      done;
+      (* Cancel a tenth of each batch before it fires. *)
+      for i = 0 to (batch / 10) - 1 do
+        Option.iter (Plookup_sim.Engine.cancel engine) handles.(i * 10)
+      done;
+      ignore (Plookup_sim.Engine.run engine)
+    done
   in
-  (* Lookups/sec per strategy at the paper's t=35 working point. *)
-  let n = 10 and h = 100 and t = 35 in
-  let lookup_iters = int_of_float (50_000. *. Float.min 1.0 (4. *. scale)) in
+  (* Lookups/sec per strategy at the paper's t=35 working point, and
+     updates/sec (one add + one delete) for the same five strategies —
+     FullReplication's update is the paper's worst case (every add and
+     delete touches all n servers), so its row is the one a
+     placement-path regression moves first. *)
+  let configs =
+    [ Service.full_replication; Service.fixed 50; Service.random_server 20;
+      Service.round_robin 2; Service.hash 2 ]
+  in
   let placed config =
     let service = Service.create ~seed:3 ~n config in
     Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
     service
   in
-  let lookup_rows =
-    List.map
-      (fun config ->
-        let service = placed config in
-        let (), elapsed =
-          timed (fun () ->
-              for _ = 1 to lookup_iters do
-                ignore (Service.partial_lookup service t)
-              done)
-        in
-        (Service.config_name config, float_of_int lookup_iters /. elapsed))
-      [ Service.full_replication; Service.fixed 50; Service.random_server 20;
-        Service.round_robin 2; Service.hash 2 ]
+  let lookup_window = 500 and update_window = 1000 in
+  let next = ref 1_000_000 in
+  let lookups config =
+    let service = placed config in
+    ( "service", "lookups_per_sec", Service.config_name config, lookup_window,
+      fun () ->
+        for _ = 1 to lookup_window do
+          ignore (Service.partial_lookup service t)
+        done )
   in
-  (* Updates/sec: one delete + one add per iteration.  Same five
-     strategies as the lookup rows — FullReplication's update is the
-     paper's worst case (every add/delete touches all n servers), so
-     its row is the one a placement-path regression moves first. *)
-  let update_iters = int_of_float (50_000. *. Float.min 1.0 (4. *. scale)) in
-  let update_rows =
-    List.map
-      (fun config ->
-        let service = placed config in
-        let i = ref 1_000_000 in
-        let (), elapsed =
-          timed (fun () ->
-              for _ = 1 to update_iters do
-                incr i;
-                Service.add service (Entry.v !i);
-                Service.delete service (Entry.v !i)
-              done)
-        in
-        (Service.config_name config, float_of_int update_iters /. elapsed))
-      [ Service.full_replication; Service.fixed 50; Service.random_server 20;
-        Service.round_robin 2; Service.hash 2 ]
+  let updates config =
+    let service = placed config in
+    ( "service", "updates_per_sec", Service.config_name config, update_window,
+      fun () ->
+        for _ = 1 to update_window do
+          incr next;
+          Service.add service (Entry.v !next);
+          Service.delete service (Entry.v !next)
+        done )
   in
-  (* Parallel-runner speedup: the full experiment registry at [scale],
-     sequential vs [jobs] worker domains.  Identical tables either way;
-     only the wall clock moves. *)
-  let repro_wall_clock jobs =
-    let ctx = E.Ctx.v ~seed:42 ~scale ~jobs () in
-    snd
-      (timed (fun () ->
-           List.iter (fun e -> ignore (e.E.Registry.run ctx)) E.Registry.all))
-  in
-  let wall_j1 = repro_wall_clock 1 in
-  let wall_jn = if jobs = 1 then wall_j1 else repro_wall_clock jobs in
-  let speedup = wall_j1 /. wall_jn in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "core throughput (scale %g, jobs %d)" scale jobs)
-      ~columns:[ "metric"; "value" ]
-  in
-  let rate v = Printf.sprintf "%.0f /s" v in
-  Table.add_row table [ Table.S "engine events"; Table.S (rate events_per_sec) ];
-  List.iter
-    (fun (name, v) ->
-      Table.add_row table [ Table.S (Printf.sprintf "lookup t=%d %s" t name); Table.S (rate v) ])
-    lookup_rows;
-  List.iter
-    (fun (name, v) ->
-      Table.add_row table [ Table.S (Printf.sprintf "update %s" name); Table.S (rate v) ])
-    update_rows;
-  Table.add_row table
-    [ Table.S "reproduction wall clock, jobs=1"; Table.S (Printf.sprintf "%.2f s" wall_j1) ];
-  Table.add_row table
-    [ Table.S (Printf.sprintf "reproduction wall clock, jobs=%d" jobs);
-      Table.S (Printf.sprintf "%.2f s" wall_jn) ];
-  Table.add_row table [ Table.S "speedup"; Table.S (Printf.sprintf "%.2fx" speedup) ];
-  Table.print table;
-  let strategy_rates rows =
-    String.concat ",\n"
-      (List.map
-         (fun (name, v) -> Printf.sprintf "    {\"strategy\": %S, \"per_sec\": %.0f}" name v)
-         rows)
-  in
-  (* The top-level fields of BENCH_core.json, sans braces: the caller
-     appends Part 6's instrumentation block before closing the object. *)
-  Printf.sprintf
-    "  \"benchmark\": \"core_throughput\",\n\
-    \  \"params\": {\"n\": %d, \"h\": %d, \"t\": %d, \"scale\": %g, \"jobs\": %d, \
-     \"parallel_available\": %b, \"cores\": %d},\n\
-    \  \"engine\": {\"events\": %d, \"events_per_sec\": %.0f},\n\
-    \  \"lookups_per_sec\": [\n%s\n  ],\n\
-    \  \"updates_per_sec\": [\n%s\n  ],\n\
-    \  \"reproduction\": {\"scale\": %g, \"wall_clock_jobs1_sec\": %.3f, \
-     \"wall_clock_jobsN_sec\": %.3f, \"jobs\": %d, \"speedup\": %.3f}"
-    n h t scale jobs Pool.parallel_available
-    (Pool.recommended_jobs ())
-    engine_events events_per_sec
-    (strategy_rates lookup_rows) (strategy_rates update_rows) scale wall_j1 wall_jn jobs
-    speedup
+  ( Json.
+      [ ("seed", Num 3.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
+        ("t", Num (float_of_int t)); ("engine_window", Num (float_of_int (batch * batches)));
+        ("lookup_window", Num (float_of_int lookup_window));
+        ("update_window", Num (float_of_int update_window)) ],
+    rate_rows
+      ((("engine", "events_per_sec", "", batch * batches, engine_window)
+       :: List.map lookups configs)
+      @ List.map updates configs) )
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: instrumentation overhead -> BENCH_core.json                 *)
@@ -624,21 +531,16 @@ let bench_core ~jobs ~scale () =
    - sampled:  tracing on at sample=0.01 (head sampling per causal
                tree).
 
-   The <10%-over-bare gate (check_regress) applies to the traced row
-   here and to the service row below.  The raw synchronous transport is
-   also timed ([Net.send] directly, no engine): at ~17ns per delivered
-   message it is an empty-function-call baseline that no pair of
-   retained spans can undercut by 10%, so it is reported as an absolute
-   marginal cost (ns per traced message) rather than gated as a
-   percentage.
-
-   All comparisons are timed interleaved over many short windows,
-   best-of: a single sequential shot per configuration confounds the
-   comparison with CPU frequency drift, and a long window lets one
-   burst of competing host load poison a whole row.  With ~10ms windows
-   and dozens of rounds, noise can only *lose* a window, never bias the
-   best.  The off/on rows share one Net (tracing toggled between
-   rounds) so they also share its heap layout.
+   The overhead rows are time ratios, tracing on over its reference
+   (the bare net for posted sends, tracing off for service updates),
+   bounded below 1.10 in the committed file and 1.20 in a fresh run:
+   shared CI runners add several points of scheduler and page-placement
+   noise to a ratio whose true excess is a few percent.  The raw
+   synchronous transport is also timed ([Net.send] directly, no
+   engine): at ~17ns per delivered message it is an empty-function-call
+   baseline that no pair of retained spans can undercut by 10%, so only
+   its rates are gated.  The off/on rows share one Net (tracing toggled
+   between windows) so they also share its heap layout.
 
    Run this under `--profile release`.  Dune's dev profile compiles
    with -opaque, which strips cmx approximations and turns every
@@ -646,14 +548,9 @@ let bench_core ~jobs ~scale () =
    into an out-of-line call with boxed float arguments; the measured
    overhead roughly doubles.  The committed baseline and the CI gate
    both use the release profile. *)
-let bench_obs ~scale () =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+let bench_obs () =
   let n = 10 in
-  let overhead reference v = 100. *. ((reference /. v) -. 1.) in
+  let posted_window = 10_000 and sync_window = 100_000 and service_window = 1000 in
   let instrumented ?sample () =
     let net = Net.create ~n () in
     Net.set_planes net ~names:[| "data" |] ~classify:(fun _ -> 0);
@@ -663,12 +560,11 @@ let bench_obs ~scale () =
     (net, tr)
   in
   (* Engine-routed delivery: post in bursts, drain, repeat. *)
-  let sends = int_of_float (400_000. *. Float.min 1.0 (4. *. scale)) in
-  let posted_drive net engine count =
+  let posted_drive net engine () =
     let burst = 1000 in
     let posted = ref 0 in
-    while !posted < count do
-      let b = min burst (count - !posted) in
+    while !posted < posted_window do
+      let b = min burst (posted_window - !posted) in
       for i = 1 to b do
         Net.post net ~src:Net.Client ~dst:(i mod n) i
       done;
@@ -683,177 +579,106 @@ let bench_obs ~scale () =
     engine
   in
   let entries =
-    (* Two noise sources need separating from the signal: CPU frequency
-       drift over time (handled by interleaving rounds, alternating
-       their direction, and keeping the best) and per-instance
-       heap-layout luck (handled by creating [reps] independent
-       instances of every configuration and keeping the best across
-       instances — each row converges to its true fastest).  One
-       instrumented net per rep serves the off, on and sampled rows: the
-       right trace is (re)attached before each measurement, so those
-       three rows differ only in tracing, never in allocation luck. *)
+    (* Besides CPU frequency drift (handled by the interleaved rounds),
+       per-instance heap-layout luck needs separating from the signal:
+       [reps] independent instances of every configuration, each row
+       keeping its best across instances, so every row converges to its
+       true fastest.  One instrumented net per rep serves the off, on
+       and sampled rows: the right trace is (re)attached at the start of
+       each window, so those three rows differ only in tracing, never in
+       allocation luck. *)
     let reps = 4 in
     let acc = ref [] in
     for _ = 1 to reps do
       let bare = Net.create ~n () in
-      let bare_engine = with_engine bare in
-      acc := (0, bare, bare_engine, fun () -> ()) :: !acc;
+      let bare_drive = posted_drive bare (with_engine bare) in
+      acc := (0, bare_drive) :: !acc;
       let net, tr = instrumented () in
       let pm = Plookup_obs.Trace.intern_message tr ~plane:"data" ~msg:"msg" in
-      let engine = with_engine net in
+      let drive = posted_drive net (with_engine net) in
       let tr_smp = Plookup_obs.Trace.create ~capacity:256 ~sample:0.01 () in
       let pm_smp = Plookup_obs.Trace.intern_message tr_smp ~plane:"data" ~msg:"msg" in
       let full on () =
         Net.set_trace net tr ~coder:(fun _ -> pm);
-        Plookup_obs.Trace.set_enabled tr on
+        Plookup_obs.Trace.set_enabled tr on;
+        drive ()
       in
       let smp () =
         Net.set_trace net tr_smp ~coder:(fun _ -> pm_smp);
-        Plookup_obs.Trace.set_enabled tr_smp true
+        Plookup_obs.Trace.set_enabled tr_smp true;
+        drive ()
       in
-      acc := (1, net, engine, full false) :: !acc;
-      acc := (2, net, engine, full true) :: !acc;
-      acc := (3, net, engine, smp) :: !acc
+      acc := (3, smp) :: (2, full true) :: (1, full false) :: !acc
     done;
     Array.of_list (List.rev !acc)
   in
-  Array.iter (fun (_, net, engine, _) -> posted_drive net engine 1000) entries;
-  (* Short windows, many rounds: a burst of competing host load can
-     poison any single window, but each row gets [rounds] independent
-     chances per instance and keeps its best, so transient noise cannot
-     bias the comparison — it can only lose. *)
-  let window = max 1_000 (sends / 8) in
-  let best = Array.make 4 infinity in
-  let m = Array.length entries in
-  for round = 1 to 40 do
-    for j = 0 to m - 1 do
-      let row, net, engine, prepare = entries.(if round land 1 = 0 then m - 1 - j else j) in
-      prepare ();
-      let (), elapsed = timed (fun () -> posted_drive net engine window) in
-      if elapsed < best.(row) then best.(row) <- elapsed
-    done
-  done;
-  let rates = Array.map (fun b -> float_of_int window /. b) best in
-  let bare = rates.(0)
-  and disabled = rates.(1)
-  and traced = rates.(2)
-  and sampled = rates.(3) in
-  (* Raw synchronous transport: same interleaved scheme, bare vs traced,
-     reported as marginal ns per traced message (one fused Send+Recv
-     pair cell). *)
-  let sync_sends = sends in
-  let sync_configs =
-    let bare = Net.create ~n () in
+  (* Raw synchronous transport, bare vs traced. *)
+  let sync_send net =
+    Net.set_handler net (fun _dst _src msg -> msg);
+    ( sync_window,
+      fun () ->
+        for i = 1 to sync_window do
+          ignore (Net.send net ~src:Net.Client ~dst:(i mod n) i)
+        done )
+  in
+  let traced_sync =
     let inst, tr = instrumented () in
     Plookup_obs.Trace.set_enabled tr true;
-    [| bare; inst |]
+    inst
   in
-  Array.iter
-    (fun net ->
-      Net.set_handler net (fun _dst _src msg -> msg);
-      for i = 1 to 1000 do
-        ignore (Net.send net ~src:Net.Client ~dst:(i mod n) i)
-      done)
-    sync_configs;
-  let sync_window = max 10_000 (sync_sends / 4) in
-  let sync_best = Array.make 2 infinity in
-  for _round = 1 to 40 do
-    Array.iteri
-      (fun k net ->
-        let (), elapsed =
-          timed (fun () ->
-              for i = 1 to sync_window do
-                ignore (Net.send net ~src:Net.Client ~dst:(i mod n) i)
-              done)
-        in
-        if elapsed < sync_best.(k) then sync_best.(k) <- elapsed)
-      sync_configs
-  done;
-  let sync_bare = float_of_int sync_window /. sync_best.(0) in
-  let sync_on = float_of_int sync_window /. sync_best.(1) in
-  let sync_marginal_ns = ((1. /. sync_on) -. (1. /. sync_bare)) *. 1e9 in
   (* Service-level: the round-robin update workload on one service,
-     tracing toggled between interleaved rounds.  An add/delete pair
-     leaves the service as it found it, so repeated rounds time the same
-     workload. *)
+     tracing toggled between interleaved windows.  An add/delete pair
+     leaves the service as it found it, so repeated windows time the
+     same workload. *)
   let h = 100 in
-  let update_iters = int_of_float (50_000. *. Float.min 1.0 (4. *. scale)) in
   let obs = Plookup_obs.Obs.create ~trace_capacity:256 () in
   let service = Service.create ~seed:3 ~obs ~n (Service.round_robin 2) in
   Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
-  let svc_window = max 500 (update_iters / 10) in
-  let svc_best = Array.make 2 infinity in
   let i = ref 1_000_000 in
-  for round = 1 to 40 do
-    for j = 0 to 1 do
-      let k = if round land 1 = 0 then 1 - j else j in
-      Plookup_obs.Trace.set_enabled obs.Plookup_obs.Obs.trace (k = 1);
-      let (), elapsed =
-        timed (fun () ->
-            for _ = 1 to svc_window do
-              incr i;
-              Service.add service (Entry.v !i);
-              Service.delete service (Entry.v !i)
-            done)
-      in
-      if elapsed < svc_best.(k) then svc_best.(k) <- elapsed
-    done
-  done;
-  let svc_off = float_of_int svc_window /. svc_best.(0) in
-  let svc_on = float_of_int svc_window /. svc_best.(1) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "instrumentation overhead (%d posted sends, %d service updates)"
-           sends update_iters)
-      ~columns:[ "configuration"; "rate"; "overhead vs bare %" ]
+  let updates on =
+    ( service_window,
+      fun () ->
+        Plookup_obs.Trace.set_enabled obs.Plookup_obs.Obs.trace on;
+        for _ = 1 to service_window do
+          incr i;
+          Service.add service (Entry.v !i);
+          Service.delete service (Entry.v !i)
+        done )
   in
-  let rate v = Printf.sprintf "%.0f /s" v in
-  Table.add_row table [ Table.S "posted sends, bare"; Table.S (rate bare); Table.S "-" ];
-  Table.add_row table
-    [ Table.S "posted sends, obs attached, tracing off";
-      Table.S (rate disabled);
-      Table.F (overhead bare disabled) ];
-  Table.add_row table
-    [ Table.S "posted sends, obs attached, tracing on";
-      Table.S (rate traced);
-      Table.F (overhead bare traced) ];
-  Table.add_row table
-    [ Table.S "posted sends, obs attached, tracing on, sample 1%";
-      Table.S (rate sampled);
-      Table.F (overhead bare sampled) ];
-  Table.add_row table
-    [ Table.S "sync sends, bare"; Table.S (rate sync_bare); Table.S "-" ];
-  Table.add_row table
-    [ Table.S "sync sends, tracing on";
-      Table.S (rate sync_on);
-      Table.S (Printf.sprintf "+%.1f ns/msg" sync_marginal_ns) ];
-  Table.add_row table
-    [ Table.S "service updates, tracing off"; Table.S (rate svc_off); Table.S "-" ];
-  Table.add_row table
-    [ Table.S "service updates, tracing on";
-      Table.S (rate svc_on);
-      Table.F (overhead svc_off svc_on) ];
-  Table.print table;
-  Printf.sprintf
-    "  \"instrumentation\": {\n\
-    \    \"net_sends\": %d,\n\
-    \    \"net_sends_per_sec_bare\": %.0f,\n\
-    \    \"net_sends_per_sec_tracing_off\": %.0f,\n\
-    \    \"net_sends_per_sec_tracing_on\": %.0f,\n\
-    \    \"net_sends_per_sec_sampled_1pct\": %.0f,\n\
-    \    \"overhead_tracing_off_pct\": %.2f,\n\
-    \    \"overhead_tracing_on_pct\": %.2f,\n\
-    \    \"sync_sends_per_sec_bare\": %.0f,\n\
-    \    \"sync_sends_per_sec_tracing_on\": %.0f,\n\
-    \    \"sync_trace_marginal_ns_per_msg\": %.2f,\n\
-    \    \"service_updates\": %d,\n\
-    \    \"service_updates_per_sec_tracing_off\": %.0f,\n\
-    \    \"service_updates_per_sec_tracing_on\": %.0f,\n\
-    \    \"service_overhead_tracing_on_pct\": %.2f\n\
-    \  }"
-    sends bare disabled traced sampled (overhead bare disabled) (overhead bare traced)
-    sync_bare sync_on sync_marginal_ns update_iters svc_off svc_on (overhead svc_off svc_on)
+  (* Every case of this part shares one interleaved timing, so each
+     row's windows spread over the whole part. *)
+  let m = Array.length entries in
+  let rates =
+    best_rates
+      (Array.concat
+         [ Array.map (fun (_, drive) -> (posted_window, drive)) entries;
+           [| sync_send (Net.create ~n ()); sync_send traced_sync; updates false;
+              updates true |] ])
+  in
+  let posted = Array.make 4 0. in
+  Array.iteri (fun i (row, _) -> posted.(row) <- Float.max posted.(row) rates.(i)) entries;
+  let sync = Array.sub rates m 2 and svc = Array.sub rates (m + 2) 2 in
+  Printf.printf "(sync sends: tracing adds %.1f ns per message)\n"
+    (((1. /. sync.(1)) -. (1. /. sync.(0))) *. 1e9);
+  let rate = row ~unit:"1/s" "trace" in
+  let overhead key v =
+    row ~digits:4 ~better:Lower ~limit:1.10 ~fresh_limit:1.20 ~unit:"ratio" "trace" "overhead" key
+      v
+  in
+  ( Json.
+      [ ("posted_window", Num (float_of_int posted_window));
+        ("sync_window", Num (float_of_int sync_window));
+        ("service_window", Num (float_of_int service_window)) ],
+    [ rate "posted_sends_per_sec" "bare" posted.(0);
+      rate "posted_sends_per_sec" "tracing_off" posted.(1);
+      rate "posted_sends_per_sec" "tracing_on" posted.(2);
+      rate "posted_sends_per_sec" "sampled_1pct" posted.(3);
+      rate "sync_sends_per_sec" "bare" sync.(0);
+      rate "sync_sends_per_sec" "tracing_on" sync.(1);
+      rate "service_updates_per_sec" "tracing_off" svc.(0);
+      rate "service_updates_per_sec" "tracing_on" svc.(1);
+      overhead "posted_sends" (posted.(0) /. posted.(2));
+      overhead "service_updates" (svc.(0) /. svc.(1)) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Part 7: cluster-scale benchmark -> BENCH_scale.json                 *)
@@ -862,28 +687,12 @@ let bench_obs ~scale () =
    n=10k.  For each consistent-hashing strategy at each fleet size it
    measures placement throughput (entries placed per second through the
    full message path), steady-state lookup throughput at the paper's
-   t=35 working point, resident memory after placement, and the storage
+   t=35 working point, live heap words after placement, and the storage
    load skew (peak/mean entry count over servers) the strategy's hash
-   geometry produces.  Written to BENCH_scale.json and gated by
-   check_regress exactly like BENCH_core.json, so an O(n) scan creeping
-   back into a hot path shows up as a throughput regression at the
-   larger sizes. *)
-let bench_scale ~smoke () =
-  (* One shot of [f] at n=10 lasts ~100us, far below timer resolution
-     noise, so every rate repeats [f] until a minimum wall clock has
-     accumulated — the 30% CI gate needs the small-n rows stable. *)
-  let min_elapsed = if smoke then 0.05 else 0.2 in
-  let rate ~amount f =
-    let t0 = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    while Unix.gettimeofday () -. t0 < min_elapsed do
-      f ();
-      incr rounds
-    done;
-    float_of_int (!rounds * amount) /. Float.max 1e-6 (Unix.gettimeofday () -. t0)
-  in
-  let sizes = if smoke then [ 10; 1000 ] else [ 10; 1000; 10_000 ] in
-  let t = 35 in
+   geometry produces, so an O(n) scan creeping back into a hot path
+   shows up as a throughput regression at the larger sizes. *)
+let bench_scale () =
+  let sizes = [ 10; 1000; 10_000 ] and t = 35 and lookup_window = 200 in
   let cfg s =
     match Service.config_of_string s with Ok c -> c | Error e -> failwith e
   in
@@ -892,87 +701,53 @@ let bench_scale ~smoke () =
     Gc.compact ();
     (Gc.stat ()).Gc.live_words
   in
-  let rows =
-    List.concat_map
-      (fun n ->
-        let h = max 100 n in
-        List.map
-          (fun config ->
-            let words0 = live_words () in
-            let service = Service.create ~seed:7 ~n config in
-            let entries = Entry.Gen.batch (Entry.Gen.create ()) h in
-            Service.place service entries;
-            let words1 = live_words () in
-            (* Re-placing the same batch repeats the identical message
-               sequence (stores replace in place), so the repetitions
-               measure steady-state placement throughput. *)
-            let place_rate = rate ~amount:h (fun () -> Service.place service entries) in
-            let lookup_rate =
-              rate ~amount:1 (fun () -> ignore (Service.partial_lookup service t))
-            in
-            let cluster = Service.cluster service in
-            let loads =
-              Array.init n (fun i -> Server_store.cardinal (Cluster.store cluster i))
-            in
-            let load = Metrics.Load.summarize loads in
-            ( Printf.sprintf "%s@n=%d" (Service.config_name config) n,
-              place_rate,
-              lookup_rate,
-              words1 - words0,
-              load ))
-          configs)
-      sizes
+  (* Every service is built (and its heap footprint taken) first, so
+     all rates share one interleaved timing spread over the whole
+     sweep. *)
+  let setup n config =
+    let h = max 100 n in
+    let words0 = live_words () in
+    let service = Service.create ~seed:7 ~n config in
+    let entries = Entry.Gen.batch (Entry.Gen.create ()) h in
+    Service.place service entries;
+    let words = live_words () - words0 in
+    (Printf.sprintf "%s@n=%d" (Service.config_name config) n, n, service, entries, words)
   in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "cluster-scale sweep (t=%d%s)" t (if smoke then ", smoke" else ""))
-      ~columns:
-        [ "strategy@n"; "placements/s"; "lookups/s"; "live words"; "peak/avg"; "load cov" ]
+  let setups = List.concat_map (fun n -> List.map (setup n) configs) sizes in
+  (* Re-placing the same batch repeats the identical message sequence
+     (stores replace in place), so the repetitions measure steady-state
+     placement throughput. *)
+  let rate_cases (key, _, service, entries, _) =
+    let h = List.length entries in
+    let places = max 1 (10_000 / h) in
+    [ ( "service", "placements_per_sec", key, places * h,
+        fun () ->
+          for _ = 1 to places do
+            Service.place service entries
+          done );
+      ( "service", "lookups_per_sec", key, lookup_window,
+        fun () ->
+          for _ = 1 to lookup_window do
+            ignore (Service.partial_lookup service t)
+          done ) ]
   in
-  List.iter
-    (fun (name, place_rate, lookup_rate, words, load) ->
-      Table.add_row table
-        [ Table.S name;
-          Table.S (Printf.sprintf "%.0f" place_rate);
-          Table.S (Printf.sprintf "%.0f" lookup_rate);
-          Table.I words;
-          Table.F load.Metrics.Load.peak_to_average;
-          Table.F load.Metrics.Load.cov ])
-    rows;
-  Table.print table;
-  let rate_rows value =
-    String.concat ",\n"
-      (List.map
-         (fun ((name, _, _, _, _) as row) ->
-           Printf.sprintf "    {\"strategy\": %S, \"per_sec\": %.0f}" name (value row))
-         rows)
+  let footprint (key, n, service, _, words) =
+    let cluster = Service.cluster service in
+    let load =
+      Metrics.Load.summarize
+        (Array.init n (fun i -> Server_store.cardinal (Cluster.store cluster i)))
+    in
+    let skew = row ~digits:4 ~better:Lower ~unit:"ratio" "cluster" in
+    [ row ~better:Lower ~unit:"words" "cluster" "live_words" key (float_of_int words);
+      skew "peak_to_average" key load.Metrics.Load.peak_to_average;
+      skew "cov" key load.Metrics.Load.cov ]
   in
-  let load_rows =
-    String.concat ",\n"
-      (List.map
-         (fun (name, _, _, words, load) ->
-           Printf.sprintf
-             "    {\"strategy\": %S, \"live_words\": %d, \"peak_to_average\": %.4f, \
-              \"cov\": %.4f}"
-             name words load.Metrics.Load.peak_to_average load.Metrics.Load.cov)
-         rows)
-  in
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"cluster_scale\",\n\
-    \  \"params\": {\"t\": %d, \"smoke\": %b, \"sizes\": [%s]},\n\
-    \  \"placements_per_sec\": [\n%s\n  ],\n\
-    \  \"lookups_per_sec\": [\n%s\n  ],\n\
-    \  \"load\": [\n%s\n  ]\n\
-     }\n"
-    t smoke
-    (String.concat ", " (List.map string_of_int sizes))
-    (rate_rows (fun (_, p, _, _, _) -> p))
-    (rate_rows (fun (_, _, l, _, _) -> l))
-    load_rows;
-  close_out oc;
-  print_endline "(wrote BENCH_scale.json)"
+  let rates = rate_rows (List.concat_map rate_cases setups) in
+  ( Json.
+      [ ("seed", Num 7.); ("t", Num (float_of_int t));
+        ("sizes", Arr (List.map (fun n -> Num (float_of_int n)) sizes));
+        ("lookup_window", Num (float_of_int lookup_window)) ],
+    rates @ List.concat_map footprint setups )
 
 (* ------------------------------------------------------------------ *)
 (* Part 8: production-day chaos benchmark -> BENCH_day.json            *)
@@ -980,67 +755,22 @@ let bench_scale ~smoke () =
 (* The day experiment is both a behavioural artifact (crowd-window tail
    latencies, deterministic at a fixed seed and scale) and a throughput
    workload (a full simulated day across every strategy, naive and
-   tuned).  The crowd-tail milliseconds are gated lower-is-better by
-   check_regress, so a regression in shedding, hedging, or the breaker
-   shows up as a fatter tail; the runs-per-second row gates the
-   simulator's wall-clock cost the usual higher-is-better way.  The day
-   itself always runs at the same scale — smoke only trims how long the
-   rate loop repeats — so the committed baseline and the CI smoke run
-   compare like for like. *)
-let bench_day ~smoke () =
+   tuned).  The tails are lower-is-better rows, so a regression in
+   shedding, hedging, or the breaker shows up as a fatter tail; the
+   runs-per-second row gates the simulator's wall-clock cost. *)
+let bench_day () =
   let scale = 0.25 in
-  let min_elapsed = if smoke then 0.05 else 0.2 in
   let ctx = E.Ctx.v ~seed:42 ~scale () in
   let table = E.Exp_day.run ctx in
-  Table.print table;
-  let t0 = Unix.gettimeofday () in
-  let rounds = ref 0 in
-  while Unix.gettimeofday () -. t0 < min_elapsed do
-    ignore (E.Exp_day.run ctx);
-    incr rounds
-  done;
-  let runs_per_sec =
-    float_of_int !rounds /. Float.max 1e-6 (Unix.gettimeofday () -. t0)
+  let runs = (best_rates [| (1, fun () -> ignore (E.Exp_day.run ctx)) |]).(0) in
+  let keys = List.map2 (fun s c -> s ^ "/" ^ c) (texts table "strategy") (texts table "client") in
+  let tails metric col =
+    List.map2 (row ~digits:2 ~better:Lower ~unit:"ms" "day" metric) keys (numbers table col)
   in
-  let idx name =
-    match List.find_index (String.equal name) (Table.columns table) with
-    | Some i -> i
-    | None -> failwith ("bench_day: missing column " ^ name)
-  in
-  let scell row i =
-    match List.nth row i with Table.S s -> s | c -> Table.cell_to_string c
-  in
-  let fcell row i =
-    match List.nth row i with
-    | Table.F f -> f
-    | _ -> failwith "bench_day: expected a float cell"
-  in
-  let s_i = idx "strategy" and c_i = idx "client" in
-  let p99_i = idx "crowd p99 ms" and p999_i = idx "crowd p999 ms" in
-  let tail_rows =
-    String.concat ",\n"
-      (List.map
-         (fun row ->
-           Printf.sprintf "    {\"strategy\": %S, \"p99_ms\": %.2f, \"p999_ms\": %.2f}"
-             (scell row s_i ^ "/" ^ scell row c_i)
-             (fcell row p99_i) (fcell row p999_i))
-         (Table.rows table))
-  in
-  let oc = open_out "BENCH_day.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"production_day\",\n\
-    \  \"params\": {\"scale\": %.2f, \"smoke\": %b},\n\
-    \  \"day_runs_per_sec\": [\n\
-    \    {\"strategy\": \"day@scale=%.2f\", \"per_sec\": %.2f}\n\
-    \  ],\n\
-    \  \"tail_ms\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    scale smoke scale runs_per_sec tail_rows;
-  close_out oc;
-  print_endline "(wrote BENCH_day.json)"
+  ( Json.[ ("seed", Num 42.); ("scale", Num scale) ],
+    (row ~digits:2 ~unit:"1/s" "day" "runs_per_sec" (Printf.sprintf "scale=%.2f" scale) runs
+    :: tails "p99_ms" "crowd p99 ms")
+    @ tails "p999_ms" "crowd p999 ms" )
 
 (* ------------------------------------------------------------------ *)
 (* Part 9: client-cache benchmark -> BENCH_cache.json                  *)
@@ -1053,258 +783,126 @@ let bench_day ~smoke () =
    crowd-window p99 and stale reads — plus TTL and capacity sweeps of
    the freshness-vs-traffic trade-off and one hotspot-adversarial cell
    (focus 0.9 of all lookups on the worst-placed key), the cache's
-   hardest case.  check_regress gates hit_rate higher-is-better,
-   msgs_per_lookup and p99_cached_ms lower-is-better, and holds every
-   hit rate above an absolute floor.
+   hardest case.  Every hit rate of the per-strategy cell must also
+   clear 40% in both files: the claim that the cache absorbs the flash
+   crowd is an absolute one.
 
    Mechanically: raw Client_cache operation throughput — the hit fast
    path at several capacities and a churn loop (expired miss + insert +
-   LRU eviction) — gated like any other rate. *)
-let bench_cache ~smoke () =
+   LRU eviction). *)
+let bench_cache () =
   let scale = 0.25 in
-  let day ~cap ~ttl ~swr ~hotspot =
+  let d = E.Ctx.default_cache in
+  let cap0 = d.E.Ctx.cache_cap and ttl0 = d.E.Ctx.cache_ttl and swr = d.E.Ctx.swr in
+  let day ?(cap = cap0) ?(ttl = ttl0) ?(hotspot = 0.) () =
     let cache = { E.Ctx.cache_cap = cap; cache_ttl = ttl; swr; hotspot } in
     E.Exp_day.run (E.Ctx.v ~seed:42 ~scale ~cache ())
   in
-  (* Per-cell extraction, as in Part 8. *)
-  let extract table =
-    let idx name =
-      match List.find_index (String.equal name) (Table.columns table) with
-      | Some i -> i
-      | None -> failwith ("bench_cache: missing column " ^ name)
-    in
-    let scell row i =
-      match List.nth row i with Table.S s -> s | c -> Table.cell_to_string c
-    in
-    let fcell row i =
-      match List.nth row i with
-      | Table.F f -> f
-      | _ -> failwith "bench_cache: expected a float cell"
-    in
-    let icell row i =
-      match List.nth row i with
-      | Table.I n -> n
-      | _ -> failwith "bench_cache: expected an int cell"
-    in
-    let s_i = idx "strategy" and c_i = idx "client" in
-    let p99_i = idx "crowd p99 ms" and stale_i = idx "stale" in
-    let mpl_i = idx "msgs/lookup" and hit_i = idx "hit %" in
-    List.map
-      (fun row ->
-        ( scell row s_i,
-          scell row c_i,
-          fcell row p99_i,
-          icell row stale_i,
-          fcell row mpl_i,
-          fcell row hit_i ))
-      (Table.rows table)
-  in
-  let cached rows = List.filter (fun (_, c, _, _, _, _) -> c = "tuned+cache") rows in
-  let mean f rows =
-    List.fold_left (fun acc r -> acc +. f r) 0. rows /. float_of_int (List.length rows)
-  in
-  let d = E.Ctx.default_cache in
-  let cap0 = d.E.Ctx.cache_cap and ttl0 = d.E.Ctx.cache_ttl and swr0 = d.E.Ctx.swr in
-  let base_table = day ~cap:cap0 ~ttl:ttl0 ~swr:swr0 ~hotspot:0. in
-  Table.print base_table;
-  let base = extract base_table in
-  let cache_rows =
-    String.concat ",\n"
-      (List.filter_map
-         (fun (s, c, p99c, stale, mplc, hit) ->
-           if c <> "tuned+cache" then None
-           else begin
-             let _, _, p99t, _, mplt, _ =
-               List.find (fun (s', c', _, _, _, _) -> s' = s && c' = "tuned") base
-             in
-             Some
-               (Printf.sprintf
-                  "    {\"strategy\": %S, \"hit_rate\": %.2f, \"msgs_per_lookup_tuned\": \
-                   %.3f, \"msgs_per_lookup\": %.3f, \"p99_tuned_ms\": %.2f, \
-                   \"p99_cached_ms\": %.2f, \"stale\": %d}"
-                  s hit mplt mplc p99t p99c stale)
-           end)
-         base)
+  let base = day () in
+  let per_strategy ?digits ?better ?limit ?fresh_limit ~unit metric client col =
+    List.map2
+      (row ?digits ?better ?limit ?fresh_limit ~unit "cache" metric)
+      (where "tuned+cache" base texts "strategy")
+      (where client base numbers col)
   in
   (* Freshness-vs-traffic trade-off: stale reads bought per message
      saved, as the TTL stretches past the update period. *)
-  let sweep_row rows =
-    ( mean (fun (_, _, _, _, _, h) -> h) rows,
-      mean (fun (_, _, _, _, m, _) -> m) rows,
-      List.fold_left (fun acc (_, _, _, st, _, _) -> acc + st) 0 rows )
+  let sweep layer key table =
+    let cached = where "tuned+cache" table numbers in
+    [ row ~digits:2 ~unit:"%" layer "hit_rate" key (mean (cached "hit %"));
+      row ~digits:3 ~better:Lower ~unit:"msgs" layer "msgs_per_lookup" key
+        (mean (cached "msgs/lookup"));
+      row ~better:Lower ~unit:"reads" layer "stale" key
+        (List.fold_left ( +. ) 0. (cached "stale")) ]
   in
-  let ttl_rows =
-    String.concat ",\n"
-      (List.map
-         (fun ttl ->
-           let hit, mpl, stale =
-             sweep_row (cached (extract (day ~cap:cap0 ~ttl ~swr:swr0 ~hotspot:0.)))
-           in
-           Printf.sprintf
-             "    {\"ttl\": %g, \"hit_rate\": %.2f, \"msgs_per_lookup\": %.3f, \
-              \"stale\": %d}"
-             ttl hit mpl stale)
-         [ 5.; 10.; 25.; 50. ])
+  let hotspot = day ~hotspot:0.9 () in
+  let hot ?better ~unit metric v =
+    row ~digits:2 ?better ~unit "cache.hotspot" metric "focus=0.9" v
   in
-  let cap_rows =
-    String.concat ",\n"
-      (List.map
-         (fun cap ->
-           let hit, mpl, stale =
-             sweep_row (cached (extract (day ~cap ~ttl:ttl0 ~swr:swr0 ~hotspot:0.)))
-           in
-           Printf.sprintf
-             "    {\"cap\": %d, \"hit_rate\": %.2f, \"msgs_per_lookup\": %.3f, \
-              \"stale\": %d}"
-             cap hit mpl stale)
-         (* The day's Zipf working set inside one TTL is small, so the
-            LRU only binds at tiny capacities — sweep down to where
-            eviction visibly costs hits. *)
-         [ 2; 8; 128 ])
-  in
-  let hotspot_focus = 0.9 in
-  let hs = extract (day ~cap:cap0 ~ttl:ttl0 ~swr:swr0 ~hotspot:hotspot_focus) in
-  let hs_cached = cached hs in
-  let hs_tuned = List.filter (fun (_, c, _, _, _, _) -> c = "tuned") hs in
-  (* Raw Client_cache throughput: timed in 1000-op batches, over a
-     window long enough to drown the clock reads. *)
-  let min_elapsed = if smoke then 0.05 else 0.2 in
-  let bench_rate f =
-    f 0 (* warm *);
-    let t0 = Unix.gettimeofday () in
-    let batches = ref 0 in
-    while Unix.gettimeofday () -. t0 < min_elapsed do
-      f !batches;
-      incr batches
-    done;
-    1000. *. float_of_int !batches /. (Unix.gettimeofday () -. t0)
-  in
+  (* Raw Client_cache throughput, 1000 operations per batch. *)
+  let batches = 20 in
   let result = Lookup_result.empty ~target:35 in
   let waiter _ ~now:_ = () in
-  let fill c cap =
+  let hit cap =
+    let c = Client_cache.create ~ttl:1e12 ~capacity:cap () in
     for k = 0 to cap - 1 do
       match Client_cache.lookup c ~key:k ~now:0. ~waiter with
       | Client_cache.Lead -> Client_cache.complete c ~key:k ~now:0. ~ok:true ~attempts:1 result
       | _ -> ()
-    done
+    done;
+    let i = ref 0 in
+    ( "client_cache", "cached_lookups_per_sec", Printf.sprintf "hit@cap=%d" cap, 1000 * batches,
+      fun () ->
+        for _ = 1 to batches do
+          for j = 0 to 999 do
+            ignore (Client_cache.lookup c ~key:(((!i * 1000) + j) mod cap) ~now:1. ~waiter)
+          done;
+          incr i
+        done )
   in
-  let hit_rate cap =
-    let c = Client_cache.create ~ttl:1e12 ~capacity:cap () in
-    fill c cap;
-    bench_rate (fun i ->
-        for j = 0 to 999 do
-          ignore (Client_cache.lookup c ~key:(((i * 1000) + j) mod cap) ~now:1. ~waiter)
-        done)
-  in
-  let churn_rate cap =
+  let churn cap =
     let c = Client_cache.create ~ttl:1. ~capacity:cap () in
     let now = ref 0. in
-    bench_rate (fun _ ->
-        for j = 0 to 999 do
-          now := !now +. 2.;
-          let key = j mod (2 * cap) in
-          match Client_cache.lookup c ~key ~now:!now ~waiter with
-          | Client_cache.Lead ->
-            Client_cache.complete c ~key ~now:!now ~ok:true ~attempts:1 result
-          | _ -> ()
-        done)
+    ( "client_cache", "cached_lookups_per_sec", Printf.sprintf "churn@cap=%d" cap, 1000 * batches,
+      fun () ->
+        for _ = 1 to batches do
+          for j = 0 to 999 do
+            now := !now +. 2.;
+            let key = j mod (2 * cap) in
+            match Client_cache.lookup c ~key ~now:!now ~waiter with
+            | Client_cache.Lead ->
+              Client_cache.complete c ~key ~now:!now ~ok:true ~attempts:1 result
+            | _ -> ()
+          done
+        done )
   in
-  let rate_rows =
-    List.map (fun cap -> (Printf.sprintf "hit@cap=%d" cap, hit_rate cap)) [ 8; 128; 1024 ]
-    @ [ ("churn@cap=128", churn_rate 128) ]
-  in
-  let summary = Table.create ~title:"client cache" ~columns:[ "metric"; "value" ] in
-  List.iter
-    (fun (name, v) ->
-      Table.add_row summary [ Table.S name; Table.S (Printf.sprintf "%.0f /s" v) ])
-    rate_rows;
-  Table.print summary;
-  let oc = open_out "BENCH_cache.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"client_cache\",\n\
-    \  \"params\": {\"scale\": %.2f, \"smoke\": %b, \"cap\": %d, \"ttl\": %g, \"swr\": \
-     %g},\n\
-    \  \"cache\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"ttl_sweep\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"capacity_sweep\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"hotspot\": {\"focus\": %.2f, \"hit_rate\": %.2f, \"p99_tuned_ms\": %.2f, \
-     \"p99_cached_ms\": %.2f},\n\
-    \  \"cached_lookups_per_sec\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    scale smoke cap0 ttl0 swr0 cache_rows ttl_rows cap_rows hotspot_focus
-    (mean (fun (_, _, _, _, _, h) -> h) hs_cached)
-    (mean (fun (_, _, p, _, _, _) -> p) hs_tuned)
-    (mean (fun (_, _, p, _, _, _) -> p) hs_cached)
-    (String.concat ",\n"
-       (List.map
-          (fun (name, v) -> Printf.sprintf "    {\"strategy\": %S, \"per_sec\": %.0f}" name v)
-          rate_rows));
-  close_out oc;
-  print_endline "(wrote BENCH_cache.json)"
+  ( Json.
+      [ ("seed", Num 42.); ("scale", Num scale); ("cap", Num (float_of_int cap0));
+        ("ttl", Num ttl0); ("swr", Num swr); ("hotspot_focus", Num 0.9) ],
+    per_strategy ~digits:2 ~limit:40. ~fresh_limit:40. ~unit:"%" "hit_rate" "tuned+cache" "hit %"
+    @ per_strategy ~digits:3 ~better:Lower ~unit:"msgs" "msgs_per_lookup" "tuned+cache"
+        "msgs/lookup"
+    @ per_strategy ~digits:3 ~better:Lower ~unit:"msgs" "msgs_per_lookup_tuned" "tuned"
+        "msgs/lookup"
+    @ per_strategy ~digits:2 ~better:Lower ~unit:"ms" "p99_cached_ms" "tuned+cache"
+        "crowd p99 ms"
+    @ per_strategy ~digits:2 ~better:Lower ~unit:"ms" "p99_tuned_ms" "tuned" "crowd p99 ms"
+    @ per_strategy ~better:Lower ~unit:"reads" "stale" "tuned+cache" "stale"
+    @ List.concat_map
+        (fun ttl -> sweep "cache.ttl_sweep" (Printf.sprintf "ttl=%g" ttl) (day ~ttl ()))
+        [ 5.; 10.; 25.; 50. ]
+    (* The day's Zipf working set inside one TTL is small, so the LRU
+       only binds at tiny capacities — sweep down to where eviction
+       visibly costs hits. *)
+    @ List.concat_map
+        (fun cap -> sweep "cache.capacity_sweep" (Printf.sprintf "cap=%d" cap) (day ~cap ()))
+        [ 2; 8; 128 ]
+    @ [ hot ~unit:"%" "hit_rate" (mean (where "tuned+cache" hotspot numbers "hit %"));
+        hot ~better:Lower ~unit:"ms" "p99_tuned_ms"
+          (mean (where "tuned" hotspot numbers "crowd p99 ms"));
+        hot ~better:Lower ~unit:"ms" "p99_cached_ms"
+          (mean (where "tuned+cache" hotspot numbers "crowd p99 ms")) ]
+    @ rate_rows (List.map hit [ 8; 128; 1024 ] @ [ churn 128 ]) )
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let jobs = ref 0 in
   let smoke = ref false in
-  let scale_only = ref false in
-  let day_only = ref false in
-  let cache_only = ref false in
   Arg.parse
-    [ ("-j", Arg.Set_int jobs, "JOBS worker domains for Parts 2 and 5 (0 = one per core)");
+    [ ("-j", Arg.Set_int jobs, "JOBS worker domains for Part 2 (0 = one per core)");
       ("--jobs", Arg.Set_int jobs, "JOBS same as -j");
-      ("--smoke",
-       Arg.Set smoke,
-       " quick CI run: micro-benchmarks and the core baseline at tiny scale");
-      ("--scale-only",
-       Arg.Set scale_only,
-       " run only Part 7 (the n=10..10k cluster-scale sweep -> BENCH_scale.json)");
-      ("--day-only",
-       Arg.Set day_only,
-       " run only Part 8 (the production-day chaos benchmark -> BENCH_day.json)");
-      ("--cache-only",
-       Arg.Set cache_only,
-       " run only Part 9 (the client-cache benchmark -> BENCH_cache.json)") ]
+      ("--smoke", Arg.Set smoke, " skip the printed reproduction and ablations (Parts 2-3)") ]
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
-    "bench [-j JOBS] [--smoke] [--scale-only] [--day-only] [--cache-only]";
+    "bench [-j JOBS] [--smoke]";
   let jobs = if !jobs = 0 then Pool.recommended_jobs () else !jobs in
   let t0 = Unix.gettimeofday () in
-  if !scale_only then begin
-    print_endline "=== Part 7: cluster-scale benchmark (BENCH_scale.json) ===";
-    print_newline ();
-    bench_scale ~smoke:!smoke ();
-    Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
-    exit 0
-  end;
-  if !day_only then begin
-    print_endline "=== Part 8: production-day chaos benchmark (BENCH_day.json) ===";
-    print_newline ();
-    bench_day ~smoke:!smoke ();
-    Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
-    exit 0
-  end;
-  if !cache_only then begin
-    print_endline "=== Part 9: client-cache benchmark (BENCH_cache.json) ===";
-    print_newline ();
-    bench_cache ~smoke:!smoke ();
-    Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
-    exit 0
-  end;
-  print_endline "=== Part 1: micro-benchmarks (one Test.make per table/figure) ===";
-  run_bechamel (experiment_tests @ core_op_tests);
-  print_newline ();
+  let part title =
+    print_endline ("=== " ^ title ^ " ===");
+    print_newline ()
+  in
   if not !smoke then begin
-    print_endline "=== Part 2: paper reproduction (tables and figures) ===";
-    print_newline ();
+    part "Part 2: paper reproduction (tables and figures)";
     let ctx = E.Ctx.v ~seed:42 ~scale:1.0 ~jobs () in
     List.iter
       (fun e ->
@@ -1318,8 +916,7 @@ let () =
      print_newline ());
     Table.print E.Exp_table2.paper_stars;
     print_newline ();
-    print_endline "=== Part 3: ablations ===";
-    print_newline ();
+    part "Part 3: ablations";
     ablation_ft_heuristic ();
     print_newline ();
     ablation_delete_policy ();
@@ -1329,34 +926,23 @@ let () =
     ablation_coordinator_replication ();
     print_newline ();
     ablation_hash_sizing ();
-    print_newline ();
-    print_endline "=== Part 4: churn/repair benchmark (BENCH_repair.json) ===";
-    print_newline ();
-    bench_repair ()
+    print_newline ()
   end;
+  part "Part 4: churn/repair benchmark (BENCH_repair.json)";
+  emit "BENCH_repair.json" ~benchmark:"churn_repair" (bench_repair ());
   print_newline ();
-  print_endline "=== Part 5: core throughput baseline (BENCH_core.json) ===";
+  part "Parts 5-6: core throughput and instrumentation overhead (BENCH_core.json)";
+  (let core_params, core_rows = bench_core () in
+   let obs_params, obs_rows = bench_obs () in
+   emit "BENCH_core.json" ~benchmark:"core_throughput"
+     (core_params @ obs_params, core_rows @ obs_rows));
   print_newline ();
-  let core_scale = if !smoke then 0.05 else 0.25 in
-  let core_fields = bench_core ~jobs ~scale:core_scale () in
+  part "Part 7: cluster-scale benchmark (BENCH_scale.json)";
+  emit "BENCH_scale.json" ~benchmark:"cluster_scale" (bench_scale ());
   print_newline ();
-  print_endline "=== Part 6: instrumentation overhead (observability layer) ===";
+  part "Part 8: production-day chaos benchmark (BENCH_day.json)";
+  emit "BENCH_day.json" ~benchmark:"production_day" (bench_day ());
   print_newline ();
-  let obs_fields = bench_obs ~scale:core_scale () in
-  let oc = open_out "BENCH_core.json" in
-  Printf.fprintf oc "{\n%s,\n%s\n}\n" core_fields obs_fields;
-  close_out oc;
-  print_endline "(wrote BENCH_core.json)";
-  print_newline ();
-  print_endline "=== Part 7: cluster-scale benchmark (BENCH_scale.json) ===";
-  print_newline ();
-  bench_scale ~smoke:!smoke ();
-  print_newline ();
-  print_endline "=== Part 8: production-day chaos benchmark (BENCH_day.json) ===";
-  print_newline ();
-  bench_day ~smoke:!smoke ();
-  print_newline ();
-  print_endline "=== Part 9: client-cache benchmark (BENCH_cache.json) ===";
-  print_newline ();
-  bench_cache ~smoke:!smoke ();
+  part "Part 9: client-cache benchmark (BENCH_cache.json)";
+  emit "BENCH_cache.json" ~benchmark:"client_cache" (bench_cache ());
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -87,17 +87,25 @@ let get_ints s ~pos =
   end
 
 (* Bitsets travel as capacity + member list; members are sparse relative
-   to capacity in every digest use, so the id list beats raw words. *)
+   to capacity in every digest use, so the id list beats raw words.  The
+   decoded bitset is dense, so the declared capacity is what decoding
+   allocates: it is checked against the limit before anything else. *)
+let max_digest_capacity = 1 lsl 20
+
 let put_bitset buf bits =
+  if Bitset.capacity bits > max_digest_capacity then
+    invalid_arg "Codec: digest capacity above max_digest_capacity";
   put_varint buf (Bitset.capacity bits);
   put_ints buf (Bitset.to_list bits)
 
 let get_bitset s ~pos =
   let* capacity, pos = get_varint s ~pos in
-  let* ids, pos = get_ints s ~pos in
-  match Bitset.of_list capacity ids with
-  | bits -> Ok (bits, pos)
-  | exception Invalid_argument _ -> Error "bitset: member out of range"
+  if capacity > max_digest_capacity then Error "bitset: capacity above limit"
+  else
+    let* ids, pos = get_ints s ~pos in
+    match Bitset.of_list capacity ids with
+    | bits -> Ok (bits, pos)
+    | exception Invalid_argument _ -> Error "bitset: member out of range"
 
 (* Message tags. *)
 let tag_place = 1

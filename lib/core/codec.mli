@@ -11,9 +11,17 @@
     [payload_len:varint] [payload bytes] (payload_len 0 = no payload;
     a payload of length 0 is distinguished by length 1 + empty marker —
     see {!encode_entry}).  Decoding is total: malformed input yields
-    [Error], never an exception. *)
+    [Error], never an exception.  Its allocation is bounded by the
+    input's length, plus at most one digest of {!max_digest_capacity}. *)
 
 open Plookup_store
+
+val max_digest_capacity : int
+(** The largest bitset capacity a [Digest_request] or [Digest] may
+    declare: 2{^20} entry ids, a 128 KiB bitset.  {!decode} and
+    {!decode_reply} return [Error] for a larger declared capacity before
+    allocating it; {!encode} and {!encode_reply} raise
+    [Invalid_argument] for a larger bitset. *)
 
 val encode : Msg.t -> string
 val decode : string -> (Msg.t, string) result

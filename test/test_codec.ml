@@ -81,28 +81,75 @@ let test_empty_vs_absent_payload () =
 let minus_one = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
 let max_int_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x3f"
 
+let varint v =
+  let buf = Buffer.create 9 in
+  let rec go v =
+    if v < 0x80 then Buffer.add_uint8 buf v
+    else begin
+      Buffer.add_uint8 buf (0x80 lor (v land 0x7f));
+      go (v lsr 7)
+    end
+  in
+  go v;
+  Buffer.contents buf
+
+(* A digest request ("\x0e") or digest reply ("\x68") declaring
+   [capacity] and no members. *)
+let digest tag capacity = tag ^ varint capacity ^ "\x00"
+
+(* Bytes allocated by [f ()].  The minor heap is emptied first, so the
+   call itself cannot trigger a minor collection: on OCaml 5.1 one inside
+   the measured call inflates the count by most of a minor heap. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
 let test_malformed_inputs () =
-  List.iter
-    (fun s ->
-      match Codec.decode s with
-      | Error _ -> ()
-      | Ok msg -> Alcotest.failf "accepted garbage as %s" (Format.asprintf "%a" Msg.pp msg))
+  let limit = Codec.max_digest_capacity in
+  let rejects decode pp s =
+    match decode s with
+    | Error _ ->
+      let cost = allocated (fun () -> decode s) in
+      if cost > 1024. then Alcotest.failf "rejecting %S allocated %.0f bytes" s cost
+    | Ok v -> Alcotest.failf "accepted garbage as %s" (Format.asprintf "%a" pp v)
+  in
+  List.iter (rejects Codec.decode Msg.pp)
     [ ""; "\xff"; "\x04" (* lookup with no varint *); "\x01\xff" (* truncated count *);
       "\x01\x02\x01\x00" (* count 2, one entry *);
       "\x02\x01\x05abc" (* payload shorter than declared *);
       "\x02\x00" ^ minus_one (* add, negative payload length *);
       "\x02\x00" ^ max_int_varint (* add, payload length max_int *);
       "\x02" ^ minus_one ^ "\x00" (* add, entry id -1 *);
-      "\x04" ^ minus_one (* lookup, t = -1 *) ];
-  List.iter
-    (fun s ->
-      match Codec.decode_reply s with
-      | Error _ -> ()
-      | Ok r -> Alcotest.failf "accepted garbage as %s" (Format.asprintf "%a" Msg.pp_reply r))
+      "\x04" ^ minus_one (* lookup, t = -1 *);
+      digest "\x0e" (1 lsl 33) (* digest request, a 1 GiB bitset *);
+      digest "\x0e" (1 lsl 40) (* digest request, a 128 GiB bitset *);
+      digest "\x0e" (limit + 1) ];
+  List.iter (rejects Codec.decode_reply Msg.pp_reply)
     [ "\x65\x01\x00" ^ minus_one (* entries, negative payload length *);
       "\x65\x01\x00" ^ max_int_varint (* entries, payload length max_int *);
       "\x65\x01" ^ minus_one ^ "\x00" (* entries, entry id -1 *);
-      "\x67" ^ minus_one ^ "\x00" (* candidate, entry id -1 *) ]
+      "\x67" ^ minus_one ^ "\x00" (* candidate, entry id -1 *);
+      digest "\x68" (1 lsl 33) (* digest, a 1 GiB bitset *);
+      digest "\x68" (1 lsl 40) (* digest, a 128 GiB bitset *);
+      digest "\x68" (limit + 1) ];
+  (* The limit itself is a legal capacity, both ways. *)
+  let at_limit = bitset_of [ limit - 1 ] limit in
+  Alcotest.(check bool) "digest request at the limit" true
+    (Codec.decode (Codec.encode (Msg.digest_request at_limit))
+    = Ok (Msg.digest_request at_limit));
+  Alcotest.(check bool) "digest at the limit" true
+    (Codec.decode_reply (Codec.encode_reply (Msg.Digest at_limit)) = Ok (Msg.Digest at_limit));
+  Alcotest.(check bool) "empty digest at the limit" true
+    (Result.is_ok (Codec.decode (digest "\x0e" limit)));
+  let over = Plookup_util.Bitset.create (limit + 1) in
+  Alcotest.check_raises "encode refuses a digest request over the limit"
+    (Invalid_argument "Codec: digest capacity above max_digest_capacity") (fun () ->
+      ignore (Codec.encode (Msg.digest_request over)));
+  Alcotest.check_raises "encode_reply refuses a digest over the limit"
+    (Invalid_argument "Codec: digest capacity above max_digest_capacity") (fun () ->
+      ignore (Codec.encode_reply (Msg.Digest over)))
 
 let test_trailing_bytes_rejected () =
   let good = Codec.encode (Msg.lookup 3) in
@@ -214,11 +261,38 @@ let prop_roundtrip =
   Helpers.qcheck ~count:500 "decode . encode = id" gen_msg (fun msg ->
       Codec.decode (Codec.encode msg) = Ok msg)
 
+(* Valid encodings of either plane, then damaged: one byte overwritten,
+   one byte inserted, the tail cut off, or the varint at some position
+   replaced by one of up to 62 bits.  Half the damage lands right after
+   the tag byte, where each body's leading count or capacity sits. *)
+let gen_mutated =
+  QCheck2.Gen.(
+    let* s = oneof [ map Codec.encode gen_msg; map Codec.encode_reply gen_reply ] in
+    let n = String.length s in
+    let* pos = oneof [ return (min 1 n); int_bound n ] in
+    let* c = char in
+    let* bits = int_range 0 62 in
+    let* v = map (fun x -> x lsr (62 - bits)) (pint ~origin:0) in
+    let before = String.sub s 0 pos and after k = String.sub s (pos + k) (n - pos - k) in
+    let rec varint_end i = if i < n && Char.code s.[i] >= 0x80 then varint_end (i + 1) else i in
+    oneofl
+      [ (if pos < n then before ^ String.make 1 c ^ after 1 else s);
+        before ^ String.make 1 c ^ after 0;
+        before;
+        before ^ varint v ^ after (min n (varint_end pos + 1) - pos) ])
+
+(* Decoding allocates at most one maximal digest per input byte,
+   whatever capacity the input declares. *)
 let prop_decode_never_raises =
-  Helpers.qcheck ~count:500 "decode is total on arbitrary bytes"
-    QCheck2.Gen.(string_size ~gen:char (int_range 0 50))
+  Helpers.qcheck ~count:5000 "decode is total on arbitrary bytes"
+    QCheck2.Gen.(oneof [ string_size ~gen:char (int_range 0 50); gen_mutated ])
     (fun s ->
-      match Codec.decode s with Ok _ | Error _ -> true)
+      let cost =
+        allocated (fun () ->
+            ( (match Codec.decode s with Ok _ | Error _ -> ()),
+              match Codec.decode_reply s with Ok _ | Error _ -> () ))
+      in
+      cost <= float_of_int ((String.length s + 1) * (Codec.max_digest_capacity / 8)))
 
 let prop_framed_roundtrip =
   Helpers.qcheck ~count:200 "unframe . frame = id"
