@@ -1,4 +1,3 @@
-open Plookup_store
 module Engine = Plookup_sim.Engine
 module Net = Plookup_net.Net
 module Trace = Plookup_obs.Trace
@@ -87,7 +86,7 @@ type state = {
   hedge : float option;
   breaker : Breaker.t option;
   jitter : Plookup_util.Rng.t option;
-  seen : (int, Entry.t) Hashtbl.t;
+  seen : Answer_set.t;
   order : Probe_order.t;
   mutable inflight : int;
   mutable contacted : int;
@@ -107,9 +106,7 @@ type state = {
 let finish st =
   if not st.finished then begin
     st.finished <- true;
-    let entries =
-      Probe.pick_from_table st.seen ~rng:(Cluster.rng st.cluster) ~target:st.target
-    in
+    let entries = Answer_set.pick st.seen ~rng:(Cluster.rng st.cluster) ~target:st.target in
     st.k
       { result =
           { Lookup_result.entries; servers_contacted = st.contacted; target = st.target };
@@ -125,7 +122,7 @@ let finish st =
         gave_up = st.gave_up }
   end
 
-let satisfied st = Hashtbl.length st.seen >= st.target
+let satisfied st = Answer_set.length st.seen >= st.target
 
 (* Take the next contactable server from the order, dropping (and
    counting) servers whose breaker circuit is open.  Without a breaker
@@ -247,11 +244,7 @@ and attempt st server ~live ~tries_left ~timeout =
             record_breaker st server ~ok:false
           | Msg.Entries entries ->
             record_breaker st server ~ok:true;
-            List.iter
-              (fun e ->
-                if not (Hashtbl.mem st.seen (Entry.id e)) then
-                  Hashtbl.add st.seen (Entry.id e) e)
-              entries
+            Answer_set.add st.seen entries
           | Msg.Ack | Msg.Candidate _ | Msg.Digest _ -> record_breaker st server ~ok:true);
           pump st
         end
@@ -270,7 +263,9 @@ let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedg
     hedge;
     breaker;
     jitter;
-    seen = Hashtbl.create 32;
+    (* One set per lookup, sized for its target: lookups overlap in
+       simulated time, so they cannot share the cluster's set. *)
+    seen = Answer_set.create ~expect:(min t 64) ();
     order;
     inflight = 0;
     contacted = 0;

@@ -7,6 +7,7 @@ type t = {
   n : int;
   seed : int;
   rng : Rng.t;
+  answers : Answer_set.t Lazy.t; (* made by the first synchronous lookup *)
   net : (Msg.t, Msg.reply) Net.t;
   stores : Server_store.t array;
   obs : Obs.t;
@@ -21,6 +22,7 @@ let create ?(seed = 0) ?obs ~n () =
   { n;
     seed;
     rng = Rng.create seed;
+    answers = lazy (Answer_set.create ());
     net;
     stores = Array.init n (fun _ -> Server_store.create ());
     obs }
@@ -28,6 +30,7 @@ let create ?(seed = 0) ?obs ~n () =
 let n t = t.n
 let seed t = t.seed
 let rng t = t.rng
+let answers t = Lazy.force t.answers
 let net t = t.net
 let obs t = t.obs
 

@@ -22,6 +22,13 @@ val create : ?seed:int -> ?obs:Plookup_obs.Obs.t -> n:int -> unit -> t
 val n : t -> int
 val seed : t -> int
 val rng : t -> Rng.t
+
+val answers : t -> Answer_set.t
+(** The answer set the synchronous probes ({!Probe}) reset and reuse for
+    every lookup on this cluster, made on first use so that a cluster
+    that never runs one holds none.  Like {!rng} it has one owner: one
+    synchronous lookup at a time per cluster. *)
+
 val net : t -> (Msg.t, Msg.reply) Plookup_net.Net.t
 val obs : t -> Plookup_obs.Obs.t
 (** The observability handle this cluster reports into (the one given at

@@ -4,9 +4,10 @@ open Plookup_store
 
 type t = {
   entries : Entry.t list;
-      (** Distinct entries accumulated across contacted servers.  May
-          exceed the target (merging answers can overshoot) and falls
-          short only when the operational coverage is below the target. *)
+      (** Distinct entries returned by the contacted servers, never more
+          than [target]: when the merged answers overshoot, the client
+          keeps a uniform [target]-subset.  Falls short only when the
+          servers reached hold fewer than [target] distinct entries. *)
   servers_contacted : int;
       (** How many servers answered — the paper's client lookup cost for
           this lookup. *)

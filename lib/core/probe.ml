@@ -1,14 +1,11 @@
-open Plookup_store
 open Plookup_util
 module Net = Plookup_net.Net
 
-(* Send one Lookup and merge the distinct answers into [seen]. *)
-let contact cluster ~t ~seen server =
+(* Send one Lookup and merge the distinct answers. *)
+let contact cluster ~t answers server =
   match Net.send (Cluster.net cluster) ~src:Net.Client ~dst:server (Msg.lookup t) with
   | Some (Msg.Entries entries) ->
-    List.iter
-      (fun e -> if not (Hashtbl.mem seen (Entry.id e)) then Hashtbl.add seen (Entry.id e) e)
-      entries;
+    Answer_set.add answers entries;
     true
   | Some (Msg.Ack | Msg.Candidate _ | Msg.Digest _ | Msg.Busy) | None -> false
 
@@ -16,31 +13,17 @@ let contact cluster ~t ~seen server =
    merging answers from multiple servers overshoots, and returning the
    whole union would systematically over-deliver every entry (it would
    also make the unfairness metric reflect overshoot rather than bias).
-   The kept subset is uniform over everything collected.
-
-   The table is drained into an array sized by [Hashtbl.length], filled
-   back-to-front so the element order — and therefore the [Rng.sample]
-   result — is identical to the old fold-to-list / [Array.of_list]
-   round-trip this replaces. *)
-let pick_from_table seen ~rng ~target =
-  let len = Hashtbl.length seen in
-  if len = 0 then []
-  else begin
-    let arr = Array.make len (Entry.v 0) in
-    let i = ref len in
-    Hashtbl.iter
-      (fun _ e ->
-        decr i;
-        arr.(!i) <- e)
-      seen;
-    if len <= target then Array.to_list arr
-    else Array.to_list (Rng.sample rng arr target)
-  end
-
-let result_of cluster seen ~contacted ~target =
-  { Lookup_result.entries = pick_from_table seen ~rng:(Cluster.rng cluster) ~target;
+   The kept subset is uniform over everything collected. *)
+let result_of cluster answers ~contacted ~target =
+  { Lookup_result.entries = Answer_set.pick answers ~rng:(Cluster.rng cluster) ~target;
     servers_contacted = contacted;
     target }
+
+(* The cluster's one answer set, emptied for a new lookup. *)
+let fresh_answers cluster =
+  let answers = Cluster.answers cluster in
+  Answer_set.reset answers;
+  answers
 
 (* The k-th smallest reachable up server, for a random [k] below their
    count — one draw, the same one (and the same server) as indexing the
@@ -71,29 +54,31 @@ let single ?reachable cluster ~t =
   match random_reachable ?reachable cluster with
   | None -> Lookup_result.empty ~target:t
   | Some server ->
-    let seen = Hashtbl.create 16 in
-    let answered = contact cluster ~t ~seen server in
-    result_of cluster seen ~contacted:(if answered then 1 else 0) ~target:t
+    let answers = fresh_answers cluster in
+    let answered = contact cluster ~t answers server in
+    result_of cluster answers ~contacted:(if answered then 1 else 0) ~target:t
 
 (* Walk [order] until [t] distinct entries are in hand; the order is
    generated only as far as the walk gets. *)
 let probe_order cluster ~t order =
-  let seen = Hashtbl.create 16 in
+  let answers = fresh_answers cluster in
   let contacted = ref 0 in
   let rec walk () =
-    if Hashtbl.length seen < t then
+    if Answer_set.length answers < t then
       match Probe_order.next order with
       | Some server ->
-        if contact cluster ~t ~seen server then incr contacted;
+        if contact cluster ~t answers server then incr contacted;
         walk ()
       | None -> ()
   in
   walk ();
-  result_of cluster seen ~contacted:!contacted ~target:t
+  result_of cluster answers ~contacted:!contacted ~target:t
 
 let random_order ?reachable cluster ~t =
   probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
 
+(* Whether every server is up and reachable, the condition for following
+   the stride: O(1) without [reachable], an O(n) scan with it. *)
 let all_usable ?reachable cluster =
   let n = Cluster.n cluster in
   Cluster.up_count cluster = n

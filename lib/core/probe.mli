@@ -3,7 +3,9 @@
     The strategies differ in *which* servers a client contacts and in
     what order; the accumulation rule is shared: keep contacting servers,
     merging the distinct entries returned, until at least [t] distinct
-    entries are in hand or no further server remains.  Each contact is a
+    entries are in hand or no further server remains, then keep a
+    uniform [t]-subset.  The merge and the truncation are the cluster's
+    one reusable {!Answer_set} ({!Cluster.answers}).  Each contact is a
     {!Msg.Lookup} message, so it shows up in the network's message
     accounting and in the returned lookup cost.
 
@@ -15,17 +17,6 @@
     probe walks them: a lookup that stops after k contacts costs O(k)
     order work (k draws and k O(log n) rank selects for a random order),
     not O(n). *)
-
-val pick_from_table :
-  (int, Plookup_store.Entry.t) Hashtbl.t ->
-  rng:Plookup_util.Rng.t ->
-  target:int ->
-  Plookup_store.Entry.t list
-(** The shared truncation rule: drain the merged-answers table and, when
-    it overshoots [target], keep a uniform [target]-subset (one
-    {!Plookup_util.Rng.sample} draw).  Drains through a directly-sized
-    array — no intermediate list — while consuming the identical RNG
-    draws as the historical fold-to-list formulation. *)
 
 val single :
   ?reachable:(int -> bool) -> Cluster.t -> t:int -> Lookup_result.t
@@ -44,11 +35,6 @@ val random_order :
     repetition until satisfied — the RandomServer-x / Hash-y client.
     The order is {!Probe_order.random_up}: one draw per up server
     visited, unreachable ones skipped. *)
-
-val all_usable : ?reachable:(int -> bool) -> Cluster.t -> bool
-(** Whether every server is up and reachable — the condition under
-    which the RoundRobin client may follow its stride.  O(1) without
-    [reachable], an O(n) scan with it. *)
 
 val stride :
   ?reachable:(int -> bool) -> Cluster.t -> start:int -> step:int -> t:int -> Lookup_result.t

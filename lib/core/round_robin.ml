@@ -335,54 +335,6 @@ let partial_lookup ?reachable t target =
   let start = Plookup_util.Rng.int (Cluster.rng t.cluster) n in
   Probe.stride ?reachable t.cluster ~start ~step:t.y ~t:target
 
-let servers_needed t ~t:target =
-  let n = Cluster.n t.cluster in
-  let live = max 1 (live_count t) in
-  let per_wave = t.y * live in
-  min n (max 1 (((target * n) + per_wave - 1) / per_wave))
-
-let partial_lookup_parallel ?reachable t target =
-  let n = Cluster.n t.cluster in
-  let rng = Cluster.rng t.cluster in
-  if not (Probe.all_usable ?reachable t.cluster) then
-    (* Failures: the wave size is no longer predictable; fall back to the
-       paper's random sequential probing. *)
-    partial_lookup ?reachable t target
-  else begin
-    let start = Plookup_util.Rng.int rng n in
-    let wave = servers_needed t ~t:target in
-    let net = Cluster.net t.cluster in
-    let seen = Hashtbl.create 32 in
-    let contacted = ref 0 in
-    let contact server =
-      match Net.send net ~src:Net.Client ~dst:server (Msg.lookup target) with
-      | Some (Msg.Entries entries) ->
-        incr contacted;
-        List.iter
-          (fun e -> if not (Hashtbl.mem seen (Entry.id e)) then Hashtbl.add seen (Entry.id e) e)
-          entries
-      | Some (Msg.Ack | Msg.Candidate _ | Msg.Digest _ | Msg.Busy) | None -> ()
-    in
-    (* The stride order, extended with the untouched servers (the stride
-       cycle only visits n/gcd(y,n) residues).  The whole wave fires
-       unconditionally — that is the point: one round trip, no
-       data-dependent stopping.  Shortfall (imbalance can cost up to y
-       entries per server) tops up along the rest. *)
-    let order = Probe_order.stride ~n ~start ~step:t.y in
-    let rec walk i =
-      if i < wave || Hashtbl.length seen < target then
-        match Probe_order.next order with
-        | Some server ->
-          contact server;
-          walk (i + 1)
-        | None -> ()
-    in
-    walk 0;
-    { Lookup_result.entries = Probe.pick_from_table seen ~rng ~target;
-      servers_contacted = !contacted;
-      target }
-  end
-
 let check_invariants t =
   if t.truncated then Ok () (* the ledger does not describe a truncated placement *)
   else begin

@@ -83,21 +83,6 @@ val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
 (** Strided probing: random first server [s], then [s+y], [s+2y], ...
     falling back to random order under failures. *)
 
-val servers_needed : t -> t:int -> int
-(** How many servers a lookup for [t] entries will contact — computable
-    *in advance* because every server holds [y*live/n] (+-y) entries and
-    strided probes are disjoint.  This is the predictability advantage
-    Section 3.5 contrasts with Hash-y ("a Round-y client can tell, in
-    advance, how many servers it needs to contact for a lookup, a Hash-y
-    client cannot").  At least 1, at most the server count. *)
-
-val partial_lookup_parallel : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** Contact the {!servers_needed} strided servers as one concurrent
-    wave (then top up sequentially in the rare shortfall).  Same answers
-    and message count as {!partial_lookup}; the point is latency — a
-    parallel wave costs one round trip instead of [servers_needed] (see
-    the [latency] experiment). *)
-
 val resync_server : t -> int -> unit
 (** Operator-triggered anti-entropy: the acting coordinator pushes the
     ledger (for coordinator replicas) and a full store refresh to the

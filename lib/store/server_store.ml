@@ -54,23 +54,32 @@ let clear t =
   t.size <- 0;
   Hashtbl.reset t.index
 
+let rec slots_to_list slots i acc =
+  if i < 0 then acc else slots_to_list slots (i - 1) (slots.(i) :: acc)
+
+let to_list t = slots_to_list t.slots (t.size - 1) []
+
+let rec picked_to_list slots scratch lo i acc =
+  if i < lo then acc else picked_to_list slots scratch lo (i - 1) (slots.(scratch.(i)) :: acc)
+
 (* The per-server lookup answer is the hottest operation of the whole
-   evaluation, so the k-subset draw runs over a per-store scratch
-   buffer: no [Array.init]/[Array.sub]/[Array.map] garbage per call,
-   and the exact same generator draws as Rng.sample_indices. *)
+   evaluation.  A store holding no more than [k] entries answers with
+   all of them and draws nothing; otherwise the k-subset is drawn over
+   a per-store scratch index buffer, so the only allocation is the
+   returned list. *)
 let random_pick t rng k =
-  let k = min k t.size in
   if k <= 0 then []
+  else if k >= t.size then to_list t
   else begin
     if Array.length t.scratch < t.size then t.scratch <- Array.make (max 8 (2 * t.size)) 0;
-    Rng.sample_indices_into rng t.scratch ~n:t.size ~k;
-    let rec build i acc = if i < 0 then acc else build (i - 1) (t.slots.(t.scratch.(i)) :: acc) in
-    build (k - 1) []
+    for i = 0 to t.size - 1 do
+      t.scratch.(i) <- i
+    done;
+    let lo = Rng.subset_in_place rng t.scratch ~n:t.size ~k in
+    picked_to_list t.slots t.scratch lo (lo + k - 1) []
   end
 
 let random_one t rng = if t.size = 0 then None else Some t.slots.(Rng.int rng t.size)
-
-let to_list t = Array.to_list (Array.sub t.slots 0 t.size)
 
 let iter f t =
   for i = 0 to t.size - 1 do

@@ -28,9 +28,11 @@ val random_pick : t -> Plookup_util.Rng.t -> int -> Entry.t list
 (** [random_pick t rng k] is [min k (cardinal t)] distinct entries chosen
     uniformly — the paper's per-server lookup answer: "t randomly
     selected entries stored on the server or all the entries if the total
-    is less than t".  The draw runs over a scratch buffer owned by the
-    store ({!Plookup_util.Rng.sample_indices_into}), so the only
-    allocation is the returned list. *)
+    is less than t".  A store holding at most [k] entries returns all of
+    them, in slot order, without touching [rng].  A larger store draws
+    with {!Plookup_util.Rng.subset_in_place} over a scratch buffer it
+    owns ([min k (cardinal t - k)] draws), so the only allocation is the
+    returned list. *)
 
 val random_one : t -> Plookup_util.Rng.t -> Entry.t option
 val to_list : t -> Entry.t list

@@ -7,22 +7,14 @@
     and every caller is deterministic at any [jobs] value (see
     DESIGN.md, "Parallelism").
 
-    Two implementations exist, selected at build time by dune
-    [enabled_if] on the compiler version: on OCaml >= 5.0 workers are
-    stdlib [Domain]s pulling indices from an atomic counter; on 4.x the
-    fallback maps sequentially in the calling thread.  Both present
-    exactly this interface and both raise the exception of the
-    lowest-index failing element, so behaviour (results, exceptions,
-    everything but wall-clock) is identical across compilers and job
-    counts. *)
-
-val parallel_available : bool
-(** [true] when this build runs workers on real [Domain]s (OCaml 5+),
-    [false] for the sequential fallback. *)
+    Workers are stdlib [Domain]s pulling indices from an atomic
+    counter, and a failure re-raises the exception of the lowest-index
+    failing element, so behaviour (results, exceptions, everything but
+    wall-clock) is identical at every job count. *)
 
 val recommended_jobs : unit -> int
 (** A sensible default worker count: the runtime's recommended domain
-    count on OCaml 5 (usually the core count), [1] for the fallback. *)
+    count (usually the core count). *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f arr] is [Array.map f arr] computed by up to [jobs]

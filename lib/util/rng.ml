@@ -1,4 +1,7 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256++ words live in one 32-byte [Bytes], read and
+   written in place.  Mutable [int64] record fields would allocate a
+   fresh box on every store; this allocates nothing per draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -12,53 +15,56 @@ let splitmix_next state =
   state := Int64.add !state golden_gamma;
   mix64 !state
 
-let create seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix_next st)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (ref (Int64.of_int seed))
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256++ *)
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+(* xoshiro256++: advance the state and return the output word.  Inlined
+   into each caller so the result stays an unboxed local. *)
+let[@inline] next t =
+  let s0 = Bytes.get_int64_le t 0 in
+  let s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 in
+  let s3 = Bytes.get_int64_le t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 (Int64.logxor s2 tt);
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let split t = of_splitmix (ref (next t))
 
-let nonneg t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 (* 62 random bits, always a non-negative OCaml int. *)
+let nonneg t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+
+(* Rejection sampling over the largest multiple of [bound] below 2^62.
+   A top-level loop, not a local closure, so a draw allocates nothing. *)
+let rec draw_below t bound limit =
+  let v = nonneg t in
+  if v < limit then v mod bound else draw_below t bound limit
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then nonneg t land (bound - 1)
   else begin
-    (* Rejection sampling over the largest multiple of [bound] below 2^62. *)
     let max = (1 lsl 62) - 1 in
-    let limit = max - (max mod bound) in
-    let rec draw () =
-      let v = nonneg t in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
+    draw_below t bound (max - (max mod bound))
   end
 
 let int_in_range t ~lo ~hi =
@@ -66,11 +72,11 @@ let int_in_range t ~lo ~hi =
   lo + int t (hi - lo + 1)
 
 let unit_float t =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t p = unit_float t < p
 
 let pick t arr =
@@ -112,22 +118,20 @@ let shuffle t l =
   shuffle_in_place t arr;
   Array.to_list arr
 
-(* The draw sequence (one [int_in_range] per selected slot) is shared
-   by the allocating and the _into variants, so replacing one with the
-   other never changes a seeded experiment's output. *)
-let sample_indices_into t scratch ~n ~k =
-  if k < 0 || k > n then invalid_arg "Rng.sample_indices_into: need 0 <= k <= n";
-  if Array.length scratch < n then
-    invalid_arg "Rng.sample_indices_into: scratch shorter than n";
-  for i = 0 to n - 1 do
-    scratch.(i) <- i
+(* A partial Fisher–Yates over the smaller side: the first [m] slots
+   receive a uniform m-subset, so when [m = k] they are the subset and
+   otherwise they are its complement, leaving the subset in the tail. *)
+let subset_in_place t arr ~n ~k =
+  if n < 0 || n > Array.length arr then
+    invalid_arg "Rng.subset_in_place: need 0 <= n <= length";
+  let m = min k (n - k) in
+  for i = 0 to m - 1 do
+    let j = i + int t (n - i) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
   done;
-  for i = 0 to k - 1 do
-    let j = int_in_range t ~lo:i ~hi:(n - 1) in
-    let tmp = scratch.(i) in
-    scratch.(i) <- scratch.(j);
-    scratch.(j) <- tmp
-  done
+  if m <= 0 || m = k then 0 else m
 
 let sample_indices t ~n ~k =
   if k < 0 || k > n then invalid_arg "Rng.sample_indices: need 0 <= k <= n";

@@ -385,6 +385,88 @@ let prop_async_agrees_with_sync_on_answers =
       && List.length (List.sort_uniq compare ids) = List.length ids
       && List.for_all (fun id -> id >= 0 && id <= 7) ids)
 
+(* {2 The answer set} *)
+
+let prop_results_come_from_answers =
+  Helpers.qcheck ~count:200 "results are distinct answered entries, min(t, merged) of them"
+    QCheck2.Gen.(
+      triple (list_size (int_range 1 6) (list_size (int_range 0 12) (int_bound 19)))
+        (int_range 1 15) (int_range 1 3))
+    (fun (placement, t, wave) ->
+      let n = List.length placement in
+      let cluster = manual_cluster ~n placement in
+      let heard = Hashtbl.create 32 in
+      Net.set_handler (Cluster.net cluster) (fun dst _src msg ->
+          match (msg : Msg.t) with
+          | Msg.Data (Msg.Lookup t) ->
+            let answer =
+              Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t
+            in
+            List.iter (fun e -> Hashtbl.replace heard (Entry.id e) ()) answer;
+            Msg.Entries answer
+          | _ -> Msg.Ack);
+      let o = run_lookup ~wave ~order:(List.init n Fun.id) ~t cluster in
+      let ids = List.map Entry.id o.Async_client.result.Lookup_result.entries in
+      List.length (List.sort_uniq compare ids) = List.length ids
+      && List.for_all (Hashtbl.mem heard) ids
+      && List.length ids = min t (Hashtbl.length heard))
+
+let test_kept_set_uniform () =
+  (* Both stores hold fewer than t entries, so both answers are whole
+     stores and the merged union is always ids 0..5: only the truncation
+     draws. *)
+  let cluster = manual_cluster ~n:2 [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
+  Helpers.uniform_over_subsets ~what:"6 choose 4" ~n:6 ~k:4 ~trials:6000 (fun () ->
+      let o = run_lookup ~order:[ 0; 1 ] ~t:4 cluster in
+      List.map Entry.id o.Async_client.result.Lookup_result.entries)
+
+let test_target_above_set_size () =
+  (* The per-lookup set is sized for min(t, 64) entries; t = 100 makes it
+     grow while merging 120 distinct entries. *)
+  let cluster =
+    manual_cluster ~n:2 [ List.init 60 Fun.id; List.init 60 (fun i -> 60 + i) ]
+  in
+  let o = run_lookup ~order:[ 0; 1 ] ~t:100 cluster in
+  let ids = Helpers.sorted_ids o.Async_client.result.Lookup_result.entries in
+  Helpers.check_int "exactly t distinct" 100 (List.length (List.sort_uniq compare ids));
+  Alcotest.(check bool) "all stored" true (List.for_all (fun id -> id < 120) ids)
+
+let test_sync_and_async_agree () =
+  (* Differential: two identically seeded and placed fault-free
+     clusters, one probed by Probe.stride, the other by the async client
+     walking the same stride as an explicit order at zero latency.  Both
+     merge the same answers in the same order through the same draws, so
+     they return the same entries, for every registered strategy. *)
+  let n = 10 and h = 100 in
+  let configs = Service.all_configs ~ablations:true ~budget:200 ~n ~h () in
+  Alcotest.(check bool) "every registered strategy" true
+    (List.length configs >= List.length (Strategy_registry.all ()));
+  List.iter
+    (fun config ->
+      let make () = fst (Helpers.placed_service ~seed:23 ~n ~h config) in
+      let sync = make () and async = make () in
+      List.iter
+        (fun (start, step, t) ->
+          let order =
+            let cursor = Probe_order.stride ~n ~start ~step in
+            let rec drain acc =
+              match Probe_order.next cursor with
+              | Some s -> drain (s :: acc)
+              | None -> List.rev acc
+            in
+            drain []
+          in
+          let r = Probe.stride (Service.cluster sync) ~start ~step ~t in
+          let o =
+            run_lookup ~latency:(fun () -> 0.) ~timeout:1. ~order ~t (Service.cluster async)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s start=%d step=%d t=%d" (Service.name sync) start step t)
+            (Helpers.sorted_ids r.Lookup_result.entries)
+            (Helpers.sorted_ids o.Async_client.result.Lookup_result.entries))
+        [ (0, 1, 35); (3, 2, 35); (7, 3, 10); (1, 1, 60); (5, 2, 100) ])
+    configs
+
 let () =
   Helpers.run "async_client"
     [ ( "async_client",
@@ -422,4 +504,9 @@ let () =
           Alcotest.test_case "jitter bounds and pins" `Quick
             test_jitter_bounds_and_pins_both_modes;
           Alcotest.test_case "validation" `Quick test_validation;
-          prop_async_agrees_with_sync_on_answers ] ) ]
+          prop_async_agrees_with_sync_on_answers;
+          prop_results_come_from_answers;
+          Alcotest.test_case "kept set uniform over union" `Quick test_kept_set_uniform;
+          Alcotest.test_case "target above set size" `Quick test_target_above_set_size;
+          Alcotest.test_case "sync and async agree per strategy" `Quick
+            test_sync_and_async_agree ] ) ]

@@ -150,39 +150,103 @@ let test_each_contact_counts_a_message () =
   Helpers.check_int "messages = contacts" r.Lookup_result.servers_contacted
     (Net.messages_received (Cluster.net cluster))
 
-let test_pick_from_table_matches_fold_formulation () =
-  (* pick_from_table fills an array directly instead of materialising
-     the Hashtbl.fold list, but it must return the SAME elements in the
-     SAME order from the SAME rng draws as the old fold-based code —
-     async_client determinism depends on it.  The reference below is
-     that old formulation, replayed on a copied generator. *)
-  let module Rng = Plookup_util.Rng in
-  let reference seen ~rng ~target =
-    let all = Hashtbl.fold (fun _ e acc -> e :: acc) seen [] in
-    if List.length all <= target then all
-    else Array.to_list (Rng.sample rng (Array.of_list all) target)
-  in
-  let seen = Hashtbl.create 16 in
+(* {2 The answer set} *)
+
+(* [manual_cluster], but every answer is also recorded in [heard]. *)
+let recording_cluster ~n placement heard =
+  let cluster = manual_cluster ~n placement in
+  Net.set_handler (Cluster.net cluster) (fun dst _src msg ->
+      match (msg : Msg.t) with
+      | Msg.Data (Msg.Lookup t) ->
+        let answer =
+          Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t
+        in
+        List.iter (fun e -> Hashtbl.replace heard (Entry.id e) ()) answer;
+        Msg.Entries answer
+      | _ -> Msg.Ack);
+  cluster
+
+let prop_results_come_from_answers =
+  Helpers.qcheck ~count:300 "results are distinct answered entries, min(t, merged) of them"
+    QCheck2.Gen.(
+      triple (list_size (int_range 1 6) (list_size (int_range 0 12) (int_bound 19)))
+        (int_range 1 15) bool)
+    (fun (placement, t, use_stride) ->
+      let heard = Hashtbl.create 32 in
+      let n = List.length placement in
+      let cluster = recording_cluster ~n placement heard in
+      let r =
+        if use_stride then Probe.stride cluster ~start:0 ~step:1 ~t
+        else Probe.random_order cluster ~t
+      in
+      let ids = List.map Entry.id r.Lookup_result.entries in
+      List.length (List.sort_uniq compare ids) = List.length ids
+      && List.for_all (Hashtbl.mem heard) ids
+      && List.length ids = min t (Hashtbl.length heard))
+
+let test_kept_set_uniform () =
+  (* The stride order from server 0 draws nothing, and each store holds
+     no more than t entries, so every answer is the whole store: the
+     merged union is always ids 0..5 and only the truncation draws. *)
   List.iter
-    (fun id -> Hashtbl.replace seen id (Entry.v id))
-    [ 3; 11; 7; 42; 0; 19; 5; 28; 33; 2 ];
-  let check target =
-    let rng = Rng.create 77 in
-    let ref_rng = Rng.copy rng in
-    let got = Probe.pick_from_table seen ~rng ~target in
-    let want = reference seen ~rng:ref_rng ~target in
-    Alcotest.(check (list int))
-      (Printf.sprintf "target %d" target)
-      (List.map Entry.id want) (List.map Entry.id got);
-    (* Identical draws consumed: the generators stay in lockstep. *)
-    Helpers.check_int "state in lockstep" (Rng.int ref_rng 1_000_000)
-      (Rng.int rng 1_000_000)
+    (fun (placement, t) ->
+      let cluster = manual_cluster ~n:2 placement in
+      Helpers.uniform_over_subsets ~what:(Printf.sprintf "t=%d" t) ~n:6 ~k:t ~trials:6000
+        (fun () ->
+          List.map Entry.id
+            (Probe.stride cluster ~start:0 ~step:1 ~t).Lookup_result.entries))
+    [ ([ [ 0; 1; 2 ]; [ 3; 4; 5 ] ], 4); ([ [ 0; 1; 2; 3 ]; [ 2; 3; 4; 5 ] ], 5) ]
+
+let test_answer_set_after_pref () =
+  (* An exhaustive preference lookup merges all 1,000 entries into the
+     cluster's set; the next lookup must answer correctly from a set
+     back at its default size. *)
+  let service, batch = Helpers.placed_service ~n:10 ~h:1000 (Service.hash 2) in
+  let answers = Cluster.answers (Service.cluster service) in
+  let default = Answer_set.capacity (Answer_set.create ()) in
+  let pref =
+    Service.partial_lookup_pref service ~cost:(fun e -> float_of_int (Entry.id e)) 35
   in
-  (* Truncating branch (len > target) and pass-through branch. *)
-  List.iter check [ 1; 4; 9; 10; 15 ];
-  Alcotest.(check (list int)) "empty table" []
-    (List.map Entry.id
-       (Probe.pick_from_table (Hashtbl.create 4) ~rng:(Rng.create 1) ~target:3))
+  Alcotest.(check (list int)) "the 35 cheapest" (List.init 35 Fun.id)
+    (Helpers.sorted_ids pref.Lookup_result.entries);
+  Alcotest.(check bool) "grew past four times the default" true
+    (Answer_set.capacity answers > 4 * default);
+  let live = Hashtbl.create 1000 in
+  List.iter (fun e -> Hashtbl.replace live (Entry.id e) ()) batch;
+  for _ = 1 to 20 do
+    let r = Service.partial_lookup service 35 in
+    let ids = Helpers.sorted_ids r.Lookup_result.entries in
+    Helpers.check_int "35 entries" 35 (List.length (List.sort_uniq compare ids));
+    Alcotest.(check bool) "all live" true (List.for_all (Hashtbl.mem live) ids);
+    Helpers.check_int "back at the default size" default (Answer_set.capacity answers)
+  done
+
+let prop_answer_set_matches_model =
+  (* Batches of ids (some repeated, some huge) with resets in between:
+     the set keeps the first occurrence of each id in arrival order, as
+     a list model does, through growth and shrinking. *)
+  Helpers.qcheck ~count:300 "answer set keeps first occurrences in arrival order"
+    QCheck2.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_range 1 6)
+           (list_size (int_range 0 300) (oneof [ int_bound 400; int_range 0 max_int ]))))
+    (fun (expect, lookups) ->
+      let set = Answer_set.create ~expect () in
+      List.for_all
+        (fun ids ->
+          Answer_set.reset set;
+          let model = ref [] in
+          List.iter
+            (fun id ->
+              Answer_set.add set [ Entry.v id ];
+              if not (List.mem id !model) then model := id :: !model)
+            ids;
+          let want = List.rev !model in
+          Answer_set.length set = List.length want
+          && List.map Entry.id
+               (Answer_set.pick set ~rng:(Plookup_util.Rng.create 1) ~target:max_int)
+             = want)
+        lookups)
 
 let prop_never_exceeds_target =
   Helpers.qcheck "delivered entries never exceed the target"
@@ -334,8 +398,10 @@ let () =
             test_stride_step_multiple_of_n;
           prop_stride_total_for_any_step;
           Alcotest.test_case "message accounting" `Quick test_each_contact_counts_a_message;
-          Alcotest.test_case "pick_from_table matches fold" `Quick
-            test_pick_from_table_matches_fold_formulation;
+          prop_results_come_from_answers;
+          Alcotest.test_case "kept set uniform over union" `Quick test_kept_set_uniform;
+          Alcotest.test_case "answer set after pref" `Quick test_answer_set_after_pref;
+          prop_answer_set_matches_model;
           prop_never_exceeds_target ] );
       ( "order",
         [ prop_random_up_is_permutation;

@@ -165,21 +165,74 @@ let test_sample_indices () =
     (Invalid_argument "Rng.sample_indices: need 0 <= k <= n") (fun () ->
       ignore (Rng.sample_indices rng ~n:3 ~k:4))
 
-let test_sample_indices_into () =
-  (* The preallocated variant must consume exactly the same draws and
-     produce exactly the same sample as the allocating one. *)
-  let a = Rng.create 8 and b = Rng.create 8 in
-  let scratch = Array.make 10 0 in
-  for _ = 1 to 200 do
-    let k = Rng.int a 10 in
-    ignore (Rng.int b 10);
-    let expected = Rng.sample_indices a ~n:10 ~k in
-    Rng.sample_indices_into b scratch ~n:10 ~k;
-    Alcotest.(check (array int)) "same sample" expected (Array.sub scratch 0 k)
+(* The first outputs of two seeds, recorded from the generator before
+   its state was moved into unboxed words: the stream must never
+   change. *)
+let test_pinned_stream () =
+  let check seed want =
+    let rng = Rng.create seed in
+    List.iteri
+      (fun i w ->
+        Alcotest.(check int64) (Printf.sprintf "seed %d output %d" seed i) w (Rng.bits64 rng))
+      want
+  in
+  check 0
+    [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL; 0x02EEBF8C3BBE5E1AL;
+      0x7ECA04EBAF4A5EEAL; 0x0543C37757F08D9AL; 0xDB7490C75AB5026EL; 0xD87343E6464BC959L ];
+  check 42
+    [ 0xD0764D4F4476689FL; 0x519E4174576F3791L; 0xFBE07CFB0C24ED8CL; 0xB37D9F600CD835B8L;
+      0xCB231C3874846A73L; 0x968D9F004E50DE7DL; 0x201718FF221A3556L; 0x9AE94E070ED8CB46L ]
+
+let test_draws_allocate_nothing () =
+  let rng = Rng.create 4 in
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for i = 1 to 10_000 do
+    acc := !acc + Rng.int rng (1 + (i mod 37))
   done;
-  Alcotest.check_raises "scratch too small"
-    (Invalid_argument "Rng.sample_indices_into: scratch shorter than n") (fun () ->
-      ignore (Rng.sample_indices_into a (Array.make 3 0) ~n:5 ~k:2))
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  if words > 100. then Alcotest.failf "10k Rng.int draws allocated %.0f minor words" words
+
+(* Every (n, k) with n <= 8, k from -1 to n + 1: the range holds k
+   distinct elements of the array (all of it when k >= n), the array is
+   still a permutation, and a copied generator making min(k, n - k)
+   draws with bounds n, n-1, ... stays in lockstep — zero draws when
+   k >= n. *)
+let test_subset_in_place_draws () =
+  let rng = Rng.create 8 in
+  for n = 0 to 8 do
+    for k = -1 to n + 1 do
+      for _ = 1 to 20 do
+        let arr = Array.init n (fun i -> 10 * i) in
+        let twin = Rng.copy rng in
+        let lo = Rng.subset_in_place rng arr ~n ~k in
+        let kept = max 0 (min k n) in
+        let range = Array.to_list (Array.sub arr lo kept) in
+        Helpers.check_int "distinct kept" kept (List.length (List.sort_uniq compare range));
+        Alcotest.(check (list int)) "still a permutation" (List.init n (fun i -> 10 * i))
+          (List.sort compare (Array.to_list arr));
+        for i = 0 to min k (n - k) - 1 do
+          ignore (Rng.int twin (n - i))
+        done;
+        Alcotest.(check int64) (Printf.sprintf "lockstep n=%d k=%d" n k) (Rng.bits64 twin)
+          (Rng.bits64 rng)
+      done
+    done
+  done;
+  Alcotest.check_raises "n past the array"
+    (Invalid_argument "Rng.subset_in_place: need 0 <= n <= length") (fun () ->
+      ignore (Rng.subset_in_place rng (Array.make 3 0) ~n:4 ~k:1))
+
+let test_subset_in_place_uniform () =
+  let rng = Rng.create 61 in
+  let arr = Array.init 6 Fun.id in
+  for k = 1 to 5 do
+    Helpers.uniform_over_subsets ~what:(Printf.sprintf "6 choose %d" k) ~n:6 ~k ~trials:6000
+      (fun () ->
+        let lo = Rng.subset_in_place rng arr ~n:6 ~k in
+        Array.to_list (Array.sub arr lo k))
+  done
 
 let test_digest_string () =
   (* Deterministic, and sensitive to every byte: two long keys that
@@ -286,7 +339,10 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "shuffle uniform" `Quick test_shuffle_uniform_first;
           Alcotest.test_case "sample_indices" `Quick test_sample_indices;
-          Alcotest.test_case "sample_indices_into" `Quick test_sample_indices_into;
+          Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+          Alcotest.test_case "subset_in_place draws" `Quick test_subset_in_place_draws;
+          Alcotest.test_case "subset_in_place uniform" `Quick test_subset_in_place_uniform;
           Alcotest.test_case "digest_string" `Quick test_digest_string;
           Alcotest.test_case "sample uniform" `Quick test_sample_uniform;
           Alcotest.test_case "perm" `Quick test_perm;

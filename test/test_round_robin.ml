@@ -217,40 +217,6 @@ let test_sync_message_cost () =
   Helpers.check_int "1 + y + (k-1)" 5
     (Plookup_net.Net.messages_received (Cluster.net cluster))
 
-let test_servers_needed () =
-  let _, s, _ = make ~n:10 ~h:100 ~y:2 () in
-  List.iter
-    (fun (t, expected) ->
-      Helpers.check_int (Printf.sprintf "needed at t=%d" t) expected
-        (Round_robin.servers_needed s ~t))
-    [ (1, 1); (20, 1); (21, 2); (40, 2); (41, 3); (100, 5); (1000, 10) ]
-
-let test_servers_needed_tracks_live_count () =
-  let _, s, batch = make ~n:10 ~h:100 ~y:2 () in
-  Helpers.check_int "before deletes" 2 (Round_robin.servers_needed s ~t:40);
-  (* Shrink the system to 50 live entries: each server now holds ~10, so
-     t=40 needs 4 servers. *)
-  List.iteri (fun i e -> if i < 50 then Round_robin.delete s e) batch;
-  Helpers.check_int "after deletes" 4 (Round_robin.servers_needed s ~t:40)
-
-let test_parallel_lookup_answers () =
-  let _, s, _ = make ~n:10 ~h:100 ~y:2 () in
-  List.iter
-    (fun t ->
-      let r = Round_robin.partial_lookup_parallel s t in
-      Alcotest.(check bool) (Printf.sprintf "satisfied t=%d" t) true
-        (Lookup_result.satisfied r);
-      Helpers.check_int "exactly t" t (Lookup_result.count r);
-      Helpers.check_int "wave size" (Round_robin.servers_needed s ~t)
-        r.Lookup_result.servers_contacted)
-    [ 5; 20; 35; 50; 100 ]
-
-let test_parallel_falls_back_under_failure () =
-  let cluster, s, _ = make ~n:10 ~h:100 ~y:2 () in
-  Cluster.fail cluster 4;
-  let r = Round_robin.partial_lookup_parallel s 30 in
-  Alcotest.(check bool) "still satisfied" true (Lookup_result.satisfied r)
-
 let test_budget_truncates () =
   let cluster = Cluster.create ~seed:4 ~n:10 () in
   let s = Round_robin.create cluster ~y:2 in
@@ -348,10 +314,6 @@ let () =
           Alcotest.test_case "replica consistency" `Quick test_replicas_stay_consistent;
           Alcotest.test_case "recovery transfer" `Quick test_recovery_state_transfer;
           Alcotest.test_case "sync cost" `Quick test_sync_message_cost;
-          Alcotest.test_case "servers_needed" `Quick test_servers_needed;
-          Alcotest.test_case "servers_needed live" `Quick test_servers_needed_tracks_live_count;
-          Alcotest.test_case "parallel lookup" `Quick test_parallel_lookup_answers;
-          Alcotest.test_case "parallel fallback" `Quick test_parallel_falls_back_under_failure;
           Alcotest.test_case "budget truncation" `Quick test_budget_truncates;
           Alcotest.test_case "budget below h" `Quick test_budget_below_h;
           Alcotest.test_case "truncated refuses updates" `Quick test_truncated_refuses_updates;

@@ -72,6 +72,33 @@ let test_random_pick_uniform () =
         (float_of_int c /. float_of_int draws))
     counts
 
+let test_random_pick_whole_store () =
+  (* k >= size: the answer is the whole store and the generator is not
+     touched. *)
+  let s = Server_store.create () in
+  for i = 0 to 4 do
+    ignore (Server_store.add s (Entry.v i))
+  done;
+  let rng = Rng.create 5 in
+  List.iter
+    (fun k ->
+      let twin = Rng.copy rng in
+      Alcotest.(check (list int)) (Printf.sprintf "k=%d" k) [ 0; 1; 2; 3; 4 ]
+        (Helpers.sorted_ids (Server_store.random_pick s rng k));
+      Alcotest.(check int64) "no draw" (Rng.bits64 twin) (Rng.bits64 rng))
+    [ 5; 6; 35; max_int ]
+
+let test_random_pick_uniform_subsets () =
+  let s = Server_store.create () in
+  for i = 0 to 5 do
+    ignore (Server_store.add s (Entry.v i))
+  done;
+  let rng = Rng.create 17 in
+  for k = 1 to 5 do
+    Helpers.uniform_over_subsets ~what:(Printf.sprintf "6 choose %d" k) ~n:6 ~k ~trials:6000
+      (fun () -> List.map Entry.id (Server_store.random_pick s rng k))
+  done
+
 let test_clear () =
   let s = Server_store.create () in
   ignore (Server_store.add s (Entry.v 5));
@@ -140,6 +167,9 @@ let () =
           Alcotest.test_case "pick distinct" `Quick test_random_pick_distinct;
           Alcotest.test_case "pick clamps" `Quick test_random_pick_clamps;
           Alcotest.test_case "pick uniform" `Quick test_random_pick_uniform;
+          Alcotest.test_case "pick whole store" `Quick test_random_pick_whole_store;
+          Alcotest.test_case "pick uniform over subsets" `Quick
+            test_random_pick_uniform_subsets;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "iter/fold/ids" `Quick test_iter_fold_ids;
           Alcotest.test_case "snapshot bitset" `Quick test_snapshot_bitset;
