@@ -398,11 +398,21 @@ let strategies_cmd =
   in
   Cmd.v (Cmd.info "strategies" ~doc) Term.(ret (const list_strategies $ csv_arg))
 
+(* The first size flag below 1, as a usage error. *)
+let below_one flags =
+  List.find_map
+    (fun (flag, v) ->
+      if v < 1 then Some (Printf.sprintf "--%s must be at least 1 (got %d)" flag v) else None)
+    flags
+
 (* demo subcommand: place some entries under a strategy and look up *)
 let demo strategy n entries target seed =
-  match Plookup.Service.config_of_string strategy with
-  | Error msg -> `Error (false, msg)
-  | Ok config ->
+  match
+    ( below_one [ ("servers", n); ("entries", entries); ("t", target) ],
+      Plookup.Service.config_of_string strategy )
+  with
+  | Some msg, _ | None, Error msg -> `Error (false, msg)
+  | None, Ok config ->
     let open Plookup_store in
     let service = Plookup.Service.create ~seed ~n config in
     let gen = Entry.Gen.create () in
@@ -443,6 +453,11 @@ let demo_cmd =
 
 (* sweep subcommand: custom parameter study over target answer sizes *)
 let sweep strategy n h budget t_lo t_hi t_step runs seed csv =
+  let sizes = [ ("servers", n); ("entries", h); ("runs", runs) ] in
+  let sizes = match budget with Some b -> sizes @ [ ("budget", b) ] | None -> sizes in
+  match below_one sizes with
+  | Some msg -> `Error (false, msg)
+  | None ->
   if t_lo <= 0 || t_hi < t_lo || t_step <= 0 then
     `Error (false, "need 0 < t-lo <= t-hi and a positive step")
   else begin
@@ -648,7 +663,7 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.14.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.15.0" ~doc in
   Cmd.group info
     [ run_cmd; day_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd;
       trace_cmd ]

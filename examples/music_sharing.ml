@@ -28,10 +28,12 @@ let build config =
   let directory = Directory.create ~seed:7 ~n:8 ~default:config () in
   Array.iter
     (fun song ->
-      let hosts = Rng.sample_indices rng ~n:peer_count ~k:peers_per_song in
+      let peers = Array.init peer_count Fun.id in
+      let lo = Rng.subset_in_place rng peers ~n:peer_count ~k:peers_per_song in
       let entries =
-        Array.to_list
-          (Array.map (fun p -> Entry.v ~payload:(Printf.sprintf "peer-%d" p) p) hosts)
+        List.init peers_per_song (fun i ->
+            let p = peers.(lo + i) in
+            Entry.v ~payload:(Printf.sprintf "peer-%d" p) p)
       in
       Directory.place directory ~key:song entries)
     songs;

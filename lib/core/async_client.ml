@@ -292,10 +292,10 @@ let schedule_deadline st deadline =
            end))
   | None -> ()
 
-(* [order_of ()] makes the lookup's fresh cursor when (and only if) it
-   probes: a cache-served lookup builds no order and draws nothing. *)
-let lookup_with cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline
-    ?hedge ?breaker ?jitter ?cache ~order_of ?(wave = 1) ~t k =
+(* The cursor over [order] is built when (and only if) the lookup
+   probes: a cache-served lookup builds no order. *)
+let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline ?hedge
+    ?breaker ?jitter ?cache ~order ?(wave = 1) ~t k =
   if t <= 0 then invalid_arg "Async_client.lookup: t must be positive";
   if timeout <= 0. then invalid_arg "Async_client.lookup: timeout must be positive";
   if wave <= 0 then invalid_arg "Async_client.lookup: wave must be positive";
@@ -311,7 +311,7 @@ let lookup_with cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) 
   | None ->
     let st =
       make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
-        ~breaker ~jitter ~order:(order_of ()) k
+        ~breaker ~jitter ~order:(Probe_order.of_list order) k
     in
     schedule_deadline st deadline;
     (* Launch lazily from the engine so the caller can schedule lookups
@@ -342,7 +342,7 @@ let lookup_with cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) 
            let probe k =
              let st =
                make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t
-                 ~hedge ~breaker ~jitter ~order:(order_of ()) k
+                 ~hedge ~breaker ~jitter ~order:(Probe_order.of_list order) k
              in
              schedule_deadline st deadline;
              pump st
@@ -365,20 +365,3 @@ let lookup_with cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) 
                 and only refreshes the entry (and any waiters). *)
              served r ~now:started_at;
              probe complete))
-
-let lookup cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
-    ?jitter ?cache ~order ?wave ~t k =
-  lookup_with cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
-    ?jitter ?cache
-    ~order_of:(fun () -> Probe_order.of_list order)
-    ?wave ~t k
-
-(* The cursor runs over all n ids, not just the servers up at launch:
-   servers fail and recover while the lookup is in flight, and a down
-   one simply times out like any lost request. *)
-let lookup_random_order cluster engine ~latency ~timeout ?retries ?backoff ?deadline
-    ?hedge ?breaker ?jitter ?cache ?wave ~t k =
-  lookup_with cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge ?breaker
-    ?jitter ?cache
-    ~order_of:(fun () -> Probe_order.random (Cluster.rng cluster) ~n:(Cluster.n cluster))
-    ?wave ~t k

@@ -132,26 +132,3 @@ val lookup :
       that probe's merged result; only a true miss probes the servers,
       and its result refreshes the cache for everyone.  Probes that do
       run draw and schedule exactly as without the cache. *)
-
-val lookup_random_order :
-  Cluster.t ->
-  Plookup_sim.Engine.t ->
-  latency:(unit -> float) ->
-  timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?deadline:float ->
-  ?hedge:float ->
-  ?breaker:Breaker.t ->
-  ?jitter:Plookup_util.Rng.t ->
-  ?cache:Client_cache.t * int ->
-  ?wave:int ->
-  t:int ->
-  (outcome -> unit) ->
-  unit
-(** {!lookup} over all servers in uniformly random order (the
-    RandomServer-x / Hash-y client).  The order is a lazy
-    {!Probe_order.random} cursor over [0, n), drawn from the cluster's
-    RNG one server at a time as the lookup advances — down servers
-    included, since membership can change while the lookup is in
-    flight. *)

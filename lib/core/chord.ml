@@ -89,7 +89,6 @@ let create cluster ~y =
   t
 
 let y t = t.y
-let cluster t = t.cluster
 
 let place ?budget t entries =
   let entries = Entry.dedup entries in

@@ -21,7 +21,6 @@ val create : Cluster.t -> y:int -> t
     clamped to [n].  Raises [Invalid_argument] when [y < 1]. *)
 
 val y : t -> int
-val cluster : t -> Cluster.t
 
 val servers_of : t -> Entry.t -> int list
 (** The entry's [min y n] successor servers, in ring order. *)

@@ -97,7 +97,6 @@ let create ?obs ?(ttl = 100.) ?(swr = 0.) ?(negative_ttl = 0.) ~capacity () =
 
 let cardinal t = t.size
 let capacity t = t.capacity
-let ttl t = t.ttl
 
 let stats t =
   { hits = t.hits;

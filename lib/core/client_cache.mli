@@ -104,8 +104,6 @@ val cardinal : t -> int
 
 val capacity : t -> int
 
-val ttl : t -> float
-
 type stats = {
   hits : int;  (** lookups served from a fresh entry *)
   negative_hits : int;  (** the subset of [hits] served from a negative entry *)

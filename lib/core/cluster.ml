@@ -42,28 +42,18 @@ let fail t i = Net.fail t.net i
 let recover t i = Net.recover t.net i
 let is_up t i = Net.is_up t.net i
 let up_servers t = Net.up_servers t.net
-let fail_exactly t down = Net.fail_exactly t.net down
 
 let set_faults t ?seed ?loss ?duplication ?jitter () =
   let seed = Option.value seed ~default:t.seed in
   Net.set_faults t.net ~seed ?loss ?duplication ?jitter ()
-
-let clear_faults t = Net.clear_faults t.net
-let set_faults_enabled t on = Net.set_faults_enabled t.net on
 
 let set_capacity t ~service_rate ~queue_limit ?(nack = false) () =
   Net.set_capacity t.net ~service_rate ~queue_limit
     ?nack:(if nack then Some Msg.Busy else None)
     ()
 
-let clear_capacity t = Net.clear_capacity t.net
 let set_degraded t i ~factor = Net.set_degraded t.net i ~factor
-let degraded_factor t i = Net.degraded_factor t.net i
-let queue_depth t i = Net.queue_depth t.net i
 let messages_shed t = Net.messages_shed t.net
-let partition t ~name ?clients ~a ~b () = Net.partition t.net ~name ?clients ~a ~b ()
-let heal t ~name = Net.heal t.net ~name
-let heal_all t = Net.heal_all t.net
 
 let up_count t = Net.up_count t.net
 
@@ -94,12 +84,8 @@ let coverage t =
       Server_store.fold (fun e acc -> Entry.Set.add e acc) t.stores.(i) acc)
     Entry.Set.empty (up_servers t)
 
-let placement t = Array.map Server_store.to_list t.stores
-
 let snapshot_bitsets t ~capacity =
   Array.map (fun s -> Server_store.snapshot_bitset s ~capacity) t.stores
-
-let clear_stores t = Array.iter Server_store.clear t.stores
 
 let pp ppf t =
   Format.fprintf ppf "cluster n=%d seed=%d@." t.n t.seed;

@@ -46,7 +46,6 @@ val up_servers : t -> int list
 val up_count : t -> int
 (** Number of up servers, O(1). *)
 
-val fail_exactly : t -> int list -> unit
 val random_up_server : t -> int option
 (** Uniform among up servers; [None] if all are down — the paper's
     "a client selects a server at random... if the server has failed,
@@ -61,16 +60,13 @@ val next_up_from : t -> int -> int option
 (** {1 Fault injection}
 
     Thin pass-throughs to {!Plookup_net.Net}'s deterministic
-    fault-injection layer, so experiments configure loss, duplication,
-    jitter and partitions without reaching for the raw network. *)
+    fault-injection layer, so experiments configure loss, duplication
+    and jitter without reaching for the raw network. *)
 
 val set_faults :
   t -> ?seed:int -> ?loss:float -> ?duplication:float -> ?jitter:float -> unit -> unit
 (** [seed] defaults to the cluster seed, keeping the fault schedule a
     function of the cluster's one master seed. *)
-
-val clear_faults : t -> unit
-val set_faults_enabled : t -> bool -> unit
 
 (** {2 Server capacity and gray failure}
 
@@ -85,23 +81,12 @@ val set_capacity : t -> service_rate:float -> queue_limit:int -> ?nack:bool -> u
     full queue answer with the fast {!Msg.reply} [Busy] nack instead of
     dropping silently. *)
 
-val clear_capacity : t -> unit
-
 val set_degraded : t -> int -> factor:float -> unit
 (** Gray-fail one server: its service time is multiplied by [factor]
     ([>= 1]; [1.0] restores health).  Requires {!set_capacity} first. *)
 
-val degraded_factor : t -> int -> float
-val queue_depth : t -> int -> int
-
 val messages_shed : t -> int
 (** Requests rejected by full inbox queues (dropped or nacked). *)
-
-val partition :
-  t -> name:string -> ?clients:[ `A | `B ] -> a:int list -> b:int list -> unit -> unit
-
-val heal : t -> name:string -> unit
-val heal_all : t -> unit
 
 (** {1 Inspection (used by the metrics layer)} *)
 
@@ -113,13 +98,7 @@ val total_stored : t -> int
 val coverage : t -> Entry.Set.t
 (** Distinct entries retrievable when contacting every *up* server. *)
 
-val placement : t -> Entry.t list array
-(** Per-server contents snapshot (all servers, up or down). *)
-
 val snapshot_bitsets : t -> capacity:int -> Bitset.t array
 (** Per-server entry-id bitsets, for the fault-tolerance heuristic. *)
-
-val clear_stores : t -> unit
-(** Empty every server (does not touch counters or failure state). *)
 
 val pp : Format.formatter -> t -> unit

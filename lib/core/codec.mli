@@ -9,12 +9,10 @@
     Frame layout: [tag:u8] [body], where the body encodes entries as
     [count:varint] followed by per-entry [id:varint]
     [payload_len:varint] [payload bytes] (payload_len 0 = no payload;
-    a payload of length 0 is distinguished by length 1 + empty marker —
-    see {!encode_entry}).  Decoding is total: malformed input yields
+    a payload of length 0 is distinguished by length 1 + empty
+    marker).  Decoding is total: malformed input yields
     [Error], never an exception.  Its allocation is bounded by the
     input's length, plus at most one digest of {!max_digest_capacity}. *)
-
-open Plookup_store
 
 val max_digest_capacity : int
 (** The largest bitset capacity a [Digest_request] or [Digest] may
@@ -28,11 +26,6 @@ val decode : string -> (Msg.t, string) result
 
 val encode_reply : Msg.reply -> string
 val decode_reply : string -> (Msg.reply, string) result
-
-val encode_entry : Buffer.t -> Entry.t -> unit
-val decode_entry : string -> pos:int -> (Entry.t * int, string) result
-(** [decode_entry s ~pos] reads one entry starting at [pos], returning
-    it with the position after it. *)
 
 val frame : string -> string
 (** Prefix with a u32 length, for streaming transports. *)

@@ -13,7 +13,6 @@ let create ?(seed = 0) ?obs ~n ~default () =
   { n; seed; default; obs; services = Hashtbl.create 16 }
 
 let n t = t.n
-let default_config t = t.default
 
 let key_seed t key =
   (* Mix the directory seed with a full-string key digest so per-key

@@ -22,7 +22,6 @@ val create :
     accessors regardless). *)
 
 val n : t -> int
-val default_config : t -> Service.config
 
 val declare : ?config:Service.config -> t -> string -> unit
 (** Pre-register a key, optionally with its own strategy.  Re-declaring

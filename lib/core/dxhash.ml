@@ -110,7 +110,6 @@ let create cluster ~y =
 
 let y t = t.y
 let slots t = t.slots
-let cluster t = t.cluster
 
 let place ?budget t entries =
   let entries = Entry.dedup entries in

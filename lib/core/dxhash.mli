@@ -28,8 +28,6 @@ val y : t -> int
 val slots : t -> int
 (** The power-of-two slot-space size, [n <= slots < 2n]. *)
 
-val cluster : t -> Cluster.t
-
 val servers_of : t -> Entry.t -> int list
 (** The entry's [min y n] owners, in probe-sequence order. *)
 

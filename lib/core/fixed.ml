@@ -29,9 +29,6 @@ let create cluster ~x =
   Strategy_common.install cluster ~data:(handle_data t);
   t
 
-let x t = t.x
-let cluster t = t.cluster
-
 let place t entries = Strategy_common.to_random_server t.cluster (Msg.place (Entry.dedup entries))
 let add t e = Strategy_common.to_random_server t.cluster (Msg.add e)
 let delete t e = Strategy_common.to_random_server t.cluster (Msg.delete e)

@@ -18,8 +18,6 @@ type t
 val create : Cluster.t -> x:int -> t
 (** [x] must be positive. *)
 
-val x : t -> int
-val cluster : t -> Cluster.t
 val place : t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit

@@ -14,7 +14,6 @@ val create : Cluster.t -> t
 (** Installs this strategy's message handler on the cluster's network.
     One strategy instance per cluster. *)
 
-val cluster : t -> Cluster.t
 val place : t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit

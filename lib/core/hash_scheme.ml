@@ -44,9 +44,6 @@ let create cluster ~y =
   Strategy_common.install cluster ~data:(handle_data t);
   t
 
-let y t = t.y
-let cluster t = t.cluster
-
 let place ?budget t entries =
   let entries = Entry.dedup entries in
   match Cluster.random_up_server t.cluster with

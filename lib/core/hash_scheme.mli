@@ -19,9 +19,6 @@ type t
 val create : Cluster.t -> y:int -> t
 (** [y] must be at least 1. *)
 
-val y : t -> int
-val cluster : t -> Cluster.t
-
 val servers_of : t -> Entry.t -> int list
 (** The distinct servers [f_1(v) .. f_y(v)] (collisions deduplicated —
     "if two hash functions assign an entry to the same server, the entry

@@ -57,33 +57,8 @@ let hint ~target kind e = Repair (Hint (target, kind, e))
 let digest_pull = Repair Digest_pull
 let repair_store e = Repair (Repair_store e)
 
-let plane_name = function
-  | Data _ -> "data"
-  | Strategy _ -> "strategy"
-  | Repair _ -> "repair"
-
 let plane_names = [| "data"; "strategy"; "repair" |]
 let plane_index = function Data _ -> 0 | Strategy _ -> 1 | Repair _ -> 2
-
-let label = function
-  | Data (Place _) -> "place"
-  | Data (Add _) -> "add"
-  | Data (Delete _) -> "delete"
-  | Data (Lookup _) -> "lookup"
-  | Strategy (Store _) -> "store"
-  | Strategy (Store_batch _) -> "store_batch"
-  | Strategy (Remove _) -> "remove"
-  | Strategy (Add_sampled _) -> "add_sampled"
-  | Strategy (Remove_counted _) -> "remove_counted"
-  | Strategy (Fetch_candidate _) -> "fetch_candidate"
-  | Strategy (Sync_add _) -> "sync_add"
-  | Strategy (Sync_delete _) -> "sync_delete"
-  | Strategy Sync_state -> "sync_state"
-  | Repair (Digest_request _) -> "digest_request"
-  | Repair (Sync_fix _) -> "sync_fix"
-  | Repair (Hint _) -> "hint"
-  | Repair Digest_pull -> "digest_pull"
-  | Repair (Repair_store _) -> "repair_store"
 
 (* Intern every (plane, label) pair up front so the per-message coder is
    a single allocation-free match returning a precomputed code. *)

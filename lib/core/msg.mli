@@ -123,9 +123,6 @@ val hint : target:int -> hint_kind -> Entry.t -> t
 val digest_pull : t
 val repair_store : Entry.t -> t
 
-val plane_name : t -> string
-(** ["data"], ["strategy"] or ["repair"]. *)
-
 val plane_names : string array
 (** [[| "data"; "strategy"; "repair" |]], indexed by {!plane_index} —
     the [names] a {!Plookup_net.Net.set_planes} call wants. *)
@@ -133,20 +130,11 @@ val plane_names : string array
 val plane_index : t -> int
 (** 0 for data, 1 for strategy, 2 for repair. *)
 
-val label : t -> string
-(** The message's short wire name (e.g. ["lookup"], ["store_batch"],
-    ["digest_pull"]) — constant per constructor, used as the [msg] field
-    of trace spans. *)
-
 val trace_coder : Plookup_obs.Trace.t -> t -> int
-(** [trace_coder tr] interns every plane/label pair into [tr] once and
-    returns the packed-code function {!Plookup_net.Net.set_trace}'s
-    [coder] wants — the coded replacement for
-    [(plane_name m, label m)]. *)
+(** [trace_coder tr] interns every message's plane and short name
+    (e.g. ["data"], ["lookup"]) into [tr] once and returns the
+    packed-code function {!Plookup_net.Net.set_trace}'s [coder] wants;
+    the names become the [plane] and [msg] fields of trace spans. *)
 
-val hint_kind_name : hint_kind -> string
-val pp_data : Format.formatter -> data -> unit
-val pp_strategy : Format.formatter -> strategy -> unit
-val pp_repair : Format.formatter -> repair -> unit
 val pp : Format.formatter -> t -> unit
 val pp_reply : Format.formatter -> reply -> unit

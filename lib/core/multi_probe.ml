@@ -118,8 +118,6 @@ let create cluster ~y ~k =
   t
 
 let y t = t.y
-let k t = t.k
-let cluster t = t.cluster
 
 let place ?budget t entries =
   let entries = Entry.dedup entries in

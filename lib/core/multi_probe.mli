@@ -26,8 +26,6 @@ val create : Cluster.t -> y:int -> k:int -> t
     [k < 1]. *)
 
 val y : t -> int
-val k : t -> int
-val cluster : t -> Cluster.t
 
 val servers_of : t -> Entry.t -> int list
 (** The entry's [min y n] owners: the winning probe's successor and the

@@ -52,8 +52,6 @@ let create ?(seed = 0) ~n () =
   Net.set_handler t.net (handler t);
   t
 
-let n t = t.n
-
 let home t key = Rng.hash_in_range ~seed:t.seed ~salt:0 ~value:(Hashtbl.hash key) t.n
 
 let place t ~key entries =
@@ -81,7 +79,6 @@ let entries_of t ~key =
 
 let fail t i = Net.fail t.net i
 let recover t i = Net.recover t.net i
-let is_up t i = Net.is_up t.net i
 
 let load t = Array.init t.n (fun i -> Net.messages_received_by t.net i)
 let reset_load t = Net.reset_counters t.net

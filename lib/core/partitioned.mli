@@ -18,7 +18,6 @@ open Plookup_store
 type t
 
 val create : ?seed:int -> n:int -> unit -> t
-val n : t -> int
 
 val home : t -> string -> int
 (** The key's home server (deterministic given the seed). *)
@@ -39,7 +38,6 @@ val entries_of : t -> key:string -> Entry.t list
 
 val fail : t -> int -> unit
 val recover : t -> int -> unit
-val is_up : t -> int -> bool
 
 val load : t -> int array
 (** Messages received per server so far — the hot-spot measurement. *)

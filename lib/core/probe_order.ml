@@ -34,16 +34,14 @@ type t =
     }
   | Listed of { mutable pending : int list }
 
-let shuffle rng ~m ~resolve ~keep =
-  if m < 0 then invalid_arg "Probe_order: negative size";
-  Shuffle { rng; m; i = 0; swaps = Hashtbl.create 8; resolve; keep }
-
-let random rng ~n = shuffle rng ~m:n ~resolve:Fun.id ~keep:(fun _ -> true)
-
 let random_up ?(keep = fun _ -> true) cluster =
-  shuffle (Cluster.rng cluster) ~m:(Cluster.up_count cluster)
-    ~resolve:(Net.kth_up (Cluster.net cluster))
-    ~keep
+  Shuffle
+    { rng = Cluster.rng cluster;
+      m = Cluster.up_count cluster;
+      i = 0;
+      swaps = Hashtbl.create 8;
+      resolve = Net.kth_up (Cluster.net cluster);
+      keep }
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -111,3 +109,7 @@ let rec next t =
     | s :: rest ->
       l.pending <- rest;
       Some s)
+
+let to_list t =
+  let rec go acc = match next t with Some s -> go (s :: acc) | None -> List.rev acc in
+  go []

@@ -4,26 +4,22 @@
     A partial lookup usually stops after a handful of contacts, so an
     order is a cursor rather than a list: building and shuffling all n
     ids up front would cost O(n) per lookup, while a cursor costs O(1)
-    (stride) or one RNG draw plus one small-table operation (random)
+    (stride) or one RNG draw plus one small-table operation (random_up)
     per server actually visited.  Every cursor owns its state — none
     shares scratch memory — so lookups on different domains never
     interfere. *)
 
 type t
 
-val random : Plookup_util.Rng.t -> n:int -> t
-(** A uniformly random permutation of [0, n), drawn lazily from [rng]
-    by a forward Fisher–Yates that remembers only the displaced slots
-    (a swap map).  Each step draws once, uniform over the ids not yet
-    yielded.  [n] must be non-negative. *)
-
 val random_up : ?keep:(int -> bool) -> Cluster.t -> t
 (** A uniformly random order over the cluster's up servers for which
-    [keep] holds (default: all), drawing from {!Cluster.rng}.  It walks
-    {!random} over the up-server ranks [0, up_count) and resolves each
-    rank with {!Plookup_net.Net.kth_up} (O(log n)); ids failing [keep]
-    are skipped, which leaves the order uniform over the kept servers.
-    The up set must not change while the cursor is in use — true of the
+    [keep] holds (default: all), drawing from {!Cluster.rng}.  It runs
+    a forward Fisher–Yates over the up-server ranks [0, up_count) that
+    remembers only the displaced slots (a swap map): each step draws
+    once, uniform over the ranks not yet yielded, and resolves the rank
+    with {!Plookup_net.Net.kth_up} (O(log n)).  Ids failing [keep] are
+    skipped, which leaves the order uniform over the kept servers.  The
+    up set must not change while the cursor is in use — true of the
     synchronous probes, whose deliveries never fail a server. *)
 
 val stride : n:int -> start:int -> step:int -> t
@@ -37,3 +33,7 @@ val of_list : int list -> t
 
 val next : t -> int option
 (** The next server of the order, [None] once it is exhausted. *)
+
+val to_list : t -> int list
+(** The rest of the order, drained into a list — the explicit order
+    {!Async_client.lookup} takes. *)

@@ -51,9 +51,13 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     (* Independently select a uniform random x-subset of the batch. *)
     Server_store.clear local;
     let arr = Array.of_list entries in
-    let chosen = Rng.sample rng arr (min t.x (Array.length arr)) in
-    Array.iter (fun e -> ignore (Server_store.add local e)) chosen;
-    t.counts.(dst) <- Array.length arr;
+    let h = Array.length arr in
+    let k = min t.x h in
+    let lo = Rng.subset_in_place rng arr ~n:h ~k in
+    for i = lo to lo + k - 1 do
+      ignore (Server_store.add local arr.(i))
+    done;
+    t.counts.(dst) <- h;
     Msg.Ack
   | Msg.Add_sampled e ->
     t.counts.(dst) <- t.counts.(dst) + 1;
@@ -96,9 +100,6 @@ let create ?(replacement_on_delete = false) cluster ~x =
   let t = { cluster; x; replacement_on_delete; counts = Array.make (Cluster.n cluster) 0 } in
   Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
   t
-
-let x t = t.x
-let cluster t = t.cluster
 
 let system_count t ~server =
   if server < 0 || server >= Cluster.n t.cluster then

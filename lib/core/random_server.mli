@@ -23,8 +23,6 @@ val create : ?replacement_on_delete:bool -> Cluster.t -> x:int -> t
 (** [x] must be positive.  [replacement_on_delete] defaults to [false]
     (the paper's cushion scheme). *)
 
-val x : t -> int
-val cluster : t -> Cluster.t
 val system_count : t -> server:int -> int
 (** The server's local belief of how many entries the system holds — the
     [h] counter of Section 5.3. *)

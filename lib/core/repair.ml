@@ -92,11 +92,9 @@ type t = {
   st_restore_total : Metrics.gauge;
 }
 
-let config t = t.config
 let net t = Cluster.net t.cluster
 let now t = match t.engine with Some e -> Engine.now e | None -> 0.
 let daemon_ticks t = t.daemon_ticks
-let live_entries t = Hashtbl.length t.live
 let repair_messages t = Net.repair_messages (net t)
 let hints_pending t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.hints
 
@@ -337,9 +335,6 @@ let do_sync t server =
         ignore
           (Net.send (net t) ~src:(Net.Server server) ~dst:peer
              (Msg.digest_request (store_digest t server))))
-
-let sync_now t server =
-  if Cluster.is_up t.cluster server then do_sync t server
 
 (* {2 Hinted handoff} *)
 

@@ -97,24 +97,7 @@ val attach_engine : ?until:float -> t -> Plookup_sim.Engine.t -> unit
     one) and, in [Full] mode, schedule the daemon every [period] time
     units, stopping after [until] if given. *)
 
-val config : t -> config
-
-(** {1 Manual triggers (tests, engine-less use)} *)
-
-val sync_now : t -> int -> unit
-(** Run the recovery sync for one (up) server immediately. *)
-
-val run_daemon_once : t -> unit
-(** One daemon tick: digest pull, re-replication, trimming, tracking. *)
-
-val refresh_tracking : t -> unit
-(** Re-measure per-entry degree deficiency (no messages); called
-    automatically on status transitions and daemon ticks. *)
-
 (** {1 Introspection} *)
-
-val live_entries : t -> int
-(** Entries the catalog believes are alive. *)
 
 val hints_pending : t -> int
 val daemon_ticks : t -> int

@@ -273,7 +273,6 @@ let create ?(coordinators = 1) ?(resync_stores = true) cluster ~y =
 let y t = t.y
 let coordinators t = t.coordinators
 let acting_coordinator t = acting t
-let cluster t = t.cluster
 let head t = (acting_ledger t).head
 let tail t = (acting_ledger t).tail
 let live_count t = tail t - head t
@@ -281,8 +280,14 @@ let live_count t = tail t - head t
 let position_of t e = Hashtbl.find_opt (acting_ledger t).position_of_id (Entry.id e)
 let entry_at t pos = Hashtbl.find_opt (acting_ledger t).by_position pos
 
+(* An update is accepted only while some coordinator replica is up and
+   the placement was not truncated; otherwise it gets no reply. *)
 let can_update t = (not t.truncated) && acting t <> None
 
+(* Where the acting ledger puts an entry's [y] copies, for the repair
+   subsystem's placement plan: [None] when the placement was truncated
+   (the ledger does not describe it), [Some []] for an entry outside
+   the live window. *)
 let assigned_servers t e =
   if t.truncated then None
   else

@@ -46,7 +46,6 @@ val acting_coordinator : t -> int option
 (** The replica currently fielding updates; [None] when all coordinator
     servers are down. *)
 
-val cluster : t -> Cluster.t
 val head : t -> int
 val tail : t -> int
 val live_count : t -> int
@@ -57,25 +56,12 @@ val position_of : t -> Entry.t -> int option
 
 val entry_at : t -> int -> Entry.t option
 
-val assigned_servers : t -> Entry.t -> int list option
-(** Where the acting ledger says an entry's [y] copies live: [None] when
-    the placement was truncated (the ledger does not describe it),
-    [Some []] for an entry not in the live window, [Some servers]
-    otherwise.  Feeds the repair subsystem's placement plan. *)
-
 val place : ?budget:int -> t -> Entry.t list -> unit
 (** Distribute copies round-major (first one copy of every entry, then
     the second copy of every entry, ...).  [budget] caps the total number
     of stored copies — the paper's "when there is inadequate storage
     space, keep a subset" assumption used in the coverage study (Fig. 6).
     A truncated placement does not support subsequent updates. *)
-
-val can_update : t -> bool
-(** Whether an update issued now would be accepted: some coordinator
-    replica is up and the placement was not truncated.  A client sending
-    an update while this is false gets no reply (the coordinator is
-    unreachable) and the update is lost — {!Service.can_update} lets
-    workloads model the client failing fast instead. *)
 
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit

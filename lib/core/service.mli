@@ -132,8 +132,9 @@ val can_update : t -> bool
     failing fast instead of silently losing writes. *)
 
 val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** [partial_lookup t target]: retrieve at least [target] distinct
-    entries, contacting as few servers as the strategy allows.
+(** [partial_lookup t target]: retrieve [target] distinct entries
+    (fewer only when the servers reached hold fewer), contacting as few
+    servers as the strategy allows.
     [reachable] restricts which servers this client may contact
     (Section 7.2). *)
 

@@ -49,8 +49,6 @@ let find_exn name =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Strategy_registry: unknown strategy %S" name)
 
-let mem name = find name <> None
-
 (* The shape a parameterized spelling takes, for error messages and the
    CLI listing: "fixed-X", "round-Y", "roundrobinha-YxK", "full".  The
    placeholder letters come from the "Y = ..., K = ..." convention in

@@ -24,8 +24,6 @@ val find : string -> entry option
 val find_exn : string -> entry
 (** Like {!find}; raises [Invalid_argument] on unknown names. *)
 
-val mem : string -> bool
-
 val spelling : Strategy_intf.meta -> string
 (** The parameterized spelling shown in listings and errors:
     ["fixed-X"], ["roundrobinha-YxK"], ["full"]. *)

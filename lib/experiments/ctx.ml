@@ -46,21 +46,6 @@ type t = {
   obs : Plookup_obs.Obs.t;
 }
 
-let default =
-  { seed = 42;
-    scale = 1.0;
-    jobs = 1;
-    loss = 0.;
-    duplication = 0.;
-    jitter = 0.;
-    mttf = None;
-    mttr = None;
-    horizon = None;
-    repair = None;
-    overload = None;
-    cache = None;
-    obs = Plookup_obs.Obs.create () }
-
 let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
     ?(jitter = 0.) ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs () =
   if scale <= 0. then invalid_arg "Ctx.v: scale must be positive";

@@ -77,11 +77,6 @@ type t = {
           command does). *)
 }
 
-val default : t
-(** seed 42, scale 1.0, jobs 1, no faults, no churn/repair overrides.
-    Note [default.obs] is one shared handle — build a fresh context with
-    {!v} when you mean to inspect metrics in isolation. *)
-
 val v :
   ?seed:int ->
   ?scale:float ->
@@ -98,9 +93,6 @@ val v :
   ?obs:Plookup_obs.Obs.t ->
   unit ->
   t
-
-val faulty : t -> bool
-(** Whether any fault knob is non-zero. *)
 
 val apply_faults : t -> Plookup.Cluster.t -> unit
 (** Install the context's ambient fault model on a cluster (seeded from

@@ -6,20 +6,6 @@ module Engine = Plookup_sim.Engine
 let id = "latency"
 let title = "Extension: lookup latency on a simulated network (Async_client)"
 
-(* Strided probe order from a random start, extended with the residues
-   the stride cycle misses — the Round-Robin client's plan. *)
-let stride_order rng ~n ~y =
-  let start = Rng.int rng n in
-  let visited = Array.make n false in
-  let order = ref [] in
-  let pos = ref start in
-  while not visited.(!pos) do
-    visited.(!pos) <- true;
-    order := !pos :: !order;
-    pos := (!pos + y) mod n
-  done;
-  List.rev !order @ List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
-
 type row = {
   contacts : Stats.Accum.t;
   timeouts : Stats.Accum.t;
@@ -90,7 +76,9 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(rtt_lo = 5.) ?(rtt_hi =
      row's position, so rows are independent parallel units. *)
   let stride_for row =
     let order_rng = Rng.create (Ctx.run_seed ctx (3 + row)) in
-    fun cluster -> stride_order order_rng ~n:(Cluster.n cluster) ~y
+    fun cluster ->
+      let n = Cluster.n cluster in
+      Probe_order.to_list (Probe_order.stride ~n ~start:(Rng.int order_rng n) ~step:y)
   in
   (* The parallel client: wave size ceil(t*n/(y*h)), known in advance
      (Section 3.5). *)

@@ -7,22 +7,6 @@ module Net = Plookup_net.Net
 let id = "loss"
 let title = "Extension: lookup cost and coverage vs message loss (retrying Async_client)"
 
-(* The Round-Robin client's plan: strided order from a random start,
-   extended with the residues the stride cycle misses (see
-   Probe.stride). *)
-let stride_order rng ~n ~y =
-  let y = ((y mod n) + n) mod n in
-  let start = Rng.int rng n in
-  let visited = Array.make n false in
-  let order = ref [] in
-  let pos = ref start in
-  while not visited.(!pos) do
-    visited.(!pos) <- true;
-    order := !pos :: !order;
-    pos := (!pos + y) mod n
-  done;
-  List.rev !order @ List.filter (fun i -> not visited.(i)) (List.init n Fun.id)
-
 type tally = {
   satisfied : Stats.Accum.t;
   contacts : Stats.Accum.t;
@@ -103,7 +87,7 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(timeout = 60.) ?(retrie
   in
   let stride cluster rng =
     ignore cluster;
-    stride_order rng ~n ~y
+    Probe_order.to_list (Probe_order.stride ~n ~start:(Rng.int rng n) ~step:y)
   in
   (* Fixed-x must hold at least t entries per server to satisfy alone. *)
   let configs =

@@ -1,8 +1,5 @@
 let map ctx ~count f = Plookup_util.Pool.map ~jobs:ctx.Ctx.jobs f (Array.init count Fun.id)
 
-let replicates ctx ~count f =
-  map ctx ~count (fun i -> f ~seed:(Ctx.run_seed ctx (i + 1)))
-
 (* Observability threading: each unit of work gets a private child
    handle (no shared mutable cells across workers), and the children are
    merged back into [ctx.obs] by walking the result array in input

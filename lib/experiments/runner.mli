@@ -21,11 +21,6 @@ val map : Ctx.t -> count:int -> (int -> 'a) -> 'a array
     Use this when the experiment derives its own composite seed from
     the index. *)
 
-val replicates : Ctx.t -> count:int -> (seed:int -> 'a) -> 'a array
-(** [replicates ctx ~count f] runs [count] Monte-Carlo replicates,
-    handing replicate [i] (1-based, matching the historical
-    [for run = 1 to runs] loops) the seed [Ctx.run_seed ctx i]. *)
-
 val map_obs : Ctx.t -> count:int -> (int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
 (** {!map}, with observability threaded: each unit receives a fresh
     child of [ctx.obs] (pass it to the services it builds — workers
@@ -35,7 +30,10 @@ val map_obs : Ctx.t -> count:int -> (int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a a
     [ctx.jobs]. *)
 
 val replicates_obs : Ctx.t -> count:int -> (seed:int -> obs:Plookup_obs.Obs.t -> 'a) -> 'a array
-(** {!replicates} with the {!map_obs} observability threading. *)
+(** [replicates_obs ctx ~count f] runs [count] Monte-Carlo replicates
+    through {!map_obs}, handing replicate [i] (1-based, matching the
+    historical [for run = 1 to runs] loops) the seed
+    [Ctx.run_seed ctx i]. *)
 
 val mean_of : float array -> float
 (** Left-to-right mean of the samples ({!Plookup_util.Stats.Accum}) —

@@ -13,8 +13,6 @@ let round_robin_lookup_cost ~n ~h ~y ~t =
   (* ceil(t*n / (y*h)) in exact integer arithmetic *)
   float_of_int (((t * n) + (y * h) - 1) / (y * h))
 
-let full_replication_lookup_cost = 1.
-
 let fixed_lookup_cost ~x ~t = if t <= x then Some 1. else None
 
 let coverage_full ~h = float_of_int h

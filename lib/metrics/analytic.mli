@@ -14,9 +14,6 @@ val round_robin_lookup_cost : n:int -> h:int -> y:int -> t:int -> float
 (** ceil(t*n / (y*h)) — each Round-y server holds [y*h/n] entries and
     consecutive probes are disjoint. *)
 
-val full_replication_lookup_cost : float
-(** 1. *)
-
 val fixed_lookup_cost : x:int -> t:int -> float option
 (** 1 when [t <= x]; [None] (undefined) otherwise — Fixed-x cannot answer
     targets beyond x. *)

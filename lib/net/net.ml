@@ -121,9 +121,6 @@ let create ?metrics ~n () =
     partitions = [];
     capacity = None }
 
-let n t = t.n
-let metrics t = t.metrics
-
 let set_planes t ~names ~classify =
   t.plane_received <-
     Array.map

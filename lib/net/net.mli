@@ -43,11 +43,6 @@ val create : ?metrics:Plookup_obs.Metrics.t -> n:int -> unit -> ('msg, 'reply) t
     the accessors report exactly this network's traffic even when many
     networks share one registry (a registry snapshot aggregates them). *)
 
-val n : ('msg, 'reply) t -> int
-
-val metrics : ('msg, 'reply) t -> Plookup_obs.Metrics.t
-(** The registry this network's counters live on. *)
-
 val set_planes :
   ('msg, 'reply) t -> names:string array -> classify:('msg -> int) -> unit
 (** Install per-plane accounting: each delivered message is also counted

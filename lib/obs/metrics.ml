@@ -67,7 +67,6 @@ let observe h v =
   h.hsum <- h.hsum +. v
 
 let histogram_count h = h.hcount
-let histogram_sum h = h.hsum
 
 (* Bucket b's value range; bucket 0 holds everything at or below 1
    (including non-positive observations), so its lower bound is 0. *)
@@ -105,18 +104,6 @@ let reset_histogram h =
   Array.fill h.buckets 0 hbuckets 0;
   h.hcount <- 0;
   h.hsum <- 0.
-
-let reset t =
-  List.iter
-    (fun item ->
-      match item.i_cell with
-      | C c -> c.c <- 0
-      | G g -> g.g <- 0.
-      | H h ->
-        Array.fill h.buckets 0 hbuckets 0;
-        h.hcount <- 0;
-        h.hsum <- 0.)
-    t.items
 
 (* {2 Snapshots} *)
 

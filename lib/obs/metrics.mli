@@ -55,7 +55,6 @@ val histogram : t -> ?labels:(string * string) list -> string -> histogram
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val histogram_quantile : histogram -> float -> float
 (** [histogram_quantile h q] estimates the [q]-th percentile
@@ -71,10 +70,6 @@ val histogram_quantile : histogram -> float -> float
     float arrays.  Returns 0 on an empty histogram. *)
 
 val reset_histogram : histogram -> unit
-
-val reset : t -> unit
-(** Zero every instrument (counts, gauges and buckets); registration
-    survives. *)
 
 (** {1 Snapshots} *)
 
@@ -101,6 +96,5 @@ val sum_counters : entry list -> ?where:(string * string) list -> string -> int
 (** Total of every counter entry called [name] whose labels include all
     of [where] (default: no constraint). *)
 
-val entry_to_json : Buffer.t -> entry -> unit
 val to_json : entry list -> string
 (** A JSON object [{"metrics": [ ... ]}], entries in snapshot order. *)

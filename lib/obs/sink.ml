@@ -19,4 +19,3 @@ let jsonl ?(flush_every = 1024) oc =
   in
   { emit; flush = (fun () -> Stdlib.flush oc) }
 
-let null = { emit = ignore; flush = ignore }

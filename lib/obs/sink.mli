@@ -17,5 +17,3 @@ val jsonl : ?flush_every:int -> out_channel -> t
     [flush_every] spans (default 1024) and on {!flush}; closing the
     channel is the caller's job. *)
 
-val null : t
-(** Discards everything (placeholder wiring). *)

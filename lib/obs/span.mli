@@ -48,14 +48,6 @@ type t = {
   kind : kind;
 }
 
-val label : t -> string
-(** The kind's wire name: ["send"], ["recv"], ["drop"], ["retry"],
-    ["timeout"], ["repair_round"], ["migration"] or ["mark"]. *)
-
-val actor_json : actor -> string
-(** [-1] for a client, the server index otherwise — matching
-    {!Plookup_net.Net}'s sender coding. *)
-
 val add_json : Buffer.t -> t -> unit
 (** Append the span as one JSON object (no trailing newline).  Keys:
     [id], [t], [kind], optional [cause], then kind-specific fields. *)

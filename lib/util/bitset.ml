@@ -52,28 +52,6 @@ let union_into dst src =
       (Bytes.get_uint8 dst.words i lor Bytes.get_uint8 src.words i)
   done
 
-let union a b =
-  let r = copy a in
-  union_into r b;
-  r
-
-let inter a b =
-  same_capacity a b;
-  let r = create a.capacity in
-  for i = 0 to Bytes.length r.words - 1 do
-    Bytes.set_uint8 r.words i (Bytes.get_uint8 a.words i land Bytes.get_uint8 b.words i)
-  done;
-  r
-
-let diff a b =
-  same_capacity a b;
-  let r = create a.capacity in
-  for i = 0 to Bytes.length r.words - 1 do
-    Bytes.set_uint8 r.words i
-      (Bytes.get_uint8 a.words i land lnot (Bytes.get_uint8 b.words i) land 0xff)
-  done;
-  r
-
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
 
 let disjoint a b =

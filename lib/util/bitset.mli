@@ -20,14 +20,10 @@ val copy : t -> t
 val union_into : t -> t -> unit
 (** [union_into dst src] adds every member of [src] to [dst]. *)
 
-val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
 val equal : t -> t -> bool
 
 val disjoint : t -> t -> bool
-(** Whether the two sets share no member — one pass, no allocation
-    (unlike [is_empty (inter a b)]). *)
+(** Whether the two sets share no member — one pass, no allocation. *)
 
 val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit

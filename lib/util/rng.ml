@@ -48,7 +48,6 @@ let[@inline] next t =
   result
 
 let bits64 t = next t
-let split t = of_splitmix (ref (next t))
 
 (* 62 random bits, always a non-negative OCaml int. *)
 let nonneg t = Int64.to_int (Int64.shift_right_logical (next t) 2)
@@ -67,10 +66,6 @@ let int t bound =
     draw_below t bound (max - (max mod bound))
   end
 
-let int_in_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
-  lo + int t (hi - lo + 1)
-
 let unit_float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v *. 0x1.0p-53
@@ -78,45 +73,6 @@ let unit_float t =
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t p = unit_float t < p
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-(* One traversal into a doubling buffer, then one [int] draw — the same
-   single draw (with the same bound) the old [List.nth l (int t
-   (List.length l))] made, so seeded outputs are unchanged, without the
-   two O(n) list walks per pick. *)
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | x :: rest ->
-    let buf = ref [| x; x; x; x |] in
-    let len = ref 1 in
-    List.iter
-      (fun v ->
-        if !len = Array.length !buf then begin
-          let bigger = Array.make (2 * !len) x in
-          Array.blit !buf 0 bigger 0 !len;
-          buf := bigger
-        end;
-        !buf.(!len) <- v;
-        incr len)
-      rest;
-    !buf.(int t !len)
-
-let shuffle_in_place t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let shuffle t l =
-  let arr = Array.of_list l in
-  shuffle_in_place t arr;
-  Array.to_list arr
 
 (* A partial Fisher–Yates over the smaller side: the first [m] slots
    receive a uniform m-subset, so when [m = k] they are the subset and
@@ -133,24 +89,15 @@ let subset_in_place t arr ~n ~k =
   done;
   if m <= 0 || m = k then 0 else m
 
-let sample_indices t ~n ~k =
-  if k < 0 || k > n then invalid_arg "Rng.sample_indices: need 0 <= k <= n";
-  let idx = Array.init n Fun.id in
-  for i = 0 to k - 1 do
-    let j = int_in_range t ~lo:i ~hi:(n - 1) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.sub idx 0 k
-
-let sample t arr k =
-  let idx = sample_indices t ~n:(Array.length arr) ~k in
-  Array.map (fun i -> arr.(i)) idx
-
+(* Fisher–Yates, from the last slot down. *)
 let perm t n =
   let arr = Array.init n Fun.id in
-  shuffle_in_place t arr;
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done;
   arr
 
 (* FNV-1a over every byte, finished with mix64.  [Hashtbl.hash] — the

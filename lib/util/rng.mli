@@ -7,9 +7,10 @@
     (which we never touch). *)
 
 type t
-(** A mutable generator. Not thread-safe; use {!split} to derive
-    independent generators for concurrent or per-instance use.  The
-    state is four unboxed 64-bit words, so drawing allocates nothing. *)
+(** A mutable generator. Not thread-safe; give each concurrent or
+    per-instance user its own, made with {!create} from its own seed.
+    The state is four unboxed 64-bit words, so drawing allocates
+    nothing. *)
 
 val create : int -> t
 (** [create seed] makes a generator from a 63-bit seed.  Equal seeds give
@@ -19,10 +20,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state; both copies then evolve
     independently but identically if used identically. *)
 
-val split : t -> t
-(** [split t] draws fresh state from [t] and returns a statistically
-    independent generator.  Advances [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits.  Tests pin the first outputs of seeds 0 and 42,
     so the stream of a seed never changes. *)
@@ -30,9 +27,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0.
     Uses rejection sampling, so the result is exactly uniform. *)
-
-val int_in_range : t -> lo:int -> hi:int -> int
-(** Uniform in [\[lo, hi\]] inclusive. Requires [lo <= hi]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -45,26 +39,6 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on
-    an empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list: one traversal, one generator
-    draw — the same draw [List.nth l (int t (List.length l))] would
-    make, so the two are interchangeable in seeded runs. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** A uniformly shuffled copy of the list. *)
-
-val sample_indices : t -> n:int -> k:int -> int array
-(** [sample_indices t ~n ~k] draws [k] distinct indices uniformly from
-    [\[0, n)], in random order, via a partial Fisher–Yates.  Requires
-    [0 <= k <= n]. *)
-
 val subset_in_place : t -> 'a array -> n:int -> k:int -> int
 (** [subset_in_place t arr ~n ~k] moves a uniform [k]-subset of
     [arr.(0 .. n-1)] into a contiguous range in place and returns the
@@ -74,10 +48,6 @@ val subset_in_place : t -> 'a array -> n:int -> k:int -> int
     [n], [n-1], ...) and none at all when [k >= n] (the range is then
     the whole prefix) or [k <= 0] (the range is empty).  Allocates
     nothing.  Requires [0 <= n <= Array.length arr]. *)
-
-val sample : t -> 'a array -> int -> 'a array
-(** [sample t arr k] draws [k] distinct elements of [arr] uniformly,
-    without replacement. *)
 
 val perm : t -> int -> int array
 (** [perm t n] is a uniform permutation of [\[0, n)]. *)

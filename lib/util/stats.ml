@@ -16,20 +16,6 @@ module Accum = struct
 
   let ci95_half_width t =
     if t.n < 2 then 0. else 1.96 *. stddev t /. sqrt (float_of_int t.n)
-
-  let merge a b =
-    if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }
-    else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2 }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      { n; mean; m2 }
-    end
 end
 
 let mean xs =

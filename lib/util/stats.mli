@@ -23,9 +23,6 @@ module Accum : sig
   (** Half-width of the 95% confidence interval of the mean under the
       normal approximation (1.96 * stderr); 0 with fewer than two
       samples. *)
-
-  val merge : t -> t -> t
-  (** Combined accumulator, as if all samples were added to one. *)
 end
 
 val mean : float array -> float

@@ -9,7 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row length does not match columns";
   t.rev_rows <- row :: t.rev_rows
 
-let title t = t.title
 let columns t = t.columns
 let rows t = List.rev t.rev_rows
 

@@ -14,7 +14,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> cell list -> unit
 (** Row length must match the number of columns. *)
 
-val title : t -> string
 val columns : t -> string list
 val rows : t -> cell list list
 val cell_to_string : cell -> string

@@ -1,5 +1,9 @@
 module Rng = Plookup_util.Rng
 
+(* How many servers a greedy client walking [order] contacts before the
+   entries held there ([held.(s)] per server, a distinct-count upper
+   bound) reach [t].  Servers outside [held] (stale ids in a fixed
+   order) hold nothing. *)
 let cost ~order ~held ~t =
   let n = Array.length held in
   let rec walk contacted gathered = function

@@ -18,20 +18,13 @@
     turn one knob from the paper's independent workload ([focus = 0])
     to a single-key flash mob ([focus = 1]). *)
 
-val cost : order:int list -> held:int array -> t:int -> int
-(** Placement cost of one probe order: how many servers a greedy client
-    walking [order] must contact before the entries held there
-    ([held.(s)] per server, distinct-count upper bound) sum to the
-    lookup target [t].  Orders that never reach [t] cost their full
-    length plus one, ranking them strictly worse than any that do.
-    Servers outside [held] (stale ids in a fixed order) count as
-    holding nothing. *)
-
 val worst : ?lo:int -> orders:int list array -> held:int array -> t:int -> unit -> int
 (** The index in [\[lo, Array.length orders)] (default [lo = 0]) of the
-    costliest order under {!cost}, smallest index on ties — the
-    adversary's target key.  Raises [Invalid_argument] when the range
-    is empty. *)
+    costliest order, smallest index on ties — the adversary's target
+    key.  An order's cost is how many servers a greedy client walking
+    it contacts before the entries held there ([held.(s)] per server)
+    reach [t]; an order that never reaches [t] costs its length plus
+    one.  Raises [Invalid_argument] when the range is empty. *)
 
 val draw :
   Plookup_util.Rng.t -> focus:float -> worst:int -> rest:(Plookup_util.Rng.t -> int) -> int

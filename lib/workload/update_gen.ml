@@ -62,11 +62,6 @@ let generate rng spec =
   in
   { initial; events = merge spec.updates None [] }
 
-let pp_event ppf { time; op } =
-  match op with
-  | Add e -> Format.fprintf ppf "%10.2f add %a" time Entry.pp e
-  | Delete e -> Format.fprintf ppf "%10.2f del %a" time Entry.pp e
-
 let live_after stream k =
   let table = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace table (Entry.id e) e) stream.initial;

@@ -47,8 +47,6 @@ val generate : Plookup_util.Rng.t -> spec -> stream
     delete follows its own add but precedes the add of any entry born
     after it. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val live_after : stream -> int -> Entry.t list
 (** The entries alive after applying the first [k] events to the initial
     population — for fairness measurements mid-replay. *)

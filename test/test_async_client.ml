@@ -209,20 +209,6 @@ let test_lossy_lookup_deterministic () =
   in
   Alcotest.(check bool) "identical replay" true (one () = one ())
 
-let test_random_order_visits_everyone_if_needed () =
-  let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let engine = Engine.create () in
-  let outcome = ref None in
-  Async_client.lookup_random_order cluster engine
-    ~latency:(fun () -> 1.)
-    ~timeout:50. ~t:4
-    (fun o -> outcome := Some o);
-  ignore (Engine.run engine);
-  match !outcome with
-  | Some o ->
-    Helpers.check_int "all four" 4 o.Async_client.result.Lookup_result.servers_contacted
-  | None -> Alcotest.fail "never completed"
-
 (* {2 Tail tolerance: deadline, hedging, breaker, jitter, Busy} *)
 
 let test_deadline_gives_up_with_partial_result () =
@@ -447,15 +433,7 @@ let test_sync_and_async_agree () =
       let sync = make () and async = make () in
       List.iter
         (fun (start, step, t) ->
-          let order =
-            let cursor = Probe_order.stride ~n ~start ~step in
-            let rec drain acc =
-              match Probe_order.next cursor with
-              | Some s -> drain (s :: acc)
-              | None -> List.rev acc
-            in
-            drain []
-          in
+          let order = Probe_order.to_list (Probe_order.stride ~n ~start ~step) in
           let r = Probe.stride (Service.cluster sync) ~start ~step ~t in
           let o =
             run_lookup ~latency:(fun () -> 0.) ~timeout:1. ~order ~t (Service.cluster async)
@@ -490,7 +468,6 @@ let () =
             test_lookup_over_lossy_jittered_network;
           Alcotest.test_case "lossy lookup deterministic" `Quick
             test_lossy_lookup_deterministic;
-          Alcotest.test_case "random order" `Quick test_random_order_visits_everyone_if_needed;
           Alcotest.test_case "deadline gives up" `Quick
             test_deadline_gives_up_with_partial_result;
           Alcotest.test_case "hedge first reply wins" `Quick test_hedge_first_reply_wins;

@@ -113,19 +113,22 @@ let prop_hash_exactly_live =
           in
           coverage = live_ids live))
 
+(* Every registered strategy, ablations included, at one storage
+   budget: a lookup returns distinct live entries, at most t of them,
+   and satisfies t whenever the up servers cover t distinct entries. *)
 let prop_lookups_return_live_entries =
+  let configs = Service.all_configs ~ablations:true ~budget:40 ~n:5 ~h:20 () in
   Helpers.qcheck ~count:100 "all strategies: lookups only return live entries"
-    QCheck2.Gen.(pair (int_range 0 5) gen_ops)
-    (fun (strategy_index, ops) ->
-      let config =
-        List.nth
-          [ Service.full_replication; Service.fixed 6; Service.random_server 6;
-            Service.random_server_replacing 6; Service.round_robin 2; Service.hash 2 ]
-          strategy_index
-      in
-      run_scenario config ops ~check:(fun service live ->
-          let r = Service.partial_lookup service 5 in
-          List.for_all (fun e -> IntMap.mem (Entry.id e) live) r.Lookup_result.entries))
+    QCheck2.Gen.(triple (int_range 0 (List.length configs - 1)) (int_range 1 25) gen_ops)
+    (fun (strategy_index, t, ops) ->
+      run_scenario (List.nth configs strategy_index) ops ~check:(fun service live ->
+          let r = Service.partial_lookup service t in
+          let ids = List.map Entry.id r.Lookup_result.entries in
+          let coverage = Entry.Set.cardinal (Cluster.coverage (Service.cluster service)) in
+          List.for_all (fun id -> IntMap.mem id live) ids
+          && List.length (List.sort_uniq compare ids) = List.length ids
+          && List.length ids <= t
+          && (coverage < t || Lookup_result.satisfied r)))
 
 let prop_storage_conservation =
   Helpers.qcheck ~count:100 "all strategies: total storage bounded by strategy law"

@@ -87,6 +87,15 @@ let test_uniform_membership_after_place () =
   Helpers.roughly ~rel:0.1 "membership ~ x/h" 0.25
     (float_of_int !hits /. float_of_int trials)
 
+let test_placement_uniform_over_subsets () =
+  (* Every one of the C(6,4) subsets is equally likely.  With x > h/2 the
+     draw runs over the complement, the branch x <= h/2 never takes. *)
+  let cluster, s, batch = make ~n:1 ~h:6 ~x:4 () in
+  Helpers.uniform_over_subsets ~what:"RandomServer-4 at h = 6" ~n:6 ~k:4 ~trials:6000
+    (fun () ->
+      Random_server.place s batch;
+      Helpers.sorted_ids (Server_store.to_list (Cluster.store cluster 0)))
+
 let test_delete_leaves_hole () =
   (* Cushion scheme: no replacement is fetched. *)
   let cluster, s, batch = make ~n:1 ~h:10 ~x:10 () in
@@ -162,6 +171,8 @@ let () =
           Alcotest.test_case "capacity keeps x" `Quick test_add_at_capacity_keeps_x;
           Alcotest.test_case "reservoir rate" `Slow test_reservoir_inclusion_rate;
           Alcotest.test_case "uniform membership" `Slow test_uniform_membership_after_place;
+          Alcotest.test_case "placement uniform over subsets" `Quick
+            test_placement_uniform_over_subsets;
           Alcotest.test_case "cushion hole" `Quick test_delete_leaves_hole;
           Alcotest.test_case "update broadcasts" `Quick test_update_broadcasts;
           Alcotest.test_case "replacement refills" `Quick test_replacement_on_delete_refills;

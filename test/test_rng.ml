@@ -25,13 +25,6 @@ let test_copy_independent () =
   let vb = Rng.bits64 b in
   Alcotest.(check int64) "copy is a snapshot" va vb
 
-let test_split_independent () =
-  let a = Rng.create 5 in
-  let b = Rng.split a in
-  let xs = List.init 32 (fun _ -> Rng.int a 1000) in
-  let ys = List.init 32 (fun _ -> Rng.int b 1000) in
-  Alcotest.(check bool) "split streams differ" true (xs <> ys)
-
 let test_int_bounds () =
   let rng = Rng.create 17 in
   for bound = 1 to 40 do
@@ -45,15 +38,6 @@ let test_int_rejects_nonpositive () =
   let rng = Rng.create 0 in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
-
-let test_int_in_range () =
-  let rng = Rng.create 3 in
-  for _ = 1 to 500 do
-    let v = Rng.int_in_range rng ~lo:(-5) ~hi:5 in
-    if v < -5 || v > 5 then Alcotest.failf "out of range: %d" v
-  done;
-  Alcotest.check_raises "lo > hi" (Invalid_argument "Rng.int_in_range: lo > hi") (fun () ->
-      ignore (Rng.int_in_range rng ~lo:2 ~hi:1))
 
 let test_int_uniformity () =
   (* Chi-square-ish sanity: 10 buckets, 20000 draws; each bucket within
@@ -96,74 +80,19 @@ let test_bernoulli () =
   done;
   Helpers.roughly ~rel:0.05 "bernoulli 0.3" 0.3 (float_of_int !hits /. float_of_int draws)
 
-let test_pick () =
-  let rng = Rng.create 2 in
-  let arr = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    let v = Rng.pick rng arr in
-    if not (Array.exists (( = ) v) arr) then Alcotest.failf "pick returned %d" v
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array") (fun () ->
-      ignore (Rng.pick rng [||]))
-
-let test_pick_list () =
-  let rng = Rng.create 2 in
-  Helpers.check_int "singleton" 7 (Rng.pick_list rng [ 7 ]);
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.pick_list: empty list") (fun () ->
-      ignore (Rng.pick_list rng []))
-
-let test_pick_list_draw_semantics () =
-  (* pick_list is single-pass now, but its draw contract is unchanged:
-     one [int rng (length l)] draw, returning the element List.nth
-     names.  A copied generator replays the draw against the reference
-     formulation, so any change to the consumed sequence fails here. *)
-  let rng = Rng.create 9 in
-  let l = List.init 17 (fun i -> (i * 37) mod 100) in
-  for _ = 1 to 200 do
-    let reference = Rng.copy rng in
-    let expected = List.nth l (Rng.int reference (List.length l)) in
-    Helpers.check_int "same draw, same element" expected (Rng.pick_list rng l);
-    (* Both generators must have advanced identically. *)
-    Helpers.check_int "state in lockstep" (Rng.int reference 1_000_000)
-      (Rng.int rng 1_000_000)
-  done
-
-let test_shuffle_is_permutation () =
-  let rng = Rng.create 21 in
-  let original = List.init 50 Fun.id in
-  let shuffled = Rng.shuffle rng original in
-  Alcotest.(check (list int)) "same multiset" original (List.sort compare shuffled)
-
 let test_shuffle_uniform_first () =
-  (* The first element after shuffling [0..4] should be ~uniform. *)
+  (* The first element of a permutation of [0..4] should be ~uniform. *)
   let rng = Rng.create 4 in
   let counts = Array.make 5 0 in
   let draws = 10_000 in
   for _ = 1 to draws do
-    match Rng.shuffle rng [ 0; 1; 2; 3; 4 ] with
-    | first :: _ -> counts.(first) <- counts.(first) + 1
-    | [] -> assert false
+    let first = (Rng.perm rng 5).(0) in
+    counts.(first) <- counts.(first) + 1
   done;
   Array.iteri
     (fun i c ->
       if abs (c - 2000) > 300 then Alcotest.failf "first element %d skewed: %d" i c)
     counts
-
-let test_sample_indices () =
-  let rng = Rng.create 8 in
-  for _ = 1 to 200 do
-    let k = Rng.int rng 10 in
-    let idx = Rng.sample_indices rng ~n:10 ~k in
-    Helpers.check_int "length" k (Array.length idx);
-    let sorted = Array.copy idx in
-    Array.sort compare sorted;
-    let distinct = Array.to_list sorted |> List.sort_uniq compare in
-    Helpers.check_int "distinct" k (List.length distinct);
-    Array.iter (fun i -> if i < 0 || i >= 10 then Alcotest.failf "index %d" i) idx
-  done;
-  Alcotest.check_raises "k > n"
-    (Invalid_argument "Rng.sample_indices: need 0 <= k <= n") (fun () ->
-      ignore (Rng.sample_indices rng ~n:3 ~k:4))
 
 (* The first outputs of two seeds, recorded from the generator before
    its state was moved into unboxed words: the stream must never
@@ -247,22 +176,6 @@ let test_digest_string () =
   Alcotest.(check bool) "empty vs nonempty" false
     (Rng.digest_string "" = Rng.digest_string "\000")
 
-let test_sample_uniform () =
-  (* Each of 5 elements should appear in a 2-of-5 sample with probability
-     2/5. *)
-  let rng = Rng.create 12 in
-  let counts = Array.make 5 0 in
-  let draws = 10_000 in
-  for _ = 1 to draws do
-    Array.iter (fun v -> counts.(v) <- counts.(v) + 1)
-      (Rng.sample rng [| 0; 1; 2; 3; 4 |] 2)
-  done;
-  Array.iteri
-    (fun i c ->
-      Helpers.roughly ~rel:0.08 (Printf.sprintf "element %d" i) 0.4
-        (float_of_int c /. float_of_int draws))
-    counts
-
 let test_perm () =
   let rng = Rng.create 5 in
   let p = Rng.perm rng 20 in
@@ -299,55 +212,25 @@ let prop_int_in_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
-let prop_shuffle_permutation =
-  Helpers.qcheck "shuffle preserves multiset"
-    QCheck2.Gen.(pair (list small_int) int)
-    (fun (l, seed) ->
-      let rng = Rng.create seed in
-      List.sort compare (Rng.shuffle rng l) = List.sort compare l)
-
-let prop_sample_subset =
-  Helpers.qcheck "sample is a sub-multiset of distinct slots"
-    QCheck2.Gen.(pair (int_range 0 50) int)
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let arr = Array.init n (fun i -> i * 3) in
-      let k = if n = 0 then 0 else Rng.int rng (n + 1) in
-      let s = Rng.sample rng arr k in
-      Array.length s = k
-      && Array.for_all (fun v -> Array.exists (( = ) v) arr) s
-      && List.length (List.sort_uniq compare (Array.to_list s)) = k)
-
 let () =
   Helpers.run "rng"
     [ ( "rng",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "distinct seeds" `Quick test_distinct_seeds;
           Alcotest.test_case "copy" `Quick test_copy_independent;
-          Alcotest.test_case "split" `Quick test_split_independent;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int rejects 0" `Quick test_int_rejects_nonpositive;
-          Alcotest.test_case "int_in_range" `Quick test_int_in_range;
           Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "unit_float range" `Quick test_unit_float_range;
           Alcotest.test_case "unit_float mean" `Quick test_unit_float_mean;
           Alcotest.test_case "bernoulli" `Quick test_bernoulli;
-          Alcotest.test_case "pick" `Quick test_pick;
-          Alcotest.test_case "pick_list" `Quick test_pick_list;
-          Alcotest.test_case "pick_list draw semantics" `Quick
-            test_pick_list_draw_semantics;
-          Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "shuffle uniform" `Quick test_shuffle_uniform_first;
-          Alcotest.test_case "sample_indices" `Quick test_sample_indices;
           Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
           Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
           Alcotest.test_case "subset_in_place draws" `Quick test_subset_in_place_draws;
           Alcotest.test_case "subset_in_place uniform" `Quick test_subset_in_place_uniform;
           Alcotest.test_case "digest_string" `Quick test_digest_string;
-          Alcotest.test_case "sample uniform" `Quick test_sample_uniform;
           Alcotest.test_case "perm" `Quick test_perm;
           Alcotest.test_case "hash_in_range" `Quick test_hash_in_range;
           Alcotest.test_case "hash salt spread" `Quick test_hash_in_range_spread;
-          prop_int_in_bounds;
-          prop_shuffle_permutation;
-          prop_sample_subset ] ) ]
+          prop_int_in_bounds ] ) ]

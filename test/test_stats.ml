@@ -17,24 +17,6 @@ let test_accum_single_sample () =
   Helpers.close "variance of 1 sample" 0. (Stats.Accum.variance acc);
   Helpers.close "ci of 1 sample" 0. (Stats.Accum.ci95_half_width acc)
 
-let test_accum_merge () =
-  let a = Stats.Accum.create () and b = Stats.Accum.create () and c = Stats.Accum.create () in
-  let xs = [ 1.; 5.; 2.; 8.; 3. ] and ys = [ 10.; 0.; 4. ] in
-  List.iter (Stats.Accum.add a) xs;
-  List.iter (Stats.Accum.add b) ys;
-  List.iter (Stats.Accum.add c) (xs @ ys);
-  let m = Stats.Accum.merge a b in
-  Helpers.check_int "merged count" (Stats.Accum.count c) (Stats.Accum.count m);
-  Helpers.close "merged mean" (Stats.Accum.mean c) (Stats.Accum.mean m);
-  Helpers.close "merged variance" (Stats.Accum.variance c) (Stats.Accum.variance m)
-
-let test_accum_merge_empty () =
-  let a = Stats.Accum.create () and b = Stats.Accum.create () in
-  Stats.Accum.add b 3.;
-  let m1 = Stats.Accum.merge a b and m2 = Stats.Accum.merge b a in
-  Helpers.close "empty-left" 3. (Stats.Accum.mean m1);
-  Helpers.close "empty-right" 3. (Stats.Accum.mean m2)
-
 let test_array_stats () =
   let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   Helpers.close "mean" 5. (Stats.mean xs);
@@ -106,21 +88,6 @@ let prop_welford_matches_naive =
       && Float.abs (Stats.Accum.variance acc -. Stats.variance arr)
          < 1e-4 *. Float.max 1. (Stats.variance arr))
 
-let prop_merge_order_independent =
-  Helpers.qcheck "merge a b = merge b a"
-    QCheck2.Gen.(
-      pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-      let mk l =
-        let acc = Stats.Accum.create () in
-        List.iter (Stats.Accum.add acc) l;
-        acc
-      in
-      let m1 = Stats.Accum.merge (mk xs) (mk ys) in
-      let m2 = Stats.Accum.merge (mk ys) (mk xs) in
-      Stats.Accum.count m1 = Stats.Accum.count m2
-      && Float.abs (Stats.Accum.mean m1 -. Stats.Accum.mean m2) < 1e-9)
-
 let prop_cov_scale_invariant =
   Helpers.qcheck "CoV is invariant under scaling probabilities and ideal"
     QCheck2.Gen.(
@@ -139,8 +106,6 @@ let () =
     [ ( "stats",
         [ Alcotest.test_case "accum basics" `Quick test_accum_basics;
           Alcotest.test_case "accum single" `Quick test_accum_single_sample;
-          Alcotest.test_case "accum merge" `Quick test_accum_merge;
-          Alcotest.test_case "merge empty" `Quick test_accum_merge_empty;
           Alcotest.test_case "array stats" `Quick test_array_stats;
           Alcotest.test_case "cov paper example" `Quick test_cov_paper_example;
           Alcotest.test_case "cov fair" `Quick test_cov_fair;
@@ -150,5 +115,4 @@ let () =
           Alcotest.test_case "min_max" `Quick test_min_max;
           Alcotest.test_case "ci shrinks" `Quick test_ci_shrinks;
           prop_welford_matches_naive;
-          prop_merge_order_independent;
           prop_cov_scale_invariant ] ) ]
