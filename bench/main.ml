@@ -1,18 +1,11 @@
-(* Benchmark harness.
+(* Benchmark harness: the baseline writer.
 
-   Part 2 — Reproduction: regenerate every table and figure series at
-   the default Monte-Carlo scale and print them (EXPERIMENTS.md
-   interprets the rows against the paper's plots).
-
-   Part 3 — Ablations: design-choice studies DESIGN.md calls out
-   (greedy-vs-exact fault tolerance, cushion-vs-replacement deletes,
-   collision-aware Hash-y sizing).
-
-   Parts 4–9 — Baselines: each part measures one layer and returns
-   typed rows (baseline.ml); one emitter prints them as a table and
-   writes them to a tracked BENCH_*.json file that check_regress gates.
-   --smoke skips Parts 2–3 only, so the committed baselines and a CI
-   smoke run measure the same work at the same sizes. *)
+   Each part measures one layer and returns typed rows (baseline.ml);
+   one emitter prints them as a table and writes them to a tracked
+   BENCH_*.json file that check_regress gates.  It takes no arguments,
+   so the committed baselines and a CI run always measure the same
+   work at the same sizes.  The paper's tables and the ablations are
+   experiments: `plookup run` prints them. *)
 
 open Plookup
 open Plookup_store
@@ -21,216 +14,6 @@ module Metrics = Plookup_metrics
 module Workload = Plookup_workload
 module Net = Plookup_net.Net
 module E = Plookup_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: ablations                                                   *)
-
-(* Greedy heuristic vs exhaustive SET-COVER adversary: how optimistic is
-   Appendix A on real placements? *)
-let ablation_ft_heuristic () =
-  let table =
-    Table.create ~title:"ablation: greedy (Appendix A) vs exact fault tolerance (n=8, h=40)"
-      ~columns:[ "strategy"; "t"; "greedy mean"; "exact mean"; "mean gap"; "max gap" ]
-  in
-  let n = 8 and h = 40 and runs = 40 in
-  List.iter
-    (fun config ->
-      List.iter
-        (fun t ->
-          let gaps = ref [] in
-          let g_acc = Stats.Accum.create () and e_acc = Stats.Accum.create () in
-          for run = 1 to runs do
-            let service = Service.create ~seed:(run * 17) ~n config in
-            Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
-            let placement =
-              Metrics.Fault_tolerance.snapshot (Service.cluster service) ~capacity:h
-            in
-            let g = Metrics.Fault_tolerance.greedy placement ~t in
-            let e = Metrics.Fault_tolerance.exact placement ~t in
-            Stats.Accum.add g_acc (float_of_int g);
-            Stats.Accum.add e_acc (float_of_int e);
-            gaps := float_of_int (g - e) :: !gaps
-          done;
-          let gaps = Array.of_list !gaps in
-          Table.add_row table
-            [ Table.S (Service.config_name config);
-              Table.I t;
-              Table.F (Stats.Accum.mean g_acc);
-              Table.F (Stats.Accum.mean e_acc);
-              Table.F (Stats.mean gaps);
-              Table.F (snd (Stats.min_max gaps)) ])
-        [ 10; 20 ])
-    [ Service.random_server 10; Service.hash 2; Service.round_robin 2 ];
-  Table.print table
-
-(* Section 5.3's delete alternatives: the cushion scheme (holes) vs
-   actively fetching replacements.  The paper predicts replacement costs
-   more messages and does not help unfairness. *)
-let ablation_delete_policy () =
-  let table =
-    Table.create
-      ~title:"ablation: RandomServer-20 delete policy (cushion vs replacement), 2000 updates"
-      ~columns:[ "policy"; "msgs/update"; "unfairness after"; "mean occupancy" ]
-  in
-  let n = 10 and h = 100 and updates = 2000 in
-  List.iter
-    (fun (name, config) ->
-      let stream =
-        Workload.Update_gen.generate (Rng.create 21)
-          { Workload.Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false;
-            updates }
-      in
-      let service = Service.create ~seed:21 ~n config in
-      let msgs = Workload.Replay.messages_for_updates ~service ~stream in
-      let live = Workload.Update_gen.live_after stream updates in
-      let unfairness = Metrics.Unfairness.of_instance service ~live ~t:1 ~lookups:4000 in
-      let occupancy =
-        float_of_int (Metrics.Storage.measured (Service.cluster service)) /. float_of_int n
-      in
-      Table.add_row table
-        [ Table.S name;
-          Table.F (float_of_int msgs /. float_of_int updates);
-          Table.F4 unfairness;
-          Table.F occupancy ])
-    [ ("cushion (paper's choice)", Service.random_server 20);
-      ("active replacement", Service.random_server_replacing 20) ];
-  Table.print table
-
-(* Section 6.3's bottleneck argument, quantified: Round-y funnels every
-   update through the coordinator (server 1), while Hash-y's updates
-   spread by the hash functions and Fixed-x's broadcasts touch everyone
-   equally. *)
-let ablation_coordinator_bottleneck () =
-  let table =
-    Table.create
-      ~title:"ablation: update-traffic concentration (Section 6.3 coordinator bottleneck)"
-      ~columns:
-        [ "strategy"; "msgs total"; "server-0 share %"; "peak/avg"; "load cov" ]
-  in
-  let n = 10 and h = 100 and updates = 4000 in
-  List.iter
-    (fun config ->
-      let stream =
-        Workload.Update_gen.generate (Rng.create 33)
-          { Workload.Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false;
-            updates }
-      in
-      let service = Service.create ~seed:33 ~n config in
-      let msgs = Workload.Replay.messages_for_updates ~service ~stream in
-      let net = Cluster.net (Service.cluster service) in
-      let loads = Array.init n (fun i -> Net.messages_received_by net i) in
-      let summary = Metrics.Load.summarize loads in
-      Table.add_row table
-        [ Table.S (Service.config_name config);
-          Table.I msgs;
-          Table.F (100. *. float_of_int loads.(0) /. float_of_int (max 1 msgs));
-          Table.F summary.Metrics.Load.peak_to_average;
-          Table.F summary.Metrics.Load.cov ])
-    [ Service.round_robin 2; Service.hash 2; Service.fixed 20; Service.random_server 20 ];
-  Table.print table
-
-(* Footnote 1 of the paper: replicating the head/tail coordinator.  How
-   much update overhead does each extra replica cost, and how many
-   updates stop being lost when the coordinator's server churns? *)
-let ablation_coordinator_replication () =
-  let table =
-    Table.create
-      ~title:
-        "ablation: RoundRobin-2 coordinator replication (footnote 1), churn mttf=50 mttr=50"
-      ~columns:
-        [ "replicas"; "msgs/update (no churn)"; "updates accepted % (churn)" ]
-  in
-  let n = 10 and h = 100 and updates = 2000 in
-  let stream_spec =
-    { Workload.Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false; updates }
-  in
-  List.iter
-    (fun coordinators ->
-      (* Cost: replay a stream with no failures and count messages. *)
-      let stream = Workload.Update_gen.generate (Rng.create 51) stream_spec in
-      let cluster = Cluster.create ~seed:51 ~n () in
-      let strategy = Round_robin.create ~coordinators cluster ~y:2 in
-      Round_robin.place strategy stream.Workload.Update_gen.initial;
-      Net.reset_counters (Cluster.net cluster);
-      List.iter
-        (fun ev ->
-          match ev.Workload.Update_gen.op with
-          | Workload.Update_gen.Add e -> Round_robin.add strategy e
-          | Workload.Update_gen.Delete e -> Round_robin.delete strategy e)
-        stream.Workload.Update_gen.events;
-      let msgs = Net.messages_received (Cluster.net cluster) in
-      (* Availability: interleave the same updates with coordinator-zone
-         churn and count how many adds actually landed. *)
-      let stream = Workload.Update_gen.generate (Rng.create 51) stream_spec in
-      let cluster = Cluster.create ~seed:52 ~n () in
-      let strategy = Round_robin.create ~coordinators cluster ~y:2 in
-      Round_robin.place strategy stream.Workload.Update_gen.initial;
-      let horizon =
-        List.fold_left
-          (fun acc ev -> Float.max acc ev.Workload.Update_gen.time)
-          0. stream.Workload.Update_gen.events
-      in
-      let churn_events =
-        Workload.Churn.generate (Rng.create 53) ~n ~mttf:50. ~mttr:50. ~horizon
-      in
-      let engine = Plookup_sim.Engine.create () in
-      Workload.Churn.drive engine
-        ~apply:(fun ev ->
-          if ev.Workload.Churn.up then Cluster.recover cluster ev.Workload.Churn.server
-          else Cluster.fail cluster ev.Workload.Churn.server)
-        churn_events;
-      let attempted = ref 0 and accepted = ref 0 in
-      List.iter
-        (fun ev ->
-          ignore
-            (Plookup_sim.Engine.schedule_at engine ~time:ev.Workload.Update_gen.time
-               (fun _ ->
-                 match ev.Workload.Update_gen.op with
-                 | Workload.Update_gen.Add e ->
-                   incr attempted;
-                   Round_robin.add strategy e;
-                   if Round_robin.position_of strategy e <> None then incr accepted
-                 | Workload.Update_gen.Delete e -> Round_robin.delete strategy e)))
-        stream.Workload.Update_gen.events;
-      ignore (Plookup_sim.Engine.run engine);
-      Table.add_row table
-        [ Table.I coordinators;
-          Table.F (float_of_int msgs /. float_of_int updates);
-          Table.F (100. *. float_of_int !accepted /. float_of_int (max 1 !attempted)) ])
-    [ 1; 2; 3 ];
-  Table.print table
-
-(* Hash-y sizing: the paper's y = ceil(tn/h) ignores hash collisions;
-   the collision-aware choice buys lookup cost with extra storage. *)
-let ablation_hash_sizing () =
-  let table =
-    Table.create ~title:"ablation: Hash-y sizing at t=40, n=10 (paper rule vs collision-aware)"
-      ~columns:
-        [ "h"; "y paper"; "y aware"; "cost paper"; "cost aware"; "storage paper";
-          "storage aware" ]
-  in
-  let n = 10 and t = 40 in
-  List.iter
-    (fun h ->
-      let y_plain = Metrics.Analytic.optimal_hash_y ~n ~h ~t in
-      let y_aware = Metrics.Analytic.optimal_hash_y_collision_aware ~n ~h ~t in
-      let measure y =
-        let m =
-          Metrics.Lookup_cost.measure_over_instances ~seed:h ~n ~entries:h
-            ~config:(Service.hash y) ~t ~runs:30 ~lookups_per_run:100 ()
-        in
-        m.Metrics.Lookup_cost.mean_cost
-      in
-      Table.add_row table
-        [ Table.I h;
-          Table.I y_plain;
-          Table.I y_aware;
-          Table.F (measure y_plain);
-          Table.F (measure y_aware);
-          Table.F (Metrics.Analytic.storage (Service.hash y_plain) ~n ~h);
-          Table.F (Metrics.Analytic.storage (Service.hash y_aware) ~n ~h) ])
-    [ 100; 150; 200; 300; 400 ];
-  Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* Baseline rows: one timing loop, one row maker, one emitter          *)
@@ -319,7 +102,7 @@ let where client table read name =
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: churn/repair benchmark -> BENCH_repair.json                  *)
+(* Part 1: churn/repair benchmark -> BENCH_repair.json                  *)
 
 (* One churned run per strategy with the full repair stack on (recovery
    sync + hinted handoff + daemon), reporting what the self-healing
@@ -439,7 +222,7 @@ let bench_repair () =
     List.concat_map scenario configs )
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: core throughput -> BENCH_core.json                           *)
+(* Part 2: core throughput -> BENCH_core.json                           *)
 
 (* Sustained throughput of the per-event hot paths the engine and the
    strategies run on. *)
@@ -515,12 +298,13 @@ let bench_core () =
       @ List.map updates configs) )
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: instrumentation overhead -> BENCH_core.json                 *)
+(* Part 3: instrumentation overhead -> BENCH_core.json                 *)
 
 (* What always-on tracing costs, measured where experiments actually
-   send messages: engine-routed delivery ([Net.post] with an attached
-   {!Plookup_sim.Engine}), the path behind [call_async], the repair
-   planner and the day/fig6 experiments.  Configurations:
+   send messages: engine-routed round trips ([Net.call_async] on an
+   {!Plookup_sim.Engine} attached as the network's clock), the path
+   behind [Async_client] and the latency, loss and day experiments.
+   Configurations:
 
    - bare:     a Net with neither plane accounting nor a trace attached
                (the per-message counters themselves can't be opted out —
@@ -532,7 +316,7 @@ let bench_core () =
                tree).
 
    The overhead rows are time ratios, tracing on over its reference
-   (the bare net for posted sends, tracing off for service updates),
+   (the bare net for async calls, tracing off for service updates),
    bounded below 1.10 in the committed file and 1.20 in a fresh run:
    shared CI runners add several points of scheduler and page-placement
    noise to a ratio whose true excess is a few percent.  The raw
@@ -550,7 +334,7 @@ let bench_core () =
    both use the release profile. *)
 let bench_obs () =
   let n = 10 in
-  let posted_window = 10_000 and sync_window = 100_000 and service_window = 1000 in
+  let async_window = 10_000 and sync_window = 100_000 and service_window = 1000 in
   let instrumented ?sample () =
     let net = Net.create ~n () in
     Net.set_planes net ~names:[| "data" |] ~classify:(fun _ -> 0);
@@ -559,23 +343,24 @@ let bench_obs () =
     Net.set_trace net tr ~coder:(fun _ -> pm);
     (net, tr)
   in
-  (* Engine-routed delivery: post in bursts, drain, repeat. *)
-  let posted_drive net engine () =
+  (* Engine-routed round trips: call in bursts, drain, repeat. *)
+  let latency ~src:_ ~dst:_ = 1e-6 in
+  let async_drive net engine () =
     let burst = 1000 in
-    let posted = ref 0 in
-    while !posted < posted_window do
-      let b = min burst (posted_window - !posted) in
+    let called = ref 0 in
+    while !called < async_window do
+      let b = min burst (async_window - !called) in
       for i = 1 to b do
-        Net.post net ~src:Net.Client ~dst:(i mod n) i
+        Net.call_async net engine ~latency ~src:Net.Client ~dst:(i mod n) i ignore
       done;
       ignore (Plookup_sim.Engine.run engine);
-      posted := !posted + b
+      called := !called + b
     done
   in
   let with_engine net =
     Net.set_handler net (fun _dst _src msg -> msg);
     let engine = Plookup_sim.Engine.create () in
-    Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 1e-6);
+    Net.attach_engine net engine;
     engine
   in
   let entries =
@@ -591,11 +376,11 @@ let bench_obs () =
     let acc = ref [] in
     for _ = 1 to reps do
       let bare = Net.create ~n () in
-      let bare_drive = posted_drive bare (with_engine bare) in
+      let bare_drive = async_drive bare (with_engine bare) in
       acc := (0, bare_drive) :: !acc;
       let net, tr = instrumented () in
       let pm = Plookup_obs.Trace.intern_message tr ~plane:"data" ~msg:"msg" in
-      let drive = posted_drive net (with_engine net) in
+      let drive = async_drive net (with_engine net) in
       let tr_smp = Plookup_obs.Trace.create ~capacity:256 ~sample:0.01 () in
       let pm_smp = Plookup_obs.Trace.intern_message tr_smp ~plane:"data" ~msg:"msg" in
       let full on () =
@@ -651,12 +436,12 @@ let bench_obs () =
   let rates =
     best_rates
       (Array.concat
-         [ Array.map (fun (_, drive) -> (posted_window, drive)) entries;
+         [ Array.map (fun (_, drive) -> (async_window, drive)) entries;
            [| sync_send (Net.create ~n ()); sync_send traced_sync; updates false;
               updates true |] ])
   in
-  let posted = Array.make 4 0. in
-  Array.iteri (fun i (row, _) -> posted.(row) <- Float.max posted.(row) rates.(i)) entries;
+  let async = Array.make 4 0. in
+  Array.iteri (fun i (row, _) -> async.(row) <- Float.max async.(row) rates.(i)) entries;
   let sync = Array.sub rates m 2 and svc = Array.sub rates (m + 2) 2 in
   Printf.printf "(sync sends: tracing adds %.1f ns per message)\n"
     (((1. /. sync.(1)) -. (1. /. sync.(0))) *. 1e9);
@@ -666,22 +451,22 @@ let bench_obs () =
       v
   in
   ( Json.
-      [ ("posted_window", Num (float_of_int posted_window));
+      [ ("async_window", Num (float_of_int async_window));
         ("sync_window", Num (float_of_int sync_window));
         ("service_window", Num (float_of_int service_window)) ],
-    [ rate "posted_sends_per_sec" "bare" posted.(0);
-      rate "posted_sends_per_sec" "tracing_off" posted.(1);
-      rate "posted_sends_per_sec" "tracing_on" posted.(2);
-      rate "posted_sends_per_sec" "sampled_1pct" posted.(3);
+    [ rate "async_calls_per_sec" "bare" async.(0);
+      rate "async_calls_per_sec" "tracing_off" async.(1);
+      rate "async_calls_per_sec" "tracing_on" async.(2);
+      rate "async_calls_per_sec" "sampled_1pct" async.(3);
       rate "sync_sends_per_sec" "bare" sync.(0);
       rate "sync_sends_per_sec" "tracing_on" sync.(1);
       rate "service_updates_per_sec" "tracing_off" svc.(0);
       rate "service_updates_per_sec" "tracing_on" svc.(1);
-      overhead "posted_sends" (posted.(0) /. posted.(2));
+      overhead "async_calls" (async.(0) /. async.(2));
       overhead "service_updates" (svc.(0) /. svc.(1)) ] )
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: cluster-scale benchmark -> BENCH_scale.json                 *)
+(* Part 4: cluster-scale benchmark -> BENCH_scale.json                 *)
 
 (* The paper simulates n=10; this sweep proves the codebase holds up at
    n=10k.  For each consistent-hashing strategy at each fleet size it
@@ -750,7 +535,7 @@ let bench_scale () =
     rates @ List.concat_map footprint setups )
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: production-day chaos benchmark -> BENCH_day.json            *)
+(* Part 5: production-day chaos benchmark -> BENCH_day.json            *)
 
 (* The day experiment is both a behavioural artifact (crowd-window tail
    latencies, deterministic at a fixed seed and scale) and a throughput
@@ -773,12 +558,12 @@ let bench_day () =
     @ tails "p999_ms" "crowd p999 ms" )
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: client-cache benchmark -> BENCH_cache.json                  *)
+(* Part 6: client-cache benchmark -> BENCH_cache.json                  *)
 
 (* The client-side caching fast path, measured two ways.
 
    Behaviourally: the production day re-run with the tuned+cache cell
-   (deterministic at seed 42, scale 0.25, like Part 8), per strategy —
+   (deterministic at seed 42, scale 0.25, like Part 5), per strategy —
    hit rate, data-plane messages per lookup against the tuned client,
    crowd-window p99 and stale reads — plus TTL and capacity sweeps of
    the freshness-vs-traffic trade-off and one hotspot-adversarial cell
@@ -887,62 +672,29 @@ let bench_cache () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let jobs = ref 0 in
-  let smoke = ref false in
-  Arg.parse
-    [ ("-j", Arg.Set_int jobs, "JOBS worker domains for Part 2 (0 = one per core)");
-      ("--jobs", Arg.Set_int jobs, "JOBS same as -j");
-      ("--smoke", Arg.Set smoke, " skip the printed reproduction and ablations (Parts 2-3)") ]
-    (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
-    "bench [-j JOBS] [--smoke]";
-  let jobs = if !jobs = 0 then Pool.recommended_jobs () else !jobs in
+  if Array.length Sys.argv > 1 then (
+    prerr_endline "usage: main.exe (takes no arguments; rewrites every BENCH_*.json)";
+    exit 2);
   let t0 = Unix.gettimeofday () in
   let part title =
     print_endline ("=== " ^ title ^ " ===");
     print_newline ()
   in
-  if not !smoke then begin
-    part "Part 2: paper reproduction (tables and figures)";
-    let ctx = E.Ctx.v ~seed:42 ~scale:1.0 ~jobs () in
-    List.iter
-      (fun e ->
-        let start = Unix.gettimeofday () in
-        Table.print (e.E.Registry.run ctx);
-        Printf.printf "(%s regenerated in %.1fs)\n\n%!" e.E.Registry.id
-          (Unix.gettimeofday () -. start))
-      E.Registry.all;
-    (let _, derived = E.Exp_table2.run_full ctx in
-     Table.print derived;
-     print_newline ());
-    Table.print E.Exp_table2.paper_stars;
-    print_newline ();
-    part "Part 3: ablations";
-    ablation_ft_heuristic ();
-    print_newline ();
-    ablation_delete_policy ();
-    print_newline ();
-    ablation_coordinator_bottleneck ();
-    print_newline ();
-    ablation_coordinator_replication ();
-    print_newline ();
-    ablation_hash_sizing ();
-    print_newline ()
-  end;
-  part "Part 4: churn/repair benchmark (BENCH_repair.json)";
+  part "Part 1: churn/repair benchmark (BENCH_repair.json)";
   emit "BENCH_repair.json" ~benchmark:"churn_repair" (bench_repair ());
   print_newline ();
-  part "Parts 5-6: core throughput and instrumentation overhead (BENCH_core.json)";
+  part "Parts 2-3: core throughput and instrumentation overhead (BENCH_core.json)";
   (let core_params, core_rows = bench_core () in
    let obs_params, obs_rows = bench_obs () in
    emit "BENCH_core.json" ~benchmark:"core_throughput"
      (core_params @ obs_params, core_rows @ obs_rows));
   print_newline ();
-  part "Part 7: cluster-scale benchmark (BENCH_scale.json)";
+  part "Part 4: cluster-scale benchmark (BENCH_scale.json)";
   emit "BENCH_scale.json" ~benchmark:"cluster_scale" (bench_scale ());
   print_newline ();
-  part "Part 8: production-day chaos benchmark (BENCH_day.json)";
+  part "Part 5: production-day chaos benchmark (BENCH_day.json)";
   emit "BENCH_day.json" ~benchmark:"production_day" (bench_day ());
   print_newline ();
-  part "Part 9: client-cache benchmark (BENCH_cache.json)";
+  part "Part 6: client-cache benchmark (BENCH_cache.json)";
   emit "BENCH_cache.json" ~benchmark:"client_cache" (bench_cache ());
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

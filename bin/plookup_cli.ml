@@ -305,45 +305,14 @@ let run_cmd =
         $ cache_flag $ cache_cap_arg $ cache_ttl_arg $ swr_arg $ hotspot_arg
         $ csv_arg $ plot_arg))
 
-(* day subcommand: the production-day chaos experiment with its overload
-   knobs front and center *)
-let day_experiment smoke seed scale jobs loss duplication jitter mttf mttr horizon repair
-    grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker degrade
-    cache cache_cap cache_ttl swr hotspot csv plot =
-  let scale = if smoke then 0.05 else scale in
-  run_experiment [ "day" ] seed scale jobs loss duplication jitter mttf mttr horizon
-    repair grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker
-    degrade cache cache_cap cache_ttl swr hotspot csv plot
-
-let day_cmd =
-  let smoke =
-    let doc =
-      "Chaos smoke run: a tiny deterministic day (scale 0.05, overriding $(b,--scale)) \
-       that exercises shedding, hedging, breakers and gray failure in about a second — \
-       the CI gate."
-    in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let doc =
-    "Run the production-day chaos experiment: an open-loop Zipf client population with \
-     a flash crowd and a diurnal swing against capacity-limited servers, two of which \
-     gray-fail, under churn and repair — naive vs tail-tolerant clients per strategy."
-  in
-  Cmd.v (Cmd.info "day" ~doc)
-    Term.(
-      ret
-        (const day_experiment $ smoke $ seed_arg $ scale_arg $ jobs_arg $ loss_arg
-        $ duplication_arg $ jitter_arg $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg
-        $ grace_arg $ repair_period_arg $ hint_ttl_arg $ hint_cap_arg $ capacity_arg
-        $ service_rate_arg $ deadline_arg $ hedge_arg $ breaker_arg $ degrade_arg
-        $ cache_flag $ cache_cap_arg $ cache_ttl_arg $ swr_arg $ hotspot_arg
-        $ csv_arg $ plot_arg))
-
 (* list subcommand *)
 let list_experiments () =
+  let width =
+    List.fold_left (fun w id -> max w (String.length id)) 0 (Experiments.Registry.ids ())
+  in
   List.iter
     (fun e ->
-      Printf.printf "%-8s %s\n" e.Experiments.Registry.id e.Experiments.Registry.title)
+      Printf.printf "%-*s %s\n" width e.Experiments.Registry.id e.Experiments.Registry.title)
     Experiments.Registry.all;
   `Ok ()
 
@@ -351,13 +320,20 @@ let list_cmd =
   let doc = "List the reproducible tables and figures." in
   Cmd.v (Cmd.info "list" ~doc) Term.(ret (const list_experiments $ const ()))
 
-(* stars subcommand *)
+(* stars subcommand: Table 2's star ranks derived from the scorecard
+   that [run table2] measures (seed 42, scale 1.0), then the paper's *)
 let stars () =
+  let _, derived = Experiments.Exp_table2.run_full (Experiments.Ctx.v ()) in
+  Table.print derived;
+  print_newline ();
   Table.print Experiments.Exp_table2.paper_stars;
   `Ok ()
 
 let stars_cmd =
-  let doc = "Print the paper's Table 2 star ratings for comparison." in
+  let doc =
+    "Print Table 2's star ranks derived from the measured scorecard (seed 42, scale 1.0), \
+     then the paper's own star ratings for comparison."
+  in
   Cmd.v (Cmd.info "stars" ~doc) Term.(ret (const stars $ const ()))
 
 (* strategies subcommand: the registry, printed *)
@@ -663,9 +639,8 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.15.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.16.0" ~doc in
   Cmd.group info
-    [ run_cmd; day_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd;
-      trace_cmd ]
+    [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -75,7 +75,6 @@ type t = {
   down_since : float option array;
   down_digest : Bitset.t option array; (* store snapshot at fail time *)
   deficient_since : (int, float) Hashtbl.t;
-  mutable engine : Engine.t option;
   mutable daemon_ticks : int;
   (* Repair bookkeeping lives on the cluster's metrics registry, next to
      the network counters it explains. *)
@@ -93,7 +92,7 @@ type t = {
 }
 
 let net t = Cluster.net t.cluster
-let now t = match t.engine with Some e -> Engine.now e | None -> 0.
+let now t = Net.now (net t)
 let daemon_ticks t = t.daemon_ticks
 let repair_messages t = Net.repair_messages (net t)
 let hints_pending t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.hints
@@ -647,7 +646,6 @@ let install cluster ~config ~plan =
       down_since = Array.make n None;
       down_digest = Array.make n None;
       deficient_since = Hashtbl.create 64;
-      engine = None;
       daemon_ticks = 0;
       st_syncs = Metrics.counter m "repair.syncs";
       st_shipped = Metrics.counter m "repair.entries_shipped";
@@ -668,7 +666,7 @@ let install cluster ~config ~plan =
   t
 
 let attach_engine ?until t engine =
-  t.engine <- Some engine;
+  Net.attach_engine (net t) engine;
   if t.config.mode = Full then begin
     let within time = match until with None -> true | Some u -> time <= u in
     let rec tick _ =

@@ -93,9 +93,10 @@ val install : Cluster.t -> config:config -> plan:plan -> t
     on [mode = Off] or non-positive timing parameters. *)
 
 val attach_engine : ?until:float -> t -> Plookup_sim.Engine.t -> unit
-(** Give repair a clock (hint TTLs and grace periods are 0-based without
-    one) and, in [Full] mode, schedule the daemon every [period] time
-    units, stopping after [until] if given. *)
+(** Make [engine] the cluster network's clock ({!Plookup_net.Net.attach_engine}),
+    which is also repair's (hint TTLs and grace periods are 0-based
+    without one), and, in [Full] mode, schedule the daemon every
+    [period] time units, stopping after [until] if given. *)
 
 (** {1 Introspection} *)
 

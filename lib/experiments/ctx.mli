@@ -7,9 +7,11 @@
     crank any experiment back up to paper scale (see EXPERIMENTS.md).
 
     [loss], [duplication] and [jitter] describe an ambient fault model
-    (see {!Plookup_net.Net.set_faults}) that fault-aware experiments —
-    currently the loss sweep — thread into the networks they build; the
-    CLI exposes them as [--loss], [--duplication] and [--jitter]. *)
+    (see {!Plookup_net.Net.set_faults}) that fault-aware experiments
+    thread into the networks they build: [latency] and [day] install it
+    whole ({!apply_faults}), and the [loss] sweep takes duplication and
+    jitter from it and adds a non-zero [loss] to the rates it sweeps.
+    The CLI exposes them as [--loss], [--duplication] and [--jitter]. *)
 
 type overload = {
   capacity : int;  (** per-server inbox queue limit, >= 1 *)

@@ -32,6 +32,7 @@ let run_strategy ctx ~obs ~n ~h ~t ~mttf ~mttr ~horizon ~update_every ~repair co
   Service.place service initial;
   let cluster = Service.cluster service in
   let engine = Engine.create () in
+  Plookup_net.Net.attach_engine (Cluster.net cluster) engine;
   (match Service.repair service with
   | Some rep -> Repair.attach_engine ~until:horizon rep engine
   | None -> ());

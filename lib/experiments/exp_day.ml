@@ -71,6 +71,7 @@ let run_cell ctx ~obs ~n ~h ~t ~keys ~alpha ~rtt_lo ~rtt_hi ~timeout ~base_rate 
   Cluster.set_capacity cluster ~service_rate:ov.Ctx.service_rate
     ~queue_limit:ov.Ctx.capacity ~nack:(mode = Tuned) ();
   let engine = Engine.create () in
+  Net.attach_engine (Cluster.net cluster) engine;
   (match Service.repair service with
   | Some rep -> Repair.attach_engine ~until:horizon rep engine
   | None -> ());

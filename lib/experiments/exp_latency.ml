@@ -20,6 +20,7 @@ let measure_config ctx ~n ~h ~t ~lookups ~timeout ~rtt_lo ~rtt_hi ~obs ~config ~
   Ctx.apply_faults ctx cluster;
   List.iter (Cluster.fail cluster) down;
   let engine = Engine.create () in
+  Plookup_net.Net.attach_engine (Cluster.net cluster) engine;
   let latency_rng = Rng.create (Ctx.run_seed ctx 2) in
   (* One hop is half a round trip. *)
   let latency () = Dist.uniform_in latency_rng ~lo:(rtt_lo /. 2.) ~hi:(rtt_hi /. 2.) in

@@ -28,6 +28,7 @@ let measure ctx ~obs ~n ~h ~t ~lookups ~timeout ~retries ~loss ~config ~order_of
   Cluster.set_faults cluster ~loss ~duplication:ctx.Ctx.duplication
     ~jitter:ctx.Ctx.jitter ();
   let engine = Engine.create () in
+  Net.attach_engine (Cluster.net cluster) engine;
   let latency_rng = Rng.create (seed lxor 0x10552) in
   let latency () = Dist.uniform_in latency_rng ~lo:2.5 ~hi:25. in
   let order_rng = Rng.create (seed lxor 0x0BDE5) in

@@ -48,7 +48,8 @@ let stars_of_measurements rows =
       ("lookup cost", true); ("unfairness", true); ("msgs/update", true) ]
   in
   let table =
-    Table.create ~title:"Table 2 (derived): star ranks computed from the measurements above"
+    Table.create
+      ~title:"Table 2 (derived): star ranks from the measured scorecard (plookup run table2)"
       ~columns:("strategy" :: List.map fst columns)
   in
   let metric_count = List.length columns in

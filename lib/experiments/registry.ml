@@ -14,8 +14,8 @@ let all =
     { id = Exp_churn.id; title = Exp_churn.title; run = (fun ctx -> Exp_churn.run ctx) };
     { id = Exp_latency.id; title = Exp_latency.title; run = (fun ctx -> Exp_latency.run ctx) };
     { id = Exp_loss.id; title = Exp_loss.title; run = (fun ctx -> Exp_loss.run ctx) };
-    { id = Exp_day.id; title = Exp_day.title; run = (fun ctx -> Exp_day.run ctx) }
-  ]
+    { id = Exp_day.id; title = Exp_day.title; run = (fun ctx -> Exp_day.run ctx) } ]
+  @ List.map (fun (id, title, run) -> { id; title; run }) Exp_ablation.all
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 let ids () = List.map (fun e -> e.id) all

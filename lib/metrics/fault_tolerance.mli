@@ -23,9 +23,9 @@ val greedy : placement -> t:int -> int
 val exact : placement -> t:int -> int
 (** Exhaustive minimum breaking set (tolerance = |set| - 1), exponential
     in the server count; intended for <= ~15 servers in tests.  Same
-    conventions as {!greedy}.  Being exact, [exact p ~t <= greedy-claimed
-    tolerance] can fail only one way: greedy over-estimates never,
-    under-estimates possibly — i.e. [exact >= greedy]. *)
+    conventions as {!greedy}.  Greedy's breaking set is never smaller
+    than the minimum one, so [exact p ~t <= greedy p ~t] always: the
+    heuristic can over-estimate tolerance, never under-estimate it. *)
 
 val greedy_failure_order : placement -> int list
 (** The order in which the heuristic would fail all servers (most

@@ -75,7 +75,7 @@ type ('msg, 'reply) t = {
   delay_h : Metrics.histogram;
   mutable in_repair : bool;
   mutable tracing : 'msg tracing option;
-  mutable engine : (Plookup_sim.Engine.t * (src:sender -> dst:int -> float)) option;
+  mutable engine : Plookup_sim.Engine.t option; (* the clock; see [attach_engine] *)
   mutable status_listeners : (int -> up:bool -> unit) list;
   mutable drop_listener : (src:sender -> dst:int -> 'msg -> unit) option;
   mutable faults : faults option;
@@ -307,7 +307,7 @@ let reachable t ~src ~dst =
    keeping whole causal trees in or out together. *)
 
 let[@inline always] now t =
-  match t.engine with Some (e, _) -> Plookup_sim.Engine.now e | None -> 0.
+  match t.engine with Some e -> Plookup_sim.Engine.now e | None -> 0.
 
 let[@inline always] trace_send t ~src ~dst msg =
   match t.tracing with
@@ -501,7 +501,7 @@ let reset_counters t =
   Metrics.reset_counter t.repair_count;
   Metrics.reset_histogram t.delay_h
 
-let attach_engine t engine ~latency = t.engine <- Some (engine, latency)
+let attach_engine t engine = t.engine <- Some engine
 
 (* Delays (relative to now) at which copies of one engine-routed
    transmission arrive: [] when partitioned or lost, two entries when
@@ -589,21 +589,6 @@ let deliver_queued t engine ?(sid = 0) ~src ~dst msg k =
                 have failed while the request sat in its queue. *)
              k (deliver t ~sid ~src ~dst msg)))
     end
-
-let post t ~src ~dst msg =
-  check_node t dst;
-  match t.engine with
-  | None -> ignore (send t ~src ~dst msg)
-  | Some (engine, latency) ->
-    let base = latency ~src ~dst in
-    let sid = trace_send t ~src ~dst msg in
-    List.iter
-      (fun delay ->
-        ignore
-          (Plookup_sim.Engine.schedule_after engine ~delay (fun engine ->
-               deliver_queued t engine ~sid ~src ~dst msg (fun _ -> ()))))
-      (transmission_delays t ~sid ~spanmsg:msg ~from_code:(code src) ~to_code:dst
-         ~base ())
 
 let call_async t engine ~latency ~src ~dst msg k =
   check_node t dst;

@@ -10,8 +10,8 @@
     Delivery is synchronous: a send invokes the destination handler
     before returning, and an RPC returns the handler's reply.  This
     matches the paper's simulation (which measures message *counts*, not
-    latencies).  An optional latency model routes deliveries through a
-    {!Plookup_sim.Engine} instead, for latency-aware examples.
+    latencies).  {!call_async} routes a round trip through a
+    {!Plookup_sim.Engine} instead, for latency-aware experiments.
 
     Nodes can be failed and recovered; messages to a failed node are
     dropped (and counted as dropped, not received).
@@ -121,7 +121,7 @@ val fail_exactly : ('msg, 'reply) t -> int list -> unit
     [duplication] delivers it twice, and [jitter] adds an independent
     uniform [0, jitter) delay to each engine-routed delivery (the
     synchronous {!send}/{!broadcast} path has no clock, so jitter only
-    affects {!post} and {!call_async}).  Every directed link (client or
+    affects {!call_async}).  Every directed link (client or
     server X to server or client Y) draws from its own RNG stream seeded
     from [seed], so the fault schedule is a deterministic function of
     the seed and the per-link traffic sequence. *)
@@ -153,7 +153,7 @@ val faults_enabled : ('msg, 'reply) t -> bool
     By default servers process messages instantly — the paper's
     infinitely-fast world.  Installing a {e capacity model} turns each
     server into a single-threaded queueing station: engine-routed
-    deliveries ({!post}, {!call_async}) wait in the destination's
+    deliveries ({!call_async}) wait in the destination's
     bounded inbox and then hold the server for one service time before
     the handler runs, so delivery time becomes network latency +
     queueing + service.  When the inbox is full the server {e sheds}
@@ -289,22 +289,20 @@ val tally_as_repair : ('msg, 'reply) t -> (unit -> 'a) -> 'a
 
 val reset_counters : ('msg, 'reply) t -> unit
 
-(** {1 Latency-aware delivery (optional)} *)
+(** {1 Latency-aware delivery} *)
 
-val attach_engine :
-  ('msg, 'reply) t -> Plookup_sim.Engine.t -> latency:(src:sender -> dst:int -> float) -> unit
-(** After attaching, {!post} delivers through the engine with the given
-    per-hop latency.  [send] and [broadcast] stay synchronous (RPC-style)
-    regardless. *)
+val attach_engine : ('msg, 'reply) t -> Plookup_sim.Engine.t -> unit
+(** Make [engine] the network's clock: from now on every span the
+    network emits (sends, receives, drops, on both transports) carries
+    the engine's time.  Attach the engine that drives {!call_async} and
+    the run's other events, once, right after creating it
+    ([Plookup.Repair.attach_engine] does this for a repaired cluster).
+    Delivery itself does not change: {!send} and {!broadcast} stay
+    synchronous. *)
 
 val now : ('msg, 'reply) t -> float
 (** The attached engine's clock, 0 without one — the timestamp the
     network's own trace spans carry. *)
-
-val post : ('msg, 'reply) t -> src:sender -> dst:int -> 'msg -> unit
-(** Fire-and-forget delivery.  With an engine attached the handler runs
-    at [now + latency]; liveness of [dst] is checked at delivery time.
-    Without an engine this is [send] with the reply ignored. *)
 
 val call_async :
   ('msg, 'reply) t ->

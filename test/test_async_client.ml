@@ -351,6 +351,35 @@ let test_jitter_bounds_and_pins_both_modes () =
   Helpers.close "same seed, same schedule" jittered
     (run (Some (Plookup_util.Rng.create 11)))
 
+(* With the engine as the network's clock, a traced lookup launched at
+   engine time T0 sends at T0 and is received one hop (L) later. *)
+let test_spans_carry_engine_time () =
+  let obs = Plookup_obs.Obs.create () in
+  let tr = obs.Plookup_obs.Obs.trace in
+  let service = Service.create ~seed:5 ~obs ~n:3 Service.full_replication in
+  Service.place service (Entry.Gen.batch (Entry.Gen.create ()) 4);
+  let cluster = Service.cluster service in
+  let engine = Engine.create () in
+  Net.attach_engine (Cluster.net cluster) engine;
+  Plookup_obs.Trace.set_enabled tr true;
+  ignore
+    (Engine.schedule_at engine ~time:7. (fun _ ->
+         Async_client.lookup cluster engine
+           ~latency:(fun () -> 10.)
+           ~timeout:100. ~order:[ 0 ] ~t:2 ignore));
+  ignore (Engine.run engine);
+  let lookup_spans =
+    List.filter_map
+      (fun (sp : Plookup_obs.Span.t) ->
+        match sp.kind with
+        | Plookup_obs.Span.Send { msg = "lookup"; _ } -> Some ("send", sp.time)
+        | Plookup_obs.Span.Recv { msg = "lookup"; _ } -> Some ("recv", sp.time)
+        | _ -> None)
+      (Plookup_obs.Trace.spans tr)
+  in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "send at T0, recv at T0 + L" [ ("send", 7.); ("recv", 17.) ] lookup_spans
+
 let test_validation () =
   let cluster = manual_cluster ~n:1 [ [ 0 ] ] in
   let engine = Engine.create () in
@@ -480,6 +509,7 @@ let () =
             test_busy_nack_abandons_contact;
           Alcotest.test_case "jitter bounds and pins" `Quick
             test_jitter_bounds_and_pins_both_modes;
+          Alcotest.test_case "spans at engine time" `Quick test_spans_carry_engine_time;
           Alcotest.test_case "validation" `Quick test_validation;
           prop_async_agrees_with_sync_on_answers;
           prop_results_come_from_answers;

@@ -17,9 +17,10 @@ let column table name =
   List.map (fun row -> float_cell (List.nth row idx)) (Table.rows table)
 
 let test_registry_complete () =
-  Alcotest.(check (list string)) "paper order plus extensions"
+  Alcotest.(check (list string)) "paper order, extensions, ablations"
     [ "table1"; "fig4"; "fig6"; "fig7"; "fig9"; "fig12"; "fig13"; "fig14"; "table2";
-      "hotspot"; "churn"; "latency"; "loss"; "day" ]
+      "hotspot"; "churn"; "latency"; "loss"; "day"; "ft-exact"; "delete-policy"; "coord-load";
+      "coord-replicas"; "hash-y" ]
     (E.Registry.ids ())
 
 let test_registry_find () =
@@ -39,6 +40,31 @@ let test_every_experiment_runs () =
             (List.length row))
         (Table.rows table))
     E.Registry.all
+
+(* The engine-driven experiments make their engine the network's clock,
+   so every received lookup carries the time of its arrival, which is
+   after at least one hop. *)
+let test_lookups_received_at_engine_time () =
+  List.iter
+    (fun id ->
+      let obs = Plookup_obs.Obs.create ~trace_capacity:100_000 () in
+      let tr = obs.Plookup_obs.Obs.trace in
+      Plookup_obs.Trace.set_enabled tr true;
+      let e = Option.get (E.Registry.find id) in
+      ignore (e.E.Registry.run (E.Ctx.v ~seed:1 ~scale:0.05 ~obs ()));
+      let times =
+        List.filter_map
+          (fun (sp : Plookup_obs.Span.t) ->
+            match sp.kind with
+            | Plookup_obs.Span.Recv { msg = "lookup"; _ } -> Some sp.time
+            | _ -> None)
+          (Plookup_obs.Trace.spans tr)
+      in
+      if times = [] then Alcotest.failf "%s received no lookup" id;
+      List.iter
+        (fun t -> if t <= 0. then Alcotest.failf "%s received a lookup at t=%g" id t)
+        times)
+    [ "latency"; "loss"; "day"; "churn" ]
 
 let test_table1_matches_formulas () =
   let table = E.Exp_table1.run tiny in
@@ -237,6 +263,8 @@ let () =
         [ Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "registry find" `Quick test_registry_find;
           Alcotest.test_case "all run" `Slow test_every_experiment_runs;
+          Alcotest.test_case "lookups at engine time" `Slow
+            test_lookups_received_at_engine_time;
           Alcotest.test_case "table1 formulas" `Quick test_table1_matches_formulas;
           Alcotest.test_case "fig4 staircase" `Quick test_fig4_round_staircase;
           Alcotest.test_case "fig6 monotone" `Quick test_fig6_coverage_monotone;

@@ -57,9 +57,9 @@ let test_snapshot_reflects_stores () =
   Helpers.check_int "4 bitsets" 4 (Array.length p);
   Alcotest.(check (list int)) "server 0 entries" [ 0; 4 ] (Bitset.to_list p.(0))
 
-(* Random placements: greedy never reports more tolerance than breaking
-   is actually possible, and never less than the exact optimum minus
-   zero (greedy is an upper bound on tolerance). *)
+(* Random placements: greedy never reports less tolerance than the
+   exact optimum.  Its breaking set is never smaller than the minimum
+   one, so greedy is an upper bound on tolerance. *)
 let random_placement rng ~servers ~entries =
   List.init servers (fun _ ->
       List.filter (fun _ -> Rng.bool rng) (List.init entries Fun.id))
@@ -98,6 +98,30 @@ let prop_greedy_monotone_in_t =
          end, which is consistent with non-increasing. *)
       non_increasing values)
 
+(* Appendix A on every registered strategy's own placements: greedy
+   brackets the exact tolerance from above, and failing greedy's first
+   [greedy] victims on the live cluster really leaves t entries
+   reachable. *)
+let prop_appendix_a_on_real_placements =
+  Helpers.qcheck ~count:300 "Appendix A on real placements"
+    QCheck2.Gen.(quad int (int_range 3 8) (int_range 8 30) (int_range 1 30))
+    (fun (seed, n, h, t) ->
+      List.for_all
+        (fun config ->
+          let service, _ = Helpers.placed_service ~seed ~n ~h config in
+          let cluster = Service.cluster service in
+          let p = FT.snapshot cluster ~capacity:h in
+          let g = FT.greedy p ~t and e = FT.exact p ~t in
+          if g = -1 || e = -1 then g = -1 && e = -1
+          else begin
+            List.iteri
+              (fun i s -> if i < g then Cluster.fail cluster s)
+              (FT.greedy_failure_order p);
+            0 <= e && e <= g && g <= n - 1
+            && Plookup_store.Entry.Set.cardinal (Cluster.coverage cluster) >= t
+          end)
+        (Service.all_configs ~ablations:true ~budget:(2 * h) ~n ~h ()))
+
 let () =
   Helpers.run "fault_tolerance"
     [ ( "fault_tolerance",
@@ -110,4 +134,5 @@ let () =
           Alcotest.test_case "snapshot" `Quick test_snapshot_reflects_stores;
           prop_greedy_at_least_exact;
           prop_exact_within_bounds;
-          prop_greedy_monotone_in_t ] ) ]
+          prop_greedy_monotone_in_t;
+          prop_appendix_a_on_real_placements ] ) ]

@@ -137,23 +137,19 @@ let test_fail_exactly_notifies () =
   Alcotest.(check (list (pair int bool))) "recover then fail" [ (0, true); (2, false) ]
     (List.rev !events)
 
-let test_post_without_engine_is_sync () =
-  let got = ref [] in
-  let net = Net.create ~n:2 () in
-  Net.set_handler net (fun dst _src msg ->
-      got := (dst, msg) :: !got);
-  Net.post net ~src:Net.Client ~dst:1 "now";
-  Alcotest.(check bool) "delivered synchronously" true (!got = [ (1, "now") ])
-
-let test_post_with_engine_is_delayed () =
+let test_async_is_delayed () =
   let engine = Engine.create () in
   let got = ref [] in
   let net = Net.create ~n:3 () in
   Net.set_handler net (fun dst _src msg ->
       got := (Engine.now engine, dst, msg) :: !got);
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst -> 1. +. float_of_int dst);
-  Net.post net ~src:Net.Client ~dst:2 "slow";
-  Net.post net ~src:Net.Client ~dst:0 "fast";
+  let call dst msg =
+    Net.call_async net engine
+      ~latency:(fun ~src:_ ~dst -> 1. +. float_of_int dst)
+      ~src:Net.Client ~dst msg ignore
+  in
+  call 2 "slow";
+  call 0 "fast";
   Alcotest.(check bool) "not delivered yet" true (!got = []);
   ignore (Engine.run engine);
   (match List.rev !got with
@@ -162,13 +158,18 @@ let test_post_with_engine_is_delayed () =
     Helpers.close "latency 3" 3. t2
   | _ -> Alcotest.fail "unexpected delivery order")
 
-let test_post_to_failed_node_after_delay () =
-  (* Liveness is checked at delivery time, not post time. *)
+(* One engine-routed round trip from the client at a fixed per-hop
+   latency, its reply ignored. *)
+let call_after latency net engine ~dst msg =
+  Net.call_async net engine ~latency:(fun ~src:_ ~dst:_ -> latency) ~src:Net.Client ~dst msg
+    ignore
+
+let test_async_to_failed_node_after_delay () =
+  (* Liveness is checked at delivery time, not call time. *)
   let engine = Engine.create () in
   let net = Net.create ~n:2 () in
   Net.set_handler net (fun _ _ _ -> Alcotest.fail "should be dropped");
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 5.);
-  Net.post net ~src:Net.Client ~dst:1 ();
+  call_after 5. net engine ~dst:1 ();
   Net.fail net 1;
   ignore (Engine.run engine);
   Helpers.check_int "dropped at delivery" 1 (Net.messages_dropped net)
@@ -208,10 +209,9 @@ let test_jitter_bounds_delay () =
   let net = Net.create ~n:1 () in
   let times = ref [] in
   Net.set_handler net (fun _ _ () -> times := Engine.now engine :: !times);
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 5.);
   Net.set_faults net ~seed:5 ~jitter:2. ();
   for _ = 1 to 30 do
-    Net.post net ~src:Net.Client ~dst:0 ()
+    call_after 5. net engine ~dst:0 ()
   done;
   ignore (Engine.run engine);
   Helpers.check_int "all delivered" 30 (List.length !times);
@@ -249,10 +249,9 @@ let test_fault_determinism () =
     let net = Net.create ~n:3 () in
     let log = ref [] in
     Net.set_handler net (fun dst _src msg -> log := (Engine.now engine, dst, msg) :: !log);
-    Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 5.);
     Net.set_faults net ~seed ~loss:0.2 ~duplication:0.2 ~jitter:3. ();
     for i = 1 to 60 do
-      Net.post net ~src:Net.Client ~dst:(i mod 3) i
+      call_after 5. net engine ~dst:(i mod 3) i
     done;
     ignore (Engine.run engine);
     (List.rev !log, Net.messages_lost net, Net.duplicates_delivered net)
@@ -386,11 +385,10 @@ let test_capacity_queueing_serializes_service () =
   let net = Net.create ~n:1 () in
   let served = ref [] in
   Net.set_handler net (fun _ _ () -> served := Engine.now engine :: !served);
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 5.);
   Net.set_capacity net ~service_rate:0.5 ~queue_limit:10 ();
   Alcotest.(check bool) "capacity installed" true (Net.has_capacity net);
   for _ = 1 to 3 do
-    Net.post net ~src:Net.Client ~dst:0 ()
+    call_after 5. net engine ~dst:0 ()
   done;
   ignore (Engine.run engine);
   Alcotest.(check (list (float 1e-9)))
@@ -404,10 +402,9 @@ let test_capacity_sheds_when_full () =
   let engine = Engine.create () in
   let net = Net.create ~n:1 () in
   Net.set_handler net (fun _ _ () -> ());
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 1.);
   Net.set_capacity net ~service_rate:0.1 ~queue_limit:2 ();
   for _ = 1 to 5 do
-    Net.post net ~src:Net.Client ~dst:0 ()
+    call_after 1. net engine ~dst:0 ()
   done;
   ignore (Engine.run engine);
   Helpers.check_int "two served" 2 (Net.messages_received net);
@@ -446,13 +443,12 @@ let test_capacity_degraded_slows_service () =
   let net = Net.create ~n:2 () in
   let served = ref [] in
   Net.set_handler net (fun dst _ () -> served := (dst, Engine.now engine) :: !served);
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 1.);
   Net.set_capacity net ~service_rate:1.0 ~queue_limit:4 ();
   Helpers.close "healthy by default" 1. (Net.degraded_factor net 0);
   Net.set_degraded net 0 ~factor:10.;
   Helpers.close "degraded factor" 10. (Net.degraded_factor net 0);
-  Net.post net ~src:Net.Client ~dst:0 ();
-  Net.post net ~src:Net.Client ~dst:1 ();
+  call_after 1. net engine ~dst:0 ();
+  call_after 1. net engine ~dst:1 ();
   ignore (Engine.run engine);
   let time_of dst = List.assoc dst !served in
   Helpers.close "healthy server: 1 latency + 1 service" 2. (time_of 1);
@@ -476,9 +472,8 @@ let test_capacity_liveness_rechecked_at_service_time () =
   let engine = Engine.create () in
   let net = Net.create ~n:1 () in
   Net.set_handler net (fun _ _ () -> Alcotest.fail "served by a dead server");
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 1.);
   Net.set_capacity net ~service_rate:0.25 ~queue_limit:4 ();
-  Net.post net ~src:Net.Client ~dst:0 ();
+  call_after 1. net engine ~dst:0 ();
   ignore (Engine.schedule_at engine ~time:2. (fun _ -> Net.fail net 0));
   ignore (Engine.run engine);
   Helpers.check_int "not received" 0 (Net.messages_received net);
@@ -490,10 +485,9 @@ let test_capacity_clear_restores_instant_delivery () =
   let net = Net.create ~n:1 () in
   let served = ref [] in
   Net.set_handler net (fun _ _ () -> served := Engine.now engine :: !served);
-  Net.attach_engine net engine ~latency:(fun ~src:_ ~dst:_ -> 1.);
   Net.set_capacity net ~service_rate:0.1 ~queue_limit:4 ();
   Net.clear_capacity net;
-  Net.post net ~src:Net.Client ~dst:0 ();
+  call_after 1. net engine ~dst:0 ();
   ignore (Engine.run engine);
   Alcotest.(check (list (float 1e-9))) "no service delay after clear" [ 1. ] !served
 
@@ -540,9 +534,8 @@ let () =
           Alcotest.test_case "wrap requires handler" `Quick test_wrap_handler_requires_handler;
           Alcotest.test_case "status listener" `Quick test_status_listener;
           Alcotest.test_case "fail_exactly notifies" `Quick test_fail_exactly_notifies;
-          Alcotest.test_case "post sync" `Quick test_post_without_engine_is_sync;
-          Alcotest.test_case "post delayed" `Quick test_post_with_engine_is_delayed;
-          Alcotest.test_case "post to failed" `Quick test_post_to_failed_node_after_delay;
+          Alcotest.test_case "async delayed" `Quick test_async_is_delayed;
+          Alcotest.test_case "async to failed" `Quick test_async_to_failed_node_after_delay;
           Alcotest.test_case "loss drops" `Quick test_loss_drops_and_counts;
           Alcotest.test_case "duplication" `Quick test_duplication_delivers_twice;
           Alcotest.test_case "jitter bounds" `Quick test_jitter_bounds_delay;

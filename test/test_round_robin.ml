@@ -93,6 +93,30 @@ let test_delete_middle_plugs_hole () =
   Helpers.check_int "head advanced" 1 (Round_robin.head s);
   Helpers.check_int "live shrank" 7 (Round_robin.live_count s)
 
+(* With the engine as the network's clock, a delete run from an engine
+   event stamps its migration span with that event's time. *)
+let test_migration_span_at_engine_time () =
+  let obs = Plookup_obs.Obs.create () in
+  let tr = obs.Plookup_obs.Obs.trace in
+  let cluster = Cluster.create ~seed:2 ~obs ~n:4 () in
+  let s = Round_robin.create cluster ~y:2 in
+  let batch = Helpers.entries 8 in
+  Round_robin.place s batch;
+  let engine = Plookup_sim.Engine.create () in
+  Net.attach_engine (Cluster.net cluster) engine;
+  Plookup_obs.Trace.set_enabled tr true;
+  ignore
+    (Plookup_sim.Engine.schedule_at engine ~time:12.5 (fun _ ->
+         Round_robin.delete s (List.nth batch 5)));
+  ignore (Plookup_sim.Engine.run engine);
+  let migrations =
+    List.filter_map
+      (fun (sp : Plookup_obs.Span.t) ->
+        match sp.kind with Plookup_obs.Span.Migration _ -> Some sp.time | _ -> None)
+      (Plookup_obs.Trace.spans tr)
+  in
+  Alcotest.(check (list (float 1e-9))) "migration at the event's time" [ 12.5 ] migrations
+
 let test_delete_message_cost () =
   let cluster, s, batch = make ~n:4 ~h:8 ~y:2 () in
   Net.reset_counters (Cluster.net cluster);
@@ -302,6 +326,8 @@ let () =
           Alcotest.test_case "delete head" `Quick test_delete_head_no_migration;
           Alcotest.test_case "delete middle" `Quick test_delete_middle_plugs_hole;
           Alcotest.test_case "delete cost" `Quick test_delete_message_cost;
+          Alcotest.test_case "migration at engine time" `Quick
+            test_migration_span_at_engine_time;
           Alcotest.test_case "delete unknown" `Quick test_delete_unknown_is_ignored;
           Alcotest.test_case "paper fig 10" `Quick test_paper_fig10_scenario;
           Alcotest.test_case "lookup steps" `Quick test_lookup_cost_steps;
