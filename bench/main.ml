@@ -11,7 +11,6 @@ open Plookup
 open Plookup_store
 open Plookup_util
 module Metrics = Plookup_metrics
-module Workload = Plookup_workload
 module Net = Plookup_net.Net
 module E = Plookup_experiments
 
@@ -75,24 +74,26 @@ let emit file ~benchmark (params, rows) =
   Baseline.write file ~benchmark ~params:(params @ manifest) rows;
   Printf.printf "(wrote %s)\n" file
 
-(* One named column of an experiment table, top to bottom. *)
-let column table name =
+(* [cell table name row]: the cell of [row] in the column [name] of [table]. *)
+let cell table name =
   let rec index i = function
     | [] -> failwith ("bench: no column " ^ name)
     | c :: rest -> if c = name then i else index (i + 1) rest
   in
   let i = index 0 (Table.columns table) in
-  List.map (fun cells -> List.nth cells i) (Table.rows table)
+  fun cells -> List.nth cells i
+
+(* One named column of an experiment table, top to bottom. *)
+let column table name = List.map (cell table name) (Table.rows table)
 
 let texts table name = List.map Table.cell_to_string (column table name)
 
-let numbers table name =
-  List.map
-    (function
-      | Table.F f | Table.F4 f -> f
-      | Table.I i -> float_of_int i
-      | Table.S s -> failwith (Printf.sprintf "bench: text %S in column %s" s name))
-    (column table name)
+let number name = function
+  | Table.F f | Table.F4 f -> f
+  | Table.I i -> float_of_int i
+  | Table.S s -> failwith (Printf.sprintf "bench: text %S in column %s" s name)
+
+let numbers table name = List.map (number name) (column table name)
 
 (* [where client table read name]: column [name] on the rows of [client]. *)
 let where client table read name =
@@ -104,122 +105,29 @@ let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 (* ------------------------------------------------------------------ *)
 (* Part 1: churn/repair benchmark -> BENCH_repair.json                  *)
 
-(* One churned run per strategy with the full repair stack on (recovery
-   sync + hinted handoff + daemon), reporting what the self-healing
-   layer buys and what it costs: lookup success rate, stale reads,
-   mean time-to-restore-degree, and repair messages. *)
+(* The churn experiment's repaired rows: what the full self-healing
+   stack (recovery sync + hinted handoff + daemon) buys and what it
+   costs, per strategy: lookup success rate, stale reads, mean
+   time-to-restore-degree (when any degree was lost) and repair
+   messages.  At scale 0.4 the churned horizon is 2000 time units. *)
 let bench_repair () =
-  let n = 10 and h = 100 and t = 40 in
-  let mttf = 50. and mttr = 50. and horizon = 2000. and update_every = 10. in
-  let churn = Workload.Churn.generate (Rng.create 7) ~n ~mttf ~mttr ~horizon in
-  let scenario config =
-    let service = Service.create ~seed:99 ~repair:Repair.default_config ~n config in
-    let gen = Entry.Gen.create () in
-    let initial = Entry.Gen.batch gen h in
-    Service.place service initial;
-    let cluster = Service.cluster service in
-    let rep = Option.get (Service.repair service) in
-    let engine = Plookup_sim.Engine.create () in
-    Repair.attach_engine ~until:horizon rep engine;
-    Workload.Churn.drive engine
-      ~apply:(fun ev ->
-        if ev.Workload.Churn.up then Cluster.recover cluster ev.Workload.Churn.server
-        else Cluster.fail cluster ev.Workload.Churn.server)
-      churn;
-    let live = Hashtbl.create (2 * h) in
-    (* Uniform victim picks in O(1): a swap-remove array of live ids
-       plus an id -> slot table, instead of sorting every live id on
-       every update (O(h log h) per pick). *)
-    let ids = ref (Array.make (max 16 (2 * h)) 0) in
-    let live_count = ref 0 in
-    let slot_of = Hashtbl.create (2 * h) in
-    let track id =
-      if !live_count = Array.length !ids then begin
-        let bigger = Array.make (2 * Array.length !ids) 0 in
-        Array.blit !ids 0 bigger 0 !live_count;
-        ids := bigger
-      end;
-      !ids.(!live_count) <- id;
-      Hashtbl.replace slot_of id !live_count;
-      incr live_count
-    in
-    let untrack id =
-      match Hashtbl.find_opt slot_of id with
-      | None -> ()
-      | Some slot ->
-        let last = !live_count - 1 in
-        let moved = !ids.(last) in
-        !ids.(slot) <- moved;
-        Hashtbl.replace slot_of moved slot;
-        Hashtbl.remove slot_of id;
-        live_count := last
-    in
-    List.iter
-      (fun e ->
-        Hashtbl.replace live (Entry.id e) e;
-        track (Entry.id e))
-      initial;
-    let deleted = Hashtbl.create 64 in
-    let wl_rng = Rng.create 15 in
-    for k = 1 to int_of_float (horizon /. update_every) do
-      ignore
-        (Plookup_sim.Engine.schedule_at engine
-           ~time:((float_of_int k *. update_every) +. 0.25)
-           (fun _ ->
-             if Service.can_update service && !live_count > 0 then begin
-               let victim_id = !ids.(Rng.int wl_rng !live_count) in
-               let victim = Hashtbl.find live victim_id in
-               Service.delete service victim;
-               Hashtbl.remove live victim_id;
-               untrack victim_id;
-               Hashtbl.replace deleted victim_id ();
-               let fresh = Entry.Gen.fresh gen in
-               Service.add service fresh;
-               Hashtbl.replace live (Entry.id fresh) fresh;
-               track (Entry.id fresh)
-             end))
-    done;
-    let lookups = ref 0 and satisfied = ref 0 and stale = ref 0 in
-    for i = 1 to int_of_float horizon do
-      ignore
-        (Plookup_sim.Engine.schedule_at engine ~time:(float_of_int i) (fun _ ->
-             let r = Service.partial_lookup service t in
-             incr lookups;
-             let returned = r.Lookup_result.entries in
-             let live_returned =
-               List.filter (fun e -> Hashtbl.mem live (Entry.id e)) returned
-             in
-             if List.length live_returned >= t then incr satisfied;
-             stale :=
-               !stale
-               + List.length
-                   (List.filter (fun e -> Hashtbl.mem deleted (Entry.id e)) returned)))
-    done;
-    ignore (Plookup_sim.Engine.run ~until:horizon engine);
-    let key = Service.config_name config in
-    [ row ~digits:2 ~unit:"%" "repair" "success_pct" key
-        (100. *. float_of_int !satisfied /. float_of_int (max 1 !lookups));
-      row ~better:Lower ~unit:"entries" "repair" "stale_reads" key (float_of_int !stale) ]
-    @ (match (Repair.stats rep).Repair.mean_restore_time with
-      | Some rt -> [ row ~digits:4 ~better:Lower ~unit:"time" "repair" "restore_time" key rt ]
-      | None -> [])
-    @ [ row ~better:Lower ~unit:"msgs" "repair" "messages" key
-          (float_of_int (Repair.repair_messages rep)) ]
+  let scale = 0.4 in
+  let table = E.Exp_churn.run (E.Ctx.v ~seed:42 ~scale ()) in
+  let text name r = Table.cell_to_string (cell table name r) in
+  let value name r = number name (cell table name r) in
+  let strategy r =
+    let key = text "strategy" r in
+    [ row ~digits:2 ~unit:"%" "repair" "success_pct" key (value "success %" r);
+      row ~better:Lower ~unit:"entries" "repair" "stale_reads" key (value "stale reads" r) ]
+    @ (if text "restore time" r = "-" then []
+       else
+         [ row ~digits:4 ~better:Lower ~unit:"time" "repair" "restore_time" key
+             (value "restore time" r) ])
+    @ [ row ~better:Lower ~unit:"msgs" "repair" "messages" key (value "repair msgs" r) ]
   in
-  (* Fixed-x needs x >= t to answer at all: it gets the t + 5 that
-     Exp_churn and Exp_day give it. *)
-  let configs =
-    List.map
-      (fun config -> if Service.kind config = "Fixed" then Service.fixed (t + 5) else config)
-      (Service.all_configs ~budget:200 ~n ~h ())
-  in
-  let recoveries = List.length (List.filter (fun ev -> ev.Workload.Churn.up) churn) in
-  ( Json.
-      [ ("seed", Num 99.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
-        ("t", Num (float_of_int t)); ("mttf", Num mttf); ("mttr", Num mttr);
-        ("horizon", Num horizon); ("repair", Str "full");
-        ("recoveries", Num (float_of_int recoveries)) ],
-    List.concat_map scenario configs )
+  ( Json.[ ("seed", Num 42.); ("scale", Num scale); ("repair", Str "full") ],
+    List.concat_map strategy
+      (List.filter (fun r -> text "repair" r = "full") (Table.rows table)) )
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: core throughput -> BENCH_core.json                           *)

@@ -46,45 +46,60 @@ let jitter_arg =
   Arg.(value & opt float 0.0 & info [ "jitter" ] ~docv:"MS" ~doc)
 
 let mttf_arg =
-  let doc = "Mean time to failure per server, for the churn experiment (default 50)." in
+  let doc =
+    "Mean time to failure per server, for the churned experiments: $(b,churn) \
+     (default 50) and $(b,day) (default 250)."
+  in
   Arg.(value & opt (some float) None & info [ "mttf" ] ~docv:"TIME" ~doc)
 
 let mttr_arg =
-  let doc = "Mean time to recovery per server, for the churn experiment (default 50)." in
+  let doc =
+    "Mean time to recovery per server, for the churned experiments: $(b,churn) \
+     (default 50) and $(b,day) (default 20)."
+  in
   Arg.(value & opt (some float) None & info [ "mttr" ] ~docv:"TIME" ~doc)
 
 let horizon_arg =
   let doc =
-    "Simulated duration of the churn experiment before $(b,--scale) is applied \
-     (default 5000)."
+    "Simulated duration of the churned experiments before $(b,--scale) is applied: \
+     $(b,churn) (default 5000) and $(b,day) (default 600)."
   in
   Arg.(value & opt (some float) None & info [ "horizon" ] ~docv:"TIME" ~doc)
 
 let repair_arg =
   let doc =
-    "Self-healing mode compared against repair-off in the churn experiment: $(b,off) \
-     (no repaired pass at all), $(b,sync) (digest recovery sync only) or $(b,full) \
-     (sync + hinted handoff + repair daemon; the default)."
+    "Self-healing mode of the churned experiments: $(b,off), $(b,sync) (digest \
+     recovery sync only) or $(b,full) (sync + hinted handoff + repair daemon; the \
+     default).  $(b,churn) compares it against repair off, with no repaired pass when \
+     it is $(b,off); $(b,day) runs every cell with it."
   in
   Arg.(value & opt (some string) None & info [ "repair" ] ~docv:"MODE" ~doc)
 
 let grace_arg =
   let doc =
-    "Repair daemon grace period: how long a server may be down before its entries are \
-     re-replicated elsewhere (default 30)."
+    "Repair daemon grace period, in $(b,churn) and $(b,day): how long a server may be \
+     down before its entries are re-replicated elsewhere (default 30)."
   in
   Arg.(value & opt (some float) None & info [ "grace" ] ~docv:"TIME" ~doc)
 
 let repair_period_arg =
-  let doc = "Interval between repair daemon passes (default 10)." in
+  let doc =
+    "Interval between repair daemon passes, in $(b,churn) and $(b,day) (default 10)."
+  in
   Arg.(value & opt (some float) None & info [ "repair-period" ] ~docv:"TIME" ~doc)
 
 let hint_ttl_arg =
-  let doc = "How long a buffered hint for a down server stays replayable (default 200)." in
+  let doc =
+    "How long a buffered hint for a down server stays replayable, in $(b,churn) and \
+     $(b,day) (default 200)."
+  in
   Arg.(value & opt (some float) None & info [ "hint-ttl" ] ~docv:"TIME" ~doc)
 
 let hint_cap_arg =
-  let doc = "Maximum hints buffered per buddy server, oldest evicted first (default 256)." in
+  let doc =
+    "Maximum hints buffered per buddy server, oldest evicted first, in $(b,churn) and \
+     $(b,day) (default 256)."
+  in
   Arg.(value & opt (some int) None & info [ "hint-cap" ] ~docv:"N" ~doc)
 
 let capacity_arg =
@@ -222,7 +237,7 @@ let render ~csv ~plot table =
     | [] -> ()
   end
 
-(* The churn experiment's repair configuration: [None] (its default,
+(* The churned experiments' repair configuration: [None] (their default,
    Repair.default_config) unless some repair flag was given. *)
 let repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap =
   match (repair, grace, period, hint_ttl, hint_cap) with
@@ -639,7 +654,7 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.16.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.17.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

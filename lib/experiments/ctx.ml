@@ -30,6 +30,14 @@ let check_overload o =
   if o.breaker < 1 then invalid_arg "Ctx: breaker must be >= 1";
   if o.degrade < 1. then invalid_arg "Ctx: degrade must be >= 1"
 
+(* Repair.install checks these too, but as a crash deep in a run; here
+   they are usage errors that name the CLI flag. *)
+let check_repair r =
+  if r.Plookup.Repair.grace < 0. then invalid_arg "Ctx: grace must be non-negative";
+  if r.period <= 0. then invalid_arg "Ctx: repair-period must be positive";
+  if r.hint_ttl <= 0. then invalid_arg "Ctx: hint-ttl must be positive";
+  if r.hint_capacity < 1 then invalid_arg "Ctx: hint-cap must be >= 1"
+
 type t = {
   seed : int;
   scale : float;
@@ -61,6 +69,7 @@ let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
   positive "mttf" mttf;
   positive "mttr" mttr;
   positive "horizon" horizon;
+  Option.iter check_repair repair;
   Option.iter check_overload overload;
   Option.iter check_cache cache;
   let obs = match obs with Some o -> o | None -> Plookup_obs.Obs.create () in

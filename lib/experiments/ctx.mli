@@ -95,6 +95,8 @@ val v :
   ?obs:Plookup_obs.Obs.t ->
   unit ->
   t
+(** Raises [Invalid_argument] on an out-of-range knob, with a message
+    naming the CLI flag that sets it. *)
 
 val apply_faults : t -> Plookup.Cluster.t -> unit
 (** Install the context's ambient fault model on a cluster (seeded from

@@ -2,7 +2,6 @@ open Plookup
 open Plookup_store
 open Plookup_util
 module Engine = Plookup_sim.Engine
-module Churn = Plookup_workload.Churn
 module Hotspot = Plookup_workload.Hotspot
 module Net = Plookup_net.Net
 module Metrics = Plookup_obs.Metrics
@@ -12,6 +11,18 @@ let id = "day"
 let title =
   "Extension: a production day under overload, naive vs tail-tolerant clients (flash \
    crowd, gray failure, churn)"
+
+let n = 10
+let h = 100
+let budget = 200
+let t = 35
+let keys = 50
+let alpha = 1.1
+let rtt_lo = 5.
+let rtt_hi = 50.
+let timeout = 2. *. rtt_hi
+let base_rate = 1.0
+let update_every = 10.
 
 type mode = Naive | Tuned | Cached
 
@@ -46,8 +57,8 @@ type cell_result = {
    (service time multiplied by [ov.degrade]).  Key popularity is Zipf
    over [keys] ranks; each rank owns a fixed probe-order permutation, so
    popular keys hammer the same order head and skew the load.  Churn,
-   repair and a steady delete+add update stream run concurrently, as in
-   the churn drill.
+   repair and a steady delete+add update stream run concurrently: the
+   day is a lookup workload on the churn drill.
 
    Naive cells shed silently (clients discover overload by timeout) and
    retry with plain exponential backoff.  Tuned cells shed with the
@@ -59,66 +70,15 @@ type cell_result = {
    that fraction of its lookups at the strategy's worst-placed key
    ({!Plookup_workload.Hotspot}), so the three cells still face the
    identical workload. *)
-let run_cell ctx ~obs ~n ~h ~t ~keys ~alpha ~rtt_lo ~rtt_hi ~timeout ~base_rate ~mttf
-    ~mttr ~horizon ~update_every ~repair ~ov ~cache ~mode config =
-  let seed = Ctx.run_seed ctx (Hashtbl.hash (Service.config_name config)) in
-  let service = Service.create ~seed ~obs ~repair ~n config in
-  let gen = Entry.Gen.create () in
-  let initial = Entry.Gen.batch gen h in
-  Service.place service initial;
-  let cluster = Service.cluster service in
+let run_cell ctx ~obs ~mttf ~mttr ~horizon ~repair ~ov ~cache ~mode config =
+  let d =
+    Churn_drill.start ctx ~obs ~n ~h ~mttf ~mttr ~horizon ~update_every ~repair config
+  in
+  let seed = d.seed and engine = d.engine in
+  let cluster = Service.cluster d.service in
   Ctx.apply_faults ctx cluster;
   Cluster.set_capacity cluster ~service_rate:ov.Ctx.service_rate
     ~queue_limit:ov.Ctx.capacity ~nack:(mode = Tuned) ();
-  let engine = Engine.create () in
-  Net.attach_engine (Cluster.net cluster) engine;
-  (match Service.repair service with
-  | Some rep -> Repair.attach_engine ~until:horizon rep engine
-  | None -> ());
-  let churn_events =
-    Churn.generate (Rng.create (seed lxor 0xC0FFEE)) ~n ~mttf ~mttr ~horizon
-  in
-  Churn.drive engine
-    ~apply:(fun ev ->
-      if ev.Churn.up then Cluster.recover cluster ev.Churn.server
-      else Cluster.fail cluster ev.Churn.server)
-    churn_events;
-  (* Ground truth of live/deleted entries, as in the churn drill — but
-     deletes record their *time*, so an entry returned by a lookup only
-     counts as stale when it was already deleted before the lookup
-     started (an in-flight delete racing an async lookup is not a
-     consistency violation). *)
-  let live = Hashtbl.create (2 * h) in
-  let live_fen = Fenwick.create (h + int_of_float (horizon /. update_every) + 1) in
-  let live_add e =
-    Hashtbl.replace live (Entry.id e) e;
-    Fenwick.add live_fen (Entry.id e) 1
-  in
-  let live_remove eid =
-    Hashtbl.remove live eid;
-    Fenwick.add live_fen eid (-1)
-  in
-  List.iter live_add initial;
-  let deleted = Hashtbl.create 64 in
-  let wl_rng = Rng.create (seed lxor 0xBEEF) in
-  for k = 1 to int_of_float (horizon /. update_every) do
-    let time = (float_of_int k *. update_every) +. 0.25 in
-    ignore
-      (Engine.schedule_at engine ~time (fun _ ->
-           if Service.can_update service then begin
-             match Fenwick.total live_fen with
-             | 0 -> ()
-             | alive ->
-               let victim_id = Fenwick.select live_fen (Rng.int wl_rng alive) in
-               let victim = Hashtbl.find live victim_id in
-               Service.delete service victim;
-               live_remove victim_id;
-               Hashtbl.replace deleted victim_id time;
-               let fresh = Entry.Gen.fresh gen in
-               Service.add service fresh;
-               live_add fresh
-           end))
-  done;
   (* The flash-crowd window doubles as the gray-failure window: servers
      0 and 1 slow down by [ov.degrade] while the crowd hammers. *)
   let crowd_lo = 0.45 *. horizon and crowd_hi = 0.60 *. horizon in
@@ -176,10 +136,7 @@ let run_cell ctx ~obs ~n ~h ~t ~keys ~alpha ~rtt_lo ~rtt_hi ~timeout ~base_rate 
     let stale =
       List.length
         (List.filter
-           (fun e ->
-             match Hashtbl.find_opt deleted (Entry.id e) with
-             | Some dt -> dt <= o.Async_client.started_at
-             | None -> false)
+           (fun e -> d.deleted_at.(Entry.id e) <= o.Async_client.started_at)
            returned)
     in
     if List.length returned - stale >= t then tally.satisfied <- tally.satisfied + 1;
@@ -267,17 +224,14 @@ let run_cell ctx ~obs ~n ~h ~t ~keys ~alpha ~rtt_lo ~rtt_hi ~timeout ~base_rate 
       float_of_int (tally.sends + refresh_sends) /. float_of_int (max 1 tally.lookups);
     hit_pct }
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(keys = 50) ?(alpha = 1.1)
-    ?(rtt_lo = 5.) ?(rtt_hi = 50.) ?(base_rate = 1.0) ?(mttf = 250.) ?(mttr = 20.)
-    ?(horizon = 600.) ?(update_every = 10.) ctx =
-  let mttf = Option.value ctx.Ctx.mttf ~default:mttf in
-  let mttr = Option.value ctx.Ctx.mttr ~default:mttr in
-  let horizon = Option.value ctx.Ctx.horizon ~default:horizon in
+let run ctx =
+  let mttf = Option.value ctx.Ctx.mttf ~default:250. in
+  let mttr = Option.value ctx.Ctx.mttr ~default:20. in
+  let horizon = Option.value ctx.Ctx.horizon ~default:600. in
   let horizon = float_of_int (Ctx.scaled ctx (int_of_float horizon)) in
   let repair = Option.value ctx.Ctx.repair ~default:Repair.default_config in
   let ov = Option.value ctx.Ctx.overload ~default:Ctx.default_overload in
   let cache = ctx.Ctx.cache in
-  let timeout = 2. *. rtt_hi in
   (* The cached cell and its two extra columns exist only when the
      context carries a cache config, so the default day table stays
      byte-identical to the cache-free build. *)
@@ -319,8 +273,7 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(keys = 50) ?(alpha = 1.
         let config, mode = cells.(i) in
         ( config,
           mode,
-          run_cell ctx ~obs ~n ~h ~t ~keys ~alpha ~rtt_lo ~rtt_hi ~timeout ~base_rate
-            ~mttf ~mttr ~horizon ~update_every ~repair ~ov ~cache ~mode config ))
+          run_cell ctx ~obs ~mttf ~mttr ~horizon ~repair ~ov ~cache ~mode config ))
   in
   Array.iter
     (fun (config, mode, r) ->

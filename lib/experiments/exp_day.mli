@@ -41,26 +41,12 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?budget:int ->
-  ?t:int ->
-  ?keys:int ->
-  ?alpha:float ->
-  ?rtt_lo:float ->
-  ?rtt_hi:float ->
-  ?base_rate:float ->
-  ?mttf:float ->
-  ?mttr:float ->
-  ?horizon:float ->
-  ?update_every:float ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, budget 200 (Fixed gets x = t+5 instead),
-    t=35, 50 Zipf keys at alpha=1.1, RTT uniform in [5, 50] ms with a
-    100 ms client timeout, base arrival rate 1 lookup per time unit,
-    gentle churn (mttf=250, mttr=20), horizon 600 time units with one
-    delete+add every 10.  The context's [mttf]/[mttr]/[horizon]/
-    [repair]/[overload] fields override the corresponding defaults
-    (overload: {!Ctx.default_overload}). *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budget 200 (Fixed gets x = t+5 instead), t=35, 50
+    Zipf keys at alpha=1.1, RTT uniform in [5, 50] ms with a 100 ms
+    client timeout, base arrival rate 1 lookup per time unit, one
+    delete+add every 10 ({!Churn_drill}).  Churn is gentle by default:
+    mttf=250, mttr=20, over a horizon of 600 time units times the
+    context's scale.  The context's [mttf]/[mttr]/[horizon]/[repair]/
+    [overload] fields override those defaults (overload:
+    {!Ctx.default_overload}). *)

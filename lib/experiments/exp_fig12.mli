@@ -7,13 +7,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?t:int ->
-  ?cushions:int list ->
-  ?updates:int ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, t=15, cushions 0..7, 20000 updates per run
-    (the paper's Fig. 12 protocol). *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, t=15, cushions 0..7, 20000 updates per run (the
+    paper's Fig. 12 protocol). *)

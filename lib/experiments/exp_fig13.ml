@@ -7,11 +7,15 @@ module Replay = Plookup_workload.Replay
 let id = "fig13"
 let title = "Fig 13: RandomServer-x unfairness vs number of updates (x=20)"
 
-let default_checkpoints = List.init 9 (fun i -> i * 500)
+let n = 10
+let h = 100
+let x = 20
+let t = 1
+let checkpoints = List.init 9 (fun i -> i * 500)
 
 (* Replay [stream] through a fresh service of [config], measuring
    unfairness over the live entries at every checkpoint. *)
-let unfairness_trace ctx ~obs ~n ~t ~lookups ~config ~stream ~checkpoints ~run =
+let unfairness_trace ctx ~obs ~lookups ~config ~stream ~run =
   let seed = Ctx.run_seed ctx (run * 7919) in
   let service = Service.create ~seed ~obs ~n config in
   let wanted = Hashtbl.create 16 in
@@ -36,7 +40,7 @@ let unfairness_trace ctx ~obs ~n ~t ~lookups ~config ~stream ~checkpoints ~run =
   end;
   out
 
-let run ?(n = 10) ?(h = 100) ?(x = 20) ?(t = 1) ?(checkpoints = default_checkpoints) ctx =
+let run ctx =
   let table =
     Table.create ~title ~columns:[ "updates"; "RandomServer-x"; "Fixed-x (ref)" ]
   in
@@ -71,10 +75,8 @@ let run ?(n = 10) ?(h = 100) ?(x = 20) ?(t = 1) ?(checkpoints = default_checkpoi
             { Update_gen.steady_entries = h; add_period = 10.; tail_heavy = false;
               updates = max_cp }
         in
-        ( unfairness_trace ctx ~obs ~n ~t ~lookups ~config:(Service.random_server x)
-            ~stream ~checkpoints ~run,
-          unfairness_trace ctx ~obs ~n ~t ~lookups ~config:(Service.fixed x) ~stream
-            ~checkpoints ~run ))
+        ( unfairness_trace ctx ~obs ~lookups ~config:(Service.random_server x) ~stream ~run,
+          unfairness_trace ctx ~obs ~lookups ~config:(Service.fixed x) ~stream ~run ))
   in
   Array.iter
     (fun (trace_rs, trace_fx) ->

@@ -7,21 +7,14 @@
 
     The paper does not state the target answer size used here; its
     starting level (~0.5, versus ~0.1 in the static Fig. 9 at the same
-    storage) is consistent with single-entry lookups, so t defaults to 1
-    (see EXPERIMENTS.md).  The rising-then-plateau shape is insensitive
+    storage) is consistent with single-entry lookups, so t is 1 (see
+    EXPERIMENTS.md).  The rising-then-plateau shape is insensitive
     to t. *)
 
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?x:int ->
-  ?t:int ->
-  ?checkpoints:int list ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, x=20, t=1, checkpoints 0..4000 step 500.
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, x=20, t=1, checkpoints 0..4000 step 500.
     Also reports Fixed-x at the same checkpoints for the Section 6.3
     comparison ("Fixed-x has an unfairness of 2 in this experiment"). *)

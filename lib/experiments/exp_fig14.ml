@@ -8,13 +8,17 @@ module Obs = Plookup_obs.Obs
 let id = "fig14"
 let title = "Fig 14: update overhead, Fixed-50 vs Hash-y (t=40, 20000 updates)"
 
-let default_entry_counts = [ 100; 120; 133; 150; 175; 200; 250; 300; 350; 400 ]
+let n = 10
+let t = 40
+let x = 50
+let entry_counts = [ 100; 120; 133; 150; 175; 200; 250; 300; 350; 400 ]
+let updates = 20000
 
 (* Mean update messages for Fixed-x and Hash-y at one h.  Each run's
    stream is generated once and replayed on both configs, each replay
    into its own obs child.  All Fixed-x children merge before the Hash-y
    ones, in run order. *)
-let measure_messages ctx ~n ~h ~updates ~fixed ~hash ~runs =
+let measure_messages ctx ~h ~fixed ~hash ~runs =
   let replays =
     Runner.map ctx ~count:runs (fun i ->
         let run = i + 1 in
@@ -44,8 +48,7 @@ let measure_messages ctx ~n ~h ~updates ~fixed ~hash ~runs =
   let fixed_msgs = mean_merged fst in
   (fixed_msgs, mean_merged snd)
 
-let run ?(n = 10) ?(t = 40) ?(x = 50) ?(entry_counts = default_entry_counts)
-    ?(updates = 20000) ctx =
+let run ctx =
   let table =
     Table.create ~title
       ~columns:
@@ -62,8 +65,7 @@ let run ?(n = 10) ?(t = 40) ?(x = 50) ?(entry_counts = default_entry_counts)
     (fun h ->
       let y = Analytic.optimal_hash_y ~n ~h ~t in
       let fixed_msgs, hash_msgs =
-        measure_messages ctx ~n ~h ~updates ~fixed:(Service.fixed x) ~hash:(Service.hash y)
-          ~runs
+        measure_messages ctx ~h ~fixed:(Service.fixed x) ~hash:(Service.hash y) ~runs
       in
       let u = float_of_int updates in
       Table.add_row table

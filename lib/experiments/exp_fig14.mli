@@ -10,13 +10,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?t:int ->
-  ?x:int ->
-  ?entry_counts:int list ->
-  ?updates:int ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, t=40, x=50, h in {100,120,133,150,175,200,250,300,
-    350,400}, 20000 updates. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, t=40, x=50, h in {100,120,133,150,175,200,250,300,350,400},
+    20000 updates. *)

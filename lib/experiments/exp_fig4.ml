@@ -6,9 +6,12 @@ module Lookup_cost = Plookup_metrics.Lookup_cost
 let id = "fig4"
 let title = "Fig 4: lookup cost vs target answer size (fixed storage budget)"
 
-let default_targets = [ 10; 15; 20; 25; 30; 35; 40; 45; 50 ]
+let n = 10
+let h = 100
+let budget = 200
+let targets = [| 10; 15; 20; 25; 30; 35; 40; 45; 50 |]
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(targets = default_targets) ctx =
+let run ctx =
   let round = Service.storage_for_budget (Service.round_robin 1) ~n ~h ~total:budget in
   let random = Service.storage_for_budget (Service.random_server 1) ~n ~h ~total:budget in
   let hash = Service.storage_for_budget (Service.hash 1) ~n ~h ~total:budget in
@@ -25,7 +28,6 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(targets = default_targets) ctx =
   in
   let runs = Ctx.scaled ctx 40 in
   let lookups_per_run = Ctx.scaled ctx 250 in
-  let targets = Array.of_list targets in
   (* One parallel unit per target row: each derives everything from
      [run_seed ctx t], so rows are independent; they are re-assembled in
      input order below. *)

@@ -6,12 +6,7 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?budget:int ->
-  ?targets:int list ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, budget=200, targets 10..50 step 5.  Columns:
-    t, analytic Round cost, then measured mean cost per strategy. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budget=200, targets 10..50 step 5, each row seeded by
+    its target.  Columns: t, measured Round cost, analytic Round cost,
+    then measured mean cost per strategy and Hash's failure rate. *)

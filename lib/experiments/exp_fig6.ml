@@ -6,9 +6,11 @@ module Coverage = Plookup_metrics.Coverage
 let id = "fig6"
 let title = "Fig 6: coverage vs total storage (100 entries on 10 servers)"
 
-let default_budgets = List.init 20 (fun i -> (i + 1) * 10)
+let n = 10
+let h = 100
+let budgets = Array.init 20 (fun i -> (i + 1) * 10)
 
-let run ?(n = 10) ?(h = 100) ?(budgets = default_budgets) ctx =
+let run ctx =
   let table =
     Table.create ~title
       ~columns:
@@ -21,7 +23,6 @@ let run ?(n = 10) ?(h = 100) ?(budgets = default_budgets) ctx =
           "RandomServer analytic" ]
   in
   let runs = Ctx.scaled ctx 30 in
-  let budgets = Array.of_list budgets in
   (* One parallel unit per budget row, seeded from the budget value. *)
   let rows =
     Runner.map_obs ctx ~count:(Array.length budgets) (fun i ~obs ->

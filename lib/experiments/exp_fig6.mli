@@ -7,6 +7,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int -> ?h:int -> ?budgets:int list -> Ctx.t -> Plookup_util.Table.t
-(** Default budgets: 10..200 step 10. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budgets 10..200 step 10, each row seeded by its
+    budget. *)

@@ -6,9 +6,12 @@ module Fault_tolerance = Plookup_metrics.Fault_tolerance
 let id = "fig7"
 let title = "Fig 7: fault tolerance vs target answer size (storage budget 200)"
 
-let default_targets = [ 10; 15; 20; 25; 30; 35; 40; 45; 50 ]
+let n = 10
+let h = 100
+let budget = 200
+let targets = [| 10; 15; 20; 25; 30; 35; 40; 45; 50 |]
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(targets = default_targets) ctx =
+let run ctx =
   let random = Service.storage_for_budget (Service.random_server 1) ~n ~h ~total:budget in
   let hash = Service.storage_for_budget (Service.hash 1) ~n ~h ~total:budget in
   let round = Service.storage_for_budget (Service.round_robin 1) ~n ~h ~total:budget in
@@ -23,7 +26,6 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(targets = default_targets) ctx =
           "Round analytic" ]
   in
   let runs = Ctx.scaled ctx 200 in
-  let targets = Array.of_list targets in
   (* One parallel unit per target row, seeded from the target value. *)
   let rows =
     Runner.map_obs ctx ~count:(Array.length targets) (fun i ~obs ->

@@ -7,10 +7,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?budget:int ->
-  ?targets:int list ->
-  Ctx.t ->
-  Plookup_util.Table.t
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budget=200, targets 10..50 step 5, each row seeded by
+    its target. *)

@@ -5,15 +5,17 @@ module Unfairness = Plookup_metrics.Unfairness
 let id = "fig9"
 let title = "Fig 9: unfairness vs total storage (t=35, 100 entries, 10 servers)"
 
-let default_budgets = List.init 10 (fun i -> (i + 1) * 100)
+let n = 10
+let h = 100
+let t = 35
+let budgets = Array.init 10 (fun i -> (i + 1) * 100)
 
-let run ?(n = 10) ?(h = 100) ?(t = 35) ?(budgets = default_budgets) ctx =
+let run ctx =
   let table =
     Table.create ~title ~columns:[ "storage"; "RandomServer-x"; "x"; "Hash-y"; "y" ]
   in
   let instances = Ctx.scaled ctx 6 in
   let lookups_per_instance = Ctx.scaled ctx 4000 in
-  let budgets = Array.of_list budgets in
   (* One parallel unit per budget row, seeded from the budget value. *)
   let rows =
     Runner.map_obs ctx ~count:(Array.length budgets) (fun i ~obs ->

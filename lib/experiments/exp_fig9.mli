@@ -13,11 +13,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?t:int ->
-  ?budgets:int list ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, t=35, budgets 100..1000 step 100. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, t=35, budgets 100..1000 step 100, each row seeded by
+    its budget. *)

@@ -7,12 +7,18 @@ module Net = Plookup_net.Net
 let id = "hotspot"
 let title = "Extension: popular-key hot spots, key partitioning vs partial lookup"
 
+let n = 10
+let keys = 50
+let entries_per_key = 20
+let t = 3
+let alpha = 1.0
+
 let key_name i = Printf.sprintf "key-%03d" i
 
 (* Per-server lookup load of a partial-lookup directory: per-key
    services index the same physical servers 0..n-1, so summing each
    key-cluster's per-server counters models one shared fleet. *)
-let partial_load ctx ~obs ~n ~keys ~entries_per_key ~t ~lookups ~alpha config =
+let partial_load ctx ~obs ~lookups config =
   let directory =
     Directory.create ~seed:(Ctx.run_seed ctx 1) ~obs ~n ~default:config ()
   in
@@ -45,7 +51,7 @@ let partial_load ctx ~obs ~n ~keys ~entries_per_key ~t ~lookups ~alpha config =
     (Directory.keys directory);
   Load.summarize loads
 
-let partitioned_load ctx ~n ~keys ~entries_per_key ~t ~lookups ~alpha =
+let partitioned_load ctx ~lookups =
   let service = Partitioned.create ~seed:(Ctx.run_seed ctx 1) ~n () in
   let gen = Entry.Gen.create () in
   for k = 0 to keys - 1 do
@@ -59,9 +65,8 @@ let partitioned_load ctx ~n ~keys ~entries_per_key ~t ~lookups ~alpha =
   done;
   Load.summarize (Partitioned.load service)
 
-let run ?(n = 10) ?(keys = 50) ?(entries_per_key = 20) ?(t = 3) ?(lookups = 20000)
-    ?(alpha = 1.0) ctx =
-  let lookups = Ctx.scaled ctx lookups in
+let run ctx =
+  let lookups = Ctx.scaled ctx 20000 in
   let table =
     Table.create ~title
       ~columns:[ "service"; "peak/avg load"; "top server %"; "load cov"; "mean cost" ]
@@ -79,12 +84,11 @@ let run ?(n = 10) ?(keys = 50) ?(entries_per_key = 20) ?(t = 3) ?(lookups = 2000
   let cells =
     Array.of_list
       (( "Partitioned (Chord-style)",
-         fun ~obs:_ -> partitioned_load ctx ~n ~keys ~entries_per_key ~t ~lookups ~alpha )
+         fun ~obs:_ -> partitioned_load ctx ~lookups )
       :: List.map
            (fun config ->
              ( Printf.sprintf "Partial: %s" (Service.config_name config),
-               fun ~obs ->
-                 partial_load ctx ~obs ~n ~keys ~entries_per_key ~t ~lookups ~alpha config ))
+               fun ~obs -> partial_load ctx ~obs ~lookups config ))
            [ Service.full_replication; Service.round_robin 2;
              Service.random_server (2 * entries_per_key / 10 |> max 1) ])
   in

@@ -10,14 +10,6 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?keys:int ->
-  ?entries_per_key:int ->
-  ?t:int ->
-  ?lookups:int ->
-  ?alpha:float ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10 servers, 50 keys with Zipf(1.0) popularity, 20
-    entries per key, t=3, 20000 lookups. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10 servers, 50 keys with Zipf(1.0) popularity, 20 entries per
+    key, t=3, 20000 lookups times the context's scale. *)

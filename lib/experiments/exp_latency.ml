@@ -6,14 +6,21 @@ module Engine = Plookup_sim.Engine
 let id = "latency"
 let title = "Extension: lookup latency on a simulated network (Async_client)"
 
+let n = 10
+let h = 100
+let budget = 200
+let t = 35
+let rtt_lo = 5.
+let rtt_hi = 50.
+let timeout = 2. *. rtt_hi
+
 type row = {
   contacts : Stats.Accum.t;
   timeouts : Stats.Accum.t;
   latencies : float array;
 }
 
-let measure_config ctx ~n ~h ~t ~lookups ~timeout ~rtt_lo ~rtt_hi ~obs ~config ~order_of
-    ~wave_of ~down () =
+let measure_config ctx ~lookups ~obs ~config ~order_of ~wave_of ~down () =
   let service = Service.create ~seed:(Ctx.run_seed ctx 1) ~obs ~n config in
   Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
   let cluster = Service.cluster service in
@@ -43,9 +50,8 @@ let measure_config ctx ~n ~h ~t ~lookups ~timeout ~rtt_lo ~rtt_hi ~obs ~config ~
   in
   { contacts; timeouts; latencies }
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(rtt_lo = 5.) ?(rtt_hi = 50.) ctx =
+let run ctx =
   let lookups = Ctx.scaled ctx 2000 in
-  let timeout = 2. *. rtt_hi in
   let table =
     Table.create ~title
       ~columns:
@@ -72,7 +78,7 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(rtt_lo = 5.) ?(rtt_hi =
     Option.value ~default:1
       (Service.param (Service.storage_for_budget (Service.round_robin 1) ~n ~h ~total:budget))
   in
-  let measure = measure_config ctx ~n ~h ~t ~lookups ~timeout ~rtt_lo ~rtt_hi in
+  let measure = measure_config ctx ~lookups in
   (* Each strided client row owns its probe-order rng, seeded from the
      row's position, so rows are independent parallel units. *)
   let stride_for row =

@@ -18,14 +18,7 @@
 val id : string
 val title : string
 
-val run :
-  ?n:int ->
-  ?h:int ->
-  ?budget:int ->
-  ?t:int ->
-  ?rtt_lo:float ->
-  ?rtt_hi:float ->
-  Ctx.t ->
-  Plookup_util.Table.t
-(** Defaults: n=10, h=100, budget 200, t=35, round-trip times uniform in
-    [5, 50] ms, contact timeout 2*rtt_hi. *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budget 200, t=35, round-trip times uniform in
+    [5, 50] ms, contact timeout 100 ms (twice the longest round trip),
+    2000 lookups per row times the context's scale. *)

@@ -7,6 +7,13 @@ module Net = Plookup_net.Net
 let id = "loss"
 let title = "Extension: lookup cost and coverage vs message loss (retrying Async_client)"
 
+let n = 10
+let h = 100
+let budget = 200
+let t = 35
+let timeout = 60.
+let retries = 2
+
 type tally = {
   satisfied : Stats.Accum.t;
   contacts : Stats.Accum.t;
@@ -18,7 +25,7 @@ type tally = {
 
 (* One (strategy, loss-rate) cell: a fresh placement, a fault-injected
    network, [lookups] retrying async lookups. *)
-let measure ctx ~obs ~n ~h ~t ~lookups ~timeout ~retries ~loss ~config ~order_of () =
+let measure ctx ~obs ~lookups ~loss ~config ~order_of =
   let seed = Ctx.run_seed ctx (Hashtbl.hash (Service.config_name config)) in
   let service = Service.create ~seed ~obs ~n config in
   Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
@@ -65,8 +72,7 @@ let loss_rates ctx =
   List.sort_uniq compare
     (if ctx.Ctx.loss > 0. then ctx.Ctx.loss :: base else base)
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(timeout = 60.) ?(retries = 2) ctx
-    =
+let run ctx =
   let lookups = Ctx.scaled ctx 300 in
   let table =
     Table.create ~title
@@ -108,7 +114,7 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ?(timeout = 60.) ?(retrie
     Runner.map_obs ctx ~count:(Array.length cells) (fun i ~obs ->
         let config, order_of, loss = cells.(i) in
         ( config, loss,
-          measure ctx ~obs ~n ~h ~t ~lookups ~timeout ~retries ~loss ~config ~order_of () ))
+          measure ctx ~obs ~lookups ~loss ~config ~order_of ))
   in
   Array.iter
     (fun (config, loss, tally) ->

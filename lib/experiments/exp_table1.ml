@@ -6,8 +6,11 @@ module Storage = Plookup_metrics.Storage
 
 let id = "table1"
 let title = "Table 1: storage cost for managing h entries on n servers"
+let n = 10
+let h = 100
+let budget = 200
 
-let measured_mean ctx ~n ~h config ~runs =
+let measured_mean ctx config ~runs =
   Runner.mean_of
     (Runner.replicates_obs ctx ~count:runs (fun ~seed ~obs ->
          let service = Service.create ~seed ~obs ~n config in
@@ -15,7 +18,7 @@ let measured_mean ctx ~n ~h config ~runs =
          Service.place service (Entry.Gen.batch gen h);
          float_of_int (Storage.measured (Service.cluster service))))
 
-let run ?(n = 10) ?(h = 100) ?(budget = 200) ctx =
+let run ctx =
   let table =
     Table.create ~title
       ~columns:[ "strategy"; "formula"; "analytic"; "measured (mean)" ]
@@ -25,7 +28,7 @@ let run ?(n = 10) ?(h = 100) ?(budget = 200) ctx =
   List.iter
     (fun config ->
       let analytic = Analytic.storage config ~n ~h in
-      let measured = measured_mean ctx ~n ~h config ~runs in
+      let measured = measured_mean ctx config ~runs in
       Table.add_row table
         [ Table.S (Service.config_name config);
           Table.S (Service.storage_formula config);

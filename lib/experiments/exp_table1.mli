@@ -3,7 +3,6 @@
 
 val id : string
 val title : string
-val run : ?n:int -> ?h:int -> ?budget:int -> Ctx.t -> Plookup_util.Table.t
-(** Defaults: n=10, h=100, budget=200 (the configuration every static
-    figure in the paper uses: Fixed-20, RandomServer-20, Round-2,
-    Hash-2). *)
+val run : Ctx.t -> Plookup_util.Table.t
+(** n=10, h=100, budget=200: the configuration every static figure in
+    the paper uses (Fixed-20, RandomServer-20, Round-2, Hash-2). *)

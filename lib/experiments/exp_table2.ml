@@ -7,8 +7,12 @@ module Replay = Plookup_workload.Replay
 
 let id = "table2"
 let title = "Table 2: strategy scorecard (measured, h=100 n=10 budget=200 t=35)"
+let n = 10
+let h = 100
+let budget = 200
+let t = 35
 
-let messages_per_update ctx ~obs ~n ~h ~config ~updates ~runs =
+let messages_per_update ctx ~obs ~config ~updates ~runs =
   let seeds = Array.init runs (fun i -> Ctx.run_seed ctx ((i + 1) * 37)) in
   let measure ~obs seed =
     let stream =
@@ -68,7 +72,7 @@ let stars_of_measurements rows =
     rows;
   table
 
-let measure_rows ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ctx =
+let measure_rows ctx =
   let runs = Ctx.scaled ctx 20 in
   let configs = Array.of_list (Service.all_configs ~budget ~n ~h ()) in
   (* One parallel unit per strategy.  All seeds derive from the context
@@ -107,7 +111,7 @@ let measure_rows ?(n = 10) ?(h = 100) ?(budget = 200) ?(t = 35) ctx =
         Metrics.Storage.measured (Service.cluster service)
       in
       let msgs =
-        messages_per_update ctx ~obs ~n ~h ~config ~updates:(Ctx.scaled ctx 2000)
+        messages_per_update ctx ~obs ~config ~updates:(Ctx.scaled ctx 2000)
           ~runs:(max 1 (runs / 4))
       in
         ( Service.config_name config,
@@ -139,10 +143,10 @@ let measured_table rows =
     rows;
   table
 
-let run ?n ?h ?budget ?t ctx = measured_table (measure_rows ?n ?h ?budget ?t ctx)
+let run ctx = measured_table (measure_rows ctx)
 
-let run_full ?n ?h ?budget ?t ctx =
-  let rows = measure_rows ?n ?h ?budget ?t ctx in
+let run_full ctx =
+  let rows = measure_rows ctx in
   (* The paper's Table 2 ranks the four partial strategies; drop the
      full-replication baseline row before deriving stars. *)
   let partial = List.filter (fun (name, _) -> name <> "FullReplication") rows in

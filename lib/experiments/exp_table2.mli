@@ -10,15 +10,9 @@
 val id : string
 val title : string
 
-val run : ?n:int -> ?h:int -> ?budget:int -> ?t:int -> Ctx.t -> Plookup_util.Table.t
+val run : Ctx.t -> Plookup_util.Table.t
 
-val run_full :
-  ?n:int ->
-  ?h:int ->
-  ?budget:int ->
-  ?t:int ->
-  Ctx.t ->
-  Plookup_util.Table.t * Plookup_util.Table.t
+val run_full : Ctx.t -> Plookup_util.Table.t * Plookup_util.Table.t
 (** The measured scorecard plus a second table of star ranks derived
     from it by ranking the four partial strategies per metric (4 stars =
     best, ties share the better rank) — the regenerated Table 2,

@@ -16,6 +16,12 @@ let column table name =
   in
   List.map (fun row -> float_cell (List.nth row idx)) (Table.rows table)
 
+(* Column [name] on the rows whose first cell is one of [keys], in table
+   order: a test reads a few points of an experiment's fixed sweep. *)
+let column_at table name keys =
+  List.combine (column table (List.hd (Table.columns table))) (column table name)
+  |> List.filter_map (fun (k, v) -> if List.mem (int_of_float k) keys then Some v else None)
+
 let test_registry_complete () =
   Alcotest.(check (list string)) "paper order, extensions, ablations"
     [ "table1"; "fig4"; "fig6"; "fig7"; "fig9"; "fig12"; "fig13"; "fig14"; "table2";
@@ -79,14 +85,15 @@ let test_table1_matches_formulas () =
     (Table.rows table)
 
 let test_fig4_round_staircase () =
-  let table = E.Exp_fig4.run ~targets:[ 10; 20; 25; 40; 45 ] tiny in
+  let table = E.Exp_fig4.run tiny in
   Alcotest.(check (list (float 0.01))) "exact staircase" [ 1.; 1.; 2.; 2.; 3. ]
-    (column table "RoundRobin-2")
+    (column_at table "RoundRobin-2" [ 10; 20; 25; 40; 45 ])
 
 let test_fig6_coverage_monotone () =
-  let table = E.Exp_fig6.run ~budgets:[ 20; 60; 100; 140; 200 ] tiny in
+  let table = E.Exp_fig6.run tiny in
+  let budgets = [ 20; 60; 100; 140; 200 ] in
   let check_monotone name =
-    let values = column table name in
+    let values = column_at table name budgets in
     let rec go = function
       | a :: (b :: _ as rest) ->
         if a > b +. 1e-6 then Alcotest.failf "%s not monotone" name else go rest
@@ -96,7 +103,7 @@ let test_fig6_coverage_monotone () =
   in
   List.iter check_monotone [ "Round&Hash"; "Fixed"; "RandomServer" ];
   (* Round&Hash saturates at h from budget 100 onwards. *)
-  (match column table "Round&Hash" with
+  (match column_at table "Round&Hash" budgets with
   | [ _; _; c100; c140; c200 ] ->
     Helpers.close "saturated at 100" 100. c100;
     Helpers.close "saturated at 140" 100. c140;
@@ -104,9 +111,10 @@ let test_fig6_coverage_monotone () =
   | _ -> Alcotest.fail "unexpected rows")
 
 let test_fig7_orderings () =
-  let table = E.Exp_fig7.run ~targets:[ 20; 35; 50 ] tiny in
-  let random = column table "RandomServer-20" in
-  let hash = column table "Hash-2" in
+  let table = E.Exp_fig7.run tiny in
+  let targets = [ 20; 35; 50 ] in
+  let random = column_at table "RandomServer-20" targets in
+  let hash = column_at table "Hash-2" targets in
   List.iter2
     (fun r h ->
       if r +. 0.5 < h then Alcotest.failf "RandomServer (%f) should beat Hash (%f)" r h)
@@ -118,19 +126,20 @@ let test_fig7_orderings () =
 
 let test_fig9_shapes () =
   let ctx = E.Ctx.v ~seed:1 ~scale:0.2 () in
-  let table = E.Exp_fig9.run ~budgets:[ 100; 500; 1000 ] ctx in
-  (match column table "RandomServer-x" with
+  let table = E.Exp_fig9.run ctx in
+  let budgets = [ 100; 500; 1000 ] in
+  (match column_at table "RandomServer-x" budgets with
   | [ a; b; c ] ->
     Alcotest.(check bool) "decays" true (a > b && b > c)
   | _ -> Alcotest.fail "rows");
-  match column table "Hash-y" with
+  match column_at table "Hash-y" budgets with
   | [ a; b; _ ] -> Alcotest.(check bool) "hash rises first" true (b > a)
   | _ -> Alcotest.fail "rows"
 
 let test_fig12_cushion_decay () =
   let ctx = E.Ctx.v ~seed:1 ~scale:0.1 () in
-  let table = E.Exp_fig12.run ~cushions:[ 0; 3 ] ~updates:4000 ctx in
-  match column table "exp fail %" with
+  let table = E.Exp_fig12.run ctx in
+  match column_at table "exp fail %" [ 0; 3 ] with
   | [ b0; b3 ] ->
     Alcotest.(check bool)
       (Printf.sprintf "b=0 (%.3f%%) much worse than b=3 (%.3f%%)" b0 b3)
@@ -140,22 +149,23 @@ let test_fig12_cushion_decay () =
 
 let test_fig13_deterioration () =
   let ctx = E.Ctx.v ~seed:2 ~scale:0.3 () in
-  let table = E.Exp_fig13.run ~checkpoints:[ 0; 2000 ] ctx in
-  (match column table "RandomServer-x" with
+  let table = E.Exp_fig13.run ctx in
+  (match column_at table "RandomServer-x" [ 0; 2000 ] with
   | [ start; late ] ->
     Alcotest.(check bool)
       (Printf.sprintf "unfairness rises (%.2f -> %.2f)" start late)
       true (late > start)
   | _ -> Alcotest.fail "rows");
-  match column table "Fixed-x (ref)" with
+  match column_at table "Fixed-x (ref)" [ 0; 2000 ] with
   | [ _; late ] -> Helpers.roughly ~rel:0.15 "paper's Fixed-x = 2" 2. late
   | _ -> Alcotest.fail "rows"
 
 let test_fig14_crossover () =
   let ctx = E.Ctx.v ~seed:1 ~scale:0.2 () in
-  let table = E.Exp_fig14.run ~entry_counts:[ 100; 300; 400 ] ~updates:5000 ctx in
-  let fixed = column table "Fixed-x msgs" in
-  let hash = column table "Hash-y msgs" in
+  let table = E.Exp_fig14.run ctx in
+  let entry_counts = [ 100; 300; 400 ] in
+  let fixed = column_at table "Fixed-x msgs" entry_counts in
+  let hash = column_at table "Hash-y msgs" entry_counts in
   (match (fixed, hash) with
   | [ f100; f300; _ ], [ h100; h300; _ ] ->
     Alcotest.(check bool) "hash cheaper at h=100" true (h100 < f100);
@@ -244,6 +254,39 @@ let test_churn_repair_wins () =
         0 (int_of_float on_stale))
     (pairs stale)
 
+(* The day's headline claim: on the identical day, the tuned client cuts
+   every strategy's flash-crowd tail, and no client of either kind reads
+   a deleted entry.  Seed 42, scale 0.25 is BENCH_day's point. *)
+let test_day_tuned_beats_naive () =
+  let table = E.Exp_day.run (E.Ctx.v ~seed:42 ~scale:0.25 ()) in
+  let rows = Table.rows table in
+  let text i row = Table.cell_to_string (List.nth row i) in
+  Helpers.check_int "a naive and a tuned cell per registered strategy"
+    (2 * List.length (Plookup.Service.all_configs ~budget:200 ~n:10 ~h:100 ()))
+    (List.length rows);
+  let p99 = column table "crowd p99 ms" and p999 = column table "crowd p999 ms" in
+  List.iteri
+    (fun i row ->
+      if i mod 2 = 1 then begin
+        let name = text 0 row in
+        Helpers.check_string (name ^ ": naive cell first") "naive"
+          (text 1 (List.nth rows (i - 1)));
+        Helpers.check_string (name ^ ": then tuned") "tuned" (text 1 row);
+        List.iter
+          (fun (metric, values) ->
+            let naive = List.nth values (i - 1) and tuned = List.nth values i in
+            if not (tuned < naive) then
+              Alcotest.failf "%s: tuned crowd %s %.2f not below naive %.2f" name metric
+                tuned naive)
+          [ ("p99", p99); ("p999", p999) ]
+      end)
+    rows;
+  List.iter2
+    (fun row stale ->
+      if stale <> 0. then
+        Alcotest.failf "%s/%s read %.0f stale entries" (text 0 row) (text 1 row) stale)
+    rows (column table "stale")
+
 let test_ctx_scaling () =
   let ctx = E.Ctx.v ~seed:1 ~scale:0.5 () in
   Helpers.check_int "half" 50 (E.Ctx.scaled ctx 100);
@@ -278,5 +321,6 @@ let () =
           Alcotest.test_case "paper stars" `Quick test_paper_stars_table;
           Alcotest.test_case "hotspot extension" `Slow test_hotspot_partitioning_is_worse;
           Alcotest.test_case "churn extension" `Slow test_churn_repair_wins;
+          Alcotest.test_case "day tuned beats naive" `Slow test_day_tuned_beats_naive;
           Alcotest.test_case "ctx scaling" `Quick test_ctx_scaling;
           Alcotest.test_case "run_seed" `Quick test_run_seed_stable ] ) ]
