@@ -27,4 +27,6 @@ val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
     are identical so contacting more servers can never help. *)
 
 module Strategy : Strategy_intf.S with type t = t
-(** The packed form registered in {!Strategy_registry}. *)
+(** The packed form registered in {!Strategy_registry}.  Its storage is
+    [min x h * n]: the paper's Table-1 formula [x*n], kept as its
+    [storage_doc], assumes [x <= h]. *)

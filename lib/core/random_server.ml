@@ -137,8 +137,9 @@ struct
 
   let meta = strategy_meta ~replacing:M.replacing
 
-  let analytic_storage ~n ~h:_ ~params =
-    float_of_int (Strategy_common.one_param ~who:meta.Strategy_intf.name ~what:"x" params * n)
+  let analytic_storage ~n ~h ~params =
+    let x = Strategy_common.one_param ~who:meta.Strategy_intf.name ~what:"x" params in
+    float_of_int (min x h * n)
 
   let params_for_budget ~n ~h:_ ~total ~params:_ = [ max 1 (total / n) ]
 

@@ -34,7 +34,9 @@ val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
 
 module Strategy : Strategy_intf.S with type t = t
 (** The packed form registered in {!Strategy_registry} as
-    ["RandomServer"]. *)
+    ["RandomServer"].  Its storage is [min x h * n]: the paper's Table-1
+    formula [x*n], kept as its [storage_doc], assumes [x <= h]; the same
+    holds for {!Strategy_replacing}. *)
 
 module Strategy_replacing : Strategy_intf.S with type t = t
 (** The Section-5.3 replacement-on-delete ablation, registered as

@@ -170,8 +170,8 @@ let store_digest t server =
     (Cluster.store t.cluster server);
   bits
 
-(* The entry's owners under an assigned placement, as a set (Hash-y can
-   map an entry to the same server twice). *)
+(* The entry's owners under an assigned placement, as a sorted set.  No
+   [Assigned] plan names a server twice; [sort_uniq] also sorts. *)
 let owners_of t e =
   match t.plan with
   | Assigned assignment -> Option.map (List.sort_uniq compare) (assignment e)

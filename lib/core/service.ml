@@ -5,7 +5,7 @@ open Plookup_util
    a plain comparable value (tests and experiments compare and hash
    them), resolved to a packed (module Strategy_intf.S) at create
    time.  Keeping it name-based is what lets a new strategy module
-   (e.g. {!Chord}) register itself without this file changing. *)
+   (e.g. {!Ring}) register itself without this file changing. *)
 type config = { c_kind : string; c_params : int list }
 
 let kind config = config.c_kind

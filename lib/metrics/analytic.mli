@@ -7,8 +7,8 @@
 
 val storage : Plookup.Service.config -> n:int -> h:int -> float
 (** Table 1 storage cost (expected, for Hash-y): FullReplication [h*n],
-    Fixed-x/RandomServer-x [x*n], Round-y [h*y],
-    Hash-y [h*n*(1-(1-1/n)^y)]. *)
+    Fixed-x/RandomServer-x [x*n] (the paper assumes [x <= h]; computed
+    as [min x h * n]), Round-y [h*y], Hash-y [h*n*(1-(1-1/n)^y)]. *)
 
 val round_robin_lookup_cost : n:int -> h:int -> y:int -> t:int -> float
 (** ceil(t*n / (y*h)) — each Round-y server holds [y*h/n] entries and
