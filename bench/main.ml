@@ -106,7 +106,7 @@ let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 (* Part 1: churn/repair benchmark -> BENCH_repair.json                  *)
 
 (* The churn experiment's repaired rows: what the full self-healing
-   stack (recovery sync + hinted handoff + daemon) buys and what it
+   stack (recovery sync + daemon) buys and what it
    costs, per strategy: lookup success rate, stale reads, mean
    time-to-restore-degree (when any degree was lost) and repair
    messages.  At scale 0.4 the churned horizon is 2000 time units. *)

@@ -6,6 +6,19 @@ open Cmdliner
 module Experiments = Plookup_experiments
 module Table = Plookup_util.Table
 
+(* [Arg.float] without NaN and the infinities.  Every float flag is a
+   scale, probability, duration or rate: a NaN clock never passes a
+   churn horizon, and elsewhere a non-finite value silently reads as 0
+   or shrinks the run. *)
+let finite =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer Arg.float)
+
 let seed_arg =
   let doc = "Master random seed; every run is deterministic given the seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -15,7 +28,7 @@ let scale_arg =
     "Monte-Carlo scale multiplier.  1.0 reproduces each series in seconds; the paper's \
      own sample sizes correspond to roughly 50-100x (see EXPERIMENTS.md)."
   in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"SCALE" ~doc)
+  Arg.(value & opt finite 1.0 & info [ "scale" ] ~docv:"SCALE" ~doc)
 
 let jobs_arg =
   let doc =
@@ -32,46 +45,46 @@ let loss_arg =
     "Ambient per-transmission message-loss probability for fault-aware experiments \
      (e.g. $(b,loss)); a non-zero value is also added to the loss sweep's rate list."
   in
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc)
+  Arg.(value & opt finite 0.0 & info [ "loss" ] ~docv:"P" ~doc)
 
 let duplication_arg =
   let doc = "Ambient per-transmission duplication probability for fault-aware experiments." in
-  Arg.(value & opt float 0.0 & info [ "duplication" ] ~docv:"P" ~doc)
+  Arg.(value & opt finite 0.0 & info [ "duplication" ] ~docv:"P" ~doc)
 
 let jitter_arg =
   let doc =
     "Ambient per-delivery delay jitter (max extra delay, in simulated ms) for \
      fault-aware experiments."
   in
-  Arg.(value & opt float 0.0 & info [ "jitter" ] ~docv:"MS" ~doc)
+  Arg.(value & opt finite 0.0 & info [ "jitter" ] ~docv:"MS" ~doc)
 
 let mttf_arg =
   let doc =
     "Mean time to failure per server, for the churned experiments: $(b,churn) \
      (default 50) and $(b,day) (default 250)."
   in
-  Arg.(value & opt (some float) None & info [ "mttf" ] ~docv:"TIME" ~doc)
+  Arg.(value & opt (some finite) None & info [ "mttf" ] ~docv:"TIME" ~doc)
 
 let mttr_arg =
   let doc =
     "Mean time to recovery per server, for the churned experiments: $(b,churn) \
      (default 50) and $(b,day) (default 20)."
   in
-  Arg.(value & opt (some float) None & info [ "mttr" ] ~docv:"TIME" ~doc)
+  Arg.(value & opt (some finite) None & info [ "mttr" ] ~docv:"TIME" ~doc)
 
 let horizon_arg =
   let doc =
     "Simulated duration of the churned experiments before $(b,--scale) is applied: \
      $(b,churn) (default 5000) and $(b,day) (default 600)."
   in
-  Arg.(value & opt (some float) None & info [ "horizon" ] ~docv:"TIME" ~doc)
+  Arg.(value & opt (some finite) None & info [ "horizon" ] ~docv:"TIME" ~doc)
 
 let repair_arg =
   let doc =
     "Self-healing mode of the churned experiments: $(b,off), $(b,sync) (digest \
-     recovery sync only) or $(b,full) (sync + hinted handoff + repair daemon; the \
-     default).  $(b,churn) compares it against repair off, with no repaired pass when \
-     it is $(b,off); $(b,day) runs every cell with it."
+     recovery sync only) or $(b,full) (sync + repair daemon; the default).  \
+     $(b,churn) compares it against repair off, with no repaired pass when it is \
+     $(b,off); $(b,day) runs every cell with it."
   in
   Arg.(value & opt (some string) None & info [ "repair" ] ~docv:"MODE" ~doc)
 
@@ -80,27 +93,13 @@ let grace_arg =
     "Repair daemon grace period, in $(b,churn) and $(b,day): how long a server may be \
      down before its entries are re-replicated elsewhere (default 30)."
   in
-  Arg.(value & opt (some float) None & info [ "grace" ] ~docv:"TIME" ~doc)
+  Arg.(value & opt (some finite) None & info [ "grace" ] ~docv:"TIME" ~doc)
 
 let repair_period_arg =
   let doc =
     "Interval between repair daemon passes, in $(b,churn) and $(b,day) (default 10)."
   in
-  Arg.(value & opt (some float) None & info [ "repair-period" ] ~docv:"TIME" ~doc)
-
-let hint_ttl_arg =
-  let doc =
-    "How long a buffered hint for a down server stays replayable, in $(b,churn) and \
-     $(b,day) (default 200)."
-  in
-  Arg.(value & opt (some float) None & info [ "hint-ttl" ] ~docv:"TIME" ~doc)
-
-let hint_cap_arg =
-  let doc =
-    "Maximum hints buffered per buddy server, oldest evicted first, in $(b,churn) and \
-     $(b,day) (default 256)."
-  in
-  Arg.(value & opt (some int) None & info [ "hint-cap" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some finite) None & info [ "repair-period" ] ~docv:"TIME" ~doc)
 
 let capacity_arg =
   let doc =
@@ -113,20 +112,20 @@ let service_rate_arg =
   let doc =
     "Overload model: messages each server can serve per simulated time unit (default 2)."
   in
-  Arg.(value & opt (some float) None & info [ "service-rate" ] ~docv:"RATE" ~doc)
+  Arg.(value & opt (some finite) None & info [ "service-rate" ] ~docv:"RATE" ~doc)
 
 let deadline_arg =
   let doc =
     "Tail-tolerant client: per-lookup deadline budget in simulated ms (default 250)."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some finite) None & info [ "deadline" ] ~docv:"MS" ~doc)
 
 let hedge_arg =
   let doc =
     "Tail-tolerant client: latency quantile (exclusive, in (0, 100)) of the observed \
      lookup latency at which a hedged backup request is launched (default 95)."
   in
-  Arg.(value & opt (some float) None & info [ "hedge" ] ~docv:"Q" ~doc)
+  Arg.(value & opt (some finite) None & info [ "hedge" ] ~docv:"Q" ~doc)
 
 let breaker_arg =
   let doc =
@@ -140,7 +139,7 @@ let degrade_arg =
     "Gray-failure injection: service-time multiplier applied to two servers during the \
      flash crowd (default 25)."
   in
-  Arg.(value & opt (some float) None & info [ "degrade" ] ~docv:"FACTOR" ~doc)
+  Arg.(value & opt (some finite) None & info [ "degrade" ] ~docv:"FACTOR" ~doc)
 
 let cache_flag =
   let doc =
@@ -160,7 +159,7 @@ let cache_ttl_arg =
     "Client cache: entry freshness window in simulated ms (default 10, the day \
      experiment's update period)."
   in
-  Arg.(value & opt (some float) None & info [ "cache-ttl" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some finite) None & info [ "cache-ttl" ] ~docv:"MS" ~doc)
 
 let swr_arg =
   let doc =
@@ -168,14 +167,14 @@ let swr_arg =
      recent is served immediately while one probe refreshes it in the background \
      (default 0, disabled)."
   in
-  Arg.(value & opt (some float) None & info [ "swr" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some finite) None & info [ "swr" ] ~docv:"MS" ~doc)
 
 let hotspot_arg =
   let doc =
     "Hotspot-adversarial workload: aim this fraction of every cell's lookups at the \
      strategy's worst-placed key instead of the Zipf draw (default 0, in [0, 1])."
   in
-  Arg.(value & opt (some float) None & info [ "hotspot" ] ~docv:"F" ~doc)
+  Arg.(value & opt (some finite) None & info [ "hotspot" ] ~docv:"F" ~doc)
 
 (* The day experiment's client-cache configuration: [None] (no cached
    cell) unless some cache flag was given. *)
@@ -239,9 +238,9 @@ let render ~csv ~plot table =
 
 (* The churned experiments' repair configuration: [None] (their default,
    Repair.default_config) unless some repair flag was given. *)
-let repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap =
-  match (repair, grace, period, hint_ttl, hint_cap) with
-  | None, None, None, None, None -> Ok None
+let repair_config ~repair ~grace ~period =
+  match (repair, grace, period) with
+  | None, None, None -> Ok None
   | _ -> (
     let mode =
       match repair with None -> Ok Plookup.Repair.default_config.Plookup.Repair.mode
@@ -255,16 +254,13 @@ let repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap =
         (Some
            { Plookup.Repair.mode;
              grace = Option.value grace ~default:d.Plookup.Repair.grace;
-             period = Option.value period ~default:d.Plookup.Repair.period;
-             hint_ttl = Option.value hint_ttl ~default:d.Plookup.Repair.hint_ttl;
-             hint_capacity = Option.value hint_cap ~default:d.Plookup.Repair.hint_capacity
-           }))
+             period = Option.value period ~default:d.Plookup.Repair.period }))
 
 (* run subcommand *)
 let run_experiment ids seed scale jobs loss duplication jitter mttf mttr horizon repair
-    grace period hint_ttl hint_cap capacity service_rate deadline hedge breaker degrade
-    cache cache_cap cache_ttl swr hotspot csv plot =
-  match repair_config ~repair ~grace ~period ~hint_ttl ~hint_cap with
+    grace period capacity service_rate deadline hedge breaker degrade cache cache_cap
+    cache_ttl swr hotspot csv plot =
+  match repair_config ~repair ~grace ~period with
   | Error msg -> `Error (false, msg)
   | Ok repair -> (
   let overload =
@@ -315,10 +311,9 @@ let run_cmd =
       ret
         (const run_experiment $ ids $ seed_arg $ scale_arg $ jobs_arg $ loss_arg
         $ duplication_arg $ jitter_arg $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg
-        $ grace_arg $ repair_period_arg $ hint_ttl_arg $ hint_cap_arg $ capacity_arg
-        $ service_rate_arg $ deadline_arg $ hedge_arg $ breaker_arg $ degrade_arg
-        $ cache_flag $ cache_cap_arg $ cache_ttl_arg $ swr_arg $ hotspot_arg
-        $ csv_arg $ plot_arg))
+        $ grace_arg $ repair_period_arg $ capacity_arg $ service_rate_arg $ deadline_arg
+        $ hedge_arg $ breaker_arg $ degrade_arg $ cache_flag $ cache_cap_arg
+        $ cache_ttl_arg $ swr_arg $ hotspot_arg $ csv_arg $ plot_arg))
 
 (* list subcommand *)
 let list_experiments () =
@@ -627,7 +622,7 @@ let trace_cmd =
        trace is a strict subset of the unsampled one — same spans, same JSON — at any \
        $(b,--jobs) split.  Spans sampled out are counted, not recorded."
     in
-    Arg.(value & opt float 1.0 & info [ "trace-sample" ] ~docv:"P" ~doc)
+    Arg.(value & opt finite 1.0 & info [ "trace-sample" ] ~docv:"P" ~doc)
   in
   let trace_planes =
     let doc =
@@ -654,7 +649,7 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.18.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.19.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

@@ -112,10 +112,7 @@ let () =
         if List.exists (Entry.equal victim) r.Lookup_result.entries then incr stale
       done;
       let stats = Option.get (Service.repair service) |> Repair.stats in
-      Format.printf
-        "  %-18s stale reads after recovery: %d (sync shipped %d, retracted %d, %d \
-         hints replayed)@."
+      Format.printf "  %-18s stale reads after recovery: %d (sync shipped %d, retracted %d)@."
         (Service.config_name config)
-        !stale stats.Repair.entries_shipped stats.Repair.entries_retracted
-        stats.Repair.hints_replayed)
+        !stale stats.Repair.entries_shipped stats.Repair.entries_retracted)
     strategies

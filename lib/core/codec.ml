@@ -123,22 +123,9 @@ let tag_sync_delete = 12
 let tag_sync_state = 13
 let tag_digest_request = 14
 let tag_sync_fix = 15
-let tag_hint = 16
+(* Tag 16 is retired: it decodes as an unknown tag and is not reused. *)
 let tag_digest_pull = 17
 let tag_repair_store = 18
-
-let hint_kind_code : Msg.hint_kind -> int = function
-  | Msg.H_store -> 0
-  | Msg.H_remove -> 1
-  | Msg.H_add_sampled -> 2
-  | Msg.H_remove_counted -> 3
-
-let hint_kind_of_code = function
-  | 0 -> Ok Msg.H_store
-  | 1 -> Ok Msg.H_remove
-  | 2 -> Ok Msg.H_add_sampled
-  | 3 -> Ok Msg.H_remove_counted
-  | c -> Error (Printf.sprintf "hint: unknown kind %d" c)
 
 (* The plane wrappers are a type-level split only: on the wire a message
    is still one flat tag byte, so old captures decode unchanged. *)
@@ -194,11 +181,6 @@ let encode_repair buf (r : Msg.repair) =
     Buffer.add_uint8 buf tag_sync_fix;
     put_entries buf missing;
     put_ints buf retract
-  | Msg.Hint (target, kind, e) ->
-    Buffer.add_uint8 buf tag_hint;
-    put_varint buf target;
-    Buffer.add_uint8 buf (hint_kind_code kind);
-    encode_entry buf e
   | Msg.Digest_pull -> Buffer.add_uint8 buf tag_digest_pull
   | Msg.Repair_store e ->
     Buffer.add_uint8 buf tag_repair_store;
@@ -264,13 +246,6 @@ let decode s =
       let* missing, pos = get_entries s ~pos in
       let* retract, pos = get_ints s ~pos in
       expect_end "sync_fix" pos s (Ok (Msg.sync_fix missing retract))
-    else if tag = tag_hint then
-      let* target, pos = get_varint s ~pos in
-      if pos >= String.length s then Error "hint: truncated"
-      else
-        let* kind = hint_kind_of_code (Char.code s.[pos]) in
-        let* e, pos = decode_entry s ~pos:(pos + 1) in
-        expect_end "hint" pos s (Ok (Msg.hint ~target kind e))
     else if tag = tag_digest_pull then expect_end "digest_pull" pos s (Ok Msg.digest_pull)
     else if tag = tag_repair_store then
       let* e, pos = decode_entry s ~pos in

@@ -1,8 +1,6 @@
 open Plookup_store
 open Plookup_util
 
-type hint_kind = H_store | H_remove | H_add_sampled | H_remove_counted
-
 type data =
   | Place of Entry.t list
   | Add of Entry.t
@@ -23,7 +21,6 @@ type strategy =
 type repair =
   | Digest_request of Bitset.t
   | Sync_fix of Entry.t list * int list
-  | Hint of int * hint_kind * Entry.t
   | Digest_pull
   | Repair_store of Entry.t
 
@@ -53,7 +50,6 @@ let sync_delete e = Strategy (Sync_delete e)
 let sync_state = Strategy Sync_state
 let digest_request bits = Repair (Digest_request bits)
 let sync_fix missing retract = Repair (Sync_fix (missing, retract))
-let hint ~target kind e = Repair (Hint (target, kind, e))
 let digest_pull = Repair Digest_pull
 let repair_store e = Repair (Repair_store e)
 
@@ -79,7 +75,6 @@ let trace_coder tr =
   let c_sync_state = pm "strategy" "sync_state" in
   let c_digest_request = pm "repair" "digest_request" in
   let c_sync_fix = pm "repair" "sync_fix" in
-  let c_hint = pm "repair" "hint" in
   let c_digest_pull = pm "repair" "digest_pull" in
   let c_repair_store = pm "repair" "repair_store" in
   function
@@ -98,15 +93,8 @@ let trace_coder tr =
   | Strategy Sync_state -> c_sync_state
   | Repair (Digest_request _) -> c_digest_request
   | Repair (Sync_fix _) -> c_sync_fix
-  | Repair (Hint _) -> c_hint
   | Repair Digest_pull -> c_digest_pull
   | Repair (Repair_store _) -> c_repair_store
-
-let hint_kind_name = function
-  | H_store -> "store"
-  | H_remove -> "remove"
-  | H_add_sampled -> "add_sampled"
-  | H_remove_counted -> "remove_counted"
 
 let pp_entries ppf entries =
   Format.fprintf ppf "[%a]"
@@ -141,8 +129,6 @@ let pp_repair ppf = function
   | Digest_request bits -> Format.fprintf ppf "digest_request %a" pp_ids (Bitset.to_list bits)
   | Sync_fix (missing, retract) ->
     Format.fprintf ppf "sync_fix ship %a retract %a" pp_entries missing pp_ids retract
-  | Hint (target, kind, e) ->
-    Format.fprintf ppf "hint for %d: %s %a" target (hint_kind_name kind) Entry.pp e
   | Digest_pull -> Format.pp_print_string ppf "digest_pull"
   | Repair_store e -> Format.fprintf ppf "repair_store %a" Entry.pp e
 

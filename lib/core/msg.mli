@@ -16,8 +16,8 @@
     delegates the rest to [Strategy_common.default_strategy], which
     gives the uniform store/remove/replace semantics.
 
-    {b Repair plane} ({!repair}): anti-entropy recovery sync, hinted
-    handoff and the degree-repair daemon.  Strategies never see these —
+    {b Repair plane} ({!repair}): anti-entropy recovery sync and the
+    degree-repair daemon.  Strategies never see these —
     the {!Repair} subsystem intercepts them before the strategy handler
     runs (and when no repair layer is installed they are acked and
     ignored).
@@ -26,11 +26,6 @@
 
 open Plookup_store
 open Plookup_util
-
-type hint_kind = H_store | H_remove | H_add_sampled | H_remove_counted
-(** Which buffered operation a {!repair} [Hint] replays: the
-    point-to-point store/remove of RoundRobin/Hash/Chord, or
-    RandomServer's counted sampled-add / counted-remove. *)
 
 (** Client-originated requests; wire tags 1-4. *)
 type data =
@@ -67,7 +62,8 @@ type strategy =
       (** State transfer to a just-recovered coordinator replica; the
           receiver copies the sender's ledger. *)
 
-(** Repair-subsystem messages; wire tags 14-18. *)
+(** Repair-subsystem messages; wire tags 14, 15, 17 and 18 (16 is
+    retired). *)
 type repair =
   | Digest_request of Bitset.t
       (** Recovery sync, step 1: a just-recovered server sends a compact
@@ -76,9 +72,6 @@ type repair =
       (** Recovery sync, step 2: the peer ships the entries the digest
           shows missing and the ids to retract (deleted while the
           recoverer was down, or no longer assigned to it). *)
-  | Hint of int * hint_kind * Entry.t
-      (** Hinted handoff: an update bound for the down server named by
-          the first field, parked on a buddy for replay at recovery. *)
   | Digest_pull
       (** Repair-daemon scan: "reply with a digest of your store". *)
   | Repair_store of Entry.t
@@ -119,7 +112,6 @@ val sync_delete : Entry.t -> t
 val sync_state : t
 val digest_request : Bitset.t -> t
 val sync_fix : Entry.t list -> int list -> t
-val hint : target:int -> hint_kind -> Entry.t -> t
 val digest_pull : t
 val repair_store : Entry.t -> t
 

@@ -7,6 +7,9 @@ type t = {
   x : int;
   replacement_on_delete : bool;
   counts : int array; (* per-server local h counter *)
+  mutable batch : Entry.t array;
+      (* Buffer for [Store_batch], grown to h once and shared by every
+         receiving server, so a placement allocates O(h) words, not O(n*h). *)
 }
 
 (* Fetch one entry this server lacks, probing other servers in random
@@ -50,8 +53,12 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
   | Msg.Store_batch entries ->
     (* Independently select a uniform random x-subset of the batch. *)
     Server_store.clear local;
-    let arr = Array.of_list entries in
-    let h = Array.length arr in
+    let h = List.length entries in
+    (match entries with
+    | e :: _ when Array.length t.batch < h -> t.batch <- Array.make h e
+    | _ -> ());
+    let arr = t.batch in
+    List.iteri (fun i e -> arr.(i) <- e) entries;
     let k = min t.x h in
     let lo = Rng.subset_in_place rng arr ~n:h ~k in
     for i = lo to lo + k - 1 do
@@ -97,7 +104,8 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
 
 let create ?(replacement_on_delete = false) cluster ~x =
   if x <= 0 then invalid_arg "Random_server.create: x must be positive";
-  let t = { cluster; x; replacement_on_delete; counts = Array.make (Cluster.n cluster) 0 } in
+  let counts = Array.make (Cluster.n cluster) 0 in
+  let t = { cluster; x; replacement_on_delete; counts; batch = [||] } in
   Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
   t
 

@@ -17,16 +17,9 @@ let mode_of_string s =
   | "full" | "all" -> Ok Full
   | other -> Error (Printf.sprintf "unknown repair mode %S (expected off, sync or full)" other)
 
-type config = {
-  mode : mode;
-  grace : float;
-  period : float;
-  hint_ttl : float;
-  hint_capacity : int;
-}
+type config = { mode : mode; grace : float; period : float }
 
-let default_config =
-  { mode = Full; grace = 30.; period = 10.; hint_ttl = 200.; hint_capacity = 256 }
+let default_config = { mode = Full; grace = 30.; period = 10. }
 
 let disabled = { default_config with mode = Off }
 
@@ -35,21 +28,10 @@ type plan = Strategy_intf.plan =
   | Assigned of (Entry.t -> int list option)
   | Free of int
 
-type hint = {
-  h_target : int;
-  h_kind : Msg.hint_kind;
-  h_entry : Entry.t;
-  h_expires : float;
-}
-
 type stats = {
   syncs : int;
   entries_shipped : int;
   entries_retracted : int;
-  hints_queued : int;
-  hints_replayed : int;
-  hints_expired : int;
-  hints_dropped : int;
   re_replications : int;
   trims : int;
   restore_episodes : int;
@@ -71,7 +53,6 @@ type t = {
      so the delete path purges these from the record. *)
   placed : (int, int list) Hashtbl.t;
   mutable capacity : int; (* 1 + highest entry id ever observed *)
-  hints : hint Queue.t array; (* indexed by the buddy holding them *)
   down_since : float option array;
   down_digest : Bitset.t option array; (* store snapshot at fail time *)
   deficient_since : (int, float) Hashtbl.t;
@@ -81,10 +62,6 @@ type t = {
   st_syncs : Metrics.counter;
   st_shipped : Metrics.counter;
   st_retracted : Metrics.counter;
-  st_hints_queued : Metrics.counter;
-  st_hints_replayed : Metrics.counter;
-  st_hints_expired : Metrics.counter;
-  st_hints_dropped : Metrics.counter;
   st_re_replications : Metrics.counter;
   st_trims : Metrics.counter;
   st_restore_episodes : Metrics.counter;
@@ -95,17 +72,12 @@ let net t = Cluster.net t.cluster
 let now t = Net.now (net t)
 let daemon_ticks t = t.daemon_ticks
 let repair_messages t = Net.repair_messages (net t)
-let hints_pending t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.hints
 
 let stats t =
   let episodes = Metrics.value t.st_restore_episodes in
   { syncs = Metrics.value t.st_syncs;
     entries_shipped = Metrics.value t.st_shipped;
     entries_retracted = Metrics.value t.st_retracted;
-    hints_queued = Metrics.value t.st_hints_queued;
-    hints_replayed = Metrics.value t.st_hints_replayed;
-    hints_expired = Metrics.value t.st_hints_expired;
-    hints_dropped = Metrics.value t.st_hints_dropped;
     re_replications = Metrics.value t.st_re_replications;
     trims = Metrics.value t.st_trims;
     restore_episodes = episodes;
@@ -335,72 +307,6 @@ let do_sync t server =
           (Net.send (net t) ~src:(Net.Server server) ~dst:peer
              (Msg.digest_request (store_digest t server))))
 
-(* {2 Hinted handoff} *)
-
-let hint_of_msg (msg : Msg.t) =
-  match msg with
-  | Msg.Strategy (Msg.Store e) -> Some (Msg.H_store, e)
-  | Msg.Strategy (Msg.Remove e) -> Some (Msg.H_remove, e)
-  | Msg.Strategy (Msg.Add_sampled e) -> Some (Msg.H_add_sampled, e)
-  | Msg.Strategy (Msg.Remove_counted e) -> Some (Msg.H_remove_counted, e)
-  | Msg.Strategy _ | Msg.Data _ | Msg.Repair _ -> None
-
-let msg_of_hint h : Msg.t =
-  match h.h_kind with
-  | Msg.H_store -> Msg.store h.h_entry
-  | Msg.H_remove -> Msg.remove h.h_entry
-  | Msg.H_add_sampled -> Msg.add_sampled h.h_entry
-  | Msg.H_remove_counted -> Msg.remove_counted h.h_entry
-
-let enqueue_hint t ~buddy ~target ~kind entry =
-  let q = t.hints.(buddy) in
-  if Queue.length q >= t.config.hint_capacity then begin
-    ignore (Queue.pop q);
-    Metrics.incr t.st_hints_dropped
-  end;
-  Queue.push
-    { h_target = target; h_kind = kind; h_entry = entry; h_expires = now t +. t.config.hint_ttl }
-    q;
-  Metrics.incr t.st_hints_queued
-
-(* A transmission hit a down server: park the mutation as a hint on the
-   first up server after the dead one in ring order. *)
-let on_drop t ~src ~dst msg =
-  if t.config.mode = Full then
-    match hint_of_msg msg with
-    | None -> ()
-    | Some (kind, entry) ->
-      (match Cluster.next_up_from t.cluster dst with
-      | None -> ()
-      | Some buddy ->
-        Net.tally_as_repair (net t) (fun () ->
-            ignore (Net.send (net t) ~src ~dst:buddy (Msg.hint ~target:dst kind entry))))
-
-let replay_hints t ~target =
-  let nowv = now t in
-  for buddy = 0 to Cluster.n t.cluster - 1 do
-    let q = t.hints.(buddy) in
-    if not (Queue.is_empty q) then begin
-      let keep = Queue.create () in
-      while not (Queue.is_empty q) do
-        let h = Queue.pop q in
-        if h.h_target <> target then Queue.push h keep
-        else if not (Cluster.is_up t.cluster buddy) then
-          (* The buddy is itself down; its hints for [target] are
-             superseded by the digest sync and must not replay later
-             (they could resurrect an entry deleted in between). *)
-          Metrics.incr t.st_hints_dropped
-        else if nowv > h.h_expires then Metrics.incr t.st_hints_expired
-        else begin
-          Net.tally_as_repair (net t) (fun () ->
-              ignore (Net.send (net t) ~src:(Net.Server buddy) ~dst:target (msg_of_hint h)));
-          Metrics.incr t.st_hints_replayed
-        end
-      done;
-      Queue.transfer keep q
-    end
-  done
-
 (* {2 Repair daemon} *)
 
 let lowest_up t =
@@ -547,11 +453,11 @@ let daemon_tick t =
               | _ -> ()
             end)
           (sorted_live t);
-        (* Tombstone scrub: a recovery sync that found no live peer (or
-           a hint replayed out of order) can leave a deleted entry on an
-           up server indefinitely; the daemon retracts any tombstoned id
-           still present in a digest (the holders were collected in the
-           counting pass above — no per-tombstone server sweep). *)
+        (* Tombstone scrub: a recovery sync that found no live peer can
+           leave a deleted entry on an up server indefinitely; the
+           daemon retracts any tombstoned id still present in a digest
+           (the holders were collected in the counting pass above — no
+           per-tombstone server sweep). *)
         let dead_ids =
           List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) dead_holders [])
         in
@@ -588,7 +494,6 @@ let run_daemon_once t =
 let on_status t server ~up =
   if up then begin
     t.down_since.(server) <- None;
-    if t.config.mode = Full then replay_hints t ~target:server;
     do_sync t server;
     t.down_digest.(server) <- None;
     refresh_tracking t
@@ -607,9 +512,6 @@ let handle_repair t dst src (msg : Msg.repair) : Msg.reply =
     Msg.Ack
   | Msg.Sync_fix (missing, retract) ->
     apply_fix t ~server:dst missing retract;
-    Msg.Ack
-  | Msg.Hint (target, kind, e) ->
-    enqueue_hint t ~buddy:dst ~target ~kind e;
     Msg.Ack
   | Msg.Digest_pull -> Msg.Digest (store_digest t dst)
   | Msg.Repair_store e ->
@@ -630,8 +532,6 @@ let install cluster ~config ~plan =
   | Sync | Full -> ());
   if config.grace < 0. then invalid_arg "Repair.install: grace must be non-negative";
   if config.period <= 0. then invalid_arg "Repair.install: period must be positive";
-  if config.hint_ttl <= 0. then invalid_arg "Repair.install: hint_ttl must be positive";
-  if config.hint_capacity < 1 then invalid_arg "Repair.install: hint_capacity must be positive";
   let n = Cluster.n cluster in
   let m = (Cluster.obs cluster).Plookup_obs.Obs.metrics in
   let t =
@@ -642,7 +542,6 @@ let install cluster ~config ~plan =
       tombstones = Hashtbl.create 64;
       placed = Hashtbl.create 64;
       capacity = 0;
-      hints = Array.init n (fun _ -> Queue.create ());
       down_since = Array.make n None;
       down_digest = Array.make n None;
       deficient_since = Hashtbl.create 64;
@@ -650,10 +549,6 @@ let install cluster ~config ~plan =
       st_syncs = Metrics.counter m "repair.syncs";
       st_shipped = Metrics.counter m "repair.entries_shipped";
       st_retracted = Metrics.counter m "repair.entries_retracted";
-      st_hints_queued = Metrics.counter m "repair.hints.queued";
-      st_hints_replayed = Metrics.counter m "repair.hints.replayed";
-      st_hints_expired = Metrics.counter m "repair.hints.expired";
-      st_hints_dropped = Metrics.counter m "repair.hints.dropped";
       st_re_replications = Metrics.counter m "repair.re_replications";
       st_trims = Metrics.counter m "repair.trims";
       st_restore_episodes = Metrics.counter m "repair.restore.episodes";
@@ -661,7 +556,6 @@ let install cluster ~config ~plan =
   in
   let net = Cluster.net cluster in
   Net.wrap_handler net (fun inner dst src msg -> handle t inner dst src msg);
-  Net.set_drop_listener net (fun ~src ~dst msg -> on_drop t ~src ~dst msg);
   Net.add_status_listener net (fun server ~up -> on_status t server ~up);
   t
 

@@ -1,5 +1,5 @@
-(** Self-healing layer: anti-entropy recovery sync, hinted handoff and a
-    degree-restoring repair daemon, strategy-agnostic and metered.
+(** Self-healing layer: anti-entropy recovery sync and a degree-restoring
+    repair daemon, strategy-agnostic and metered.
 
     The paper's strategies (Section 3) lose copies silently under churn:
     a recovering server serves whatever its store held when it failed —
@@ -15,12 +15,8 @@
        sends its store's entry-id digest (a compact {!Plookup_util.Bitset})
        to a live peer; the peer answers with one [Sync_fix] shipping only
        the entries the digest proves missing and retracting the ids the
-       catalog proves deleted.}
-    {- {e Hinted handoff}: a [Store]/[Remove] (or RandomServer sampling
-       op) that hits a down server is parked as a bounded, TTL'd hint on
-       the first up server after it in ring order, and replayed when the
-       target recovers — before the digest sync, which then corrects any
-       hint that expired or went stale.}
+       catalog proves deleted.  Updates a server missed while down are
+       reconciled by this sync alone.}
     {- {e Repair daemon}: a periodic {!Plookup_sim.Engine} task whose
        coordinator (lowest-indexed up server) broadcasts a [Digest_pull],
        counts live copies per entry, and re-replicates entries whose
@@ -39,14 +35,14 @@
     client-level [Place]/[Add]/[Delete] traffic — the repair
     coordinator's replicated metadata, analogous to Round-Robin's
     ledger.  Everything is deterministic: same seed and schedule, same
-    syncs, same hint replay order, same message counts. *)
+    syncs, same repairs, same message counts. *)
 
 open Plookup_store
 
 type mode =
   | Off  (** No repair; the seed repo's behaviour. *)
   | Sync  (** Recovery sync only. *)
-  | Full  (** Recovery sync + hinted handoff + repair daemon. *)
+  | Full  (** Recovery sync + repair daemon. *)
 
 val mode_name : mode -> string
 val mode_of_string : string -> (mode, string) result
@@ -55,13 +51,10 @@ type config = {
   mode : mode;
   grace : float;  (** Seconds a server may be down before the daemon re-replicates. *)
   period : float;  (** Daemon tick interval. *)
-  hint_ttl : float;  (** Hints older than this are discarded unreplayed. *)
-  hint_capacity : int;  (** Max hints parked per buddy; oldest evicted first. *)
 }
 
 val default_config : config
-(** [mode = Full], [grace = 30.], [period = 10.], [hint_ttl = 200.],
-    [hint_capacity = 256]. *)
+(** [mode = Full], [grace = 30.], [period = 10.]. *)
 
 val disabled : config
 (** [default_config] with [mode = Off]. *)
@@ -80,27 +73,26 @@ type plan = Strategy_intf.plan =
           describable (truncated Round-Robin) — sync is skipped. *)
   | Free of int
       (** Random x-subsets (RandomServer-x): sync only purges deleted
-          entries; the daemon restores the dynamic target degree
-          [n*x / live_count]. *)
+          entries, so a recovered server does not count or sample the
+          adds and deletes it missed; the daemon restores the dynamic
+          target degree [n*x / live_count]. *)
 
 type t
 
 val install : Cluster.t -> config:config -> plan:plan -> t
 (** Wrap the cluster's installed strategy handler with the repair layer
-    and hook the drop/status listeners.  Must be called {e after} the
+    and hook its status listener.  Must be called {e after} the
     strategy's [create] (which installs the handler) — {!Service} does
     this when its repair config is not [Off].  Raises [Invalid_argument]
     on [mode = Off] or non-positive timing parameters. *)
 
 val attach_engine : ?until:float -> t -> Plookup_sim.Engine.t -> unit
 (** Make [engine] the cluster network's clock ({!Plookup_net.Net.attach_engine}),
-    which is also repair's (hint TTLs and grace periods are 0-based
-    without one), and, in [Full] mode, schedule the daemon every
+    which is also repair's (grace periods are 0-based without one), and, in [Full] mode, schedule the daemon every
     [period] time units, stopping after [until] if given. *)
 
 (** {1 Introspection} *)
 
-val hints_pending : t -> int
 val daemon_ticks : t -> int
 
 val repair_messages : t -> int
@@ -111,10 +103,6 @@ type stats = {
   syncs : int;  (** Recovery syncs initiated. *)
   entries_shipped : int;  (** Entries installed by [Sync_fix]. *)
   entries_retracted : int;  (** Entries deleted by [Sync_fix]. *)
-  hints_queued : int;
-  hints_replayed : int;
-  hints_expired : int;  (** Aged past [hint_ttl] at replay time. *)
-  hints_dropped : int;  (** Evicted by capacity or lost with a down buddy. *)
   re_replications : int;  (** [Repair_store] copies pushed by the daemon. *)
   trims : int;  (** Stray over-degree copies removed by the daemon. *)
   restore_episodes : int;

@@ -34,9 +34,7 @@ let check_overload o =
    they are usage errors that name the CLI flag. *)
 let check_repair r =
   if r.Plookup.Repair.grace < 0. then invalid_arg "Ctx: grace must be non-negative";
-  if r.period <= 0. then invalid_arg "Ctx: repair-period must be positive";
-  if r.hint_ttl <= 0. then invalid_arg "Ctx: hint-ttl must be positive";
-  if r.hint_capacity < 1 then invalid_arg "Ctx: hint-cap must be >= 1"
+  if r.period <= 0. then invalid_arg "Ctx: repair-period must be positive"
 
 type t = {
   seed : int;

@@ -77,7 +77,6 @@ type ('msg, 'reply) t = {
   mutable tracing : 'msg tracing option;
   mutable engine : Plookup_sim.Engine.t option; (* the clock; see [attach_engine] *)
   mutable status_listeners : (int -> up:bool -> unit) list;
-  mutable drop_listener : (src:sender -> dst:int -> 'msg -> unit) option;
   mutable faults : faults option;
   mutable faults_on : bool;
   mutable partitions : partition list;
@@ -115,7 +114,6 @@ let create ?metrics ~n () =
     tracing = None;
     engine = None;
     status_listeners = [];
-    drop_listener = None;
     faults = None;
     faults_on = false;
     partitions = [];
@@ -160,7 +158,6 @@ let recover t i =
 
 let set_status_listener t f = t.status_listeners <- [ f ]
 let add_status_listener t f = t.status_listeners <- t.status_listeners @ [ f ]
-let set_drop_listener t f = t.drop_listener <- Some f
 
 let is_up t i =
   check_node t i;
@@ -352,7 +349,6 @@ let account t ~src ~dst msg =
 let deliver_plain t ~src ~dst msg =
   if not t.up.(dst) then begin
     Metrics.incr t.dropped;
-    (match t.drop_listener with Some f -> f ~src ~dst msg | None -> ());
     None
   end
   else begin
@@ -364,7 +360,6 @@ let deliver t ?(sid = 0) ~src ~dst msg =
   if not t.up.(dst) then begin
     Metrics.incr t.dropped;
     trace_drop t ~sid ~src ~dst ~reason:Span.Down msg;
-    (match t.drop_listener with Some f -> f ~src ~dst msg | None -> ());
     None
   end
   else begin
@@ -430,7 +425,6 @@ let sync_transmit_traced t tc ~src ~dst msg =
         let sid = Trace.emit_send tr ~time ~src:sc ~dst ~pm in
         Metrics.incr t.dropped;
         Trace.emit_drop tr ~time ~cause:sid ~src:sc ~dst ~pm ~reason:Span.Down;
-        (match t.drop_listener with Some f -> f ~src ~dst msg | None -> ());
         None
       end
     | Some f ->
@@ -565,7 +559,6 @@ let deliver_queued t engine ?(sid = 0) ~src ~dst msg k =
     if not t.up.(dst) then begin
       Metrics.incr t.dropped;
       trace_drop t ~sid ~src ~dst ~reason:Span.Down msg;
-      (match t.drop_listener with Some f -> f ~src ~dst msg | None -> ());
       k None
     end
     else if c.depth.(dst) >= c.queue_limit then begin

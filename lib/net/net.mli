@@ -93,13 +93,6 @@ val add_status_listener : ('msg, 'reply) t -> (int -> up:bool -> unit) -> unit
     installation order.  The repair subsystem stacks its recovery-sync
     trigger on top of a strategy's own listener this way. *)
 
-val set_drop_listener : ('msg, 'reply) t -> (src:sender -> dst:int -> 'msg -> unit) -> unit
-(** Called whenever a transmission is dropped because its destination is
-    down (not for link loss or partitions — those model the message
-    vanishing in the network, where no one can observe it; a dead server
-    is observable membership state the sender can react to).  One
-    listener, last wins.  Hinted handoff hooks in here. *)
-
 val is_up : ('msg, 'reply) t -> int -> bool
 val up_servers : ('msg, 'reply) t -> int list
 
@@ -169,9 +162,9 @@ val faults_enabled : ('msg, 'reply) t -> bool
     The synchronous {!send}/{!broadcast} path has no clock and is
     unaffected, exactly like jitter.  Registry cells: a per-server
     [net.queue.depth] gauge holding the high-water inbox occupancy and
-    a [net.messages.shed] counter.  Shed requests are not counted as
-    received (they were never processed) and do not reach the drop
-    listener (the server is alive — hinting would be wrong). *)
+    a [net.messages.shed] counter.  Shed requests are counted neither as
+    received (they were never processed) nor as dropped (the server is
+    alive, only too busy). *)
 
 val set_capacity :
   ('msg, 'reply) t -> service_rate:float -> queue_limit:int -> ?nack:'reply -> unit -> unit

@@ -4,8 +4,10 @@ type event = { time : float; server : int; up : bool }
 
 let generate rng ~n ~mttf ~mttr ~horizon =
   if n <= 0 then invalid_arg "Churn.generate: n must be positive";
-  if mttf <= 0. || mttr <= 0. then invalid_arg "Churn.generate: mttf/mttr must be positive";
-  if horizon < 0. then invalid_arg "Churn.generate: negative horizon";
+  (* Written so that NaN fails: a NaN clock never passes the horizon. *)
+  if not (mttf > 0. && mttr > 0.) then invalid_arg "Churn.generate: mttf/mttr must be positive";
+  if not (Float.is_finite horizon && horizon >= 0.) then
+    invalid_arg "Churn.generate: horizon must be finite and non-negative";
   let events = ref [] in
   for server = 0 to n - 1 do
     let clock = ref 0. in

@@ -70,9 +70,18 @@ let test_validation () =
   let rng = Rng.create 0 in
   Alcotest.check_raises "bad n" (Invalid_argument "Churn.generate: n must be positive")
     (fun () -> ignore (Churn.generate rng ~n:0 ~mttf:1. ~mttr:1. ~horizon:1.));
-  Alcotest.check_raises "bad mttf"
-    (Invalid_argument "Churn.generate: mttf/mttr must be positive") (fun () ->
-      ignore (Churn.generate rng ~n:1 ~mttf:0. ~mttr:1. ~horizon:1.))
+  List.iter
+    (fun (mttf, mttr) ->
+      Alcotest.check_raises "bad mttf/mttr"
+        (Invalid_argument "Churn.generate: mttf/mttr must be positive") (fun () ->
+          ignore (Churn.generate rng ~n:1 ~mttf ~mttr ~horizon:1.)))
+    [ (0., 1.); (Float.nan, 1.); (1., Float.nan) ];
+  List.iter
+    (fun horizon ->
+      Alcotest.check_raises "bad horizon"
+        (Invalid_argument "Churn.generate: horizon must be finite and non-negative")
+        (fun () -> ignore (Churn.generate rng ~n:1 ~mttf:1. ~mttr:1. ~horizon)))
+    [ -1.; Float.nan; Float.infinity ]
 
 let prop_deterministic =
   Helpers.qcheck ~count:30 "same seed, same timeline"

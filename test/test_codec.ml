@@ -42,10 +42,6 @@ let test_message_roundtrips () =
       Msg.digest_request (bitset_of [ 0; 3; 63; 64 ] 70);
       Msg.sync_fix [] [];
       Msg.sync_fix [ Entry.v 1; Entry.v ~payload:"p" 2 ] [ 7; 8; 9 ];
-      Msg.hint ~target:0 Msg.H_store (Entry.v 11);
-      Msg.hint ~target:3 Msg.H_remove (Entry.v ~payload:"addr" 12);
-      Msg.hint ~target:1 Msg.H_add_sampled (Entry.v 13);
-      Msg.hint ~target:2 Msg.H_remove_counted (Entry.v 14);
       Msg.digest_pull;
       Msg.repair_store (Entry.v ~payload:"sub" 21) ]
 
@@ -123,6 +119,7 @@ let test_malformed_inputs () =
       "\x02\x00" ^ max_int_varint (* add, payload length max_int *);
       "\x02" ^ minus_one ^ "\x00" (* add, entry id -1 *);
       "\x04" ^ minus_one (* lookup, t = -1 *);
+      "\x10\x00\x00\x0b\x00" (* the retired tag 16, once a hint *);
       digest "\x0e" (1 lsl 33) (* digest request, a 1 GiB bitset *);
       digest "\x0e" (1 lsl 40) (* digest request, a 128 GiB bitset *);
       digest "\x0e" (limit + 1) ];
@@ -217,11 +214,6 @@ let gen_repair =
         map2 Msg.sync_fix
           (list_size (int_range 0 10) gen_entry)
           (list_size (int_range 0 10) (int_range 0 5000));
-        map2
-          (fun (target, kind) e -> Msg.hint ~target kind e)
-          (pair (int_range 0 50)
-             (oneofl [ Msg.H_store; Msg.H_remove; Msg.H_add_sampled; Msg.H_remove_counted ]))
-          gen_entry;
         return Msg.digest_pull;
         map Msg.repair_store gen_entry ])
 

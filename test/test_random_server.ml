@@ -160,6 +160,22 @@ let prop_occupancy_bounded_under_updates =
         (fun server -> Server_store.cardinal (Cluster.store cluster server) <= x)
         [ 0; 1; 2 ])
 
+(* Placement allocates O(x) words per server, not O(h): each server
+   draws its x-subset in one buffer the strategy reuses, never in a
+   fresh copy of the batch. *)
+let test_place_allocation () =
+  let n = 1000 and h = 1000 in
+  let cluster = Cluster.create ~seed:3 ~n () in
+  let s = Random_server.create cluster ~x:2 in
+  let batch = Helpers.entries h in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  Random_server.place s batch;
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let per_server = words /. float_of_int n in
+  if per_server >= 100. then
+    Alcotest.failf "RandomServer-2 placement allocated %.0f words per server" per_server
+
 let () =
   Helpers.run "random_server"
     [ ( "random_server",
@@ -179,4 +195,6 @@ let () =
           Alcotest.test_case "lookup merges" `Quick test_lookup_merges_servers;
           Alcotest.test_case "lookup under failures" `Quick test_lookup_under_failures;
           Alcotest.test_case "rejects bad x" `Quick test_rejects_bad_x;
+          Alcotest.test_case "placement allocates O(x) per server" `Quick
+            test_place_allocation;
           prop_occupancy_bounded_under_updates ] ) ]

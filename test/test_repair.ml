@@ -1,8 +1,8 @@
 (* Regression tests for the self-healing layer (Repair): the staleness
    bug — a recovered server serving entries deleted while it was down
    and missing entries added while it was down — is pinned as fixed for
-   every strategy, plus hint TTL/capacity bounds, daemon degree
-   restoration, repair message accounting and determinism. *)
+   every strategy, plus a free outage, daemon degree restoration, repair
+   message accounting and determinism. *)
 
 open Plookup
 open Plookup_store
@@ -17,7 +17,22 @@ let all_configs =
     Service.random_server_replacing 20;
     Service.round_robin 2;
     Service.round_robin_replicated 2 2;
-    Service.hash 2 ]
+    Service.hash 2;
+    Service.v ~kind:"Chord" ~params:[ 2 ];
+    Service.v ~kind:"DxHash" ~params:[ 2 ];
+    Service.v ~kind:"MultiProbe" ~params:[ 2; 2 ] ]
+
+(* "Every strategy" means every registered one: a newly registered
+   strategy fails here until it joins [all_configs]. *)
+let test_all_configs_cover_registry () =
+  let registered =
+    List.map
+      (fun (module S : Strategy_intf.S) -> S.meta.Strategy_intf.name)
+      (Strategy_registry.all ())
+  in
+  Alcotest.(check (list string)) "one config per registered strategy"
+    (List.sort compare registered)
+    (List.sort_uniq compare (List.map Service.kind all_configs))
 
 let store_ids cluster i = List.sort compare (Server_store.ids (Cluster.store cluster i))
 
@@ -73,8 +88,8 @@ let test_staleness_fixed () =
         added)
     all_configs
 
-(* Sync-only mode is enough for the staleness fix (no hints, no daemon:
-   the recovery digest sync alone retracts the deletes). *)
+(* Sync-only mode is enough for the staleness fix (no daemon: the
+   recovery digest sync alone retracts the deletes). *)
 let test_sync_mode_retracts () =
   List.iter
     (fun config ->
@@ -89,13 +104,7 @@ let test_sync_mode_retracts () =
       Service.delete service victim;
       Cluster.recover cluster 2;
       if List.mem 0 (store_ids cluster 2) then
-        Alcotest.failf "%s: sync mode left deleted entry on recovered server" name;
-      let stats = match Service.repair service with
-        | Some rep -> Repair.stats rep
-        | None -> Alcotest.fail "repair layer missing"
-      in
-      Alcotest.(check int) (name ^ " queues no hints in sync mode") 0
-        stats.Repair.hints_queued)
+        Alcotest.failf "%s: sync mode left deleted entry on recovered server" name)
     all_configs
 
 (* A fail -> recover round trip with no updates in between must leave
@@ -120,52 +129,28 @@ let test_no_update_round_trip_identical () =
           name)
     all_configs
 
-(* Hints expire after their TTL: a delete buffered for a down server is
-   not replayed when the outage outlasts hint_ttl — the digest sync
-   covers it instead. *)
-let test_hint_ttl () =
-  let repair = { Repair.default_config with Repair.hint_ttl = 5. } in
-  let service = Service.create ~seed:9 ~repair ~n:4 (Service.hash 2) in
+(* Updates that miss a down server cost no repair traffic while it is
+   down; the digest sync at recovery retracts what it missed. *)
+let test_outage_is_free () =
+  let service = Service.create ~seed:9 ~repair:Repair.default_config ~n:4 (Service.hash 2) in
   let gen = Entry.Gen.create () in
   let batch = Entry.Gen.batch gen 30 in
   Service.place service batch;
   let cluster = Service.cluster service in
   let rep = Option.get (Service.repair service) in
-  let engine = Engine.create () in
-  Repair.attach_engine ~until:60. rep engine;
   Cluster.fail cluster 2;
-  (* Delete a third of the entries; some are owned by server 2, so some
-     hints are parked for it. *)
-  List.iteri (fun i e -> if i mod 3 = 0 then Service.delete service e) batch;
-  let queued = (Repair.stats rep).Repair.hints_queued in
-  Alcotest.(check bool) "some hints queued for the down owner" true (queued > 0);
-  ignore (Engine.schedule_at engine ~time:50. (fun _ -> Cluster.recover cluster 2));
-  ignore (Engine.run ~until:60. engine);
-  let stats = Repair.stats rep in
-  Alcotest.(check int) "every hint outlived its TTL" queued stats.Repair.hints_expired;
-  Alcotest.(check int) "nothing replayed" 0 stats.Repair.hints_replayed;
-  (* The sync still cleaned the recovered store. *)
-  List.iteri
-    (fun i e ->
-      if i mod 3 = 0 && List.mem (Entry.id e) (store_ids cluster 2) then
-        Alcotest.failf "expired hint left deleted entry %d behind" (Entry.id e))
-    batch
-
-(* The per-buddy hint buffer is bounded: over capacity, the oldest hint
-   is evicted. *)
-let test_hint_capacity () =
-  let repair = { Repair.default_config with Repair.hint_capacity = 2 } in
-  let service = Service.create ~seed:5 ~repair ~n:3 (Service.fixed 10) in
-  let gen = Entry.Gen.create () in
-  Service.place service (Entry.Gen.batch gen 4);
-  let cluster = Service.cluster service in
-  Cluster.fail cluster 1;
-  for _ = 1 to 5 do Service.add service (Entry.Gen.fresh gen) done;
-  let rep = Option.get (Service.repair service) in
-  let stats = Repair.stats rep in
-  Alcotest.(check int) "all five adds hinted" 5 stats.Repair.hints_queued;
-  Alcotest.(check int) "three evicted at capacity 2" 3 stats.Repair.hints_dropped;
-  Alcotest.(check int) "two pending" 2 (Repair.hints_pending rep)
+  let deleted = List.filteri (fun i _ -> i mod 3 = 0) batch in
+  List.iter (Service.delete service) deleted;
+  Alcotest.(check int) "no repair messages while server 2 is down" 0
+    (Repair.repair_messages rep);
+  Cluster.recover cluster 2;
+  Alcotest.(check bool) "the sync retracted deletes" true
+    ((Repair.stats rep).Repair.entries_retracted > 0);
+  List.iter
+    (fun e ->
+      if List.mem (Entry.id e) (store_ids cluster 2) then
+        Alcotest.failf "recovered server 2 still holds deleted entry %d" (Entry.id e))
+    deleted
 
 (* After the grace period the daemon re-replicates entries whose owner
    is down; once the owner returns, the substitutes are trimmed again so
@@ -229,8 +214,8 @@ let test_repair_message_accounting () =
   Alcotest.(check int) "lookups are not repair traffic" before
     (Repair.repair_messages rep)
 
-(* Same seed => identical repair schedule, hint flow and message
-   counts, under a full churn + update workload. *)
+(* Same seed => identical repair schedule and message counts, under a
+   full churn + update workload. *)
 let test_deterministic () =
   let scenario () =
     let service =
@@ -285,9 +270,7 @@ let test_config_validation () =
   let checks =
     [ { Repair.default_config with Repair.mode = Repair.Off };
       { Repair.default_config with Repair.grace = -1. };
-      { Repair.default_config with Repair.period = 0. };
-      { Repair.default_config with Repair.hint_ttl = 0. };
-      { Repair.default_config with Repair.hint_capacity = 0 } ]
+      { Repair.default_config with Repair.period = 0. } ]
   in
   List.iter
     (fun config ->
@@ -299,14 +282,16 @@ let test_config_validation () =
 let () =
   Helpers.run "repair"
     [ ( "repair",
-        [ Alcotest.test_case "staleness fixed for every strategy" `Quick
+        [ Alcotest.test_case "every registered strategy is covered" `Quick
+            test_all_configs_cover_registry;
+          Alcotest.test_case "staleness fixed for every strategy" `Quick
             test_staleness_fixed;
           Alcotest.test_case "sync mode alone retracts deletes" `Quick
             test_sync_mode_retracts;
           Alcotest.test_case "no-update round trip is identical" `Quick
             test_no_update_round_trip_identical;
-          Alcotest.test_case "hint TTL" `Quick test_hint_ttl;
-          Alcotest.test_case "hint capacity" `Quick test_hint_capacity;
+          Alcotest.test_case "outage costs nothing until recovery" `Quick
+            test_outage_is_free;
           Alcotest.test_case "daemon restores degree and trims" `Quick
             test_daemon_restores_degree;
           Alcotest.test_case "repair message accounting" `Quick

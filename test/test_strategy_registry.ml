@@ -95,7 +95,6 @@ let every_message =
     Msg.sync_state;
     Msg.digest_request bits;
     Msg.sync_fix [ e ] [ 2 ];
-    Msg.hint ~target:0 Msg.H_store e;
     Msg.digest_pull;
     Msg.repair_store e ]
 
