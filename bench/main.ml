@@ -195,6 +195,29 @@ let bench_core () =
           Service.delete service (Entry.v !next)
         done )
   in
+  (* Messages per op beside each rate row, counted over one untimed
+     window on a freshly placed service, so a rate regression shows
+     whether the message count or the ns per message moved.  An update
+     is the rate row's op: one add and one delete. *)
+  let messages metric window op config =
+    let service = placed config in
+    let net = Cluster.net (Service.cluster service) in
+    Net.reset_counters net;
+    for i = 1 to window do
+      op service i
+    done;
+    row ~digits:3 ~better:Lower ~unit:"msgs" "service" metric (Service.config_name config)
+      (float_of_int (Net.messages_received net) /. float_of_int window)
+  in
+  let lookup_msgs =
+    messages "msgs_per_lookup" lookup_window (fun service _ ->
+        ignore (Service.partial_lookup service t))
+  in
+  let update_msgs =
+    messages "msgs_per_update" update_window (fun service i ->
+        Service.add service (Entry.v (h + i));
+        Service.delete service (Entry.v (h + i)))
+  in
   ( Json.
       [ ("seed", Num 3.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
         ("t", Num (float_of_int t)); ("engine_window", Num (float_of_int (batch * batches)));
@@ -203,7 +226,9 @@ let bench_core () =
     rate_rows
       ((("engine", "events_per_sec", "", batch * batches, engine_window)
        :: List.map lookups configs)
-      @ List.map updates configs) )
+      @ List.map updates configs)
+    @ List.map lookup_msgs configs
+    @ List.map update_msgs configs )
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: instrumentation overhead -> BENCH_core.json                 *)

@@ -57,9 +57,9 @@ let messages_shed t = Net.messages_shed t.net
 
 let up_count t = Net.up_count t.net
 
-(* One [Rng.int] draw over the up-count, resolved by rank — the same
-   draw (and the same server: the k-th smallest up id) as the old
-   [List.nth up_servers] scan, in O(log n) instead of O(n). *)
+(* One [Rng.int] draw over the up-count, resolved by rank with
+   [Net.kth_up] — the same draw (and the same server: the k-th smallest
+   up id) as the old [List.nth up_servers] scan. *)
 let random_up_server t =
   match up_count t with
   | 0 -> None

@@ -28,7 +28,7 @@ let fresh_answers cluster =
 (* The k-th smallest reachable up server, for a random [k] below their
    count — one draw, the same one (and the same server) as indexing the
    ascending array of reachable up servers.  Without a predicate this is
-   an O(log n) rank select; with one, an O(n) scan. *)
+   a rank select; with one, an O(n) scan. *)
 let random_reachable ?reachable cluster =
   match reachable with
   | None -> Cluster.random_up_server cluster

@@ -15,8 +15,8 @@
 
     Orders are {!Probe_order} cursors, generated only as far as the
     probe walks them: a lookup that stops after k contacts costs O(k)
-    order work (k draws and k O(log n) rank selects for a random order),
-    not O(n). *)
+    order work (k draws and k rank selects for a random order), not
+    O(n). *)
 
 val single :
   ?reachable:(int -> bool) -> Cluster.t -> t:int -> Lookup_result.t
@@ -26,7 +26,7 @@ val single :
     server is tried, matching the paper (those strategies make every
     server identical, so retrying is pointless).  Returns
     {!Lookup_result.empty} if no server is reachable.  The pick is one
-    draw over the reachable up servers, resolved by rank: O(log n)
+    draw over the reachable up servers, resolved by rank: a rank select
     without [reachable], an O(n) scan with it. *)
 
 val random_order :

@@ -17,7 +17,7 @@ val random_up : ?keep:(int -> bool) -> Cluster.t -> t
     a forward Fisher–Yates over the up-server ranks [0, up_count) that
     remembers only the displaced slots (a swap map): each step draws
     once, uniform over the ranks not yet yielded, and resolves the rank
-    with {!Plookup_net.Net.kth_up} (O(log n)).  Ids failing [keep] are
+    with {!Plookup_net.Net.kth_up}.  Ids failing [keep] are
     skipped, which leaves the order uniform over the kept servers.  The
     up set must not change while the cursor is in use — true of the
     synchronous probes, whose deliveries never fail a server. *)

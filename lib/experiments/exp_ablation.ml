@@ -111,40 +111,35 @@ let coord_replicas ctx =
          (* Cost: the stream with no failures. *)
          let cluster, strategy = placed ~obs ~seed:(Ctx.run_seed ctx 2) coordinators in
          Net.reset_counters (Cluster.net cluster);
-         List.iter
-           (fun ev ->
-             match ev.Update_gen.op with
+         Array.iter
+           (function
              | Update_gen.Add e -> Round_robin.add strategy e
              | Update_gen.Delete e -> Round_robin.delete strategy e)
-           stream.Update_gen.events;
+           stream.Update_gen.ops;
          let msgs = Net.messages_received (Cluster.net cluster) in
          (* Availability: the same updates at their stream times, with
             every server churning; count the adds that landed. *)
          let cluster, strategy = placed ~obs ~seed:(Ctx.run_seed ctx 3) coordinators in
          let engine = Engine.create () in
          Net.attach_engine (Cluster.net cluster) engine;
-         let horizon =
-           List.fold_left
-             (fun acc ev -> Float.max acc ev.Update_gen.time)
-             0. stream.Update_gen.events
-         in
+         let horizon = Array.fold_left Float.max 0. stream.Update_gen.times in
          Churn.drive engine
            ~apply:(fun ev ->
              if ev.Churn.up then Cluster.recover cluster ev.Churn.server
              else Cluster.fail cluster ev.Churn.server)
            (Churn.generate (Rng.create (Ctx.run_seed ctx 4)) ~n ~mttf:50. ~mttr:50. ~horizon);
          let attempted = ref 0 and accepted = ref 0 in
-         List.iter
-           (fun ev ->
+         Array.iteri
+           (fun i op ->
              ignore
-               (Engine.schedule_at engine ~time:ev.Update_gen.time (fun _ ->
-                    match ev.Update_gen.op with
+               (Engine.schedule_at engine ~time:stream.Update_gen.times.(i) (fun _ ->
+                    match op with
                     | Update_gen.Add e ->
                       incr attempted;
                       Round_robin.add strategy e;
                       if Round_robin.position_of strategy e <> None then incr accepted
                     | Update_gen.Delete e -> Round_robin.delete strategy e)))
-           stream.Update_gen.events;
+           stream.Update_gen.ops;
          ignore (Engine.run engine);
          [ Table.I coordinators;
            Table.F (float_of_int msgs /. float_of_int updates);

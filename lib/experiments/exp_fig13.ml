@@ -27,9 +27,7 @@ let unfairness_trace ctx ~obs ~lookups ~config ~stream ~run =
       Hashtbl.replace out index (Unfairness.of_instance service ~live ~t ~lookups)
     end
   in
-  Replay.run
-    ~on_event:(fun point _ -> measure point.Replay.index)
-    service stream;
+  Replay.run ~on_event:(fun point -> measure point.Replay.index) service stream;
   (* Checkpoint 0 must be measured on a freshly placed instance; rerun
      the placement-only part by creating a new service. *)
   if Hashtbl.mem wanted 0 then begin

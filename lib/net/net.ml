@@ -57,7 +57,7 @@ type ('msg, 'reply) t = {
   mutable handler : (int -> sender -> 'msg -> 'reply) option;
   up : bool array;
   (* 0/1 per server, mirroring [up]: O(1) up-count and O(log n) k-th-up
-     selection for the uniform-pick hot paths. *)
+     selection for the uniform-pick hot paths while a server is down. *)
   up_fen : Fenwick.t;
   (* Counters are registry cells private to this network instance, so the
      accessors below report exactly this network's traffic (snapshots
@@ -168,9 +168,12 @@ let up_servers t =
 
 let up_count t = Fenwick.total t.up_fen
 
+(* While every server is up, rank k is server k: the select is only
+   needed once some server is down. *)
 let kth_up t k =
-  if k < 0 || k >= up_count t then invalid_arg "Net.kth_up: rank out of range";
-  Fenwick.select t.up_fen k
+  let up = up_count t in
+  if k < 0 || k >= up then invalid_arg "Net.kth_up: rank out of range";
+  if up = t.n then k else Fenwick.select t.up_fen k
 
 let fail_exactly t down =
   for i = 0 to t.n - 1 do

@@ -101,7 +101,8 @@ val up_count : ('msg, 'reply) t -> int
 
 val kth_up : ('msg, 'reply) t -> int -> int
 (** [kth_up t k] is the k-th smallest up server id (0-based) — the same
-    element [List.nth (up_servers t) k] names, in O(log n).  Requires
+    element [List.nth (up_servers t) k] names: [k] itself in O(1) while
+    every server is up, else in O(log n).  Requires
     [0 <= k < up_count t]. *)
 
 val fail_exactly : ('msg, 'reply) t -> int list -> unit

@@ -1,20 +1,37 @@
 module Rng = Plookup_util.Rng
 module Bitset = Plookup_util.Bitset
 
+(* Entry id -> slot, specialised to int keys so that no store
+   operation calls the polymorphic hash or compare.  Buckets are picked
+   by the hash's low bits, and a RoundRobin server's ids all fall in one
+   residue class mod n: identity hashing would crowd them into a few
+   buckets whenever n is a power of two.  So the hash multiplies by an
+   odd constant, which carries every bit of the id upwards, and folds
+   the high half of the product back into the low bits. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash id =
+    let h = id * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+end)
+
 type t = {
   mutable slots : Entry.t array; (* entries live in slots.(0 .. size-1) *)
   mutable size : int;
-  index : (int, int) Hashtbl.t; (* entry id -> slot *)
+  index : int Index.t; (* entry id -> slot *)
   mutable scratch : int array; (* reused by random_pick; grown on demand *)
 }
 
 let dummy = Entry.v 0
 
-let create () = { slots = [||]; size = 0; index = Hashtbl.create 16; scratch = [||] }
+let create () = { slots = [||]; size = 0; index = Index.create 16; scratch = [||] }
 
 let cardinal t = t.size
 let is_empty t = t.size = 0
-let mem t e = Hashtbl.mem t.index (Entry.id e)
+let mem t e = Index.mem t.index (Entry.id e)
 
 let ensure_capacity t =
   if t.size = Array.length t.slots then begin
@@ -29,21 +46,21 @@ let add t e =
   else begin
     ensure_capacity t;
     t.slots.(t.size) <- e;
-    Hashtbl.replace t.index (Entry.id e) t.size;
+    Index.replace t.index (Entry.id e) t.size;
     t.size <- t.size + 1;
     true
   end
 
 let remove t e =
-  match Hashtbl.find_opt t.index (Entry.id e) with
+  match Index.find_opt t.index (Entry.id e) with
   | None -> false
   | Some slot ->
-    Hashtbl.remove t.index (Entry.id e);
+    Index.remove t.index (Entry.id e);
     let last = t.size - 1 in
     if slot <> last then begin
       let moved = t.slots.(last) in
       t.slots.(slot) <- moved;
-      Hashtbl.replace t.index (Entry.id moved) slot
+      Index.replace t.index (Entry.id moved) slot
     end;
     t.slots.(last) <- dummy;
     t.size <- last;
@@ -52,7 +69,7 @@ let remove t e =
 let clear t =
   t.slots <- [||];
   t.size <- 0;
-  Hashtbl.reset t.index
+  Index.reset t.index
 
 let rec slots_to_list slots i acc =
   if i < 0 then acc else slots_to_list slots (i - 1) (slots.(i) :: acc)

@@ -3,9 +3,11 @@
     Every strategy's per-server state is a set of entries that must
     support the hot operation of the whole evaluation: "each contacted
     server returns t randomly selected entries stored on the server" —
-    i.e. a uniform k-subset draw.  The store is an indexed hash set
-    (array + entry→slot table) so membership, insert, delete and uniform
-    random selection are all O(1) (O(k) for a k-subset). *)
+    i.e. a uniform k-subset draw.  The store is an indexed hash set: an
+    array of entries plus a table from entry id to slot, specialised to
+    int keys so that no operation calls the polymorphic hash or compare.
+    Membership, insert, delete and uniform random selection are all O(1)
+    (O(k) for a k-subset). *)
 
 type t
 

@@ -4,14 +4,11 @@
 type probe_point = {
   index : int;  (** events applied so far *)
   time : float;  (** simulation time of the event just applied *)
-  elapsed : float;  (** time since the previous event (0 for the first) *)
+  elapsed : float;  (** time since the previous event (since time 0 for the first) *)
 }
 
 val run :
-  ?on_event:(probe_point -> Update_gen.event -> unit) ->
-  Plookup.Service.t ->
-  Update_gen.stream ->
-  unit
+  ?on_event:(probe_point -> unit) -> Plookup.Service.t -> Update_gen.stream -> unit
 (** Place the initial population, then apply every event in order.
     [on_event] fires after each event is applied. *)
 

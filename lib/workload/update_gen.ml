@@ -3,7 +3,6 @@ open Plookup_store
 module Event_queue = Plookup_sim.Event_queue
 
 type op = Add of Entry.t | Delete of Entry.t
-type event = { time : float; op : op }
 
 type spec = {
   steady_entries : int;
@@ -14,7 +13,7 @@ type spec = {
 
 let default_spec = { steady_entries = 100; add_period = 10.; tail_heavy = false; updates = 10000 }
 
-type stream = { initial : Entry.t list; events : event list }
+type stream = { initial : Entry.t list; times : float array; ops : op array }
 
 let generate rng spec =
   if spec.steady_entries <= 0 then invalid_arg "Update_gen.generate: steady_entries";
@@ -34,41 +33,43 @@ let generate rng spec =
         ignore (Event_queue.push deletes ~time:(Dist.draw_lifetime rng lifetime) e);
         e)
   in
-  (* The next Poisson add, drawn only when the merge needs it: its
-     interarrival, then its lifetime. *)
-  let clock = ref 0. in
-  let draw_add () =
-    clock := !clock +. Dist.poisson_interarrival rng ~rate:(1. /. spec.add_period);
-    let e = Entry.Gen.fresh gen in
-    (!clock, e, !clock +. Dist.draw_lifetime rng lifetime)
-  in
+  let times = Array.make spec.updates 0. in
+  let ops = Array.make spec.updates (Add (Entry.v 0)) in
+  (* The next Poisson add is drawn only when the merge needs it: its
+     interarrival, then its entry and lifetime.  [drawn] says whether
+     [clock], [born] and [death] hold one that is not emitted yet. *)
+  let rate = 1. /. spec.add_period in
+  let clock = ref 0. and death = ref 0. and born = ref (Entry.v 0) and drawn = ref false in
   (* Merge the monotone add clock with the pending deletes.  A delete
      due at the same time as the next add goes first, because its entry
      was born before that add.  An entry's own delete is pushed only once
      its add is out, so it never overtakes it. *)
-  let rec merge remaining next acc =
-    if remaining = 0 then List.rev acc
-    else
-      let ((add_time, e, delete_time) as add) =
-        match next with Some add -> add | None -> draw_add ()
-      in
-      match Event_queue.peek deletes with
-      | Some (time, victim) when time <= add_time ->
-        ignore (Event_queue.pop deletes);
-        merge (remaining - 1) (Some add) ({ time; op = Delete victim } :: acc)
-      | Some _ | None ->
-        ignore (Event_queue.push deletes ~time:delete_time e);
-        merge (remaining - 1) None ({ time = add_time; op = Add e } :: acc)
-  in
-  { initial; events = merge spec.updates None [] }
+  for i = 0 to spec.updates - 1 do
+    if not !drawn then begin
+      clock := !clock +. Dist.poisson_interarrival rng ~rate;
+      born := Entry.Gen.fresh gen;
+      death := !clock +. Dist.draw_lifetime rng lifetime;
+      drawn := true
+    end;
+    match Event_queue.peek deletes with
+    | Some (time, victim) when time <= !clock ->
+      ignore (Event_queue.pop deletes);
+      times.(i) <- time;
+      ops.(i) <- Delete victim
+    | Some _ | None ->
+      ignore (Event_queue.push deletes ~time:!death !born);
+      times.(i) <- !clock;
+      ops.(i) <- Add !born;
+      drawn := false
+  done;
+  { initial; times; ops }
 
 let live_after stream k =
   let table = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace table (Entry.id e) e) stream.initial;
-  List.iter
-    (fun { op; _ } ->
-      match op with
-      | Add e -> Hashtbl.replace table (Entry.id e) e
-      | Delete e -> Hashtbl.remove table (Entry.id e))
-    (Plookup_util.List_util.take k stream.events);
+  for i = 0 to min k (Array.length stream.ops) - 1 do
+    match stream.ops.(i) with
+    | Add e -> Hashtbl.replace table (Entry.id e) e
+    | Delete e -> Hashtbl.remove table (Entry.id e)
+  done;
   Hashtbl.fold (fun _ e acc -> e :: acc) table []

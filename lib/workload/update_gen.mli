@@ -4,8 +4,9 @@
     lambda = 10 time units); each added entry lives for a random
     lifetime — exponential or Zipf-like — scaled to expectation
     [lambda * h], so the system holds [h] entries in steady state.  The
-    stream is a list of timestamped events that callers replay, exactly
-    like the paper's event-driven simulation.
+    stream holds its events as two parallel arrays, their times and
+    their operations, which callers replay in index order, exactly like
+    the paper's event-driven simulation.
 
     The generator also emits an initial population of [h] entries (the
     steady state to start from) whose deletes are scheduled like any
@@ -23,8 +24,6 @@ open Plookup_store
 
 type op = Add of Entry.t | Delete of Entry.t
 
-type event = { time : float; op : op }
-
 type spec = {
   steady_entries : int;  (** h: expected entries in steady state *)
   add_period : float;  (** lambda: mean time units between adds (10 in the paper) *)
@@ -37,16 +36,18 @@ val default_spec : spec
 
 type stream = {
   initial : Entry.t list;  (** the steady-state population placed at time 0 *)
-  events : event list;  (** updates in non-decreasing time order *)
+  times : float array;  (** [times.(i)] is when event [i] happens; non-decreasing *)
+  ops : op array;  (** [ops.(i)] is event [i]'s update; as long as [times] *)
 }
 
 val generate : Plookup_util.Rng.t -> spec -> stream
-(** Exactly [spec.updates] events.  Deletes of entries whose lifetime
-    ends beyond the last event are never emitted (the entry simply
-    outlives the simulation).  Equal times keep birth order: an entry's
-    delete follows its own add but precedes the add of any entry born
-    after it. *)
+(** Exactly [spec.updates] events, written in place into the two arrays.
+    Deletes of entries whose lifetime ends beyond the last event are
+    never emitted (the entry simply outlives the simulation).  Equal
+    times keep birth order: an entry's delete follows its own add but
+    precedes the add of any entry born after it. *)
 
 val live_after : stream -> int -> Entry.t list
-(** The entries alive after applying the first [k] events to the initial
-    population — for fairness measurements mid-replay. *)
+(** The entries alive after applying the first [k] events (all of them
+    when [k] exceeds the stream) to the initial population — for
+    fairness measurements mid-replay. *)

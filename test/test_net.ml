@@ -343,24 +343,61 @@ let test_partition_validation () =
       Net.partition net ~name:"bad" ~a:[ 0 ] ~b:[ 0 ] ())
 
 let test_up_tracking_matches_list () =
-  (* up_count / kth_up are the O(1) and O(log n) views of up_servers;
-     they must agree with the list through an arbitrary fail/recover
-     history. *)
+  (* up_count / kth_up are the O(1) views of up_servers (kth_up is
+     O(log n) while a server is down); they must agree with the list
+     through an arbitrary fail/recover history, in the all-up state at
+     both ends of it, and reject the same out-of-range ranks. *)
   let net = make ~n:9 () in
   let check () =
     let sorted = Net.up_servers net in
     Helpers.check_int "up_count" (List.length sorted) (Net.up_count net);
     List.iteri
       (fun k expected -> Helpers.check_int "kth_up" expected (Net.kth_up net k))
-      sorted
+      sorted;
+    List.iter
+      (fun k ->
+        Alcotest.check_raises (Printf.sprintf "kth_up %d" k)
+          (Invalid_argument "Net.kth_up: rank out of range") (fun () ->
+            ignore (Net.kth_up net k)))
+      [ -1; List.length sorted ]
   in
   check ();
+  Helpers.check_int "all up" 9 (Net.up_count net);
   List.iter
     (fun (op, s) ->
       (match op with `Fail -> Net.fail net s | `Recover -> Net.recover net s);
       check ())
     [ (`Fail, 2); (`Fail, 7); (`Fail, 0); (`Recover, 7); (`Fail, 8); (`Recover, 2);
-      (`Fail, 4); (`Fail, 1); (`Recover, 0) ]
+      (`Fail, 4); (`Fail, 1); (`Recover, 0) ];
+  List.iter
+    (fun s ->
+      Net.recover net s;
+      check ())
+    [ 8; 4; 1 ];
+  Helpers.check_int "all up again" 9 (Net.up_count net)
+
+let test_random_up_server_draws_one_rank () =
+  (* Cluster.random_up_server is one Rng.int over the up count, resolved
+     by kth_up: the same server, and the generator left where a copy
+     that made that one draw is.  With 0, 1 and n - 1 servers down. *)
+  let n = 7 in
+  List.iter
+    (fun down ->
+      let cluster = Plookup.Cluster.create ~seed:11 ~n () in
+      List.iter (Plookup.Cluster.fail cluster) down;
+      let net = Plookup.Cluster.net cluster in
+      let rng = Plookup.Cluster.rng cluster in
+      for _ = 1 to 50 do
+        let copy = Plookup_util.Rng.copy rng in
+        let expected = Net.kth_up net (Plookup_util.Rng.int copy (Net.up_count net)) in
+        Alcotest.(check (option int))
+          (Printf.sprintf "%d down" (List.length down))
+          (Some expected)
+          (Plookup.Cluster.random_up_server cluster);
+        Alcotest.(check int64) "same generator state" (Plookup_util.Rng.bits64 copy)
+          (Plookup_util.Rng.bits64 rng)
+      done)
+    [ []; [ 3 ]; List.init (n - 1) Fun.id ]
 
 let prop_message_count_additive =
   Helpers.qcheck "k sends = k received messages"
@@ -551,4 +588,6 @@ let () =
           Alcotest.test_case "partition validation" `Quick test_partition_validation;
           Alcotest.test_case "up tracking matches list" `Quick
             test_up_tracking_matches_list;
+          Alcotest.test_case "random_up_server draws one rank" `Quick
+            test_random_up_server_draws_one_rank;
           prop_message_count_additive ] ) ]

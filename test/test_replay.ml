@@ -7,15 +7,14 @@ module Net = Plookup_net.Net
 
 let stream_of_events ~initial events =
   { Update_gen.initial = Helpers.entries initial;
-    events =
-      List.map
-        (fun (time, op) ->
-          { Update_gen.time;
-            op =
-              (match op with
-              | `Add id -> Update_gen.Add (Entry.v id)
-              | `Delete id -> Update_gen.Delete (Entry.v id)) })
-        events }
+    times = Array.of_list (List.map fst events);
+    ops =
+      Array.of_list
+        (List.map
+           (function
+             | _, `Add id -> Update_gen.Add (Entry.v id)
+             | _, `Delete id -> Update_gen.Delete (Entry.v id))
+           events) }
 
 let test_run_applies_events () =
   let stream = stream_of_events ~initial:3 [ (1., `Add 10); (2., `Delete 0) ] in
@@ -33,7 +32,7 @@ let test_on_event_callback () =
   let service = Service.create ~seed:1 ~n:2 Service.full_replication in
   let points = ref [] in
   Replay.run
-    ~on_event:(fun p _ -> points := (p.Replay.index, p.Replay.time, p.Replay.elapsed) :: !points)
+    ~on_event:(fun p -> points := (p.Replay.index, p.Replay.time, p.Replay.elapsed) :: !points)
     service stream;
   match List.rev !points with
   | [ (1, t1, e1); (2, t2, e2); (3, t3, e3) ] ->

@@ -121,14 +121,21 @@ let test_snapshot_bitset () =
 
 module IntSet = Set.Make (Int)
 
+(* The ids a case draws from: 31 values, dense or spread out, so the
+   store's id table is exercised away from small consecutive keys too. *)
+let id_sets =
+  [| Fun.id; (fun i -> 16 * i); (fun i -> 1024 * i); (fun i -> (1 lsl 40) - 15 + i) |]
+
 let prop_model =
   Helpers.qcheck ~count:300 "store agrees with Set model"
-    QCheck2.Gen.(list (pair bool (int_range 0 30)))
-    (fun ops ->
+    QCheck2.Gen.(pair (int_range 0 (Array.length id_sets - 1)) (list (pair bool (int_range 0 30))))
+    (fun (set, ops) ->
+      let id = id_sets.(set) in
       let s = Server_store.create () in
       let model = ref IntSet.empty in
       List.iter
         (fun (is_add, i) ->
+          let i = id i in
           if is_add then begin
             let added = Server_store.add s (Entry.v i) in
             let expected = not (IntSet.mem i !model) in
@@ -140,7 +147,11 @@ let prop_model =
             let expected = IntSet.mem i !model in
             model := IntSet.remove i !model;
             if removed <> expected then failwith "remove result mismatch"
-          end)
+          end;
+          for j = 0 to 30 do
+            if Server_store.mem s (Entry.v (id j)) <> IntSet.mem (id j) !model then
+              failwith "mem mismatch"
+          done)
         ops;
       Server_store.cardinal s = IntSet.cardinal !model
       && List.sort compare (Server_store.ids s) = IntSet.elements !model)

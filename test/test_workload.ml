@@ -6,6 +6,10 @@ let generate ?(seed = 1) ?(updates = 500) ?(tail_heavy = false) ?(h = 50) () =
   Update_gen.generate (Rng.create seed)
     { Update_gen.steady_entries = h; add_period = 10.; tail_heavy; updates }
 
+(* A stream's events as (time, op) pairs, in index order. *)
+let events stream =
+  List.combine (Array.to_list stream.Update_gen.times) (Array.to_list stream.Update_gen.ops)
+
 (* Reference generator: every add's events built up front, stable-sorted
    by time and truncated to [updates].  [Update_gen.generate] streams the
    same events without the sort; the properties below hold it to this. *)
@@ -14,7 +18,7 @@ let reference_stream ~seed ~h ~updates ~tail_heavy =
   let gen = Entry.Gen.create () in
   let lifetime = Dist.lifetime_of_mean ~tail_heavy ~mean:(10. *. float_of_int h) in
   let events = ref [] in
-  let emit time op = events := { Update_gen.time; op } :: !events in
+  let emit time op = events := (time, op) :: !events in
   let initial =
     List.init h (fun _ ->
         let e = Entry.Gen.fresh gen in
@@ -28,17 +32,13 @@ let reference_stream ~seed ~h ~updates ~tail_heavy =
     emit !clock (Update_gen.Add e);
     emit (!clock +. Dist.draw_lifetime rng lifetime) (Update_gen.Delete e)
   done;
-  let sorted =
-    List.stable_sort
-      (fun a b -> Float.compare a.Update_gen.time b.Update_gen.time)
-      (List.rev !events)
-  in
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !events) in
   let rec take k added acc = function
     | [] -> List.rev acc
     | _ when k = 0 -> List.rev acc
-    | ({ Update_gen.op = Update_gen.Add e; _ } as ev) :: rest ->
+    | ((_, Update_gen.Add e) as ev) :: rest ->
       take (k - 1) (Entry.Set.add e added) (ev :: acc) rest
-    | ({ Update_gen.op = Update_gen.Delete e; _ } as ev) :: rest ->
+    | ((_, Update_gen.Delete e) as ev) :: rest ->
       let known =
         Entry.Set.mem e added || List.exists (fun e' -> Entry.equal e e') initial
       in
@@ -48,15 +48,16 @@ let reference_stream ~seed ~h ~updates ~tail_heavy =
 
 (* Streams compared bit for bit: times through their IEEE bits, ops by
    kind and entry id. *)
-let event_key { Update_gen.time; op } =
+let event_key (time, op) =
   let kind, e = match op with Update_gen.Add e -> (0, e) | Update_gen.Delete e -> (1, e) in
   (Int64.bits_of_float time, kind, Entry.id e)
 
 let matches_reference ~seed ~h ~updates ~tail_heavy =
   let stream = generate ~seed ~h ~updates ~tail_heavy () in
-  let initial, events = reference_stream ~seed ~h ~updates ~tail_heavy in
+  let initial, expected = reference_stream ~seed ~h ~updates ~tail_heavy in
   List.map Entry.id stream.Update_gen.initial = List.map Entry.id initial
-  && List.map event_key stream.Update_gen.events = List.map event_key events
+  && Array.length stream.Update_gen.times = Array.length stream.Update_gen.ops
+  && List.map event_key (events stream) = List.map event_key expected
 
 let check_reference ~seed ~h ~updates ~tail_heavy =
   Alcotest.(check bool)
@@ -72,43 +73,38 @@ let test_initial_population () =
 
 let test_event_count () =
   let stream = generate ~updates:500 () in
-  Helpers.check_int "exactly the requested updates" 500
-    (List.length stream.Update_gen.events)
+  Helpers.check_int "exactly the requested updates" 500 (Array.length stream.Update_gen.ops);
+  Helpers.check_int "one time per update" 500 (Array.length stream.Update_gen.times)
 
 let test_events_sorted () =
-  let stream = generate ~updates:1000 () in
-  let rec check = function
-    | { Update_gen.time = t1; _ } :: ({ Update_gen.time = t2; _ } :: _ as rest) ->
-      if t1 > t2 then Alcotest.fail "events out of order" else check rest
-    | _ -> ()
-  in
-  check stream.Update_gen.events
+  let times = (generate ~updates:1000 ()).Update_gen.times in
+  for i = 1 to Array.length times - 1 do
+    if times.(i - 1) > times.(i) then Alcotest.fail "events out of order"
+  done
 
 let test_no_delete_before_add () =
   let stream = generate ~updates:2000 () in
   let born = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace born (Entry.id e) ()) stream.Update_gen.initial;
-  List.iter
-    (fun ev ->
-      match ev.Update_gen.op with
+  Array.iter
+    (function
       | Update_gen.Add e -> Hashtbl.replace born (Entry.id e) ()
       | Update_gen.Delete e ->
         if not (Hashtbl.mem born (Entry.id e)) then
           Alcotest.failf "delete of unborn entry %d" (Entry.id e))
-    stream.Update_gen.events
+    stream.Update_gen.ops
 
 let test_no_double_delete () =
   let stream = generate ~updates:2000 () in
   let deleted = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      match ev.Update_gen.op with
+  Array.iter
+    (function
       | Update_gen.Delete e ->
         if Hashtbl.mem deleted (Entry.id e) then
           Alcotest.failf "entry %d deleted twice" (Entry.id e);
         Hashtbl.replace deleted (Entry.id e) ()
       | Update_gen.Add _ -> ())
-    stream.Update_gen.events
+    stream.Update_gen.ops
 
 let test_steady_state_population () =
   (* Live count should hover around h through the stream. *)
@@ -116,13 +112,11 @@ let test_steady_state_population () =
   let stream = generate ~seed:3 ~h ~updates:4000 () in
   let live = ref (List.length stream.Update_gen.initial) in
   let acc = Stats.Accum.create () in
-  List.iter
-    (fun ev ->
-      (match ev.Update_gen.op with
-      | Update_gen.Add _ -> incr live
-      | Update_gen.Delete _ -> decr live);
+  Array.iter
+    (fun op ->
+      (match op with Update_gen.Add _ -> incr live | Update_gen.Delete _ -> decr live);
       Stats.Accum.add acc (float_of_int !live))
-    stream.Update_gen.events;
+    stream.Update_gen.ops;
   Helpers.roughly ~rel:0.15 "mean live ~ h" (float_of_int h) (Stats.Accum.mean acc)
 
 let test_add_rate () =
@@ -130,24 +124,19 @@ let test_add_rate () =
      add count and elapsed time agree. *)
   let stream = generate ~seed:4 ~updates:4000 () in
   let adds =
-    List.length
-      (List.filter
-         (fun ev -> match ev.Update_gen.op with Update_gen.Add _ -> true | _ -> false)
-         stream.Update_gen.events)
+    Array.fold_left
+      (fun n op -> match op with Update_gen.Add _ -> n + 1 | Update_gen.Delete _ -> n)
+      0 stream.Update_gen.ops
   in
-  let horizon =
-    match List.rev stream.Update_gen.events with
-    | last :: _ -> last.Update_gen.time
-    | [] -> 0.
-  in
+  let times = stream.Update_gen.times in
+  let horizon = if times = [||] then 0. else times.(Array.length times - 1) in
   Helpers.roughly ~rel:0.1 "adds ~ horizon / period" (horizon /. 10.) (float_of_int adds)
 
 let test_zipf_stream_differs () =
   let exp_stream = generate ~seed:5 ~tail_heavy:false () in
   let zipf_stream = generate ~seed:5 ~tail_heavy:true () in
-  let times s = List.map (fun ev -> ev.Update_gen.time) s.Update_gen.events in
   Alcotest.(check bool) "different delete schedules" true
-    (times exp_stream <> times zipf_stream)
+    (exp_stream.Update_gen.times <> zipf_stream.Update_gen.times)
 
 let test_live_after () =
   let stream = generate ~h:10 ~updates:50 () in
@@ -157,15 +146,26 @@ let test_live_after () =
   (* Applying events by hand must agree at every prefix. *)
   let table = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace table (Entry.id e) ()) stream.Update_gen.initial;
-  List.iteri
-    (fun i ev ->
-      (match ev.Update_gen.op with
+  Array.iteri
+    (fun i op ->
+      (match op with
       | Update_gen.Add e -> Hashtbl.replace table (Entry.id e) ()
       | Update_gen.Delete e -> Hashtbl.remove table (Entry.id e));
       let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) table []) in
       let got = Helpers.sorted_ids (Update_gen.live_after stream (i + 1)) in
       if expected <> got then Alcotest.failf "live_after mismatch at %d" (i + 1))
-    stream.Update_gen.events
+    stream.Update_gen.ops
+
+(* The generator fills two flat arrays in place: per event it allocates
+   the entry, its op, its delete's queue node and the queue's answers,
+   but no list cell, event record or boxed time. *)
+let test_generate_allocation () =
+  let updates = 20_000 in
+  let before = Gc.minor_words () in
+  let stream = generate ~h:100 ~updates () in
+  let per_event = (Gc.minor_words () -. before) /. float_of_int updates in
+  Helpers.check_int "events" updates (Array.length stream.Update_gen.ops);
+  if per_event > 24. then Alcotest.failf "%.1f minor words per event, above 24" per_event
 
 let test_default_spec () =
   Helpers.check_int "paper default h" 100 Update_gen.default_spec.Update_gen.steady_entries;
@@ -185,7 +185,8 @@ let prop_event_count_exact =
     QCheck2.Gen.(pair int (int_range 0 300))
     (fun (seed, updates) ->
       let stream = generate ~seed ~updates () in
-      List.length stream.Update_gen.events = updates)
+      Array.length stream.Update_gen.ops = updates
+      && Array.length stream.Update_gen.times = updates)
 
 let test_no_updates () =
   List.iter
@@ -209,11 +210,8 @@ let prop_ids_unique =
       let stream = generate ~seed ~updates:500 () in
       let ids =
         List.filter_map
-          (fun ev ->
-            match ev.Update_gen.op with
-            | Update_gen.Add e -> Some (Entry.id e)
-            | Update_gen.Delete _ -> None)
-          stream.Update_gen.events
+          (function Update_gen.Add e -> Some (Entry.id e) | Update_gen.Delete _ -> None)
+          (Array.to_list stream.Update_gen.ops)
       in
       List.length ids = List.length (List.sort_uniq compare ids))
 
@@ -229,6 +227,8 @@ let () =
           Alcotest.test_case "add rate" `Quick test_add_rate;
           Alcotest.test_case "zipf differs" `Quick test_zipf_stream_differs;
           Alcotest.test_case "live_after" `Quick test_live_after;
+          Alcotest.test_case "generate allocates little per event" `Quick
+            test_generate_allocation;
           Alcotest.test_case "default spec" `Quick test_default_spec;
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "no updates" `Quick test_no_updates;
