@@ -56,13 +56,16 @@ module Breaker = struct
     end
 end
 
+(* The factor each unanswered attempt stretches the next timeout by. *)
+let backoff = 2.
+
 (* One lookup is a small state machine: [order] of servers not yet
    contacted, [inflight] contacts awaiting a reply, [seen] the merged
    distinct entries.  Replies and timeouts race per attempt; a flag per
    attempt makes the timeout a no-op once the reply has won (and vice
    versa).  A timed-out attempt is retried against the same server with
-   the timeout stretched by [backoff], up to [retries] retries, before
-   the contact is abandoned and the next server in the order tried.
+   the timeout doubled ([backoff]), up to [retries] retries, before the
+   contact is abandoned and the next server in the order tried.
 
    The tail-tolerance extensions (all off by default, and adding no
    engine events or draws when off): [deadline] finishes the lookup
@@ -80,7 +83,6 @@ type state = {
   latency : unit -> float;
   timeout : float;
   retries_allowed : int;
-  backoff : float;
   wave : int;
   target : int;
   hedge : float option;
@@ -214,7 +216,7 @@ and attempt st server ~live ~tries_left ~timeout =
                     timeout and 3x the previous one, so synchronized
                     clients spread out instead of retrying in storms. *)
                  Plookup_util.Dist.uniform_in rng ~lo:st.timeout ~hi:(timeout *. 3.)
-               | None -> timeout *. st.backoff
+               | None -> timeout *. backoff
              in
              attempt st server ~live ~tries_left:(tries_left - 1) ~timeout:next_timeout
            end
@@ -250,14 +252,13 @@ and attempt st server ~live ~tries_left ~timeout =
         end
       end)
 
-let make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
+let make_state cluster engine ~latency ~timeout ~retries ~wave ~t ~hedge
     ~breaker ~jitter ~order k =
   { cluster;
     engine;
     latency;
     timeout;
     retries_allowed = retries;
-    backoff;
     wave;
     target = t;
     hedge;
@@ -294,13 +295,12 @@ let schedule_deadline st deadline =
 
 (* The cursor over [order] is built when (and only if) the lookup
    probes: a cache-served lookup builds no order. *)
-let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?deadline ?hedge
+let lookup cluster engine ~latency ~timeout ?(retries = 0) ?deadline ?hedge
     ?breaker ?jitter ?cache ~order ?(wave = 1) ~t k =
   if t <= 0 then invalid_arg "Async_client.lookup: t must be positive";
   if timeout <= 0. then invalid_arg "Async_client.lookup: timeout must be positive";
   if wave <= 0 then invalid_arg "Async_client.lookup: wave must be positive";
   if retries < 0 then invalid_arg "Async_client.lookup: retries must be non-negative";
-  if backoff < 1. then invalid_arg "Async_client.lookup: backoff must be >= 1";
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Async_client.lookup: deadline must be positive"
   | _ -> ());
@@ -310,7 +310,7 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
   match cache with
   | None ->
     let st =
-      make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t ~hedge
+      make_state cluster engine ~latency ~timeout ~retries ~wave ~t ~hedge
         ~breaker ~jitter ~order:(Probe_order.of_list order) k
     in
     schedule_deadline st deadline;
@@ -341,7 +341,7 @@ let lookup cluster engine ~latency ~timeout ?(retries = 0) ?(backoff = 2.) ?dead
            in
            let probe k =
              let st =
-               make_state cluster engine ~latency ~timeout ~retries ~backoff ~wave ~t
+               make_state cluster engine ~latency ~timeout ~retries ~wave ~t
                  ~hedge ~breaker ~jitter ~order:(Probe_order.of_list order) k
              in
              schedule_deadline st deadline;

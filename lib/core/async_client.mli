@@ -80,7 +80,6 @@ val lookup :
   latency:(unit -> float) ->
   timeout:float ->
   ?retries:int ->
-  ?backoff:float ->
   ?deadline:float ->
   ?hedge:float ->
   ?breaker:Breaker.t ->
@@ -95,11 +94,10 @@ val lookup :
     [order] (duplicates ignored).  Each contact costs one request and
     one reply latency draw; an attempt that has not answered within its
     timeout is retried against the same server — with the timeout
-    multiplied by [backoff] (default 2.0, must be >= 1) — up to
-    [retries] times (default 0, i.e. at most one attempt per server);
-    once a contact's attempts are exhausted the next server in [order]
-    is tried.  [wave] (default 1) contacts run concurrently at all
-    times until the target is met.  The callback fires exactly once,
+    doubled — up to [retries] times (default 0, i.e. at most one
+    attempt per server); once a contact's attempts are exhausted the
+    next server in [order] is tried.  [wave] (default 1) contacts run
+    concurrently at all times until the target is met.  The callback fires exactly once,
     with the merged (and target-truncated) result.  Requires positive
     [t], [timeout] and [wave], and non-negative [retries].
 
@@ -121,8 +119,8 @@ val lookup :
       already-contacted server do not re-consult the breaker.
     - [jitter]: an RNG for decorrelated retry jitter — each retry's
       timeout is drawn uniformly from [[timeout, 3 * previous]] instead
-      of the deterministic exponential [backoff], so synchronized
-      clients spread their retries instead of storming in lockstep.
+      of the deterministic doubling, so synchronized clients spread
+      their retries instead of storming in lockstep.
     - [cache]: a shared {!Client_cache.t} and this lookup's cache key.
       The cache is consulted at launch time: a fresh hit (or a stale
       one inside the cache's stale-while-revalidate window) answers the

@@ -52,7 +52,7 @@ module Strategy = struct
 
   let params_for_budget ~n ~h:_ ~total ~params:_ = [ max 1 (total / n) ]
 
-  let create ?resync_stores:_ cluster ~params =
+  let create cluster ~params =
     create cluster ~x:(Strategy_common.one_param ~who:"Fixed.create" ~what:"x" params)
 
   let place t ?budget:_ entries = place t entries

@@ -44,7 +44,7 @@ module Strategy = struct
   let analytic_storage ~n ~h ~params:_ = float_of_int (h * n)
   let params_for_budget ~n:_ ~h:_ ~total:_ ~params:_ = []
 
-  let create ?resync_stores:_ cluster ~params =
+  let create cluster ~params =
     Strategy_common.no_params ~who:"FullReplication" params;
     create cluster
 

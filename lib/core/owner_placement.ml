@@ -115,7 +115,7 @@ module Strategy (P : PLACEMENT) = struct
   let meta = P.meta
   let analytic_storage = P.analytic_storage
   let params_for_budget = P.params_for_budget
-  let create ?resync_stores:_ cluster ~params = P.create cluster ~params
+  let create cluster ~params = P.create cluster ~params
   let place t ?budget entries = place ?budget t entries
   let add = add
   let delete = delete

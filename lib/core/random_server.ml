@@ -151,7 +151,7 @@ struct
 
   let params_for_budget ~n ~h:_ ~total ~params:_ = [ max 1 (total / n) ]
 
-  let create ?resync_stores:_ cluster ~params =
+  let create cluster ~params =
     create ~replacement_on_delete:M.replacing cluster
       ~x:(Strategy_common.one_param ~who:"Random_server.create" ~what:"x" params)
 

@@ -532,6 +532,10 @@ let install cluster ~config ~plan =
   | Sync | Full -> ());
   if config.grace < 0. then invalid_arg "Repair.install: grace must be non-negative";
   if config.period <= 0. then invalid_arg "Repair.install: period must be positive";
+  (* The catalog starts empty, so an Assigned sync would retract every
+     entry placed before it was watching. *)
+  if Cluster.total_stored cluster > 0 then
+    invalid_arg "Repair.install: the cluster already holds entries";
   let n = Cluster.n cluster in
   let m = (Cluster.obs cluster).Plookup_obs.Obs.metrics in
   let t =

@@ -5,10 +5,10 @@
     a recovering server serves whatever its store held when it failed —
     deleted entries come back from the dead, adds issued during the
     outage are invisible, and the replication degree of entries whose
-    holders died stays degraded forever.  Only Round-Robin's replicated
-    coordinator (footnote 1) resynced its recovering servers, and it did
-    so with a full store push.  This module generalizes that resync to
-    every strategy and makes it incremental:
+    holders died stays degraded forever.  No strategy heals a recovered
+    server itself (Round-Robin's replicated coordinator, footnote 1,
+    transfers only its ledger); this module is the one place that does,
+    for every strategy, incrementally:
 
     {ul
     {- {e Recovery sync}: on an up-transition the recovering server
@@ -40,7 +40,9 @@
 open Plookup_store
 
 type mode =
-  | Off  (** No repair; the seed repo's behaviour. *)
+  | Off
+      (** No repair: a recovered server keeps the store it failed with,
+          for every strategy. *)
   | Sync  (** Recovery sync only. *)
   | Full  (** Recovery sync + repair daemon. *)
 
@@ -82,9 +84,12 @@ type t
 val install : Cluster.t -> config:config -> plan:plan -> t
 (** Wrap the cluster's installed strategy handler with the repair layer
     and hook its status listener.  Must be called {e after} the
-    strategy's [create] (which installs the handler) — {!Service} does
-    this when its repair config is not [Off].  Raises [Invalid_argument]
-    on [mode = Off] or non-positive timing parameters. *)
+    strategy's [create] (which installs the handler) and {e before}
+    anything is placed — {!Service} does this when its repair config is
+    not [Off].  Raises [Invalid_argument] on [mode = Off], non-positive
+    timing parameters, or a cluster that already stores entries: the
+    catalog starts empty, so a recovery sync under an [Assigned] plan
+    would retract every entry placed before it. *)
 
 val attach_engine : ?until:float -> t -> Plookup_sim.Engine.t -> unit
 (** Make [engine] the cluster network's clock ({!Plookup_net.Net.attach_engine}),

@@ -16,7 +16,6 @@ type t = {
   coordinators : int; (* replicas live on servers 0 .. coordinators-1 *)
   ledgers : ledger array;
   mutable truncated : bool; (* placed under a budget; updates disabled *)
-  resync_stores : bool; (* push full Store_batch refreshes on recovery *)
 }
 
 let fresh_ledger () =
@@ -198,62 +197,30 @@ let handle_strategy t dst src (msg : Msg.strategy) : Msg.reply =
     Msg.Ack
   | (Msg.Store _ | Msg.Remove _ | Msg.Store_batch _ | Msg.Add_sampled _
     | Msg.Remove_counted _ | Msg.Fetch_candidate _) as other ->
-    (* Store_batch included: the recovery resync replaces the local store
-       wholesale, which is exactly the shared default semantics. *)
+    (* Store_batch included: this protocol never sends one (the repair
+       layer, not the strategy, heals a recovered server's store), and
+       one that arrives replaces the store, as everywhere. *)
     Strategy_common.default_strategy t.cluster dst other
 
-(* A recovering coordinator replica is stale; the acting replica
-   refreshes it with a state transfer. *)
-(* The entries the ledger assigns to one server. *)
-let expected_store t ledger server =
-  let acc = ref [] in
-  for pos = ledger.head to ledger.tail - 1 do
-    if List.mem server (servers_of_position t pos) then begin
-      match Hashtbl.find_opt ledger.by_position pos with
-      | Some e -> acc := e :: !acc
-      | None -> ()
-    end
-  done;
-  !acc
-
-(* Anti-entropy from replica [c]: refresh [server]'s ledger copy (if it
-   is a coordinator) and replace its store with what the sequence
-   assigns to it — a server that was down missed every store/remove
-   addressed to it. *)
-let resync_from t ~source ~server =
-  let net = Cluster.net t.cluster in
-  if server < t.coordinators && server <> source then
-    ignore (Net.send net ~src:(Net.Server source) ~dst:server Msg.sync_state);
-  (* When [resync_stores] is off the ledger still replicates, but store
-     contents are reconciled by the digest-based repair layer instead of
-     a full Store_batch push. *)
-  if t.resync_stores && not t.truncated then
-    ignore
-      (Net.send net ~src:(Net.Server source) ~dst:server
-         (Msg.store_batch (expected_store t t.ledgers.(source) server)))
-
-let resync_server t server =
-  if Cluster.is_up t.cluster server then begin
-    match acting t with Some source -> resync_from t ~source ~server | None -> ()
-  end
-
+(* A recovering coordinator replica is stale: refresh its ledger from
+   another operational replica, which stayed current while this one was
+   down (the recovered server may itself be the lowest-indexed
+   coordinator, so "acting" is not the right source).  Stores are not
+   the strategy's to heal: the repair layer reconciles them. *)
 let on_status t server ~up =
-  if up then begin
-    (* Refresh from any other operational replica — those stayed current
-       while this one was down (the recovered server itself may already
-       be the lowest-indexed coordinator, so "acting" is not the right
-       source). *)
+  if up && server < t.coordinators then begin
     let rec fresh_source i =
       if i >= t.coordinators then None
       else if i <> server && Cluster.is_up t.cluster i then Some i
       else fresh_source (i + 1)
     in
     match fresh_source 0 with
-    | Some c -> resync_from t ~source:c ~server
+    | Some c ->
+      ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server c) ~dst:server Msg.sync_state)
     | None -> ()
   end
 
-let create ?(coordinators = 1) ?(resync_stores = true) cluster ~y =
+let create ?(coordinators = 1) cluster ~y =
   if y < 1 then invalid_arg "Round_robin.create: y must be at least 1";
   if coordinators < 1 || coordinators > Cluster.n cluster then
     invalid_arg "Round_robin.create: coordinators must be in [1, n]";
@@ -263,8 +230,7 @@ let create ?(coordinators = 1) ?(resync_stores = true) cluster ~y =
       y;
       coordinators;
       ledgers = Array.init coordinators (fun _ -> fresh_ledger ());
-      truncated = false;
-      resync_stores }
+      truncated = false }
   in
   Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
   Net.set_status_listener (Cluster.net cluster) (on_status t);
@@ -421,9 +387,9 @@ struct
     let y = max 1 (total / h) in
     if M.replicated then [ y; k ] else [ y ]
 
-  let create ?(resync_stores = true) cluster ~params =
+  let create cluster ~params =
     let y, coordinators = split_params params in
-    create ~coordinators ~resync_stores cluster ~y
+    create ~coordinators cluster ~y
 
   let place t ?budget entries = place ?budget t entries
   let add = add

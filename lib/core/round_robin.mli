@@ -18,7 +18,7 @@ open Plookup_store
 
 type t
 
-val create : ?coordinators:int -> ?resync_stores:bool -> Cluster.t -> y:int -> t
+val create : ?coordinators:int -> Cluster.t -> y:int -> t
 (** [y] must satisfy 1 <= y; values above [n] are clamped to [n]
     (storing more than one copy per server is meaningless).
 
@@ -29,14 +29,11 @@ val create : ?coordinators:int -> ?resync_stores:bool -> Cluster.t -> y:int -> t
     where several servers store copies to improve reliability").
     Clients address the lowest-indexed operational replica; each update
     is mirrored to the standbys with one point-to-point Sync message
-    apiece, and a recovering replica receives a state transfer from the
-    acting one.  With every coordinator down, updates are dropped.
-
-    [resync_stores] (default [true]) controls whether recovery also
-    pushes a full [Store_batch] refresh of the recovered server's store.
-    {!Service} passes [false] when the digest-based {!Repair} layer is
-    active: the ledger state transfer still happens, but store contents
-    are reconciled incrementally by repair, which ships only the delta. *)
+    apiece, and a recovering replica receives a state transfer (one
+    [Sync_state]) from another operational one.  With every coordinator
+    down, updates are dropped.  Recovery touches no store: a server that
+    was down keeps what it held until the {!Repair} layer reconciles
+    it. *)
 
 val y : t -> int
 
@@ -68,14 +65,6 @@ val delete : t -> Entry.t -> unit
 val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
 (** Strided probing: random first server [s], then [s+y], [s+2y], ...
     falling back to random order under failures. *)
-
-val resync_server : t -> int -> unit
-(** Operator-triggered anti-entropy: the acting coordinator pushes the
-    ledger (for coordinator replicas) and a full store refresh to the
-    given operational server.  Recovery triggers this automatically when
-    a fresh replica exists; call it manually after windows in which no
-    coordinator was up to re-sync servers that recovered unsupervised.
-    No-op when the target or every coordinator is down. *)
 
 val check_invariants : t -> (unit, string) result
 (** Verify the round-robin placement invariant: each live position's

@@ -93,14 +93,10 @@ type t = {
 
 let of_cluster ?(repair = Repair.disabled) cluster config =
   let (module S) = resolve config in
-  let repair_on = repair.Repair.mode <> Repair.Off in
-  (* [resync_stores] is false when repair is active: Round-Robin's
-     recovery then replicates the ledger only, leaving store contents to
-     the incremental digest sync. *)
-  let s = S.create ~resync_stores:(not repair_on) cluster ~params:config.c_params in
+  let s = S.create cluster ~params:config.c_params in
   let rep =
-    if repair_on then Some (Repair.install cluster ~config:repair ~plan:(S.repair_plan s))
-    else None
+    if repair.Repair.mode = Repair.Off then None
+    else Some (Repair.install cluster ~config:repair ~plan:(S.repair_plan s))
   in
   { cluster; config; instance = I ((module S), s); repair = rep }
 

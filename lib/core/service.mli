@@ -95,8 +95,8 @@ val create :
     [repair] (default {!Repair.disabled}) activates the self-healing
     layer: with any mode other than [Off], the strategy handler is
     wrapped by a {!Repair.t} built with the strategy's
-    {!Strategy_intf.S.repair_plan}, and Round-Robin's full-push store
-    resync is replaced by the incremental digest sync.
+    {!Strategy_intf.S.repair_plan}.  It is the only code that changes a
+    recovered server's store: with [Off], no strategy heals one itself.
 
     Raises [Invalid_argument] when the config names an unregistered
     strategy or its parameters are malformed. *)
@@ -104,7 +104,9 @@ val create :
 val of_cluster : ?repair:Repair.config -> Cluster.t -> config -> t
 (** Run the strategy on an existing cluster (rebinding its network
     handler).  Used by experiments that inject failures between place
-    and lookup. *)
+    and lookup.  [repair] is as for {!create}; with a mode other than
+    [Off] it raises [Invalid_argument] when the cluster already stores
+    entries (see {!Repair.install}). *)
 
 val cluster : t -> Cluster.t
 val config : t -> config

@@ -61,13 +61,12 @@ module type S = sig
       Chord: [y = total / h]; floor 1).  [params] carries the current
       parameters so secondary ones (RoundRobinHA's [k]) survive. *)
 
-  val create : ?resync_stores:bool -> Cluster.t -> params:int list -> t
+  val create : Cluster.t -> params:int list -> t
   (** Bind the strategy to the cluster (installing its network
-      handler).  [resync_stores] (default [true]) is Round-Robin's
-      recovery full-push; {!Service} turns it off when the digest-based
-      repair layer owns store reconciliation.  Raises [Invalid_argument]
-      when [params] does not match [meta.arity] or a parameter is out
-      of range. *)
+      handler).  A strategy never heals a recovered server's store
+      itself: that is the {!Repair} layer's job, driven by
+      {!repair_plan}.  Raises [Invalid_argument] when [params] does not
+      match [meta.arity] or a parameter is out of range. *)
 
   val place : t -> ?budget:int -> Entry.t list -> unit
   val add : t -> Entry.t -> unit

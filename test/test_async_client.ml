@@ -5,8 +5,8 @@ module Net = Plookup_net.Net
 
 (* Hand-built cluster with per-server entry lists and a plain lookup
    handler, mirroring test_probe. *)
-let manual_cluster ~n placement =
-  let cluster = Cluster.create ~seed:19 ~n () in
+let manual_cluster ?obs ~n placement =
+  let cluster = Cluster.create ~seed:19 ?obs ~n () in
   List.iteri
     (fun server ids ->
       List.iter
@@ -21,10 +21,10 @@ let manual_cluster ~n placement =
       | _ -> Msg.Ack);
   cluster
 
-let run_lookup ?wave ?retries ?backoff ?deadline ?hedge ?breaker ?jitter ?(timeout = 100.)
+let run_lookup ?wave ?retries ?deadline ?hedge ?breaker ?jitter ?(timeout = 100.)
     ?(latency = fun () -> 10.) ?(engine = Engine.create ()) ~order ~t cluster =
   let outcome = ref None in
-  Async_client.lookup cluster engine ~latency ~timeout ?retries ?backoff ?deadline ?hedge
+  Async_client.lookup cluster engine ~latency ~timeout ?retries ?deadline ?hedge
     ?breaker ?jitter ~order ?wave ~t
     (fun o -> outcome := Some o);
   ignore (Engine.run engine);
@@ -141,16 +141,25 @@ let test_retry_masks_transient_failure () =
   Helpers.close "70ms = timeout + retry round trip" 70. (Async_client.elapsed o)
 
 let test_backoff_stretches_timeouts () =
-  (* Dead server, retries 2, backoff 3: waits of 10, 30, 90 then give
-     up — the order is exhausted at t = 130. *)
-  let cluster = manual_cluster ~n:1 [ [ 0 ] ] in
+  (* Dead server, retries 2: each retry doubles the timeout, so waits of
+     10, 20, 40 then give up — the order is exhausted at t = 70. *)
+  let obs = Plookup_obs.Obs.create () in
+  let tr = obs.Plookup_obs.Obs.trace in
+  let cluster = manual_cluster ~obs ~n:1 [ [ 0 ] ] in
+  Plookup_obs.Trace.set_enabled tr true;
   Cluster.fail cluster 0;
-  let o = run_lookup ~timeout:10. ~retries:2 ~backoff:3. ~order:[ 0 ] ~t:1 cluster in
+  let o = run_lookup ~timeout:10. ~retries:2 ~order:[ 0 ] ~t:1 cluster in
   Alcotest.(check bool) "unsatisfied" false (Lookup_result.satisfied o.Async_client.result);
   Helpers.check_int "three attempts" 3 o.Async_client.attempts;
   Helpers.check_int "two retries" 2 o.Async_client.retries;
-  Helpers.check_int "three timeouts" 3 o.Async_client.timeouts;
-  Helpers.close "10 + 30 + 90" 130. (Async_client.elapsed o)
+  let timeouts =
+    List.filter_map
+      (fun (sp : Plookup_obs.Span.t) ->
+        match sp.kind with Plookup_obs.Span.Timeout { after; _ } -> Some after | _ -> None)
+      (Plookup_obs.Trace.spans tr)
+  in
+  Alcotest.(check (list (float 1e-9))) "timeouts of 10, 20, 40" [ 10.; 20.; 40. ] timeouts;
+  Helpers.close "10 + 20 + 40" 70. (Async_client.elapsed o)
 
 let test_duplicate_replies_suppressed () =
   (* Duplication 1.0 doubles the request (handler runs twice) and each

@@ -129,6 +129,31 @@ let test_no_update_round_trip_identical () =
           name)
     all_configs
 
+(* With repair off nothing heals a recovered server, for every
+   registered strategy: no strategy resyncs a store itself, so a store
+   reads after recovery exactly as it did at failure. *)
+let test_off_leaves_recovered_stores () =
+  let n = 6 and h = 12 in
+  List.iter
+    (fun config ->
+      let service = Service.create ~seed:5 ~n config in
+      Service.place service (Helpers.entries h);
+      let cluster = Service.cluster service in
+      let down = [ 1; n - 1 ] in
+      let at_failure = List.map (store_ids cluster) down in
+      List.iter (Cluster.fail cluster) down;
+      Service.add service (Entry.v 100);
+      Service.delete service (Entry.v 0);
+      Service.delete service (Entry.v 5);
+      List.iter (Cluster.recover cluster) down;
+      List.iter2
+        (fun s ids ->
+          if store_ids cluster s <> ids then
+            Alcotest.failf "%s: repair off changed recovered server %d's store"
+              (Service.config_name config) s)
+        down at_failure)
+    (Service.all_configs ~ablations:true ~budget:(2 * h) ~n ~h ())
+
 (* Updates that miss a down server cost no repair traffic while it is
    down; the digest sync at recovery retracts what it missed. *)
 let test_outage_is_free () =
@@ -267,16 +292,20 @@ let test_mode_parsing () =
 
 let test_config_validation () =
   let cluster = Cluster.create ~n:3 () in
+  let populated = Service.create ~n:3 Service.full_replication in
+  Service.place populated (Helpers.entries 4);
   let checks =
-    [ { Repair.default_config with Repair.mode = Repair.Off };
-      { Repair.default_config with Repair.grace = -1. };
-      { Repair.default_config with Repair.period = 0. } ]
+    [ (cluster, { Repair.default_config with Repair.mode = Repair.Off });
+      (cluster, { Repair.default_config with Repair.grace = -1. });
+      (cluster, { Repair.default_config with Repair.period = 0. });
+      (* Its catalog would start empty and retract the placed entries. *)
+      (Service.cluster populated, Repair.default_config) ]
   in
   List.iter
-    (fun config ->
+    (fun (cluster, config) ->
       match Repair.install cluster ~config ~plan:Repair.Mirror with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "bad repair config accepted")
+      | _ -> Alcotest.fail "bad repair install accepted")
     checks
 
 let () =
@@ -290,6 +319,8 @@ let () =
             test_sync_mode_retracts;
           Alcotest.test_case "no-update round trip is identical" `Quick
             test_no_update_round_trip_identical;
+          Alcotest.test_case "repair off leaves recovered stores" `Quick
+            test_off_leaves_recovered_stores;
           Alcotest.test_case "outage costs nothing until recovery" `Quick
             test_outage_is_free;
           Alcotest.test_case "daemon restores degree and trims" `Quick

@@ -219,7 +219,16 @@ let test_replicas_stay_consistent () =
   check_invariants s (* includes replica-agreement checks *)
 
 let test_recovery_state_transfer () =
-  let cluster, s, batch = make_replicated ~n:6 ~h:12 ~y:2 ~coordinators:2 () in
+  let cluster = Cluster.create ~seed:8 ~n:6 () in
+  let s = Round_robin.create ~coordinators:2 cluster ~y:2 in
+  (* Recovery transfers only the ledger; the repair layer's recovery
+     sync heals server 0's store. *)
+  ignore
+    (Repair.install cluster
+       ~config:{ Repair.default_config with Repair.mode = Repair.Sync }
+       ~plan:(Round_robin.Strategy.repair_plan s));
+  let batch = Helpers.entries 12 in
+  Round_robin.place s batch;
   Cluster.fail cluster 0;
   (* Server 1 acts alone; its replica diverges from the stale server 0. *)
   Round_robin.add s (Entry.v 100);

@@ -1,7 +1,8 @@
 (* Soak tests: long random interleavings of updates, failures,
    recoveries and lookups, with full invariant checks at the end.  These
-   target the recovery/resync machinery that short unit tests cannot
-   reach: coordinator failover, ledger state transfer, store resync. *)
+   target the recovery machinery that short unit tests cannot reach:
+   coordinator failover, ledger state transfer, and the repair layer's
+   recovery sync of the stores. *)
 
 open Plookup
 open Plookup_store
@@ -32,6 +33,12 @@ let round_robin_soak ~coordinators ops =
   let n = 6 and h = 12 in
   let cluster = Cluster.create ~seed:91 ~n () in
   let strategy = Round_robin.create ~coordinators cluster ~y:2 in
+  (* The strategy only transfers its ledger on recovery; the repair
+     layer's recovery sync heals the stores. *)
+  ignore
+    (Repair.install cluster
+       ~config:{ Repair.default_config with Repair.mode = Repair.Sync }
+       ~plan:(Round_robin.Strategy.repair_plan strategy));
   let initial = Helpers.entries h in
   Round_robin.place strategy initial;
   let live = ref IntMap.empty in
@@ -58,13 +65,9 @@ let round_robin_soak ~coordinators ops =
         if accepted then live := IntMap.remove (Entry.id target) !live
       | Lookup t -> ignore (Round_robin.partial_lookup strategy t))
     ops;
-  (* Heal the fleet, then run one anti-entropy pass: servers that
-     recovered during a no-coordinator window were never resynced. *)
+  (* Heal the fleet; each recovery syncs the server's store. *)
   for s = 0 to n - 1 do
     Cluster.recover cluster s
-  done;
-  for s = 0 to n - 1 do
-    Round_robin.resync_server strategy s
   done;
   (strategy, cluster, !live)
 
