@@ -21,6 +21,37 @@ let slot_count n =
    the sequence restarts identically on every node that computes it. *)
 let probe ~seed ~slots ~id j = Rng.hash_in_range ~seed ~salt:(0xD8A5 + j) ~value:id slots
 
+(* Whether slot [s] is among the first [count] chosen. *)
+let rec picked chosen count s = count > 0 && (chosen.(count - 1) = s || picked chosen (count - 1) s)
+
+(* Walk the probe sequence from step [j], below [cap] steps, filling
+   [chosen] from index [count] with distinct active slots; returns how
+   many are chosen. *)
+let rec walk ~seed ~slots ~active ~id ~cap chosen count j =
+  if count = Array.length chosen || j >= cap then count
+  else begin
+    let s = probe ~seed ~slots ~id j in
+    if s < active && not (picked chosen count s) then begin
+      chosen.(count) <- s;
+      walk ~seed ~slots ~active ~id ~cap chosen (count + 1) (j + 1)
+    end
+    else walk ~seed ~slots ~active ~id ~cap chosen count (j + 1)
+  end
+
+(* Fill the rest of [chosen] with the ascending active slots from [s]
+   not yet chosen. *)
+let rec fill_ascending ~active chosen count s =
+  if count < Array.length chosen then
+    if s < active && not (picked chosen count s) then begin
+      chosen.(count) <- s;
+      fill_ascending ~active chosen (count + 1) (s + 1)
+    end
+    else fill_ascending ~active chosen count (s + 1)
+
+(* [chosen.(0..i)] consed onto [acc]; [Array.to_list] allocates a
+   closure per call. *)
+let rec to_list chosen i acc = if i < 0 then acc else to_list chosen (i - 1) (chosen.(i) :: acc)
+
 (* First [y] distinct slots below [active] along the probe sequence.
    Active slot s is server s, so no slot->server table is needed.  The
    walk is capped (distinctness makes the tail a coupon-collector when y
@@ -32,28 +63,10 @@ let owners ~seed ~slots ~y ~active id =
   if y = 0 then []
   else begin
     let chosen = Array.make y (-1) in
-    let count = ref 0 in
-    let picked s =
-      let rec go j = j < !count && (chosen.(j) = s || go (j + 1)) in
-      go 0
-    in
-    let take s =
-      chosen.(!count) <- s;
-      incr count
-    in
     let cap = 64 + (16 * y * (slots / active)) in
-    let j = ref 0 in
-    while !count < y && !j < cap do
-      let s = probe ~seed ~slots ~id !j in
-      if s < active && not (picked s) then take s;
-      incr j
-    done;
-    let s = ref 0 in
-    while !count < y do
-      if !s < active && not (picked !s) then take !s;
-      incr s
-    done;
-    Array.to_list chosen
+    let count = walk ~seed ~slots ~active ~id ~cap chosen 0 0 in
+    fill_ascending ~active chosen count 0;
+    to_list chosen (y - 1) []
   end
 
 let owners_for cluster ~y ~active e =

@@ -1,11 +1,16 @@
 open Plookup_store
 open Plookup_util
 
+(* Hash functions [1..r] of [id], in order, consed onto [acc]: built
+   from the last one back, so no closure is allocated per entry. *)
+let rec hashes ~seed ~n ~id r acc =
+  if r = 0 then acc
+  else hashes ~seed ~n ~id (r - 1) (Rng.hash_in_range ~seed ~salt:r ~value:id n :: acc)
+
 let create cluster ~y =
   if y < 1 then invalid_arg "Hash_scheme.create: y must be at least 1";
   let seed = Cluster.seed cluster and n = Cluster.n cluster in
-  Owner_placement.create cluster ~targets:(fun e ->
-      List.init y (fun r -> Rng.hash_in_range ~seed ~salt:(r + 1) ~value:(Entry.id e) n))
+  Owner_placement.create cluster ~targets:(fun e -> hashes ~seed ~n ~id:(Entry.id e) y [])
 
 module Strategy = Owner_placement.Strategy (struct
   let meta =

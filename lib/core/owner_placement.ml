@@ -19,6 +19,14 @@ let servers_of t e =
 let send t ~src ~dst msg =
   ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst msg)
 
+(* One update's messages to its owners, all from one sender value and
+   with no closure. *)
+let rec send_all net ~src msg = function
+  | [] -> ()
+  | dst :: rest ->
+    ignore (Net.send net ~src ~dst msg);
+    send_all net ~src msg rest
+
 let handle_data t dst _src (msg : Msg.data) : Msg.reply =
   match msg with
   | Msg.Place _ ->
@@ -26,12 +34,10 @@ let handle_data t dst _src (msg : Msg.data) : Msg.reply =
        request itself reaches one server. *)
     Msg.Ack
   | Msg.Add e ->
-    let store = Msg.store e in
-    List.iter (fun s -> send t ~src:dst ~dst:s store) (servers_of t e);
+    send_all (Cluster.net t.cluster) ~src:(Net.Server dst) (Msg.store e) (servers_of t e);
     Msg.Ack
   | Msg.Delete e ->
-    let remove = Msg.remove e in
-    List.iter (fun s -> send t ~src:dst ~dst:s remove) (servers_of t e);
+    send_all (Cluster.net t.cluster) ~src:(Net.Server dst) (Msg.remove e) (servers_of t e);
     Msg.Ack
   | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
 

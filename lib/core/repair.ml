@@ -38,24 +38,39 @@ type stats = {
   mean_restore_time : float option;
 }
 
+(* An entry id's standing in the repair catalog.  An add makes it
+   [Live], a delete [Deleted] (its tombstone), a placement starts the
+   catalog over. *)
+type slot = Unknown | Live of Entry.t | Deleted
+
 type t = {
   cluster : Cluster.t;
   config : config;
   plan : plan;
-  (* The repair catalog: what the client-facing protocol said is alive.
-     Fed by observing Place/Add/Delete on the wire — the repair
-     coordinator's replicated metadata, analogous to the Round-Robin
-     ledger but content-only (no positions). *)
-  live : (int, Entry.t) Hashtbl.t;
-  tombstones : (int, unit) Hashtbl.t;
+  (* The repair catalog, indexed by entry id: what the client-facing
+     protocol said is alive or deleted.  Fed by observing
+     Place/Add/Delete on the wire — the repair coordinator's replicated
+     metadata, analogous to the Round-Robin ledger but content-only (no
+     positions).  The id-indexed arrays below grow together and never
+     shrink. *)
+  mutable slots : slot array;
+  mutable live_count : int;
   (* Under an assigned placement, substitute servers the daemon put
      copies on (beyond the entry's owners).  Deletes only reach owners,
      so the delete path purges these from the record. *)
   placed : (int, int list) Hashtbl.t;
-  mutable capacity : int; (* 1 + highest entry id ever observed *)
+  mutable capacity : int; (* 1 + highest entry id ever placed or added *)
   down_since : float option array;
   down_digest : Bitset.t option array; (* store snapshot at fail time *)
-  deficient_since : (int, float) Hashtbl.t;
+  (* When each live entry fell below its degree; nan while it is not. *)
+  mutable deficient_since : float array;
+  (* Each live entry's sorted owners under an [Assigned] plan: one table
+     that every step of a repair event reads, filled at its first read
+     after the event began or the catalog changed.  Repair itself sends
+     only repair-plane messages and [Remove], which no strategy's
+     assignment reads, so nothing inside one event moves an owner. *)
+  mutable owners : int list option array;
+  mutable owners_stale : bool;
   mutable daemon_ticks : int;
   (* Repair bookkeeping lives on the cluster's metrics registry, next to
      the network counters it explains. *)
@@ -85,13 +100,33 @@ let stats t =
       (if episodes = 0 then None
        else Some (Metrics.gauge_value t.st_restore_total /. float_of_int episodes)) }
 
-let note_entry t e =
-  let id = Entry.id e in
-  if id >= t.capacity then t.capacity <- id + 1
+(* Room for [id] in every id-indexed array.  A delete of an id never
+   added grows them too, but not [capacity], which sizes digests. *)
+let reserve t id =
+  let len = Array.length t.slots in
+  if id >= len then begin
+    let len' = max (2 * len) (id + 1) in
+    let grow a absent =
+      let a' = Array.make len' absent in
+      Array.blit a 0 a' 0 len;
+      a'
+    in
+    t.slots <- grow t.slots Unknown;
+    t.deficient_since <- grow t.deficient_since Float.nan;
+    t.owners <- grow t.owners None
+  end
 
-let sorted_live t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.live []
-  |> List.sort (fun a b -> compare (Entry.id a) (Entry.id b))
+let slot t id = if id < Array.length t.slots then t.slots.(id) else Unknown
+let deleted t id = match slot t id with Deleted -> true | Unknown | Live _ -> false
+
+let set_live t e =
+  let id = Entry.id e in
+  reserve t id;
+  if id >= t.capacity then t.capacity <- id + 1;
+  (match t.slots.(id) with
+  | Live _ -> ()
+  | Unknown | Deleted -> t.live_count <- t.live_count + 1);
+  t.slots.(id) <- Live e
 
 (* Maintain the catalog from the client-level protocol traffic passing
    through the wrapped handler; [server] is the one handling the
@@ -99,22 +134,22 @@ let sorted_live t =
 let observe t ~server (msg : Msg.data) =
   match msg with
   | Msg.Place entries ->
-    Hashtbl.reset t.live;
-    Hashtbl.reset t.tombstones;
+    Array.fill t.slots 0 (Array.length t.slots) Unknown;
+    t.live_count <- 0;
     Hashtbl.reset t.placed;
-    List.iter
-      (fun e ->
-        note_entry t e;
-        Hashtbl.replace t.live (Entry.id e) e)
-      entries
+    List.iter (set_live t) entries;
+    t.owners_stale <- true
   | Msg.Add e ->
-    note_entry t e;
-    Hashtbl.replace t.live (Entry.id e) e;
-    Hashtbl.remove t.tombstones (Entry.id e)
+    set_live t e;
+    t.owners_stale <- true
   | Msg.Delete e ->
     let id = Entry.id e in
-    Hashtbl.remove t.live id;
-    Hashtbl.replace t.tombstones id ();
+    reserve t id;
+    (match t.slots.(id) with
+    | Live _ -> t.live_count <- t.live_count - 1
+    | Unknown | Deleted -> ());
+    t.slots.(id) <- Deleted;
+    t.owners_stale <- true;
     (* The strategy's delete only reaches the entry's owners; purge the
        substitute copies the daemon placed elsewhere. *)
     (match Hashtbl.find_opt t.placed id with
@@ -142,22 +177,42 @@ let store_digest t server =
     (Cluster.store t.cluster server);
   bits
 
-(* The entry's owners under an assigned placement, as a sorted set.  No
-   [Assigned] plan names a server twice; [sort_uniq] also sorts. *)
-let owners_of t e =
-  match t.plan with
-  | Assigned assignment -> Option.map (List.sort_uniq compare) (assignment e)
-  | Mirror | Free _ -> None
+let rec increasing = function
+  | (a : int) :: (b :: _ as rest) -> a < b && increasing rest
+  | [ _ ] | [] -> true
 
-(* The replication degree an entry should have right now. *)
-let target_degree t e =
+(* An entry's owners as a sorted set.  No [Assigned] plan names a server
+   twice.  A list that is already increasing is kept as it is, and a
+   pair is swapped without the closures [List.sort_uniq] allocates. *)
+let sorted_owners = function
+  | Some os as known when increasing os -> known
+  | Some [ a; b ] when a > b -> Some [ b; a ]
+  | Some os -> Some (List.sort_uniq Int.compare os)
+  | None -> None
+
+(* The live entry [id]'s sorted owners under an assigned placement;
+   [None] under the other plans, or where the plan cannot name them. *)
+let owners_of t id =
+  (match t.plan with
+  | Assigned assignment when t.owners_stale ->
+    for i = 0 to t.capacity - 1 do
+      t.owners.(i) <-
+        (match t.slots.(i) with
+        | Live e -> sorted_owners (assignment e)
+        | Unknown | Deleted -> None)
+    done;
+    t.owners_stale <- false
+  | Assigned _ | Mirror | Free _ -> ());
+  t.owners.(id)
+
+(* The replication degree the live entry [id] should have right now. *)
+let target_degree t id =
   let n = Cluster.n t.cluster in
   match t.plan with
   | Mirror -> Cluster.up_count t.cluster
-  | Assigned _ ->
-    (match owners_of t e with Some owners -> List.length owners | None -> 0)
+  | Assigned _ -> (match owners_of t id with Some os -> List.length os | None -> 0)
   | Free x ->
-    let live = max 1 (Hashtbl.length t.live) in
+    let live = max 1 t.live_count in
     max 1 (min n (n * x / live))
 
 (* Omniscient measurement of degree deficiency (reads stores directly;
@@ -178,39 +233,37 @@ let refresh_tracking t =
           if id < cap then copies.(id) <- copies.(id) + 1)
         (Cluster.store t.cluster i)
   done;
-  Hashtbl.iter
-    (fun id e ->
-      let deg = target_degree t e in
-      let copies = if id < cap then copies.(id) else 0 in
+  for id = 0 to t.capacity - 1 do
+    match t.slots.(id) with
+    | Live _ ->
+      let deg = target_degree t id in
+      let copies = copies.(id) in
       (* Under Mirror, zero live copies means the strategy never tracked
          the entry (e.g. Fixed-x beyond capacity) or every server is
          down — neither is a repairable deficiency. *)
       let deficient =
         copies < deg && match t.plan with Mirror -> copies > 0 | Assigned _ | Free _ -> true
       in
+      let since = t.deficient_since.(id) in
       if deficient then begin
-        if not (Hashtbl.mem t.deficient_since id) then
-          Hashtbl.replace t.deficient_since id nowv
+        if Float.is_nan since then t.deficient_since.(id) <- nowv
       end
-      else
-        match Hashtbl.find_opt t.deficient_since id with
-        | Some since ->
-          Metrics.incr t.st_restore_episodes;
-          Metrics.add_gauge t.st_restore_total (nowv -. since);
-          Hashtbl.remove t.deficient_since id
-        | None -> ())
-    t.live;
-  (* Entries deleted while deficient: the deficiency is moot. *)
-  let stale =
-    Hashtbl.fold
-      (fun id _ acc -> if Hashtbl.mem t.live id then acc else id :: acc)
-      t.deficient_since []
-  in
-  List.iter (Hashtbl.remove t.deficient_since) stale
+      else if not (Float.is_nan since) then begin
+        Metrics.incr t.st_restore_episodes;
+        Metrics.add_gauge t.st_restore_total (nowv -. since);
+        t.deficient_since.(id) <- Float.nan
+      end
+    | Unknown | Deleted ->
+      (* Entries deleted while deficient: the deficiency is moot. *)
+      t.deficient_since.(id) <- Float.nan
+  done
 
 (* {2 Recovery sync} *)
 
 exception Unknown_assignment
+
+(* The catalog's tombstoned ids among a digest's, in increasing order. *)
+let deleted_in t bits = List.filter (deleted t) (Bitset.to_list bits)
 
 (* What the requester is missing and what it must retract, computed at
    the peer from its digest.  [None] when the plan cannot describe the
@@ -225,38 +278,34 @@ let compute_fix t ~peer ~requester bits =
         reference []
       |> List.sort (fun a b -> compare (Entry.id a) (Entry.id b))
     in
-    let retract = List.filter (fun id -> Hashtbl.mem t.tombstones id) (Bitset.to_list bits) in
-    Some (missing, retract)
-  | Assigned assignment ->
+    Some (missing, deleted_in t bits)
+  | Assigned _ ->
+    let owned id =
+      match owners_of t id with
+      | None -> raise Unknown_assignment
+      | Some os -> List.mem requester os
+    in
     (try
-       let missing =
-         List.filter
-           (fun e ->
-             (not (has bits (Entry.id e)))
-             &&
-             match assignment e with
-             | None -> raise Unknown_assignment
-             | Some owners -> List.mem requester owners)
-           (sorted_live t)
-       in
+       let missing = ref [] in
+       for id = t.capacity - 1 downto 0 do
+         match t.slots.(id) with
+         | Live e when (not (has bits id)) && owned id -> missing := e :: !missing
+         | Live _ | Unknown | Deleted -> ()
+       done;
        let retract =
          List.filter
            (fun id ->
-             match Hashtbl.find_opt t.live id with
-             | None -> true (* deleted (or never known): drop it *)
-             | Some e ->
-               (match assignment e with
-               | None -> raise Unknown_assignment
-               | Some owners -> not (List.mem requester owners)))
+             match slot t id with
+             | Unknown | Deleted -> true (* deleted (or never known): drop it *)
+             | Live _ -> not (owned id))
            (Bitset.to_list bits)
        in
-       Some (missing, retract)
+       Some (!missing, retract)
      with Unknown_assignment -> None)
   | Free _ ->
     (* Contents are a random subset by design; the sync only purges
        deleted entries, the daemon restores the degree. *)
-    let retract = List.filter (fun id -> Hashtbl.mem t.tombstones id) (Bitset.to_list bits) in
-    Some ([], retract)
+    Some ([], deleted_in t bits)
 
 let on_digest_request t ~peer ~src bits =
   match (src : Net.sender) with
@@ -286,13 +335,7 @@ let do_sync t server =
        missed are recorded in the repair ledger, so it can at least
        scrub those.  The fix is self-addressed through [Net] so the
        scrub is charged to the repair message budget like any other. *)
-    let bits = store_digest t server in
-    let retract =
-      List.sort compare
-        (Hashtbl.fold
-           (fun id () acc -> if has bits id then id :: acc else acc)
-           t.tombstones [])
-    in
+    let retract = deleted_in t (store_digest t server) in
     if retract <> [] then begin
       Metrics.incr t.st_syncs;
       Net.tally_as_repair (net t) (fun () ->
@@ -312,10 +355,21 @@ let do_sync t server =
 let lowest_up t =
   if Cluster.up_count t.cluster = 0 then None else Some (Net.kth_up (net t) 0)
 
+let holds dig i id = match dig.(i) with Some b -> has b id | None -> false
+
+let rec count_holding id = function
+  | [] -> 0
+  | b :: rest -> Bool.to_int (has b id) + count_holding id rest
+
+let rec all_hold dig id = function
+  | [] -> true
+  | o :: rest -> holds dig o id && all_hold dig id rest
+
 let daemon_tick t =
   match lowest_up t with
   | None -> ()
-  | Some c when Hashtbl.length t.live > 0 ->
+  | Some c when t.live_count > 0 ->
+    t.owners_stale <- true;
     let n = Cluster.n t.cluster in
     let nowv = now t in
     Net.tally_as_repair (net t) (fun () ->
@@ -324,15 +378,6 @@ let daemon_tick t =
         let dig = Array.make n None in
         Net.broadcast (net t) ~src:(Net.Server c) Msg.digest_pull ~on_reply:(fun i reply ->
             match (reply : Msg.reply) with Msg.Digest b -> dig.(i) <- Some b | _ -> ());
-        let holds i id = match dig.(i) with Some b -> has b id | None -> false in
-        (* A server down for less than the grace period still counts as
-           a copy (its store survives the outage): transient blips must
-           not trigger re-replication. *)
-        let grace_holds s id =
-          match (t.down_since.(s), t.down_digest.(s)) with
-          | Some since, Some b when nowv -. since <= t.config.grace -> has b id
-          | _ -> false
-        in
         (* Invert the per-entry scans: one pass over the stores of the
            servers that answered the broadcast yields every entry's live
            copy count (a digest is a same-tick snapshot of its store, so
@@ -351,38 +396,37 @@ let daemon_tick t =
                 let id = Entry.id e in
                 if id < cap then begin
                   up_copies.(id) <- up_copies.(id) + 1;
-                  if Hashtbl.mem t.tombstones id then
+                  if deleted t id then
                     Hashtbl.replace dead_holders id
                       (i :: Option.value (Hashtbl.find_opt dead_holders id) ~default:[])
                 end)
               (Cluster.store t.cluster i)
         done;
-        (* Down-within-grace servers are few at any instant; per-entry
-           grace copies are counted against this short list rather than
-           a length-n sweep. *)
-        let grace_servers =
+        (* A server down for less than the grace period still counts as
+           a copy (its store survives the outage): transient blips must
+           not trigger re-replication.  Such servers are few at any
+           instant; per-entry grace copies are counted against their
+           fail-time digests rather than a length-n sweep. *)
+        let grace_digests =
           let acc = ref [] in
           for s = n - 1 downto 0 do
             if dig.(s) = None then
               match (t.down_since.(s), t.down_digest.(s)) with
-              | Some since, Some _ when nowv -. since <= t.config.grace -> acc := s :: !acc
+              | Some since, Some b when nowv -. since <= t.config.grace -> acc := b :: !acc
               | _ -> ()
           done;
           !acc
         in
-        List.iter
-          (fun e ->
-            let id = Entry.id e in
+        (* Live entries in id order, the order the repairs are sent in. *)
+        for id = 0 to t.capacity - 1 do
+          match t.slots.(id) with
+          | Unknown | Deleted -> ()
+          | Live e ->
             let start = ((id mod n) + n) mod n in
-            let live_copies = if id < cap then up_copies.(id) else 0 in
-            let grace_copies =
-              List.fold_left
-                (fun acc s -> if grace_holds s id then acc + 1 else acc)
-                0 grace_servers
-            in
-            let deg = target_degree t e in
-            let copies = live_copies + grace_copies in
-            let owners = owners_of t e in
+            let live_copies = up_copies.(id) in
+            let copies = live_copies + count_holding id grace_digests in
+            let deg = target_degree t id in
+            let owners = owners_of t id in
             if copies < deg then begin
               (* Under Mirror an entry with no live copy has no source
                  (the strategy never tracked it, or nothing survives). *)
@@ -409,12 +453,13 @@ let daemon_tick t =
                 let os = Option.value owners ~default:[] in
                 List.iter
                   (fun o ->
-                    if !sent < deficit && dig.(o) <> None && not (holds o id) then send_to o)
+                    if !sent < deficit && dig.(o) <> None && not (holds dig o id) then
+                      send_to o)
                   os;
                 let k = ref 0 in
                 while !sent < deficit && !k < n do
                   let i = (start + !k) mod n in
-                  if dig.(i) <> None && (not (holds i id)) && not (List.mem i os) then
+                  if dig.(i) <> None && (not (holds dig i id)) && not (List.mem i os) then
                     send_to i;
                   incr k
                 done
@@ -428,15 +473,13 @@ let daemon_tick t =
                  only until they are all found. *)
               match owners with
               | Some os
-                when os <> []
-                     && List.for_all (fun o -> dig.(o) <> None && holds o id) os
-                     && live_copies > List.length os ->
+                when os <> [] && all_hold dig id os && live_copies > List.length os ->
                 let strays = live_copies - List.length os in
                 let trimmed = ref [] in
                 let k = ref 0 in
                 while List.length !trimmed < strays && !k < n do
                   let i = (start + !k) mod n in
-                  if holds i id && not (List.mem i os) then begin
+                  if holds dig i id && not (List.mem i os) then begin
                     ignore (Net.send (net t) ~src:(Net.Server c) ~dst:i (Msg.remove e));
                     Metrics.incr t.st_trims;
                     trimmed := i :: !trimmed
@@ -451,8 +494,8 @@ let daemon_tick t =
                 | [] -> Hashtbl.remove t.placed id
                 | rest -> Hashtbl.replace t.placed id rest)
               | _ -> ()
-            end)
-          (sorted_live t);
+            end
+        done;
         (* Tombstone scrub: a recovery sync that found no live peer can
            leave a deleted entry on an up server indefinitely; the
            daemon retracts any tombstoned id still present in a digest
@@ -492,6 +535,7 @@ let run_daemon_once t =
 (* {2 Wiring} *)
 
 let on_status t server ~up =
+  t.owners_stale <- true;
   if up then begin
     t.down_since.(server) <- None;
     do_sync t server;
@@ -542,13 +586,15 @@ let install cluster ~config ~plan =
     { cluster;
       config;
       plan;
-      live = Hashtbl.create 256;
-      tombstones = Hashtbl.create 64;
+      slots = Array.make 64 Unknown;
+      live_count = 0;
       placed = Hashtbl.create 64;
       capacity = 0;
       down_since = Array.make n None;
       down_digest = Array.make n None;
-      deficient_since = Hashtbl.create 64;
+      deficient_since = Array.make 64 Float.nan;
+      owners = Array.make 64 None;
+      owners_stale = true;
       daemon_ticks = 0;
       st_syncs = Metrics.counter m "repair.syncs";
       st_shipped = Metrics.counter m "repair.entries_shipped";

@@ -33,20 +33,21 @@ let ring_points cluster ~salt =
   Array.sort compare points;
   points
 
-(* Index of the first ring point at or after [p] (clockwise successor),
-   wrapping past the top of the ring.  The annotation keeps the
+(* The smallest i in [lo, hi) with point(i) >= p, or [hi].  Top-level,
+   so a search allocates no closure.  The annotation keeps the
    comparison on ints rather than polymorphic. *)
-let successor_index (points : (int * int) array) p =
+let rec search (points : (int * int) array) p lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if fst points.(mid) >= p then search points p lo mid else search points p (mid + 1) hi
+  end
+
+(* Index of the first ring point at or after [p] (clockwise successor),
+   wrapping past the top of the ring. *)
+let successor_index points p =
   let len = Array.length points in
-  let rec search lo hi =
-    (* smallest i with point(i) >= p, or len *)
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if fst points.(mid) >= p then search lo mid else search (mid + 1) hi
-    end
-  in
-  search 0 len mod len
+  search points p 0 len mod len
 
 (* The winning probe's successor: the probe whose clockwise distance to
    its successor is smallest (ties keep the earliest probe, so the
@@ -66,16 +67,22 @@ let home_index points ~seed ~probe_salt ~k id =
   done;
   !best
 
+(* The servers at ring indices [start + r] for r < [count], in ring
+   order, built from the last one back so no closure is allocated. *)
+let rec successors points ~start count acc =
+  if count = 0 then acc
+  else
+    let i = (start + count - 1) mod Array.length points in
+    successors points ~start (count - 1) (snd points.(i) :: acc)
+
 (* The entry lives on [min y n] consecutive distinct successors starting
    at its home server. *)
 let create cluster ~ring_salt ~probe_salt ~y ~k =
   let points = ring_points cluster ~salt:ring_salt in
   let seed = Cluster.seed cluster in
-  let len = Array.length points in
-  let y = min y len in
+  let y = min y (Array.length points) in
   Owner_placement.create cluster ~targets:(fun e ->
-      let start = home_index points ~seed ~probe_salt ~k (Entry.id e) in
-      List.init y (fun r -> snd points.((start + r) mod len)))
+      successors points ~start:(home_index points ~seed ~probe_salt ~k (Entry.id e)) y [])
 
 let chord cluster ~y =
   if y < 1 then invalid_arg "Chord.create: y must be at least 1";

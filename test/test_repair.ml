@@ -277,6 +277,159 @@ let test_deterministic () =
   let a = scenario () and b = scenario () in
   if a <> b then Alcotest.fail "same seed gave a different repair run"
 
+(* A daemon tick reads each live entry's owners once, from the
+   id-indexed catalog, so its allocation is a few words per entry
+   whatever the plan.  Measured on each strategy (n = 10, h = 100),
+   healthy and at the first tick after one server stayed down past
+   grace: 6-37 words per live entry.  Sorting the catalog and
+   computing every entry's owners three times per tick cost 195-283
+   on the assigned plans. *)
+let test_tick_allocates_little () =
+  let n = 10 and h = 100 in
+  List.iter
+    (fun config ->
+      let service = Service.create ~seed:4 ~repair:Repair.default_config ~n config in
+      Service.place service (Helpers.entries h);
+      let cluster = Service.cluster service in
+      let rep = Option.get (Service.repair service) in
+      let engine = Engine.create () in
+      Repair.attach_engine rep engine;
+      (* Ticks run at 10, 20, ...; server 3 fails at 17, between the
+         measured windows, so the tick at 50 is the first one past the
+         30-unit grace. *)
+      ignore (Engine.schedule_at engine ~time:17. (fun _ -> Cluster.fail cluster 3));
+      let tick_words ~what ~at =
+        ignore (Engine.run ~until:(at -. 5.) engine);
+        let ticks = Repair.daemon_ticks rep in
+        let before = Gc.minor_words () in
+        ignore (Engine.run ~until:(at +. 5.) engine);
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) (what ^ ": one tick measured") (ticks + 1)
+          (Repair.daemon_ticks rep);
+        words /. float_of_int h
+      in
+      List.iter
+        (fun (what, at) ->
+          let per_entry = tick_words ~what ~at in
+          if per_entry > 100. then
+            Alcotest.failf "%s, %s: %.0f minor words per live entry in one tick (bound 100)"
+              (Service.config_name config) what per_entry)
+        [ ("healthy", 10.); ("one server down past grace", 50.) ])
+    all_configs
+
+(* The catalog's edge cases, which churn drills with fresh dense ids
+   never reach: an id far above the rest, a delete of an id never
+   added, a delete and re-add between two ticks, and a failure past
+   grace, with a delete while the server is down, followed by a
+   recovery.  Each outcome is the stats line, then every server's
+   sorted store.  The expected outcomes were recorded when the catalog
+   was a set of hashtables, so the id-indexed arrays must grow, reset
+   and clear exactly where those did. *)
+let catalog_outcome config =
+  let service = Service.create ~seed:8 ~repair:Repair.default_config ~n:6 config in
+  Service.place service (Helpers.entries 12);
+  let cluster = Service.cluster service in
+  let rep = Option.get (Service.repair service) in
+  let engine = Engine.create () in
+  Repair.attach_engine ~until:70. rep engine;
+  let at time f = ignore (Engine.schedule_at engine ~time (fun _ -> f ())) in
+  at 1. (fun () ->
+      Service.add service (Entry.v 5_000);
+      Service.delete service (Entry.v 7_000));
+  at 15. (fun () ->
+      Service.delete service (Entry.v 3);
+      Service.add service (Entry.v 3));
+  at 21. (fun () -> Cluster.fail cluster 2);
+  at 30. (fun () -> Service.delete service (Entry.v 4));
+  at 65. (fun () -> Cluster.recover cluster 2);
+  ignore (Engine.run ~until:75. engine);
+  let s = Repair.stats rep in
+  let stats =
+    Printf.sprintf "%s syncs=%d shipped=%d retracted=%d rr=%d trims=%d episodes=%d mean=%s msgs=%d"
+      (Service.config_name config) s.Repair.syncs s.Repair.entries_shipped
+      s.Repair.entries_retracted s.Repair.re_replications s.Repair.trims
+      s.Repair.restore_episodes
+      (match s.Repair.mean_restore_time with None -> "-" | Some m -> Printf.sprintf "%g" m)
+      (Repair.repair_messages rep)
+  in
+  stats :: List.map (fun ids -> String.concat "," (List.map string_of_int ids)) (snapshot cluster)
+
+let expected_catalog_outcomes =
+  [ [ "FullReplication syncs=1 shipped=0 retracted=1 rr=0 trims=0 episodes=0 mean=- msgs=40";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000" ];
+    [ "Fixed-60 syncs=1 shipped=0 retracted=1 rr=0 trims=0 episodes=0 mean=- msgs=40";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000" ];
+    [ "RandomServer-20 syncs=1 shipped=0 retracted=1 rr=0 trims=0 episodes=12 mean=44 msgs=40";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000" ];
+    [ "RandomServerReplacing-20 syncs=1 shipped=0 retracted=1 rr=0 trims=0 episodes=12 mean=44 msgs=40";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000";
+      "0,1,2,3,5,6,7,8,9,10,11,5000" ];
+    [ "RoundRobin-2 syncs=1 shipped=0 retracted=1 rr=4 trims=4 episodes=5 mean=33 msgs=48";
+      "5,6,11,5000";
+      "3,6,7,5000";
+      "2,3,7,8";
+      "0,2,8,9";
+      "0,1,9,10";
+      "1,5,10,11" ];
+    [ "RoundRobinHA-2x2 syncs=1 shipped=0 retracted=1 rr=4 trims=4 episodes=5 mean=33 msgs=48";
+      "5,6,11,5000";
+      "3,6,7,5000";
+      "2,3,7,8";
+      "0,2,8,9";
+      "0,1,9,10";
+      "1,5,10,11" ];
+    [ "Hash-2 syncs=1 shipped=0 retracted=0 rr=5 trims=5 episodes=5 mean=39 msgs=49";
+      "0,1,3,8";
+      "5,9,10";
+      "0,2,3,6,11";
+      "1,6,7,8,5000";
+      "9,11,5000";
+      "2,5,7,10" ];
+    [ "Chord-2 syncs=1 shipped=0 retracted=0 rr=5 trims=5 episodes=5 mean=39 msgs=49";
+      "0,3,5,6,9,5000";
+      "8";
+      "1,2,7,10,11";
+      "0,3,6,9,10,11,5000";
+      "1,2,7,8";
+      "5" ];
+    [ "DxHash-2 syncs=1 shipped=0 retracted=0 rr=7 trims=7 episodes=7 mean=39 msgs=53";
+      "6,10,5000";
+      "0,1,11";
+      "0,2,5,7,9,11,5000";
+      "3,5,8,9";
+      "2,3,6,7,8,10";
+      "1" ];
+    [ "MultiProbe-2x2 syncs=1 shipped=0 retracted=0 rr=7 trims=7 episodes=7 mean=39 msgs=53";
+      "5000";
+      "3,8,9,11";
+      "0,1,2,5,6,7,10";
+      "1,3,7,8,9,10";
+      "0,2,5,6,5000";
+      "11" ] ]
+
+let test_catalog_edge_cases () =
+  Alcotest.(check (list (list string))) "stats, repair messages and stores"
+    expected_catalog_outcomes (List.map catalog_outcome all_configs)
+
 let test_mode_parsing () =
   List.iter
     (fun (s, expected) ->
@@ -328,5 +481,7 @@ let () =
           Alcotest.test_case "repair message accounting" `Quick
             test_repair_message_accounting;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "daemon tick allocates little" `Quick test_tick_allocates_little;
+          Alcotest.test_case "catalog edge cases" `Quick test_catalog_edge_cases;
           Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
           Alcotest.test_case "config validation" `Quick test_config_validation ] ) ]
