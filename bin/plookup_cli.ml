@@ -649,7 +649,7 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.22.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.23.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

@@ -40,21 +40,26 @@ let ledgers_equal a b =
             | None -> false)
        a.by_position true
 
-(* The acting coordinator: lowest-indexed operational replica. *)
-let acting t =
-  let rec go i =
-    if i >= t.coordinators then None
-    else if Cluster.is_up t.cluster i then Some i
-    else go (i + 1)
-  in
-  go 0
+(* The owner queries below run once per live entry per repair event and
+   on every update, so they are top-level and allocate no closure or
+   option: only the owner list itself. *)
+
+let rec first_up t i =
+  if i >= t.coordinators then -1 else if Cluster.is_up t.cluster i then i else first_up t (i + 1)
+
+(* The acting coordinator: lowest-indexed operational replica, or -1
+   when none is up. *)
+let acting t = first_up t 0
 
 let acting_ledger t =
-  match acting t with Some c -> t.ledgers.(c) | None -> t.ledgers.(0)
+  let c = acting t in
+  t.ledgers.(if c < 0 then 0 else c)
 
-let servers_of_position t pos =
-  let n = Cluster.n t.cluster in
-  List.init t.y (fun r -> (((pos + r) mod n) + n) mod n)
+(* Servers [pos + r] mod n for r < y, in increasing r. *)
+let rec group_from n pos r acc =
+  if r < 0 then acc else group_from n pos (r - 1) (((((pos + r) mod n) + n) mod n) :: acc)
+
+let servers_of_position t pos = group_from (Cluster.n t.cluster) pos (t.y - 1) []
 
 let send_store t ~src ~dst e =
   ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst (Msg.store e))
@@ -128,9 +133,8 @@ let guard_updates t =
    other server is relayed to the acting coordinator (dropped when none
    is up — the lost write [can_update] warns about). *)
 let forward_to_coordinator t ~src msg =
-  match acting t with
-  | Some c -> ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst:c msg)
-  | None -> ()
+  let c = acting t in
+  if c >= 0 then ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst:c msg)
 
 (* Acting-coordinator logic, executing at server [self]. *)
 let do_add t ~self e =
@@ -238,7 +242,9 @@ let create ?(coordinators = 1) cluster ~y =
 
 let y t = t.y
 let coordinators t = t.coordinators
-let acting_coordinator t = acting t
+let acting_coordinator t =
+  let c = acting t in
+  if c < 0 then None else Some c
 let head t = (acting_ledger t).head
 let tail t = (acting_ledger t).tail
 let live_count t = tail t - head t
@@ -248,7 +254,7 @@ let entry_at t pos = Hashtbl.find_opt (acting_ledger t).by_position pos
 
 (* An update is accepted only while some coordinator replica is up and
    the placement was not truncated; otherwise it gets no reply. *)
-let can_update t = (not t.truncated) && acting t <> None
+let can_update t = (not t.truncated) && acting t >= 0
 
 (* Where the acting ledger puts an entry's [y] copies, for the repair
    subsystem's placement plan: [None] when the placement was truncated
@@ -257,9 +263,9 @@ let can_update t = (not t.truncated) && acting t <> None
 let assigned_servers t e =
   if t.truncated then None
   else
-    match position_of t e with
-    | None -> Some []
-    | Some pos -> Some (servers_of_position t pos)
+    match Hashtbl.find (acting_ledger t).position_of_id (Entry.id e) with
+    | pos -> Some (servers_of_position t pos)
+    | exception Not_found -> Some []
 
 let place ?budget t entries =
   let entries = Entry.dedup entries in
@@ -294,9 +300,8 @@ let place ?budget t entries =
     t.truncated <- !spent < t.y * h
 
 let send_to_coordinator t msg =
-  match acting t with
-  | Some c -> ignore (Net.send (Cluster.net t.cluster) ~src:Net.Client ~dst:c msg)
-  | None -> ()
+  let c = acting t in
+  if c >= 0 then ignore (Net.send (Cluster.net t.cluster) ~src:Net.Client ~dst:c msg)
 
 let add t e = send_to_coordinator t (Msg.add e)
 let delete t e = send_to_coordinator t (Msg.delete e)

@@ -49,15 +49,18 @@ let histogram t ?(labels = []) name =
   h
 
 (* Bucket b covers (2^(b-1), 2^b]; everything <= 1 (including
-   non-positive values) lands in bucket 0. *)
+   non-positive values and NaN) lands in bucket 0, and everything past
+   the last bound, +infinity included, in the top bucket.  A v > 1 is
+   a normal float 1.m * 2^e, read off its bits: it is 2^e exactly when
+   its mantissa bits are all 0, and in (2^e, 2^(e+1)) otherwise.
+   +infinity has e = 1024 and a zero mantissa. *)
 let bucket_of v =
   if not (v > 1.) then 0
   else begin
-    let b = int_of_float (Float.ceil (Float.log2 v)) in
-    (* Guard the exact-power-of-two edge where ceil(log2 v) rounds a
-       hair low, and clamp to the bucket range. *)
-    let b = if Float.pow 2. (float_of_int b) < v then b + 1 else b in
-    if b < 0 then 0 else if b >= hbuckets then hbuckets - 1 else b
+    let bits = Int64.bits_of_float v in
+    let e = Int64.to_int (Int64.shift_right_logical bits 52) - 1023 in
+    let b = if Int64.equal (Int64.shift_left bits 12) 0L then e else e + 1 in
+    if b >= hbuckets then hbuckets - 1 else b
   end
 
 let observe h v =

@@ -50,7 +50,8 @@ val gauge_value : gauge -> float
 val histogram : t -> ?labels:(string * string) list -> string -> histogram
 (** Log-scale (powers of two): an observation [v] lands in bucket
     [ceil(log2 v)] clamped to [0, 63] — bucket [b] covers
-    [(2^(b-1), 2^b]], bucket 0 everything at or below 1.  Suited to
+    [(2^(b-1), 2^b]], bucket 0 everything at or below 1 (and NaN),
+    bucket 63 everything above 2^62, [infinity] included.  Suited to
     latencies and sizes spanning orders of magnitude. *)
 
 val observe : histogram -> float -> unit

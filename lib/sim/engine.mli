@@ -11,21 +11,23 @@
 type t
 
 type event_id
-(** Handle for cancellation — the scheduled event's own heap node
-    (see {!Event_queue.handle}), so {!cancel} is O(1) and engines keep
-    no side tables. *)
+(** Handle for cancellation — the scheduled event's handle in the
+    queue (see {!Event_queue.handle}), so {!cancel} is O(1) and engines
+    keep no side tables. *)
 
 val create : unit -> t
 
 val now : t -> float
-(** Current simulation time; 0 before any event has fired. *)
+(** Current simulation time; 0 before any event has fired.  The clock
+    is stored unboxed, so advancing it allocates nothing. *)
 
 val schedule_at : t -> time:float -> (t -> unit) -> event_id
 (** Fire the action when the clock reaches [time].  Scheduling in the
-    past (before [now]) raises [Invalid_argument]. *)
+    past (before [now]) or at a NaN time raises [Invalid_argument]. *)
 
 val schedule_after : t -> delay:float -> (t -> unit) -> event_id
-(** [schedule_at ~time:(now t +. delay)].  Negative delays raise. *)
+(** [schedule_at ~time:(now t +. delay)].  Negative and NaN delays
+    raise [Invalid_argument]. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelled events are skipped when popped; cancelling twice, or after
@@ -36,14 +38,19 @@ val pending : t -> int
 (** Events scheduled and not yet fired or cancelled. *)
 
 val step : t -> bool
-(** Fire the single earliest event.  [false] when the queue is empty. *)
+(** Fire the single earliest event: move the clock to its
+    {!Event_queue.min_time}, {!Event_queue.take} it and run it.
+    [false] when the queue is empty.  Firing allocates nothing beyond
+    what the action does, in a build that inlines across modules (the
+    release profile); without that inlining, [min_time]'s float result
+    is boxed, two words per event. *)
 
 val run : ?max_events:int -> ?until:float -> t -> int
-(** Fire events until the queue is empty, [max_events] have fired, or the
-    next *live* event is strictly after [until] (cancelled events never
-    fire and never count against the horizon).  Returns the number of
-    events fired.  When stopped by [until], the clock is advanced to
-    [until]. *)
+(** Fire events, as {!step} does, until the queue is empty,
+    [max_events] have fired, or the next *live* event is strictly after
+    [until] (cancelled events never fire and never count against the
+    horizon).  Returns the number of events fired.  When stopped by
+    [until] or by an empty queue, the clock is advanced to [until]. *)
 
 val reset : t -> unit
 (** Drop all pending events and rewind the clock to 0.  The event

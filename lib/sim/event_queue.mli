@@ -1,16 +1,25 @@
 (** A binary min-heap priority queue for simulation events, with O(1)
-    intrusive cancellation.
+    lazy cancellation.
 
     Events are ordered by timestamp; ties are broken by insertion
     sequence so that simultaneous events fire in FIFO order, which keeps
-    replays deterministic.
+    replays deterministic.  Times must not be NaN.
 
-    {!push} returns a {!handle} carrying a mutable state flag on the
-    heap node itself; {!cancel_handle} just flips it.  Cancelled nodes
-    are discarded lazily when they surface at the heap root, so the
-    per-event fast path allocates nothing and touches no side table
-    (the engine previously paired every event with two hashtable
-    updates). *)
+    The heap is three parallel arrays over heap positions: a float array
+    of times, an int array of tie-break sequence numbers and an int
+    array of slots into a payload pool.  A sift compares unboxed keys
+    and moves only ints and floats, never a pointer.  Taking an event
+    empties its pool slot, so the queue keeps no fired or discarded
+    payload alive.
+
+    {!push} allocates the event's {!handle}, a small node that carries
+    the payload and a state flag; {!cancel_handle} just flips the flag.
+    Cancelled events are discarded lazily when they surface at the
+    heap root.  {!min_time} and {!take} are the one way events leave
+    the queue.  [take] allocates nothing, and neither does [min_time]
+    where it is inlined (a build without cross-module inlining boxes
+    its float result); {!pop}, {!peek} and {!drain} are wrappers over
+    them that build their option, tuple or list. *)
 
 type 'a t
 
@@ -29,23 +38,31 @@ val push : 'a t -> time:float -> 'a -> 'a handle
 
 val cancel_handle : 'a t -> 'a handle -> bool
 (** [cancel_handle t h] marks [h]'s event as never-to-fire, in O(1).
-    Returns [true] the first time; cancelling twice, or after the event
-    was popped, is a no-op returning [false] (so callers can keep
-    accurate pending counts). *)
+    Returns [true] the first time; cancelling twice, after the event
+    was taken, or after {!clear} forgot it, is a no-op returning
+    [false] (so callers can keep accurate pending counts). *)
 
 val is_cancelled : 'a handle -> bool
 
+val min_time : 'a t -> float
+(** Time of the earliest event that will fire, [infinity] when none is
+    left (an event pushed at [infinity] is told apart by {!is_empty}).
+    Cancelled events ahead of it are discarded. *)
+
+val take : 'a t -> 'a
+(** Remove the earliest event that will fire, at {!min_time}, mark it
+    fired and return its payload.  Raises [Invalid_argument] when none
+    is left. *)
+
 val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest non-cancelled event, [None] when
-    none is left. *)
+(** {!min_time} and {!take} together; [None] when no event is left. *)
 
 val peek : 'a t -> (float * 'a) option
-(** Earliest non-cancelled event without removing it (cancelled nodes
-    ahead of it are purged). *)
+(** The event {!pop} would return, without removing it. *)
 
 val clear : 'a t -> unit
-(** Forget all events but keep the heap's capacity, so a reused queue
-    does not re-grow from scratch. *)
+(** Forget all events, which then count as cancelled, but keep the
+    arrays' capacity, so a reused queue does not re-grow from scratch. *)
 
 val drain : 'a t -> (float * 'a) list
 (** Pop everything, in order. *)

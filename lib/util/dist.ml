@@ -39,20 +39,38 @@ let lifetime_mean = function
   | Exponential mean -> mean
   | Zipf_like c -> zipf_like_mean ~c
 
+(* The cumulative weights of the last law [zipf_ranks] drew from, one
+   per domain, because experiments draw on [Pool] domains. *)
+type zipf_law = { mutable n : int; mutable alpha : float; mutable cumulative : float array }
+
+let zipf_law = Domain.DLS.new_key (fun () -> { n = 0; alpha = nan; cumulative = [||] })
+
 let zipf_ranks rng ~n ~alpha =
   if n <= 0 then invalid_arg "Dist.zipf_ranks: n must be positive";
-  (* Inverse-CDF over the normalized discrete law; n is small in our
-     examples so a linear scan is fine. *)
-  let weights = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** alpha)) in
-  let total = Array.fold_left ( +. ) 0. weights in
-  let u = Rng.unit_float rng *. total in
-  let rec find i acc =
-    if i = n - 1 then n
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i + 1 else find (i + 1) acc
-  in
-  find 0 0.
+  let law = Domain.DLS.get zipf_law in
+  if law.n <> n || not (Float.equal law.alpha alpha) then begin
+    let cumulative = Array.make n 0. in
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (1. /. (float_of_int (i + 1) ** alpha));
+      cumulative.(i) <- !acc
+    done;
+    law.n <- n;
+    law.alpha <- alpha;
+    law.cumulative <- cumulative
+  end;
+  let cumulative = law.cumulative in
+  (* Inverse CDF: the first rank whose cumulative weight exceeds u, by
+     binary search (the weights are non-negative, so the cumulative
+     array is non-decreasing); rank n when none of the first n - 1
+     does. *)
+  let u = Rng.unit_float rng *. cumulative.(n - 1) in
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if u < cumulative.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo + 1
 
 let uniform_in rng ~lo ~hi =
   if lo > hi then invalid_arg "Dist.uniform_in: lo > hi";

@@ -51,16 +51,17 @@ let generate rng spec =
       death := !clock +. Dist.draw_lifetime rng lifetime;
       drawn := true
     end;
-    match Event_queue.peek deletes with
-    | Some (time, victim) when time <= !clock ->
-      ignore (Event_queue.pop deletes);
-      times.(i) <- time;
-      ops.(i) <- Delete victim
-    | Some _ | None ->
+    let due = Event_queue.min_time deletes in
+    if (not (Event_queue.is_empty deletes)) && due <= !clock then begin
+      times.(i) <- due;
+      ops.(i) <- Delete (Event_queue.take deletes)
+    end
+    else begin
       ignore (Event_queue.push deletes ~time:!death !born);
       times.(i) <- !clock;
       ops.(i) <- Add !born;
       drawn := false
+    end
   done;
   { initial; times; ops }
 

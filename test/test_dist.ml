@@ -107,6 +107,73 @@ let test_zipf_ranks () =
   Helpers.roughly ~rel:0.25 "rank1/rank10 ~ 10" 10.
     (float_of_int counts.(0) /. float_of_int counts.(9))
 
+(* [zipf_ranks] keeps the last law's cumulative weights per domain and
+   binary-searches them.  The sums are the same floats added in the same
+   order, so every rank must equal the one this direct formula draws
+   (weights rebuilt on every draw, linear scan) from an identically
+   seeded generator. *)
+let zipf_rank_reference rng ~n ~alpha =
+  let weights = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** alpha)) in
+  let total = Array.fold_left ( +. ) 0. weights in
+  let u = Rng.unit_float rng *. total in
+  let rec find i acc =
+    if i = n - 1 then n
+    else
+      let acc = acc +. weights.(i) in
+      if u < acc then i + 1 else find (i + 1) acc
+  in
+  find 0 0.
+
+(* Draw [draws] ranks cycling through [laws] from both generators; the
+   first (law, draw) where they differ, if any. *)
+let zipf_mismatch ~seed ~draws laws =
+  let laws = Array.of_list laws in
+  let a = Rng.create seed and b = Rng.create seed in
+  let rec go i =
+    if i = draws then None
+    else
+      let n, alpha = laws.(i mod Array.length laws) in
+      let got = Dist.zipf_ranks a ~n ~alpha and want = zipf_rank_reference b ~n ~alpha in
+      if got <> want then Some (n, alpha, i, got, want) else go (i + 1)
+  in
+  go 0
+
+let check_zipf_matches ~seed ~draws laws =
+  match zipf_mismatch ~seed ~draws laws with
+  | None -> ()
+  | Some (n, alpha, i, got, want) ->
+    Alcotest.failf "n = %d, alpha = %g, draw %d: rank %d, reference %d" n alpha i got want
+
+let test_zipf_ranks_match_reference () =
+  (* n = 1 always draws rank 1, and still consumes one draw. *)
+  check_zipf_matches ~seed:1 ~draws:200 [ (1, 1.0) ];
+  check_zipf_matches ~seed:2 ~draws:200 [ (1, 0.5); (7, 1.2) ];
+  (* Alternating laws rebuild the cached weights on every draw. *)
+  check_zipf_matches ~seed:3 ~draws:8_000 [ (50, 0.8); (50, 1.1); (1000, 0.8); (2, 3.) ];
+  (* The laws the experiments and benchmarks draw from. *)
+  check_zipf_matches ~seed:4 ~draws:50_000 [ (50, 1.1) ];
+  check_zipf_matches ~seed:5 ~draws:50_000 [ (100, 0.9) ];
+  (* Each domain keeps its own weights. *)
+  let mismatches =
+    Pool.map ~jobs:2
+      (fun (seed, laws) -> zipf_mismatch ~seed ~draws:20_000 laws)
+      [| (6, [ (30, 1.0); (40, 0.7) ]); (7, [ (40, 0.7); (30, 1.0) ]) |]
+  in
+  Array.iter
+    (function
+      | None -> ()
+      | Some (n, alpha, i, got, want) ->
+        Alcotest.failf "on a domain, n = %d, alpha = %g, draw %d: rank %d, reference %d" n
+          alpha i got want)
+    mismatches
+
+let prop_zipf_ranks_match_reference =
+  Helpers.qcheck ~count:100 "zipf ranks match the direct formula on random laws"
+    QCheck2.Gen.(
+      pair int
+        (list_size (int_range 1 3) (pair (int_range 1 300) (float_range (-1.) 4.))))
+    (fun (seed, laws) -> zipf_mismatch ~seed ~draws:200 laws = None)
+
 let test_uniform_in () =
   let rng = Rng.create 10 in
   for _ = 1 to 5000 do
@@ -146,6 +213,9 @@ let () =
           Alcotest.test_case "lifetime_of_mean" `Quick test_lifetime_of_mean;
           Alcotest.test_case "draw_lifetime mean" `Quick test_draw_lifetime_mean;
           Alcotest.test_case "zipf ranks" `Quick test_zipf_ranks;
+          Alcotest.test_case "zipf ranks match the direct formula" `Quick
+            test_zipf_ranks_match_reference;
+          prop_zipf_ranks_match_reference;
           Alcotest.test_case "uniform_in" `Quick test_uniform_in;
           prop_zipf_in_bounds;
           prop_c_for_mean_monotone ] ) ]

@@ -37,6 +37,24 @@ let test_past_scheduling_rejected () =
     (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
       ignore (Engine.schedule_after e ~delay:(-1.) (fun _ -> ())))
 
+(* NaN passes a plain [time < now] check; it must be refused at both
+   entry points and leave nothing scheduled. *)
+let test_nan_rejected () =
+  let e = Engine.create () in
+  for i = 1 to 5 do
+    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> ()))
+  done;
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: time is NaN")
+    (fun () -> ignore (Engine.schedule_at e ~time:Float.nan (fun _ -> ())));
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule_after: delay is NaN")
+    (fun () -> ignore (Engine.schedule_after e ~delay:Float.nan (fun _ -> ())));
+  Helpers.check_int "nothing scheduled" 5 (Engine.pending e);
+  let clocks = ref [] in
+  while Engine.step e do
+    clocks := Engine.now e :: !clocks
+  done;
+  Alcotest.(check (list (float 0.))) "clock never NaN" [ 5.; 4.; 3.; 2.; 1. ] !clocks
+
 let test_cancel () =
   let e = Engine.create () in
   let fired = ref [] in
@@ -158,6 +176,33 @@ let test_self_perpetuating_with_cap () =
   Helpers.check_int "capped self-scheduler" 50 fired;
   Helpers.check_int "ticked" 50 !count
 
+(* Firing allocates nothing: per event, only the rescheduled event's
+   handle and its boxed time argument are allocated (plus, where the
+   queue's [min_time] is not inlined, its boxed result).  The events
+   keep 1,000 pending at two delays, so sifts run through a deep heap
+   with many ties. *)
+let rescheduled = ref 0
+
+let rec reschedule engine =
+  incr rescheduled;
+  ignore
+    (Engine.schedule_after engine ~delay:(if !rescheduled land 1 = 0 then 1.5 else 2.25)
+       reschedule)
+
+let test_run_allocates_little () =
+  let e = Engine.create () in
+  for i = 1 to 1000 do
+    ignore (Engine.schedule_at e ~time:(float_of_int (i mod 97) *. 0.01) reschedule)
+  done;
+  ignore (Engine.run ~max_events:20_000 e);
+  let events = 100_000 in
+  let before = Gc.minor_words () in
+  let fired = Engine.run ~max_events:events e in
+  let per_event = (Gc.minor_words () -. before) /. float_of_int fired in
+  Helpers.check_int "fired" events fired;
+  Helpers.check_int "still pending" 1000 (Engine.pending e);
+  if per_event > 8. then Alcotest.failf "%.1f minor words per event, above 8" per_event
+
 let prop_events_fire_in_time_order =
   Helpers.qcheck ~count:100 "events fire in non-decreasing time order"
     QCheck2.Gen.(list_size (int_range 0 60) (float_range 0. 100.))
@@ -179,6 +224,7 @@ let () =
           Alcotest.test_case "fires in order" `Quick test_fires_in_order;
           Alcotest.test_case "schedule_after nesting" `Quick test_schedule_after;
           Alcotest.test_case "past rejected" `Quick test_past_scheduling_rejected;
+          Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "until skips cancelled" `Quick
@@ -191,4 +237,5 @@ let () =
           Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "self-perpetuating" `Quick test_self_perpetuating_with_cap;
+          Alcotest.test_case "run allocates little" `Quick test_run_allocates_little;
           prop_events_fire_in_time_order ] ) ]

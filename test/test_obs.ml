@@ -88,6 +88,34 @@ let test_histogram_quantile_edges () =
     (Invalid_argument "Metrics.histogram_quantile: q must be in [0, 100]") (fun () ->
       ignore (Metrics.histogram_quantile h 101.))
 
+(* The bucket an observation lands in, read from a snapshot. *)
+let bucket_index v =
+  let m = Metrics.create () in
+  Metrics.observe (Metrics.histogram m "v") v;
+  match Metrics.snapshot m with
+  | [ { Metrics.v = Metrics.Histogram { buckets = [ (b, 1) ]; _ }; _ } ] -> b
+  | _ -> Alcotest.fail "one observation should fill one bucket"
+
+(* Bucket b covers (2^(b-1), 2^b]: every power of two and its two
+   neighbouring floats, the values at or below 1 in bucket 0, and
+   everything past 2^63, +infinity included, in bucket 63. *)
+let test_histogram_bucket_edges () =
+  let expect what b v =
+    let got = bucket_index v in
+    if got <> b then Alcotest.failf "%s (%h): bucket %d, expected %d" what v got b
+  in
+  List.iter
+    (fun v -> expect "at or below 1" 0 v)
+    [ Float.neg_infinity; -1.; -0.; 0.; Float.min_float; 0.5; Float.pred 1.; 1.; Float.nan ];
+  expect "just above 1" 1 (Float.succ 1.);
+  for k = 1 to 63 do
+    let p = Float.ldexp 1. k in
+    expect "power of two" k p;
+    expect "below a power of two" k (Float.pred p);
+    expect "above a power of two" (min 63 (k + 1)) (Float.succ p)
+  done;
+  List.iter (fun v -> expect "past the top bound" 63 v) [ 1e30; Float.max_float; Float.infinity ]
+
 (* ------------------------------------------------------------------ *)
 (* JSONL sink *)
 
@@ -261,7 +289,8 @@ let () =
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "quantile tracks percentile" `Quick
             test_histogram_quantile_tracks_percentile;
-          Alcotest.test_case "quantile edges" `Quick test_histogram_quantile_edges ] );
+          Alcotest.test_case "quantile edges" `Quick test_histogram_quantile_edges;
+          Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges ] );
       ("sink", [ Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden ]);
       ( "evicted",
         [ Alcotest.test_case "evictions reach the registry" `Quick test_evicted_metric ] );

@@ -308,12 +308,14 @@ let test_tick_allocates_little () =
           (Repair.daemon_ticks rep);
         words /. float_of_int h
       in
+      (* RoundRobin-2's owner query allocates only its owner list. *)
+      let bound = if Service.config_name config = "RoundRobin-2" then 25. else 100. in
       List.iter
         (fun (what, at) ->
           let per_entry = tick_words ~what ~at in
-          if per_entry > 100. then
-            Alcotest.failf "%s, %s: %.0f minor words per live entry in one tick (bound 100)"
-              (Service.config_name config) what per_entry)
+          if per_entry > bound then
+            Alcotest.failf "%s, %s: %.0f minor words per live entry in one tick (bound %.0f)"
+              (Service.config_name config) what per_entry bound)
         [ ("healthy", 10.); ("one server down past grace", 50.) ])
     all_configs
 
