@@ -124,10 +124,11 @@ let push_front t n =
   t.head <- Some n
 
 let touch t n =
-  if t.head != Some n then begin
+  match t.head with
+  | Some h when h == n -> ()
+  | _ ->
     unlink t n;
     push_front t n
-  end
 
 let remove t n =
   unlink t n;

@@ -59,24 +59,25 @@ let plane_index = function Data _ -> 0 | Strategy _ -> 1 | Repair _ -> 2
 (* Intern every (plane, label) pair up front so the per-message coder is
    a single allocation-free match returning a precomputed code. *)
 let trace_coder tr =
+  let data = plane_names.(0) and strategy = plane_names.(1) and repair = plane_names.(2) in
   let pm plane msg = Plookup_obs.Trace.intern_message tr ~plane ~msg in
-  let c_place = pm "data" "place" in
-  let c_add = pm "data" "add" in
-  let c_delete = pm "data" "delete" in
-  let c_lookup = pm "data" "lookup" in
-  let c_store = pm "strategy" "store" in
-  let c_store_batch = pm "strategy" "store_batch" in
-  let c_remove = pm "strategy" "remove" in
-  let c_add_sampled = pm "strategy" "add_sampled" in
-  let c_remove_counted = pm "strategy" "remove_counted" in
-  let c_fetch_candidate = pm "strategy" "fetch_candidate" in
-  let c_sync_add = pm "strategy" "sync_add" in
-  let c_sync_delete = pm "strategy" "sync_delete" in
-  let c_sync_state = pm "strategy" "sync_state" in
-  let c_digest_request = pm "repair" "digest_request" in
-  let c_sync_fix = pm "repair" "sync_fix" in
-  let c_digest_pull = pm "repair" "digest_pull" in
-  let c_repair_store = pm "repair" "repair_store" in
+  let c_place = pm data "place" in
+  let c_add = pm data "add" in
+  let c_delete = pm data "delete" in
+  let c_lookup = pm data "lookup" in
+  let c_store = pm strategy "store" in
+  let c_store_batch = pm strategy "store_batch" in
+  let c_remove = pm strategy "remove" in
+  let c_add_sampled = pm strategy "add_sampled" in
+  let c_remove_counted = pm strategy "remove_counted" in
+  let c_fetch_candidate = pm strategy "fetch_candidate" in
+  let c_sync_add = pm strategy "sync_add" in
+  let c_sync_delete = pm strategy "sync_delete" in
+  let c_sync_state = pm strategy "sync_state" in
+  let c_digest_request = pm repair "digest_request" in
+  let c_sync_fix = pm repair "sync_fix" in
+  let c_digest_pull = pm repair "digest_pull" in
+  let c_repair_store = pm repair "repair_store" in
   function
   | Data (Place _) -> c_place
   | Data (Add _) -> c_add
@@ -136,11 +137,3 @@ let pp ppf = function
   | Data d -> pp_data ppf d
   | Strategy s -> pp_strategy ppf s
   | Repair r -> pp_repair ppf r
-
-let pp_reply ppf = function
-  | Ack -> Format.pp_print_string ppf "ack"
-  | Entries entries -> Format.fprintf ppf "entries %a" pp_entries entries
-  | Candidate None -> Format.pp_print_string ppf "candidate none"
-  | Candidate (Some e) -> Format.fprintf ppf "candidate %a" Entry.pp e
-  | Digest bits -> Format.fprintf ppf "digest %a" pp_ids (Bitset.to_list bits)
-  | Busy -> Format.pp_print_string ppf "busy"

@@ -1,5 +1,6 @@
-(** The wire protocol between clients and servers, split into three
-    typed planes.
+(** The protocol between clients and servers, split into three typed
+    planes.  {!Plookup_net.Net} delivers these values in memory and
+    counts messages, never bytes.
 
     A strategy is precisely a server-side handler for these messages
     plus a client-side probing discipline, which is how the paper frames
@@ -22,19 +23,19 @@
     runs (and when no repair layer is installed they are acked and
     ignored).
 
-    See PROTOCOL.md for flows, wire-tag ranges and cost accounting. *)
+    See PROTOCOL.md for flows and cost accounting. *)
 
 open Plookup_store
 open Plookup_util
 
-(** Client-originated requests; wire tags 1-4. *)
+(** Client-originated requests. *)
 type data =
   | Place of Entry.t list  (** client's initial batch placement request *)
   | Add of Entry.t  (** client add *)
   | Delete of Entry.t  (** client delete *)
   | Lookup of int  (** client partial lookup with target answer size t *)
 
-(** Strategy-internal server-to-server messages; wire tags 5-13. *)
+(** Strategy-internal server-to-server messages. *)
 type strategy =
   | Store of Entry.t  (** keep a local copy *)
   | Store_batch of Entry.t list
@@ -62,8 +63,7 @@ type strategy =
       (** State transfer to a just-recovered coordinator replica; the
           receiver copies the sender's ledger. *)
 
-(** Repair-subsystem messages; wire tags 14, 15, 17 and 18 (16 is
-    retired). *)
+(** Repair-subsystem messages. *)
 type repair =
   | Digest_request of Bitset.t
       (** Recovery sync, step 1: a just-recovered server sends a compact
@@ -129,4 +129,3 @@ val trace_coder : Plookup_obs.Trace.t -> t -> int
     the names become the [plane] and [msg] fields of trace spans. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_reply : Format.formatter -> reply -> unit

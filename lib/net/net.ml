@@ -607,7 +607,3 @@ let call_async t engine ~latency ~src ~dst msg k =
                       ~base:reply_base ())))))
     (transmission_delays t ~sid ~spanmsg:msg ~from_code:(code src) ~to_code:dst
        ~base:request_base ())
-
-let pp_sender ppf = function
-  | Client -> Format.pp_print_string ppf "client"
-  | Server i -> Format.fprintf ppf "server %d" i

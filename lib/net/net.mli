@@ -73,8 +73,8 @@ val wrap_handler :
   ((int -> sender -> 'msg -> 'reply) -> int -> sender -> 'msg -> 'reply) ->
   unit
 (** Middleware: replace the installed handler with a wrapper around it —
-    tracing, wire-encoding proxies, targeted fault injection.  Raises
-    [Invalid_argument] if no handler is installed yet. *)
+    tracing, targeted fault injection.  Raises [Invalid_argument] if no
+    handler is installed yet. *)
 
 (** {1 Failure injection} *)
 
@@ -317,5 +317,3 @@ val call_async :
     the callback, jitter stretches either hop, and duplication can make
     the callback fire more than once per call — callers must tolerate
     duplicate replies.  Message accounting matches {!send}. *)
-
-val pp_sender : Format.formatter -> sender -> unit

@@ -14,8 +14,9 @@ let create () = { queue = Event_queue.create (); clock = { now = 0. } }
 let[@inline always] now t = t.clock.now
 
 (* [not (x >= y)] also holds for NaN, which would otherwise pass the
-   past-time check and break the heap's order. *)
-let schedule_at t ~time action =
+   past-time check and break the heap's order.  Inlined, as is
+   [Event_queue.push], so [time] reaches the heap unboxed. *)
+let[@inline] schedule_at t ~time action =
   if not (time >= t.clock.now) then
     invalid_arg
       (if Float.is_nan time then "Engine.schedule_at: time is NaN"

@@ -61,7 +61,7 @@ let[@inline] place t i time seq slot =
   Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.slots i slot
 
-let push t ~time payload =
+let[@inline] push t ~time payload =
   if t.size = Array.length t.times then grow t;
   let node = Node { state = Live; payload } in
   let seq = t.next_seq in

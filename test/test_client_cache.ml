@@ -167,6 +167,68 @@ let test_model_lru_bound_and_key_fidelity =
         ops;
       !ok)
 
+(* Model check of LRU order against a list of keys, most recently used
+   first.  Each op is (kind, key): 0 reads [key] (a hit moves it to the
+   front, a miss is filled and evicts the model's last key when full),
+   1 completes [key] with no read before it, 2 reads the most recently
+   used key twice, 3 invalidates [key].  Nothing expires, so a read must
+   hit exactly when the model holds its key, and after the schedule the
+   cache must hold exactly the model's keys. *)
+let lru_ops_gen =
+  QCheck2.Gen.(
+    pair (int_range 1 5) (list_size (int_range 0 200) (pair (int_range 0 3) (int_range 0 9))))
+
+let test_model_lru_order =
+  Helpers.qcheck ~count:200 "lru order matches a list model" lru_ops_gen
+    (fun (capacity, ops) ->
+      let c = Client_cache.create ~ttl:1e9 ~capacity () in
+      let model = ref [] in
+      let to_front key =
+        let rest = List.filter (( <> ) key) !model in
+        let rest =
+          if List.length rest = capacity then List.filteri (fun i _ -> i < capacity - 1) rest
+          else rest
+        in
+        model := key :: rest
+      in
+      let fill key = Client_cache.complete c ~key ~now:0. ~ok:true ~attempts:1 (result_for key) in
+      (* Whether the cache's verdict on [key] agrees with the model. *)
+      let read key =
+        match Client_cache.lookup c ~key ~now:0. ~waiter:(fun _ ~now:_ -> ()) with
+        | Client_cache.Hit _ -> List.mem key !model
+        | Client_cache.Lead ->
+          fill key;
+          not (List.mem key !model)
+        | Client_cache.Stale _ | Client_cache.Stale_wait _ | Client_cache.Join -> false
+      in
+      let agrees =
+        List.for_all
+          (fun (kind, key) ->
+            match kind with
+            | 0 ->
+              let agrees = read key in
+              to_front key;
+              agrees
+            | 1 ->
+              fill key;
+              to_front key;
+              true
+            | 2 -> ( match !model with mru :: _ -> read mru && read mru | [] -> true)
+            | _ ->
+              Client_cache.invalidate c ~key;
+              model := List.filter (( <> ) key) !model;
+              true)
+          ops
+      in
+      agrees
+      && Client_cache.cardinal c = List.length !model
+      && List.for_all
+           (fun key ->
+             match Client_cache.lookup c ~key ~now:0. ~waiter:(fun _ ~now:_ -> ()) with
+             | Client_cache.Hit _ -> List.mem key !model
+             | _ -> not (List.mem key !model))
+           (List.init 10 Fun.id))
+
 (* --- integration with Async_client ---------------------------------- *)
 
 (* Four servers, each holding a private pair of entries; key [k] probes
@@ -321,6 +383,7 @@ let () =
           Alcotest.test_case "negative caching" `Quick test_negative_caching;
           Alcotest.test_case "lru eviction" `Quick test_lru_evicts_least_recently_used;
           test_model_lru_bound_and_key_fidelity;
+          test_model_lru_order;
         ] );
       ( "async_client integration",
         [

@@ -136,7 +136,7 @@ let test_jsonl_golden () =
   ignore
     (Trace.emit t ~time:3.
        (Span.Drop
-          { src = Span.Server 1; dst = 2; plane = "repair"; msg = "hint";
+          { src = Span.Server 1; dst = 2; plane = "repair"; msg = "digest_pull";
             reason = Span.Down }));
   ignore (Trace.emit t ~time:4. ~cause:2 (Span.Timeout { dst = 4; after = 60. }));
   ignore
@@ -158,7 +158,7 @@ let test_jsonl_golden () =
     "golden lines"
     [ {|{"id":1,"t":1.25,"kind":"send","src":-1,"dst":4,"plane":"data","msg":"lookup"}|};
       {|{"id":2,"t":2.5,"cause":1,"kind":"recv","src":-1,"dst":4,"plane":"data","msg":"lookup"}|};
-      {|{"id":3,"t":3.0,"kind":"drop","src":1,"dst":2,"plane":"repair","msg":"hint","reason":"down"}|};
+      {|{"id":3,"t":3.0,"kind":"drop","src":1,"dst":2,"plane":"repair","msg":"digest_pull","reason":"down"}|};
       {|{"id":4,"t":4.0,"cause":2,"kind":"timeout","dst":4,"after":60}|};
       {|{"id":5,"t":5.0,"kind":"repair_round","coordinator":0,"tick":3,"re_replications":2,"trims":1}|};
       {|{"id":6,"t":6.0,"kind":"migration","entry":17,"src":1,"dst":5}|} ]

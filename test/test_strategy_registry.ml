@@ -76,7 +76,8 @@ let test_spelling_in_unknown_error () =
 let params_for (m : Strategy_intf.meta) =
   match m.Strategy_intf.arity with 0 -> [] | 1 -> [ 3 ] | _ -> [ 2; 2 ]
 
-(* Every wire message, one per constructor across the three planes. *)
+(* Every message, one per constructor across the three planes, in
+   declaration order. *)
 let every_message =
   let e = Entry.v 1 in
   let bits = Plookup_util.Bitset.create 8 in
@@ -97,6 +98,58 @@ let every_message =
     Msg.sync_fix [ e ] [ 2 ];
     Msg.digest_pull;
     Msg.repair_store e ]
+
+(* The exhaustiveness witness: each [Msg] constructor's plane and its
+   position in [every_message].  There is no catch-all arm, so a new
+   constructor fails to compile here until it gets one; give it the next
+   position and put its example there in [every_message]. *)
+let witness : Msg.t -> string * int =
+  Msg.(
+    function
+    | Data (Place _) -> ("data", 0)
+    | Data (Add _) -> ("data", 1)
+    | Data (Delete _) -> ("data", 2)
+    | Data (Lookup _) -> ("data", 3)
+    | Strategy (Store _) -> ("strategy", 4)
+    | Strategy (Store_batch _) -> ("strategy", 5)
+    | Strategy (Remove _) -> ("strategy", 6)
+    | Strategy (Add_sampled _) -> ("strategy", 7)
+    | Strategy (Remove_counted _) -> ("strategy", 8)
+    | Strategy (Fetch_candidate _) -> ("strategy", 9)
+    | Strategy (Sync_add _) -> ("strategy", 10)
+    | Strategy (Sync_delete _) -> ("strategy", 11)
+    | Strategy Sync_state -> ("strategy", 12)
+    | Repair (Digest_request _) -> ("repair", 13)
+    | Repair (Sync_fix _) -> ("repair", 14)
+    | Repair Digest_pull -> ("repair", 15)
+    | Repair (Repair_store _) -> ("repair", 16))
+
+(* For every message: [plane_index] names its constructor's plane,
+   [trace_coder] gives each constructor its own code, and a traced send
+   carries the plane name [plane_names] gives it. *)
+let test_every_message_planes_and_codes () =
+  Alcotest.(check (list int))
+    "one message per constructor, in declaration order"
+    (List.init (List.length every_message) Fun.id)
+    (List.map (fun m -> snd (witness m)) every_message);
+  let plane_of m = Msg.plane_names.(Msg.plane_index m) in
+  List.iter (fun m -> Helpers.check_string "plane_index" (fst (witness m)) (plane_of m)) every_message;
+  let tr = Plookup_obs.Trace.create () in
+  Plookup_obs.Trace.set_enabled tr true;
+  let coder = Msg.trace_coder tr in
+  let codes = List.map coder every_message in
+  Helpers.check_int "distinct trace codes" (List.length codes)
+    (List.length (List.sort_uniq compare codes));
+  List.iter
+    (fun pm -> ignore (Plookup_obs.Trace.emit_send tr ~time:0. ~src:(-1) ~dst:0 ~pm))
+    codes;
+  List.iter2
+    (fun m (span : Plookup_obs.Span.t) ->
+      match span.kind with
+      | Plookup_obs.Span.Send { plane; _ } -> Helpers.check_string "span plane" (plane_of m) plane
+      | _ -> Alcotest.fail "expected a Send span")
+    every_message
+    (Plookup_obs.Trace.spans tr)
 
 (* The totality contract: with the handlers exhaustive over their typed
    planes (no catch-all invalid_arg left), any registered strategy must
@@ -152,6 +205,8 @@ let () =
           Alcotest.test_case "typo suggestions" `Quick test_suggestions;
           Alcotest.test_case "unknown error lists spellings" `Quick
             test_spelling_in_unknown_error;
+          Alcotest.test_case "every message's plane and trace code" `Quick
+            test_every_message_planes_and_codes;
           Alcotest.test_case "every strategy handles every message" `Quick
             test_every_strategy_handles_every_message;
           Alcotest.test_case "lookup survives foreign traffic" `Quick
