@@ -475,7 +475,9 @@ let bench_scale () =
    workload (a full simulated day across every strategy, naive and
    tuned).  The tails are lower-is-better rows, so a regression in
    shedding, hedging, or the breaker shows up as a fatter tail; the
-   runs-per-second row gates the simulator's wall-clock cost. *)
+   runs-per-second row gates the simulator's wall-clock cost.  The
+   engine events each tuned cell fires per lookup are deterministic
+   too: a client that schedules more timers than it needs moves them. *)
 let bench_day () =
   let scale = 0.25 in
   let ctx = E.Ctx.v ~seed:42 ~scale () in
@@ -485,10 +487,17 @@ let bench_day () =
   let tails metric col =
     List.map2 (row ~digits:2 ~better:Lower ~unit:"ms" "day" metric) keys (numbers table col)
   in
+  let events =
+    List.map
+      (fun (strategy, v) ->
+        row ~digits:2 ~better:Lower ~unit:"count" "client" "events_per_lookup" strategy v)
+      (E.Exp_day.events_per_lookup ctx)
+  in
   ( Json.[ ("seed", Num 42.); ("scale", Num scale) ],
     (row ~digits:2 ~unit:"1/s" "day" "runs_per_sec" (Printf.sprintf "scale=%.2f" scale) runs
     :: tails "p99_ms" "crowd p99 ms")
-    @ tails "p999_ms" "crowd p999 ms" )
+    @ tails "p999_ms" "crowd p999 ms"
+    @ events )
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: client-cache benchmark -> BENCH_cache.json                  *)

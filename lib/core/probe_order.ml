@@ -53,20 +53,33 @@ let stride ~n ~start ~step =
   let g = gcd step n in
   Stride { n; step; g; residue = start mod g; cycle = n / g; j = 0; pos = start; rest = 0 }
 
-(* Repeats are dropped up front, so the table is garbage before the
+(* Whether the ids are distinct and each in [0, 62]: one pass over a
+   bitmask of the ids seen, allocating nothing. *)
+let rec distinct_small seen = function
+  | [] -> true
+  | s :: rest ->
+    s >= 0 && s <= 62
+    && seen land (1 lsl s) = 0
+    && distinct_small (seen lor (1 lsl s)) rest
+
+(* A list that is already distinct is shared as it is.  Otherwise
+   repeats are dropped up front, so the table is garbage before the
    walk starts rather than held for a lookup's lifetime. *)
 let of_list order =
-  let seen = Hashtbl.create 16 in
-  Listed
-    { pending =
-        List.filter
-          (fun s ->
-            if Hashtbl.mem seen s then false
-            else begin
-              Hashtbl.add seen s ();
-              true
-            end)
-          order }
+  if distinct_small 0 order then Listed { pending = order }
+  else begin
+    let seen = Hashtbl.create 16 in
+    Listed
+      { pending =
+          List.filter
+            (fun s ->
+              if Hashtbl.mem seen s then false
+              else begin
+                Hashtbl.add seen s ();
+                true
+              end)
+            order }
+  end
 
 let slot swaps k = match Hashtbl.find_opt swaps k with Some v -> v | None -> k
 

@@ -29,7 +29,10 @@ val stride : n:int -> start:int -> step:int -> t
     normalized mod n); [n] must be positive.  Draws nothing. *)
 
 val of_list : int list -> t
-(** The given ids in order, later duplicates dropped. *)
+(** The given ids in order, later duplicates dropped.  A list whose ids
+    are already distinct and each in [0, 62] is shared, not copied:
+    checking it is one pass over an int bitmask and allocates nothing,
+    so the cursor is the only allocation. *)
 
 val next : t -> int option
 (** The next server of the order, [None] once it is exhausted. *)

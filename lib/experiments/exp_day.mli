@@ -50,3 +50,9 @@ val run : Ctx.t -> Plookup_util.Table.t
     context's scale.  The context's [mttf]/[mttr]/[horizon]/[repair]/
     [overload] fields override those defaults (overload:
     {!Ctx.default_overload}). *)
+
+val events_per_lookup : Ctx.t -> (string * float) list
+(** Per strategy, in [run]'s row order: the engine events the tuned
+    cell's day fires, all of them (arrivals, lookups, messages, churn,
+    repair, updates), per lookup.  The cell is the one [run] reports,
+    so the count is deterministic at a fixed seed and scale. *)

@@ -158,6 +158,37 @@ let test_async_is_delayed () =
     Helpers.close "latency 3" 3. t2
   | _ -> Alcotest.fail "unexpected delivery order")
 
+let test_async_clean_round_trip () =
+  (* A fault-free, unpartitioned link: one event per hop, one latency
+     draw and one delay observation per hop, whatever the fault layer
+     would do once enabled. *)
+  let metrics = Plookup_obs.Metrics.create () in
+  let net = Net.create ~metrics ~n:2 () in
+  Net.set_handler net (fun _ _ msg -> msg);
+  Net.set_faults net ~seed:3 ~loss:0.5 ~duplication:0.5 ~jitter:4. ();
+  Net.set_faults_enabled net false;
+  let engine = Engine.create () in
+  let draws = ref 0 and replies = ref [] in
+  Net.call_async net engine
+    ~latency:(fun ~src:_ ~dst:_ ->
+      incr draws;
+      2.5)
+    ~src:Net.Client ~dst:1 "ping"
+    (fun r -> replies := (Engine.now engine, r) :: !replies);
+  Helpers.check_int "events" 2 (Engine.run engine);
+  Helpers.check_int "draws" 2 !draws;
+  Alcotest.(check (list (pair (float 1e-9) string))) "one reply" [ (5., "ping") ] !replies;
+  let delays =
+    List.filter_map
+      (fun (e : Plookup_obs.Metrics.entry) ->
+        match e.v with
+        | Plookup_obs.Metrics.Histogram { count; sum; _ } when e.name = "net.delivery.delay" ->
+          Some (count, sum)
+        | _ -> None)
+      (Plookup_obs.Metrics.snapshot metrics)
+  in
+  Alcotest.(check (list (pair int (float 1e-9)))) "delays observed" [ (2, 5.) ] delays
+
 (* One engine-routed round trip from the client at a fixed per-hop
    latency, its reply ignored. *)
 let call_after latency net engine ~dst msg =
@@ -572,6 +603,7 @@ let () =
           Alcotest.test_case "status listener" `Quick test_status_listener;
           Alcotest.test_case "fail_exactly notifies" `Quick test_fail_exactly_notifies;
           Alcotest.test_case "async delayed" `Quick test_async_is_delayed;
+          Alcotest.test_case "async clean round trip" `Quick test_async_clean_round_trip;
           Alcotest.test_case "async to failed" `Quick test_async_to_failed_node_after_delay;
           Alcotest.test_case "loss drops" `Quick test_loss_drops_and_counts;
           Alcotest.test_case "duplication" `Quick test_duplication_delivers_twice;

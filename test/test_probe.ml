@@ -342,6 +342,29 @@ let test_of_list_drops_duplicates () =
   Alcotest.(check (list int)) "first occurrences" [ 3; 1; 4; 5; 9; 2; 6 ]
     (Probe_order.to_list (Probe_order.of_list [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3 ]))
 
+let prop_of_list_first_occurrences =
+  (* Ids straddle the shared range [0, 62], so both paths run. *)
+  Helpers.qcheck ~count:300 "of_list keeps first occurrences, in order"
+    QCheck2.Gen.(list_size (int_range 0 12) (int_range (-2) 66))
+    (fun ids ->
+      let rec firsts seen = function
+        | [] -> []
+        | s :: rest -> if List.mem s seen then firsts seen rest else s :: firsts (s :: seen) rest
+      in
+      Probe_order.to_list (Probe_order.of_list ids) = firsts [] ids)
+
+let test_of_list_shares_distinct () =
+  (* Distinct ids in [0, 62]: the list is checked without allocating, so
+     the cursor is all that [of_list] allocates. *)
+  let ids = [ 62; 3; 0; 17; 9; 41; 5; 8; 2; 30 ] in
+  Alcotest.(check (list int)) "same order" ids (Probe_order.to_list (Probe_order.of_list ids));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Probe_order.of_list ids))
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000. in
+  if words > 2. then Alcotest.failf "of_list allocated %.1f words, above the cursor's 2" words
+
 let prop_single_same_server_as_before =
   (* The reference is the old formulation: index the ascending array of
      reachable up servers with one draw from the same generator state.
@@ -397,4 +420,7 @@ let () =
           Alcotest.test_case "random prefix uniform" `Quick test_random_up_prefix_uniform;
           Alcotest.test_case "stride matches reference" `Quick test_stride_matches_reference;
           Alcotest.test_case "of_list drops duplicates" `Quick test_of_list_drops_duplicates;
+          prop_of_list_first_occurrences;
+          Alcotest.test_case "of_list shares a distinct list" `Quick
+            test_of_list_shares_distinct;
           prop_single_same_server_as_before ] ) ]
