@@ -16,12 +16,21 @@ let[@inline always] now t = t.clock.now
 (* [not (x >= y)] also holds for NaN, which would otherwise pass the
    past-time check and break the heap's order.  Inlined, as is
    [Event_queue.push], so [time] reaches the heap unboxed. *)
-let[@inline] schedule_at t ~time action =
+let[@inline] check_time t ~time =
   if not (time >= t.clock.now) then
     invalid_arg
       (if Float.is_nan time then "Engine.schedule_at: time is NaN"
-       else "Engine.schedule_at: time is in the past");
+       else "Engine.schedule_at: time is in the past")
+
+let[@inline] schedule_at t ~time action =
+  check_time t ~time;
   Event_queue.push t.queue ~time action
+
+let reserve t = Event_queue.reserve t.queue
+
+let[@inline] schedule_reserved t ~time ~stamp action =
+  check_time t ~time;
+  Event_queue.push_reserved t.queue ~time ~seq:stamp action
 
 let schedule_after t ~delay action =
   if not (delay >= 0.) then

@@ -32,6 +32,16 @@ val schedule_after : t -> delay:float -> (t -> unit) -> event_id
 (** [schedule_at ~time:(now t +. delay)].  Negative and NaN delays
     raise [Invalid_argument]. *)
 
+val reserve : t -> int
+(** A stamp: the place among simultaneous events that an event
+    scheduled now would take.  Events due at the same time fire in the
+    order they were scheduled; stamps increase in that order. *)
+
+val schedule_reserved : t -> time:float -> stamp:int -> (t -> unit) -> event_id
+(** {!schedule_at}, with the event placed among the events due at
+    [time] by a stamp from {!reserve}, as if it had been scheduled when
+    the stamp was taken.  No two live events may carry one stamp. *)
+
 val cancel : t -> event_id -> unit
 (** Cancelled events are skipped when popped; cancelling twice, or after
     the event has fired, is a no-op (in particular it does not perturb

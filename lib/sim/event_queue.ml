@@ -46,7 +46,8 @@ let grow t =
   t.pool <- pool
 
 (* Whether the entry at heap position [i] goes before key (time, seq).
-   Seqs are distinct, so this is a strict total order. *)
+   Live entries' seqs are distinct, so among them this is a strict total
+   order. *)
 let[@inline] before t i time seq =
   let ti = Array.unsafe_get t.times i in
   ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
@@ -61,11 +62,14 @@ let[@inline] place t i time seq slot =
   Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.slots i slot
 
-let[@inline] push t ~time payload =
-  if t.size = Array.length t.times then grow t;
-  let node = Node { state = Live; payload } in
+let[@inline] reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let[@inline] push_reserved t ~time ~seq payload =
+  if t.size = Array.length t.times then grow t;
+  let node = Node { state = Live; payload } in
   let slot = t.slots.(t.size) in
   t.pool.(slot) <- node;
   (* Sift up: parents after the new key move down into the hole. *)
@@ -83,6 +87,8 @@ let[@inline] push t ~time payload =
   done;
   place t !i time seq slot;
   node
+
+let[@inline] push t ~time payload = push_reserved t ~time ~seq:(reserve t) payload
 
 let cancel_handle t = function
   | Node ({ state = Live; _ } as n) ->

@@ -1,9 +1,12 @@
 (** A binary min-heap priority queue for simulation events, with O(1)
     lazy cancellation.
 
-    Events are ordered by timestamp; ties are broken by insertion
-    sequence so that simultaneous events fire in FIFO order, which keeps
-    replays deterministic.  Times must not be NaN.
+    Events are ordered by timestamp; ties are broken by sequence
+    number, drawn at insertion, so that simultaneous events fire in FIFO
+    order, which keeps replays deterministic.  A number may also be
+    drawn ahead with {!reserve}: the event later pushed with it takes
+    the place among simultaneous events that one pushed at the
+    reservation would have.  Times must not be NaN.
 
     The heap is three parallel arrays over heap positions: a float array
     of times, an int array of tie-break sequence numbers and an int
@@ -35,6 +38,16 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> 'a handle
 (** Schedule a payload at [time].  Times may be pushed in any order. *)
+
+val reserve : 'a t -> int
+(** Draw the next sequence number without pushing anything.  Numbers
+    increase with each {!push} and [reserve]. *)
+
+val push_reserved : 'a t -> time:float -> seq:int -> 'a -> 'a handle
+(** {!push} with a number from {!reserve}, pushed any time later: among
+    events at [time] it fires after those numbered before [seq] and
+    before those numbered after.  No two live events may share a
+    number; a cancelled event may share one with a live event. *)
 
 val cancel_handle : 'a t -> 'a handle -> bool
 (** [cancel_handle t h] marks [h]'s event as never-to-fire, in O(1).

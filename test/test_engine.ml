@@ -27,11 +27,35 @@ let test_schedule_after () =
   ignore (Engine.run e);
   Alcotest.(check (list (float 1e-9))) "nested fire time" [ 7.5 ] !seen
 
+let test_reserved_stamp_keeps_its_place () =
+  (* A stamp taken between scheduling "a" and "b", all due at 5, puts
+     the event scheduled with it between them, though it was scheduled
+     after "b"; a later stamp still goes after "b", and the clock
+     decides first.  A stamped event in the past is rejected. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let record tag _ = log := tag :: !log in
+  ignore (Engine.schedule_at e ~time:5. (record "a"));
+  let stamp = Engine.reserve e in
+  ignore (Engine.schedule_at e ~time:5. (record "b"));
+  let later = Engine.reserve e in
+  ignore (Engine.schedule_reserved e ~time:5. ~stamp:later (record "later"));
+  ignore (Engine.schedule_reserved e ~time:5. ~stamp (record "stamped"));
+  ignore (Engine.schedule_reserved e ~time:4. ~stamp:(Engine.reserve e) (record "early"));
+  ignore (Engine.schedule_at e ~time:5. (record "c"));
+  Helpers.check_int "fired" 6 (Engine.run e);
+  Alcotest.(check (list string)) "order" [ "early"; "a"; "stamped"; "b"; "later"; "c" ]
+    (List.rev !log);
+  Alcotest.check_raises "past"
+    (Invalid_argument "Engine.schedule_at: time is in the past")
+    (fun () -> ignore (Engine.schedule_reserved e ~time:1. ~stamp (record "x")))
+
 let test_past_scheduling_rejected () =
   let e = Engine.create () in
   ignore (Engine.schedule_at e ~time:10. (fun _ -> ()));
   ignore (Engine.run e);
-  Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time is in the past")
+  Alcotest.check_raises "past"
+    (Invalid_argument "Engine.schedule_at: time is in the past")
     (fun () -> ignore (Engine.schedule_at e ~time:5. (fun _ -> ())));
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
@@ -223,6 +247,8 @@ let () =
         [ Alcotest.test_case "clock zero" `Quick test_clock_starts_at_zero;
           Alcotest.test_case "fires in order" `Quick test_fires_in_order;
           Alcotest.test_case "schedule_after nesting" `Quick test_schedule_after;
+          Alcotest.test_case "reserved stamp keeps its place" `Quick
+            test_reserved_stamp_keeps_its_place;
           Alcotest.test_case "past rejected" `Quick test_past_scheduling_rejected;
           Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
           Alcotest.test_case "cancel" `Quick test_cancel;

@@ -149,15 +149,18 @@ let prop_cancel_model =
       && Event_queue.drain q = expected)
 
 (* Model-based over every operation: a script interleaving pushes (one
-   at a time or in bursts that grow the arrays), cancels of any handle
-   ever pushed (fired, cancelled and cleared ones included), [take],
-   [min_time], [pop], [peek] and [clear], against a sorted list of the
-   pending (time, serial) pairs and each serial's fate.  Times come from
-   four values, so most events tie and only the FIFO tie-break orders
-   them; bursts after a [clear] reuse the arrays' capacity. *)
+   at a time or in bursts that grow the arrays), reservations and pushes
+   with a reserved number, cancels of any handle ever pushed (fired,
+   cancelled and cleared ones included), [take], [min_time], [pop],
+   [peek] and [clear], against a sorted list of the pending events and
+   each serial's fate.  Times come from four values, so most events tie
+   and only the tie-break orders them: a push's place, or its
+   reservation's; bursts after a [clear] reuse the arrays' capacity. *)
 type op =
   | Push of int
   | Burst of int * int
+  | Reserve
+  | Push_reserved of int * int (* time bucket, which unused reservation *)
   | Cancel of int
   | Take
   | Min_time
@@ -172,6 +175,8 @@ let gen_op =
     frequency
       [ (6, map (fun b -> Push b) (int_range 0 3));
         (1, map2 (fun b k -> Burst (b, k)) (int_range 0 3) (int_range 1 40));
+        (2, return Reserve);
+        (2, map2 (fun b i -> Push_reserved (b, i)) (int_range 0 3) (int_range 0 1000));
         (3, map (fun i -> Cancel i) (int_range 0 1000));
         (3, return Take);
         (2, return Min_time);
@@ -185,24 +190,46 @@ let prop_operations_match_model =
     (fun script ->
       let q = Event_queue.create () in
       let handles = Hashtbl.create 64 and fates = Hashtbl.create 64 in
-      let pending = ref [] in (* (time, serial), sorted *)
+      (* (time, order, serial), sorted: [order] counts pushes and
+         reservations in the order they happened. *)
+      let pending = ref [] in
+      let order = ref 0 in
+      let reserved = ref [] in (* (order, seq) not pushed yet *)
       let push_one bucket =
         let time = float_of_int bucket and serial = Hashtbl.length handles in
         Hashtbl.replace handles serial (Event_queue.push q ~time serial);
         Hashtbl.replace fates serial Pending;
-        pending := List.merge compare !pending [ (time, serial) ]
+        incr order;
+        pending := List.merge compare !pending [ (time, !order, serial) ]
       in
       let fire_first () =
         match !pending with
         | [] -> ()
-        | (_, serial) :: rest ->
+        | (_, _, serial) :: rest ->
           Hashtbl.replace fates serial Fired;
           pending := rest
       in
+      let first () = match !pending with [] -> None | (t, _, s) :: _ -> Some (t, s) in
       let step = function
         | Push b -> push_one b; true
         | Burst (b, k) ->
           for _ = 1 to k do push_one b done;
+          true
+        | Reserve ->
+          incr order;
+          reserved := !reserved @ [ (!order, Event_queue.reserve q) ];
+          true
+        | Push_reserved (b, i) ->
+          (match !reserved with
+          | [] -> ()
+          | _ ->
+            let ord, seq = List.nth !reserved (i mod List.length !reserved) in
+            reserved := List.filter (fun (o, _) -> o <> ord) !reserved;
+            let time = float_of_int b and serial = Hashtbl.length handles in
+            Hashtbl.replace handles serial
+              (Event_queue.push_reserved q ~time ~seq serial);
+            Hashtbl.replace fates serial Pending;
+            pending := List.merge compare !pending [ (time, ord, serial) ]);
           true
         | Cancel i ->
           Hashtbl.length handles = 0
@@ -212,26 +239,27 @@ let prop_operations_match_model =
           let was_pending = Hashtbl.find fates serial = Pending in
           if was_pending then begin
             Hashtbl.replace fates serial Cancelled;
-            pending := List.filter (fun (_, s) -> s <> serial) !pending
+            pending := List.filter (fun (_, _, s) -> s <> serial) !pending
           end;
           Event_queue.cancel_handle q h = was_pending
           && Event_queue.is_cancelled h = (Hashtbl.find fates serial = Cancelled)
         | Take -> (
           match !pending with
           | [] -> ( try ignore (Event_queue.take q); false with Invalid_argument _ -> true)
-          | (_, serial) :: _ ->
+          | (_, _, serial) :: _ ->
             fire_first ();
             Event_queue.take q = serial)
         | Min_time ->
-          Event_queue.min_time q = (match !pending with [] -> infinity | (time, _) :: _ -> time)
+          Event_queue.min_time q
+          = (match first () with None -> infinity | Some (time, _) -> time)
         | Pop ->
-          let expected = match !pending with [] -> None | e :: _ -> Some e in
+          let expected = first () in
           fire_first ();
           Event_queue.pop q = expected
-        | Peek -> Event_queue.peek q = (match !pending with [] -> None | e :: _ -> Some e)
+        | Peek -> Event_queue.peek q = first ()
         | Clear ->
           Event_queue.clear q;
-          List.iter (fun (_, s) -> Hashtbl.replace fates s Cancelled) !pending;
+          List.iter (fun (_, _, s) -> Hashtbl.replace fates s Cancelled) !pending;
           pending := [];
           true
       in
@@ -241,7 +269,7 @@ let prop_operations_match_model =
           && Event_queue.length q = List.length !pending
           && Event_queue.is_empty q = (!pending = []))
         script
-      && Event_queue.drain q = !pending)
+      && Event_queue.drain q = List.map (fun (t, _, s) -> (t, s)) !pending)
 
 (* Taking an event empties its pool slot, and a cancelled event's slot
    is emptied when it surfaces, so neither payload stays reachable from
