@@ -127,5 +127,5 @@ module Strategy (P : PLACEMENT) = struct
   let delete = delete
   let partial_lookup = partial_lookup
   let can_update t = Strategy_common.any_up t.cluster
-  let repair_plan t = Strategy_intf.Assigned (fun e -> Some (servers_of t e))
+  let repair_plan t = Strategy_intf.Owner_function (servers_of t)
 end

@@ -56,4 +56,4 @@ end
 
 module Strategy (P : PLACEMENT) : Strategy_intf.S with type t = t
 (** The packed form to register in {!Strategy_registry}: updates need
-    one up server, and the repair plan is [Assigned servers_of]. *)
+    one up server, and the repair plan is [Owner_function servers_of]. *)

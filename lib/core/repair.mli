@@ -69,10 +69,24 @@ type plan = Strategy_intf.plan =
   | Mirror
       (** Every live server holds the same set (FullReplication, Fixed-x):
           sync against any live peer's store. *)
+  | Owner_function of (Entry.t -> int list)
+      (** Owners that are a fixed function of the entry (Hash-y,
+          Chord-y, DxHash-y and MultiProbe-YxK through
+          {!Owner_placement}).  Repair reads a live entry's owners at
+          its first repair event and keeps them, sorted, until the
+          entry's delete or the next [Place].  Owners no repair event
+          read are never computed, so a cluster that never fails or
+          ticks computes none.  The function must not read strategy
+          state that updates or status changes move: that is
+          [Assigned]. *)
   | Assigned of (Entry.t -> int list option)
-      (** Deterministic owners per entry (Hash-y's [servers_of],
-          Round-Robin's ledger).  [None] means the placement is not
-          describable (truncated Round-Robin) — sync is skipped. *)
+      (** Owners that move with the strategy's state (Round-Robin's
+          ledger, where a delete moves the head entry into the hole).
+          Repair asks again at every repair event (a daemon tick or a
+          status change), once per live entry.  [None] means the
+          placement is not describable (truncated Round-Robin) — sync
+          is skipped.  Given an owner function, it gives the same
+          repairs as [Owner_function] at that per-event cost. *)
   | Free of int
       (** Random x-subsets (RandomServer-x): sync only purges deleted
           entries, so a recovered server does not count or sample the
@@ -88,8 +102,8 @@ val install : Cluster.t -> config:config -> plan:plan -> t
     anything is placed — {!Service} does this when its repair config is
     not [Off].  Raises [Invalid_argument] on [mode = Off], non-positive
     timing parameters, or a cluster that already stores entries: the
-    catalog starts empty, so a recovery sync under an [Assigned] plan
-    would retract every entry placed before it. *)
+    catalog starts empty, so a recovery sync under an [Owner_function]
+    or [Assigned] plan would retract every entry placed before it. *)
 
 val attach_engine : ?until:float -> t -> Plookup_sim.Engine.t -> unit
 (** Make [engine] the cluster network's clock ({!Plookup_net.Net.attach_engine}),

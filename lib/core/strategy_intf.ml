@@ -12,13 +12,31 @@ open Plookup_store
 (** How the strategy's placement is described to the {!Repair} layer.
 
     [Mirror]: every up server should hold every entry the strategy
-    tracked (FullReplication, Fixed-x).  [Assigned f]: [f e] names the
-    servers that should hold [e], or [None] when the assignment is
-    currently unknowable (truncated Round-Robin).  [Free x]: contents
-    are a random x-subset per server by design; repair maintains an
-    aggregate degree instead of per-server ownership (RandomServer-x). *)
+    tracked (FullReplication, Fixed-x).
+
+    [Owner_function f]: [f e] names the servers that should hold [e],
+    and it is a fixed function of the entry: it reads nothing that an
+    update, a failure or a recovery changes, and draws nothing.  Repair
+    reads an entry's owners once and keeps them until the entry's
+    delete or the next placement.  Hash-y, Chord-y, DxHash-y and
+    MultiProbe-YxK get this plan from {!Owner_placement}; a new
+    strategy whose owners depend only on the entry and the cluster's
+    seed and size picks it too.
+
+    [Assigned f]: [f e] names the servers that should hold [e], or
+    [None] when the assignment is currently unknowable (truncated
+    Round-Robin), and the answer moves with the strategy's state (a
+    Round-Robin delete moves the head entry into the hole).  Repair
+    asks again at every repair event (daemon tick or status change).
+    A strategy whose owners depend on anything an update or a status
+    change can move picks this one.
+
+    [Free x]: contents are a random x-subset per server by design;
+    repair maintains an aggregate degree instead of per-server
+    ownership (RandomServer-x). *)
 type plan =
   | Mirror
+  | Owner_function of (Entry.t -> int list)
   | Assigned of (Entry.t -> int list option)
   | Free of int
 

@@ -98,6 +98,11 @@ let random_pick t rng k =
 
 let random_one t rng = if t.size = 0 then None else Some t.slots.(Rng.int rng t.size)
 
+(* [size <= Array.length slots], so the check covers the array's bounds. *)
+let[@inline] nth t i =
+  if i < 0 || i >= t.size then invalid_arg "Server_store.nth";
+  Array.unsafe_get t.slots i
+
 let iter f t =
   for i = 0 to t.size - 1 do
     f t.slots.(i)

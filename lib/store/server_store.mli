@@ -40,6 +40,13 @@ val random_one : t -> Plookup_util.Rng.t -> Entry.t option
 val to_list : t -> Entry.t list
 (** Unspecified order. *)
 
+val nth : t -> int -> Entry.t
+(** [nth t i], for [0 <= i < cardinal t], is the entry in the store's
+    [i]-th slot.  Each stored entry sits in exactly one slot, in no
+    particular order, and {!remove} moves the last slot's entry into the
+    hole.  So a loop over [0 .. cardinal t - 1] that changes nothing
+    visits every entry once, with no closure per entry. *)
+
 val iter : (Entry.t -> unit) -> t -> unit
 val fold : (Entry.t -> 'a -> 'a) -> t -> 'a -> 'a
 val ids : t -> int list

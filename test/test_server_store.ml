@@ -111,7 +111,17 @@ let test_iter_fold_ids () =
   let s = Server_store.create () in
   List.iter (fun i -> ignore (Server_store.add s (Entry.v i))) [ 3; 1; 2 ];
   Helpers.check_int "fold count" 3 (Server_store.fold (fun _ acc -> acc + 1) s 0);
-  Alcotest.(check (list int)) "ids" [ 1; 2; 3 ] (List.sort compare (Server_store.ids s))
+  Alcotest.(check (list int)) "ids" [ 1; 2; 3 ] (List.sort compare (Server_store.ids s));
+  (* Slots stay dense across a swap-remove, and [nth] stops at the size. *)
+  ignore (Server_store.remove s (Entry.v 3));
+  let slots = List.init (Server_store.cardinal s) (fun i -> Entry.id (Server_store.nth s i)) in
+  Alcotest.(check (list int)) "nth visits each entry once" [ 1; 2 ] (List.sort compare slots);
+  List.iter
+    (fun i ->
+      match Server_store.nth s i with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "nth %d accepted outside [0, cardinal)" i)
+    [ -1; 2 ]
 
 let test_snapshot_bitset () =
   let s = Server_store.create () in
