@@ -1,12 +1,12 @@
 (** Latency-aware asynchronous lookup client.
 
-    The synchronous probes in {!Probe} measure *how many* servers a
-    lookup touches; this client runs the same probing disciplines over a
-    network with per-hop latency and real request/response timing on the
-    simulation engine, so experiments can measure *how long* lookups
-    take — including the paper's Section-6.2 failure masking, where a
-    client whose contact never answers simply retries elsewhere after a
-    timeout.
+    The synchronous client ({!Probe.lookup}) measures *how many* servers
+    a lookup touches; this client walks the same probing disciplines (as
+    orders from {!Probe.order_list}) over a network with per-hop latency
+    and real request/response timing on the simulation engine, so
+    experiments can measure *how long* lookups take — including the
+    paper's Section-6.2 failure masking, where a client whose contact
+    never answers simply retries elsewhere after a timeout.
 
     Waves generalize both probing styles: [wave = 1] is sequential
     probing (each contact waits for the previous answer), a larger wave

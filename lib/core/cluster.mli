@@ -24,9 +24,9 @@ val seed : t -> int
 val rng : t -> Rng.t
 
 val answers : t -> Answer_set.t
-(** The answer set the synchronous probes ({!Probe}) reset and reuse for
-    every lookup on this cluster, made on first use so that a cluster
-    that never runs one holds none.  Like {!rng} it has one owner: one
+(** The answer set the synchronous client ({!Probe.lookup}) resets and
+    reuses for every lookup on this cluster, made on first use so that a
+    cluster that never runs one holds none.  Like {!rng} it has one owner: one
     synchronous lookup at a time per cluster. *)
 
 val net : t -> (Msg.t, Msg.reply) Plookup_net.Net.t

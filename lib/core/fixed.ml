@@ -32,7 +32,6 @@ let create cluster ~x =
 let place t entries = Strategy_common.to_random_server t.cluster (Msg.place (Entry.dedup entries))
 let add t e = Strategy_common.to_random_server t.cluster (Msg.add e)
 let delete t e = Strategy_common.to_random_server t.cluster (Msg.delete e)
-let partial_lookup ?reachable t target = Probe.single ?reachable t.cluster ~t:target
 
 module Strategy = struct
   type nonrec t = t
@@ -58,7 +57,7 @@ module Strategy = struct
   let place t ?budget:_ entries = place t entries
   let add = add
   let delete = delete
-  let partial_lookup = partial_lookup
+  let discipline _ = Strategy_intf.One_server
   let can_update t = Strategy_common.any_up t.cluster
   let repair_plan _ = Strategy_intf.Mirror
 end

@@ -22,11 +22,8 @@ val place : t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
 
-val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** One random operational server; like Full Replication, all servers
-    are identical so contacting more servers can never help. *)
-
 module Strategy : Strategy_intf.S with type t = t
-(** The packed form registered in {!Strategy_registry}.  Its storage is
-    [min x h * n]: the paper's Table-1 formula [x*n], kept as its
-    [storage_doc], assumes [x <= h]. *)
+(** The packed form registered in {!Strategy_registry}.  Its discipline
+    is [One_server]: all servers are identical, so contacting more can
+    never help.  Its storage is [min x h * n]: the paper's Table-1
+    formula [x*n], kept as its [storage_doc], assumes [x <= h]. *)

@@ -18,8 +18,6 @@ val place : t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
 
-val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** One random operational server answers with [t] random entries. *)
-
 module Strategy : Strategy_intf.S with type t = t
-(** The packed form registered in {!Strategy_registry}. *)
+(** The packed form registered in {!Strategy_registry}, with discipline
+    [One_server]. *)

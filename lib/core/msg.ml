@@ -96,44 +96,3 @@ let trace_coder tr =
   | Repair (Sync_fix _) -> c_sync_fix
   | Repair Digest_pull -> c_digest_pull
   | Repair (Repair_store _) -> c_repair_store
-
-let pp_entries ppf entries =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") Entry.pp)
-    entries
-
-let pp_ids ppf ids =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    ids
-
-let pp_data ppf = function
-  | Place entries -> Format.fprintf ppf "place %a" pp_entries entries
-  | Add e -> Format.fprintf ppf "add %a" Entry.pp e
-  | Delete e -> Format.fprintf ppf "delete %a" Entry.pp e
-  | Lookup t -> Format.fprintf ppf "lookup t=%d" t
-
-let pp_strategy ppf = function
-  | Store e -> Format.fprintf ppf "store %a" Entry.pp e
-  | Store_batch entries -> Format.fprintf ppf "store_batch %a" pp_entries entries
-  | Remove e -> Format.fprintf ppf "remove %a" Entry.pp e
-  | Add_sampled e -> Format.fprintf ppf "add_sampled %a" Entry.pp e
-  | Remove_counted e -> Format.fprintf ppf "remove_counted %a" Entry.pp e
-  | Fetch_candidate ids -> Format.fprintf ppf "fetch_candidate excluding %a" pp_ids ids
-  | Sync_add e -> Format.fprintf ppf "sync_add %a" Entry.pp e
-  | Sync_delete e -> Format.fprintf ppf "sync_delete %a" Entry.pp e
-  | Sync_state -> Format.pp_print_string ppf "sync_state"
-
-let pp_repair ppf = function
-  | Digest_request bits -> Format.fprintf ppf "digest_request %a" pp_ids (Bitset.to_list bits)
-  | Sync_fix (missing, retract) ->
-    Format.fprintf ppf "sync_fix ship %a retract %a" pp_entries missing pp_ids retract
-  | Digest_pull -> Format.pp_print_string ppf "digest_pull"
-  | Repair_store e -> Format.fprintf ppf "repair_store %a" Entry.pp e
-
-let pp ppf = function
-  | Data d -> pp_data ppf d
-  | Strategy s -> pp_strategy ppf s
-  | Repair r -> pp_repair ppf r

@@ -127,5 +127,3 @@ val trace_coder : Plookup_obs.Trace.t -> t -> int
     (e.g. ["data"], ["lookup"]) into [tr] once and returns the
     packed-code function {!Plookup_net.Net.set_trace}'s [coder] wants;
     the names become the [plane] and [msg] fields of trace spans. *)
-
-val pp : Format.formatter -> t -> unit

@@ -82,7 +82,6 @@ let place ?budget t entries =
 
 let add t e = Strategy_common.to_random_server t.cluster (Msg.add e)
 let delete t e = Strategy_common.to_random_server t.cluster (Msg.delete e)
-let partial_lookup ?reachable t target = Probe.random_order ?reachable t.cluster ~t:target
 
 let check_invariants t ~placed =
   let n = Cluster.n t.cluster in
@@ -125,7 +124,7 @@ module Strategy (P : PLACEMENT) = struct
   let place t ?budget entries = place ?budget t entries
   let add = add
   let delete = delete
-  let partial_lookup = partial_lookup
+  let discipline _ = Strategy_intf.Random
   let can_update t = Strategy_common.any_up t.cluster
   let repair_plan t = Strategy_intf.Owner_function (servers_of t)
 end

@@ -35,9 +35,6 @@ val place : ?budget:int -> t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
 
-val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** Random-order probing, like RandomServer-x. *)
-
 val check_invariants : t -> placed:Entry.t list -> (unit, string) result
 (** After a non-truncated place (and any adds and deletes folded into
     [placed]), every entry must live at exactly [servers_of] and nowhere
@@ -56,4 +53,5 @@ end
 
 module Strategy (P : PLACEMENT) : Strategy_intf.S with type t = t
 (** The packed form to register in {!Strategy_registry}: updates need
-    one up server, and the repair plan is [Owner_function servers_of]. *)
+    one up server, the discipline is [Random], and the repair plan is
+    [Owner_function servers_of]. *)

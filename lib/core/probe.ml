@@ -50,14 +50,6 @@ let random_reachable ?reachable cluster =
       Some !i
     end
 
-let single ?reachable cluster ~t =
-  match random_reachable ?reachable cluster with
-  | None -> Lookup_result.empty ~target:t
-  | Some server ->
-    let answers = fresh_answers cluster in
-    let answered = contact cluster ~t answers server in
-    result_of cluster answers ~contacted:(if answered then 1 else 0) ~target:t
-
 (* Walk [order] until [t] distinct entries are in hand; the order is
    generated only as far as the walk gets. *)
 let probe_order cluster ~t order =
@@ -74,9 +66,6 @@ let probe_order cluster ~t order =
   walk ();
   result_of cluster answers ~contacted:!contacted ~target:t
 
-let random_order ?reachable cluster ~t =
-  probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
-
 (* Whether every server is up and reachable, the condition for following
    the stride: O(1) without [reachable], an O(n) scan with it. *)
 let all_usable ?reachable cluster =
@@ -89,13 +78,32 @@ let all_usable ?reachable cluster =
     let rec from i = i >= n || (ok i && from (i + 1)) in
     from 0
 
-let stride ?reachable cluster ~start ~step ~t =
-  let n = Cluster.n cluster in
-  let order =
-    if all_usable ?reachable cluster then Probe_order.stride ~n ~start ~step
-    else
-      (* Failures (or restricted reachability): random order, per the
-         paper. *)
-      Probe_order.random_up ?keep:reachable cluster
-  in
-  probe_order cluster ~t order
+let lookup ?reachable cluster (discipline : Strategy_intf.discipline) ~t =
+  if t <= 0 then invalid_arg "Probe.lookup: t must be positive";
+  match discipline with
+  | One_server -> (
+    match random_reachable ?reachable cluster with
+    | None -> Lookup_result.empty ~target:t
+    | Some server ->
+      let answers = fresh_answers cluster in
+      let answered = contact cluster ~t answers server in
+      result_of cluster answers ~contacted:(if answered then 1 else 0) ~target:t)
+  | Random -> probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
+  | Stride step ->
+    let n = Cluster.n cluster in
+    (* Drawn even when failures make the lookup fall back to random
+       order. *)
+    let start = Rng.int (Cluster.rng cluster) n in
+    let order =
+      if all_usable ?reachable cluster then Probe_order.stride ~n ~start ~step
+      else
+        (* Failures (or restricted reachability): random order, per the
+           paper. *)
+        Probe_order.random_up ?keep:reachable cluster
+    in
+    probe_order cluster ~t order
+
+let order_list (discipline : Strategy_intf.discipline) rng ~n =
+  match discipline with
+  | One_server | Random -> Array.to_list (Rng.perm rng n)
+  | Stride step -> Probe_order.to_list (Probe_order.stride ~n ~start:(Rng.int rng n) ~step)

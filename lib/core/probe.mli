@@ -1,4 +1,5 @@
-(** Client-side server probing disciplines.
+(** The client side of a lookup: one driver for every strategy's
+    {!Strategy_intf.discipline}.
 
     The strategies differ in *which* servers a client contacts and in
     what order; the accumulation rule is shared: keep contacting servers,
@@ -9,44 +10,49 @@
     {!Msg.Lookup} message, so it shows up in the network's message
     accounting and in the returned lookup cost.
 
-    All probes honour an optional [reachable] predicate (the
+    Every lookup honours an optional [reachable] predicate (the
     limited-reachability variation of Section 7.2): servers outside the
     client's reach are never contacted.
 
     Orders are {!Probe_order} cursors, generated only as far as the
-    probe walks them: a lookup that stops after k contacts costs O(k)
+    lookup walks them: a lookup that stops after k contacts costs O(k)
     order work (k draws and k rank selects for a random order), not
     O(n). *)
 
-val single :
-  ?reachable:(int -> bool) -> Cluster.t -> t:int -> Lookup_result.t
-(** Contact one random reachable up server and return its answer as-is —
-    the Full-Replication / Fixed-x client ("a client selects a random
-    server to do the lookup").  If that one answer is short, no further
-    server is tried, matching the paper (those strategies make every
-    server identical, so retrying is pointless).  Returns
-    {!Lookup_result.empty} if no server is reachable.  The pick is one
-    draw over the reachable up servers, resolved by rank: a rank select
-    without [reachable], an O(n) scan with it. *)
+val lookup :
+  ?reachable:(int -> bool) ->
+  Cluster.t ->
+  Strategy_intf.discipline ->
+  t:int ->
+  Lookup_result.t
+(** [lookup cluster discipline ~t] collects [t] distinct entries (fewer
+    only when the servers reached hold fewer), drawing from
+    {!Cluster.rng}.  Raises [Invalid_argument] when [t <= 0].
 
-val random_order :
-  ?reachable:(int -> bool) -> Cluster.t -> t:int -> Lookup_result.t
-(** Contact reachable up servers in uniformly random order without
-    repetition until satisfied — the RandomServer-x / Hash-y client.
-    The order is {!Probe_order.random_up}: one draw per up server
-    visited, unreachable ones skipped. *)
+    - [One_server]: contact one random reachable up server and return
+      its answer as-is ("a client selects a random server to do the
+      lookup").  A short answer is not retried, matching the paper.
+      Returns {!Lookup_result.empty} if no server is reachable.  The
+      pick is one draw over the reachable up servers, even when only
+      one is left, resolved by rank: a rank select without
+      [reachable], an O(n) scan with it.
+    - [Random]: contact reachable up servers in uniformly random order
+      without repetition until satisfied.  The order is
+      {!Probe_order.random_up}: one draw per up server visited,
+      unreachable ones skipped.
+    - [Stride step]: draw a start [s], then contact [s], [s+step],
+      [s+2*step], ... (mod n), extending to the remaining servers when
+      the cycle covers only some residues ({!Probe_order.stride}, which
+      normalizes any integer [step]).  A down or unreachable server
+      anywhere makes the client probe in random order instead, as the
+      paper prescribes ("if there are any server failures, choose
+      random servers instead"); the start is drawn either way.  Only a
+      given [reachable] costs an O(n) scan, to decide between the two
+      orders. *)
 
-val stride :
-  ?reachable:(int -> bool) -> Cluster.t -> start:int -> step:int -> t:int -> Lookup_result.t
-(** Contact [start], [start+step], [start+2*step], ... (mod n) — the
-    Round-Robin-y client, which knows servers [step] apart share the
-    fewest entries.  A down or unreachable server in the sequence makes
-    the client fall back to random probing over the remaining servers,
-    as the paper prescribes ("if there are any server failures, choose
-    random servers instead").  [start] and [step] may be any integers
-    (both are normalized mod n, so negative, zero and >= n strides are
-    all safe); when the stride cycle covers only some residues the probe
-    extends to the remaining servers rather than looping.  The
-    failure-free order is {!Probe_order.stride} and draws nothing; only
-    a given [reachable] costs an O(n) scan, to decide between the two
-    orders. *)
+val order_list : Strategy_intf.discipline -> Plookup_util.Rng.t -> n:int -> int list
+(** The discipline's order over all [n] server ids, drawn from [rng],
+    as the explicit list {!Async_client.lookup} takes: [Rng.perm rng n]
+    for [One_server] and [Random], and for [Stride step] the stride from
+    a start drawn from [rng].  The asynchronous client keeps walking
+    past one answer, so [One_server] gets a full order too. *)

@@ -117,7 +117,6 @@ let system_count t ~server =
 let place t entries = Strategy_common.to_random_server t.cluster (Msg.place (Entry.dedup entries))
 let add t e = Strategy_common.to_random_server t.cluster (Msg.add e)
 let delete t e = Strategy_common.to_random_server t.cluster (Msg.delete e)
-let partial_lookup ?reachable t target = Probe.random_order ?reachable t.cluster ~t:target
 
 let strategy_meta ~replacing =
   if replacing then
@@ -158,7 +157,7 @@ struct
   let place t ?budget:_ entries = place t entries
   let add = add
   let delete = delete
-  let partial_lookup = partial_lookup
+  let discipline _ = Strategy_intf.Random
   let can_update t = Strategy_common.any_up t.cluster
   let repair_plan t = Strategy_intf.Free t.x
 end

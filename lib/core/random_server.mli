@@ -30,11 +30,10 @@ val system_count : t -> server:int -> int
 val place : t -> Entry.t list -> unit
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
-val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
 
 module Strategy : Strategy_intf.S with type t = t
 (** The packed form registered in {!Strategy_registry} as
-    ["RandomServer"].  Its storage is [min x h * n]: the paper's Table-1
+    ["RandomServer"], with discipline [Random].  Its storage is [min x h * n]: the paper's Table-1
     formula [x*n], kept as its [storage_doc], assumes [x <= h]; the same
     holds for {!Strategy_replacing}. *)
 

@@ -306,11 +306,6 @@ let send_to_coordinator t msg =
 let add t e = send_to_coordinator t (Msg.add e)
 let delete t e = send_to_coordinator t (Msg.delete e)
 
-let partial_lookup ?reachable t target =
-  let n = Cluster.n t.cluster in
-  let start = Plookup_util.Rng.int (Cluster.rng t.cluster) n in
-  Probe.stride ?reachable t.cluster ~start ~step:t.y ~t:target
-
 let check_invariants t =
   if t.truncated then Ok () (* the ledger does not describe a truncated placement *)
   else begin
@@ -399,7 +394,7 @@ struct
   let place t ?budget entries = place ?budget t entries
   let add = add
   let delete = delete
-  let partial_lookup = partial_lookup
+  let discipline t = Strategy_intf.Stride t.y
   let can_update = can_update
   let repair_plan t = Strategy_intf.Assigned (assigned_servers t)
 end

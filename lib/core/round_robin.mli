@@ -62,9 +62,6 @@ val place : ?budget:int -> t -> Entry.t list -> unit
 
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
-val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
-(** Strided probing: random first server [s], then [s+y], [s+2y], ...
-    falling back to random order under failures. *)
 
 val check_invariants : t -> (unit, string) result
 (** Verify the round-robin placement invariant: each live position's
@@ -73,7 +70,7 @@ val check_invariants : t -> (unit, string) result
 
 module Strategy : Strategy_intf.S with type t = t
 (** The packed form registered in {!Strategy_registry} as
-    ["RoundRobin"]. *)
+    ["RoundRobin"], with discipline [Stride y]. *)
 
 module Strategy_replicated : Strategy_intf.S with type t = t
 (** The footnote-1 coordinator-replication ablation, registered as

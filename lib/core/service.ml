@@ -88,6 +88,7 @@ type t = {
   cluster : Cluster.t;
   config : config;
   instance : instance;
+  discipline : Strategy_intf.discipline;
   repair : Repair.t option;
 }
 
@@ -98,7 +99,7 @@ let of_cluster ?(repair = Repair.disabled) cluster config =
     if repair.Repair.mode = Repair.Off then None
     else Some (Repair.install cluster ~config:repair ~plan:(S.repair_plan s))
   in
-  { cluster; config; instance = I ((module S), s); repair = rep }
+  { cluster; config; instance = I ((module S), s); discipline = S.discipline s; repair = rep }
 
 let create ?seed ?obs ?repair ~n config =
   of_cluster ?repair (Cluster.create ?seed ?obs ~n ()) config
@@ -108,6 +109,7 @@ let config t = t.config
 let name t = config_name t.config
 let n t = Cluster.n t.cluster
 let repair t = t.repair
+let discipline t = t.discipline
 
 let place ?budget t entries =
   match t.instance with I ((module S), s) -> S.place s ?budget entries
@@ -115,8 +117,7 @@ let place ?budget t entries =
 let add t e = match t.instance with I ((module S), s) -> S.add s e
 let delete t e = match t.instance with I ((module S), s) -> S.delete s e
 
-let partial_lookup ?reachable t target =
-  match t.instance with I ((module S), s) -> S.partial_lookup ?reachable s target
+let partial_lookup ?reachable t target = Probe.lookup ?reachable t.cluster t.discipline ~t:target
 
 let can_update t = match t.instance with I ((module S), s) -> S.can_update s
 

@@ -2,8 +2,9 @@
     the registered placement strategies behind a single interface.
 
     This is the public entry point of the library.  A service owns a
-    {!Cluster} and dispatches [place]/[add]/[delete]/[partial_lookup] to
-    the configured strategy — resolved by name through
+    {!Cluster}, dispatches [place]/[add]/[delete] to the configured
+    strategy and runs [partial_lookup] by the strategy's
+    {!Strategy_intf.discipline} — the strategy resolved by name through
     {!Strategy_registry}, so a strategy module that registers itself
     (see DESIGN.md, "Adding a placement strategy") is immediately
     constructible here, parseable from the CLI and enumerable by the
@@ -116,6 +117,11 @@ val n : t -> int
 val repair : t -> Repair.t option
 (** The repair layer, when one was activated at construction. *)
 
+val discipline : t -> Strategy_intf.discipline
+(** How the strategy's clients probe, read once at construction: what
+    {!partial_lookup} runs, and what {!Probe.order_list} turns into an
+    order for {!Async_client.lookup}. *)
+
 val place : ?budget:int -> t -> Entry.t list -> unit
 (** Initial batch placement.  [budget] caps total stored copies and is
     honoured by Round-Robin, Hash and Chord (the Fig. 6 "inadequate
@@ -136,9 +142,10 @@ val can_update : t -> bool
 val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
 (** [partial_lookup t target]: retrieve [target] distinct entries
     (fewer only when the servers reached hold fewer), contacting as few
-    servers as the strategy allows.
-    [reachable] restricts which servers this client may contact
-    (Section 7.2). *)
+    servers as the strategy allows: {!Probe.lookup} with the service's
+    {!discipline}.  [reachable] restricts which servers this client may
+    contact (Section 7.2).  Raises [Invalid_argument] when
+    [target <= 0]. *)
 
 val partial_lookup_pref :
   ?reachable:(int -> bool) -> t -> cost:(Entry.t -> float) -> int -> Lookup_result.t

@@ -2,7 +2,8 @@
 
     A strategy is the paper's unit of design: a server-side handler for
     the {!Msg.data} and {!Msg.strategy} planes plus a client-side
-    probing discipline.  Packing one as a [(module S)] lets
+    probing discipline, which it names as data ({!discipline}) for
+    {!Probe.lookup} to run.  Packing one as a [(module S)] lets
     {!Strategy_registry} carry all of them behind one value, which is
     what makes {!Service}, the CLI, the experiments and the bench
     strategy-agnostic.  See DESIGN.md, "Adding a placement strategy". *)
@@ -39,6 +40,25 @@ type plan =
   | Owner_function of (Entry.t -> int list)
   | Assigned of (Entry.t -> int list option)
   | Free of int
+
+(** How a client probes the strategy's servers, the paper's per-strategy
+    lookup rule; {!Probe.lookup} runs it.
+
+    [One_server]: ask one random reachable up server and take its
+    answer, however short: every server holds the same entries
+    (FullReplication, Fixed-x).
+
+    [Random]: ask reachable up servers in uniformly random order until
+    [t] distinct entries are in hand (RandomServer-x and the
+    owner-function strategies).
+
+    [Stride y]: ask servers [y] apart from a random start, the fewest
+    shared entries per contact, and fall back to random order when a
+    server is down or unreachable (Round-Robin-y). *)
+type discipline =
+  | One_server
+  | Random
+  | Stride of int
 
 type meta = {
   name : string;
@@ -89,7 +109,7 @@ module type S = sig
   val place : t -> ?budget:int -> Entry.t list -> unit
   val add : t -> Entry.t -> unit
   val delete : t -> Entry.t -> unit
-  val partial_lookup : ?reachable:(int -> bool) -> t -> int -> Lookup_result.t
+  val discipline : t -> discipline
   val can_update : t -> bool
   val repair_plan : t -> plan
 end

@@ -20,10 +20,14 @@ type row = {
   latencies : float array;
 }
 
-let measure_config ctx ~lookups ~obs ~config ~order_of ~wave_of ~down () =
+(* [order_rng] draws the probe orders; without one they come from the
+   cluster's own generator. *)
+let measure_config ctx ~lookups ~obs ~config ?order_rng ~wave_of ~down () =
   let service = Service.create ~seed:(Ctx.run_seed ctx 1) ~obs ~n config in
   Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
   let cluster = Service.cluster service in
+  let discipline = Service.discipline service in
+  let order_rng = Option.value order_rng ~default:(Cluster.rng cluster) in
   Ctx.apply_faults ctx cluster;
   List.iter (Cluster.fail cluster) down;
   let engine = Engine.create () in
@@ -36,7 +40,8 @@ let measure_config ctx ~lookups ~obs ~config ~order_of ~wave_of ~down () =
   let latencies =
     Array.init lookups (fun _ ->
         let outcome = ref None in
-        Async_client.lookup cluster engine ~latency ~timeout ~order:(order_of cluster)
+        Async_client.lookup cluster engine ~latency ~timeout
+          ~order:(Probe.order_list discipline order_rng ~n)
           ~wave:(wave_of ()) ~t
           (fun o -> outcome := Some o);
         ignore (Engine.run engine);
@@ -62,9 +67,6 @@ let run ctx =
           "p99 latency ms";
           "timeouts/lookup" ]
   in
-  let random_order cluster =
-    Array.to_list (Rng.perm (Cluster.rng cluster) (Cluster.n cluster))
-  in
   let record name row =
     Table.add_row table
       [ Table.S name;
@@ -81,19 +83,14 @@ let run ctx =
   let measure = measure_config ctx ~lookups in
   (* Each strided client row owns its probe-order rng, seeded from the
      row's position, so rows are independent parallel units. *)
-  let stride_for row =
-    let order_rng = Rng.create (Ctx.run_seed ctx (3 + row)) in
-    fun cluster ->
-      let n = Cluster.n cluster in
-      Probe_order.to_list (Probe_order.stride ~n ~start:(Rng.int order_rng n) ~step:y)
-  in
+  let row_rng row = Rng.create (Ctx.run_seed ctx (3 + row)) in
   (* The parallel client: wave size ceil(t*n/(y*h)), known in advance
      (Section 3.5). *)
   let wave = min n (max 1 (((t * n) + (y * h) - 1) / (y * h))) in
   let rows =
     [| ( "FullReplication (1 contact)",
          fun ~obs ->
-           measure ~obs ~config:Service.full_replication ~order_of:random_order
+           measure ~obs ~config:Service.full_replication
              ~wave_of:(fun () -> 1)
              ~down:[] () );
        ( "RandomServer-20 sequential",
@@ -101,24 +98,22 @@ let run ctx =
            measure ~obs
              ~config:
                (Service.storage_for_budget (Service.random_server 1) ~n ~h ~total:budget)
-             ~order_of:random_order
              ~wave_of:(fun () -> 1)
              ~down:[] () );
        ( "Hash-2 sequential",
          fun ~obs ->
            measure ~obs
              ~config:(Service.storage_for_budget (Service.hash 1) ~n ~h ~total:budget)
-             ~order_of:random_order
              ~wave_of:(fun () -> 1)
              ~down:[] () );
        ( "RoundRobin-2 sequential",
          fun ~obs ->
-           measure ~obs ~config:(Service.round_robin y) ~order_of:(stride_for 0)
+           measure ~obs ~config:(Service.round_robin y) ~order_rng:(row_rng 0)
              ~wave_of:(fun () -> 1)
              ~down:[] () );
        ( "RoundRobin-2 parallel wave",
          fun ~obs ->
-           measure ~obs ~config:(Service.round_robin y) ~order_of:(stride_for 1)
+           measure ~obs ~config:(Service.round_robin y) ~order_rng:(row_rng 1)
              ~wave_of:(fun () -> wave)
              ~down:[] () );
        (* Failure masking (Section 6.2): one server down.  The sequential
@@ -128,12 +123,12 @@ let run ctx =
           even matters. *)
        ( "RoundRobin-2 sequential, server 3 down",
          fun ~obs ->
-           measure ~obs ~config:(Service.round_robin y) ~order_of:(stride_for 2)
+           measure ~obs ~config:(Service.round_robin y) ~order_rng:(row_rng 2)
              ~wave_of:(fun () -> 1)
              ~down:[ 3 ] () );
        ( "RoundRobin-2 parallel, server 3 down",
          fun ~obs ->
-           measure ~obs ~config:(Service.round_robin y) ~order_of:(stride_for 3)
+           measure ~obs ~config:(Service.round_robin y) ~order_rng:(row_rng 3)
              ~wave_of:(fun () -> wave)
              ~down:[ 3 ] () ) |]
   in

@@ -25,7 +25,7 @@ type tally = {
 
 (* One (strategy, loss-rate) cell: a fresh placement, a fault-injected
    network, [lookups] retrying async lookups. *)
-let measure ctx ~obs ~lookups ~loss ~config ~order_of =
+let measure ctx ~obs ~lookups ~loss ~config =
   let seed = Ctx.run_seed ctx (Hashtbl.hash (Service.config_name config)) in
   let service = Service.create ~seed ~obs ~n config in
   Service.place service (Entry.Gen.batch (Entry.Gen.create ()) h);
@@ -38,6 +38,7 @@ let measure ctx ~obs ~lookups ~loss ~config ~order_of =
   Net.attach_engine (Cluster.net cluster) engine;
   let latency_rng = Rng.create (seed lxor 0x10552) in
   let latency () = Dist.uniform_in latency_rng ~lo:2.5 ~hi:25. in
+  let discipline = Service.discipline service in
   let order_rng = Rng.create (seed lxor 0x0BDE5) in
   let tally =
     { satisfied = Stats.Accum.create ();
@@ -50,7 +51,7 @@ let measure ctx ~obs ~lookups ~loss ~config ~order_of =
   for _ = 1 to lookups do
     let outcome = ref None in
     Async_client.lookup cluster engine ~latency ~timeout ~retries
-      ~order:(order_of cluster order_rng) ~t
+      ~order:(Probe.order_list discipline order_rng ~n) ~t
       (fun o -> outcome := Some o);
     ignore (Engine.run engine);
     match !outcome with
@@ -88,33 +89,21 @@ let run ctx =
     Option.value ~default:1
       (Service.param (Service.storage_for_budget (Service.round_robin 1) ~n ~h ~total:budget))
   in
-  let random_order cluster rng =
-    ignore cluster;
-    Array.to_list (Rng.perm rng n)
-  in
-  let stride cluster rng =
-    ignore cluster;
-    Probe_order.to_list (Probe_order.stride ~n ~start:(Rng.int rng n) ~step:y)
-  in
   (* Fixed-x must hold at least t entries per server to satisfy alone. *)
-  let configs =
-    [ (Service.fixed (max x (t + 5)), random_order); (Service.round_robin y, stride) ]
-  in
+  let configs = [ Service.fixed (max x (t + 5)); Service.round_robin y ] in
   (* One parallel unit per (strategy, loss rate) cell; each cell's seed
      derives from the strategy name alone, so cells are
      order-independent. *)
   let cells =
     Array.of_list
       (List.concat_map
-         (fun (config, order_of) ->
-           List.map (fun loss -> (config, order_of, loss)) (loss_rates ctx))
+         (fun config -> List.map (fun loss -> (config, loss)) (loss_rates ctx))
          configs)
   in
   let measured =
     Runner.map_obs ctx ~count:(Array.length cells) (fun i ~obs ->
-        let config, order_of, loss = cells.(i) in
-        ( config, loss,
-          measure ctx ~obs ~lookups ~loss ~config ~order_of ))
+        let config, loss = cells.(i) in
+        (config, loss, measure ctx ~obs ~lookups ~loss ~config))
   in
   Array.iter
     (fun (config, loss, tally) ->

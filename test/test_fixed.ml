@@ -9,6 +9,9 @@ let make ?(seed = 5) ~n ~h ~x () =
   Fixed.place s batch;
   (cluster, s, batch)
 
+(* A client lookup by the discipline Fixed-x declares. *)
+let lookup cluster s t = Probe.lookup cluster (Fixed.Strategy.discipline s) ~t
+
 let test_keeps_first_x () =
   let cluster, _, _ = make ~n:3 ~h:10 ~x:4 () in
   for server = 0 to 2 do
@@ -34,16 +37,16 @@ let test_small_h_keeps_all () =
     (Server_store.cardinal (Cluster.store cluster 0))
 
 let test_lookup_cost_one_when_t_le_x () =
-  let _, s, _ = make ~n:4 ~h:20 ~x:8 () in
+  let cluster, s, _ = make ~n:4 ~h:20 ~x:8 () in
   for t = 1 to 8 do
-    let r = Fixed.partial_lookup s t in
+    let r = lookup cluster s t in
     Helpers.check_int "one server" 1 r.Lookup_result.servers_contacted;
     Alcotest.(check bool) "satisfied" true (Lookup_result.satisfied r)
   done
 
 let test_lookup_beyond_x_unsatisfied () =
-  let _, s, _ = make ~n:4 ~h:20 ~x:8 () in
-  let r = Fixed.partial_lookup s 9 in
+  let cluster, s, _ = make ~n:4 ~h:20 ~x:8 () in
+  let r = lookup cluster s 9 in
   Alcotest.(check bool) "cannot satisfy t > x" false (Lookup_result.satisfied r);
   Helpers.check_int "returns the x it has" 8 (Lookup_result.count r)
 
@@ -85,20 +88,20 @@ let test_cushion_semantics () =
   (* x = t + b: after b deletes of tracked entries with no adds, lookups
      for t still succeed; after one more they fail. *)
   let t = 3 and b = 2 in
-  let _, s, batch = make ~n:3 ~h:10 ~x:(t + b) () in
+  let cluster, s, batch = make ~n:3 ~h:10 ~x:(t + b) () in
   let tracked = List.filteri (fun i _ -> i < t + b) batch in
   List.iteri (fun i e -> if i < b then Fixed.delete s e) tracked;
   Alcotest.(check bool) "cushion holds" true
-    (Lookup_result.satisfied (Fixed.partial_lookup s t));
+    (Lookup_result.satisfied (lookup cluster s t));
   Fixed.delete s (List.nth tracked b);
   Alcotest.(check bool) "cushion exhausted" false
-    (Lookup_result.satisfied (Fixed.partial_lookup s t))
+    (Lookup_result.satisfied (lookup cluster s t))
 
 let test_refill_after_delete_then_add () =
-  let _, s, batch = make ~n:3 ~h:10 ~x:4 () in
+  let cluster, s, batch = make ~n:3 ~h:10 ~x:4 () in
   Fixed.delete s (List.hd batch);
   Fixed.add s (Entry.v 200);
-  let r = Fixed.partial_lookup s 4 in
+  let r = lookup cluster s 4 in
   Alcotest.(check bool) "back to x" true (Lookup_result.satisfied r)
 
 let test_rejects_bad_x () =
@@ -110,7 +113,7 @@ let test_fault_tolerance_n_minus_1 () =
   let cluster, s, _ = make ~n:5 ~h:10 ~x:4 () in
   List.iter (Cluster.fail cluster) [ 1; 2; 3; 4 ];
   Alcotest.(check bool) "one survivor suffices" true
-    (Lookup_result.satisfied (Fixed.partial_lookup s 4))
+    (Lookup_result.satisfied (lookup cluster s 4))
 
 let prop_add_never_exceeds_x =
   Helpers.qcheck "server occupancy never exceeds x"

@@ -9,6 +9,9 @@ let make ?(seed = 3) ~n ~h () =
   Full_replication.place s batch;
   (cluster, s, batch)
 
+(* A client lookup by the discipline FullReplication declares. *)
+let lookup cluster s t = Probe.lookup cluster (Full_replication.Strategy.discipline s) ~t
+
 let test_every_server_has_everything () =
   let cluster, _, batch = make ~n:4 ~h:10 () in
   for server = 0 to 3 do
@@ -34,9 +37,9 @@ let test_place_message_cost () =
   Helpers.check_int "1 + n messages" 6 (Net.messages_received (Cluster.net cluster))
 
 let test_lookup_always_one_server () =
-  let _, s, _ = make ~n:4 ~h:10 () in
+  let cluster, s, _ = make ~n:4 ~h:10 () in
   for t = 1 to 10 do
-    let r = Full_replication.partial_lookup s t in
+    let r = lookup cluster s t in
     Helpers.check_int "cost 1" 1 r.Lookup_result.servers_contacted;
     Helpers.check_int "t entries" t (Lookup_result.count r)
   done
@@ -70,7 +73,7 @@ let test_delete_removes_everywhere () =
 let test_survives_n_minus_1_failures () =
   let cluster, s, _ = make ~n:5 ~h:8 () in
   List.iter (Cluster.fail cluster) [ 0; 1; 2; 3 ];
-  let r = Full_replication.partial_lookup s 8 in
+  let r = lookup cluster s 8 in
   Alcotest.(check bool) "still satisfied" true (Lookup_result.satisfied r);
   Helpers.check_int "one survivor answers" 1 r.Lookup_result.servers_contacted
 
@@ -80,7 +83,7 @@ let test_lookup_skips_failed_servers () =
   Cluster.fail cluster 2;
   Net.reset_counters (Cluster.net cluster);
   for _ = 1 to 10 do
-    ignore (Full_replication.partial_lookup s 2)
+    ignore (lookup cluster s 2)
   done;
   Helpers.check_int "only server 1 contacted" 10 (Net.messages_received_by (Cluster.net cluster) 1);
   Helpers.check_int "no drops" 0 (Net.messages_dropped (Cluster.net cluster))
@@ -102,8 +105,8 @@ let prop_lookup_returns_placed_entries =
   Helpers.qcheck "lookups only return placed entries"
     QCheck2.Gen.(pair (int_range 1 20) (int_range 1 8))
     (fun (h, t) ->
-      let _, s, batch = make ~n:3 ~h () in
-      let r = Full_replication.partial_lookup s (min t h) in
+      let cluster, s, batch = make ~n:3 ~h () in
+      let r = lookup cluster s (min t h) in
       List.for_all (fun e -> List.exists (Entry.equal e) batch) r.Lookup_result.entries)
 
 let () =

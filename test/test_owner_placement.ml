@@ -41,6 +41,10 @@ let placed ?seed ?n s ~y ~h =
   Owner_placement.place p batch;
   (cluster, p, batch)
 
+(* A client lookup by the discipline the owner-function strategies
+   declare (test_strategy_registry checks the declaration). *)
+let lookup cluster t = Probe.lookup cluster Strategy_intf.Random ~t
+
 let check_invariants p ~placed =
   match Owner_placement.check_invariants p ~placed with
   | Ok () -> ()
@@ -159,15 +163,13 @@ let budget_below_h s () =
   Helpers.check_int "coverage = budget" 40 (Plookup_metrics.Coverage.measured cluster)
 
 let lookup_satisfied s () =
-  let _, p, _ = placed s ~y:2 ~h:30 in
-  Helpers.check_bool "satisfied" true
-    (Lookup_result.satisfied (Owner_placement.partial_lookup p 10))
+  let cluster, _, _ = placed s ~y:2 ~h:30 in
+  Helpers.check_bool "satisfied" true (Lookup_result.satisfied (lookup cluster 10))
 
 let n1000_smoke s () =
-  let _, p, batch = placed ~seed:9 ~n:1000 s ~y:2 ~h:2000 in
+  let cluster, p, batch = placed ~seed:9 ~n:1000 s ~y:2 ~h:2000 in
   check_invariants p ~placed:batch;
-  Helpers.check_bool "satisfied" true
-    (Lookup_result.satisfied (Owner_placement.partial_lookup p 20))
+  Helpers.check_bool "satisfied" true (Lookup_result.satisfied (lookup cluster 20))
 
 (* The extension point at test level: each strategy is reachable through
    Service purely via its registration. *)
@@ -222,11 +224,11 @@ let hash_expected_storage () =
 let hash_extra_server () =
   (* With t close to the average occupancy, some lookups hit a small
      server and need a second: mean cost > 1 (the Fig. 4 effect). *)
-  let _, p, _ = placed ~seed:6 ~n:10 hash ~y:2 ~h:100 in
+  let cluster, _, _ = placed ~seed:6 ~n:10 hash ~y:2 ~h:100 in
   let total = ref 0 in
   let lookups = 500 in
   for _ = 1 to lookups do
-    let r = Owner_placement.partial_lookup p 15 in
+    let r = lookup cluster 15 in
     total := !total + r.Lookup_result.servers_contacted;
     Helpers.check_bool "satisfied" true (Lookup_result.satisfied r)
   done;

@@ -1,6 +1,7 @@
 open Plookup
 open Plookup_store
 module Net = Plookup_net.Net
+module Rng = Plookup_util.Rng
 
 (* A cluster whose servers are pre-loaded by hand and answer lookups
    directly, so probing behaviour can be tested in isolation. *)
@@ -22,7 +23,7 @@ let manual_cluster ~n placement =
 
 let test_single_contacts_one () =
   let cluster = manual_cluster ~n:3 [ [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ] ] in
-  let r = Probe.single cluster ~t:2 in
+  let r = Probe.lookup cluster Strategy_intf.One_server ~t:2 in
   Helpers.check_int "one server" 1 r.Lookup_result.servers_contacted;
   Helpers.check_int "two entries" 2 (Lookup_result.count r);
   Alcotest.(check bool) "satisfied" true (Lookup_result.satisfied r)
@@ -32,7 +33,7 @@ let test_single_no_retry () =
   let cluster = manual_cluster ~n:2 [ [ 0 ]; [ 0; 1; 2 ] ] in
   let shorts = ref 0 in
   for _ = 1 to 50 do
-    let r = Probe.single cluster ~t:3 in
+    let r = Probe.lookup cluster Strategy_intf.One_server ~t:3 in
     Helpers.check_int "always one server" 1 r.Lookup_result.servers_contacted;
     if not (Lookup_result.satisfied r) then incr shorts
   done;
@@ -42,26 +43,26 @@ let test_single_all_down () =
   let cluster = manual_cluster ~n:2 [ [ 0 ]; [ 1 ] ] in
   Cluster.fail cluster 0;
   Cluster.fail cluster 1;
-  let r = Probe.single cluster ~t:1 in
+  let r = Probe.lookup cluster Strategy_intf.One_server ~t:1 in
   Helpers.check_int "no server" 0 r.Lookup_result.servers_contacted;
   Helpers.check_int "no entries" 0 (Lookup_result.count r)
 
 let test_random_order_merges () =
   (* Each server has 2 entries; target 6 requires visiting all three. *)
   let cluster = manual_cluster ~n:3 [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ] ] in
-  let r = Probe.random_order cluster ~t:6 in
+  let r = Probe.lookup cluster Strategy_intf.Random ~t:6 in
   Helpers.check_int "three servers" 3 r.Lookup_result.servers_contacted;
   Alcotest.(check (list int)) "all entries" [ 0; 1; 2; 3; 4; 5 ]
     (Helpers.sorted_ids r.Lookup_result.entries)
 
 let test_random_order_stops_early () =
   let cluster = manual_cluster ~n:3 [ [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ] ] in
-  let r = Probe.random_order cluster ~t:2 in
+  let r = Probe.lookup cluster Strategy_intf.Random ~t:2 in
   Helpers.check_int "one server suffices" 1 r.Lookup_result.servers_contacted
 
 let test_random_order_exhausts_unsatisfied () =
   let cluster = manual_cluster ~n:2 [ [ 0 ]; [ 0 ] ] in
-  let r = Probe.random_order cluster ~t:5 in
+  let r = Probe.lookup cluster Strategy_intf.Random ~t:5 in
   Helpers.check_int "tried everyone" 2 r.Lookup_result.servers_contacted;
   Alcotest.(check bool) "unsatisfied" false (Lookup_result.satisfied r);
   Helpers.check_int "coverage-limited answer" 1 (Lookup_result.count r)
@@ -71,7 +72,7 @@ let test_truncation_to_target () =
      delivered answer must be exactly 6. *)
   let cluster = manual_cluster ~n:2 [ [ 0; 1; 2; 3; 4 ]; [ 5; 6; 7; 8; 9 ] ] in
   for _ = 1 to 20 do
-    let r = Probe.random_order cluster ~t:6 in
+    let r = Probe.lookup cluster Strategy_intf.Random ~t:6 in
     Helpers.check_int "exactly t entries" 6 (Lookup_result.count r)
   done
 
@@ -79,25 +80,30 @@ let test_reachable_filter () =
   let cluster = manual_cluster ~n:3 [ [ 0 ]; [ 1 ]; [ 2 ] ] in
   let reachable s = s <> 1 in
   for _ = 1 to 30 do
-    let r = Probe.random_order ~reachable cluster ~t:3 in
+    let r = Probe.lookup ~reachable cluster Strategy_intf.Random ~t:3 in
     Alcotest.(check bool) "entry 1 never seen" false
       (List.exists (fun e -> Entry.id e = 1) r.Lookup_result.entries)
   done
 
+(* The start a [Stride] lookup on [cluster] is about to draw. *)
+let next_start cluster = Rng.int (Rng.copy (Cluster.rng cluster)) (Cluster.n cluster)
+
 let test_stride_visits_disjoint_servers () =
-  (* n=4, step 2: from server 0 the stride visits 0, 2 then falls back to
-     the remaining servers. *)
+  (* n=4, step 2: from start s the stride visits s, s+2 then falls back
+     to the remaining servers. *)
   let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let r = Probe.stride cluster ~start:0 ~step:2 ~t:2 in
+  let s = next_start cluster in
+  let r = Probe.lookup cluster (Strategy_intf.Stride 2) ~t:2 in
   Helpers.check_int "two strided servers" 2 r.Lookup_result.servers_contacted;
-  Alcotest.(check (list int)) "entries from 0 and 2" [ 0; 2 ]
+  Alcotest.(check (list int)) "entries from s and s+2"
+    (List.sort compare [ s; (s + 2) mod 4 ])
     (Helpers.sorted_ids r.Lookup_result.entries)
 
 let test_stride_extends_past_cycle () =
   (* gcd(step, n) > 1 leaves residues unvisited; the probe must extend to
      them rather than loop. *)
   let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let r = Probe.stride cluster ~start:0 ~step:2 ~t:4 in
+  let r = Probe.lookup cluster (Strategy_intf.Stride 2) ~t:4 in
   Helpers.check_int "all four" 4 r.Lookup_result.servers_contacted;
   Alcotest.(check (list int)) "full coverage" [ 0; 1; 2; 3 ]
     (Helpers.sorted_ids r.Lookup_result.entries)
@@ -105,7 +111,7 @@ let test_stride_extends_past_cycle () =
 let test_stride_falls_back_on_failure () =
   let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
   Cluster.fail cluster 2;
-  let r = Probe.stride cluster ~start:0 ~step:2 ~t:3 in
+  let r = Probe.lookup cluster (Strategy_intf.Stride 2) ~t:3 in
   Alcotest.(check bool) "satisfied without server 2" true (Lookup_result.satisfied r);
   Alcotest.(check bool) "no entry from the dead server" false
     (List.exists (fun e -> Entry.id e = 2) r.Lookup_result.entries)
@@ -114,10 +120,12 @@ let test_stride_negative_step () =
   (* Regression: OCaml's sign-preserving [mod] walked the position
      negative and crashed the visited-array access. *)
   let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let r = Probe.stride cluster ~start:0 ~step:(-1) ~t:3 in
+  let s = next_start cluster in
+  let r = Probe.lookup cluster (Strategy_intf.Stride (-1)) ~t:3 in
   Alcotest.(check bool) "satisfied" true (Lookup_result.satisfied r);
-  (* step -1 walks 0, 3, 2, ... *)
-  Alcotest.(check (list int)) "walks backwards" [ 0; 2; 3 ]
+  (* step -1 walks s, s-1, s-2, ... *)
+  Alcotest.(check (list int)) "walks backwards"
+    (List.sort compare (List.map (fun k -> (s + 4 - k) mod 4) [ 0; 1; 2 ]))
     (Helpers.sorted_ids r.Lookup_result.entries)
 
 let test_stride_step_multiple_of_n () =
@@ -126,7 +134,7 @@ let test_stride_step_multiple_of_n () =
   let cluster = manual_cluster ~n:4 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] ] in
   List.iter
     (fun step ->
-      let r = Probe.stride cluster ~start:1 ~step ~t:4 in
+      let r = Probe.lookup cluster (Strategy_intf.Stride step) ~t:4 in
       Helpers.check_int
         (Printf.sprintf "full coverage at step %d" step)
         4
@@ -138,15 +146,19 @@ let prop_stride_total_for_any_step =
     QCheck2.Gen.(triple (int_range (-50) 50) (int_range (-50) 50) (int_range 1 5))
     (fun (start, step, t) ->
       let cluster = manual_cluster ~n:5 [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] in
-      let r = Probe.stride cluster ~start ~step ~t in
+      let r = Probe.lookup cluster (Strategy_intf.Stride step) ~t in
       (* One entry per server, so a target of t needs exactly t contacts
-         and full coverage is always reachable. *)
-      Lookup_result.count r = t && r.Lookup_result.servers_contacted = t)
+         and full coverage is always reachable.  The lookup draws its own
+         start; the cursor takes any integer one. *)
+      Lookup_result.count r = t
+      && r.Lookup_result.servers_contacted = t
+      && List.sort compare (Probe_order.to_list (Probe_order.stride ~n:5 ~start ~step))
+         = [ 0; 1; 2; 3; 4 ])
 
 let test_each_contact_counts_a_message () =
   let cluster = manual_cluster ~n:3 [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ] ] in
   Net.reset_counters (Cluster.net cluster);
-  let r = Probe.random_order cluster ~t:6 in
+  let r = Probe.lookup cluster Strategy_intf.Random ~t:6 in
   Helpers.check_int "messages = contacts" r.Lookup_result.servers_contacted
     (Net.messages_received (Cluster.net cluster))
 
@@ -176,8 +188,9 @@ let prop_results_come_from_answers =
       let n = List.length placement in
       let cluster = recording_cluster ~n placement heard in
       let r =
-        if use_stride then Probe.stride cluster ~start:0 ~step:1 ~t
-        else Probe.random_order cluster ~t
+        Probe.lookup cluster
+          (if use_stride then Strategy_intf.Stride 1 else Strategy_intf.Random)
+          ~t
       in
       let ids = List.map Entry.id r.Lookup_result.entries in
       List.length (List.sort_uniq compare ids) = List.length ids
@@ -185,16 +198,17 @@ let prop_results_come_from_answers =
       && List.length ids = min t (Hashtbl.length heard))
 
 let test_kept_set_uniform () =
-  (* The stride order from server 0 draws nothing, and each store holds
-     no more than t entries, so every answer is the whole store: the
-     merged union is always ids 0..5 and only the truncation draws. *)
+  (* Each store holds no more than t entries, so every answer is the
+     whole store and the stride reaches both servers from either start:
+     the merged union is always ids 0..5, and past the start only the
+     truncation draws. *)
   List.iter
     (fun (placement, t) ->
       let cluster = manual_cluster ~n:2 placement in
       Helpers.uniform_over_subsets ~what:(Printf.sprintf "t=%d" t) ~n:6 ~k:t ~trials:6000
         (fun () ->
           List.map Entry.id
-            (Probe.stride cluster ~start:0 ~step:1 ~t).Lookup_result.entries))
+            (Probe.lookup cluster (Strategy_intf.Stride 1) ~t).Lookup_result.entries))
     [ ([ [ 0; 1; 2 ]; [ 3; 4; 5 ] ], 4); ([ [ 0; 1; 2; 3 ]; [ 2; 3; 4; 5 ] ], 5) ]
 
 let test_answer_set_after_pref () =
@@ -254,12 +268,10 @@ let prop_never_exceeds_target =
     (fun (t, seed) ->
       ignore seed;
       let cluster = manual_cluster ~n:3 [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ]; [ 8; 9 ] ] in
-      let r = Probe.random_order cluster ~t in
+      let r = Probe.lookup cluster Strategy_intf.Random ~t in
       Lookup_result.count r <= t)
 
 (* {2 Probe_order cursors} *)
-
-module Rng = Plookup_util.Rng
 
 (* A cluster of [n] servers with [down] failed; no handler is needed,
    the cursors only read membership. *)
@@ -386,8 +398,149 @@ let prop_single_same_server_as_before =
         if Array.length usable = 0 then []
         else [ usable.(Rng.int (Rng.copy (Cluster.rng cluster)) (Array.length usable)) ]
       in
-      let r = Probe.single ?reachable cluster ~t:1 in
+      let r = Probe.lookup ?reachable cluster Strategy_intf.One_server ~t:1 in
       List.map Entry.id r.Lookup_result.entries = want)
+
+(* {2 The lookup driver against the per-strategy clients}
+
+   [Reference] keeps the synchronous client as each strategy wrote it
+   before strategies declared a discipline: [single] for FullReplication
+   and Fixed-x, [random_order] for RandomServer-x and the owner-function
+   strategies, and for Round-Robin-y a start drawn from the cluster's
+   generator followed by [stride].  {!Service.partial_lookup} must make
+   the same contacts and the same draws. *)
+module Reference = struct
+  let contact cluster ~t answers server =
+    match Net.send (Cluster.net cluster) ~src:Net.Client ~dst:server (Msg.lookup t) with
+    | Some (Msg.Entries entries) ->
+      Answer_set.add answers entries;
+      true
+    | Some (Msg.Ack | Msg.Candidate _ | Msg.Digest _ | Msg.Busy) | None -> false
+
+  let result_of cluster answers ~contacted ~target =
+    { Lookup_result.entries = Answer_set.pick answers ~rng:(Cluster.rng cluster) ~target;
+      servers_contacted = contacted;
+      target }
+
+  let fresh_answers cluster =
+    let answers = Cluster.answers cluster in
+    Answer_set.reset answers;
+    answers
+
+  let random_reachable ?reachable cluster =
+    match reachable with
+    | None -> Cluster.random_up_server cluster
+    | Some ok ->
+      let n = Cluster.n cluster in
+      let usable i = Cluster.is_up cluster i && ok i in
+      let count = ref 0 in
+      for i = 0 to n - 1 do
+        if usable i then incr count
+      done;
+      if !count = 0 then None
+      else begin
+        let k = ref (Rng.int (Cluster.rng cluster) !count) in
+        let i = ref 0 in
+        while not (usable !i && !k = 0) do
+          if usable !i then decr k;
+          incr i
+        done;
+        Some !i
+      end
+
+  let single ?reachable cluster ~t =
+    match random_reachable ?reachable cluster with
+    | None -> Lookup_result.empty ~target:t
+    | Some server ->
+      let answers = fresh_answers cluster in
+      let answered = contact cluster ~t answers server in
+      result_of cluster answers ~contacted:(if answered then 1 else 0) ~target:t
+
+  let probe_order cluster ~t order =
+    let answers = fresh_answers cluster in
+    let contacted = ref 0 in
+    let rec walk () =
+      if Answer_set.length answers < t then
+        match Probe_order.next order with
+        | Some server ->
+          if contact cluster ~t answers server then incr contacted;
+          walk ()
+        | None -> ()
+    in
+    walk ();
+    result_of cluster answers ~contacted:!contacted ~target:t
+
+  let random_order ?reachable cluster ~t =
+    probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
+
+  let all_usable ?reachable cluster =
+    let n = Cluster.n cluster in
+    Cluster.up_count cluster = n
+    &&
+    match reachable with
+    | None -> true
+    | Some ok ->
+      let rec from i = i >= n || (ok i && from (i + 1)) in
+      from 0
+
+  let stride ?reachable cluster ~start ~step ~t =
+    let n = Cluster.n cluster in
+    let order =
+      if all_usable ?reachable cluster then Probe_order.stride ~n ~start ~step
+      else Probe_order.random_up ?keep:reachable cluster
+    in
+    probe_order cluster ~t order
+
+  let lookup ?reachable cluster config ~t =
+    match (Service.kind config, Service.params config) with
+    | ("FullReplication" | "Fixed"), _ -> single ?reachable cluster ~t
+    | ("RandomServer" | "RandomServerReplacing" | "Hash" | "Chord" | "DxHash" | "MultiProbe"), _
+      ->
+      random_order ?reachable cluster ~t
+    | ("RoundRobin" | "RoundRobinHA"), y :: _ ->
+      let start = Rng.int (Cluster.rng cluster) (Cluster.n cluster) in
+      stride ?reachable cluster ~start ~step:y ~t
+    | kind, _ -> Alcotest.failf "no reference client for %s" kind
+end
+
+let prop_lookup_matches_reference =
+  (* Two identically seeded and placed services per registered strategy,
+     with the same failures: one looked up through the service, the other
+     by the reference.  Failures are none, a random set, all but one
+     server, or every server. *)
+  Helpers.qcheck ~count:150 "lookup matches the per-strategy clients"
+    QCheck2.Gen.(
+      quad (int_range 2 12) (pair (int_bound 3) int) (opt int)
+        (pair (oneof [ int_range 1 40; return max_int ]) int))
+    (fun (n, (failures, mask), reach, (t, seed)) ->
+      let h = 30 in
+      let down s =
+        match failures with
+        | 0 -> false
+        | 1 -> (mask lsr s) land 1 = 1
+        | 2 -> s <> abs mask mod n
+        | _ -> true
+      in
+      let reachable = Option.map (fun r s -> (r lsr s) land 1 = 1) reach in
+      List.for_all
+        (fun config ->
+          let make () =
+            let service, _ = Helpers.placed_service ~seed ~n ~h config in
+            let cluster = Service.cluster service in
+            List.iter (fun s -> if down s then Cluster.fail cluster s) (List.init n Fun.id);
+            (service, cluster)
+          in
+          let service, cluster = make () and _, reference = make () in
+          let got = Service.partial_lookup ?reachable service t in
+          let want = Reference.lookup ?reachable reference config ~t in
+          let next c = Rng.int (Cluster.rng c) 1_000_000_000 in
+          List.map Entry.id got.Lookup_result.entries
+          = List.map Entry.id want.Lookup_result.entries
+          && got.Lookup_result.servers_contacted = want.Lookup_result.servers_contacted
+          && next cluster = next reference
+          || QCheck2.Test.fail_reportf "%s differs from its reference client"
+               (Service.name service))
+        (Service.all_configs ~ablations:true ~budget:(2 * h) ~n ~h ()))
 
 let () =
   Helpers.run "probe"
@@ -414,7 +567,8 @@ let () =
           Alcotest.test_case "kept set uniform over union" `Quick test_kept_set_uniform;
           Alcotest.test_case "answer set after pref" `Quick test_answer_set_after_pref;
           prop_answer_set_matches_model;
-          prop_never_exceeds_target ] );
+          prop_never_exceeds_target;
+          prop_lookup_matches_reference ] );
       ( "order",
         [ prop_random_up_is_permutation;
           Alcotest.test_case "random prefix uniform" `Quick test_random_up_prefix_uniform;

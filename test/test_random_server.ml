@@ -125,9 +125,12 @@ let test_replacement_on_delete_refills () =
   Alcotest.(check bool) "victim gone" false (Server_store.mem (Cluster.store cluster 0) victim);
   ignore batch
 
+(* A client lookup by the discipline RandomServer-x declares. *)
+let lookup cluster s t = Probe.lookup cluster (Random_server.Strategy.discipline s) ~t
+
 let test_lookup_merges_servers () =
-  let _, s, _ = make ~n:5 ~h:50 ~x:10 () in
-  let r = Random_server.partial_lookup s 25 in
+  let cluster, s, _ = make ~n:5 ~h:50 ~x:10 () in
+  let r = lookup cluster s 25 in
   Alcotest.(check bool) "needs several servers" true (r.Lookup_result.servers_contacted >= 2);
   Alcotest.(check bool) "satisfied" true (Lookup_result.satisfied r)
 
@@ -135,7 +138,7 @@ let test_lookup_under_failures () =
   let cluster, s, _ = make ~n:5 ~h:50 ~x:10 () in
   Cluster.fail cluster 0;
   Cluster.fail cluster 1;
-  let r = Random_server.partial_lookup s 10 in
+  let r = lookup cluster s 10 in
   Alcotest.(check bool) "satisfied with 3 survivors" true (Lookup_result.satisfied r)
 
 let test_rejects_bad_x () =

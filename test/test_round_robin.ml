@@ -9,6 +9,9 @@ let make ?(seed = 2) ~n ~h ~y () =
   Round_robin.place s batch;
   (cluster, s, batch)
 
+(* A client lookup by the discipline Round-Robin-y declares. *)
+let lookup cluster s t = Probe.lookup cluster (Round_robin.Strategy.discipline s) ~t
+
 let check_invariants s =
   match Round_robin.check_invariants s with
   | Ok () -> ()
@@ -144,10 +147,10 @@ let test_paper_fig10_scenario () =
 let test_lookup_cost_steps () =
   (* h=100, n=10, y=2: each server holds 20 entries and strided probes
      are disjoint, so cost is ceil(t/20). *)
-  let _, s, _ = make ~n:10 ~h:100 ~y:2 () in
+  let cluster, s, _ = make ~n:10 ~h:100 ~y:2 () in
   List.iter
     (fun (t, expected) ->
-      let r = Round_robin.partial_lookup s t in
+      let r = lookup cluster s t in
       Helpers.check_int (Printf.sprintf "cost at t=%d" t) expected
         r.Lookup_result.servers_contacted)
     [ (10, 1); (20, 1); (21, 2); (40, 2); (41, 3); (100, 5) ]
@@ -157,10 +160,10 @@ let test_lookup_with_y_equal_n () =
      degenerates to one residue and the probe's rest-extension must
      still reach everyone (regression for the sign-preserving-mod
      stride bug). *)
-  let _, s, _ = make ~n:4 ~h:8 ~y:4 () in
+  let cluster, s, _ = make ~n:4 ~h:8 ~y:4 () in
   List.iter
     (fun t ->
-      let r = Round_robin.partial_lookup s t in
+      let r = lookup cluster s t in
       Alcotest.(check bool)
         (Printf.sprintf "satisfied at t=%d" t)
         true
@@ -170,7 +173,7 @@ let test_lookup_with_y_equal_n () =
 let test_lookup_under_failure_randomizes () =
   let cluster, s, _ = make ~n:10 ~h:100 ~y:2 () in
   Cluster.fail cluster 3;
-  let r = Round_robin.partial_lookup s 30 in
+  let r = lookup cluster s 30 in
   Alcotest.(check bool) "satisfied despite failure" true (Lookup_result.satisfied r)
 
 let make_replicated ?(seed = 8) ~n ~h ~y ~coordinators () =

@@ -168,9 +168,9 @@ let test_every_strategy_handles_every_message () =
           for dst = 0 to 3 do
             try ignore (Net.send net ~src:Net.Client ~dst msg)
             with exn ->
-              Alcotest.failf "%s: server %d raised %s on %s"
-                m.Strategy_intf.name dst (Printexc.to_string exn)
-                (Format.asprintf "%a" Msg.pp msg)
+              let plane, position = witness msg in
+              Alcotest.failf "%s: server %d raised %s on the %s message at position %d"
+                m.Strategy_intf.name dst (Printexc.to_string exn) plane position
           done)
         every_message)
     (Strategy_registry.all ())
@@ -195,6 +195,55 @@ let test_every_strategy_lookup_after_foreign_traffic () =
         (Lookup_result.satisfied r))
     (Strategy_registry.all ())
 
+(* The paper's client for each strategy: one server where every server
+   holds the same entries, a y-stride where an entry's copies sit on y
+   consecutive servers, random order otherwise.  A new strategy must be
+   added here. *)
+let expected_discipline name params =
+  match (name, params) with
+  | ("FullReplication" | "Fixed"), _ -> Strategy_intf.One_server
+  | ("RandomServer" | "RandomServerReplacing" | "Hash" | "Chord" | "DxHash" | "MultiProbe"), _ ->
+    Strategy_intf.Random
+  | ("RoundRobin" | "RoundRobinHA"), y :: _ -> Strategy_intf.Stride y
+  | _ -> Alcotest.failf "%s: no expected discipline" name
+
+let test_every_strategy_declares_its_discipline () =
+  List.iter
+    (fun (module S : Strategy_intf.S) ->
+      let m = S.meta in
+      let params = params_for m in
+      let service =
+        Service.create ~seed:2 ~n:4 (Service.v ~kind:m.Strategy_intf.name ~params)
+      in
+      Helpers.check_bool m.Strategy_intf.name true
+        (Service.discipline service = expected_discipline m.Strategy_intf.name params))
+    (Strategy_registry.all ())
+
+(* A lookup for no entries is a caller's error, as on the async client:
+   it raises before contacting or drawing anything. *)
+let test_every_strategy_rejects_a_nonpositive_target () =
+  List.iter
+    (fun (module S : Strategy_intf.S) ->
+      let m = S.meta in
+      let config = Service.v ~kind:m.Strategy_intf.name ~params:(params_for m) in
+      let service = Service.create ~seed:4 ~n:4 config in
+      Service.place service (Helpers.entries 10);
+      let cluster = Service.cluster service in
+      Net.reset_counters (Cluster.net cluster);
+      let next_draw = Plookup_util.Rng.(int (copy (Cluster.rng cluster)) 1_000_000) in
+      List.iter
+        (fun t ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s t=%d" m.Strategy_intf.name t)
+            (Invalid_argument "Probe.lookup: t must be positive")
+            (fun () -> ignore (Service.partial_lookup service t)))
+        [ 0; -1; min_int ];
+      Helpers.check_int (m.Strategy_intf.name ^ " sent nothing") 0
+        (Net.messages_received (Cluster.net cluster));
+      Helpers.check_int (m.Strategy_intf.name ^ " drew nothing") next_draw
+        (Plookup_util.Rng.int (Cluster.rng cluster) 1_000_000))
+    (Strategy_registry.all ())
+
 let () =
   Helpers.run "strategy_registry"
     [ ( "strategy_registry",
@@ -210,4 +259,8 @@ let () =
           Alcotest.test_case "every strategy handles every message" `Quick
             test_every_strategy_handles_every_message;
           Alcotest.test_case "lookup survives foreign traffic" `Quick
-            test_every_strategy_lookup_after_foreign_traffic ] ) ]
+            test_every_strategy_lookup_after_foreign_traffic;
+          Alcotest.test_case "every strategy declares its discipline" `Quick
+            test_every_strategy_declares_its_discipline;
+          Alcotest.test_case "every strategy rejects a target below 1" `Quick
+            test_every_strategy_rejects_a_nonpositive_target ] ) ]

@@ -63,7 +63,8 @@ let round_robin_soak ~coordinators ops =
         let accepted = IntMap.mem (Entry.id target) !live in
         Round_robin.delete strategy target;
         if accepted then live := IntMap.remove (Entry.id target) !live
-      | Lookup t -> ignore (Round_robin.partial_lookup strategy t))
+      | Lookup t ->
+        ignore (Probe.lookup cluster (Round_robin.Strategy.discipline strategy) ~t))
     ops;
   (* Heal the fleet; each recovery syncs the server's store. *)
   for s = 0 to n - 1 do
