@@ -3,13 +3,11 @@ module Trace = Plookup_obs.Trace
 
 (* LRU list node: intrusive doubly-linked, most recently used at the
    head.  [expires] is the end of the fresh window; the stale-servable
-   window extends [swr] past it.  Negative entries hold the failed
-   result they memoize. *)
+   window extends [swr] past it. *)
 type node = {
   key : int;
   mutable result : Lookup_result.t;
   mutable expires : float;
-  mutable negative : bool;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -24,7 +22,6 @@ type counters = {
 
 type stats = {
   hits : int;
-  negative_hits : int;
   misses : int;
   stale_served : int;
   coalesced : int;
@@ -37,7 +34,6 @@ type t = {
   capacity : int;
   ttl : float;
   swr : float;
-  negative_ttl : float;
   table : (int, node) Hashtbl.t;
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
@@ -49,7 +45,6 @@ type t = {
   counters : counters option;
   trace : Trace.t option;
   mutable hits : int;
-  mutable negative_hits : int;
   mutable misses : int;
   mutable stale_served : int;
   mutable coalesced : int;
@@ -58,12 +53,10 @@ type t = {
   mutable refresh_sends : int;
 }
 
-let create ?obs ?(ttl = 100.) ?(swr = 0.) ?(negative_ttl = 0.) ~capacity () =
+let create ?obs ?(ttl = 100.) ?(swr = 0.) ~capacity () =
   if capacity < 1 then invalid_arg "Client_cache.create: capacity must be >= 1";
   if ttl <= 0. then invalid_arg "Client_cache.create: ttl must be positive";
   if swr < 0. then invalid_arg "Client_cache.create: swr must be non-negative";
-  if negative_ttl < 0. then
-    invalid_arg "Client_cache.create: negative-ttl must be non-negative";
   let counters =
     Option.map
       (fun o ->
@@ -78,7 +71,6 @@ let create ?obs ?(ttl = 100.) ?(swr = 0.) ?(negative_ttl = 0.) ~capacity () =
   { capacity;
     ttl;
     swr;
-    negative_ttl;
     table = Hashtbl.create (2 * capacity);
     head = None;
     tail = None;
@@ -87,7 +79,6 @@ let create ?obs ?(ttl = 100.) ?(swr = 0.) ?(negative_ttl = 0.) ~capacity () =
     counters;
     trace = Option.map (fun o -> o.Plookup_obs.Obs.trace) obs;
     hits = 0;
-    negative_hits = 0;
     misses = 0;
     stale_served = 0;
     coalesced = 0;
@@ -100,7 +91,6 @@ let capacity t = t.capacity
 
 let stats t =
   { hits = t.hits;
-    negative_hits = t.negative_hits;
     misses = t.misses;
     stale_served = t.stale_served;
     coalesced = t.coalesced;
@@ -143,17 +133,15 @@ let evict_lru t =
     t.evictions <- t.evictions + 1;
     Option.iter (fun c -> Metrics.incr c.c_evictions) t.counters
 
-let insert t ~key ~now ~negative result =
-  let window = if negative then t.negative_ttl else t.ttl in
+let insert t ~key ~now result =
   match Hashtbl.find_opt t.table key with
   | Some n ->
     n.result <- result;
-    n.expires <- now +. window;
-    n.negative <- negative;
+    n.expires <- now +. t.ttl;
     touch t n
   | None ->
     if t.size >= t.capacity then evict_lru t;
-    let n = { key; result; expires = now +. window; negative; prev = None; next = None } in
+    let n = { key; result; expires = now +. t.ttl; prev = None; next = None } in
     Hashtbl.replace t.table key n;
     push_front t n;
     t.size <- t.size + 1
@@ -192,13 +180,12 @@ let lookup t ~key ~now ~waiter =
   | Some n ->
     if now < n.expires then begin
       t.hits <- t.hits + 1;
-      if n.negative then t.negative_hits <- t.negative_hits + 1;
       Option.iter (fun c -> Metrics.incr c.c_hits) t.counters;
       touch t n;
       mark_hit t ~now;
       Hit n.result
     end
-    else if (not n.negative) && now < n.expires +. t.swr then begin
+    else if now < n.expires +. t.swr then begin
       (* Stale but servable: serve it, and make this caller the
          background refresher unless one is already in flight. *)
       t.stale_served <- t.stale_served + 1;
@@ -227,11 +214,10 @@ let complete t ~key ~now ~ok ~attempts result =
       if refresh then t.refresh_sends <- t.refresh_sends + attempts;
       Some waiters
   in
-  if ok then insert t ~key ~now ~negative:false result
-  else if t.negative_ttl > 0. then insert t ~key ~now ~negative:true result;
-  (* A failed probe with no negative caching leaves the previous entry
-     (if any) alone: a stale-while-revalidate refresh that comes back
-     short does not erase the answer it set out to freshen. *)
+  (* A failed probe is not cached and leaves the previous entry (if any)
+     alone: a stale-while-revalidate refresh that comes back short does
+     not erase the answer it set out to freshen. *)
+  if ok then insert t ~key ~now result;
   match waiters with
   | None -> ()
   | Some waiters -> Queue.iter (fun k -> k result ~now) waiters

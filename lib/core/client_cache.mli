@@ -30,10 +30,7 @@
     {!invalidate} drops a key explicitly.
 
     A failed probe (short of its target, or one that gave up on its
-    deadline) is negative-cached for [negative_ttl] time units when that
-    is positive — a population that keeps asking for an unsatisfiable
-    key stops hammering the servers for it — and simply not cached
-    otherwise.
+    deadline) is not cached.
 
     {2 Instrumentation}
 
@@ -47,7 +44,7 @@ type t
 
 type verdict =
   | Hit of Lookup_result.t
-      (** Fresh (or fresh-negative) entry: serve it, contact nothing. *)
+      (** Fresh entry: serve it, contact nothing. *)
   | Stale of Lookup_result.t
       (** Expired but inside the [swr] window, no refresh in flight yet:
           serve it now {e and} probe in the background, completing with
@@ -68,15 +65,13 @@ val create :
   ?obs:Plookup_obs.Obs.t ->
   ?ttl:float ->
   ?swr:float ->
-  ?negative_ttl:float ->
   capacity:int ->
   unit ->
   t
 (** An empty cache holding at most [capacity] entries, least recently
-    used evicted first.  [ttl] defaults to 100.0 time units; [swr] and
-    [negative_ttl] default to 0 (both windows disabled).  Raises
-    [Invalid_argument] on [capacity < 1], [ttl <= 0], or a negative
-    [swr]/[negative_ttl]. *)
+    used evicted first.  [ttl] defaults to 100.0 time units; [swr]
+    defaults to 0 (no stale window).  Raises [Invalid_argument] on
+    [capacity < 1], [ttl <= 0], or a negative [swr]. *)
 
 val lookup :
   t -> key:int -> now:float -> waiter:(Lookup_result.t -> now:float -> unit) -> verdict
@@ -87,13 +82,12 @@ val lookup :
 
 val complete : t -> key:int -> now:float -> ok:bool -> attempts:int -> Lookup_result.t -> unit
 (** The leader's (or background refresher's) probe finished.  [ok]
-    results are cached fresh-from-[now]; failed ones are
-    negative-cached when [negative_ttl > 0], else the previous entry
-    (if any) is left in place.  Either way every parked waiter for
-    [key] receives this result, in arrival order.  [attempts] is the
-    probe's request count, accumulated into {!stats}.[refresh_sends]
-    for background refreshes so message accounting can see traffic that
-    reaches no caller. *)
+    results are cached fresh-from-[now]; failed ones are not cached,
+    and the previous entry (if any) is left in place.  Either way every
+    parked waiter for [key] receives this result, in arrival order.
+    [attempts] is the probe's request count, accumulated into
+    {!stats}.[refresh_sends] for background refreshes so message
+    accounting can see traffic that reaches no caller. *)
 
 val invalidate : t -> key:int -> unit
 (** Drop [key]'s cached entry (waiters of an in-flight probe are kept —
@@ -106,7 +100,6 @@ val capacity : t -> int
 
 type stats = {
   hits : int;  (** lookups served from a fresh entry *)
-  negative_hits : int;  (** the subset of [hits] served from a negative entry *)
   misses : int;  (** lookups that had to probe ({!Lead}) or wait ({!Join}) *)
   stale_served : int;  (** lookups served a stale result inside the [swr] window *)
   coalesced : int;  (** lookups that joined another lookup's in-flight probe *)

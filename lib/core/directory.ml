@@ -54,11 +54,13 @@ let add t ~key entry = Service.add (find_or_create t key) entry
 let delete t ~key entry = Service.delete (find_or_create t key) entry
 
 let partial_lookup ?reachable t ~key target =
+  if target <= 0 then invalid_arg "Directory.partial_lookup: t must be positive";
   match Hashtbl.find_opt t.services key with
   | None -> Lookup_result.empty ~target
   | Some service -> Service.partial_lookup ?reachable service target
 
 let partial_lookup_pref ?reachable t ~key ~cost target =
+  if target <= 0 then invalid_arg "Directory.partial_lookup_pref: t must be positive";
   match Hashtbl.find_opt t.services key with
   | None -> Lookup_result.empty ~target
   | Some service -> Service.partial_lookup_pref ?reachable service ~cost target

@@ -45,7 +45,9 @@ val delete : t -> key:string -> Entry.t -> unit
     [add]/[delete] semantics on a fresh key. *)
 
 val partial_lookup : ?reachable:(int -> bool) -> t -> key:string -> int -> Lookup_result.t
-(** Unknown keys return the empty result ("Else, return {}"). *)
+(** Unknown keys return the empty result ("Else, return {}").  Raises
+    [Invalid_argument] when the target is [<= 0], whether or not the key
+    is known. *)
 
 val partial_lookup_pref :
   ?reachable:(int -> bool) ->
@@ -54,6 +56,9 @@ val partial_lookup_pref :
   cost:(Entry.t -> float) ->
   int ->
   Lookup_result.t
+(** {!Service.partial_lookup_pref} on the key's service; unknown keys
+    return the empty result.  Raises [Invalid_argument] when the target
+    is [<= 0], whether or not the key is known. *)
 
 val total_storage : t -> int
 (** Combined storage over every key's servers. *)

@@ -237,7 +237,7 @@ let create ?(coordinators = 1) cluster ~y =
       truncated = false }
   in
   Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
-  Net.set_status_listener (Cluster.net cluster) (on_status t);
+  Net.add_status_listener (Cluster.net cluster) (on_status t);
   t
 
 let y t = t.y

@@ -122,6 +122,7 @@ let partial_lookup ?reachable t target = Probe.lookup ?reachable t.cluster t.dis
 let can_update t = match t.instance with I ((module S), s) -> S.can_update s
 
 let partial_lookup_pref ?reachable t ~cost target =
+  if target <= 0 then invalid_arg "Service.partial_lookup_pref: t must be positive";
   (* Exhaustive probe: demand more entries than any server set can hold
      so the prober visits every reachable server, then rank. *)
   let exhaustive = partial_lookup ?reachable t max_int in

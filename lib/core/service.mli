@@ -152,7 +152,8 @@ val partial_lookup_pref :
 (** Client-preference lookups (Section 7.1): contact servers as usual
     but keep collecting answers from *every* reachable server, then
     return the [target] entries with the lowest [cost].  The result's
-    [servers_contacted] reflects the exhaustive probe. *)
+    [servers_contacted] reflects the exhaustive probe.  Raises
+    [Invalid_argument] when [target <= 0], before contacting anyone. *)
 
 val all_configs : ?ablations:bool -> budget:int -> n:int -> h:int -> unit -> config list
 (** Every registered strategy parameterized for a common storage budget

@@ -78,7 +78,6 @@ type ('msg, 'reply) t = {
   mutable engine : Plookup_sim.Engine.t option; (* the clock; see [attach_engine] *)
   mutable status_listeners : (int -> up:bool -> unit) list;
   mutable faults : faults option;
-  mutable faults_on : bool;
   mutable partitions : partition list;
   mutable capacity : 'reply capacity option;
 }
@@ -115,7 +114,6 @@ let create ?metrics ~n () =
     engine = None;
     status_listeners = [];
     faults = None;
-    faults_on = false;
     partitions = [];
     capacity = None }
 
@@ -156,7 +154,6 @@ let recover t i =
     notify_status t i true
   end
 
-let set_status_listener t f = t.status_listeners <- [ f ]
 let add_status_listener t f = t.status_listeners <- t.status_listeners @ [ f ]
 
 let is_up t i =
@@ -189,16 +186,9 @@ let set_faults t ~seed ?(loss = 0.) ?(duplication = 0.) ?(jitter = 0.) () =
     invalid_arg "Net.set_faults: duplication must be in [0, 1]";
   if jitter < 0. then invalid_arg "Net.set_faults: jitter must be non-negative";
   t.faults <-
-    Some { loss; duplication; jitter; fault_seed = seed; links = Hashtbl.create 16 };
-  t.faults_on <- true
+    Some { loss; duplication; jitter; fault_seed = seed; links = Hashtbl.create 16 }
 
-let clear_faults t =
-  t.faults <- None;
-  t.faults_on <- false
-
-let set_faults_enabled t on = t.faults_on <- on
-let faults_enabled t = t.faults_on && Option.is_some t.faults
-let active_faults t = if t.faults_on then t.faults else None
+let clear_faults t = t.faults <- None
 
 (* Each directed link owns an RNG stream derived from the fault seed, so
    the drop/duplicate/jitter schedule of a link depends only on the
@@ -299,12 +289,12 @@ let reachable t ~src ~dst =
 (* {2 Tracing}
 
    Every helper first checks that a trace is attached and enabled, so a
-   quiet network pays one tag test per transmission and allocates
-   nothing.  A traced network allocates nothing either: each event is a
-   coded emit — plain ints into the trace's preallocated ring.  Span ids
-   use 0 as "no span" and negative ids for sampled-out spans, which lets
-   cause links thread through the delivery path as plain ints while
-   keeping whole causal trees in or out together. *)
+   quiet network pays one tag test per hook and allocates nothing.  A
+   traced network allocates nothing either: each event is a coded emit
+   — plain ints into the trace's preallocated ring.  Span ids use 0 as
+   "no span" and negative ids for sampled-out spans, which lets cause
+   links thread through the delivery path as plain ints while keeping
+   whole causal trees in or out together. *)
 
 let[@inline always] now t =
   match t.engine with Some e -> Plookup_sim.Engine.now e | None -> 0.
@@ -314,6 +304,13 @@ let[@inline always] trace_send t ~src ~dst msg =
   | Some c when Trace.enabled c.tr ->
     Trace.emit_send c.tr ~time:(now t) ~src:(code src) ~dst ~pm:(c.coder msg)
   | _ -> 0
+
+(* A clean delivery's Send and Recv, fused into one pair cell. *)
+let[@inline always] trace_send_recv t ~src ~dst msg =
+  match t.tracing with
+  | Some c when Trace.enabled c.tr ->
+    ignore (Trace.emit_send_recv c.tr ~time:(now t) ~src:(code src) ~dst ~pm:(c.coder msg))
+  | _ -> ()
 
 let[@inline always] trace_recv t ~sid ~src ~dst msg =
   match t.tracing with
@@ -343,23 +340,10 @@ let account t ~src ~dst msg =
   if t.in_repair then Metrics.incr t.repair_count;
   match src with Client -> Metrics.incr t.client_count | Server _ -> ()
 
-(* Final delivery: liveness check, accounting, handler.  All fault
-   decisions have already been made by the caller; [sid] is the Send
-   span this delivery resolves (0 when untraced). *)
-(* The same, specialized for an untraced network (no trace hooks at
-   all) — the synchronous hot path dispatches between this and the
-   traced flow once per transmission. *)
-let deliver_plain t ~src ~dst msg =
-  if not t.up.(dst) then begin
-    Metrics.incr t.dropped;
-    None
-  end
-  else begin
-    account t ~src ~dst msg;
-    Some ((handler_exn t) dst src msg)
-  end
-
-let deliver t ?(sid = 0) ~src ~dst msg =
+(* Final delivery, on both transports: liveness check, accounting,
+   handler.  All fault decisions have already been made by the caller;
+   [sid] is the Send span this delivery resolves (0 when untraced). *)
+let deliver t ~sid ~src ~dst msg =
   if not t.up.(dst) then begin
     Metrics.incr t.dropped;
     trace_drop t ~sid ~src ~dst ~reason:Span.Down msg;
@@ -372,67 +356,28 @@ let deliver t ?(sid = 0) ~src ~dst msg =
   end
 
 (* One synchronous server-bound transmission: partition, then loss, then
-   delivery (possibly twice when duplicated).  Jitter is meaningless
-   without an engine, so the synchronous path never draws it.
-
-   The flow is specialized twice on the tracing state, checked once per
-   transmission: the untraced copy pays nothing at all (a quiet or
-   disabled trace leaves the send path identical to a bare network), and
-   the traced copy hoists the coder and clock reads out of the
-   per-outcome branches and fuses the common send-then-deliver case into
-   a single paired emit. *)
-let sync_transmit_plain t ~src ~dst msg =
+   delivery (twice when duplicated).  Jitter is meaningless without an
+   engine, so the synchronous path never draws it.  Each outcome is
+   traced through the hooks above, traced or not; a clean delivery to a
+   live server with no fault layer, the common case, writes its Send and
+   Recv as one pair cell. *)
+let sync_transmit t ~src ~dst msg =
   if link_blocked t ~from_code:(code src) ~to_code:dst then begin
     Metrics.incr t.blocked;
+    let sid = trace_send t ~src ~dst msg in
+    trace_drop t ~sid ~src ~dst ~reason:Span.Blocked msg;
     None
   end
   else
-    match active_faults t with
-    | None -> deliver_plain t ~src ~dst msg
-    | Some f ->
-      let rng = link_rng f ~from_code:(code src) ~to_code:dst in
-      if Rng.bernoulli rng f.loss then begin
-        Metrics.incr t.lost;
-        None
-      end
-      else begin
-        let reply = deliver_plain t ~src ~dst msg in
-        if Rng.bernoulli rng f.duplication then begin
-          Metrics.incr t.duplicated;
-          ignore (deliver_plain t ~src ~dst msg)
-        end;
-        reply
-      end
-
-let sync_transmit_traced t tc ~src ~dst msg =
-  let tr = tc.tr in
-  let time = now t in
-  let pm = tc.coder msg in
-  let sc = code src in
-  if link_blocked t ~from_code:sc ~to_code:dst then begin
-    Metrics.incr t.blocked;
-    let sid = Trace.emit_send tr ~time ~src:sc ~dst ~pm in
-    Trace.emit_drop tr ~time ~cause:sid ~src:sc ~dst ~pm ~reason:Span.Blocked;
-    None
-  end
-  else
-    match active_faults t with
-    | None ->
-      if Array.unsafe_get t.up dst then begin
-        (* The fused fast path: fault-free delivery to a live server. *)
-        ignore (Trace.emit_send_recv tr ~time ~src:sc ~dst ~pm);
-        account t ~src ~dst msg;
-        Some ((handler_exn t) dst src msg)
-      end
-      else begin
-        let sid = Trace.emit_send tr ~time ~src:sc ~dst ~pm in
-        Metrics.incr t.dropped;
-        Trace.emit_drop tr ~time ~cause:sid ~src:sc ~dst ~pm ~reason:Span.Down;
-        None
-      end
+    match t.faults with
+    | None when t.up.(dst) ->
+      trace_send_recv t ~src ~dst msg;
+      account t ~src ~dst msg;
+      Some ((handler_exn t) dst src msg)
+    | None -> deliver t ~sid:(trace_send t ~src ~dst msg) ~src ~dst msg
     | Some f ->
       let sid = trace_send t ~src ~dst msg in
-      let rng = link_rng f ~from_code:sc ~to_code:dst in
+      let rng = link_rng f ~from_code:(code src) ~to_code:dst in
       if Rng.bernoulli rng f.loss then begin
         Metrics.incr t.lost;
         trace_drop t ~sid ~src ~dst ~reason:Span.Lost msg;
@@ -446,11 +391,6 @@ let sync_transmit_traced t tc ~src ~dst msg =
         end;
         reply
       end
-
-let sync_transmit t ~src ~dst msg =
-  match t.tracing with
-  | Some tc when Trace.enabled tc.tr -> sync_transmit_traced t tc ~src ~dst msg
-  | _ -> sync_transmit_plain t ~src ~dst msg
 
 let send t ~src ~dst msg =
   check_node t dst;
@@ -525,7 +465,7 @@ let transmit t engine ?(sid = 0) ?spanmsg ~from_code ~to_code ~base action =
     dropped Span.Blocked
   end
   else
-    match active_faults t with
+    match t.faults with
     | None -> schedule_copy t engine ~delay:base action
     | Some f ->
       let rng = link_rng f ~from_code ~to_code in

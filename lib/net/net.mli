@@ -81,17 +81,12 @@ val wrap_handler :
 val fail : ('msg, 'reply) t -> int -> unit
 val recover : ('msg, 'reply) t -> int -> unit
 
-val set_status_listener : ('msg, 'reply) t -> (int -> up:bool -> unit) -> unit
-(** Called on every fail/recover *transition* (not on no-op repeats).
-    Strategies use this to react to membership changes — e.g. the
-    replicated Round-Robin coordinator re-syncs a recovering replica.
-    Replaces every previously installed listener, mirroring
-    {!set_handler}; use {!add_status_listener} to stack another. *)
-
 val add_status_listener : ('msg, 'reply) t -> (int -> up:bool -> unit) -> unit
-(** Install an additional status listener; listeners fire in
-    installation order.  The repair subsystem stacks its recovery-sync
-    trigger on top of a strategy's own listener this way. *)
+(** Install a listener called on every fail/recover {e transition} (not
+    on no-op repeats); listeners stack and fire in installation order.
+    Strategies use this to react to membership changes — the replicated
+    Round-Robin coordinator re-syncs a recovering replica — and the
+    repair subsystem stacks its recovery-sync trigger after them. *)
 
 val is_up : ('msg, 'reply) t -> int -> bool
 val up_servers : ('msg, 'reply) t -> int list
@@ -128,19 +123,15 @@ val set_faults :
   ?jitter:float ->
   unit ->
   unit
-(** Install (and enable) the fault layer.  [loss] must be in [0, 1),
-    [duplication] in [0, 1], [jitter] non-negative; all default to 0.
-    Replaces any previous fault configuration and resets the per-link
-    streams. *)
+(** Install the fault layer; it acts on every transmission until
+    {!clear_faults}.  [loss] must be in [0, 1), [duplication] in
+    [0, 1], [jitter] non-negative; all default to 0.  Replaces any
+    previous fault configuration and resets the per-link streams. *)
 
 val clear_faults : ('msg, 'reply) t -> unit
-(** Remove the fault layer entirely. *)
-
-val set_faults_enabled : ('msg, 'reply) t -> bool -> unit
-(** Toggle the installed fault layer mid-run without discarding its
-    per-link RNG state.  No-op while no layer is installed. *)
-
-val faults_enabled : ('msg, 'reply) t -> bool
+(** Remove the fault layer and its per-link streams: transmissions are
+    fault-free again, and a later {!set_faults} starts every link's
+    stream afresh.  Partitions are kept. *)
 
 (** {2 Server capacity and gray failure (overload model)}
 
@@ -201,8 +192,8 @@ val messages_shed : ('msg, 'reply) t -> int
     blocked).  Servers listed on neither side are unaffected.  Clients
     collectively sit on side [clients] (default [`A]).  Partitions
     compose: a link is cut if {e any} active partition cuts it.  They
-    act regardless of {!set_faults_enabled}, and are independent of
-    server up/down state. *)
+    act whether or not a fault layer is installed, and are independent
+    of server up/down state. *)
 
 val partition :
   ('msg, 'reply) t ->
@@ -318,4 +309,4 @@ val call_async :
     the callback fire more than once per call — callers must tolerate
     duplicate replies.  Message accounting matches {!send}.  Each copy
     of a hop that arrives is one engine event: a hop on a link with no
-    fault layer enabled and no partition cutting it is exactly one. *)
+    fault layer installed and no partition cutting it is exactly one. *)

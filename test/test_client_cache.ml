@@ -79,31 +79,21 @@ let test_join_waiters_fire_in_order () =
   Helpers.check_int "coalesced" 2 (Client_cache.stats c).Client_cache.coalesced
 
 let test_negative_caching () =
+  (* Failures are never cached. *)
   let waiter _ ~now:_ = Alcotest.fail "no probe in flight" in
   let failed = Lookup_result.empty ~target:5 in
-  (* Off by default: a failed probe caches nothing. *)
   let c = Client_cache.create ~capacity:4 () in
   ignore (Client_cache.lookup c ~key:9 ~now:0. ~waiter);
   Client_cache.complete c ~key:9 ~now:0. ~ok:false ~attempts:3 failed;
   (match Client_cache.lookup c ~key:9 ~now:1. ~waiter with
   | Client_cache.Lead -> ()
-  | _ -> Alcotest.fail "no negative ttl: failure is not cached");
+  | _ -> Alcotest.fail "failure is not cached");
   Client_cache.complete c ~key:9 ~now:1. ~ok:true ~attempts:1 (result_for 9);
   (* A later failure leaves the previous good entry in place. *)
-  Client_cache.invalidate c ~key:9;
-  (* On: the failure itself is served for negative_ttl time units. *)
-  let c = Client_cache.create ~negative_ttl:5. ~capacity:4 () in
-  ignore (Client_cache.lookup c ~key:9 ~now:0. ~waiter);
-  Client_cache.complete c ~key:9 ~now:0. ~ok:false ~attempts:3 failed;
-  (match Client_cache.lookup c ~key:9 ~now:4. ~waiter with
-  | Client_cache.Hit r ->
-    Alcotest.(check bool) "negative hit is the failure" false (Lookup_result.satisfied r)
-  | _ -> Alcotest.fail "inside negative ttl: Hit");
-  (match Client_cache.lookup c ~key:9 ~now:6. ~waiter with
-  | Client_cache.Lead -> ()
-  | _ -> Alcotest.fail "past negative ttl: Lead");
-  Client_cache.complete c ~key:9 ~now:6. ~ok:true ~attempts:1 (result_for 9);
-  Helpers.check_int "negative hits" 1 (Client_cache.stats c).Client_cache.negative_hits
+  Client_cache.complete c ~key:9 ~now:2. ~ok:false ~attempts:3 failed;
+  match Client_cache.lookup c ~key:9 ~now:3. ~waiter with
+  | Client_cache.Hit r -> Alcotest.(check (list int)) "good entry kept" [ 9 ] (sorted_ids r)
+  | _ -> Alcotest.fail "a failure must not evict the good entry"
 
 let test_lru_evicts_least_recently_used () =
   let c = Client_cache.create ~capacity:2 () in

@@ -77,6 +77,21 @@ let test_pref_lookup () =
   Alcotest.(check (list int)) "two most expensive ids (negated cost)" [ 4; 5 ]
     (Helpers.sorted_ids r.Lookup_result.entries)
 
+let test_non_positive_target_rejected () =
+  (* Rejected for an unknown key too, before its empty-result shortcut. *)
+  let d = make ~default:Service.full_replication () in
+  Directory.place d ~key:"svc" (Helpers.entries 6);
+  List.iter
+    (fun key ->
+      Alcotest.check_raises (key ^ " lookup 0")
+        (Invalid_argument "Directory.partial_lookup: t must be positive") (fun () ->
+          ignore (Directory.partial_lookup d ~key 0));
+      Alcotest.check_raises (key ^ " pref lookup -3")
+        (Invalid_argument "Directory.partial_lookup_pref: t must be positive") (fun () ->
+          ignore (Directory.partial_lookup_pref d ~key ~cost:(fun _ -> 0.) (-3))))
+    [ "svc"; "unknown" ];
+  Alcotest.(check bool) "no key created" false (Directory.mem d "unknown")
+
 let test_deterministic () =
   let run () =
     let d = make ~default:(Service.random_server 3) () in
@@ -133,6 +148,8 @@ let () =
           Alcotest.test_case "add to fresh key" `Quick test_add_to_fresh_key;
           Alcotest.test_case "total storage" `Quick test_total_storage;
           Alcotest.test_case "pref lookup" `Quick test_pref_lookup;
+          Alcotest.test_case "non-positive target rejected" `Quick
+            test_non_positive_target_rejected;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "long keys distinct" `Quick
             test_long_keys_get_distinct_streams;

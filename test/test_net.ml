@@ -119,7 +119,7 @@ let test_wrap_handler_requires_handler () =
 let test_status_listener () =
   let net = make ~n:3 () in
   let events = ref [] in
-  Net.set_status_listener net (fun i ~up -> events := (i, up) :: !events);
+  Net.add_status_listener net (fun i ~up -> events := (i, up) :: !events);
   Net.fail net 1;
   Net.fail net 1 (* repeat: no transition, no event *);
   Net.recover net 1;
@@ -131,7 +131,7 @@ let test_fail_exactly_notifies () =
   let net = make ~n:3 () in
   Net.fail net 0;
   let events = ref [] in
-  Net.set_status_listener net (fun i ~up -> events := (i, up) :: !events);
+  Net.add_status_listener net (fun i ~up -> events := (i, up) :: !events);
   Net.fail_exactly net [ 2 ];
   (* 0 recovers (transition), 2 fails (transition); 1 untouched. *)
   Alcotest.(check (list (pair int bool))) "recover then fail" [ (0, true); (2, false) ]
@@ -160,13 +160,13 @@ let test_async_is_delayed () =
 
 let test_async_clean_round_trip () =
   (* A fault-free, unpartitioned link: one event per hop, one latency
-     draw and one delay observation per hop, whatever the fault layer
-     would do once enabled. *)
+     draw and one delay observation per hop, whatever a cleared fault
+     layer would have done. *)
   let metrics = Plookup_obs.Metrics.create () in
   let net = Net.create ~metrics ~n:2 () in
   Net.set_handler net (fun _ _ msg -> msg);
   Net.set_faults net ~seed:3 ~loss:0.5 ~duplication:0.5 ~jitter:4. ();
-  Net.set_faults_enabled net false;
+  Net.clear_faults net;
   let engine = Engine.create () in
   let draws = ref 0 and replies = ref [] in
   Net.call_async net engine
@@ -254,23 +254,27 @@ let test_jitter_bounds_delay () =
     (List.length (List.sort_uniq compare !times) > 1)
 
 let test_fault_toggle_mid_run () =
+  (* The fault layer acts exactly while it is installed. *)
   let net = make ~n:1 () in
   Net.set_faults net ~seed:1 ~loss:0.9 ();
-  Net.set_faults_enabled net false;
-  for _ = 1 to 50 do
-    match Net.send net ~src:Net.Client ~dst:0 "m" with
-    | Some _ -> ()
-    | None -> Alcotest.fail "disabled faults still dropped a message"
-  done;
-  Net.set_faults_enabled net true;
-  let lost_before = Net.messages_lost net in
   for _ = 1 to 50 do
     ignore (Net.send net ~src:Net.Client ~dst:0 "m")
   done;
-  Alcotest.(check bool) "re-enabled faults lose messages" true
-    (Net.messages_lost net > lost_before);
+  let lost = Net.messages_lost net in
+  Alcotest.(check bool) "installed faults lose messages" true (lost > 0);
   Net.clear_faults net;
-  Alcotest.(check bool) "cleared" false (Net.faults_enabled net)
+  for _ = 1 to 50 do
+    match Net.send net ~src:Net.Client ~dst:0 "m" with
+    | Some _ -> ()
+    | None -> Alcotest.fail "cleared faults still dropped a message"
+  done;
+  Helpers.check_int "nothing lost once cleared" lost (Net.messages_lost net);
+  Net.set_faults net ~seed:1 ~loss:0.9 ();
+  for _ = 1 to 50 do
+    ignore (Net.send net ~src:Net.Client ~dst:0 "m")
+  done;
+  Alcotest.(check bool) "reinstalled faults lose messages" true
+    (Net.messages_lost net > lost)
 
 let test_fault_determinism () =
   (* Same seed => identical drop/duplicate/jitter schedule, independent
@@ -443,6 +447,168 @@ let prop_message_count_additive =
          + Net.messages_received_by net 1
          + Net.messages_received_by net 2
          = k)
+
+(* {2 Tracing never changes synchronous delivery}
+
+   One random schedule of failures, recoveries, partitions, sends and
+   broadcasts, run on an untraced network and on traced ones with the
+   same fault seed: record-all, sampled, plane-filtered and one
+   streaming JSONL.  Tracing is an observer, so replies, the order of
+   handler calls and every counter must agree; and the record-all trace
+   must show each transmission as one Send plus one Recv per delivered
+   copy, or one Drop with the reason the network's state predicts. *)
+
+module Trace = Plookup_obs.Trace
+module Span = Plookup_obs.Span
+module Sink = Plookup_obs.Sink
+module Metrics = Plookup_obs.Metrics
+
+let plane_names = [| "data"; "strategy"; "repair" |]
+
+let sync_op_gen =
+  let open QCheck2.Gen in
+  let server = int_range 0 7 and src = int_range (-1) 7 and plane = int_range 0 2 in
+  let name = oneofl [ "p"; "q" ] in
+  frequency
+    [ (2, map (fun s -> `Fail s) server);
+      (2, map (fun s -> `Recover s) server);
+      ( 1,
+        map3
+          (fun name sides clients -> `Partition (name, sides, clients))
+          name
+          (list_repeat 8 (int_range 0 2))
+          (oneofl [ `A; `B ]) );
+      (1, map (fun name -> `Heal name) name);
+      (6, map3 (fun s d p -> `Send (s, d, p)) src server plane);
+      (3, map2 (fun s p -> `Broadcast (s, p)) src plane) ]
+
+let sync_schedule_gen =
+  QCheck2.Gen.(
+    quad (int_range 1 8)
+      (opt (pair (float_range 0. 0.5) (float_range 0. 0.5)))
+      (int_range 0 10_000)
+      (list_size (int_range 0 60) sync_op_gen))
+
+(* Run a schedule.  Returns the replies, the handler calls, the
+   network's metrics snapshot (received per server and per plane,
+   dropped, lost, blocked, duplicated, client requests, broadcasts) and,
+   per transmission in order, its endpoints plus whether a partition
+   allowed it and whether its destination was up. *)
+let run_sync_schedule ?trace (n, faults, seed, ops) =
+  let metrics = Metrics.create () in
+  let net = Net.create ~metrics ~n () in
+  let calls = ref [] in
+  Net.set_handler net (fun dst src msg ->
+      calls := (dst, src, msg) :: !calls;
+      (dst, msg));
+  Net.set_planes net ~names:plane_names ~classify:fst;
+  Option.iter
+    (fun tr ->
+      let codes = Array.map (fun plane -> Trace.intern_message tr ~plane ~msg:"m") plane_names in
+      Net.set_trace net tr ~coder:(fun (p, _) -> codes.(p)))
+    trace;
+  Option.iter (fun (loss, duplication) -> Net.set_faults net ~seed ~loss ~duplication ()) faults;
+  let sender s = if s < 0 then Net.Client else Net.Server (s mod n) in
+  let replies = ref [] and transmissions = ref [] in
+  let note src dst =
+    transmissions :=
+      (src, dst, Net.reachable net ~src ~dst, Net.is_up net dst) :: !transmissions
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | `Fail s -> Net.fail net (s mod n)
+      | `Recover s -> Net.recover net (s mod n)
+      | `Partition (name, sides, clients) ->
+        let side k = List.filter (fun i -> List.nth sides i = k) (List.init n Fun.id) in
+        Net.partition net ~name ~clients ~a:(side 1) ~b:(side 2) ()
+      | `Heal name -> Net.heal net ~name
+      | `Send (s, d, p) ->
+        let src = sender s and dst = d mod n in
+        note src dst;
+        replies := `Send (Net.send net ~src ~dst (p, i)) :: !replies
+      | `Broadcast (s, p) ->
+        let src = sender s in
+        for dst = n - 1 downto 0 do
+          note src dst
+        done;
+        let got = ref [] in
+        Net.broadcast net ~src ~on_reply:(fun dst r -> got := (dst, r) :: !got) (p, i);
+        replies := `Broadcast (List.rev !got) :: !replies)
+    ops;
+  ( (List.rev !replies, List.rev !calls, Metrics.snapshot metrics),
+    (List.rev !transmissions, net) )
+
+(* Walk a record-all trace against the transmissions, tallying what it
+   shows; [None] when some transmission is not one Send followed by its
+   expected resolution. *)
+let tally_sync_spans spans transmissions =
+  let actor = function Net.Client -> Span.Client | Net.Server i -> Span.Server i in
+  let rec go spans txs ((recv, down, lost, blocked, dup) as acc) =
+    match (txs, spans) with
+    | [], [] -> Some acc
+    | (src, dst, reach, up) :: txs, { Span.id; cause = None; kind = Send s; _ } :: rest
+      when s.src = actor src && s.dst = dst ->
+      let rec children acc = function
+        | ({ Span.cause = Some c; _ } as sp) :: rest when c = id -> children (sp :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let kids, rest = children [] rest in
+      let to_dst = function
+        | Span.Recv r -> r.dst = dst && r.src = actor src
+        | Span.Drop d -> d.dst = dst && d.src = actor src
+        | _ -> false
+      in
+      let reason = function Span.Drop d -> Some d.reason | _ -> None in
+      let kinds = List.map (fun (sp : Span.t) -> sp.kind) kids in
+      if not (List.for_all to_dst kinds) then None
+      else begin
+        match (List.map reason kinds, reach, up) with
+        | [ Some Span.Blocked ], false, _ -> go rest txs (recv, down, lost, blocked + 1, dup)
+        | [ Some Span.Lost ], true, _ -> go rest txs (recv, down, lost + 1, blocked, dup)
+        | ([ None ] | [ None; None ]), true, true ->
+          let k = List.length kinds in
+          go rest txs (recv + k, down, lost, blocked, dup + k - 1)
+        | ([ Some Span.Down ] | [ Some Span.Down; Some Span.Down ]), true, false ->
+          let k = List.length kinds in
+          go rest txs (recv, down + k, lost, blocked, dup + k - 1)
+        | _ -> None
+      end
+    | _ -> None
+  in
+  go spans transmissions (0, 0, 0, 0, 0)
+
+let prop_tracing_never_changes_sync_delivery =
+  Helpers.qcheck "tracing never changes sync delivery" sync_schedule_gen (fun schedule ->
+      let traced ?sample ?planes () =
+        let tr = Trace.create ?sample ?planes () in
+        Trace.set_enabled tr true;
+        tr
+      in
+      let bare, _ = run_sync_schedule schedule in
+      let all = traced () in
+      let all_out, (transmissions, net) = run_sync_schedule ~trace:all schedule in
+      let path = Filename.temp_file "plookup_net" ".jsonl" in
+      let oc = open_out path in
+      let streamed = traced () in
+      Trace.add_sink streamed (Sink.jsonl oc);
+      let streamed_out, _ = run_sync_schedule ~trace:streamed schedule in
+      close_out oc;
+      let lines = In_channel.with_open_text path In_channel.input_all in
+      Sys.remove path;
+      let spans = Trace.spans all in
+      let same_as_bare trace = fst (run_sync_schedule ~trace schedule) = bare in
+      all_out = bare && streamed_out = bare
+      && same_as_bare (traced ~sample:0.3 ())
+      && same_as_bare (traced ~planes:[ "strategy" ] ())
+      && lines = String.concat "" (List.map (fun sp -> Span.to_json sp ^ "\n") spans)
+      && tally_sync_spans spans transmissions
+         = Some
+             ( Net.messages_received net,
+               Net.messages_dropped net,
+               Net.messages_lost net,
+               Net.messages_blocked net,
+               Net.duplicates_delivered net ))
 
 (* {2 Capacity model (queueing, shedding, gray failure)} *)
 
@@ -622,4 +788,5 @@ let () =
             test_up_tracking_matches_list;
           Alcotest.test_case "random_up_server draws one rank" `Quick
             test_random_up_server_draws_one_rank;
-          prop_message_count_additive ] ) ]
+          prop_message_count_additive;
+          prop_tracing_never_changes_sync_delivery ] ) ]

@@ -219,8 +219,9 @@ let test_every_strategy_declares_its_discipline () =
         (Service.discipline service = expected_discipline m.Strategy_intf.name params))
     (Strategy_registry.all ())
 
-(* A lookup for no entries is a caller's error, as on the async client:
-   it raises before contacting or drawing anything. *)
+(* A lookup for no entries, plain or by preference, is a caller's
+   error, as on the async client: it raises before contacting or drawing
+   anything. *)
 let test_every_strategy_rejects_a_nonpositive_target () =
   List.iter
     (fun (module S : Strategy_intf.S) ->
@@ -236,7 +237,11 @@ let test_every_strategy_rejects_a_nonpositive_target () =
           Alcotest.check_raises
             (Printf.sprintf "%s t=%d" m.Strategy_intf.name t)
             (Invalid_argument "Probe.lookup: t must be positive")
-            (fun () -> ignore (Service.partial_lookup service t)))
+            (fun () -> ignore (Service.partial_lookup service t));
+          Alcotest.check_raises
+            (Printf.sprintf "%s pref t=%d" m.Strategy_intf.name t)
+            (Invalid_argument "Service.partial_lookup_pref: t must be positive")
+            (fun () -> ignore (Service.partial_lookup_pref service ~cost:(fun _ -> 0.) t)))
         [ 0; -1; min_int ];
       Helpers.check_int (m.Strategy_intf.name ^ " sent nothing") 0
         (Net.messages_received (Cluster.net cluster));
