@@ -256,48 +256,61 @@ let repair_config ~repair ~grace ~period =
              grace = Option.value grace ~default:d.Plookup.Repair.grace;
              period = Option.value period ~default:d.Plookup.Repair.period }))
 
+(* Every flag that configures an experiment context, as one term, so
+   [run] and [trace] accept the same ones.  It yields a function from
+   the observability handle ([trace] passes its own) to the context, or
+   to the message that rejects the flags. *)
+let ctx_term =
+  let build seed scale jobs loss duplication jitter mttf mttr horizon repair grace period
+      capacity service_rate deadline hedge breaker degrade cache cache_cap cache_ttl swr
+      hotspot obs =
+    match repair_config ~repair ~grace ~period with
+    | Error msg -> Error msg
+    | Ok repair -> (
+      let overload =
+        overload_config ~capacity ~service_rate ~deadline ~hedge ~breaker ~degrade
+      in
+      let cache = cache_config ~cache ~cache_cap ~cache_ttl ~swr ~hotspot in
+      match
+        Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication ~jitter
+          ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs ()
+      with
+      | ctx -> Ok ctx
+      | exception Invalid_argument msg -> Error msg)
+  in
+  Term.(
+    const build $ seed_arg $ scale_arg $ jobs_arg $ loss_arg $ duplication_arg $ jitter_arg
+    $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg $ grace_arg $ repair_period_arg
+    $ capacity_arg $ service_rate_arg $ deadline_arg $ hedge_arg $ breaker_arg $ degrade_arg
+    $ cache_flag $ cache_cap_arg $ cache_ttl_arg $ swr_arg $ hotspot_arg)
+
+let find_experiment id =
+  match Experiments.Registry.find id with
+  | Some e -> Ok e
+  | None ->
+    Error
+      (Printf.sprintf "unknown experiment %S; try one of: %s" id
+         (String.concat ", " (Experiments.Registry.ids ())))
+
 (* run subcommand *)
-let run_experiment ids seed scale jobs loss duplication jitter mttf mttr horizon repair
-    grace period capacity service_rate deadline hedge breaker degrade cache cache_cap
-    cache_ttl swr hotspot csv plot =
-  match repair_config ~repair ~grace ~period with
+let run_experiment ids ctx csv plot =
+  match ctx None with
   | Error msg -> `Error (false, msg)
-  | Ok repair -> (
-  let overload =
-    overload_config ~capacity ~service_rate ~deadline ~hedge ~breaker ~degrade
-  in
-  let cache = cache_config ~cache ~cache_cap ~cache_ttl ~swr ~hotspot in
-  match
-    Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication ~jitter
-      ?mttf ?mttr ?horizon ?repair ?overload ?cache ()
-  with
-  | exception Invalid_argument msg -> `Error (false, msg)
-  | ctx ->
-  let resolve id =
-    match Experiments.Registry.find id with
-    | Some e -> Ok e
-    | None ->
-      Error
-        (Printf.sprintf "unknown experiment %S; try one of: %s" id
-           (String.concat ", " (Experiments.Registry.ids ())))
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | id :: rest -> (
-      match resolve id with
-      | Error _ as e -> e
-      | Ok e ->
-        let t0 = Unix.gettimeofday () in
-        let table = e.Experiments.Registry.run ctx in
-        render ~csv ~plot table;
-        Printf.printf "(%s finished in %.1fs)\n\n%!" e.Experiments.Registry.id
-          (Unix.gettimeofday () -. t0);
-        go rest)
-  in
-  let ids = if ids = [] then Experiments.Registry.ids () else ids in
-  match go ids with
-  | Ok () -> `Ok ()
-  | Error msg -> `Error (false, msg))
+  | Ok ctx ->
+    let rec go = function
+      | [] -> `Ok ()
+      | id :: rest -> (
+        match find_experiment id with
+        | Error msg -> `Error (false, msg)
+        | Ok e ->
+          let t0 = Unix.gettimeofday () in
+          let table = e.Experiments.Registry.run ctx in
+          render ~csv ~plot table;
+          Printf.printf "(%s finished in %.1fs)\n\n%!" e.Experiments.Registry.id
+            (Unix.gettimeofday () -. t0);
+          go rest)
+    in
+    go (if ids = [] then Experiments.Registry.ids () else ids)
 
 let run_cmd =
   let ids =
@@ -307,13 +320,7 @@ let run_cmd =
   let doc = "Regenerate one or more of the paper's tables/figures." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(
-      ret
-        (const run_experiment $ ids $ seed_arg $ scale_arg $ jobs_arg $ loss_arg
-        $ duplication_arg $ jitter_arg $ mttf_arg $ mttr_arg $ horizon_arg $ repair_arg
-        $ grace_arg $ repair_period_arg $ capacity_arg $ service_rate_arg $ deadline_arg
-        $ hedge_arg $ breaker_arg $ degrade_arg $ cache_flag $ cache_cap_arg
-        $ cache_ttl_arg $ swr_arg $ hotspot_arg $ csv_arg $ plot_arg))
+    Term.(ret (const run_experiment $ ids $ ctx_term $ csv_arg $ plot_arg))
 
 (* list subcommand *)
 let list_experiments () =
@@ -522,17 +529,13 @@ let sweep_cmd =
         $ csv_arg))
 
 (* trace subcommand: one experiment with the observability layer on *)
-let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_planes seed
-    scale jobs loss duplication jitter csv =
+let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_planes ctx csv
+    =
   let module Obs = Plookup_obs.Obs in
   let module Trace = Plookup_obs.Trace in
-  match Experiments.Registry.find id with
-  | None ->
-    `Error
-      ( false,
-        Printf.sprintf "unknown experiment %S; try one of: %s" id
-          (String.concat ", " (Experiments.Registry.ids ())) )
-  | Some e -> (
+  match find_experiment id with
+  | Error msg -> `Error (false, msg)
+  | Ok e -> (
     let known_planes = Array.to_list Plookup.Msg.plane_names in
     let bad_planes =
       match trace_planes with
@@ -554,20 +557,19 @@ let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_plan
         Obs.create ~trace_capacity:trace_cap ~trace_sample ?trace_planes:trace_planes ()
       in
       Trace.set_enabled obs.Obs.trace true;
-      let sink_channel =
-        Option.map
-          (fun path ->
-            let oc = open_out path in
-            Trace.add_sink obs.Obs.trace (Plookup_obs.Sink.jsonl oc);
-            oc)
-          trace_out
-      in
-      match
-        Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication
-          ~jitter ~obs ()
-      with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | ctx ->
+      match ctx (Some obs) with
+      | Error msg -> `Error (false, msg)
+      | Ok ctx ->
+        (* Opened only once every flag is accepted, so a rejected run
+           leaves no trace file behind. *)
+        let sink_channel =
+          Option.map
+            (fun path ->
+              let oc = open_out path in
+              Trace.add_sink obs.Obs.trace (Plookup_obs.Sink.jsonl oc);
+              oc)
+            trace_out
+        in
         let table = e.Experiments.Registry.run ctx in
         render ~csv ~plot:false table;
         Trace.flush obs.Obs.trace;
@@ -644,12 +646,11 @@ let trace_cmd =
     Term.(
       ret
         (const trace_experiment $ id $ trace_out $ metrics_dump $ trace_cap $ trace_sample
-        $ trace_planes $ seed_arg $ scale_arg $ jobs_arg $ loss_arg $ duplication_arg
-        $ jitter_arg $ csv_arg))
+        $ trace_planes $ ctx_term $ csv_arg))
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.28.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.29.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

@@ -12,14 +12,6 @@ type node = {
   mutable next : node option;
 }
 
-type counters = {
-  c_hits : Metrics.counter;
-  c_misses : Metrics.counter;
-  c_stale : Metrics.counter;
-  c_coalesced : Metrics.counter;
-  c_evictions : Metrics.counter;
-}
-
 type stats = {
   hits : int;
   misses : int;
@@ -42,13 +34,14 @@ type t = {
      bool marks a background refresh (its sends reach no caller, so they
      are accounted separately).  Waiters are kept in arrival order. *)
   flights : (int, bool * (Lookup_result.t -> now:float -> unit) Queue.t) Hashtbl.t;
-  counters : counters option;
   trace : Trace.t option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stale_served : int;
-  mutable coalesced : int;
-  mutable evictions : int;
+  (* Verdict counters, on the [obs] registry when there is one and on a
+     private registry otherwise; {!stats} reads them back. *)
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  stale_served : Metrics.counter;
+  coalesced : Metrics.counter;
+  evictions : Metrics.counter;
   mutable refreshes : int;
   mutable refresh_sends : int;
 }
@@ -57,17 +50,10 @@ let create ?obs ?(ttl = 100.) ?(swr = 0.) ~capacity () =
   if capacity < 1 then invalid_arg "Client_cache.create: capacity must be >= 1";
   if ttl <= 0. then invalid_arg "Client_cache.create: ttl must be positive";
   if swr < 0. then invalid_arg "Client_cache.create: swr must be non-negative";
-  let counters =
-    Option.map
-      (fun o ->
-        let m = o.Plookup_obs.Obs.metrics in
-        { c_hits = Metrics.counter m "client.cache.hits";
-          c_misses = Metrics.counter m "client.cache.misses";
-          c_stale = Metrics.counter m "client.cache.stale_served";
-          c_coalesced = Metrics.counter m "client.cache.coalesced";
-          c_evictions = Metrics.counter m "client.cache.evictions" })
-      obs
+  let metrics =
+    match obs with Some o -> o.Plookup_obs.Obs.metrics | None -> Metrics.create ()
   in
+  let counter name = Metrics.counter metrics ("client.cache." ^ name) in
   { capacity;
     ttl;
     swr;
@@ -76,13 +62,12 @@ let create ?obs ?(ttl = 100.) ?(swr = 0.) ~capacity () =
     tail = None;
     size = 0;
     flights = Hashtbl.create 16;
-    counters;
     trace = Option.map (fun o -> o.Plookup_obs.Obs.trace) obs;
-    hits = 0;
-    misses = 0;
-    stale_served = 0;
-    coalesced = 0;
-    evictions = 0;
+    hits = counter "hits";
+    misses = counter "misses";
+    stale_served = counter "stale_served";
+    coalesced = counter "coalesced";
+    evictions = counter "evictions";
     refreshes = 0;
     refresh_sends = 0 }
 
@@ -90,11 +75,11 @@ let cardinal t = t.size
 let capacity t = t.capacity
 
 let stats t =
-  { hits = t.hits;
-    misses = t.misses;
-    stale_served = t.stale_served;
-    coalesced = t.coalesced;
-    evictions = t.evictions;
+  { hits = Metrics.value t.hits;
+    misses = Metrics.value t.misses;
+    stale_served = Metrics.value t.stale_served;
+    coalesced = Metrics.value t.coalesced;
+    evictions = Metrics.value t.evictions;
     refreshes = t.refreshes;
     refresh_sends = t.refresh_sends }
 
@@ -130,8 +115,7 @@ let evict_lru t =
   | None -> ()
   | Some n ->
     remove t n;
-    t.evictions <- t.evictions + 1;
-    Option.iter (fun c -> Metrics.incr c.c_evictions) t.counters
+    Metrics.incr t.evictions
 
 let insert t ~key ~now result =
   match Hashtbl.find_opt t.table key with
@@ -162,13 +146,11 @@ let mark_hit t ~now =
   | _ -> ()
 
 let miss t ~key ~waiter =
-  t.misses <- t.misses + 1;
-  Option.iter (fun c -> Metrics.incr c.c_misses) t.counters;
+  Metrics.incr t.misses;
   match Hashtbl.find_opt t.flights key with
   | Some (_, waiters) ->
     Queue.add waiter waiters;
-    t.coalesced <- t.coalesced + 1;
-    Option.iter (fun c -> Metrics.incr c.c_coalesced) t.counters;
+    Metrics.incr t.coalesced;
     Join
   | None ->
     Hashtbl.replace t.flights key (false, Queue.create ());
@@ -179,8 +161,7 @@ let lookup t ~key ~now ~waiter =
   | None -> miss t ~key ~waiter
   | Some n ->
     if now < n.expires then begin
-      t.hits <- t.hits + 1;
-      Option.iter (fun c -> Metrics.incr c.c_hits) t.counters;
+      Metrics.incr t.hits;
       touch t n;
       mark_hit t ~now;
       Hit n.result
@@ -188,8 +169,7 @@ let lookup t ~key ~now ~waiter =
     else if now < n.expires +. t.swr then begin
       (* Stale but servable: serve it, and make this caller the
          background refresher unless one is already in flight. *)
-      t.stale_served <- t.stale_served + 1;
-      Option.iter (fun c -> Metrics.incr c.c_stale) t.counters;
+      Metrics.incr t.stale_served;
       touch t n;
       mark_hit t ~now;
       if Hashtbl.mem t.flights key then Stale_wait n.result

@@ -34,11 +34,12 @@
 
     {2 Instrumentation}
 
-    When built with [?obs], the cache mirrors its counters into the
-    metrics registry as [client.cache.hits], [client.cache.misses],
-    [client.cache.stale_served], [client.cache.coalesced] and
-    [client.cache.evictions], and emits a [Mark] span per served hit
-    when tracing is enabled. *)
+    The cache counts its verdicts as [client.cache.hits],
+    [client.cache.misses], [client.cache.stale_served],
+    [client.cache.coalesced] and [client.cache.evictions], cells on the
+    [?obs] registry when one is given (a private registry otherwise),
+    which {!stats} reads back.  With [?obs] it also emits a [Mark] span
+    per served hit when tracing is enabled. *)
 
 type t
 

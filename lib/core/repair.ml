@@ -539,8 +539,8 @@ let daemon_tick t =
            already holds the answering stores' copies after the repairs
            (a lost or duplicated send moved it by what it did, as the
            membership tests above saw; the scrub touches only
-           tombstones); an up store whose digest pull was lost or whose
-           link was blocked is counted now. *)
+           tombstones); an up store whose digest pull was lost is
+           counted now. *)
         for i = 0 to n - 1 do
           if dig.(i) = None && Cluster.is_up t.cluster i then count_store t i
         done;

@@ -5,9 +5,9 @@ module Span = Plookup_obs.Span
 
 type sender = Client | Server of int
 
-(* Senders are keyed by an integer code so that per-link RNG streams and
-   partition sides treat clients and servers uniformly: -1 is "the
-   client side", 0..n-1 are the servers. *)
+(* Senders are keyed by an integer code so that per-link RNG streams
+   treat clients and servers uniformly: -1 is "the client side", 0..n-1
+   are the servers. *)
 let code = function Client -> -1 | Server i -> i
 
 type faults = {
@@ -15,19 +15,7 @@ type faults = {
   duplication : float;
   jitter : float;
   fault_seed : int;
-  links : (int * int, Rng.t) Hashtbl.t;
-}
-
-type partition_side = [ `A | `B ]
-
-(* Side membership is kept as bitsets so the per-delivery partition
-   check is O(1) in the number of servers, not a [List.mem] scan over
-   the side lists. *)
-type partition = {
-  pname : string;
-  a_bits : Bitset.t;
-  b_bits : Bitset.t;
-  clients : partition_side;
+  links : (int, Rng.t) Hashtbl.t; (* per-link streams, by [link_rng]'s key *)
 }
 
 (* [coder msg] is the packed plane/msg code for the message — from
@@ -67,7 +55,6 @@ type ('msg, 'reply) t = {
   mutable classify : ('msg -> int) option;
   dropped : Metrics.counter;
   lost : Metrics.counter;
-  blocked : Metrics.counter;
   duplicated : Metrics.counter;
   broadcast_count : Metrics.counter;
   client_count : Metrics.counter;
@@ -78,7 +65,6 @@ type ('msg, 'reply) t = {
   mutable engine : Plookup_sim.Engine.t option; (* the clock; see [attach_engine] *)
   mutable status_listeners : (int -> up:bool -> unit) list;
   mutable faults : faults option;
-  mutable partitions : partition list;
   mutable capacity : 'reply capacity option;
 }
 
@@ -103,7 +89,6 @@ let create ?metrics ~n () =
     classify = None;
     dropped = Metrics.counter m "net.messages.dropped";
     lost = Metrics.counter m "net.messages.lost";
-    blocked = Metrics.counter m "net.messages.blocked";
     duplicated = Metrics.counter m "net.messages.duplicated";
     broadcast_count = Metrics.counter m "net.broadcasts";
     client_count = Metrics.counter m "net.client_requests";
@@ -114,7 +99,6 @@ let create ?metrics ~n () =
     engine = None;
     status_listeners = [];
     faults = None;
-    partitions = [];
     capacity = None }
 
 let set_planes t ~names ~classify =
@@ -172,12 +156,6 @@ let kth_up t k =
   if k < 0 || k >= up then invalid_arg "Net.kth_up: rank out of range";
   if up = t.n then k else Fenwick.select t.up_fen k
 
-let fail_exactly t down =
-  for i = 0 to t.n - 1 do
-    recover t i
-  done;
-  List.iter (fail t) down
-
 (* {2 Fault injection} *)
 
 let set_faults t ~seed ?(loss = 0.) ?(duplication = 0.) ?(jitter = 0.) () =
@@ -188,21 +166,23 @@ let set_faults t ~seed ?(loss = 0.) ?(duplication = 0.) ?(jitter = 0.) () =
   t.faults <-
     Some { loss; duplication; jitter; fault_seed = seed; links = Hashtbl.create 16 }
 
-let clear_faults t = t.faults <- None
-
 (* Each directed link owns an RNG stream derived from the fault seed, so
    the drop/duplicate/jitter schedule of a link depends only on the
    sequence of transmissions on that link — deterministic regardless of
-   how traffic on other links interleaves. *)
-let link_rng f ~from_code ~to_code =
-  match Hashtbl.find_opt f.links (from_code, to_code) with
+   how traffic on other links interleaves.  Both codes lie in
+   [-1, n - 1] (reply legs go to the client), so
+   [(from + 1) * (n + 1) + (to + 1)] names each directed link by one
+   distinct int: the lookup allocates no tuple. *)
+let link_rng t f ~from_code ~to_code =
+  let key = ((from_code + 1) * (t.n + 1)) + to_code + 1 in
+  match Hashtbl.find_opt f.links key with
   | Some rng -> rng
   | None ->
     let h = Rng.mix64 (Int64.of_int f.fault_seed) in
     let h = Rng.mix64 (Int64.logxor h (Int64.of_int (from_code + 1))) in
     let h = Rng.mix64 (Int64.logxor h (Int64.of_int (to_code + 1))) in
     let rng = Rng.create (Int64.to_int h land max_int) in
-    Hashtbl.add f.links (from_code, to_code) rng;
+    Hashtbl.add f.links key rng;
     rng
 
 (* {2 Server capacity (overload model)} *)
@@ -225,9 +205,6 @@ let set_capacity t ~service_rate ~queue_limit ?nack () =
                 "net.queue.depth");
         shed = Metrics.counter t.metrics "net.messages.shed" }
 
-let clear_capacity t = t.capacity <- None
-let has_capacity t = Option.is_some t.capacity
-
 let capacity_exn t caller =
   match t.capacity with
   | Some c -> c
@@ -247,44 +224,6 @@ let queue_depth t i =
   match t.capacity with None -> 0 | Some c -> c.depth.(i)
 
 let messages_shed t = match t.capacity with None -> 0 | Some c -> Metrics.value c.shed
-
-(* {2 Partitions} *)
-
-let side_of p c =
-  if c = -1 then Some p.clients
-  else if Bitset.mem p.a_bits c then Some `A
-  else if Bitset.mem p.b_bits c then Some `B
-  else None
-
-let crosses p ~from_code ~to_code =
-  match (side_of p from_code, side_of p to_code) with
-  | Some x, Some y -> x <> y
-  | _ -> false
-
-let link_blocked t ~from_code ~to_code =
-  t.partitions <> [] && List.exists (fun p -> crosses p ~from_code ~to_code) t.partitions
-
-let partition t ~name ?(clients = `A) ~a ~b () =
-  List.iter (check_node t) a;
-  List.iter (check_node t) b;
-  let a_bits = Bitset.create t.n and b_bits = Bitset.create t.n in
-  List.iter (Bitset.add a_bits) a;
-  List.iter (Bitset.add b_bits) b;
-  (* Bitset intersection, not the old pairwise element scan: one pass
-     over n/8 bytes regardless of how long the side lists are. *)
-  if not (Bitset.disjoint a_bits b_bits) then
-    invalid_arg "Net.partition: a server cannot be on both sides";
-  t.partitions <-
-    { pname = name; a_bits; b_bits; clients }
-    :: List.filter (fun p -> p.pname <> name) t.partitions
-
-let heal t ~name = t.partitions <- List.filter (fun p -> p.pname <> name) t.partitions
-let heal_all t = t.partitions <- []
-let partitions t = List.rev_map (fun p -> p.pname) t.partitions
-
-let reachable t ~src ~dst =
-  check_node t dst;
-  not (link_blocked t ~from_code:(code src) ~to_code:dst)
 
 (* {2 Tracing}
 
@@ -355,42 +294,35 @@ let deliver t ~sid ~src ~dst msg =
     Some ((handler_exn t) dst src msg)
   end
 
-(* One synchronous server-bound transmission: partition, then loss, then
-   delivery (twice when duplicated).  Jitter is meaningless without an
-   engine, so the synchronous path never draws it.  Each outcome is
-   traced through the hooks above, traced or not; a clean delivery to a
-   live server with no fault layer, the common case, writes its Send and
-   Recv as one pair cell. *)
+(* One synchronous server-bound transmission: loss, then delivery (twice
+   when duplicated).  Jitter is meaningless without an engine, so the
+   synchronous path never draws it.  Each outcome is traced through the
+   hooks above, traced or not; a clean delivery to a live server with no
+   fault layer, the common case, writes its Send and Recv as one pair
+   cell. *)
 let sync_transmit t ~src ~dst msg =
-  if link_blocked t ~from_code:(code src) ~to_code:dst then begin
-    Metrics.incr t.blocked;
+  match t.faults with
+  | None when t.up.(dst) ->
+    trace_send_recv t ~src ~dst msg;
+    account t ~src ~dst msg;
+    Some ((handler_exn t) dst src msg)
+  | None -> deliver t ~sid:(trace_send t ~src ~dst msg) ~src ~dst msg
+  | Some f ->
     let sid = trace_send t ~src ~dst msg in
-    trace_drop t ~sid ~src ~dst ~reason:Span.Blocked msg;
-    None
-  end
-  else
-    match t.faults with
-    | None when t.up.(dst) ->
-      trace_send_recv t ~src ~dst msg;
-      account t ~src ~dst msg;
-      Some ((handler_exn t) dst src msg)
-    | None -> deliver t ~sid:(trace_send t ~src ~dst msg) ~src ~dst msg
-    | Some f ->
-      let sid = trace_send t ~src ~dst msg in
-      let rng = link_rng f ~from_code:(code src) ~to_code:dst in
-      if Rng.bernoulli rng f.loss then begin
-        Metrics.incr t.lost;
-        trace_drop t ~sid ~src ~dst ~reason:Span.Lost msg;
-        None
-      end
-      else begin
-        let reply = deliver t ~sid ~src ~dst msg in
-        if Rng.bernoulli rng f.duplication then begin
-          Metrics.incr t.duplicated;
-          ignore (deliver t ~sid ~src ~dst msg)
-        end;
-        reply
-      end
+    let rng = link_rng t f ~from_code:(code src) ~to_code:dst in
+    if Rng.bernoulli rng f.loss then begin
+      Metrics.incr t.lost;
+      trace_drop t ~sid ~src ~dst ~reason:Span.Lost msg;
+      None
+    end
+    else begin
+      let reply = deliver t ~sid ~src ~dst msg in
+      if Rng.bernoulli rng f.duplication then begin
+        Metrics.incr t.duplicated;
+        ignore (deliver t ~sid ~src ~dst msg)
+      end;
+      reply
+    end
 
 let send t ~src ~dst msg =
   check_node t dst;
@@ -415,7 +347,6 @@ let messages_received_by t i =
 
 let messages_dropped t = Metrics.value t.dropped
 let messages_lost t = Metrics.value t.lost
-let messages_blocked t = Metrics.value t.blocked
 let duplicates_delivered t = Metrics.value t.duplicated
 let broadcasts t = Metrics.value t.broadcast_count
 let client_requests t = Metrics.value t.client_count
@@ -431,7 +362,6 @@ let reset_counters t =
   Array.iter Metrics.reset_counter t.plane_received;
   Metrics.reset_counter t.dropped;
   Metrics.reset_counter t.lost;
-  Metrics.reset_counter t.blocked;
   Metrics.reset_counter t.duplicated;
   Metrics.reset_counter t.broadcast_count;
   Metrics.reset_counter t.client_count;
@@ -446,46 +376,40 @@ let schedule_copy t engine ~delay action =
   ignore (Plookup_sim.Engine.schedule_after engine ~delay action)
 
 (* Schedule [action] once for each copy of one engine-routed
-   transmission that arrives: never when partitioned or lost, twice when
-   duplicated, each copy jittered independently, and once at [base] on a
-   fault-free link.  [spanmsg] carries the message for Drop spans on the
-   traced (server-bound request) leg; reply legs pass nothing and stay
-   unspanned, mirroring the counters (only server-received messages are
-   costed). *)
+   transmission that arrives: never when lost, twice when duplicated,
+   each copy jittered independently, and once at [base] on a fault-free
+   link.  Both legs of a round trip pass through here, so [lost] and
+   [duplicated] count reply legs as well as requests.  Only the
+   server-bound request leg carries [spanmsg] and gets a Lost Drop span;
+   reply legs stay unspanned, so [lost] can exceed the trace's Lost
+   spans.  [received] and [dropped] count at delivery, which only
+   requests reach. *)
 let transmit t engine ?(sid = 0) ?spanmsg ~from_code ~to_code ~base action =
-  let dropped reason =
-    match spanmsg with
-    | Some msg when to_code >= 0 ->
-      trace_drop t ~sid ~src:(if from_code < 0 then Client else Server from_code)
-        ~dst:to_code ~reason msg
-    | _ -> ()
-  in
-  if link_blocked t ~from_code ~to_code then begin
-    Metrics.incr t.blocked;
-    dropped Span.Blocked
-  end
-  else
-    match t.faults with
-    | None -> schedule_copy t engine ~delay:base action
-    | Some f ->
-      let rng = link_rng f ~from_code ~to_code in
-      if Rng.bernoulli rng f.loss then begin
-        Metrics.incr t.lost;
-        dropped Span.Lost
+  match t.faults with
+  | None -> schedule_copy t engine ~delay:base action
+  | Some f ->
+    let rng = link_rng t f ~from_code ~to_code in
+    if Rng.bernoulli rng f.loss then begin
+      Metrics.incr t.lost;
+      match spanmsg with
+      | Some msg ->
+        trace_drop t ~sid ~src:(if from_code < 0 then Client else Server from_code)
+          ~dst:to_code ~reason:Span.Lost msg
+      | None -> ()
+    end
+    else begin
+      let jittered () =
+        base +. (if f.jitter > 0. then Rng.float rng f.jitter else 0.)
+      in
+      let d1 = jittered () in
+      if Rng.bernoulli rng f.duplication then begin
+        Metrics.incr t.duplicated;
+        let d2 = jittered () in
+        schedule_copy t engine ~delay:d1 action;
+        schedule_copy t engine ~delay:d2 action
       end
-      else begin
-        let jittered () =
-          base +. (if f.jitter > 0. then Rng.float rng f.jitter else 0.)
-        in
-        let d1 = jittered () in
-        if Rng.bernoulli rng f.duplication then begin
-          Metrics.incr t.duplicated;
-          let d2 = jittered () in
-          schedule_copy t engine ~delay:d1 action;
-          schedule_copy t engine ~delay:d2 action
-        end
-        else schedule_copy t engine ~delay:d1 action
-      end
+      else schedule_copy t engine ~delay:d1 action
+    end
 
 (* Engine-routed delivery through the capacity model.  The request
    waits in [dst]'s bounded inbox, then holds the server for one

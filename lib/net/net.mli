@@ -18,11 +18,12 @@
 
     Beyond binary up/down servers, a deterministic {e fault-injection}
     layer models lossy links: seeded per-link message loss, duplication
-    and delay jitter ({!set_faults}), plus named network partitions
-    ({!partition}) that cut client-to-server and server-to-server links.
-    All fault decisions are drawn from per-link RNG streams derived from
-    the fault seed, so a given seed always yields the identical
-    drop/duplicate/jitter schedule. *)
+    and delay jitter ({!set_faults}).  All fault decisions are drawn from
+    per-link RNG streams derived from the fault seed, so a given seed
+    always yields the identical drop/duplicate/jitter schedule.  An
+    optional capacity model ({!set_capacity}) turns each server into a
+    bounded queueing station on the engine-routed path.  Neither can be
+    removed once installed. *)
 
 type ('msg, 'reply) t
 
@@ -36,8 +37,8 @@ val create : ?metrics:Plookup_obs.Metrics.t -> n:int -> unit -> ('msg, 'reply) t
 
     Every counter below is a cell on [metrics] (default: a private
     registry), named [net.*]: per-server [net.messages.received]
-    (labelled [server=i]), [net.messages.dropped]/[lost]/[blocked]/
-    [duplicated], [net.broadcasts], [net.client_requests],
+    (labelled [server=i]), [net.messages.dropped]/[lost]/[duplicated],
+    [net.broadcasts], [net.client_requests],
     [net.messages.repair], plus a [net.delivery.delay] histogram of
     engine-routed delivery delays.  Cells are private to this instance —
     the accessors report exactly this network's traffic even when many
@@ -100,9 +101,6 @@ val kth_up : ('msg, 'reply) t -> int -> int
     every server is up, else in O(log n).  Requires
     [0 <= k < up_count t]. *)
 
-val fail_exactly : ('msg, 'reply) t -> int list -> unit
-(** Recover everyone, then fail exactly the given servers. *)
-
 (** {1 Fault injection}
 
     Orthogonal to whole-server failures: faults act on individual
@@ -123,15 +121,10 @@ val set_faults :
   ?jitter:float ->
   unit ->
   unit
-(** Install the fault layer; it acts on every transmission until
-    {!clear_faults}.  [loss] must be in [0, 1), [duplication] in
-    [0, 1], [jitter] non-negative; all default to 0.  Replaces any
-    previous fault configuration and resets the per-link streams. *)
-
-val clear_faults : ('msg, 'reply) t -> unit
-(** Remove the fault layer and its per-link streams: transmissions are
-    fault-free again, and a later {!set_faults} starts every link's
-    stream afresh.  Partitions are kept. *)
+(** Install the fault layer; it acts on every later transmission.
+    [loss] must be in [0, 1), [duplication] in [0, 1], [jitter]
+    non-negative; all default to 0.  Replaces any previous fault
+    configuration and resets the per-link streams. *)
 
 (** {2 Server capacity and gray failure (overload model)}
 
@@ -167,9 +160,6 @@ val set_capacity :
     arrival with that reply instantly; [None] (default) drops it
     silently, indistinguishable from loss to the client. *)
 
-val clear_capacity : ('msg, 'reply) t -> unit
-val has_capacity : ('msg, 'reply) t -> bool
-
 val set_degraded : ('msg, 'reply) t -> int -> factor:float -> unit
 (** Gray-fail one server: multiply its service time by [factor]
     ([>= 1]; [1.0] restores full health).  Requires an installed
@@ -185,47 +175,14 @@ val queue_depth : ('msg, 'reply) t -> int -> int
 val messages_shed : ('msg, 'reply) t -> int
 (** Requests rejected by a full inbox (dropped or nacked). *)
 
-(** {2 Partitions}
-
-    A named partition splits the world into two sides, [a] and [b];
-    transmissions crossing the cut are silently dropped (and counted as
-    blocked).  Servers listed on neither side are unaffected.  Clients
-    collectively sit on side [clients] (default [`A]).  Partitions
-    compose: a link is cut if {e any} active partition cuts it.  They
-    act whether or not a fault layer is installed, and are independent
-    of server up/down state. *)
-
-val partition :
-  ('msg, 'reply) t ->
-  name:string ->
-  ?clients:[ `A | `B ] ->
-  a:int list ->
-  b:int list ->
-  unit ->
-  unit
-(** Install or replace the partition called [name].  A server may not
-    appear on both sides. *)
-
-val heal : ('msg, 'reply) t -> name:string -> unit
-(** Remove one named partition (no-op if absent). *)
-
-val heal_all : ('msg, 'reply) t -> unit
-
-val partitions : ('msg, 'reply) t -> string list
-(** Names of the active partitions, oldest first. *)
-
-val reachable : ('msg, 'reply) t -> src:sender -> dst:int -> bool
-(** Whether a transmission [src -> dst] would cross any active
-    partition ([true] = no cut; ignores up/down state and loss). *)
-
 (** {1 Messaging} *)
 
 val send : ('msg, 'reply) t -> src:sender -> dst:int -> 'msg -> 'reply option
-(** Point-to-point.  [None] if [dst] is down (message dropped), the link
-    is partitioned (blocked) or the fault layer loses the request;
-    otherwise the handler's reply.  Counts 1 received message per
-    delivery (2 when duplication fires — the duplicate is processed and
-    its reply discarded, as a datagram server would). *)
+(** Point-to-point.  [None] if [dst] is down (message dropped) or the
+    fault layer loses the request; otherwise the handler's reply.
+    Counts 1 received message per delivery (2 when duplication fires —
+    the duplicate is processed and its reply discarded, as a datagram
+    server would). *)
 
 val broadcast :
   ('msg, 'reply) t -> src:sender -> ?on_reply:(int -> 'reply -> unit) -> 'msg -> unit
@@ -249,13 +206,12 @@ val messages_dropped : ('msg, 'reply) t -> int
 (** Transmissions that reached a {e down} server. *)
 
 val messages_lost : ('msg, 'reply) t -> int
-(** Transmissions dropped by injected link loss. *)
-
-val messages_blocked : ('msg, 'reply) t -> int
-(** Transmissions cut by an active partition. *)
+(** Transmissions dropped by injected link loss, on either leg of a
+    {!call_async} round trip. *)
 
 val duplicates_delivered : ('msg, 'reply) t -> int
-(** Extra copies delivered by injected duplication. *)
+(** Extra copies sent by injected duplication, on either leg of a
+    {!call_async} round trip. *)
 
 val broadcasts : ('msg, 'reply) t -> int
 val client_requests : ('msg, 'reply) t -> int
@@ -304,9 +260,10 @@ val call_async :
     down at delivery time the request is lost and the callback never
     fires — callers implement their own timeouts, exactly like a real
     datagram client.  The fault layer applies independently to each
-    direction: a lost or partition-blocked request (or reply) silences
-    the callback, jitter stretches either hop, and duplication can make
-    the callback fire more than once per call — callers must tolerate
-    duplicate replies.  Message accounting matches {!send}.  Each copy
-    of a hop that arrives is one engine event: a hop on a link with no
-    fault layer installed and no partition cutting it is exactly one. *)
+    direction: a lost request (or reply) silences the callback, jitter
+    stretches either hop, and duplication can make the callback fire
+    more than once per call — callers must tolerate duplicate replies.
+    Message accounting matches {!send}; {!messages_lost} and
+    {!duplicates_delivered} also count the reply hop.  Each copy of a
+    hop that arrives is one engine event: a hop on a network with no
+    fault layer installed is exactly one. *)

@@ -1,6 +1,6 @@
 type actor = Client | Server of int
 
-type drop_reason = Down | Lost | Blocked | Shed
+type drop_reason = Down | Lost | Shed
 
 type kind =
   | Send of { src : actor; dst : int; plane : string; msg : string }
@@ -25,7 +25,7 @@ let label t =
   | Migration _ -> "migration"
   | Mark _ -> "mark"
 
-let reason_name = function Down -> "down" | Lost -> "lost" | Blocked -> "blocked" | Shed -> "shed"
+let reason_name = function Down -> "down" | Lost -> "lost" | Shed -> "shed"
 
 let actor_json = function Client -> "-1" | Server i -> string_of_int i
 

@@ -19,7 +19,6 @@ type actor =
 type drop_reason =
   | Down  (** destination server was failed *)
   | Lost  (** injected link loss *)
-  | Blocked  (** cut by an active partition *)
   | Shed  (** rejected by a full inbox queue (capacity model load shed) *)
 
 type kind =

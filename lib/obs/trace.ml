@@ -52,13 +52,11 @@ let pair_bit = 1 lsl 62
 let reason_code : Span.drop_reason -> int = function
   | Span.Down -> 0
   | Span.Lost -> 1
-  | Span.Blocked -> 2
-  | Span.Shed -> 3
+  | Span.Shed -> 2
 
 let reason_of_code = function
   | 0 -> Span.Down
   | 1 -> Span.Lost
-  | 2 -> Span.Blocked
   | _ -> Span.Shed
 
 type t = {

@@ -54,14 +54,6 @@ let union_into dst src =
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
 
-let disjoint a b =
-  same_capacity a b;
-  let rec go i =
-    i >= Bytes.length a.words
-    || (Bytes.get_uint8 a.words i land Bytes.get_uint8 b.words i = 0 && go (i + 1))
-  in
-  go 0
-
 let is_empty t =
   let rec go i = i >= Bytes.length t.words || (Bytes.get_uint8 t.words i = 0 && go (i + 1)) in
   go 0

@@ -22,9 +22,6 @@ val union_into : t -> t -> unit
 
 val equal : t -> t -> bool
 
-val disjoint : t -> t -> bool
-(** Whether the two sets share no member — one pass, no allocation. *)
-
 val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

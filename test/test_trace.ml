@@ -286,7 +286,7 @@ let prop_decode_roundtrip =
   let dst = oneof [ int_range 0 1000; int_range 2_000_000 3_000_000 ] in
   let plane = oneofl [ "data"; "strategy"; "repair" ] in
   let msg = oneofl [ "lookup"; "add"; "delete"; "store_batch" ] in
-  let reason = oneofl [ Span.Down; Span.Lost; Span.Blocked; Span.Shed ] in
+  let reason = oneofl [ Span.Down; Span.Lost; Span.Shed ] in
   let time = map (fun i -> float_of_int i /. 7.) (int_range 0 10_000_000) in
   let kind =
     oneof
