@@ -408,7 +408,9 @@ let bench_obs () =
    t=35 working point, live heap words after placement, and the storage
    load skew (peak/mean entry count over servers) the strategy's hash
    geometry produces, so an O(n) scan creeping back into a hot path
-   shows up as a throughput regression at the larger sizes. *)
+   shows up as a throughput regression at the larger sizes.  The two
+   broadcast strategies add update throughput and allocation per
+   delivered copy at n = 10k. *)
 let bench_scale () =
   let sizes = [ 10; 1000; 10_000 ] and t = 35 and lookup_window = 200 in
   let cfg s =
@@ -460,12 +462,51 @@ let bench_scale () =
       skew "peak_to_average" key load.Metrics.Load.peak_to_average;
       skew "cov" key load.Metrics.Load.cov ]
   in
-  let rates = rate_rows (List.concat_map rate_cases setups) in
+  (* Broadcast updates at n = 10k.  RandomServer-2 and RoundRobin-2
+     deliver a delete and an add to every server (the paper charges a
+     broadcast n messages), so these rows time the broadcast copy.  An
+     update deletes a placed entry and adds it back, cycling through the
+     placed entries.  [words_per_delivery] is the minor words of a fixed
+     batch of [update_batch] updates, run untimed on the freshly placed
+     service, over the messages they delivered: exact for a given
+     binary, so it moves only when a copy allocates differently. *)
+  let update_n = 10_000 and update_batch = 20 and update_window = 10 in
+  let broadcast_updates config =
+    let service = Service.create ~seed:7 ~n:update_n config in
+    let entries = Array.of_list (Entry.Gen.batch (Entry.Gen.create ()) update_n) in
+    Service.place service (Array.to_list entries);
+    let next = ref 0 in
+    let update () =
+      let e = entries.(!next mod update_n) in
+      incr next;
+      Service.delete service e;
+      Service.add service e
+    in
+    let key = Printf.sprintf "%s@n=%d" (Service.config_name config) update_n in
+    let net = Cluster.net (Service.cluster service) in
+    Net.reset_counters net;
+    let words0 = Gc.minor_words () in
+    for _ = 1 to update_batch do
+      update ()
+    done;
+    let words = Gc.minor_words () -. words0 in
+    ( row ~digits:4 ~better:Lower ~unit:"words" "service" "words_per_delivery" key
+        (words /. float_of_int (Net.messages_received net)),
+      ( "service", "updates_per_sec", key, update_window,
+        fun () ->
+          for _ = 1 to update_window do
+            update ()
+          done ) )
+  in
+  let broadcasts = List.map broadcast_updates [ cfg "randomserver-2"; cfg "roundrobin-2" ] in
+  let rates = rate_rows (List.concat_map rate_cases setups @ List.map snd broadcasts) in
   ( Json.
       [ ("seed", Num 7.); ("t", Num (float_of_int t));
         ("sizes", Arr (List.map (fun n -> Num (float_of_int n)) sizes));
-        ("lookup_window", Num (float_of_int lookup_window)) ],
-    rates @ List.concat_map footprint setups )
+        ("lookup_window", Num (float_of_int lookup_window));
+        ("update_batch", Num (float_of_int update_batch));
+        ("update_window", Num (float_of_int update_window)) ],
+    rates @ List.concat_map footprint setups @ List.map fst broadcasts )
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: production-day chaos benchmark -> BENCH_day.json            *)

@@ -15,7 +15,8 @@ type t =
       rng : Rng.t;
       m : int;
       mutable i : int;
-      swaps : (int, int) Hashtbl.t;
+      mutable swaps : int array; (* displaced slots, a table described below *)
+      mutable stored : int; (* its occupied cells *)
       resolve : int -> int;
       keep : int -> bool;
     }
@@ -34,12 +35,25 @@ type t =
     }
   | Listed of { mutable pending : int list }
 
+(* The displaced slots live in an open-addressing table of ints with
+   linear probing, whose length is a power of two: a cell holds
+   [slot lsl value_bits lor value], or [empty].  Slots and values are
+   ranks below m, far below 2^31.  A slot is its own hash: the slots
+   stored are uniform draws, and a long walk fills [0, m) densely,
+   which identity hashing places without collisions.  Nothing is
+   removed: a slot below the cursor is never read again, and each step
+   stores at most one slot, so k steps still fill O(k) cells. *)
+let empty = -1
+let value_bits = 31
+let value_mask = (1 lsl value_bits) - 1
+
 let random_up ?(keep = fun _ -> true) cluster =
   Shuffle
     { rng = Cluster.rng cluster;
       m = Cluster.up_count cluster;
       i = 0;
-      swaps = Hashtbl.create 8;
+      swaps = Array.make 8 empty;
+      stored = 0;
       resolve = Net.kth_up (Cluster.net cluster);
       keep }
 
@@ -81,7 +95,27 @@ let of_list order =
             order }
   end
 
-let slot swaps k = match Hashtbl.find_opt swaps k with Some v -> v | None -> k
+(* The cell holding slot [k], or the empty cell where it would go. *)
+let rec cell swaps k c =
+  let e = swaps.(c) in
+  if e = empty || e lsr value_bits = k then c
+  else cell swaps k ((c + 1) land (Array.length swaps - 1))
+
+let find swaps k = cell swaps k (k land (Array.length swaps - 1))
+
+(* Slot [k]'s value, given its cell [c]: [k] itself unless displaced. *)
+let value swaps c k =
+  let e = swaps.(c) in
+  if e = empty then k else e land value_mask
+
+(* Double the table once it is three quarters full. *)
+let grow swaps =
+  let bigger = Array.make (2 * Array.length swaps) empty in
+  for c = 0 to Array.length swaps - 1 do
+    let e = swaps.(c) in
+    if e <> empty then bigger.(find bigger (e lsr value_bits)) <- e
+  done;
+  bigger
 
 let rec next t =
   match t with
@@ -90,10 +124,16 @@ let rec next t =
     else begin
       let i = s.i in
       let j = if s.m - i > 1 then i + Rng.int s.rng (s.m - i) else i in
-      let picked = slot s.swaps j in
-      if j <> i then Hashtbl.replace s.swaps j (slot s.swaps i);
-      (* Slot i is never read again. *)
-      Hashtbl.remove s.swaps i;
+      let cj = find s.swaps j in
+      let picked = value s.swaps cj j in
+      if j <> i then begin
+        let fresh = s.swaps.(cj) = empty in
+        s.swaps.(cj) <- (j lsl value_bits) lor value s.swaps (find s.swaps i) i;
+        if fresh then begin
+          s.stored <- s.stored + 1;
+          if 4 * s.stored > 3 * Array.length s.swaps then s.swaps <- grow s.swaps
+        end
+      end;
       s.i <- i + 1;
       let id = s.resolve picked in
       if s.keep id then Some id else next t

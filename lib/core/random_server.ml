@@ -59,7 +59,7 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     | _ -> ());
     let arr = t.batch in
     List.iteri (fun i e -> arr.(i) <- e) entries;
-    let k = min t.x h in
+    let k = Int.min t.x h in
     let lo = Rng.subset_in_place rng arr ~n:h ~k in
     for i = lo to lo + k - 1 do
       ignore (Server_store.add local arr.(i))
@@ -71,9 +71,9 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     if Server_store.cardinal local < t.x then ignore (Server_store.add local e)
     else begin
       (* Reservoir step: keep the newcomer with probability x/h, evicting
-         a uniform resident. *)
-      let p = float_of_int t.x /. float_of_int (max t.x t.counts.(dst)) in
-      if Rng.bernoulli rng p then begin
+         a uniform resident.  [Int.max], not the polymorphic [max]: this
+         runs on every copy of a broadcast. *)
+      if Rng.bernoulli_ratio rng ~num:t.x ~den:(Int.max t.x t.counts.(dst)) then begin
         (match Server_store.random_one local rng with
         | Some victim -> ignore (Server_store.remove local victim)
         | None -> ());
@@ -82,7 +82,7 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     end;
     Msg.Ack
   | Msg.Remove_counted e ->
-    t.counts.(dst) <- max 0 (t.counts.(dst) - 1);
+    t.counts.(dst) <- Int.max 0 (t.counts.(dst) - 1);
     let had = Server_store.remove local e in
     if had && t.replacement_on_delete then fetch_replacement t ~self:dst ~deleted:e;
     Msg.Ack

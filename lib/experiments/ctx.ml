@@ -54,14 +54,14 @@ type t = {
 
 let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
     ?(jitter = 0.) ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs () =
-  if scale <= 0. then invalid_arg "Ctx.v: scale must be positive";
-  if jobs < 1 then invalid_arg "Ctx.v: jobs must be at least 1";
-  if loss < 0. || loss >= 1. then invalid_arg "Ctx.v: loss must be in [0, 1)";
+  if scale <= 0. then invalid_arg "Ctx: scale must be positive";
+  if jobs < 1 then invalid_arg "Ctx: jobs must be at least 1";
+  if loss < 0. || loss >= 1. then invalid_arg "Ctx: loss must be in [0, 1)";
   if duplication < 0. || duplication > 1. then
-    invalid_arg "Ctx.v: duplication must be in [0, 1]";
-  if jitter < 0. then invalid_arg "Ctx.v: jitter must be non-negative";
+    invalid_arg "Ctx: duplication must be in [0, 1]";
+  if jitter < 0. then invalid_arg "Ctx: jitter must be non-negative";
   let positive name = function
-    | Some x when x <= 0. -> invalid_arg (Printf.sprintf "Ctx.v: %s must be positive" name)
+    | Some x when x <= 0. -> invalid_arg (Printf.sprintf "Ctx: %s must be positive" name)
     | _ -> ()
   in
   positive "mttf" mttf;

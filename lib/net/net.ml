@@ -330,13 +330,40 @@ let send t ~src ~dst msg =
 
 (* Replies are handed to [on_reply] as they come rather than collected:
    at n = 10k a reply list per update is 10k cells that survive long
-   enough to be promoted, and almost every caller ignores it. *)
+   enough to be promoted, and almost every caller ignores it.
+
+   What every copy shares is read once: the handler, the message's plane
+   cell, the client and repair tallies, and whether a fault layer or an
+   enabled trace is installed.  A clean copy (no fault layer, no enabled
+   trace, a live destination) is delivered inline with [sync_transmit]'s
+   accounting, in its order; every other copy goes through
+   [sync_transmit].  Handlers only change the tallies inside
+   [tally_as_repair], which restores them, so reading them once gives
+   each copy the value [account] would read. *)
 let broadcast t ~src ?on_reply msg =
   Metrics.incr t.broadcast_count;
+  let traced = match t.tracing with Some c -> Trace.enabled c.tr | None -> false in
+  let inline = if Option.is_none t.faults && not traced then t.handler else None in
+  let plane =
+    match t.classify with
+    | Some plane_of -> Some t.plane_received.(plane_of msg)
+    | None -> None
+  in
+  let repair = t.in_repair in
+  let client = match src with Client -> true | Server _ -> false in
   for dst = t.n - 1 downto 0 do
-    match (sync_transmit t ~src ~dst msg, on_reply) with
-    | Some reply, Some f -> f dst reply
-    | (Some _ | None), _ -> ()
+    match inline with
+    | Some handler when t.up.(dst) -> (
+      Metrics.incr t.received.(dst);
+      (match plane with Some c -> Metrics.incr c | None -> ());
+      if repair then Metrics.incr t.repair_count;
+      if client then Metrics.incr t.client_count;
+      let reply = handler dst src msg in
+      match on_reply with Some f -> f dst reply | None -> ())
+    | Some _ | None -> (
+      match (sync_transmit t ~src ~dst msg, on_reply) with
+      | Some reply, Some f -> f dst reply
+      | (Some _ | None), _ -> ())
   done
 
 let messages_received t = Array.fold_left (fun acc c -> acc + Metrics.value c) 0 t.received

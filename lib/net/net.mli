@@ -192,7 +192,15 @@ val broadcast :
     and one broadcast.  Each delivered reply is passed to
     [on_reply dst reply] as soon as its handler returns; without
     [on_reply] the replies are discarded, so a broadcast allocates
-    nothing per server. *)
+    nothing per server.
+
+    What every copy shares (the handler, the message's plane, the
+    client and repair tallies, whether faults or an enabled trace are
+    installed) is read once per broadcast.  A clean copy, sent with no
+    fault layer and no enabled trace to an up server, is delivered
+    inline; every other copy takes {!send}'s path.  Both count and
+    trace a copy alike, so every counter and span is what {!send} to
+    each server in turn would give. *)
 
 (** {1 Accounting} *)
 

@@ -66,13 +66,19 @@ let int t bound =
     draw_below t bound (max - (max mod bound))
   end
 
-let unit_float t =
+(* Inlined into its callers here, so [bernoulli] and [bernoulli_ratio]
+   compare an unboxed float and allocate nothing. *)
+let[@inline] unit_float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t p = unit_float t < p
+
+(* The probability is formed here, not by the caller: a float argument
+   is boxed across a call that is not inlined. *)
+let bernoulli_ratio t ~num ~den = unit_float t < float_of_int num /. float_of_int den
 
 (* A partial Fisher–Yates over the smaller side: the first [m] slots
    receive a uniform m-subset, so when [m = k] they are the subset and

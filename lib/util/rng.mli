@@ -39,6 +39,12 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val bernoulli_ratio : t -> num:int -> den:int -> bool
+(** [bernoulli_ratio t ~num ~den] is
+    [bernoulli t (float_of_int num /. float_of_int den)]: the same draw
+    and the same comparison, but no float crosses the call, so it
+    allocates nothing even where the call is not inlined. *)
+
 val subset_in_place : t -> 'a array -> n:int -> k:int -> int
 (** [subset_in_place t arr ~n ~k] moves a uniform [k]-subset of
     [arr.(0 .. n-1)] into a contiguous range in place and returns the

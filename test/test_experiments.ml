@@ -291,7 +291,7 @@ let test_ctx_scaling () =
   let ctx = E.Ctx.v ~seed:1 ~scale:0.5 () in
   Helpers.check_int "half" 50 (E.Ctx.scaled ctx 100);
   Helpers.check_int "floors at 1" 1 (E.Ctx.scaled ctx 1);
-  Alcotest.check_raises "bad scale" (Invalid_argument "Ctx.v: scale must be positive")
+  Alcotest.check_raises "bad scale" (Invalid_argument "Ctx: scale must be positive")
     (fun () -> ignore (E.Ctx.v ~scale:0. ()))
 
 let test_run_seed_stable () =

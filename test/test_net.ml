@@ -340,7 +340,14 @@ let prop_message_count_additive =
    Tracing is an observer, so replies, the order of handler calls and
    every counter must agree; and the record-all trace must show each
    transmission as one Send plus one Recv per delivered copy, or one
-   Drop with the reason the network's state predicts. *)
+   Drop with the reason the network's state predicts.
+
+   Without a fault layer an untraced broadcast delivers its copies
+   inline while a traced one sends each through the point-to-point
+   path, so the broadcasts also run the cases where the two could part:
+   under [Net.tally_as_repair], with every delivered copy sending a
+   nested message to a relay server, and with one copy's handler
+   raising an exception the schedule catches. *)
 
 module Trace = Plookup_obs.Trace
 module Span = Plookup_obs.Span
@@ -356,7 +363,14 @@ let sync_op_gen =
     [ (2, map (fun s -> `Fail s) server);
       (2, map (fun s -> `Recover s) server);
       (6, map3 (fun s d p -> `Send (s, d, p)) src server plane);
-      (3, map2 (fun s p -> `Broadcast (s, p)) src plane) ]
+      ( 3,
+        map3
+          (fun (s, p) repair action -> `Broadcast (s, p, repair, action))
+          (pair src plane) bool
+          (frequency
+             [ (2, pure `Plain);
+               (1, map (fun relay -> `Nest relay) server);
+               (1, map (fun victim -> `Raise victim) server) ]) ) ]
 
 let sync_schedule_gen =
   QCheck2.Gen.(
@@ -383,18 +397,35 @@ let schedule_net ?trace ?(now = fun () -> 0.) ~n calls =
     trace;
   (net, metrics)
 
+exception Boom
+
 (* Run a schedule.  Returns the replies, the handler calls, the
    network's metrics snapshot (received per server and per plane,
-   dropped, lost, duplicated, client requests, broadcasts) and, per
-   transmission in order, its endpoints plus whether its destination
-   was up. *)
+   dropped, lost, duplicated, client requests, broadcasts, repair) and,
+   per transmission in order, its endpoints plus whether its
+   destination was up. *)
 let run_sync_schedule ?trace (n, faults, seed, ops) =
   let calls = ref [] in
   let net, metrics = schedule_net ?trace ~n calls in
   Option.iter (fun (loss, duplication) -> Net.set_faults net ~seed ~loss ~duplication ()) faults;
+  (* What the broadcast in flight asks of each delivered copy, and the
+     nested sends its copies made, each with the copy's destination,
+     most recent first.  A nested message carries a negative index, so
+     it asks nothing itself. *)
+  let action = ref `Plain and nested = ref [] in
+  Net.wrap_handler net (fun handler dst src ((p, i) as msg) ->
+      let reply = handler dst src msg in
+      (match !action with
+      | `Nest relay when i >= 0 ->
+        let relay = relay mod n in
+        nested := (dst, (Net.Server dst, relay, Net.is_up net relay)) :: !nested;
+        ignore (Net.send net ~src:(Net.Server dst) ~dst:relay (p, -1 - i))
+      | `Raise victim when dst = victim mod n -> raise Boom
+      | `Plain | `Nest _ | `Raise _ -> ());
+      reply);
   let sender s = if s < 0 then Net.Client else Net.Server (s mod n) in
   let replies = ref [] and transmissions = ref [] in
-  let note src dst = transmissions := (src, dst, Net.is_up net dst) :: !transmissions in
+  let note tx = transmissions := tx :: !transmissions in
   List.iteri
     (fun i op ->
       match op with
@@ -402,16 +433,32 @@ let run_sync_schedule ?trace (n, faults, seed, ops) =
       | `Recover s -> Net.recover net (s mod n)
       | `Send (s, d, p) ->
         let src = sender s and dst = d mod n in
-        note src dst;
+        note (src, dst, Net.is_up net dst);
         replies := `Send (Net.send net ~src ~dst (p, i)) :: !replies
-      | `Broadcast (s, p) ->
+      | `Broadcast (s, p, repair, act) ->
         let src = sender s in
-        for dst = n - 1 downto 0 do
-          note src dst
-        done;
+        let up = Array.init n (Net.is_up net) in
         let got = ref [] in
-        Net.broadcast net ~src ~on_reply:(fun dst r -> got := (dst, r) :: !got) (p, i);
-        replies := `Broadcast (List.rev !got) :: !replies)
+        let broadcast () =
+          Net.broadcast net ~src ~on_reply:(fun dst r -> got := (dst, r) :: !got) (p, i)
+        in
+        action := act;
+        nested := [];
+        let raised =
+          match if repair then Net.tally_as_repair net broadcast else broadcast () with
+          | () -> false
+          | exception Boom -> true
+        in
+        action := `Plain;
+        (* Copies go out from the highest id down, each followed by the
+           nested sends its deliveries made; a raise ends the loop. *)
+        let last = match act with `Raise v when raised -> v mod n | _ -> 0 in
+        let nested = List.rev !nested in
+        for dst = n - 1 downto last do
+          note (src, dst, up.(dst));
+          List.iter (fun (d, tx) -> if d = dst then note tx) nested
+        done;
+        replies := `Broadcast (List.rev !got, raised) :: !replies)
     ops;
   ( (List.rev !replies, List.rev !calls, Metrics.snapshot metrics),
     (List.rev !transmissions, net) )
@@ -426,36 +473,46 @@ let resolves ~src ~dst = function
 
 let reason = function Span.Drop d -> Some d.reason | _ -> None
 
-(* Walk a record-all trace against the transmissions, tallying what it
-   shows; [None] when some transmission is not one Send followed by its
-   expected resolution. *)
+(* Tally a record-all trace against the transmissions; [None] unless
+   its Sends are the transmissions in order, every other span resolves
+   one of them, and each resolves as its destination's state predicts.
+   A copy's nested sends come between its Recv and its duplicate's, so
+   a Send's resolutions are found by cause, not by position. *)
 let tally_sync_spans spans transmissions =
-  let rec go spans txs ((recv, down, lost, dup) as acc) =
-    match (txs, spans) with
-    | [], [] -> Some acc
-    | (src, dst, up) :: txs, { Span.id; cause = None; kind = Send s; _ } :: rest
-      when s.src = actor src && s.dst = dst ->
-      let rec children acc = function
-        | ({ Span.cause = Some c; _ } as sp) :: rest when c = id -> children (sp :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let kids, rest = children [] rest in
-      let kinds = List.map (fun (sp : Span.t) -> sp.kind) kids in
-      if not (List.for_all (resolves ~src ~dst) kinds) then None
-      else begin
-        match (List.map reason kinds, up) with
-        | [ Some Span.Lost ], _ -> go rest txs (recv, down, lost + 1, dup)
-        | ([ None ] | [ None; None ]), true ->
-          let k = List.length kinds in
-          go rest txs (recv + k, down, lost, dup + k - 1)
-        | ([ Some Span.Down ] | [ Some Span.Down; Some Span.Down ]), false ->
-          let k = List.length kinds in
-          go rest txs (recv, down + k, lost, dup + k - 1)
-        | _ -> None
-      end
+  let copies = Hashtbl.create 64 in
+  List.iter
+    (fun (sp : Span.t) -> Option.iter (fun c -> Hashtbl.add copies c sp.kind) sp.cause)
+    spans;
+  let sends =
+    List.filter_map
+      (fun (sp : Span.t) ->
+        match (sp.kind, sp.cause) with
+        | Span.Send s, None -> Some (sp.id, s.src, s.dst)
+        | _ -> None)
+      spans
+  in
+  let tally acc (id, send_src, send_dst) (src, dst, up) =
+    let kinds = Hashtbl.find_all copies id in
+    match acc with
+    | Some (recv, down, lost, dup)
+      when send_src = actor src && send_dst = dst
+           && List.for_all (resolves ~src ~dst) kinds -> (
+      let k = List.length kinds in
+      match (List.map reason kinds, up) with
+      | [ Some Span.Lost ], _ -> Some (recv, down, lost + 1, dup)
+      | ([ None ] | [ None; None ]), true -> Some (recv + k, down, lost, dup + k - 1)
+      | ([ Some Span.Down ] | [ Some Span.Down; Some Span.Down ]), false ->
+        Some (recv, down + k, lost, dup + k - 1)
+      | _ -> None)
     | _ -> None
   in
-  go spans transmissions (0, 0, 0, 0)
+  let resolved =
+    List.fold_left (fun k (id, _, _) -> k + List.length (Hashtbl.find_all copies id)) 0 sends
+  in
+  if List.length sends <> List.length transmissions
+     || List.length sends + resolved <> List.length spans
+  then None
+  else List.fold_left2 tally (Some (0, 0, 0, 0)) sends transmissions
 
 let traced ?sample ?planes () =
   let tr = Trace.create ?sample ?planes () in

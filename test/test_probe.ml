@@ -292,6 +292,56 @@ let prop_random_up_is_permutation =
       let want = List.filter (fun s -> Cluster.is_up cluster s && keep s) (List.init n Fun.id) in
       List.sort compare got = want)
 
+(* The random cursor as it reads on paper: a forward Fisher–Yates over
+   an explicit array of the up servers' ranks.  Step i swaps slot i with
+   a uniform slot in [i, m) and yields the server holding the new slot
+   i's rank, if [keep] accepts it. *)
+let reference_random_up rng cluster ~keep =
+  let ids = Array.of_list (Cluster.up_servers cluster) in
+  let m = Array.length ids in
+  let ranks = Array.init m Fun.id in
+  let order = ref [] in
+  for i = 0 to m - 1 do
+    let j = if m - i > 1 then i + Rng.int rng (m - i) else i in
+    let tmp = ranks.(i) in
+    ranks.(i) <- ranks.(j);
+    ranks.(j) <- tmp;
+    let id = ids.(ranks.(i)) in
+    if keep id then order := id :: !order
+  done;
+  List.rev !order
+
+let prop_random_up_matches_fisher_yates =
+  Helpers.qcheck ~count:150 "random cursor is a forward Fisher-Yates over the up ranks"
+    QCheck2.Gen.(
+      quad
+        (oneof [ int_range 1 40; int_range 1 4096 ])
+        (pair int (oneofl [ 0.; 0.1; 0.5; 0.9 ]))
+        (opt int) int)
+    (fun (n, (seed, down_rate), mask, walks) ->
+      let pick = Rng.create seed in
+      let down = List.filter (fun _ -> Rng.bernoulli pick down_rate) (List.init n Fun.id) in
+      let cluster = cluster_with_down ~seed ~n down in
+      let keep =
+        match mask with
+        | Some mask -> fun s -> (mask lsr (s mod 60)) land 1 = 1 || s mod 3 = 0
+        | None -> fun _ -> true
+      in
+      (* A few full walks in a row, each from where the last left the
+         generator. *)
+      List.for_all
+        (fun _ ->
+          let rng = Rng.copy (Cluster.rng cluster) in
+          let want = reference_random_up rng cluster ~keep in
+          let got =
+            Probe_order.to_list
+              (match mask with
+              | Some _ -> Probe_order.random_up ~keep cluster
+              | None -> Probe_order.random_up cluster)
+          in
+          got = want && Rng.bits64 (Rng.copy (Cluster.rng cluster)) = Rng.bits64 rng)
+        (List.init (1 + (abs walks mod 3)) Fun.id))
+
 let test_random_up_prefix_uniform () =
   (* n = 8 with servers 2 and 5 down: each of the first three positions
      must be uniform over the 6 up servers.  Chi-square with 5 degrees of
@@ -571,6 +621,7 @@ let () =
           prop_lookup_matches_reference ] );
       ( "order",
         [ prop_random_up_is_permutation;
+          prop_random_up_matches_fisher_yates;
           Alcotest.test_case "random prefix uniform" `Quick test_random_up_prefix_uniform;
           Alcotest.test_case "stride matches reference" `Quick test_stride_matches_reference;
           Alcotest.test_case "of_list drops duplicates" `Quick test_of_list_drops_duplicates;
