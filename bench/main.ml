@@ -408,9 +408,11 @@ let bench_obs () =
    t=35 working point, live heap words after placement, and the storage
    load skew (peak/mean entry count over servers) the strategy's hash
    geometry produces, so an O(n) scan creeping back into a hot path
-   shows up as a throughput regression at the larger sizes.  The two
-   broadcast strategies add update throughput and allocation per
-   delivered copy at n = 10k. *)
+   shows up as a throughput regression at the larger sizes.
+   RandomServer-2 adds its placement throughput at each size (a
+   broadcast batch from which every server draws its own subset), and
+   the two broadcast strategies add update throughput and allocation
+   per delivered copy at n = 10k. *)
 let bench_scale () =
   let sizes = [ 10; 1000; 10_000 ] and t = 35 and lookup_window = 200 in
   let cfg s =
@@ -434,17 +436,24 @@ let bench_scale () =
     (Printf.sprintf "%s@n=%d" (Service.config_name config) n, n, service, entries, words)
   in
   let setups = List.concat_map (fun n -> List.map (setup n) configs) sizes in
+  (* RandomServer-2 at every size, built after the sweep so the sweep's
+     heap rows stay as they were: only its placement is timed, each
+     server drawing its own 2-subset of the broadcast batch. *)
+  let random_servers = List.map (fun n -> setup n (cfg "randomserver-2")) sizes in
   (* Re-placing the same batch repeats the identical message sequence
      (stores replace in place), so the repetitions measure steady-state
      placement throughput. *)
-  let rate_cases (key, _, service, entries, _) =
+  let placement (key, _, service, entries, _) =
     let h = List.length entries in
     let places = max 1 (10_000 / h) in
-    [ ( "service", "placements_per_sec", key, places * h,
-        fun () ->
-          for _ = 1 to places do
-            Service.place service entries
-          done );
+    ( "service", "placements_per_sec", key, places * h,
+      fun () ->
+        for _ = 1 to places do
+          Service.place service entries
+        done )
+  in
+  let rate_cases ((key, _, service, _, _) as setup) =
+    [ placement setup;
       ( "service", "lookups_per_sec", key, lookup_window,
         fun () ->
           for _ = 1 to lookup_window do
@@ -499,7 +508,12 @@ let bench_scale () =
           done ) )
   in
   let broadcasts = List.map broadcast_updates [ cfg "randomserver-2"; cfg "roundrobin-2" ] in
-  let rates = rate_rows (List.concat_map rate_cases setups @ List.map snd broadcasts) in
+  let rates =
+    rate_rows
+      (List.concat_map rate_cases setups
+      @ List.map placement random_servers
+      @ List.map snd broadcasts)
+  in
   ( Json.
       [ ("seed", Num 7.); ("t", Num (float_of_int t));
         ("sizes", Arr (List.map (fun n -> Num (float_of_int n)) sizes));

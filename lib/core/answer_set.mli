@@ -1,7 +1,11 @@
 (** The answers a lookup client has merged so far: the distinct entries
     returned by the servers it contacted, and the uniform truncation to
-    the lookup's target.  Both clients ({!Probe} and {!Async_client})
-    merge and truncate through this one module.
+    the lookup's target.  Every lookup that can hear from more than one
+    server merges and truncates through this one module: {!Probe}'s
+    [Random] and [Stride] walks and every {!Async_client} lookup.  A
+    synchronous [One_server] lookup returns its one server's answer as
+    it stands: distinct and at most [target] long, it is what {!pick}
+    would return.
 
     The set is an open-addressing table of entry ids beside a buffer of
     the entries in arrival order.  {!reset} empties it in O(1) by

@@ -84,10 +84,14 @@ let lookup ?reachable cluster (discipline : Strategy_intf.discipline) ~t =
   | One_server -> (
     match random_reachable ?reachable cluster with
     | None -> Lookup_result.empty ~target:t
-    | Some server ->
-      let answers = fresh_answers cluster in
-      let answered = contact cluster ~t answers server in
-      result_of cluster answers ~contacted:(if answered then 1 else 0) ~target:t)
+    | Some server -> (
+      (* One store's answer is distinct and at most [t] long, so merging
+         it would keep it whole, in order, with no draw: it is the
+         result as it stands. *)
+      match Net.send (Cluster.net cluster) ~src:Net.Client ~dst:server (Msg.lookup t) with
+      | Some (Msg.Entries entries) -> { Lookup_result.entries; servers_contacted = 1; target = t }
+      | Some (Msg.Ack | Msg.Candidate _ | Msg.Digest _ | Msg.Busy) | None ->
+        Lookup_result.empty ~target:t))
   | Random -> probe_order cluster ~t (Probe_order.random_up ?keep:reachable cluster)
   | Stride step ->
     let n = Cluster.n cluster in

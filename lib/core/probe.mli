@@ -6,7 +6,10 @@
     merging the distinct entries returned, until at least [t] distinct
     entries are in hand or no further server remains, then keep a
     uniform [t]-subset.  The merge and the truncation are the cluster's
-    one reusable {!Answer_set} ({!Cluster.answers}).  Each contact is a
+    one reusable {!Answer_set} ({!Cluster.answers}), except for
+    [One_server]: its one answer is already distinct and at most [t]
+    long, which the set would keep whole and in order, so it is the
+    result as it stands.  Each contact is a
     {!Msg.Lookup} message, so it shows up in the network's message
     accounting and in the returned lookup cost.
 

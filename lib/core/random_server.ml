@@ -8,8 +8,16 @@ type t = {
   replacement_on_delete : bool;
   counts : int array; (* per-server local h counter *)
   mutable batch : Entry.t array;
-      (* Buffer for [Store_batch], grown to h once and shared by every
-         receiving server, so a placement allocates O(h) words, not O(n*h). *)
+      (* The [Store_batch] list, copied once per broadcast into a buffer
+         grown to h once and shared by every receiving server: a
+         placement allocates O(h) words and does O(h) copying, not
+         O(n*h).  Each receiver draws its x-subset in place and undoes
+         its swaps, so the buffer is back in list order for the next. *)
+  mutable batch_len : int; (* h of the copied list *)
+  mutable copied : Entry.t list;
+      (* The list [batch] holds, recognised by physical equality; [] with
+         [batch_len] 0 once the placement's broadcast has returned. *)
+  mutable swaps : int array; (* each receiver's swap partners, for the undo *)
 }
 
 (* Fetch one entry this server lacks, probing other servers in random
@@ -32,11 +40,27 @@ let fetch_replacement t ~self ~deleted =
   in
   ask ()
 
+let copy_batch t entries =
+  let h = List.length entries in
+  (match entries with
+  | e :: _ when Array.length t.batch < h -> t.batch <- Array.make h e
+  | _ -> ());
+  List.iteri (fun i e -> t.batch.(i) <- e) entries;
+  t.batch_len <- h;
+  t.copied <- entries
+
+let swap (arr : Entry.t array) i j =
+  let tmp = arr.(i) in
+  arr.(i) <- arr.(j);
+  arr.(j) <- tmp
+
 let handle_data t dst _src (msg : Msg.data) : Msg.reply =
   let net = Cluster.net t.cluster in
   match msg with
   | Msg.Place entries ->
     Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries);
+    t.copied <- [];
+    t.batch_len <- 0;
     Msg.Ack
   | Msg.Add e ->
     Net.broadcast net ~src:(Net.Server dst) (Msg.add_sampled e);
@@ -51,18 +75,30 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
   let local = Cluster.store t.cluster dst in
   match msg with
   | Msg.Store_batch entries ->
-    (* Independently select a uniform random x-subset of the batch. *)
+    (* Independently select a uniform random x-subset of the batch: the
+       draws, the kept range and its order are [Rng.subset_in_place]'s
+       over the list copied into [batch], but the [m] swaps are undone
+       afterwards, so a receiver costs O(x) (O(h) only when it keeps more
+       than half the batch) and the next receiver starts from the same
+       list order without a fresh copy. *)
     Server_store.clear local;
-    let h = List.length entries in
-    (match entries with
-    | e :: _ when Array.length t.batch < h -> t.batch <- Array.make h e
-    | _ -> ());
-    let arr = t.batch in
-    List.iteri (fun i e -> arr.(i) <- e) entries;
+    if entries != t.copied then copy_batch t entries;
+    let h = t.batch_len and arr = t.batch in
     let k = Int.min t.x h in
-    let lo = Rng.subset_in_place rng arr ~n:h ~k in
+    let m = Int.min k (h - k) in
+    if Array.length t.swaps < m then t.swaps <- Array.make m 0;
+    let swaps = t.swaps in
+    for i = 0 to m - 1 do
+      let j = i + Rng.int rng (h - i) in
+      swaps.(i) <- j;
+      swap arr i j
+    done;
+    let lo = if m = k then 0 else m in
     for i = lo to lo + k - 1 do
       ignore (Server_store.add local arr.(i))
+    done;
+    for i = m - 1 downto 0 do
+      swap arr i swaps.(i)
     done;
     t.counts.(dst) <- h;
     Msg.Ack
@@ -105,7 +141,10 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
 let create ?(replacement_on_delete = false) cluster ~x =
   if x <= 0 then invalid_arg "Random_server.create: x must be positive";
   let counts = Array.make (Cluster.n cluster) 0 in
-  let t = { cluster; x; replacement_on_delete; counts; batch = [||] } in
+  let t =
+    { cluster; x; replacement_on_delete; counts; batch = [||]; batch_len = 0; copied = [];
+      swaps = [||] }
+  in
   Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
   t
 

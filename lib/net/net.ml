@@ -333,17 +333,21 @@ let send t ~src ~dst msg =
    enough to be promoted, and almost every caller ignores it.
 
    What every copy shares is read once: the handler, the message's plane
-   cell, the client and repair tallies, and whether a fault layer or an
-   enabled trace is installed.  A clean copy (no fault layer, no enabled
-   trace, a live destination) is delivered inline with [sync_transmit]'s
-   accounting, in its order; every other copy goes through
-   [sync_transmit].  Handlers only change the tallies inside
-   [tally_as_repair], which restores them, so reading them once gives
-   each copy the value [account] would read. *)
+   cell, the client and repair tallies, whether a fault layer is
+   installed, and, when a trace is enabled, the message's code and the
+   clock.  A clean copy (no fault layer, a live destination) is
+   delivered inline with [sync_transmit]'s trace pair and accounting, in
+   its order; every other copy goes through [sync_transmit].  Handlers
+   only change the tallies inside [tally_as_repair], which restores
+   them, and a synchronous handler neither toggles the trace nor
+   advances the clock, so reading them once gives each copy the values
+   [sync_transmit] would read. *)
 let broadcast t ~src ?on_reply msg =
   Metrics.incr t.broadcast_count;
-  let traced = match t.tracing with Some c -> Trace.enabled c.tr | None -> false in
-  let inline = if Option.is_none t.faults && not traced then t.handler else None in
+  let tracing = match t.tracing with Some c when Trace.enabled c.tr -> t.tracing | _ -> None in
+  let inline = if Option.is_none t.faults then t.handler else None in
+  let pm = match tracing with Some c -> c.coder msg | None -> 0 in
+  let time = match tracing with Some _ -> now t | None -> 0. in
   let plane =
     match t.classify with
     | Some plane_of -> Some t.plane_received.(plane_of msg)
@@ -351,9 +355,13 @@ let broadcast t ~src ?on_reply msg =
   in
   let repair = t.in_repair in
   let client = match src with Client -> true | Server _ -> false in
+  let scode = code src in
   for dst = t.n - 1 downto 0 do
     match inline with
     | Some handler when t.up.(dst) -> (
+      (match tracing with
+      | Some c -> ignore (Trace.emit_send_recv c.tr ~time ~src:scode ~dst ~pm)
+      | None -> ());
       Metrics.incr t.received.(dst);
       (match plane with Some c -> Metrics.incr c | None -> ());
       if repair then Metrics.incr t.repair_count;

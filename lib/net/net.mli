@@ -195,12 +195,13 @@ val broadcast :
     nothing per server.
 
     What every copy shares (the handler, the message's plane, the
-    client and repair tallies, whether faults or an enabled trace are
-    installed) is read once per broadcast.  A clean copy, sent with no
-    fault layer and no enabled trace to an up server, is delivered
-    inline; every other copy takes {!send}'s path.  Both count and
-    trace a copy alike, so every counter and span is what {!send} to
-    each server in turn would give. *)
+    client and repair tallies, whether faults are installed, and under
+    an enabled trace the message's code and the clock) is read once per
+    broadcast.  A clean copy, sent with no fault layer to an up server,
+    is delivered inline, traced or not: one fused Send/Recv pair when a
+    trace is enabled; every other copy takes {!send}'s path.  Both count
+    and trace a copy alike, so every counter and span is what {!send}
+    to each server in turn would give. *)
 
 (** {1 Accounting} *)
 

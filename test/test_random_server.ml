@@ -179,6 +179,102 @@ let test_place_allocation () =
   if per_server >= 100. then
     Alcotest.failf "RandomServer-2 placement allocated %.0f words per server" per_server
 
+(* {2 Placement matches a fresh copy per receiver}
+
+   Each receiver of a [Store_batch] draws its x-subset from a buffer the
+   list is copied into once per broadcast, undoing its swaps for the
+   next receiver.  The reference is the handler that copied the list
+   afresh for every receiver: on a copy of the cluster RNG taken when
+   the [Place] arrives, each delivered copy, in delivery order (n-1
+   down to 0 without faults), takes [Rng.subset_in_place] over a fresh
+   array of the list and keeps the range it returns.  Every store must
+   hold those entries in that slot order, every [system_count] must be
+   that list's length, and the cluster RNG must stand where the
+   reference's does at every later [Place] and at the end.  The cases cover h = 0, x below, above and beyond
+   h/2, the same list placed twice and a different one, the replacing
+   variant, a down server and a duplicating fault layer (which delivers
+   some copies, and the [Place] itself, twice). *)
+
+type delivery = Place_at of Plookup_util.Rng.t | Batch_to of int
+
+let gen_placements =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let* x = int_range 1 12 in
+  let* replacing = bool in
+  let* duplication = bool in
+  let* down = opt (int_bound (n - 1)) in
+  let* seed = int_bound 10_000 in
+  let+ placements = list_size (int_range 1 3) (pair bool (int_range 0 12)) in
+  (n, x, replacing, duplication, down, seed, placements)
+
+let prop_placement_matches_fresh_copies =
+  Helpers.qcheck ~count:300 "placement matches a fresh copy per receiver" gen_placements
+    (fun (n, x, replacing, duplication, down, seed, placements) ->
+      let module Rng = Plookup_util.Rng in
+      let cluster = Cluster.create ~seed ~n () in
+      let (module S : Strategy_intf.S with type t = Random_server.t) =
+        if replacing then (module Random_server.Strategy_replacing)
+        else (module Random_server.Strategy)
+      in
+      let s = S.create cluster ~params:[ x ] in
+      if duplication then Cluster.set_faults cluster ~duplication:0.5 ();
+      Option.iter (Cluster.fail cluster) down;
+      let log = ref [] in
+      Net.wrap_handler (Cluster.net cluster) (fun handler dst src msg ->
+          (match msg with
+          | Msg.Data (Msg.Place _) -> log := Place_at (Rng.copy (Cluster.rng cluster)) :: !log
+          | Msg.Strategy (Msg.Store_batch _) -> log := Batch_to dst :: !log
+          | _ -> ());
+          handler dst src msg);
+      let stores = Array.make n [] and counts = Array.make n 0 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let previous = ref [] in
+      List.iteri
+        (fun i (same, size) ->
+          let entries =
+            if same && i > 0 then !previous
+            else List.init size (fun j -> Entry.v ((100 * i) + size - 1 - j))
+          in
+          previous := entries;
+          log := [];
+          S.place s entries;
+          let h = List.length entries in
+          let rng = ref None in
+          let order = ref [] in
+          List.iter
+            (function
+              | Place_at r -> (
+                (* A duplicated [Place] arrives where the reference's
+                   draws for the first one ended. *)
+                match !rng with
+                | None -> rng := Some r
+                | Some mine -> check (Rng.bits64 (Rng.copy mine) = Rng.bits64 r))
+              | Batch_to dst ->
+                order := dst :: !order;
+                let arr = Array.of_list entries in
+                let k = Int.min x h in
+                let lo = Rng.subset_in_place (Option.get !rng) arr ~n:h ~k in
+                stores.(dst) <- Array.to_list (Array.sub arr lo k);
+                counts.(dst) <- h)
+            (List.rev !log);
+          if not duplication then begin
+            let up = List.filter (Cluster.is_up cluster) (List.init n (fun d -> n - 1 - d)) in
+            check (List.rev !order = up)
+          end;
+          Option.iter
+            (fun r -> check (Rng.bits64 r = Rng.bits64 (Rng.copy (Cluster.rng cluster))))
+            !rng)
+        placements;
+      for dst = 0 to n - 1 do
+        let store = Cluster.store cluster dst in
+        let slots = List.init (Server_store.cardinal store) (Server_store.nth store) in
+        check (List.map Entry.id slots = List.map Entry.id stores.(dst));
+        check (Random_server.system_count s ~server:dst = counts.(dst))
+      done;
+      !ok)
+
 let () =
   Helpers.run "random_server"
     [ ( "random_server",
@@ -200,4 +296,5 @@ let () =
           Alcotest.test_case "rejects bad x" `Quick test_rejects_bad_x;
           Alcotest.test_case "placement allocates O(x) per server" `Quick
             test_place_allocation;
-          prop_occupancy_bounded_under_updates ] ) ]
+          prop_occupancy_bounded_under_updates;
+          prop_placement_matches_fresh_copies ] ) ]
