@@ -218,17 +218,48 @@ let bench_core () =
         Service.add service (Entry.v (h + i));
         Service.delete service (Entry.v (h + i)))
   in
+  (* The store layer under update churn: a cycle removes a stored entry
+     and adds it back, walking a store of 10 and of 10,000 entries in
+     id order.  [store_ops_per_sec] counts the remove and the add as
+     two ops.  [words_per_cycle] is the minor words of one untimed
+     window on the filled store, exact for a given binary. *)
+  let store_window = 10_000 in
+  let store size =
+    let s = Server_store.create () in
+    let entries = Array.of_list (Entry.Gen.batch (Entry.Gen.create ()) size) in
+    Array.iter (fun e -> ignore (Server_store.add s e)) entries;
+    let next = ref 0 in
+    let window () =
+      for _ = 1 to store_window do
+        let e = entries.(!next) in
+        next := if !next = size - 1 then 0 else !next + 1;
+        ignore (Server_store.remove s e);
+        ignore (Server_store.add s e)
+      done
+    in
+    let key = Printf.sprintf "entries=%d" size in
+    let words0 = Gc.minor_words () in
+    window ();
+    let words = Gc.minor_words () -. words0 in
+    ( row ~digits:4 ~better:Lower ~unit:"words" "store" "words_per_cycle" key
+        (words /. float_of_int store_window),
+      ("store", "store_ops_per_sec", key, 2 * store_window, window) )
+  in
+  let stores = List.map store [ 10; 10_000 ] in
   ( Json.
       [ ("seed", Num 3.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
         ("t", Num (float_of_int t)); ("engine_window", Num (float_of_int (batch * batches)));
         ("lookup_window", Num (float_of_int lookup_window));
-        ("update_window", Num (float_of_int update_window)) ],
+        ("update_window", Num (float_of_int update_window));
+        ("store_window", Num (float_of_int store_window)) ],
     rate_rows
       ((("engine", "events_per_sec", "", batch * batches, engine_window)
        :: List.map lookups configs)
-      @ List.map updates configs)
+      @ List.map updates configs
+      @ List.map snd stores)
     @ List.map lookup_msgs configs
-    @ List.map update_msgs configs )
+    @ List.map update_msgs configs
+    @ List.map fst stores )
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: instrumentation overhead -> BENCH_core.json                 *)

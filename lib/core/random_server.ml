@@ -107,12 +107,12 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     if Server_store.cardinal local < t.x then ignore (Server_store.add local e)
     else begin
       (* Reservoir step: keep the newcomer with probability x/h, evicting
-         a uniform resident.  [Int.max], not the polymorphic [max]: this
-         runs on every copy of a broadcast. *)
+         a uniform resident; the store holds x >= 1 entries here.
+         [Int.max], not the polymorphic [max]: this runs on every copy
+         of a broadcast. *)
       if Rng.bernoulli_ratio rng ~num:t.x ~den:(Int.max t.x t.counts.(dst)) then begin
-        (match Server_store.random_one local rng with
-        | Some victim -> ignore (Server_store.remove local victim)
-        | None -> ());
+        let victim = Server_store.nth local (Rng.int rng (Server_store.cardinal local)) in
+        ignore (Server_store.remove local victim);
         ignore (Server_store.add local e)
       end
     end;

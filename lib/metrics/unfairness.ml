@@ -7,20 +7,22 @@ let of_instance service ~live ~t ~lookups =
   if lookups <= 0 then invalid_arg "Unfairness.of_instance: lookups must be positive";
   if live = [] then invalid_arg "Unfairness.of_instance: no live entries";
   let h = List.length live in
-  let counts = Hashtbl.create h in
-  List.iter (fun e -> Hashtbl.replace counts (Entry.id e) 0) live;
+  (* A store of the live entries numbers them by slot, which indexes
+     an array of counts. *)
+  let index = Server_store.create () in
+  List.iter (fun e -> ignore (Server_store.add index e)) live;
+  let counts = Array.make (Server_store.cardinal index) 0 in
+  let count e =
+    let i = Server_store.slot index e in
+    (* -1: a stale entry still stored somewhere; not live. *)
+    if i >= 0 then counts.(i) <- counts.(i) + 1
+  in
   for _ = 1 to lookups do
-    let result = Service.partial_lookup service t in
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt counts (Entry.id e) with
-        | Some c -> Hashtbl.replace counts (Entry.id e) (c + 1)
-        | None -> () (* stale entry still stored somewhere; not live *))
-      result.Plookup.Lookup_result.entries
+    List.iter count (Service.partial_lookup service t).Plookup.Lookup_result.entries
   done;
   let probabilities =
     List.map
-      (fun e -> float_of_int (Hashtbl.find counts (Entry.id e)) /. float_of_int lookups)
+      (fun e -> float_of_int counts.(Server_store.slot index e) /. float_of_int lookups)
       live
     |> Array.of_list
   in

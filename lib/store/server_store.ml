@@ -1,37 +1,71 @@
 module Rng = Plookup_util.Rng
 module Bitset = Plookup_util.Bitset
 
-(* Entry id -> slot, specialised to int keys so that no store
-   operation calls the polymorphic hash or compare.  Buckets are picked
-   by the hash's low bits, and a RoundRobin server's ids all fall in one
-   residue class mod n: identity hashing would crowd them into a few
-   buckets whenever n is a power of two.  So the hash multiplies by an
-   odd constant, which carries every bit of the id upwards, and folds
-   the high half of the product back into the low bits. *)
-module Index = Hashtbl.Make (struct
-  type t = int
+(* Entry id -> slot is an open-addressing table the store owns: one int
+   array of (id, slot) pairs, so that [mem], [add], [remove] and [slot]
+   allocate nothing and no write to it passes the write barrier.  Cell
+   c is [cells.(2c)], an id or [empty], and [cells.(2c + 1)], its slot.
+   There are [2^bits] cells, at most 3/4 of them full; the array is
+   made at a store's first add and dropped by [clear], so an empty
+   store holds none.
 
-  let equal = Int.equal
-
-  let hash id =
-    let h = id * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 32)) land max_int
-end)
-
+   A cell's home is the top [bits] bits of the id times 2^62 / phi
+   (Fibonacci hashing, as in [Answer_set]).  A RoundRobin server's ids
+   share one residue class mod n, and the product carries every bit of
+   the id into the top bits, so strided ids still spread.  Collisions
+   probe linearly, and [remove] shifts later cells of its run back
+   into the hole, so there are no tombstones and a probe ends at the
+   first empty cell.  Ids are never negative, so [-1] marks a free
+   cell. *)
 type t = {
   mutable slots : Entry.t array; (* entries live in slots.(0 .. size-1) *)
   mutable size : int;
-  index : int Index.t; (* entry id -> slot *)
+  mutable cells : int array; (* (id, slot) pairs; [||] before the first add *)
+  mutable bits : int; (* log2 of the number of cells *)
   mutable scratch : int array; (* reused by random_pick; grown on demand *)
 }
 
+let empty = -1
 let dummy = Entry.v 0
 
-let create () = { slots = [||]; size = 0; index = Index.create 16; scratch = [||] }
+let create () = { slots = [||]; size = 0; cells = [||]; bits = 0; scratch = [||] }
 
 let cardinal t = t.size
 let is_empty t = t.size = 0
-let mem t e = Index.mem t.index (Entry.id e)
+
+(* The array index of [id]'s home cell. *)
+let[@inline] home t id = ((id * 0x278DDE6E5FD29F05) lsr (63 - t.bits)) lsl 1
+
+(* The index of the cell holding [id], or of the empty cell that ends
+   its probe; a table never fills, so the walk ends. *)
+let rec find cells id i =
+  let k = cells.(i) in
+  if k = id || k = empty then i else find cells id ((i + 2) land (Array.length cells - 1))
+
+(* The index of the cell holding [id], or -1. *)
+let locate t id =
+  if t.size = 0 then -1
+  else
+    let i = find t.cells id (home t id) in
+    if t.cells.(i) = id then i else -1
+
+let mem t e = locate t (Entry.id e) >= 0
+
+let slot t e =
+  let i = locate t (Entry.id e) in
+  if i < 0 then -1 else t.cells.(i + 1)
+
+(* A fresh table of [2^bits] cells indexing slots 0 .. size-1. *)
+let rebuild t bits =
+  let cells = Array.make (2 lsl bits) empty in
+  t.cells <- cells;
+  t.bits <- bits;
+  for slot = 0 to t.size - 1 do
+    let id = Entry.id t.slots.(slot) in
+    let i = find cells id (home t id) in
+    cells.(i) <- id;
+    cells.(i + 1) <- slot
+  done
 
 let ensure_capacity t =
   if t.size = Array.length t.slots then begin
@@ -42,34 +76,80 @@ let ensure_capacity t =
   end
 
 let add t e =
-  if mem t e then false
+  let id = Entry.id e in
+  if Array.length t.cells = 0 then rebuild t 3;
+  let i = find t.cells id (home t id) in
+  if t.cells.(i) = id then false
   else begin
+    let i =
+      if 4 * (t.size + 1) <= 3 lsl t.bits then i
+      else begin
+        rebuild t (t.bits + 1);
+        find t.cells id (home t id)
+      end
+    in
     ensure_capacity t;
     t.slots.(t.size) <- e;
-    Index.replace t.index (Entry.id e) t.size;
+    t.cells.(i) <- id;
+    t.cells.(i + 1) <- t.size;
     t.size <- t.size + 1;
     true
   end
 
+(* Empty the cell at [hole] by walking the rest of its run: the cell at
+   [j] moves back into the hole, and the hole moves to [j], unless its
+   home lies in (hole, j], so that no probe for it passes the hole.
+   Distances are taken forward around the table. *)
+let rec shift_back t hole j =
+  let cells = t.cells in
+  let mask = Array.length cells - 1 in
+  let j = (j + 2) land mask in
+  let id = cells.(j) in
+  if id = empty then cells.(hole) <- empty
+  else if (j - home t id) land mask < (j - hole) land mask then shift_back t hole j
+  else begin
+    cells.(hole) <- id;
+    cells.(hole + 1) <- cells.(j + 1);
+    shift_back t j j
+  end
+
 let remove t e =
-  match Index.find_opt t.index (Entry.id e) with
-  | None -> false
-  | Some slot ->
-    Index.remove t.index (Entry.id e);
+  let i = locate t (Entry.id e) in
+  if i < 0 then false
+  else begin
+    let slot = t.cells.(i + 1) in
+    shift_back t i i;
     let last = t.size - 1 in
     if slot <> last then begin
       let moved = t.slots.(last) in
       t.slots.(slot) <- moved;
-      Index.replace t.index (Entry.id moved) slot
+      let id = Entry.id moved in
+      t.cells.(find t.cells id (home t id) + 1) <- slot
     end;
     t.slots.(last) <- dummy;
     t.size <- last;
     true
+  end
 
 let clear t =
   t.slots <- [||];
   t.size <- 0;
-  Index.reset t.index
+  t.cells <- [||];
+  t.bits <- 0
+
+(* Two laps of the cells, so that a run wrapping past the end is
+   counted whole; a table is never full, so no run is endless. *)
+let longest_run t =
+  let n = Array.length t.cells / 2 in
+  let longest = ref 0 and run = ref 0 in
+  for c = 0 to (2 * n) - 1 do
+    if t.cells.(2 * (c land (n - 1))) = empty then run := 0
+    else begin
+      incr run;
+      longest := Int.max !longest !run
+    end
+  done;
+  !longest
 
 let rec slots_to_list slots i acc =
   if i < 0 then acc else slots_to_list slots (i - 1) (slots.(i) :: acc)
@@ -95,8 +175,6 @@ let random_pick t rng k =
     let lo = Rng.subset_in_place rng t.scratch ~n:t.size ~k in
     picked_to_list t.slots t.scratch lo (lo + k - 1) []
   end
-
-let random_one t rng = if t.size = 0 then None else Some t.slots.(Rng.int rng t.size)
 
 (* [size <= Array.length slots], so the check covers the array's bounds. *)
 let[@inline] nth t i =

@@ -4,10 +4,12 @@
     support the hot operation of the whole evaluation: "each contacted
     server returns t randomly selected entries stored on the server" —
     i.e. a uniform k-subset draw.  The store is an indexed hash set: an
-    array of entries plus a table from entry id to slot, specialised to
-    int keys so that no operation calls the polymorphic hash or compare.
+    array of entries in slots, plus an open-addressing table from entry
+    id to slot that the store owns, one int array of (id, slot) cells.
     Membership, insert, delete and uniform random selection are all O(1)
-    (O(k) for a k-subset). *)
+    (O(k) for a k-subset).  {!mem}, {!add}, {!remove} and {!slot}
+    allocate nothing once the store has grown to its size, and an empty
+    store holds no table at all. *)
 
 type t
 
@@ -25,6 +27,7 @@ val remove : t -> Entry.t -> bool
 (** [true] if the entry was present and has been removed. *)
 
 val clear : t -> unit
+(** Empties the store and drops its slots and its id table. *)
 
 val random_pick : t -> Plookup_util.Rng.t -> int -> Entry.t list
 (** [random_pick t rng k] is [min k (cardinal t)] distinct entries chosen
@@ -36,9 +39,14 @@ val random_pick : t -> Plookup_util.Rng.t -> int -> Entry.t list
     owns ([min k (cardinal t - k)] draws), so the only allocation is the
     returned list. *)
 
-val random_one : t -> Plookup_util.Rng.t -> Entry.t option
 val to_list : t -> Entry.t list
 (** Unspecified order. *)
+
+val slot : t -> Entry.t -> int
+(** [slot t e] is the slot holding [e], so that [nth t (slot t e)] is
+    [e], or [-1] if [t] does not hold it.  Slots run over
+    [0 .. cardinal t - 1], so they index an array of per-entry values.
+    Allocates nothing. *)
 
 val nth : t -> int -> Entry.t
 (** [nth t i], for [0 <= i < cardinal t], is the entry in the store's
@@ -52,5 +60,10 @@ val fold : (Entry.t -> 'a -> 'a) -> t -> 'a -> 'a
 val ids : t -> int list
 val snapshot_bitset : t -> capacity:int -> Plookup_util.Bitset.t
 (** Entry ids as a bitset; ids must be below [capacity]. *)
+
+val longest_run : t -> int
+(** The longest run of consecutive full cells in the id table, where
+    linear probing walks: a {!mem}, {!add} or {!remove} reads at most
+    one cell more than this.  0 for an empty store. *)
 
 val pp : Format.formatter -> t -> unit

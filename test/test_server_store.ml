@@ -4,8 +4,7 @@ open Plookup_util
 let test_empty () =
   let s = Server_store.create () in
   Helpers.check_int "cardinal" 0 (Server_store.cardinal s);
-  Alcotest.(check bool) "is_empty" true (Server_store.is_empty s);
-  Alcotest.(check bool) "random_one" true (Server_store.random_one s (Rng.create 0) = None)
+  Alcotest.(check bool) "is_empty" true (Server_store.is_empty s)
 
 let test_add_remove_mem () =
   let s = Server_store.create () in
@@ -179,6 +178,169 @@ let prop_random_pick_subset =
       && List.length (List.sort_uniq compare picked_ids) = List.length picked
       && List.for_all (fun i -> Server_store.mem s (Entry.v i)) picked_ids)
 
+(* The store as it was before its id table became open addressing: the
+   same slots behind a stdlib [Hashtbl] from id to slot.  It is the
+   reference the store must match slot for slot. *)
+module Reference = struct
+  type t = { mutable slots : int array; mutable size : int; index : (int, int) Hashtbl.t }
+
+  let create () = { slots = [||]; size = 0; index = Hashtbl.create 16 }
+  let mem t id = Hashtbl.mem t.index id
+
+  let add t id =
+    if mem t id then false
+    else begin
+      if t.size = Array.length t.slots then begin
+        let slots = Array.make (max 8 (2 * t.size)) 0 in
+        Array.blit t.slots 0 slots 0 t.size;
+        t.slots <- slots
+      end;
+      t.slots.(t.size) <- id;
+      Hashtbl.replace t.index id t.size;
+      t.size <- t.size + 1;
+      true
+    end
+
+  let remove t id =
+    match Hashtbl.find_opt t.index id with
+    | None -> false
+    | Some slot ->
+      Hashtbl.remove t.index id;
+      let last = t.size - 1 in
+      if slot <> last then begin
+        t.slots.(slot) <- t.slots.(last);
+        Hashtbl.replace t.index t.slots.(slot) slot
+      end;
+      t.size <- last;
+      true
+
+  let clear t =
+    t.size <- 0;
+    Hashtbl.reset t.index
+end
+
+(* The top 10 bits of [id] times the store's Fibonacci constant fix
+   its home cell in every table of up to 1,024 cells, so ids sharing
+   them crowd the store's table worst. *)
+let top10 id = (id * 0x278DDE6E5FD29F05) lsr 53
+
+(* The first [count] ids from [from] whose top 10 bits are [home]. *)
+let sharing_home ~home ~from count =
+  let rec go id acc k =
+    if k = 0 then Array.of_list (List.rev acc)
+    else if top10 id = home then go (id + 1) (id :: acc) (k - 1)
+    else go (id + 1) acc k
+  in
+  go from [] count
+
+(* Adversarial id pools of 64 ids each: one residue class mod 2^k,
+   ids at or above 2^40, id 0 among small ids, and ids that share one
+   home cell at every table size the cases reach, at the table's last
+   cell (so their run wraps around) and at its first. *)
+let pools =
+  [| Array.init 64 Fun.id;
+     Array.init 64 (fun i -> 5 + (i lsl 3));
+     Array.init 64 (fun i -> 3 + (i lsl 10));
+     Array.init 64 (fun i -> i lsl 20);
+     Array.init 64 (fun i -> (1 lsl 40) + (i * 7919));
+     Array.init 64 (fun i -> (1 lsl 61) + (i lsl 30));
+     sharing_home ~home:1023 ~from:0 64;
+     sharing_home ~home:0 ~from:1 64 |]
+
+type op = Add of int | Remove of int | Mem of int | Clear
+
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun i -> Add i) (int_range 0 63));
+        (4, map (fun i -> Remove i) (int_range 0 63));
+        (2, map (fun i -> Mem i) (int_range 0 63));
+        (1, pure Clear) ])
+
+let prop_matches_reference =
+  Helpers.qcheck ~count:400 "store matches the Hashtbl-indexed reference"
+    QCheck2.Gen.(
+      pair (int_range 0 (Array.length pools - 1)) (list_size (int_range 0 400) op_gen))
+    (fun (pool, ops) ->
+      let id i = pools.(pool).(i) in
+      let s = Server_store.create () and r = Reference.create () in
+      List.iter
+        (fun op ->
+          let same =
+            match op with
+            | Add i -> Server_store.add s (Entry.v (id i)) = Reference.add r (id i)
+            | Remove i -> Server_store.remove s (Entry.v (id i)) = Reference.remove r (id i)
+            | Mem i -> Server_store.mem s (Entry.v (id i)) = Reference.mem r (id i)
+            | Clear ->
+              Server_store.clear s;
+              Reference.clear r;
+              true
+          in
+          if not same then failwith "result differs from the reference";
+          if Server_store.cardinal s <> r.Reference.size then failwith "cardinal differs";
+          for slot = 0 to r.Reference.size - 1 do
+            let e = Server_store.nth s slot in
+            if Entry.id e <> r.Reference.slots.(slot) || Server_store.slot s e <> slot then
+              failwith (Printf.sprintf "slot %d differs" slot)
+          done;
+          Array.iter
+            (fun i ->
+              if (not (Reference.mem r i)) && Server_store.slot s (Entry.v i) <> -1 then
+                failwith (Printf.sprintf "id %d has a slot" i))
+            pools.(pool))
+        ops;
+      true)
+
+(* Ids 0, s, 2s, ... inserted into a fresh store, for the strides a
+   RoundRobin server's ids take.  The longest runs measured are in
+   DESIGN.md; each bound is about twice the worst of them. *)
+let test_strided_runs () =
+  List.iter
+    (fun (count, bound) ->
+      List.iter
+        (fun stride ->
+          let s = Server_store.create () in
+          for i = 0 to count - 1 do
+            ignore (Server_store.add s (Entry.v (i * stride)))
+          done;
+          let run = Server_store.longest_run s in
+          if run > bound then
+            Alcotest.failf "%d ids at stride %d: longest run %d (bound %d)" count stride run
+              bound)
+        [ 1; 2; 8; 10; 16; 100; 1024; 10_000; 1 lsl 20 ])
+    [ (100, 12); (1_000, 8); (10_000, 30) ]
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Once a store has grown to its size, churn allocates nothing: every
+   write goes to the slots and the int table it already has. *)
+let test_warm_store_allocates_nothing () =
+  let n = 1_000 in
+  let entries = Array.init n (fun i -> Entry.v (i * 1024)) in
+  let s = Server_store.create () in
+  Array.iter (fun e -> ignore (Server_store.add s e)) entries;
+  let words =
+    minor_words (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Server_store.remove s entries.(i))
+        done;
+        for i = 0 to n - 1 do
+          ignore (Server_store.mem s entries.(i))
+        done;
+        for i = n - 1 downto 0 do
+          ignore (Server_store.add s entries.(i))
+        done;
+        for i = 0 to n - 1 do
+          ignore (Server_store.mem s entries.(i));
+          ignore (Server_store.slot s entries.(i));
+          ignore (Server_store.add s entries.(i))
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let () =
   Helpers.run "server_store"
     [ ( "server_store",
@@ -195,4 +357,9 @@ let () =
           Alcotest.test_case "iter/fold/ids" `Quick test_iter_fold_ids;
           Alcotest.test_case "snapshot bitset" `Quick test_snapshot_bitset;
           prop_model;
-          prop_random_pick_subset ] ) ]
+          prop_random_pick_subset ] );
+      ( "index",
+        [ prop_matches_reference;
+          Alcotest.test_case "strided runs" `Quick test_strided_runs;
+          Alcotest.test_case "warm store allocates nothing" `Quick
+            test_warm_store_allocates_nothing ] ) ]

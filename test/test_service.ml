@@ -243,14 +243,11 @@ let test_broadcast_update_allocates_no_list () =
 
 let test_random_server_update_allocates_nothing () =
   (* Handlers included: a reservoir step draws against x/h without
-     boxing it, so a copy allocates nothing.  Measured: 52 words for the
-     20,002 deliveries (0.003 per delivery), the routing the test above
-     counts plus up to 8 words on each of the few servers whose store
-     drops or takes the entry (option results and a hash cell).  h = n
-     is the scale the broadcast runs at; with h = 100 about 2% of the
-     servers hold or take the entry and the same delete+add reads 0.14
-     words per delivery.  A boxed probability would add 1 per
-     delivery. *)
+     boxing it, so a copy allocates nothing.  Measured: 32 words for the
+     20,002 deliveries (0.0016 per delivery), the routing the test above
+     counts; the few stores that drop or take the entry allocate
+     nothing.  h = n is the scale the broadcast runs at; the next test
+     takes h = 100.  A boxed probability would add 1 per delivery. *)
   let n = 10_000 in
   let service, batch = Helpers.placed_service ~n ~h:n (Service.random_server 2) in
   let net = Cluster.net (Service.cluster service) in
@@ -264,6 +261,22 @@ let test_random_server_update_allocates_nothing () =
   let per_delivery = words /. float_of_int (Net.messages_received net) in
   if per_delivery > 0.1 then
     Alcotest.failf "%.3f minor words per delivery (bound 0.1)" per_delivery
+
+let test_random_server_sparse_update () =
+  (* h = 100: about 2% of the 10,000 servers hold or take the entry, so
+     the delete+add changes some 400 stores, whose id tables allocate
+     nothing once they exist.  Measured: 32 words for the 20,002
+     deliveries, the routing the test above counts.  A Hashtbl cell per
+     new id and an option per removal cost 2,874. *)
+  let n = 10_000 in
+  let service, batch = Helpers.placed_service ~n ~h:100 (Service.random_server 2) in
+  let victim = List.hd batch in
+  let (), words =
+    minor_words (fun () ->
+        Service.delete service victim;
+        Service.add service victim)
+  in
+  if words > 64. then Alcotest.failf "%.0f minor words (bound 64)" words
 
 let () =
   Helpers.run "service"
@@ -289,4 +302,6 @@ let () =
           Alcotest.test_case "broadcast builds no list" `Quick
             test_broadcast_update_allocates_no_list;
           Alcotest.test_case "RandomServer update allocates nothing" `Quick
-            test_random_server_update_allocates_nothing ] ) ]
+            test_random_server_update_allocates_nothing;
+          Alcotest.test_case "RandomServer sparse update" `Quick
+            test_random_server_sparse_update ] ) ]
