@@ -246,12 +246,53 @@ let bench_core () =
       ("store", "store_ops_per_sec", key, 2 * store_window, window) )
   in
   let stores = List.map store [ 10; 10_000 ] in
+  (* Minor words per asynchronous lookup, launch to callback, for the
+     eight strategies of bench/e2e's crowd: one lookup at a time on
+     healthy servers with no capacity model, each walking an order drawn
+     from its strategy's discipline.  One lookup first makes the
+     cluster's answer set and sizes the engine's queue.  Exact for a
+     given binary. *)
+  let async_lookup_window = 500 in
+  let async_words name =
+    let config =
+      match Service.config_of_string name with Ok c -> c | Error e -> failwith e
+    in
+    let service = placed config in
+    let cluster = Service.cluster service in
+    let engine = Plookup_sim.Engine.create () in
+    Net.attach_engine (Cluster.net cluster) engine;
+    let order_rng = Rng.create 3 in
+    let orders =
+      Array.init (async_lookup_window + 1) (fun _ ->
+          Probe.order_list (Service.discipline service) order_rng ~n)
+    in
+    let lookup order =
+      Async_client.lookup cluster engine ~latency:(fun () -> 10.) ~timeout:100. ~order ~t
+        ignore;
+      ignore (Plookup_sim.Engine.run engine)
+    in
+    lookup orders.(async_lookup_window);
+    let words0 = Gc.minor_words () in
+    for i = 0 to async_lookup_window - 1 do
+      lookup orders.(i)
+    done;
+    let words = Gc.minor_words () -. words0 in
+    row ~digits:2 ~better:Lower ~unit:"words" "client" "words_per_async_lookup"
+      (Service.config_name config)
+      (words /. float_of_int async_lookup_window)
+  in
+  let async_lookups =
+    List.map async_words
+      [ "full"; "fixed-40"; "randomserver-20"; "roundrobin-2"; "hash-2"; "chord-2";
+        "dxhash-2"; "multiprobe-2x2" ]
+  in
   ( Json.
       [ ("seed", Num 3.); ("n", Num (float_of_int n)); ("h", Num (float_of_int h));
         ("t", Num (float_of_int t)); ("engine_window", Num (float_of_int (batch * batches)));
         ("lookup_window", Num (float_of_int lookup_window));
         ("update_window", Num (float_of_int update_window));
-        ("store_window", Num (float_of_int store_window)) ],
+        ("store_window", Num (float_of_int store_window));
+        ("async_lookup_window", Num (float_of_int async_lookup_window)) ],
     rate_rows
       ((("engine", "events_per_sec", "", batch * batches, engine_window)
        :: List.map lookups configs)
@@ -259,7 +300,8 @@ let bench_core () =
       @ List.map snd stores)
     @ List.map lookup_msgs configs
     @ List.map update_msgs configs
-    @ List.map fst stores )
+    @ List.map fst stores
+    @ async_lookups )
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: instrumentation overhead -> BENCH_core.json                 *)

@@ -3,9 +3,16 @@ module Rng = Plookup_util.Rng
 
 (* An open-addressing table of entry ids beside a buffer of the distinct
    entries in arrival order.  Slot [i] of the table holds [ids.(i)] only
-   while [stamps.(i) = gen], so bumping [gen] empties it in O(1).  The
-   buffer and the table grow separately: the buffer doubles when full,
-   the table doubles when it would pass a load of 3/4. *)
+   while [stamps.(i) = gen], so bumping [gen] empties it in O(1).  [gen]
+   never goes back, not even when a regrowth or a shrink makes a new
+   table: a {!Buffer} seated at an old generation must find itself
+   unseated.  The buffer and the table grow separately: the buffer
+   doubles when full, the table doubles when it would pass a load of
+   3/4.
+
+   [entries] and [len] are the synchronous client's buffer.  Each
+   asynchronous lookup keeps a {!Buffer.t} of its own and merges it
+   through the same table. *)
 type t = {
   default : int; (* buffer length a reset returns to *)
   mutable ids : int array;
@@ -22,17 +29,22 @@ let dummy = Entry.v 0
    the default, so one exhaustive lookup does not pin its memory. *)
 let shrink_factor = 4
 
+(* A new, empty table: its stamps are 0, below every generation. *)
 let alloc_table t bits =
   t.ids <- Array.make (1 lsl bits) 0;
   t.stamps <- Array.make (1 lsl bits) 0;
-  t.gen <- 1;
+  t.gen <- t.gen + 1;
   t.bits <- bits
 
-(* A buffer of [n] entries and the smallest table holding them at a load
-   of at most 3/4. *)
+(* The log2 length of the smallest table of at least 8 slots holding [n]
+   ids at a load of at most 3/4. *)
+let table_bits n =
+  let rec from b = if 3 lsl b >= 4 * n then b else from (b + 1) in
+  from 3
+
+(* A buffer of [n] entries and the smallest table holding them. *)
 let alloc t n =
-  let rec bits b = if 3 lsl b >= 4 * n then b else bits (b + 1) in
-  alloc_table t (bits 3);
+  alloc_table t (table_bits n);
   t.entries <- Array.make n dummy
 
 (* Fibonacci hashing: the top bits of the id times 2^62 / phi. *)
@@ -48,10 +60,28 @@ let claim t id =
   t.stamps.(i) <- t.gen;
   t.ids.(i) <- id
 
+let claim_all t entries len =
+  for j = 0 to len - 1 do
+    claim t (Entry.id entries.(j))
+  done
+
+(* [entries], whose [len] slots are all full, in a buffer twice as long. *)
+let doubled entries len =
+  let bigger = Array.make (2 * len) dummy in
+  Array.blit entries 0 bigger 0 len;
+  bigger
+
+(* Seat [id], the [len + 1]-th distinct id of the buffer [entries], in a
+   table twice as long as the one it would overfill. *)
+let regrow t entries len id =
+  alloc_table t (t.bits + 1);
+  claim_all t entries len;
+  claim t id
+
 let create ?(expect = 64) () =
   if expect <= 0 then invalid_arg "Answer_set.create: expect must be positive";
   let t =
-    { default = expect; ids = [||]; stamps = [||]; gen = 1; bits = 0; entries = [||]; len = 0 }
+    { default = expect; ids = [||]; stamps = [||]; gen = 0; bits = 0; entries = [||]; len = 0 }
   in
   alloc t expect;
   t
@@ -65,18 +95,8 @@ let add_one t e =
   let id = Entry.id e in
   let i = slot t id (home t id) in
   if t.stamps.(i) <> t.gen then begin
-    if t.len = Array.length t.entries then begin
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.entries 0 bigger 0 t.len;
-      t.entries <- bigger
-    end;
-    if 4 * (t.len + 1) > 3 * Array.length t.ids then begin
-      alloc_table t (t.bits + 1);
-      for j = 0 to t.len - 1 do
-        claim t (Entry.id t.entries.(j))
-      done;
-      claim t id
-    end
+    if t.len = Array.length t.entries then t.entries <- doubled t.entries t.len;
+    if 4 * (t.len + 1) > 3 * Array.length t.ids then regrow t t.entries t.len id
     else begin
       t.stamps.(i) <- t.gen;
       t.ids.(i) <- id
@@ -97,7 +117,62 @@ let capacity t = Array.length t.entries
 let rec range_to_list entries lo i acc =
   if i < lo then acc else range_to_list entries lo (i - 1) (entries.(i) :: acc)
 
-let pick t ~rng ~target =
-  let k = min target t.len in
-  let lo = Rng.subset_in_place rng t.entries ~n:t.len ~k in
-  range_to_list t.entries lo (lo + k - 1) []
+let pick_from entries len ~rng ~target =
+  let k = min target len in
+  let lo = Rng.subset_in_place rng entries ~n:len ~k in
+  range_to_list entries lo (lo + k - 1) []
+
+let pick t ~rng ~target = pick_from t.entries t.len ~rng ~target
+
+module Buffer = struct
+  type set = t
+
+  (* [seat] is the table generation at which [items.(0 .. count-1)] are
+     exactly the ids the table holds; 0, below every generation, until
+     the first merge. *)
+  type t = { mutable items : Entry.t array; mutable count : int; mutable seat : int }
+
+  let create ~expect =
+    if expect <= 0 then invalid_arg "Answer_set.Buffer.create: expect must be positive";
+    { items = Array.make expect dummy; count = 0; seat = 0 }
+
+  (* A new generation holding [b]'s ids and no other, in a table first
+     grown to hold them if a reset shrank it. *)
+  let reseat (s : set) b =
+    if 4 * b.count > 3 * Array.length s.ids then alloc_table s (table_bits b.count)
+    else s.gen <- s.gen + 1;
+    claim_all s b.items b.count
+
+  (* [add_one] on [b]'s buffer. *)
+  let add_one (s : set) b e =
+    let id = Entry.id e in
+    let i = slot s id (home s id) in
+    if s.stamps.(i) <> s.gen then begin
+      if b.count = Array.length b.items then b.items <- doubled b.items b.count;
+      if 4 * (b.count + 1) > 3 * Array.length s.ids then regrow s b.items b.count id
+      else begin
+        s.stamps.(i) <- s.gen;
+        s.ids.(i) <- id
+      end;
+      b.items.(b.count) <- e;
+      b.count <- b.count + 1
+    end
+
+  let rec add s b = function
+    | [] -> ()
+    | e :: rest ->
+      add_one s b e;
+      add s b rest
+
+  (* A regrowth inside [add] moves the table to a new generation and
+     claims [b]'s ids there, so [b] ends seated at the table's last. *)
+  let merge s b = function
+    | [] -> ()
+    | entries ->
+      if b.seat <> s.gen then reseat s b;
+      add s b entries;
+      b.seat <- s.gen
+
+  let length b = b.count
+  let pick b ~rng ~target = pick_from b.items b.count ~rng ~target
+end

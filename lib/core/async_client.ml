@@ -116,7 +116,7 @@ and state = {
   hedge : float option;
   breaker : Breaker.t option;
   jitter : Plookup_util.Rng.t option;
-  seen : Answer_set.t;
+  seen : Answer_set.Buffer.t;
   order : Probe_order.t;
   cell : cell;
   wake : Engine.t -> unit; (* the armed event's action *)
@@ -146,7 +146,9 @@ let finish st =
     st.finished <- true;
     st.cell.st <- None;
     (match st.armed with Some e -> Engine.cancel st.engine e | None -> ());
-    let entries = Answer_set.pick st.seen ~rng:(Cluster.rng st.cluster) ~target:st.target in
+    let entries =
+      Answer_set.Buffer.pick st.seen ~rng:(Cluster.rng st.cluster) ~target:st.target
+    in
     st.k
       { result =
           { Lookup_result.entries; servers_contacted = st.contacted; target = st.target };
@@ -162,7 +164,7 @@ let finish st =
         gave_up = st.gave_up }
   end
 
-let satisfied st = Answer_set.length st.seen >= st.target
+let satisfied st = Answer_set.Buffer.length st.seen >= st.target
 
 (* Whether the expiry due at [at1], stamped [stamp1], fires before the
    one due at [at2], stamped [stamp2]. *)
@@ -302,7 +304,7 @@ and reply c number msg =
           record_breaker st c.server ~ok:false
         | Msg.Entries entries ->
           record_breaker st c.server ~ok:true;
-          Answer_set.add st.seen entries
+          Answer_set.Buffer.merge (Cluster.answers st.cluster) st.seen entries
         | Msg.Ack | Msg.Candidate _ | Msg.Digest _ -> record_breaker st c.server ~ok:true);
         pump st
       end
@@ -397,9 +399,11 @@ let make_state cluster engine ~latency ~timeout ~retries ~wave ~t ~deadline ~hed
       hedge;
       breaker;
       jitter;
-      (* One set per lookup, sized for its target: lookups overlap in
-         simulated time, so they cannot share the cluster's set. *)
-      seen = Answer_set.create ~expect:(min t 64) ();
+      (* Lookups overlap in simulated time, so each keeps its own
+         entries, sized for its target; they share the cluster's id
+         table, and a merge re-seats the buffer when another lookup
+         used the table since (see [Answer_set]). *)
+      seen = Answer_set.Buffer.create ~expect:(min t 64);
       order;
       cell;
       wake = (fun _ -> match cell.st with Some st -> wake st | None -> ());

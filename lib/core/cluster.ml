@@ -7,7 +7,7 @@ type t = {
   n : int;
   seed : int;
   rng : Rng.t;
-  answers : Answer_set.t Lazy.t; (* made by the first synchronous lookup *)
+  answers : Answer_set.t Lazy.t; (* made by the first lookup that merges *)
   net : (Msg.t, Msg.reply) Net.t;
   stores : Server_store.t array;
   obs : Obs.t;

@@ -24,10 +24,13 @@ val seed : t -> int
 val rng : t -> Rng.t
 
 val answers : t -> Answer_set.t
-(** The answer set the synchronous client ({!Probe.lookup}) resets and
-    reuses for every lookup on this cluster, made on first use so that a
-    cluster that never runs one holds none.  Like {!rng} it has one owner: one
-    synchronous lookup at a time per cluster. *)
+(** The cluster's one answer set, made on first use so that a cluster
+    that never merges answers holds none.  The synchronous client
+    ({!Probe.lookup}) resets and reuses it for every lookup; like {!rng}
+    it serves one synchronous lookup at a time.  Every
+    {!Async_client} lookup keeps only an {!Answer_set.Buffer.t} of its
+    entries and de-duplicates each merge through this set's id table,
+    re-seating its buffer when another lookup used the table since. *)
 
 val net : t -> (Msg.t, Msg.reply) Plookup_net.Net.t
 val obs : t -> Plookup_obs.Obs.t

@@ -1,7 +1,14 @@
 (* The four xoshiro256++ words live in one 32-byte [Bytes], read and
    written in place.  Mutable [int64] record fields would allocate a
-   fresh box on every store; this allocates nothing per draw. *)
+   fresh box on every store; this allocates nothing per draw.  Every [t]
+   is 32 bytes, so the words are read and written without bounds checks,
+   in native byte order: seeding and drawing go through the same pair,
+   so each word holds the same value, and the stream is the same, on any
+   host. *)
 type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -18,7 +25,7 @@ let splitmix_next state =
 let of_splitmix st =
   let t = Bytes.create 32 in
   for i = 0 to 3 do
-    Bytes.set_int64_le t (8 * i) (splitmix_next st)
+    set64 t (8 * i) (splitmix_next st)
   done;
   t
 
@@ -31,20 +38,20 @@ let[@inline] rotl x k =
 (* xoshiro256++: advance the state and return the output word.  Inlined
    into each caller so the result stays an unboxed local. *)
 let[@inline] next t =
-  let s0 = Bytes.get_int64_le t 0 in
-  let s1 = Bytes.get_int64_le t 8 in
-  let s2 = Bytes.get_int64_le t 16 in
-  let s3 = Bytes.get_int64_le t 24 in
+  let s0 = get64 t 0 in
+  let s1 = get64 t 8 in
+  let s2 = get64 t 16 in
+  let s3 = get64 t 24 in
   let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
   let tt = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
   let s3 = Int64.logxor s3 s1 in
   let s1 = Int64.logxor s1 s2 in
   let s0 = Int64.logxor s0 s3 in
-  Bytes.set_int64_le t 0 s0;
-  Bytes.set_int64_le t 8 s1;
-  Bytes.set_int64_le t 16 (Int64.logxor s2 tt);
-  Bytes.set_int64_le t 24 (rotl s3 45);
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tt);
+  set64 t 24 (rotl s3 45);
   result
 
 let bits64 t = next t

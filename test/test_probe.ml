@@ -262,6 +262,88 @@ let prop_answer_set_matches_model =
              = want)
         lookups)
 
+(* Asynchronous lookups' buffers and the synchronous client merging
+   through one cluster's table, interleaved at random. *)
+type table_op =
+  | Merge of int * int list (* one reply's ids, to lookup [i] *)
+  | Finish of int * int (* lookup [i] picks at a target; a new one takes its place *)
+  | Sync of int list list (* a synchronous lookup's replies *)
+  | Exhaustive of int (* a synchronous lookup of this many distinct ids *)
+
+let prop_one_table_for_every_lookup =
+  (* Replies repeat ids within and across themselves; a few merges take
+     a buffer past 64 distinct ids, so buffer and table both grow; a
+     synchronous lookup resets the table between two merges of a
+     buffer; an exhaustive one grows the set past four times its
+     default, and the reset after it shrinks the table. *)
+  Helpers.qcheck ~count:300 "async buffers and the sync set share one id table"
+    QCheck2.Gen.(
+      let* lookups = int_range 1 4 in
+      let id = frequency [ (3, int_bound 30); (3, int_bound 400); (1, int_range 0 max_int) ] in
+      let reply = list_size (int_range 0 40) id in
+      let op =
+        frequency
+          [ (8, map2 (fun i r -> Merge (i, r)) (int_bound (lookups - 1)) reply);
+            (2, map2 (fun i t -> Finish (i, t)) (int_bound (lookups - 1)) (int_range 1 80));
+            (2, map (fun rs -> Sync rs) (list_size (int_range 1 3) reply));
+            (1, map (fun m -> Exhaustive m) (int_range 257 1000)) ]
+      in
+      triple (return lookups) (list_size (int_range 1 60) op) int)
+    (fun (lookups, ops, seed) ->
+      let set = Cluster.answers (Cluster.create ~n:1 ()) in
+      let default = Answer_set.capacity set in
+      let ids_of = List.map Entry.id and entries = List.map Entry.v in
+      (* First arrivals, newest first. *)
+      let note model ids =
+        List.iter (fun id -> if not (List.mem id !model) then model := id :: !model) ids
+      in
+      (* A lookup: its buffer, its replies and its first arrivals. *)
+      let fresh _ = (Answer_set.Buffer.create ~expect:35, ref [], ref []) in
+      let live = Array.init lookups fresh in
+      let finish i target =
+        let buffer, replies, model = live.(i) in
+        live.(i) <- fresh ();
+        (* At a target of at least its length a pick draws nothing and
+           leaves the buffer in arrival order, so the real pick follows. *)
+        let arrived =
+          ids_of (Answer_set.Buffer.pick buffer ~rng:(Rng.create seed) ~target:max_int)
+        in
+        let own = Answer_set.create ~expect:(min target 64) () in
+        List.iter (fun ids -> Answer_set.add own (entries ids)) (List.rev !replies);
+        let rng = Rng.create seed and own_rng = Rng.create seed in
+        let got = ids_of (Answer_set.Buffer.pick buffer ~rng ~target) in
+        (Answer_set.Buffer.length buffer = List.length !model
+        && arrived = List.rev !model
+        && got = ids_of (Answer_set.pick own ~rng:own_rng ~target)
+        && Rng.bits64 rng = Rng.bits64 own_rng)
+        || QCheck2.Test.fail_reportf "lookup %d differs from a set of its own" i
+      in
+      let step = function
+        | Merge (i, ids) ->
+          let buffer, replies, model = live.(i) in
+          Answer_set.Buffer.merge set buffer (entries ids);
+          replies := ids :: !replies;
+          note model ids;
+          Answer_set.Buffer.length buffer = List.length !model
+        | Finish (i, target) -> finish i target
+        | Sync replies ->
+          let model = ref [] in
+          Answer_set.reset set;
+          List.iter
+            (fun ids ->
+              Answer_set.add set (entries ids);
+              note model ids)
+            replies;
+          ids_of (Answer_set.pick set ~rng:(Rng.create seed) ~target:max_int) = List.rev !model
+        | Exhaustive m ->
+          Answer_set.reset set;
+          Answer_set.add set (entries (List.init m (fun i -> 1_000 + i)));
+          let grown = Answer_set.length set = m && Answer_set.capacity set > 4 * default in
+          Answer_set.reset set;
+          grown && Answer_set.capacity set = default
+      in
+      List.for_all step ops && List.for_all (fun i -> finish i 35) (List.init lookups Fun.id))
+
 let prop_never_exceeds_target =
   Helpers.qcheck "delivered entries never exceed the target"
     QCheck2.Gen.(pair (int_range 1 12) int)
@@ -617,6 +699,7 @@ let () =
           Alcotest.test_case "kept set uniform over union" `Quick test_kept_set_uniform;
           Alcotest.test_case "answer set after pref" `Quick test_answer_set_after_pref;
           prop_answer_set_matches_model;
+          prop_one_table_for_every_lookup;
           prop_never_exceeds_target;
           prop_lookup_matches_reference ] );
       ( "order",
