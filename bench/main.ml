@@ -482,10 +482,11 @@ let bench_obs () =
    load skew (peak/mean entry count over servers) the strategy's hash
    geometry produces, so an O(n) scan creeping back into a hot path
    shows up as a throughput regression at the larger sizes.
-   RandomServer-2 adds its placement throughput at each size (a
-   broadcast batch from which every server draws its own subset), and
-   the two broadcast strategies add update throughput and allocation
-   per delivered copy at n = 10k. *)
+   RandomServer-2 adds its placement throughput and live heap words at
+   each size (a broadcast batch from which every server draws its own
+   subset), RoundRobin-2 its live heap words at n = 10k, and the two
+   broadcast strategies add update throughput and allocation per
+   delivered copy at n = 10k. *)
 let bench_scale () =
   let sizes = [ 10; 1000; 10_000 ] and t = 35 and lookup_window = 200 in
   let cfg s =
@@ -513,6 +514,13 @@ let bench_scale () =
      heap rows stay as they were: only its placement is timed, each
      server drawing its own 2-subset of the broadcast batch. *)
   let random_servers = List.map (fun n -> setup n (cfg "randomserver-2")) sizes in
+  (* RoundRobin-2 at n = 10k, whose updates are timed below: only its
+     heap is read here, so every strategy the n = 10k rows run has a
+     footprint row. *)
+  let round_robin = setup 10_000 (cfg "roundrobin-2") in
+  let live_words_row (key, _, _, _, words) =
+    row ~better:Lower ~unit:"words" "cluster" "live_words" key (float_of_int words)
+  in
   (* Re-placing the same batch repeats the identical message sequence
      (stores replace in place), so the repetitions measure steady-state
      placement throughput. *)
@@ -533,14 +541,14 @@ let bench_scale () =
             ignore (Service.partial_lookup service t)
           done ) ]
   in
-  let footprint (key, n, service, _, words) =
+  let footprint ((key, n, service, _, _) as setup) =
     let cluster = Service.cluster service in
     let load =
       Metrics.Load.summarize
         (Array.init n (fun i -> Server_store.cardinal (Cluster.store cluster i)))
     in
     let skew = row ~digits:4 ~better:Lower ~unit:"ratio" "cluster" in
-    [ row ~better:Lower ~unit:"words" "cluster" "live_words" key (float_of_int words);
+    [ live_words_row setup;
       skew "peak_to_average" key load.Metrics.Load.peak_to_average;
       skew "cov" key load.Metrics.Load.cov ]
   in
@@ -593,7 +601,10 @@ let bench_scale () =
         ("lookup_window", Num (float_of_int lookup_window));
         ("update_batch", Num (float_of_int update_batch));
         ("update_window", Num (float_of_int update_window)) ],
-    rates @ List.concat_map footprint setups @ List.map fst broadcasts )
+    rates
+    @ List.concat_map footprint setups
+    @ List.map live_words_row (random_servers @ [ round_robin ])
+    @ List.map fst broadcasts )
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: production-day chaos benchmark -> BENCH_day.json            *)

@@ -10,6 +10,7 @@ type t = {
   answers : Answer_set.t Lazy.t; (* made by the first lookup that merges *)
   net : (Msg.t, Msg.reply) Net.t;
   stores : Server_store.t array;
+  scratch : Server_store.scratch; (* lent to every store's [random_pick] *)
   obs : Obs.t;
 }
 
@@ -25,6 +26,7 @@ let create ?(seed = 0) ?obs ~n () =
     answers = lazy (Answer_set.create ());
     net;
     stores = Array.init n (fun _ -> Server_store.create ());
+    scratch = Server_store.scratch ();
     obs }
 
 let n t = t.n
@@ -37,6 +39,8 @@ let obs t = t.obs
 let store t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.store: server index out of range";
   t.stores.(i)
+
+let pick t i k = Server_store.random_pick (store t i) ~scratch:t.scratch t.rng k
 
 let fail t i = Net.fail t.net i
 let recover t i = Net.recover t.net i

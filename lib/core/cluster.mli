@@ -39,6 +39,11 @@ val obs : t -> Plookup_obs.Obs.t
 
 val store : t -> int -> Server_store.t
 
+val pick : t -> int -> int -> Entry.t list
+(** [pick t i k] is server [i]'s answer to a lookup for [k] entries:
+    {!Server_store.random_pick} on its store, drawing from {!rng} over
+    the one index buffer the cluster lends to all its stores. *)
+
 (** {1 Failures} *)
 
 val fail : t -> int -> unit

@@ -10,6 +10,7 @@ type t = {
   rng : Rng.t;
   net : (msg, Msg.reply) Net.t;
   stores : (string, Server_store.t) Hashtbl.t array; (* per server, per key *)
+  scratch : Server_store.scratch; (* lent to every store's [random_pick] *)
 }
 
 let key_store t ~server ~key =
@@ -33,7 +34,8 @@ let handler t dst _src ((key, msg) : msg) : Msg.reply =
   | Msg.Strategy (Msg.Remove e) ->
     ignore (Server_store.remove store e);
     Msg.Ack
-  | Msg.Data (Msg.Lookup target) -> Msg.Entries (Server_store.random_pick store t.rng target)
+  | Msg.Data (Msg.Lookup target) ->
+    Msg.Entries (Server_store.random_pick store ~scratch:t.scratch t.rng target)
   | Msg.Data _ | Msg.Strategy _ | Msg.Repair _ ->
     (* Not part of the partitioned store's protocol; acknowledge and
        ignore, like any server receiving a message for a feature it is
@@ -47,7 +49,8 @@ let create ?(seed = 0) ~n () =
       seed;
       rng = Rng.create seed;
       net = Net.create ~n ();
-      stores = Array.init n (fun _ -> Hashtbl.create 16) }
+      stores = Array.init n (fun _ -> Hashtbl.create 16);
+      scratch = Server_store.scratch () }
   in
   Net.set_handler t.net (handler t);
   t

@@ -8,10 +8,17 @@ open Plookup_util
 
 let ring_size = 1 lsl 30
 
-(* (ring point, server) pairs sorted by point.  Collisions are re-salted
-   deterministically so every cluster seed yields one well-defined ring;
-   the two strategies' salt families are disjoint, so they use
-   independent rings even on the same cluster seed. *)
+(* A ring point and its server packed into one int, point above server:
+   a point is below 2^30 and a server below 2^31, so the packed ints
+   sort by point and the ring is one flat int array. *)
+let server_bits = 31
+let ring_point packed = packed lsr server_bits
+let ring_server packed = packed land ((1 lsl server_bits) - 1)
+
+(* Packed (ring point, server) ints sorted by point.  Collisions are
+   re-salted deterministically so every cluster seed yields one
+   well-defined ring; the two strategies' salt families are disjoint, so
+   they use independent rings even on the same cluster seed. *)
 let ring_points cluster ~salt =
   let n = Cluster.n cluster in
   let seed = Cluster.seed cluster in
@@ -29,25 +36,27 @@ let ring_points cluster ~salt =
     in
     probe 0
   in
-  let points = Array.init n (fun s -> (point_of s, s)) in
-  Array.sort compare points;
+  let points = Array.init n (fun s -> (point_of s lsl server_bits) lor s) in
+  Array.sort Int.compare points;
   points
 
-(* The smallest i in [lo, hi) with point(i) >= p, or [hi].  Top-level,
-   so a search allocates no closure.  The annotation keeps the
-   comparison on ints rather than polymorphic. *)
-let rec search (points : (int * int) array) p lo hi =
+(* The smallest i in [lo, hi) with point(i) >= p, or [hi], given [key]
+   = p packed with server 0: a packed int is at least [key] exactly when
+   its point is at least p.  Top-level, so a search allocates no
+   closure.  The annotation keeps the comparison on ints rather than
+   polymorphic. *)
+let rec search (points : int array) key lo hi =
   if lo >= hi then lo
   else begin
     let mid = (lo + hi) / 2 in
-    if fst points.(mid) >= p then search points p lo mid else search points p (mid + 1) hi
+    if points.(mid) >= key then search points key lo mid else search points key (mid + 1) hi
   end
 
 (* Index of the first ring point at or after [p] (clockwise successor),
    wrapping past the top of the ring. *)
 let successor_index points p =
   let len = Array.length points in
-  search points p 0 len mod len
+  search points (p lsl server_bits) 0 len mod len
 
 (* The winning probe's successor: the probe whose clockwise distance to
    its successor is smallest (ties keep the earliest probe, so the
@@ -59,7 +68,7 @@ let home_index points ~seed ~probe_salt ~k id =
   for j = 0 to k - 1 do
     let p = Rng.hash_in_range ~seed ~salt:(probe_salt + j) ~value:id ring_size in
     let i = successor_index points p in
-    let dist = (fst points.(i) - p + ring_size) mod ring_size in
+    let dist = (ring_point points.(i) - p + ring_size) mod ring_size in
     if dist < !best_dist then begin
       best := i;
       best_dist := dist
@@ -73,7 +82,7 @@ let rec successors points ~start count acc =
   if count = 0 then acc
   else
     let i = (start + count - 1) mod Array.length points in
-    successors points ~start (count - 1) (snd points.(i) :: acc)
+    successors points ~start (count - 1) (ring_server points.(i) :: acc)
 
 (* The entry lives on [min y n] consecutive distinct successors starting
    at its home server. *)

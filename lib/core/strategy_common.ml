@@ -34,7 +34,7 @@ let default_strategy cluster dst (msg : Msg.strategy) : Msg.reply =
     Msg.Ack
 
 let lookup_reply cluster dst target : Msg.reply =
-  Msg.Entries (Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) target)
+  Msg.Entries (Cluster.pick cluster dst target)
 
 (** Install the plane dispatcher as the cluster's handler.  [strategy]
     defaults to {!default_strategy} alone. *)

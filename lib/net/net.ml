@@ -35,7 +35,7 @@ type 'reply capacity = {
   busy_until : float array;
   depth : int array;
   slow : float array;
-  depth_g : Metrics.gauge array; (* high-water inbox depth, per server *)
+  depth_g : Metrics.gauges; (* high-water inbox depth, per server *)
   shed : Metrics.counter;
 }
 
@@ -50,7 +50,7 @@ type ('msg, 'reply) t = {
   (* Counters are registry cells private to this network instance, so the
      accessors below report exactly this network's traffic (snapshots
      aggregate across instances; see {!Plookup_obs.Metrics}). *)
-  received : Metrics.counter array;
+  received : Metrics.counters; (* per server *)
   mutable plane_received : Metrics.counter array; (* set by [set_planes] *)
   mutable classify : ('msg -> int) option;
   dropped : Metrics.counter;
@@ -80,11 +80,7 @@ let create ?metrics ~n () =
     handler = None;
     up = Array.make n true;
     up_fen;
-    received =
-      Array.init n (fun i ->
-          Metrics.counter m
-            ~labels:[ ("server", string_of_int i) ]
-            "net.messages.received");
+    received = Metrics.counters m ~label:"server" "net.messages.received" n;
     plane_received = [||];
     classify = None;
     dropped = Metrics.counter m "net.messages.dropped";
@@ -198,11 +194,7 @@ let set_capacity t ~service_rate ~queue_limit ?nack () =
         busy_until = Array.make t.n neg_infinity;
         depth = Array.make t.n 0;
         slow = Array.make t.n 1.;
-        depth_g =
-          Array.init t.n (fun i ->
-              Metrics.gauge t.metrics
-                ~labels:[ ("server", string_of_int i) ]
-                "net.queue.depth");
+        depth_g = Metrics.gauges t.metrics ~label:"server" "net.queue.depth" t.n;
         shed = Metrics.counter t.metrics "net.messages.shed" }
 
 let capacity_exn t caller =
@@ -272,7 +264,7 @@ let handler_exn t =
   | None -> invalid_arg "Net: no handler installed"
 
 let account t ~src ~dst msg =
-  Metrics.incr t.received.(dst);
+  Metrics.incr_at t.received dst;
   (match t.classify with
   | Some plane_of -> Metrics.incr t.plane_received.(plane_of msg)
   | None -> ());
@@ -362,7 +354,7 @@ let broadcast t ~src ?on_reply msg =
       (match tracing with
       | Some c -> ignore (Trace.emit_send_recv c.tr ~time ~src:scode ~dst ~pm)
       | None -> ());
-      Metrics.incr t.received.(dst);
+      Metrics.incr_at t.received dst;
       (match plane with Some c -> Metrics.incr c | None -> ());
       if repair then Metrics.incr t.repair_count;
       if client then Metrics.incr t.client_count;
@@ -374,11 +366,11 @@ let broadcast t ~src ?on_reply msg =
       | (Some _ | None), _ -> ())
   done
 
-let messages_received t = Array.fold_left (fun acc c -> acc + Metrics.value c) 0 t.received
+let messages_received t = Metrics.total t.received
 
 let messages_received_by t i =
   check_node t i;
-  Metrics.value t.received.(i)
+  Metrics.value_at t.received i
 
 let messages_dropped t = Metrics.value t.dropped
 let messages_lost t = Metrics.value t.lost
@@ -393,7 +385,7 @@ let tally_as_repair t f =
   Fun.protect ~finally:(fun () -> t.in_repair <- saved) f
 
 let reset_counters t =
-  Array.iter Metrics.reset_counter t.received;
+  Metrics.reset_counters t.received;
   Array.iter Metrics.reset_counter t.plane_received;
   Metrics.reset_counter t.dropped;
   Metrics.reset_counter t.lost;
@@ -474,8 +466,8 @@ let deliver_queued t engine ~sid ~src ~dst msg k =
       let now = Plookup_sim.Engine.now engine in
       let dep = c.depth.(dst) + 1 in
       c.depth.(dst) <- dep;
-      if float_of_int dep > Metrics.gauge_value c.depth_g.(dst) then
-        Metrics.set_gauge c.depth_g.(dst) (float_of_int dep);
+      if float_of_int dep > Metrics.gauge_value_at c.depth_g dst then
+        Metrics.set_gauge_at c.depth_g dst (float_of_int dep);
       let start = Float.max now c.busy_until.(dst) in
       let finish = start +. (c.service_time *. c.slow.(dst)) in
       c.busy_until.(dst) <- finish;

@@ -40,9 +40,14 @@ val create : ?metrics:Plookup_obs.Metrics.t -> n:int -> unit -> ('msg, 'reply) t
     (labelled [server=i]), [net.messages.dropped]/[lost]/[duplicated],
     [net.broadcasts], [net.client_requests],
     [net.messages.repair], plus a [net.delivery.delay] histogram of
-    engine-routed delivery delays.  Cells are private to this instance —
-    the accessors report exactly this network's traffic even when many
-    networks share one registry (a registry snapshot aggregates them). *)
+    engine-routed delivery delays.  The per-server counters are one
+    {!Plookup_obs.Metrics.counters} family, one word per server, which a
+    snapshot expands into one [server=i] entry per server, as separate
+    cells would give; {!messages_received_by} reads one server's count
+    and {!messages_received} their sum.
+    Cells are private to this instance — the accessors report exactly
+    this network's traffic even when many networks share one registry
+    (a registry snapshot aggregates them). *)
 
 val set_planes :
   ('msg, 'reply) t -> names:string array -> classify:('msg -> int) -> unit
@@ -146,10 +151,11 @@ val set_faults :
 
     The synchronous {!send}/{!broadcast} path has no clock and is
     unaffected, exactly like jitter.  Registry cells: a per-server
-    [net.queue.depth] gauge holding the high-water inbox occupancy and
-    a [net.messages.shed] counter.  Shed requests are counted neither as
-    received (they were never processed) nor as dropped (the server is
-    alive, only too busy). *)
+    [net.queue.depth] gauge holding the high-water inbox occupancy (one
+    {!Plookup_obs.Metrics.gauges} family, labelled [server=i] in a
+    snapshot) and a [net.messages.shed] counter.  Shed requests are
+    counted neither as received (they were never processed) nor as
+    dropped (the server is alive, only too busy). *)
 
 val set_capacity :
   ('msg, 'reply) t -> service_rate:float -> queue_limit:int -> ?nack:'reply -> unit -> unit

@@ -9,7 +9,19 @@ type histogram = {
   mutable hsum : float;
 }
 
-type cell = C of counter | G of gauge | H of histogram
+(* A family is one registry item for many same-named instruments that
+   differ only in one integer label: index i of the array is the
+   instrument labelled [(label, string_of_int i)], so it costs one word
+   instead of a cell, an item and a label list of its own. *)
+type counters = int array
+type gauges = float array
+
+type cell =
+  | C of counter
+  | G of gauge
+  | H of histogram
+  | Cs of string * counters (* the family's label, its counts *)
+  | Gs of string * gauges
 
 type item = { i_name : string; i_labels : (string * string) list; i_cell : cell }
 
@@ -42,6 +54,24 @@ let gauge t ?(labels = []) name =
 let set_gauge g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
 let gauge_value g = g.g
+
+let counters t ?(labels = []) ~label name n =
+  let cs = Array.make n 0 in
+  register t ~labels name (Cs (label, cs));
+  cs
+
+let incr_at cs i = cs.(i) <- cs.(i) + 1
+let value_at cs i = cs.(i)
+let total cs = Array.fold_left ( + ) 0 cs
+let reset_counters cs = Array.fill cs 0 (Array.length cs) 0
+
+let gauges t ?(labels = []) ~label name n =
+  let gs = Array.make n 0. in
+  register t ~labels name (Gs (label, gs));
+  gs
+
+let set_gauge_at gs i v = gs.(i) <- v
+let gauge_value_at gs i = gs.(i)
 
 let histogram t ?(labels = []) name =
   let h = { buckets = Array.make hbuckets 0; hcount = 0; hsum = 0. } in
@@ -138,25 +168,33 @@ let merge_kind a b =
   | _ ->
     invalid_arg "Metrics: instruments sharing a (name, labels) key have different kinds"
 
-let kind_of_cell = function
-  | C c -> Counter c.c
-  | G g -> Gauge g.g
-  | H h ->
-    let buckets = ref [] in
-    for b = hbuckets - 1 downto 0 do
-      if h.buckets.(b) > 0 then buckets := (b, h.buckets.(b)) :: !buckets
-    done;
-    Histogram { buckets = !buckets; count = h.hcount; sum = h.hsum }
+let histogram_kind h =
+  let buckets = ref [] in
+  for b = hbuckets - 1 downto 0 do
+    if h.buckets.(b) > 0 then buckets := (b, h.buckets.(b)) :: !buckets
+  done;
+  Histogram { buckets = !buckets; count = h.hcount; sum = h.hsum }
+
+(* Every instrument an item holds, as [f labels value]: one for a
+   plain cell, one per index for a family. *)
+let iter_instruments item f =
+  let member label i = canonical_labels ((label, string_of_int i) :: item.i_labels) in
+  match item.i_cell with
+  | C c -> f item.i_labels (Counter c.c)
+  | G g -> f item.i_labels (Gauge g.g)
+  | H h -> f item.i_labels (histogram_kind h)
+  | Cs (label, cs) -> Array.iteri (fun i n -> f (member label i) (Counter n)) cs
+  | Gs (label, gs) -> Array.iteri (fun i v -> f (member label i) (Gauge v)) gs
 
 let snapshot t =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun item ->
-      let key = (item.i_name, item.i_labels) in
-      let v = kind_of_cell item.i_cell in
-      match Hashtbl.find_opt tbl key with
-      | None -> Hashtbl.replace tbl key v
-      | Some prev -> Hashtbl.replace tbl key (merge_kind prev v))
+      iter_instruments item (fun labels v ->
+          let key = (item.i_name, labels) in
+          match Hashtbl.find_opt tbl key with
+          | None -> Hashtbl.replace tbl key v
+          | Some prev -> Hashtbl.replace tbl key (merge_kind prev v)))
     t.items;
   Hashtbl.fold (fun (name, labels) v acc -> { name; labels; v } :: acc) tbl []
   |> List.sort (fun a b -> key_compare (a.name, a.labels) (b.name, b.labels))

@@ -15,6 +15,18 @@
     counters and histogram buckets sum; gauges sum too, so use gauges
     for additive quantities (accumulated time, bytes).
 
+    A {e family} ({!counters}, {!gauges}) is one registry item holding
+    [n] instruments of one name that differ only in an integer label:
+    an unboxed [int array] or [float array] whose index [i] is the
+    instrument labelled [(label, string_of_int i)] beside the family's
+    own [labels].  It costs one word per index, where a labelled cell
+    costs about 19 (the cell, its registry item and list cell, its
+    label list, pair and number string), so a per-server instrument
+    scales with the servers it counts.  {!snapshot} expands it into one
+    entry per index, which merges with every same-keyed instrument,
+    plain or family, exactly as a labelled cell registered in the
+    family's place would.
+
     {2 Determinism}
 
     A snapshot is sorted by (name, labels), and {!absorb} merges a
@@ -46,6 +58,37 @@ val gauge : t -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
+
+(** {2 Families} *)
+
+type counters
+type gauges
+
+val counters :
+  t -> ?labels:(string * string) list -> label:string -> string -> int -> counters
+(** [counters t ~label name n] registers [n] counters called [name],
+    the [i]-th labelled [(label, string_of_int i) :: labels], all at
+    zero.  They are indexed [0 .. n - 1]; an index outside raises
+    [Invalid_argument].  An increment is one array store and allocates
+    nothing. *)
+
+val incr_at : counters -> int -> unit
+val value_at : counters -> int -> int
+
+val total : counters -> int
+(** The sum over the family. *)
+
+val reset_counters : counters -> unit
+(** Zero every counter of the family. *)
+
+val gauges :
+  t -> ?labels:(string * string) list -> label:string -> string -> int -> gauges
+(** As {!counters}, for [n] gauges at [0.]. *)
+
+val set_gauge_at : gauges -> int -> float -> unit
+val gauge_value_at : gauges -> int -> float
+
+(** {2 Histograms} *)
 
 val histogram : t -> ?labels:(string * string) list -> string -> histogram
 (** Log-scale (powers of two): an observation [v] lands in bucket
@@ -85,7 +128,9 @@ type entry = { name : string; labels : (string * string) list; v : kind }
 
 val snapshot : t -> entry list
 (** Aggregated (additively, per (name, labels) key) and sorted by
-    (name, labels) — deterministic for a deterministic program. *)
+    (name, labels) — deterministic for a deterministic program.  Each
+    index of a family is one instrument here, with its index label
+    added to the family's labels. *)
 
 val absorb : t -> ?extra_labels:(string * string) list -> entry list -> unit
 (** Merge a snapshot into this registry additively; [extra_labels] are

@@ -6,8 +6,9 @@ module Bitset = Plookup_util.Bitset
    allocate nothing and no write to it passes the write barrier.  Cell
    c is [cells.(2c)], an id or [empty], and [cells.(2c + 1)], its slot.
    There are [2^bits] cells, at most 3/4 of them full; the array is
-   made at a store's first add and dropped by [clear], so an empty
-   store holds none.
+   made at a store's first add with 4 cells, doubles at 3/4 load and
+   is dropped by [clear], so an empty store holds none and a store of
+   up to 3 entries holds 4.
 
    A cell's home is the top [bits] bits of the id times 2^62 / phi
    (Fibonacci hashing, as in [Answer_set]).  A RoundRobin server's ids
@@ -22,13 +23,17 @@ type t = {
   mutable size : int;
   mutable cells : int array; (* (id, slot) pairs; [||] before the first add *)
   mutable bits : int; (* log2 of the number of cells *)
-  mutable scratch : int array; (* reused by random_pick; grown on demand *)
 }
+
+(* [random_pick]'s index buffer, grown on demand.  One serves every
+   store of a cluster, since a pick finishes before the next begins. *)
+type scratch = { mutable buf : int array }
 
 let empty = -1
 let dummy = Entry.v 0
 
-let create () = { slots = [||]; size = 0; cells = [||]; bits = 0; scratch = [||] }
+let create () = { slots = [||]; size = 0; cells = [||]; bits = 0 }
+let scratch () = { buf = [||] }
 
 let cardinal t = t.size
 let is_empty t = t.size = 0
@@ -69,7 +74,7 @@ let rebuild t bits =
 
 let ensure_capacity t =
   if t.size = Array.length t.slots then begin
-    let capacity = max 8 (2 * Array.length t.slots) in
+    let capacity = max 2 (2 * Array.length t.slots) in
     let slots = Array.make capacity dummy in
     Array.blit t.slots 0 slots 0 t.size;
     t.slots <- slots
@@ -77,7 +82,7 @@ let ensure_capacity t =
 
 let add t e =
   let id = Entry.id e in
-  if Array.length t.cells = 0 then rebuild t 3;
+  if Array.length t.cells = 0 then rebuild t 2;
   let i = find t.cells id (home t id) in
   if t.cells.(i) = id then false
   else begin
@@ -162,18 +167,19 @@ let rec picked_to_list slots scratch lo i acc =
 (* The per-server lookup answer is the hottest operation of the whole
    evaluation.  A store holding no more than [k] entries answers with
    all of them and draws nothing; otherwise the k-subset is drawn over
-   a per-store scratch index buffer, so the only allocation is the
-   returned list. *)
-let random_pick t rng k =
+   the borrowed index buffer, so the only allocation is the returned
+   list. *)
+let random_pick t ~scratch rng k =
   if k <= 0 then []
   else if k >= t.size then to_list t
   else begin
-    if Array.length t.scratch < t.size then t.scratch <- Array.make (max 8 (2 * t.size)) 0;
+    if Array.length scratch.buf < t.size then scratch.buf <- Array.make (max 8 (2 * t.size)) 0;
+    let buf = scratch.buf in
     for i = 0 to t.size - 1 do
-      t.scratch.(i) <- i
+      buf.(i) <- i
     done;
-    let lo = Rng.subset_in_place rng t.scratch ~n:t.size ~k in
-    picked_to_list t.slots t.scratch lo (lo + k - 1) []
+    let lo = Rng.subset_in_place rng buf ~n:t.size ~k in
+    picked_to_list t.slots buf lo (lo + k - 1) []
   end
 
 (* [size <= Array.length slots], so the check covers the array's bounds. *)

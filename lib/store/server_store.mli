@@ -8,8 +8,13 @@
     id to slot that the store owns, one int array of (id, slot) cells.
     Membership, insert, delete and uniform random selection are all O(1)
     (O(k) for a k-subset).  {!mem}, {!add}, {!remove} and {!slot}
-    allocate nothing once the store has grown to its size, and an empty
-    store holds no table at all. *)
+    allocate nothing once the store has grown to its size.
+
+    A store costs what it holds: an empty one holds no table and no
+    slots at all; its first add makes a table of 4 cells and an array
+    of 2 slots, the table doubling whenever an add would fill more than
+    3/4 of it and the slots whenever they are full.  A 2-entry store is
+    17 words (5 for the record, 9 for the table, 3 for the slots). *)
 
 type t
 
@@ -29,15 +34,26 @@ val remove : t -> Entry.t -> bool
 val clear : t -> unit
 (** Empties the store and drops its slots and its id table. *)
 
-val random_pick : t -> Plookup_util.Rng.t -> int -> Entry.t list
-(** [random_pick t rng k] is [min k (cardinal t)] distinct entries chosen
-    uniformly — the paper's per-server lookup answer: "t randomly
-    selected entries stored on the server or all the entries if the total
-    is less than t".  A store holding at most [k] entries returns all of
-    them, in slot order, without touching [rng].  A larger store draws
-    with {!Plookup_util.Rng.subset_in_place} over a scratch buffer it
-    owns ([min k (cardinal t - k)] draws), so the only allocation is the
-    returned list. *)
+type scratch
+(** An index buffer for {!random_pick}, grown on demand to the largest
+    store it has served.  A store owns none: its cluster owns one and
+    lends it to every store's pick, since each pick finishes before the
+    next begins. *)
+
+val scratch : unit -> scratch
+(** An empty buffer. *)
+
+val random_pick : t -> scratch:scratch -> Plookup_util.Rng.t -> int -> Entry.t list
+(** [random_pick t ~scratch rng k] is [min k (cardinal t)] distinct
+    entries chosen uniformly — the paper's per-server lookup answer: "t
+    randomly selected entries stored on the server or all the entries if
+    the total is less than t".  A store holding at most [k] entries
+    returns all of them, in slot order, without touching [rng] or
+    [scratch].  A larger store draws with
+    {!Plookup_util.Rng.subset_in_place} over [scratch]
+    ([min k (cardinal t - k)] draws), so once the buffer has grown the
+    only allocation is the returned list.  The entries and the draws do
+    not depend on the buffer's size or on earlier picks through it. *)
 
 val to_list : t -> Entry.t list
 (** Unspecified order. *)

@@ -17,7 +17,7 @@ let manual_cluster ?obs ~n placement =
       match (msg : Msg.t) with
       | Msg.Data (Msg.Lookup t) ->
         Msg.Entries
-          (Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t)
+          (Cluster.pick cluster dst t)
       | _ -> Msg.Ack);
   cluster
 
@@ -332,7 +332,7 @@ let test_busy_nack_abandons_contact () =
         match (msg : Msg.t) with
         | Msg.Data (Msg.Lookup t) ->
           Msg.Entries
-            (Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t)
+            (Cluster.pick cluster dst t)
         | _ -> Msg.Ack);
   let o = run_lookup ~retries:3 ~order:[ 0; 1 ] ~t:2 cluster in
   Alcotest.(check bool) "satisfied" true (Lookup_result.satisfied o.Async_client.result);
@@ -424,7 +424,7 @@ let prop_results_come_from_answers =
           match (msg : Msg.t) with
           | Msg.Data (Msg.Lookup t) ->
             let answer =
-              Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t
+              Cluster.pick cluster dst t
             in
             List.iter (fun e -> Hashtbl.replace heard (Entry.id e) ()) answer;
             Msg.Entries answer

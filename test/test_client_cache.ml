@@ -236,7 +236,7 @@ let private_cluster () =
       match (msg : Msg.t) with
       | Msg.Data (Msg.Lookup t) ->
         Msg.Entries
-          (Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t)
+          (Cluster.pick cluster dst t)
       | _ -> Msg.Ack);
   cluster
 

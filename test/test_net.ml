@@ -731,6 +731,57 @@ let test_capacity_sheds_when_full () =
   Helpers.check_int "sheds are not down-drops" 0 (Net.messages_dropped net);
   Helpers.check_int "queue drained" 0 (Net.queue_depth net 0)
 
+(* The per-server counters and queue-depth gauges are one registry
+   family each: a reset zeroes every server's count and later traffic
+   counts afresh, per server and in the registry's snapshot, while the
+   capacity model's occupancy and its high-water gauges stay. *)
+let test_reset_counters_per_server () =
+  let metrics = Plookup_obs.Metrics.create () in
+  let engine = Engine.create () in
+  let net = Net.create ~metrics ~n:3 () in
+  Net.set_handler net (fun _ _ () -> ());
+  Net.set_capacity net ~service_rate:0.5 ~queue_limit:10 ();
+  let by () = List.init 3 (Net.messages_received_by net) in
+  let dump name =
+    List.filter_map
+      (fun e ->
+        if e.Plookup_obs.Metrics.name <> name then None
+        else
+          match e.Plookup_obs.Metrics.v with
+          | Plookup_obs.Metrics.Counter n -> Some (e.labels, float_of_int n)
+          | Plookup_obs.Metrics.Gauge v -> Some (e.labels, v)
+          | Plookup_obs.Metrics.Histogram _ -> None)
+      (Plookup_obs.Metrics.snapshot metrics)
+  in
+  let server i v = ([ ("server", string_of_int i) ], v) in
+  let check_dump name expected =
+    Alcotest.(check (list (pair (list (pair string string)) (float 0.)))) name expected
+      (dump name)
+  in
+  Net.broadcast net ~src:Net.Client ();
+  ignore (Net.send net ~src:Net.Client ~dst:2 ());
+  Alcotest.(check (list int)) "per server" [ 1; 1; 2 ] (by ());
+  (* Three requests reach server 1 at t = 1; one is in service and two
+     wait when the run stops at t = 2. *)
+  for _ = 1 to 3 do
+    call_after 1. net engine ~dst:1 ()
+  done;
+  ignore (Engine.run engine ~until:2.);
+  Helpers.check_int "queued" 3 (Net.queue_depth net 1);
+  Net.reset_counters net;
+  Helpers.check_int "total reset" 0 (Net.messages_received net);
+  Alcotest.(check (list int)) "per server reset" [ 0; 0; 0 ] (by ());
+  check_dump "net.messages.received" [ server 0 0.; server 1 0.; server 2 0. ];
+  Helpers.check_int "queue kept" 3 (Net.queue_depth net 1);
+  ignore (Engine.run engine);
+  Helpers.check_int "queue drained" 0 (Net.queue_depth net 1);
+  Net.broadcast net ~src:Net.Client ();
+  ignore (Net.send net ~src:Net.Client ~dst:0 ());
+  Alcotest.(check (list int)) "counted afresh" [ 2; 4; 1 ] (by ());
+  Helpers.check_int "total afresh" 7 (Net.messages_received net);
+  check_dump "net.messages.received" [ server 0 2.; server 1 4.; server 2 1. ];
+  check_dump "net.queue.depth" [ server 0 0.; server 1 3.; server 2 0. ]
+
 let test_capacity_nack_fast_reply () =
   (* With a nack configured, the shed request's caller gets the nack
      after only the reply latency — no service time spent. *)
@@ -831,6 +882,8 @@ let () =
           Alcotest.test_case "failure drops" `Quick test_failure_drops;
           Alcotest.test_case "broadcast skips failed" `Quick test_broadcast_skips_failed;
           Alcotest.test_case "reset counters" `Quick test_reset_counters;
+          Alcotest.test_case "reset counters per server" `Quick
+            test_reset_counters_per_server;
           Alcotest.test_case "no handler" `Quick test_no_handler;
           Alcotest.test_case "bad index" `Quick test_bad_index;
           Alcotest.test_case "create validation" `Quick test_create_validation;

@@ -56,6 +56,174 @@ let test_snapshot_roundtrip () =
     Helpers.close "histogram sum doubles" 2020. sum
   | _ -> Alcotest.fail "histogram entry missing"
 
+(* A family is a registry item holding one array for many instruments;
+   its reference is one labelled cell per index, registered where the
+   family is.  Each random program registers families and plain
+   instruments whose keys collide with family members (same name, a
+   label list equal to a member's), and interleaves increments and
+   resets of both, sets of both kinds of gauge, and the plain cells'
+   adds and gauge adds.  Both registries must then agree on every
+   reading: the snapshot (gauge sums included, so merge order too), its
+   JSON, [sum_counters] under several filters, and the snapshot after
+   each absorbs its own snapshot with extra labels.  Counter and gauge
+   names differ, so kinds never clash. *)
+type instrument_spec =
+  | Family of {
+      gauge : bool;
+      name : string;
+      labels : (string * string) list;
+      label : string;
+      n : int;
+    }
+  | Plain of { gauge : bool; name : string; labels : (string * string) list }
+
+type action =
+  | Register of instrument_spec
+  | Touch of { which : int; index : int; op : int; v : float }
+
+(* An instrument in the family registry and its reference twin. *)
+type twin =
+  | Counter_family of Metrics.counters * Metrics.counter array
+  | Gauge_family of Metrics.gauges * Metrics.gauge array
+  | Counter_cell of Metrics.counter * Metrics.counter
+  | Gauge_cell of Metrics.gauge * Metrics.gauge
+
+let gen_registry_program =
+  let open QCheck2.Gen in
+  let spec =
+    let* gauge = bool and* k = int_bound 1 in
+    let name = Printf.sprintf "%s%d" (if gauge then "g" else "c") k in
+    oneof
+      [ (let* labels = oneofl [ []; [ ("plane", "x") ] ]
+         and* label = oneofl [ "server"; "shard" ]
+         and* n = int_range 1 4 in
+         return (Family { gauge; name; labels; label; n }));
+        (let* labels =
+           oneofl
+             [ [];
+               [ ("server", "0") ];
+               [ ("server", "1") ];
+               [ ("server", "3") ];
+               [ ("shard", "0") ];
+               [ ("plane", "x") ];
+               [ ("server", "1"); ("plane", "x") ] ]
+         in
+         return (Plain { gauge; name; labels })) ]
+  in
+  let touch =
+    let+ which = nat and+ index = nat and+ op = int_bound 3
+    and+ v = float_range (-100.) 100. in
+    Touch { which; index; op; v }
+  in
+  let* actions =
+    list_size (int_range 1 40) (frequency [ (1, map (fun s -> Register s) spec); (3, touch) ])
+  in
+  let* extra = oneofl [ []; [ ("plane", "x") ]; [ ("strategy", "s") ] ] in
+  return (actions, extra)
+
+let run_registry_program actions =
+  let fam = Metrics.create () and reference = Metrics.create () in
+  let twins = ref [||] in
+  let register = function
+    | Family { gauge = false; name; labels; label; n } ->
+      Counter_family
+        ( Metrics.counters fam ~labels ~label name n,
+          Array.init n (fun i ->
+              Metrics.counter reference ~labels:((label, string_of_int i) :: labels) name) )
+    | Family { gauge = true; name; labels; label; n } ->
+      Gauge_family
+        ( Metrics.gauges fam ~labels ~label name n,
+          Array.init n (fun i ->
+              Metrics.gauge reference ~labels:((label, string_of_int i) :: labels) name) )
+    | Plain { gauge = false; name; labels } ->
+      Counter_cell (Metrics.counter fam ~labels name, Metrics.counter reference ~labels name)
+    | Plain { gauge = true; name; labels } ->
+      Gauge_cell (Metrics.gauge fam ~labels name, Metrics.gauge reference ~labels name)
+  in
+  let touch twin index op v =
+    let amount = int_of_float v in
+    match twin with
+    | Counter_family (cs, cells) ->
+      let i = index mod Array.length cells in
+      if op < 3 then begin
+        Metrics.incr_at cs i;
+        Metrics.incr cells.(i)
+      end
+      else begin
+        Metrics.reset_counters cs;
+        Array.iter Metrics.reset_counter cells
+      end
+    | Gauge_family (gs, cells) ->
+      let i = index mod Array.length cells in
+      Metrics.set_gauge_at gs i v;
+      Metrics.set_gauge cells.(i) v
+    | Counter_cell (a, b) -> (
+      match op with
+      | 0 ->
+        Metrics.incr a;
+        Metrics.incr b
+      | 1 | 2 ->
+        Metrics.add a amount;
+        Metrics.add b amount
+      | _ ->
+        Metrics.reset_counter a;
+        Metrics.reset_counter b)
+    | Gauge_cell (a, b) ->
+      if op land 1 = 0 then begin
+        Metrics.set_gauge a v;
+        Metrics.set_gauge b v
+      end
+      else begin
+        Metrics.add_gauge a v;
+        Metrics.add_gauge b v
+      end
+  in
+  List.iter
+    (function
+      | Register spec -> twins := Array.append !twins [| register spec |]
+      | Touch { which; index; op; v } ->
+        let n = Array.length !twins in
+        if n > 0 then touch !twins.(which mod n) index op v)
+    actions;
+  (fam, reference, !twins)
+
+(* Every family index reads what its reference cell reads. *)
+let twins_agree twins =
+  Array.for_all
+    (function
+      | Counter_family (cs, cells) ->
+        Array.for_all Fun.id
+          (Array.mapi (fun i c -> Metrics.value_at cs i = Metrics.value c) cells)
+        && Metrics.total cs = Array.fold_left (fun acc c -> acc + Metrics.value c) 0 cells
+      | Gauge_family (gs, cells) ->
+        Array.for_all Fun.id
+          (Array.mapi (fun i g -> Metrics.gauge_value_at gs i = Metrics.gauge_value g) cells)
+      | Counter_cell _ | Gauge_cell _ -> true)
+    twins
+
+let prop_families_match_cells =
+  Helpers.qcheck ~count:500 "families read as one labelled cell per index"
+    gen_registry_program
+    (fun (actions, extra_labels) ->
+      let fam, reference, twins = run_registry_program actions in
+      let a = Metrics.snapshot fam and b = Metrics.snapshot reference in
+      let sums snap =
+        List.concat_map
+          (fun name ->
+            List.map
+              (fun where -> Metrics.sum_counters snap ~where name)
+              [ []; [ ("server", "1") ]; [ ("plane", "x") ]; [ ("shard", "0") ];
+                [ ("plane", "x"); ("server", "0") ] ])
+          [ "c0"; "c1" ]
+      in
+      Metrics.absorb fam ~extra_labels a;
+      Metrics.absorb reference ~extra_labels b;
+      twins_agree twins
+      && a = b
+      && String.equal (Metrics.to_json a) (Metrics.to_json b)
+      && sums a = sums b
+      && Metrics.snapshot fam = Metrics.snapshot reference)
+
 (* The log-scale quantile estimator lands in the same power-of-two
    bucket as the exact sample percentile, so (for values above 1) it is
    within a factor of 2 of Stats.percentile at every rank — the
@@ -290,7 +458,8 @@ let () =
           Alcotest.test_case "quantile tracks percentile" `Quick
             test_histogram_quantile_tracks_percentile;
           Alcotest.test_case "quantile edges" `Quick test_histogram_quantile_edges;
-          Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges ] );
+          Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
+          prop_families_match_cells ] );
       ("sink", [ Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden ]);
       ( "evicted",
         [ Alcotest.test_case "evictions reach the registry" `Quick test_evicted_metric ] );

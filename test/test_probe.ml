@@ -17,7 +17,7 @@ let manual_cluster ~n placement =
       match (msg : Msg.t) with
       | Msg.Data (Msg.Lookup t) ->
         Msg.Entries
-          (Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t)
+          (Cluster.pick cluster dst t)
       | _ -> Msg.Ack);
   cluster
 
@@ -171,7 +171,7 @@ let recording_cluster ~n placement heard =
       match (msg : Msg.t) with
       | Msg.Data (Msg.Lookup t) ->
         let answer =
-          Server_store.random_pick (Cluster.store cluster dst) (Cluster.rng cluster) t
+          Cluster.pick cluster dst t
         in
         List.iter (fun e -> Hashtbl.replace heard (Entry.id e) ()) answer;
         Msg.Entries answer

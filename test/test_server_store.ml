@@ -1,6 +1,10 @@
 open Plookup_store
 open Plookup_util
 
+(* One pick buffer lent to every store below, as a cluster lends its
+   one to all its stores. *)
+let scratch = Server_store.scratch ()
+
 let test_empty () =
   let s = Server_store.create () in
   Helpers.check_int "cardinal" 0 (Server_store.cardinal s);
@@ -33,7 +37,7 @@ let test_random_pick_distinct () =
   done;
   let rng = Rng.create 1 in
   for _ = 1 to 100 do
-    let picked = Server_store.random_pick s rng 7 in
+    let picked = Server_store.random_pick s ~scratch rng 7 in
     Helpers.check_int "pick size" 7 (List.length picked);
     Helpers.check_int "pick distinct" 7 (List.length (List.sort_uniq compare (Helpers.sorted_ids picked)))
   done
@@ -44,10 +48,10 @@ let test_random_pick_clamps () =
   ignore (Server_store.add s (Entry.v 1));
   let rng = Rng.create 2 in
   Helpers.check_int "asks for more than stored" 2
-    (List.length (Server_store.random_pick s rng 10));
-  Helpers.check_int "zero" 0 (List.length (Server_store.random_pick s rng 0));
+    (List.length (Server_store.random_pick s ~scratch rng 10));
+  Helpers.check_int "zero" 0 (List.length (Server_store.random_pick s ~scratch rng 0));
   Helpers.check_int "negative treated as zero" 0
-    (List.length (Server_store.random_pick s rng (-3)))
+    (List.length (Server_store.random_pick s ~scratch rng (-3)))
 
 let test_random_pick_uniform () =
   (* Each of 10 entries should appear in a 3-of-10 pick ~30% of the time. *)
@@ -61,7 +65,7 @@ let test_random_pick_uniform () =
   for _ = 1 to draws do
     List.iter
       (fun e -> counts.(Entry.id e) <- counts.(Entry.id e) + 1)
-      (Server_store.random_pick s rng 3)
+      (Server_store.random_pick s ~scratch rng 3)
   done;
   Array.iteri
     (fun i c ->
@@ -83,7 +87,7 @@ let test_random_pick_whole_store () =
     (fun k ->
       let twin = Rng.copy rng in
       Alcotest.(check (list int)) (Printf.sprintf "k=%d" k) [ 0; 1; 2; 3; 4 ]
-        (Helpers.sorted_ids (Server_store.random_pick s rng k));
+        (Helpers.sorted_ids (Server_store.random_pick s ~scratch rng k));
       Alcotest.(check int64) "no draw" (Rng.bits64 twin) (Rng.bits64 rng))
     [ 5; 6; 35; max_int ]
 
@@ -95,7 +99,7 @@ let test_random_pick_uniform_subsets () =
   let rng = Rng.create 17 in
   for k = 1 to 5 do
     Helpers.uniform_over_subsets ~what:(Printf.sprintf "6 choose %d" k) ~n:6 ~k ~trials:6000
-      (fun () -> List.map Entry.id (Server_store.random_pick s rng k))
+      (fun () -> List.map Entry.id (Server_store.random_pick s ~scratch rng k))
   done
 
 let test_clear () =
@@ -172,7 +176,7 @@ let prop_random_pick_subset =
       let s = Server_store.create () in
       List.iter (fun i -> ignore (Server_store.add s (Entry.v i))) ids;
       let rng = Rng.create seed in
-      let picked = Server_store.random_pick s rng k in
+      let picked = Server_store.random_pick s ~scratch rng k in
       let picked_ids = List.map Entry.id picked in
       List.length picked = min (max k 0) (Server_store.cardinal s)
       && List.length (List.sort_uniq compare picked_ids) = List.length picked
