@@ -559,7 +559,8 @@ let bench_scale () =
      placed entries.  [words_per_delivery] is the minor words of a fixed
      batch of [update_batch] updates, run untimed on the freshly placed
      service, over the messages they delivered: exact for a given
-     binary, so it moves only when a copy allocates differently. *)
+     binary, so it moves when a copy or the update's own bookkeeping
+     (RoundRobin's coordinator ledger) allocates differently. *)
   let update_n = 10_000 and update_batch = 20 and update_window = 10 in
   let broadcast_updates config =
     let service = Service.create ~seed:7 ~n:update_n config in

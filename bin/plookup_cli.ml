@@ -190,20 +190,16 @@ let cache_config ~cache ~cache_cap ~cache_ttl ~swr ~hotspot =
         swr = Option.value swr ~default:d.Experiments.Ctx.swr;
         hotspot = Option.value hotspot ~default:d.Experiments.Ctx.hotspot }
 
-(* The day experiment's overload configuration: [None] (its default,
-   Ctx.default_overload) unless some overload flag was given. *)
+(* The day experiment's overload configuration: Ctx.default_overload
+   with each given flag in place of its field. *)
 let overload_config ~capacity ~service_rate ~deadline ~hedge ~breaker ~degrade =
-  match (capacity, service_rate, deadline, hedge, breaker, degrade) with
-  | None, None, None, None, None, None -> None
-  | _ ->
-    let d = Experiments.Ctx.default_overload in
-    Some
-      { Experiments.Ctx.capacity = Option.value capacity ~default:d.Experiments.Ctx.capacity;
-        service_rate = Option.value service_rate ~default:d.Experiments.Ctx.service_rate;
-        deadline = Option.value deadline ~default:d.Experiments.Ctx.deadline;
-        hedge = Option.value hedge ~default:d.Experiments.Ctx.hedge;
-        breaker = Option.value breaker ~default:d.Experiments.Ctx.breaker;
-        degrade = Option.value degrade ~default:d.Experiments.Ctx.degrade }
+  let d = Experiments.Ctx.default_overload in
+  { Experiments.Ctx.capacity = Option.value capacity ~default:d.Experiments.Ctx.capacity;
+    service_rate = Option.value service_rate ~default:d.Experiments.Ctx.service_rate;
+    deadline = Option.value deadline ~default:d.Experiments.Ctx.deadline;
+    hedge = Option.value hedge ~default:d.Experiments.Ctx.hedge;
+    breaker = Option.value breaker ~default:d.Experiments.Ctx.breaker;
+    degrade = Option.value degrade ~default:d.Experiments.Ctx.degrade }
 
 let csv_arg =
   let doc = "Emit CSV instead of an aligned ASCII table." in
@@ -236,25 +232,20 @@ let render ~csv ~plot table =
     | [] -> ()
   end
 
-(* The churned experiments' repair configuration: [None] (their default,
-   Repair.default_config) unless some repair flag was given. *)
+(* The churned experiments' repair configuration: Repair.default_config
+   with each given flag in place of its field. *)
 let repair_config ~repair ~grace ~period =
-  match (repair, grace, period) with
-  | None, None, None -> Ok None
-  | _ -> (
-    let mode =
-      match repair with None -> Ok Plookup.Repair.default_config.Plookup.Repair.mode
-      | Some s -> Plookup.Repair.mode_of_string s
-    in
-    match mode with
-    | Error msg -> Error msg
-    | Ok mode ->
-      let d = Plookup.Repair.default_config in
-      Ok
-        (Some
-           { Plookup.Repair.mode;
-             grace = Option.value grace ~default:d.Plookup.Repair.grace;
-             period = Option.value period ~default:d.Plookup.Repair.period }))
+  let d = Plookup.Repair.default_config in
+  let mode =
+    match repair with None -> Ok d.Plookup.Repair.mode | Some s -> Plookup.Repair.mode_of_string s
+  in
+  match mode with
+  | Error msg -> Error msg
+  | Ok mode ->
+    Ok
+      { Plookup.Repair.mode;
+        grace = Option.value grace ~default:d.Plookup.Repair.grace;
+        period = Option.value period ~default:d.Plookup.Repair.period }
 
 (* Every flag that configures an experiment context, as one term, so
    [run] and [trace] accept the same ones.  It yields a function from
@@ -273,7 +264,7 @@ let ctx_term =
       let cache = cache_config ~cache ~cache_cap ~cache_ttl ~swr ~hotspot in
       match
         Experiments.Ctx.v ~seed ~scale ~jobs:(resolve_jobs jobs) ~loss ~duplication ~jitter
-          ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs ()
+          ?mttf ?mttr ?horizon ~repair ~overload ?cache ?obs ()
       with
       | ctx -> Ok ctx
       | exception Invalid_argument msg -> Error msg)
@@ -650,7 +641,7 @@ let trace_cmd =
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.34.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.35.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

@@ -1,26 +1,30 @@
 open Plookup_store
 module Rng = Plookup_util.Rng
 
-(* An open-addressing table of entry ids beside a buffer of the distinct
-   entries in arrival order.  Slot [i] of the table holds [ids.(i)] only
-   while [stamps.(i) = gen], so bumping [gen] empties it in O(1).  [gen]
-   never goes back, not even when a regrowth or a shrink makes a new
-   table: a {!Buffer} seated at an old generation must find itself
-   unseated.  The buffer and the table grow separately: the buffer
-   doubles when full, the table doubles when it would pass a load of
-   3/4.
+(* The distinct entries of one lookup in arrival order: [items.(0 ..
+   count-1)].  [seat] is the table generation at which those are exactly
+   the ids the table holds; 0, below every generation, until the first
+   merge. *)
+type buffer = { mutable items : Entry.t array; mutable count : int; mutable seat : int }
 
-   [entries] and [len] are the synchronous client's buffer.  Each
-   asynchronous lookup keeps a {!Buffer.t} of its own and merges it
-   through the same table. *)
+(* An open-addressing table of entry ids beside the synchronous client's
+   buffer.  Slot [i] of the table holds [ids.(i)] only while
+   [stamps.(i) = gen], so bumping [gen] empties it in O(1).  [gen] never
+   goes back, not even when a regrowth or a shrink makes a new table: a
+   {!Buffer} seated at an old generation must find itself unseated.  A
+   buffer and the table grow separately: the buffer doubles when full,
+   the table doubles when it would pass a load of 3/4.
+
+   [own] is the synchronous client's buffer, seated by [create] and
+   [reset].  Each asynchronous lookup keeps a {!Buffer.t} of its own and
+   merges it through the same table. *)
 type t = {
   default : int; (* buffer length a reset returns to *)
   mutable ids : int array;
   mutable stamps : int array;
   mutable gen : int;
   mutable bits : int; (* log2 of the table length *)
-  mutable entries : Entry.t array;
-  mutable len : int;
+  own : buffer;
 }
 
 let dummy = Entry.v 0
@@ -45,7 +49,7 @@ let table_bits n =
 (* A buffer of [n] entries and the smallest table holding them. *)
 let alloc t n =
   alloc_table t (table_bits n);
-  t.entries <- Array.make n dummy
+  t.own.items <- Array.make n dummy
 
 (* Fibonacci hashing: the top bits of the id times 2^62 / phi. *)
 let home t id = (id * 0x278DDE6E5FD29F05) lsr (63 - t.bits)
@@ -78,59 +82,60 @@ let regrow t entries len id =
   claim_all t entries len;
   claim t id
 
-let create ?(expect = 64) () =
-  if expect <= 0 then invalid_arg "Answer_set.create: expect must be positive";
-  let t =
-    { default = expect; ids = [||]; stamps = [||]; gen = 0; bits = 0; entries = [||]; len = 0 }
-  in
-  alloc t expect;
-  t
-
-let reset t =
-  t.len <- 0;
-  if Array.length t.entries > shrink_factor * t.default then alloc t t.default
-  else t.gen <- t.gen + 1
-
-let add_one t e =
+(* Append [e] to [b] and claim its id, unless the table holds the id
+   already; the buffer and the table grow as they fill. *)
+let add_one t b e =
   let id = Entry.id e in
   let i = slot t id (home t id) in
   if t.stamps.(i) <> t.gen then begin
-    if t.len = Array.length t.entries then t.entries <- doubled t.entries t.len;
-    if 4 * (t.len + 1) > 3 * Array.length t.ids then regrow t t.entries t.len id
+    if b.count = Array.length b.items then b.items <- doubled b.items b.count;
+    if 4 * (b.count + 1) > 3 * Array.length t.ids then regrow t b.items b.count id
     else begin
       t.stamps.(i) <- t.gen;
       t.ids.(i) <- id
     end;
-    t.entries.(t.len) <- e;
-    t.len <- t.len + 1
+    b.items.(b.count) <- e;
+    b.count <- b.count + 1
   end
 
-let rec add t = function
+let rec add_all t b = function
   | [] -> ()
   | e :: rest ->
-    add_one t e;
-    add t rest
-
-let length t = t.len
-let capacity t = Array.length t.entries
+    add_one t b e;
+    add_all t b rest
 
 let rec range_to_list entries lo i acc =
   if i < lo then acc else range_to_list entries lo (i - 1) (entries.(i) :: acc)
 
-let pick_from entries len ~rng ~target =
-  let k = min target len in
-  let lo = Rng.subset_in_place rng entries ~n:len ~k in
-  range_to_list entries lo (lo + k - 1) []
+let pick_from b ~rng ~target =
+  let k = min target b.count in
+  let lo = Rng.subset_in_place rng b.items ~n:b.count ~k in
+  range_to_list b.items lo (lo + k - 1) []
 
-let pick t ~rng ~target = pick_from t.entries t.len ~rng ~target
+let create ?(expect = 64) () =
+  if expect <= 0 then invalid_arg "Answer_set.create: expect must be positive";
+  let t =
+    { default = expect; ids = [||]; stamps = [||]; gen = 0; bits = 0;
+      own = { items = [||]; count = 0; seat = 0 } }
+  in
+  alloc t expect;
+  t.own.seat <- t.gen;
+  t
+
+let reset t =
+  t.own.count <- 0;
+  if Array.length t.own.items > shrink_factor * t.default then alloc t t.default
+  else t.gen <- t.gen + 1;
+  t.own.seat <- t.gen
+
+let add t entries = add_all t t.own entries
+let length t = t.own.count
+let capacity t = Array.length t.own.items
+let pick t ~rng ~target = pick_from t.own ~rng ~target
 
 module Buffer = struct
   type set = t
-
-  (* [seat] is the table generation at which [items.(0 .. count-1)] are
-     exactly the ids the table holds; 0, below every generation, until
-     the first merge. *)
-  type t = { mutable items : Entry.t array; mutable count : int; mutable seat : int }
+  type t = buffer
 
   let create ~expect =
     if expect <= 0 then invalid_arg "Answer_set.Buffer.create: expect must be positive";
@@ -143,36 +148,15 @@ module Buffer = struct
     else s.gen <- s.gen + 1;
     claim_all s b.items b.count
 
-  (* [add_one] on [b]'s buffer. *)
-  let add_one (s : set) b e =
-    let id = Entry.id e in
-    let i = slot s id (home s id) in
-    if s.stamps.(i) <> s.gen then begin
-      if b.count = Array.length b.items then b.items <- doubled b.items b.count;
-      if 4 * (b.count + 1) > 3 * Array.length s.ids then regrow s b.items b.count id
-      else begin
-        s.stamps.(i) <- s.gen;
-        s.ids.(i) <- id
-      end;
-      b.items.(b.count) <- e;
-      b.count <- b.count + 1
-    end
-
-  let rec add s b = function
-    | [] -> ()
-    | e :: rest ->
-      add_one s b e;
-      add s b rest
-
-  (* A regrowth inside [add] moves the table to a new generation and
+  (* A regrowth inside [add_all] moves the table to a new generation and
      claims [b]'s ids there, so [b] ends seated at the table's last. *)
   let merge s b = function
     | [] -> ()
     | entries ->
       if b.seat <> s.gen then reseat s b;
-      add s b entries;
+      add_all s b entries;
       b.seat <- s.gen
 
   let length b = b.count
-  let pick b ~rng ~target = pick_from b.items b.count ~rng ~target
+  let pick = pick_from
 end

@@ -13,9 +13,11 @@
     another without allocating.
 
     {b Who owns the table.}  A cluster owns one set
-    ({!Cluster.answers}).  Its own buffer is the synchronous client's;
-    each asynchronous lookup holds only a {!Buffer.t} of its distinct
-    entries and merges it through the cluster's table.  The table holds
+    ({!Cluster.answers}).  Its own buffer, a {!Buffer.t} that {!create}
+    and {!reset} seat at the table's current generation, is the
+    synchronous client's; each asynchronous lookup holds only a
+    {!Buffer.t} of its distinct entries and merges it through the
+    cluster's table.  Both kinds merge through the same code.  The table holds
     the ids of one buffer at a time, at the current generation, and a
     buffer records the generation it was last seated at.  A
     {!Buffer.merge} into a buffer seated at an older generation — some

@@ -16,9 +16,6 @@ let servers_of t e =
     List.rev
       (List.fold_left (fun acc s -> if mem s acc then acc else s :: acc) [] targets)
 
-let send t ~src ~dst msg =
-  ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst msg)
-
 (* One update's messages to its owners, all from one sender value and
    with no closure. *)
 let rec send_all net ~src msg = function
@@ -47,65 +44,15 @@ let create cluster ~targets =
   t
 
 let place ?budget t entries =
-  let entries = Entry.dedup entries in
-  match Cluster.random_up_server t.cluster with
-  | None -> ()
-  | Some s ->
-    ignore (Net.send (Cluster.net t.cluster) ~src:Net.Client ~dst:s (Msg.place entries));
-    let arr = Array.of_list entries in
-    let budget = Option.value budget ~default:max_int in
-    let spent = ref 0 in
-    (* Round-major: all first copies before any second copy, so a budget
-       cut keeps coverage maximal (Fig. 6's "keep a subset").  A target
-       repeated by colliding hash functions still costs its message; the
-       receiver stores one copy.  Owner functions draw nothing, so each
-       round recomputes the targets instead of holding them: holding them
-       through a 10k-entry placement raised the peak heap of a
-       10k-server run by a quarter.  Round 0 visits every entry unless
-       the budget runs out, so it finds the longest target list. *)
-    let rounds = ref 1 and r = ref 0 in
-    while !r < !rounds do
-      Array.iter
-        (fun e ->
-          if !spent < budget then begin
-            let targets = t.targets e in
-            if !r = 0 then rounds := Int.max !rounds (List.length targets);
-            match List.nth_opt targets !r with
-            | Some dst ->
-              send t ~src:s ~dst (Msg.store e);
-              incr spent
-            | None -> ()
-          end)
-        arr;
-      incr r
-    done
+  ignore
+    (Strategy_common.place_round_major ?budget t.cluster (Entry.dedup entries)
+       ~owners:(fun _ e -> t.targets e))
 
 let add t e = Strategy_common.to_random_server t.cluster (Msg.add e)
 let delete t e = Strategy_common.to_random_server t.cluster (Msg.delete e)
 
 let check_invariants t ~placed =
-  let n = Cluster.n t.cluster in
-  let expected = Array.init n (fun _ -> Hashtbl.create 16) in
-  List.iter
-    (fun e ->
-      List.iter (fun s -> Hashtbl.replace expected.(s) (Entry.id e) ()) (servers_of t e))
-    placed;
-  let ok = ref (Ok ()) in
-  let fail fmt = Format.kasprintf (fun s -> if !ok = Ok () then ok := Error s) fmt in
-  for s = 0 to n - 1 do
-    let store = Cluster.store t.cluster s in
-    Server_store.iter
-      (fun e ->
-        if not (Hashtbl.mem expected.(s) (Entry.id e)) then
-          fail "server %d stores %s not assigned to it" s (Entry.to_string e))
-      store;
-    Hashtbl.iter
-      (fun id () ->
-        if not (Server_store.mem store (Entry.v id)) then
-          fail "server %d is missing entry v%d" s id)
-      expected.(s)
-  done;
-  !ok
+  Strategy_common.check_placement t.cluster (List.map (fun e -> (e, servers_of t e)) placed)
 
 module type PLACEMENT = sig
   val meta : Strategy_intf.meta

@@ -26,19 +26,20 @@ val servers_of : t -> Entry.t -> int list
     stored only once"). *)
 
 val place : ?budget:int -> t -> Entry.t list -> unit
-(** Send [Msg.place] to one random up server, then store each entry at
-    its targets, round-major: every entry's first target gets a copy
-    before any entry's second, so a [budget] cut keeps coverage maximal
-    (Fig. 6).  Every target costs one message and one unit of [budget],
-    a repeated one included. *)
+(** {!Strategy_common.place_round_major} with each entry's [targets] as
+    its owners: [Msg.place] to one random up server, then each entry's
+    first target gets a copy before any entry's second, so a [budget]
+    cut keeps coverage maximal (Fig. 6).  Every target costs one message
+    and one unit of [budget], a repeated one included. *)
 
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
 
 val check_invariants : t -> placed:Entry.t list -> (unit, string) result
-(** After a non-truncated place (and any adds and deletes folded into
-    [placed]), every entry must live at exactly [servers_of] and nowhere
-    else.  For tests. *)
+(** {!Strategy_common.check_placement} with each entry of [placed] at
+    its [servers_of]: after a non-truncated place (and any adds and
+    deletes folded into [placed]), every entry must live at exactly its
+    owners and nowhere else.  For tests. *)
 
 (** What a strategy adds to the protocol: its name, its Table-1 formula
     and its constructor. *)

@@ -2,11 +2,15 @@ open Plookup_store
 module Net = Plookup_net.Net
 
 (* One replica of the coordinator state: the head/tail counters of
-   Section 5.4 plus the position<->entry maps they index. *)
+   Section 5.4 over the round-robin sequence, whose live positions
+   [head, tail) are always occupied.  Position [p] lives in
+   [window.(p land (length - 1))]; the window's length is a power of two
+   at least [tail - head] and doubles when an add finds it full.  Slots
+   outside the live positions hold stale entries that are never read. *)
 type ledger = {
   mutable head : int;
   mutable tail : int;
-  by_position : (int, Entry.t) Hashtbl.t;
+  mutable window : Entry.t array;
   position_of_id : (int, int) Hashtbl.t;
 }
 
@@ -18,27 +22,30 @@ type t = {
   mutable truncated : bool; (* placed under a budget; updates disabled *)
 }
 
+let dummy = Entry.v 0
+
+(* The shortest window, at least 8 slots, holding [live] positions. *)
+let window_length live =
+  let rec from len = if len >= live then len else from (2 * len) in
+  from 8
+
 let fresh_ledger () =
-  { head = 0; tail = 0; by_position = Hashtbl.create 64; position_of_id = Hashtbl.create 64 }
+  { head = 0; tail = 0; window = Array.make (window_length 0) dummy;
+    position_of_id = Hashtbl.create 64 }
+
+let slot ledger pos = ledger.window.(pos land (Array.length ledger.window - 1))
+let set_slot ledger pos e = ledger.window.(pos land (Array.length ledger.window - 1)) <- e
 
 let copy_ledger ~src ~dst =
   dst.head <- src.head;
   dst.tail <- src.tail;
-  Hashtbl.reset dst.by_position;
+  dst.window <- Array.copy src.window;
   Hashtbl.reset dst.position_of_id;
-  Hashtbl.iter (Hashtbl.replace dst.by_position) src.by_position;
   Hashtbl.iter (Hashtbl.replace dst.position_of_id) src.position_of_id
 
 let ledgers_equal a b =
-  a.head = b.head && a.tail = b.tail
-  && Hashtbl.length a.by_position = Hashtbl.length b.by_position
-  && Hashtbl.fold
-       (fun pos e acc ->
-         acc
-         && match Hashtbl.find_opt b.by_position pos with
-            | Some e' -> Entry.equal e e'
-            | None -> false)
-       a.by_position true
+  let rec from pos = pos >= a.tail || (Entry.equal (slot a pos) (slot b pos) && from (pos + 1)) in
+  a.head = b.head && a.tail = b.tail && from a.head
 
 (* The owner queries below run once per live entry per repair event and
    on every update, so they are top-level and allocate no closure or
@@ -61,22 +68,8 @@ let rec group_from n pos r acc =
 
 let servers_of_position t pos = group_from (Cluster.n t.cluster) pos (t.y - 1) []
 
-let send_store t ~src ~dst e =
-  ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst (Msg.store e))
-
-let send_remove t ~src ~dst e =
-  ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst (Msg.remove e))
-
-let ledger_insert ledger pos e =
-  Hashtbl.replace ledger.by_position pos e;
-  Hashtbl.replace ledger.position_of_id (Entry.id e) pos
-
-let ledger_remove ledger pos =
-  match Hashtbl.find_opt ledger.by_position pos with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove ledger.by_position pos;
-    Hashtbl.remove ledger.position_of_id (Entry.id e)
+let send t ~src ~dst msg =
+  ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst msg)
 
 (* Pure ledger mutations.  The acting coordinator derives the message
    plan from the returned description; standby replicas apply the same
@@ -84,12 +77,22 @@ let ledger_remove ledger pos =
    identical results, which keeps the replicas consistent without
    shipping the plan itself). *)
 
+(* [ledger]'s live positions in a window twice as long. *)
+let grow ledger =
+  let old = ledger.window in
+  ledger.window <- Array.make (2 * Array.length old) dummy;
+  for pos = ledger.head to ledger.tail - 1 do
+    set_slot ledger pos old.(pos land (Array.length old - 1))
+  done
+
 let apply_add ledger e =
   if Hashtbl.mem ledger.position_of_id (Entry.id e) then None
   else begin
     let pos = ledger.tail in
-    ledger_insert ledger pos e;
-    ledger.tail <- ledger.tail + 1;
+    if pos - ledger.head = Array.length ledger.window then grow ledger;
+    set_slot ledger pos e;
+    Hashtbl.replace ledger.position_of_id (Entry.id e) pos;
+    ledger.tail <- pos + 1;
     Some pos
   end
 
@@ -102,39 +105,37 @@ let apply_delete ledger e =
   match Hashtbl.find_opt ledger.position_of_id (Entry.id e) with
   | None -> None
   | Some pos ->
-    ledger_remove ledger pos;
+    Hashtbl.remove ledger.position_of_id (Entry.id e);
+    let old = ledger.head in
     let migration =
-      if pos = ledger.head then None
+      if pos = old then None
       else begin
-        match Hashtbl.find_opt ledger.by_position ledger.head with
-        | None -> assert false (* positions in [head, tail) are always occupied *)
-        | Some u ->
-          let old = ledger.head in
-          ledger_remove ledger old;
-          ledger_insert ledger pos u;
-          Some (u, old)
+        let u = slot ledger old in
+        set_slot ledger pos u;
+        Hashtbl.replace ledger.position_of_id (Entry.id u) pos;
+        Some (u, old)
       end
     in
-    ledger.head <- ledger.head + 1;
+    ledger.head <- old + 1;
     Some { vacated = pos; migration }
 
 (* Mirror an update to the standby replicas (footnote 1's replication:
    one point-to-point message per other operational coordinator). *)
 let sync_standbys t ~self msg =
   for c = 0 to t.coordinators - 1 do
-    if c <> self && Cluster.is_up t.cluster c then
-      ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server self) ~dst:c msg)
+    if c <> self && Cluster.is_up t.cluster c then send t ~src:self ~dst:c msg
   done
 
 let guard_updates t =
   if t.truncated then invalid_arg "Round_robin: updates after a truncated place"
 
-(* Only coordinator replicas hold a ledger; an update delivered to any
-   other server is relayed to the acting coordinator (dropped when none
-   is up — the lost write [can_update] warns about). *)
-let forward_to_coordinator t ~src msg =
+(* Only coordinator replicas hold a ledger: a client sends its update to
+   the acting coordinator, and any other server that receives one relays
+   it there.  Without an acting coordinator the update is dropped (the
+   lost write [can_update] warns about). *)
+let to_coordinator t ~src msg =
   let c = acting t in
-  if c >= 0 then ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server src) ~dst:c msg)
+  if c >= 0 then ignore (Net.send (Cluster.net t.cluster) ~src ~dst:c msg)
 
 (* Acting-coordinator logic, executing at server [self]. *)
 let do_add t ~self e =
@@ -142,7 +143,7 @@ let do_add t ~self e =
   match apply_add t.ledgers.(self) e with
   | None -> ()
   | Some pos ->
-    List.iter (fun dst -> send_store t ~src:self ~dst e) (servers_of_position t pos);
+    List.iter (fun dst -> send t ~src:self ~dst (Msg.store e)) (servers_of_position t pos);
     sync_standbys t ~self (Msg.sync_add e)
 
 let do_delete t ~self e =
@@ -162,8 +163,8 @@ let do_delete t ~self e =
       if Plookup_obs.Trace.enabled tr then
         Plookup_obs.Trace.emit_migration tr ~time:(Net.now (Cluster.net t.cluster))
           ~entry:(Entry.id u) ~src:(List.hd old_group) ~dst:(List.hd new_group);
-      List.iter (fun dst -> send_remove t ~src:self ~dst u) old_group;
-      List.iter (fun dst -> send_store t ~src:self ~dst u) new_group);
+      List.iter (fun dst -> send t ~src:self ~dst (Msg.remove u)) old_group;
+      List.iter (fun dst -> send t ~src:self ~dst (Msg.store u)) new_group);
     sync_standbys t ~self (Msg.sync_delete e)
 
 let handle_data t dst _src (msg : Msg.data) : Msg.reply =
@@ -175,11 +176,11 @@ let handle_data t dst _src (msg : Msg.data) : Msg.reply =
     Msg.Ack
   | Msg.Add e ->
     if dst < t.coordinators then do_add t ~self:dst e
-    else forward_to_coordinator t ~src:dst (Msg.add e);
+    else to_coordinator t ~src:(Net.Server dst) (Msg.add e);
     Msg.Ack
   | Msg.Delete e ->
     if dst < t.coordinators then do_delete t ~self:dst e
-    else forward_to_coordinator t ~src:dst (Msg.delete e);
+    else to_coordinator t ~src:(Net.Server dst) (Msg.delete e);
     Msg.Ack
   | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
 
@@ -219,8 +220,7 @@ let on_status t server ~up =
       else fresh_source (i + 1)
     in
     match fresh_source 0 with
-    | Some c ->
-      ignore (Net.send (Cluster.net t.cluster) ~src:(Net.Server c) ~dst:server Msg.sync_state)
+    | Some c -> send t ~src:c ~dst:server Msg.sync_state
     | None -> ()
   end
 
@@ -250,7 +250,10 @@ let tail t = (acting_ledger t).tail
 let live_count t = tail t - head t
 
 let position_of t e = Hashtbl.find_opt (acting_ledger t).position_of_id (Entry.id e)
-let entry_at t pos = Hashtbl.find_opt (acting_ledger t).by_position pos
+
+let entry_at t pos =
+  let ledger = acting_ledger t in
+  if pos >= ledger.head && pos < ledger.tail then Some (slot ledger pos) else None
 
 (* An update is accepted only while some coordinator replica is up and
    the placement was not truncated; otherwise it gets no reply. *)
@@ -267,80 +270,53 @@ let assigned_servers t e =
     | pos -> Some (servers_of_position t pos)
     | exception Not_found -> Some []
 
+(* Copies go out round-major through the shared driver (a budget cut
+   keeps coverage maximal, as Fig. 6 assumes); every replica's ledger
+   then holds entry [i] at position [i]. *)
 let place ?budget t entries =
   let entries = Entry.dedup entries in
-  match Cluster.random_up_server t.cluster with
+  let owners i _ = servers_of_position t i in
+  match Strategy_common.place_round_major ?budget t.cluster entries ~owners with
   | None -> ()
-  | Some s ->
-    ignore (Net.send (Cluster.net t.cluster) ~src:Net.Client ~dst:s (Msg.place entries));
-    let n = Cluster.n t.cluster in
-    let arr = Array.of_list entries in
-    let h = Array.length arr in
-    let budget = match budget with None -> t.y * h | Some b -> b in
-    (* Round-major distribution: one full round of single copies before
-       any second copies, so a budget cut keeps maximal coverage —
-       matching the paper's Fig. 6 assumption. *)
-    let spent = ref 0 in
-    for r = 0 to t.y - 1 do
-      for i = 0 to h - 1 do
-        if !spent < budget then begin
-          send_store t ~src:s ~dst:((i + r) mod n) arr.(i);
-          incr spent
-        end
-      done
-    done;
+  | Some spent ->
+    let h = List.length entries in
     Array.iter
       (fun ledger ->
-        Hashtbl.reset ledger.by_position;
         Hashtbl.reset ledger.position_of_id;
-        Array.iteri (fun i e -> ledger_insert ledger i e) arr;
+        ledger.window <- Array.make (window_length h) dummy;
+        List.iteri
+          (fun i e ->
+            set_slot ledger i e;
+            Hashtbl.replace ledger.position_of_id (Entry.id e) i)
+          entries;
         ledger.head <- 0;
         ledger.tail <- h)
       t.ledgers;
-    t.truncated <- !spent < t.y * h
+    t.truncated <- spent < t.y * h
 
-let send_to_coordinator t msg =
-  let c = acting t in
-  if c >= 0 then ignore (Net.send (Cluster.net t.cluster) ~src:Net.Client ~dst:c msg)
-
-let add t e = send_to_coordinator t (Msg.add e)
-let delete t e = send_to_coordinator t (Msg.delete e)
+let add t e = to_coordinator t ~src:Net.Client (Msg.add e)
+let delete t e = to_coordinator t ~src:Net.Client (Msg.delete e)
 
 let check_invariants t =
   if t.truncated then Ok () (* the ledger does not describe a truncated placement *)
   else begin
     let ledger = acting_ledger t in
-    let n = Cluster.n t.cluster in
-    let expected = Array.init n (fun _ -> Hashtbl.create 16) in
-    let ok = ref (Ok ()) in
-    let fail fmt = Format.kasprintf (fun s -> if !ok = Ok () then ok := Error s) fmt in
-    for pos = ledger.head to ledger.tail - 1 do
-      match Hashtbl.find_opt ledger.by_position pos with
-      | None -> fail "position %d in [head,tail) is unoccupied" pos
-      | Some e ->
-        List.iter
-          (fun s -> Hashtbl.replace expected.(s) (Entry.id e) ())
-          (servers_of_position t pos)
-    done;
-    for s = 0 to n - 1 do
-      let store = Cluster.store t.cluster s in
-      Server_store.iter
-        (fun e ->
-          if not (Hashtbl.mem expected.(s) (Entry.id e)) then
-            fail "server %d stores %s not assigned to it" s (Entry.to_string e))
-        store;
-      Hashtbl.iter
-        (fun id () ->
-          if not (Server_store.mem store (Entry.v id)) then
-            fail "server %d is missing entry v%d" s id)
-        expected.(s)
-    done;
-    (* All operational replicas must agree with the acting one. *)
-    for c = 0 to t.coordinators - 1 do
-      if Cluster.is_up t.cluster c && not (ledgers_equal ledger t.ledgers.(c)) then
-        fail "coordinator replica %d diverged" c
-    done;
-    !ok
+    let assigned =
+      List.init (ledger.tail - ledger.head) (fun k ->
+          let pos = ledger.head + k in
+          (slot ledger pos, servers_of_position t pos))
+    in
+    match Strategy_common.check_placement t.cluster assigned with
+    | Error _ as e -> e
+    | Ok () ->
+      (* All operational replicas must agree with the acting one. *)
+      let rec agree c =
+        if c >= t.coordinators then Ok ()
+        else if Cluster.is_up t.cluster c && not (ledgers_equal ledger t.ledgers.(c)) then
+          Error (Printf.sprintf "coordinator replica %d diverged" c)
+        else agree (c + 1)
+      in
+      agree 0
   end
 
 let strategy_meta ~replicated =

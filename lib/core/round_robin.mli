@@ -12,7 +12,10 @@
     position (Figs. 10–11).  This preserves the invariant that live
     positions form the contiguous window [head, tail) — the price is a
     coordinator bottleneck and broadcast-plus-migration per delete, which
-    is exactly the weakness Section 6.3 discusses. *)
+    is exactly the weakness Section 6.3 discusses.  Each coordinator
+    replica holds the window as an array, position [p] in slot
+    [p mod length], whose power-of-two length doubles when an add finds
+    it full, beside an id-to-position table. *)
 
 open Plookup_store
 
@@ -57,8 +60,9 @@ val place : ?budget:int -> t -> Entry.t list -> unit
 (** Distribute copies round-major (first one copy of every entry, then
     the second copy of every entry, ...).  [budget] caps the total number
     of stored copies — the paper's "when there is inadequate storage
-    space, keep a subset" assumption used in the coverage study (Fig. 6).
-    A truncated placement does not support subsequent updates. *)
+    space, keep a subset" assumption used in the coverage study (Fig. 6),
+    through {!Strategy_common.place_round_major}.  A truncated placement
+    does not support subsequent updates. *)
 
 val add : t -> Entry.t -> unit
 val delete : t -> Entry.t -> unit
@@ -66,7 +70,9 @@ val delete : t -> Entry.t -> unit
 val check_invariants : t -> (unit, string) result
 (** Verify the round-robin placement invariant: each live position's
     entry is stored at exactly its [y] consecutive servers and nothing
-    else is stored anywhere.  For tests. *)
+    else is stored anywhere ({!Strategy_common.check_placement}), and
+    every operational replica's window matches the acting one's.  For
+    tests. *)
 
 module Strategy : Strategy_intf.S with type t = t
 (** The packed form registered in {!Strategy_registry} as

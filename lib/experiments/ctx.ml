@@ -46,14 +46,15 @@ type t = {
   mttf : float option;
   mttr : float option;
   horizon : float option;
-  repair : Plookup.Repair.config option;
-  overload : overload option;
+  repair : Plookup.Repair.config;
+  overload : overload;
   cache : cache option;
   obs : Plookup_obs.Obs.t;
 }
 
 let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
-    ?(jitter = 0.) ?mttf ?mttr ?horizon ?repair ?overload ?cache ?obs () =
+    ?(jitter = 0.) ?mttf ?mttr ?horizon ?(repair = Plookup.Repair.default_config)
+    ?(overload = default_overload) ?cache ?obs () =
   if scale <= 0. then invalid_arg "Ctx: scale must be positive";
   if jobs < 1 then invalid_arg "Ctx: jobs must be at least 1";
   if loss < 0. || loss >= 1. then invalid_arg "Ctx: loss must be in [0, 1)";
@@ -67,8 +68,8 @@ let v ?(seed = 42) ?(scale = 1.0) ?(jobs = 1) ?(loss = 0.) ?(duplication = 0.)
   positive "mttf" mttf;
   positive "mttr" mttr;
   positive "horizon" horizon;
-  Option.iter check_repair repair;
-  Option.iter check_overload overload;
+  check_repair repair;
+  check_overload overload;
   Option.iter check_cache cache;
   let obs = match obs with Some o -> o | None -> Plookup_obs.Obs.create () in
   { seed;

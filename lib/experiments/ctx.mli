@@ -61,12 +61,12 @@ type t = {
   mttf : float option;  (** churn mean time to failure; [None] = experiment default *)
   mttr : float option;  (** churn mean time to repair; [None] = experiment default *)
   horizon : float option;  (** churn simulation horizon; [None] = experiment default *)
-  repair : Plookup.Repair.config option;
-      (** self-healing configuration for churn-aware experiments;
-          [None] = experiment default *)
-  overload : overload option;
-      (** overload-model knobs for the production-day experiment;
-          [None] = experiment default ({!default_overload}) *)
+  repair : Plookup.Repair.config;
+      (** self-healing configuration for churn-aware experiments
+          (default {!Plookup.Repair.default_config}) *)
+  overload : overload;
+      (** overload-model knobs for the production-day experiment
+          (default {!default_overload}) *)
   cache : cache option;
       (** client-cache knobs for the production-day experiment's cached
           cell; [None] = no cached cell *)

@@ -76,7 +76,7 @@ let run ctx =
   let mttr = Option.value ctx.Ctx.mttr ~default:50. in
   let horizon = Option.value ctx.Ctx.horizon ~default:5000. in
   let horizon = float_of_int (Ctx.scaled ctx (int_of_float horizon)) in
-  let repair_cfg = Option.value ctx.Ctx.repair ~default:Repair.default_config in
+  let repair_cfg = ctx.Ctx.repair in
   let table_title =
     Printf.sprintf
       "Extension: self-healing under churn, repair off vs on (mttf=%g, mttr=%g, t=%d)"

@@ -78,8 +78,8 @@ let run_cell ctx ~obs ~mode config =
   let mttr = Option.value ctx.Ctx.mttr ~default:20. in
   let horizon = Option.value ctx.Ctx.horizon ~default:600. in
   let horizon = float_of_int (Ctx.scaled ctx (int_of_float horizon)) in
-  let repair = Option.value ctx.Ctx.repair ~default:Repair.default_config in
-  let ov = Option.value ctx.Ctx.overload ~default:Ctx.default_overload in
+  let repair = ctx.Ctx.repair in
+  let ov = ctx.Ctx.overload in
   let cache = ctx.Ctx.cache in
   let d =
     Churn_drill.start ctx ~obs ~n ~h ~mttf ~mttr ~horizon ~update_every ~repair config

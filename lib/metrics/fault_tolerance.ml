@@ -1,5 +1,4 @@
 open Plookup_util
-open Plookup_store
 module Service = Plookup.Service
 
 type placement = Bitset.t array
@@ -106,15 +105,7 @@ let exact placement ~t =
     !best - 1
   end
 
-let measure_over_instances ?(seed = 0) ?obs ~n ~entries ~config ~t ~runs () =
-  let master = Rng.create seed in
-  let acc = Stats.Accum.create () in
-  for _ = 1 to runs do
-    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-    let service = Service.create ~seed:run_seed ?obs ~n config in
-    let gen = Entry.Gen.create () in
-    Service.place service (Entry.Gen.batch gen entries);
-    let placement = snapshot (Service.cluster service) ~capacity:(Entry.Gen.next_id gen) in
-    Stats.Accum.add acc (float_of_int (greedy placement ~t))
-  done;
-  (Stats.Accum.mean acc, Stats.Accum.ci95_half_width acc)
+let measure_over_instances ?seed ?obs ~n ~entries ~config ~t ~runs () =
+  Instances.mean ?seed ?obs ~n ~entries ~config ~runs (fun service _ ->
+      (* The placed ids are 0 .. entries-1. *)
+      float_of_int (greedy (snapshot (Service.cluster service) ~capacity:entries) ~t))

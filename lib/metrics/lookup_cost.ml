@@ -1,5 +1,4 @@
 open Plookup_util
-open Plookup_store
 module Service = Plookup.Service
 
 type measurement = { mean_cost : float; ci95 : float; failure_rate : float }
@@ -23,16 +22,9 @@ let measure service ~t ~lookups =
   measure_into acc failures service ~t ~lookups;
   finish acc failures
 
-let measure_over_instances ?(seed = 0) ?obs ~n ~entries ~config ~t ~runs ~lookups_per_run
-    () =
-  let master = Rng.create seed in
-  let acc = Stats.Accum.create () in
-  let failures = ref 0 in
-  for _ = 1 to runs do
-    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-    let service = Service.create ~seed:run_seed ?obs ~n config in
-    let gen = Entry.Gen.create () in
-    Service.place service (Entry.Gen.batch gen entries);
-    measure_into acc failures service ~t ~lookups:lookups_per_run
-  done;
+let measure_over_instances ?seed ?obs ~n ~entries ~config ~t ~runs ~lookups_per_run () =
+  let acc = Stats.Accum.create ()
+  and failures = ref 0 in
+  Instances.iter ?seed ?obs ~n ~entries ~config ~runs (fun service _ ->
+      measure_into acc failures service ~t ~lookups:lookups_per_run);
   finish acc failures

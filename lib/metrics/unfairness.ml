@@ -28,16 +28,6 @@ let of_instance service ~live ~t ~lookups =
   in
   Stats.coefficient_of_variation ~ideal:(float_of_int t /. float_of_int h) probabilities
 
-let of_strategy ?(seed = 0) ?obs ~n ~entries ~config ~t ~instances ~lookups_per_instance
-    () =
-  let master = Rng.create seed in
-  let acc = Stats.Accum.create () in
-  for _ = 1 to instances do
-    let run_seed = Int64.to_int (Rng.bits64 master) land max_int in
-    let service = Service.create ~seed:run_seed ?obs ~n config in
-    let gen = Entry.Gen.create () in
-    let live = Entry.Gen.batch gen entries in
-    Service.place service live;
-    Stats.Accum.add acc (of_instance service ~live ~t ~lookups:lookups_per_instance)
-  done;
-  (Stats.Accum.mean acc, Stats.Accum.ci95_half_width acc)
+let of_strategy ?seed ?obs ~n ~entries ~config ~t ~instances ~lookups_per_instance () =
+  Instances.mean ?seed ?obs ~n ~entries ~config ~runs:instances (fun service live ->
+      of_instance service ~live ~t ~lookups:lookups_per_instance)

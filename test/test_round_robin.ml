@@ -323,6 +323,169 @@ let prop_live_count_matches_ops =
       List.iteri (fun i e -> if i < min k 10 then Round_robin.delete s e) batch;
       Round_robin.live_count s = 10 + k - min k 10)
 
+(* The ledger as two hash tables (position -> entry beside id ->
+   position), the form the head/tail window replaced: the reference the
+   window must match step for step. *)
+module Reference = struct
+  type t = {
+    mutable head : int;
+    mutable tail : int;
+    by_position : (int, Entry.t) Hashtbl.t;
+    position_of_id : (int, int) Hashtbl.t;
+  }
+
+  let insert t pos e =
+    Hashtbl.replace t.by_position pos e;
+    Hashtbl.replace t.position_of_id (Entry.id e) pos
+
+  let remove t pos =
+    match Hashtbl.find_opt t.by_position pos with
+    | None -> ()
+    | Some e ->
+      Hashtbl.remove t.by_position pos;
+      Hashtbl.remove t.position_of_id (Entry.id e)
+
+  let placed entries =
+    let t =
+      { head = 0; tail = 0; by_position = Hashtbl.create 64; position_of_id = Hashtbl.create 64 }
+    in
+    List.iteri (insert t) entries;
+    t.tail <- List.length entries;
+    t
+
+  let add t e =
+    if not (Hashtbl.mem t.position_of_id (Entry.id e)) then begin
+      insert t t.tail e;
+      t.tail <- t.tail + 1
+    end
+
+  let delete t e =
+    match Hashtbl.find_opt t.position_of_id (Entry.id e) with
+    | None -> ()
+    | Some pos ->
+      remove t pos;
+      if pos <> t.head then begin
+        let u = Hashtbl.find t.by_position t.head in
+        remove t t.head;
+        insert t pos u
+      end;
+      t.head <- t.head + 1
+end
+
+(* Ids of placed, added and deleted entries: below [ids], so adds repeat
+   live ids and deletes name absent ones. *)
+let ids = 90
+
+let ledger_matches s (r : Reference.t) =
+  let positions get = List.init ids get in
+  let entries get = List.init (r.tail - r.head + 6) (fun k -> get (r.head - 3 + k)) in
+  let ids_of = List.map (Option.map Entry.id) in
+  if Round_robin.head s <> r.head || Round_robin.tail s <> r.tail then
+    Alcotest.failf "window [%d, %d), reference [%d, %d)" (Round_robin.head s)
+      (Round_robin.tail s) r.head r.tail;
+  if
+    positions (fun id -> Round_robin.position_of s (Entry.v id))
+    <> positions (Hashtbl.find_opt r.position_of_id)
+  then Alcotest.fail "position_of differs from the reference";
+  if ids_of (entries (Round_robin.entry_at s)) <> ids_of (entries (Hashtbl.find_opt r.by_position))
+  then Alcotest.fail "entry_at differs from the reference";
+  check_invariants s
+
+(* h up to 40 fits a window of at most 64 slots; up to 300 updates over
+   90 ids move the window past its length (wrapping positions) and grow
+   the live count past it (doubling the window). *)
+let prop_window_matches_reference =
+  Helpers.qcheck ~count:150 "window matches the two-table ledger on update streams"
+    QCheck2.Gen.(
+      quad (int_range 2 8) (int_range 1 2) (int_range 0 40)
+        (list_size (int_range 0 300) (pair bool (int_range 0 (ids - 1)))))
+    (fun (n, coordinators, h, ops) ->
+      let cluster = Cluster.create ~seed:31 ~n () in
+      let s = Round_robin.create ~coordinators cluster ~y:2 in
+      let batch = Helpers.entries h in
+      Round_robin.place s batch;
+      let r = Reference.placed batch in
+      ledger_matches s r;
+      List.iter
+        (fun (is_add, id) ->
+          let e = Entry.v id in
+          if is_add then begin
+            Round_robin.add s e;
+            Reference.add r e
+          end
+          else begin
+            Round_robin.delete s e;
+            Reference.delete r e
+          end;
+          ledger_matches s r)
+        ops;
+      true)
+
+(* The shared round-major driver against the loop it implements: every
+   entry's [r]-th owner gets its copy before any entry's [r+1]-th, one
+   message and one unit of budget per owner named, until the budget is
+   spent. *)
+let prop_round_major_driver =
+  Helpers.qcheck ~count:300 "place_round_major sends the round-major stores"
+    QCheck2.Gen.(
+      triple (int_range 1 6)
+        (list_size (int_range 0 12) (list_size (int_range 0 4) (int_range 0 5)))
+        (pair (opt (int_range 0 30)) (int_range 0 9)))
+    (fun (n, owner_lists, (budget, down)) ->
+      let owner_lists = List.map (List.map (fun s -> s mod n)) owner_lists in
+      let cluster = Cluster.create ~seed:5 ~n () in
+      (* One case in ten runs on a cluster with every server down. *)
+      if down = 0 then List.iter (Cluster.fail cluster) (List.init n Fun.id);
+      let log = ref [] in
+      Net.set_handler (Cluster.net cluster) (fun dst src msg ->
+          log := (src, dst, msg) :: !log;
+          Msg.Ack);
+      let entries = Helpers.entries (List.length owner_lists) in
+      let owners = Array.of_list owner_lists in
+      let sent =
+        Strategy_common.place_round_major ?budget cluster entries ~owners:(fun i _ ->
+            owners.(i))
+      in
+      match (List.rev !log, sent) with
+      | [], None -> down = 0
+      | (Net.Client, s, Msg.Data (Msg.Place placed)) :: stores, Some count ->
+        let budget = Option.value budget ~default:max_int in
+        let rounds = Array.fold_left (fun m l -> max m (List.length l)) 0 owners in
+        let want = ref [] and spent = ref 0 in
+        for r = 0 to rounds - 1 do
+          Array.iteri
+            (fun i l ->
+              if !spent < budget && r < List.length l then begin
+                want := (s, List.nth l r, i) :: !want;
+                incr spent
+              end)
+            owners
+        done;
+        let got =
+          List.map
+            (function
+              | Net.Server src, dst, Msg.Strategy (Msg.Store e) -> (src, dst, Entry.id e)
+              | _ -> (-1, -1, -1))
+            stores
+        in
+        down <> 0 && placed == entries && got = List.rev !want && count = !spent
+      | _ -> false)
+
+(* A budget that cuts the placement leaves the service refusing updates;
+   the full budget does not. *)
+let test_truncated_cannot_update () =
+  let config =
+    match Service.config_of_string "roundrobin-2" with Ok c -> c | Error e -> failwith e
+  in
+  let placed budget =
+    let service = Service.create ~seed:4 ~n:10 config in
+    Service.place ?budget service (Helpers.entries 100);
+    Service.can_update service
+  in
+  Helpers.check_bool "budget 150 of 200" false (placed (Some 150));
+  Helpers.check_bool "budget 200 of 200" true (placed (Some 200));
+  Helpers.check_bool "no budget" true (placed None)
+
 let () =
   Helpers.run "round_robin"
     [ ( "round_robin",
@@ -356,5 +519,8 @@ let () =
           Alcotest.test_case "budget below h" `Quick test_budget_below_h;
           Alcotest.test_case "truncated refuses updates" `Quick test_truncated_refuses_updates;
           Alcotest.test_case "rejects bad y" `Quick test_rejects_bad_y;
+          Alcotest.test_case "truncated cannot update" `Quick test_truncated_cannot_update;
           prop_invariant_under_random_updates;
-          prop_live_count_matches_ops ] ) ]
+          prop_live_count_matches_ops;
+          prop_window_matches_reference;
+          prop_round_major_driver ] ) ]
