@@ -4,29 +4,31 @@ module Net = Plookup_net.Net
 
 type t = { cluster : Cluster.t; x : int }
 
-let handle_data t dst _src (msg : Msg.data) : Msg.reply =
+let handle t dst _src (msg : Msg.t) : Msg.reply =
   let net = Cluster.net t.cluster in
-  let local = Cluster.store t.cluster dst in
   match msg with
-  | Msg.Place entries ->
+  | Msg.Data (Msg.Place entries) ->
     (* Broadcast only the first x of the h entries. *)
     Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch (List_util.take t.x entries));
     Msg.Ack
-  | Msg.Add e ->
+  | Msg.Data (Msg.Add e) ->
     (* Selective broadcast: only while below x, and only for new ids. *)
+    let local = Cluster.store t.cluster dst in
     if Server_store.cardinal local < t.x && not (Server_store.mem local e) then
       Net.broadcast net ~src:(Net.Server dst) (Msg.store e);
     Msg.Ack
-  | Msg.Delete e ->
-    if Server_store.mem local e then
+  | Msg.Data (Msg.Delete e) ->
+    if Server_store.mem (Cluster.store t.cluster dst) e then
       Net.broadcast net ~src:(Net.Server dst) (Msg.remove e);
     Msg.Ack
-  | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
+  | Msg.Data (Msg.Lookup target) -> Strategy_common.lookup_reply t.cluster dst target
+  | Msg.Strategy s -> Strategy_common.default_strategy t.cluster dst s
+  | Msg.Repair _ -> Msg.Ack
 
 let create cluster ~x =
   if x <= 0 then invalid_arg "Fixed.create: x must be positive";
   let t = { cluster; x } in
-  Strategy_common.install cluster ~data:(handle_data t);
+  Net.set_handler (Cluster.net cluster) (fun dst src msg -> handle t dst src msg);
   t
 
 let place t entries = Strategy_common.to_random_server t.cluster (Msg.place (Entry.dedup entries))

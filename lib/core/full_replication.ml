@@ -6,22 +6,24 @@ type t = { cluster : Cluster.t }
 (* Server-side behaviour: a client request at server [dst] triggers a
    broadcast; the broadcast store/remove itself is the shared default
    (mutate the local store). *)
-let handle_data cluster dst _src (msg : Msg.data) : Msg.reply =
+let handle cluster dst _src (msg : Msg.t) : Msg.reply =
   let net = Cluster.net cluster in
   match msg with
-  | Msg.Place entries ->
+  | Msg.Data (Msg.Place entries) ->
     Net.broadcast net ~src:(Net.Server dst) (Msg.store_batch entries);
     Msg.Ack
-  | Msg.Add e ->
+  | Msg.Data (Msg.Add e) ->
     Net.broadcast net ~src:(Net.Server dst) (Msg.store e);
     Msg.Ack
-  | Msg.Delete e ->
+  | Msg.Data (Msg.Delete e) ->
     Net.broadcast net ~src:(Net.Server dst) (Msg.remove e);
     Msg.Ack
-  | Msg.Lookup t -> Strategy_common.lookup_reply cluster dst t
+  | Msg.Data (Msg.Lookup t) -> Strategy_common.lookup_reply cluster dst t
+  | Msg.Strategy s -> Strategy_common.default_strategy cluster dst s
+  | Msg.Repair _ -> Msg.Ack
 
 let create cluster =
-  Strategy_common.install cluster ~data:(handle_data cluster);
+  Net.set_handler (Cluster.net cluster) (fun dst src msg -> handle cluster dst src msg);
   { cluster }
 
 let place t entries = Strategy_common.to_random_server t.cluster (Msg.place (Entry.dedup entries))

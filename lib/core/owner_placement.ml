@@ -24,23 +24,25 @@ let rec send_all net ~src msg = function
     ignore (Net.send net ~src ~dst msg);
     send_all net ~src msg rest
 
-let handle_data t dst _src (msg : Msg.data) : Msg.reply =
+let handle t dst _src (msg : Msg.t) : Msg.reply =
   match msg with
-  | Msg.Place _ ->
+  | Msg.Data (Msg.Place _) ->
     (* Distribution is driven from [place] below (budget support); the
        request itself reaches one server. *)
     Msg.Ack
-  | Msg.Add e ->
+  | Msg.Data (Msg.Add e) ->
     send_all (Cluster.net t.cluster) ~src:(Net.Server dst) (Msg.store e) (servers_of t e);
     Msg.Ack
-  | Msg.Delete e ->
+  | Msg.Data (Msg.Delete e) ->
     send_all (Cluster.net t.cluster) ~src:(Net.Server dst) (Msg.remove e) (servers_of t e);
     Msg.Ack
-  | Msg.Lookup target -> Strategy_common.lookup_reply t.cluster dst target
+  | Msg.Data (Msg.Lookup target) -> Strategy_common.lookup_reply t.cluster dst target
+  | Msg.Strategy s -> Strategy_common.default_strategy t.cluster dst s
+  | Msg.Repair _ -> Msg.Ack
 
 let create cluster ~targets =
   let t = { cluster; targets } in
-  Strategy_common.install cluster ~data:(handle_data t);
+  Net.set_handler (Cluster.net cluster) (fun dst src msg -> handle t dst src msg);
   t
 
 let place ?budget t entries =

@@ -138,6 +138,12 @@ let handle_strategy t dst _src (msg : Msg.strategy) : Msg.reply =
     other ->
     Strategy_common.default_strategy t.cluster dst other
 
+let handle t dst src (msg : Msg.t) : Msg.reply =
+  match msg with
+  | Msg.Data d -> handle_data t dst src d
+  | Msg.Strategy s -> handle_strategy t dst src s
+  | Msg.Repair _ -> Msg.Ack
+
 let create ?(replacement_on_delete = false) cluster ~x =
   if x <= 0 then invalid_arg "Random_server.create: x must be positive";
   let counts = Array.make (Cluster.n cluster) 0 in
@@ -145,7 +151,7 @@ let create ?(replacement_on_delete = false) cluster ~x =
     { cluster; x; replacement_on_delete; counts; batch = [||]; batch_len = 0; copied = [];
       swaps = [||] }
   in
-  Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
+  Net.set_handler (Cluster.net cluster) (fun dst src msg -> handle t dst src msg);
   t
 
 let system_count t ~server =

@@ -207,6 +207,12 @@ let handle_strategy t dst src (msg : Msg.strategy) : Msg.reply =
        one that arrives replaces the store, as everywhere. *)
     Strategy_common.default_strategy t.cluster dst other
 
+let handle t dst src (msg : Msg.t) : Msg.reply =
+  match msg with
+  | Msg.Data d -> handle_data t dst src d
+  | Msg.Strategy s -> handle_strategy t dst src s
+  | Msg.Repair _ -> Msg.Ack
+
 (* A recovering coordinator replica is stale: refresh its ledger from
    another operational replica, which stayed current while this one was
    down (the recovered server may itself be the lowest-indexed
@@ -236,7 +242,7 @@ let create ?(coordinators = 1) cluster ~y =
       ledgers = Array.init coordinators (fun _ -> fresh_ledger ());
       truncated = false }
   in
-  Strategy_common.install cluster ~data:(handle_data t) ~strategy:(handle_strategy t);
+  Net.set_handler (Cluster.net cluster) (fun dst src msg -> handle t dst src msg);
   Net.add_status_listener (Cluster.net cluster) (on_status t);
   t
 

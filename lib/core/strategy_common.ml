@@ -1,11 +1,12 @@
 (** Handler plumbing shared by every placement strategy.
 
-    Each strategy supplies a data-plane handler (exhaustive over the
-    four client requests) and optionally a strategy-plane handler for
-    the messages it actually sends itself, delegating the rest to
-    {!default_strategy}.  The repair plane never reaches a strategy:
-    {!Repair} intercepts it when installed, and {!install} acks it
-    harmlessly when not. *)
+    Each strategy's [create] installs its own handler, one closure that
+    matches a {!Msg.t} once and calls the strategy's functions directly:
+    exhaustive over the four client requests, its own strategy-plane
+    messages, {!default_strategy} for the rest of that plane, and [Ack]
+    for the repair plane.  The repair plane never reaches a strategy:
+    {!Repair} wraps the handler and intercepts it when installed, and
+    the strategy acks it harmlessly when not. *)
 
 open Plookup_store
 module Net = Plookup_net.Net
@@ -35,18 +36,6 @@ let default_strategy cluster dst (msg : Msg.strategy) : Msg.reply =
 
 let lookup_reply cluster dst target : Msg.reply =
   Msg.Entries (Cluster.pick cluster dst target)
-
-(** Install the plane dispatcher as the cluster's handler.  [strategy]
-    defaults to {!default_strategy} alone. *)
-let install ?strategy cluster ~data =
-  let strategy =
-    match strategy with Some f -> f | None -> fun dst _src msg -> default_strategy cluster dst msg
-  in
-  Net.set_handler (Cluster.net cluster) (fun dst src msg ->
-      match (msg : Msg.t) with
-      | Msg.Data d -> data dst src d
-      | Msg.Strategy s -> strategy dst src s
-      | Msg.Repair _ -> Msg.Ack)
 
 (** Client-side: hand a request to any operational server (no-op when
     the whole cluster is down, like a real client timing out). *)

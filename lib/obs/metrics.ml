@@ -16,15 +16,27 @@ type histogram = {
 type counters = int array
 type gauges = float array
 
+(* A snapshot's reading of one instrument. *)
+type kind =
+  | Counter of int
+  | Gauge of float
+  | Histogram of { buckets : (int * int) list; count : int; sum : float }
+
 type cell =
   | C of counter
   | G of gauge
   | H of histogram
   | Cs of string * counters (* the family's label, its counts *)
   | Gs of string * gauges
+  | Absorbed of (string * (string * string) list, kind) Hashtbl.t
+      (* [absorb]'s sum per (name, labels) key *)
 
 type item = { i_name : string; i_labels : (string * string) list; i_cell : cell }
 
+(* At most one item is [Absorbed], made by the first [absorb]: a
+   context folding R replicates keeps one sum per key, not R.  It is
+   found by walking the items, so a registry that absorbs nothing, a
+   cluster's own, costs no word for it. *)
 type t = { mutable items : item list (* newest first *) }
 
 let create () = { items = [] }
@@ -140,11 +152,6 @@ let reset_histogram h =
 
 (* {2 Snapshots} *)
 
-type kind =
-  | Counter of int
-  | Gauge of float
-  | Histogram of { buckets : (int * int) list; count : int; sum : float }
-
 type entry = { name : string; labels : (string * string) list; v : kind }
 
 let key_compare (n1, l1) (n2, l2) =
@@ -175,44 +182,56 @@ let histogram_kind h =
   done;
   Histogram { buckets = !buckets; count = h.hcount; sum = h.hsum }
 
-(* Every instrument an item holds, as [f labels value]: one for a
-   plain cell, one per index for a family. *)
+(* Every instrument an item holds, as [f name labels value]: one for a
+   plain cell, one per index for a family, one per key absorbed. *)
 let iter_instruments item f =
   let member label i = canonical_labels ((label, string_of_int i) :: item.i_labels) in
   match item.i_cell with
-  | C c -> f item.i_labels (Counter c.c)
-  | G g -> f item.i_labels (Gauge g.g)
-  | H h -> f item.i_labels (histogram_kind h)
-  | Cs (label, cs) -> Array.iteri (fun i n -> f (member label i) (Counter n)) cs
-  | Gs (label, gs) -> Array.iteri (fun i v -> f (member label i) (Gauge v)) gs
+  | C c -> f item.i_name item.i_labels (Counter c.c)
+  | G g -> f item.i_name item.i_labels (Gauge g.g)
+  | H h -> f item.i_name item.i_labels (histogram_kind h)
+  | Cs (label, cs) -> Array.iteri (fun i n -> f item.i_name (member label i) (Counter n)) cs
+  | Gs (label, gs) -> Array.iteri (fun i v -> f item.i_name (member label i) (Gauge v)) gs
+  | Absorbed sums -> Hashtbl.iter (fun (name, labels) v -> f name labels v) sums
+
+(* Adds [v] into [key]'s sum in [tbl]. *)
+let add_to tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | None -> Hashtbl.replace tbl key v
+  | Some prev -> Hashtbl.replace tbl key (merge_kind prev v)
 
 let snapshot t =
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun item ->
-      iter_instruments item (fun labels v ->
-          let key = (item.i_name, labels) in
-          match Hashtbl.find_opt tbl key with
-          | None -> Hashtbl.replace tbl key v
-          | Some prev -> Hashtbl.replace tbl key (merge_kind prev v)))
+    (fun item -> iter_instruments item (fun name labels v -> add_to tbl (name, labels) v))
     t.items;
   Hashtbl.fold (fun (name, labels) v acc -> { name; labels; v } :: acc) tbl []
   |> List.sort (fun a b -> key_compare (a.name, a.labels) (b.name, b.labels))
 
+let length t =
+  List.fold_left
+    (fun acc item ->
+      match item.i_cell with
+      | Absorbed sums -> acc + Hashtbl.length sums
+      | C _ | G _ | H _ | Cs _ | Gs _ -> acc + 1)
+    0 t.items
+
+let rec absorbed = function
+  | [] -> None
+  | { i_cell = Absorbed sums; _ } :: _ -> Some sums
+  | _ :: items -> absorbed items
+
 let absorb t ?(extra_labels = []) entries =
+  let sums =
+    match absorbed t.items with
+    | Some sums -> sums
+    | None ->
+      let sums = Hashtbl.create 16 in
+      t.items <- { i_name = ""; i_labels = []; i_cell = Absorbed sums } :: t.items;
+      sums
+  in
   List.iter
-    (fun e ->
-      let labels = canonical_labels (e.labels @ extra_labels) in
-      let cell =
-        match e.v with
-        | Counter n -> C { c = n }
-        | Gauge v -> G { g = v }
-        | Histogram { buckets; count; sum } ->
-          let h = { buckets = Array.make hbuckets 0; hcount = count; hsum = sum } in
-          List.iter (fun (b, n) -> h.buckets.(b) <- n) buckets;
-          H h
-      in
-      t.items <- { i_name = e.name; i_labels = labels; i_cell = cell } :: t.items)
+    (fun e -> add_to sums (e.name, canonical_labels (e.labels @ extra_labels)) e.v)
     entries
 
 let sum_counters entries ?(where = []) name =

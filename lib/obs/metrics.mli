@@ -136,7 +136,16 @@ val absorb : t -> ?extra_labels:(string * string) list -> entry list -> unit
 (** Merge a snapshot into this registry additively; [extra_labels] are
     appended to every entry's labels first (e.g. tagging a replicate's
     metrics with its strategy).  Used to fold per-replicate registries
-    into the experiment context's. *)
+    into the experiment context's.  The registry keeps one absorbed
+    sum per (name, labels) key and adds every later entry of that key
+    into it, so folding R snapshots costs what folding one does.  It
+    never adds into an instrument made by {!counter}, {!gauge},
+    {!histogram} or a family: those stay private to their owner, and
+    {!snapshot} adds them to the absorbed sum. *)
+
+val length : t -> int
+(** The registry's cells: one per instrument or family made, and one
+    per (name, labels) key {!absorb} has brought. *)
 
 val sum_counters : entry list -> ?where:(string * string) list -> string -> int
 (** Total of every counter entry called [name] whose labels include all

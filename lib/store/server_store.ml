@@ -17,12 +17,23 @@ module Bitset = Plookup_util.Bitset
    probe linearly, and [remove] shifts later cells of its run back
    into the hole, so there are no tombstones and a probe ends at the
    first empty cell.  Ids are never negative, so [-1] marks a free
-   cell. *)
+   cell.
+
+   The record's last word holds [bits] in its bits 0-5 and, while the
+   table has at most 8 cells (6 entries), a summary of the held ids in
+   bits 6-62: one mark per id, picked by a second multiplicative hash.
+   [add] sets the id's mark and [remove] recomputes the marks, and a
+   lookup whose mark is clear answers "absent" from the record alone,
+   without reading [cells]: a delete broadcast to 10,000 servers finds
+   its id on a few of them, and at 2 entries a store has 2 of 57 marks
+   set.  A larger table is probed as it was without a summary: its
+   marks would fill up, and recomputing them on each remove cost a
+   10-entry store about 40% of its remove-and-add throughput. *)
 type t = {
   mutable slots : Entry.t array; (* entries live in slots.(0 .. size-1) *)
   mutable size : int;
   mutable cells : int array; (* (id, slot) pairs; [||] before the first add *)
-  mutable bits : int; (* log2 of the number of cells *)
+  mutable shape : int; (* [bits] lor the summary's marks *)
 }
 
 (* [random_pick]'s index buffer, grown on demand.  One serves every
@@ -32,14 +43,24 @@ type scratch = { mutable buf : int array }
 let empty = -1
 let dummy = Entry.v 0
 
-let create () = { slots = [||]; size = 0; cells = [||]; bits = 0 }
+let create () = { slots = [||]; size = 0; cells = [||]; shape = 0 }
 let scratch () = { buf = [||] }
 
 let cardinal t = t.size
 let is_empty t = t.size = 0
 
+(* log2 of the number of cells. *)
+let[@inline] bits t = t.shape land 63
+
+(* Whether the marks summarise the held ids: at most 8 cells. *)
+let[@inline] summarised t = bits t <= 3
+
+(* [id]'s summary mark: bit 6 + m for the top 31 bits of id times an
+   odd constant scaled to m in [0, 57). *)
+let[@inline] mark id = 1 lsl (6 + ((((id * 0x1CE4E5B9BF58476D) lsr 32) * 57) lsr 31))
+
 (* The array index of [id]'s home cell. *)
-let[@inline] home t id = ((id * 0x278DDE6E5FD29F05) lsr (63 - t.bits)) lsl 1
+let[@inline] home t id = ((id * 0x278DDE6E5FD29F05) lsr (63 - bits t)) lsl 1
 
 (* The index of the cell holding [id], or of the empty cell that ends
    its probe; a table never fills, so the walk ends. *)
@@ -47,9 +68,10 @@ let rec find cells id i =
   let k = cells.(i) in
   if k = id || k = empty then i else find cells id ((i + 2) land (Array.length cells - 1))
 
-(* The index of the cell holding [id], or -1. *)
+(* The index of the cell holding [id], or -1; a clear mark, an empty
+   store's included, answers without reading the cells. *)
 let locate t id =
-  if t.size = 0 then -1
+  if summarised t && t.shape land mark id = 0 then -1
   else
     let i = find t.cells id (home t id) in
     if t.cells.(i) = id then i else -1
@@ -64,7 +86,7 @@ let slot t e =
 let rebuild t bits =
   let cells = Array.make (2 lsl bits) empty in
   t.cells <- cells;
-  t.bits <- bits;
+  t.shape <- (t.shape land lnot 63) lor bits;
   for slot = 0 to t.size - 1 do
     let id = Entry.id t.slots.(slot) in
     let i = find cells id (home t id) in
@@ -87,9 +109,9 @@ let add t e =
   if t.cells.(i) = id then false
   else begin
     let i =
-      if 4 * (t.size + 1) <= 3 lsl t.bits then i
+      if 4 * (t.size + 1) <= 3 lsl bits t then i
       else begin
-        rebuild t (t.bits + 1);
+        rebuild t (bits t + 1);
         find t.cells id (home t id)
       end
     in
@@ -98,6 +120,7 @@ let add t e =
     t.cells.(i) <- id;
     t.cells.(i + 1) <- t.size;
     t.size <- t.size + 1;
+    if summarised t then t.shape <- t.shape lor mark id;
     true
   end
 
@@ -118,6 +141,15 @@ let rec shift_back t hole j =
     shift_back t j j
   end
 
+(* [bits] with the marks of the ids [cells] holds. *)
+let summarise cells bits =
+  let shape = ref bits in
+  for c = 0 to (Array.length cells / 2) - 1 do
+    let id = cells.(2 * c) in
+    if id <> empty then shape := !shape lor mark id
+  done;
+  !shape
+
 let remove t e =
   let i = locate t (Entry.id e) in
   if i < 0 then false
@@ -133,6 +165,7 @@ let remove t e =
     end;
     t.slots.(last) <- dummy;
     t.size <- last;
+    if summarised t then t.shape <- summarise t.cells (bits t);
     true
   end
 
@@ -140,7 +173,7 @@ let clear t =
   t.slots <- [||];
   t.size <- 0;
   t.cells <- [||];
-  t.bits <- 0
+  t.shape <- 0
 
 (* Two laps of the cells, so that a run wrapping past the end is
    counted whole; a table is never full, so no run is endless. *)

@@ -14,7 +14,16 @@
     slots at all; its first add makes a table of 4 cells and an array
     of 2 slots, the table doubling whenever an add would fill more than
     3/4 of it and the slots whenever they are full.  A 2-entry store is
-    17 words (5 for the record, 9 for the table, 3 for the slots). *)
+    17 words (5 for the record, 9 for the table, 3 for the slots).
+
+    While its table has at most 8 cells (6 entries), the record also
+    keeps a summary of the ids it holds, in the word that holds the
+    table's size: one mark per id out of 57, set by {!add} and
+    recomputed by {!remove}.  {!mem}, {!remove} and {!slot} answer
+    "absent" from the record alone when the id's mark is clear, without
+    reading the table: most receivers of a broadcast delete do not hold
+    the entry.  A larger table is probed as without a summary.  The
+    summary costs no word. *)
 
 type t
 

@@ -224,6 +224,110 @@ let prop_families_match_cells =
       && sums a = sums b
       && Metrics.snapshot fam = Metrics.snapshot reference)
 
+(* [absorb] folds every entry of a key into one sum.  A registry with a
+   few live instruments absorbs R random child snapshots, each under
+   extra labels that can make its keys meet a live one's.  It must then
+   hold one cell per live instrument and one per distinct absorbed key,
+   leave every live instrument reading what it was set to, and snapshot
+   exactly as the append-only absorb below does.  Values are whole
+   numbers, so float sums are exact in any order. *)
+type child_instrument = { ckind : int; cname : int; clabels : (string * string) list; cv : int }
+
+let gen_absorb_program =
+  let open QCheck2.Gen in
+  let instrument =
+    let+ ckind = int_bound 2 and+ cname = int_bound 1
+    and+ clabels = oneofl [ []; [ ("server", "1") ]; [ ("plane", "x"); ("server", "1") ] ]
+    and+ cv = int_range 0 5000 in
+    { ckind; cname; clabels; cv }
+  in
+  let merge =
+    pair
+      (oneofl [ []; [ ("plane", "x") ]; [ ("strategy", "s") ] ])
+      (list_size (int_range 0 6) instrument)
+  in
+  pair (list_size (int_range 0 3) instrument) (list_size (int_range 1 8) merge)
+
+(* One name per kind and index, so kinds never share a key. *)
+let instrument_name i = Printf.sprintf "%s%d" [| "c"; "g"; "h" |].(i.ckind) i.cname
+
+(* Registers [i] in [m] and gives it its value; returns its reading. *)
+let make_instrument m i =
+  let name = instrument_name i and labels = i.clabels in
+  match i.ckind with
+  | 0 ->
+    let c = Metrics.counter m ~labels name in
+    Metrics.add c i.cv;
+    fun () -> float_of_int (Metrics.value c)
+  | 1 ->
+    let g = Metrics.gauge m ~labels name in
+    Metrics.set_gauge g (float_of_int i.cv);
+    fun () -> Metrics.gauge_value g
+  | _ ->
+    let h = Metrics.histogram m ~labels name in
+    Metrics.observe h (float_of_int i.cv);
+    Metrics.observe h (float_of_int (i.cv / 3));
+    fun () -> float_of_int (Metrics.histogram_count h)
+
+let canonical labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
+
+(* The absorb that appends every entry as an item of its own, summed
+   only at snapshot time: [base] is the live instruments' snapshot, and
+   each merge's entries are added to it by (name, labels) key. *)
+let append_only_snapshot base merges =
+  let tbl = Hashtbl.create 16 in
+  let add key v =
+    let v =
+      match (Hashtbl.find_opt tbl key, v) with
+      | None, v -> v
+      | Some (Metrics.Counter a), Metrics.Counter b -> Metrics.Counter (a + b)
+      | Some (Metrics.Gauge a), Metrics.Gauge b -> Metrics.Gauge (a +. b)
+      | Some (Metrics.Histogram a), Metrics.Histogram b ->
+        let counts = Array.make 64 0 in
+        List.iter (fun (i, n) -> counts.(i) <- counts.(i) + n) (a.buckets @ b.buckets);
+        let buckets =
+          List.filter (fun (_, n) -> n > 0) (List.mapi (fun i n -> (i, n)) (Array.to_list counts))
+        in
+        Metrics.Histogram { buckets; count = a.count + b.count; sum = a.sum +. b.sum }
+      | Some _, _ -> Alcotest.fail "kinds clash"
+    in
+    Hashtbl.replace tbl key v
+  in
+  List.iter (fun (e : Metrics.entry) -> add (e.name, e.labels) e.v) base;
+  List.iter
+    (fun (extra, entries) ->
+      List.iter (fun (e : Metrics.entry) -> add (e.name, canonical (e.labels @ extra)) e.v) entries)
+    merges;
+  Hashtbl.fold (fun (name, labels) v acc -> { Metrics.name; labels; v } :: acc) tbl []
+  |> List.sort (fun (a : Metrics.entry) b -> compare (a.name, a.labels) (b.name, b.labels))
+
+let prop_absorb_folds_keys =
+  Helpers.qcheck ~count:300 "absorb keeps one cell per key" gen_absorb_program
+    (fun (live, merges) ->
+      let m = Metrics.create () and live_only = Metrics.create () in
+      let readings = List.map (make_instrument m) live in
+      List.iter (fun i -> ignore (make_instrument live_only i : unit -> float)) live;
+      let before = List.map (fun read -> read ()) readings in
+      let merges =
+        List.map
+          (fun (extra, instruments) ->
+            let child = Metrics.create () in
+            List.iter (fun i -> ignore (make_instrument child i : unit -> float)) instruments;
+            (extra, Metrics.snapshot child))
+          merges
+      in
+      List.iter (fun (extra_labels, snap) -> Metrics.absorb m ~extra_labels snap) merges;
+      let absorbed_keys =
+        List.concat_map
+          (fun (extra, snap) ->
+            List.map (fun (e : Metrics.entry) -> (e.name, canonical (e.labels @ extra))) snap)
+          merges
+        |> List.sort_uniq compare
+      in
+      Metrics.length m = List.length live + List.length absorbed_keys
+      && List.map (fun read -> read ()) readings = before
+      && Metrics.snapshot m = append_only_snapshot (Metrics.snapshot live_only) merges)
+
 (* The log-scale quantile estimator lands in the same power-of-two
    bucket as the exact sample percentile, so (for values above 1) it is
    within a factor of 2 of Stats.percentile at every rank — the
@@ -459,7 +563,8 @@ let () =
             test_histogram_quantile_tracks_percentile;
           Alcotest.test_case "quantile edges" `Quick test_histogram_quantile_edges;
           Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
-          prop_families_match_cells ] );
+          prop_families_match_cells;
+          prop_absorb_folds_keys ] );
       ("sink", [ Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden ]);
       ( "evicted",
         [ Alcotest.test_case "evictions reach the registry" `Quick test_evicted_metric ] );

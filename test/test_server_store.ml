@@ -237,10 +237,25 @@ let sharing_home ~home ~from count =
   in
   go from [] count
 
+(* The store's summary mark of [id], 0 .. 56: its second
+   multiplicative hash, as [Server_store] computes it. *)
+let mark id = (((id * 0x1CE4E5B9BF58476D) lsr 32) * 57) lsr 31
+
+(* The first [count] ids from [from] whose marks are in [marks]. *)
+let sharing_marks ~marks ~from count =
+  let rec go id acc k =
+    if k = 0 then Array.of_list (List.rev acc)
+    else if List.mem (mark id) marks then go (id + 1) (id :: acc) (k - 1)
+    else go (id + 1) acc k
+  in
+  go from [] count
+
 (* Adversarial id pools of 64 ids each: one residue class mod 2^k,
-   ids at or above 2^40, id 0 among small ids, and ids that share one
+   ids at or above 2^40, id 0 among small ids, ids that share one
    home cell at every table size the cases reach, at the table's last
-   cell (so their run wraps around) and at its first. *)
+   cell (so their run wraps around) and at its first, and ids that
+   share one summary mark or two, so that an absent id's mark is
+   nearly always set. *)
 let pools =
   [| Array.init 64 Fun.id;
      Array.init 64 (fun i -> 5 + (i lsl 3));
@@ -249,9 +264,15 @@ let pools =
      Array.init 64 (fun i -> (1 lsl 40) + (i * 7919));
      Array.init 64 (fun i -> (1 lsl 61) + (i lsl 30));
      sharing_home ~home:1023 ~from:0 64;
-     sharing_home ~home:0 ~from:1 64 |]
+     sharing_home ~home:0 ~from:1 64;
+     sharing_marks ~marks:[ 0 ] ~from:0 64;
+     sharing_marks ~marks:[ 17; 56 ] ~from:(1 lsl 40) 64 |]
 
-type op = Add of int | Remove of int | Mem of int | Clear
+(* [Fill k] adds the pool's first [k] ids, 7 or more, so the table
+   grows past the 8 cells the summary covers; [Drain k] then removes
+   entries until [k] of 0-3 are left in a table that keeps its size, so
+   only the probe can answer until a [Clear]. *)
+type op = Add of int | Remove of int | Mem of int | Clear | Fill of int | Drain of int
 
 let op_gen =
   QCheck2.Gen.(
@@ -259,7 +280,9 @@ let op_gen =
       [ (6, map (fun i -> Add i) (int_range 0 63));
         (4, map (fun i -> Remove i) (int_range 0 63));
         (2, map (fun i -> Mem i) (int_range 0 63));
-        (1, pure Clear) ])
+        (1, pure Clear);
+        (1, map (fun k -> Fill k) (int_range 7 64));
+        (1, map (fun k -> Drain k) (int_range 0 3)) ])
 
 let prop_matches_reference =
   Helpers.qcheck ~count:400 "store matches the Hashtbl-indexed reference"
@@ -279,6 +302,17 @@ let prop_matches_reference =
               Server_store.clear s;
               Reference.clear r;
               true
+            | Fill k ->
+              List.for_all
+                (fun i -> Server_store.add s (Entry.v (id i)) = Reference.add r (id i))
+                (List.init k Fun.id)
+            | Drain k ->
+              let same = ref true in
+              while r.Reference.size > k do
+                let i = r.Reference.slots.(0) in
+                same := !same && Server_store.remove s (Entry.v i) = Reference.remove r i
+              done;
+              !same
           in
           if not same then failwith "result differs from the reference";
           if Server_store.cardinal s <> r.Reference.size then failwith "cardinal differs";
@@ -289,11 +323,32 @@ let prop_matches_reference =
           done;
           Array.iter
             (fun i ->
+              if Server_store.mem s (Entry.v i) <> Reference.mem r i then
+                failwith (Printf.sprintf "mem %d differs" i);
               if (not (Reference.mem r i)) && Server_store.slot s (Entry.v i) <> -1 then
                 failwith (Printf.sprintf "id %d has a slot" i))
             pools.(pool))
         ops;
       true)
+
+(* A store emptied from a 64-cell table keeps its cells and the marks
+   it set before its table outgrew the summary, which no longer
+   describe what it holds: each id it once held, and each id that
+   shares their marks, reads absent. *)
+let test_emptied_store_answers_absent () =
+  let ids = List.init 40 (fun i -> 7 + (i * 10_000)) in
+  let s = Server_store.create () in
+  List.iter (fun i -> ignore (Server_store.add s (Entry.v i))) ids;
+  List.iter (fun i -> ignore (Server_store.remove s (Entry.v i))) (List.rev ids);
+  Helpers.check_int "cardinal" 0 (Server_store.cardinal s);
+  List.iter
+    (fun i ->
+      let e = Entry.v i in
+      Helpers.check_bool (Printf.sprintf "mem %d" i) false (Server_store.mem s e);
+      Helpers.check_int (Printf.sprintf "slot %d" i) (-1) (Server_store.slot s e);
+      Helpers.check_bool (Printf.sprintf "remove %d" i) false (Server_store.remove s e))
+    (ids @ Array.to_list (sharing_marks ~marks:(List.map mark ids) ~from:1 40));
+  Helpers.check_int "longest run" 0 (Server_store.longest_run s)
 
 (* Ids 0, s, 2s, ... inserted into a fresh store, for the strides a
    RoundRobin server's ids take.  The longest runs measured are in
@@ -364,6 +419,8 @@ let () =
           prop_random_pick_subset ] );
       ( "index",
         [ prop_matches_reference;
+          Alcotest.test_case "emptied store answers absent" `Quick
+            test_emptied_store_answers_absent;
           Alcotest.test_case "strided runs" `Quick test_strided_runs;
           Alcotest.test_case "warm store allocates nothing" `Quick
             test_warm_store_allocates_nothing ] ) ]

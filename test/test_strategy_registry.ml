@@ -195,6 +195,68 @@ let test_every_strategy_lookup_after_foreign_traffic () =
         (Lookup_result.satisfied r))
     (Strategy_registry.all ())
 
+(* The strategy-plane messages each strategy handles itself, by their
+   position in [every_message]; it takes every other strategy-plane
+   message with [Strategy_common.default_strategy].  A strategy that
+   comes to own a message must be added here. *)
+let owned_positions = function
+  | "RandomServer" | "RandomServerReplacing" -> [ 5; 7; 8; 9 ]
+  | "RoundRobin" | "RoundRobinHA" -> [ 10; 11; 12 ]
+  | _ -> []
+
+(* The handler contract, on a cluster without repair: a server answers
+   every strategy-plane message its strategy does not own, and every
+   repair-plane message, with [Ack].  A message of the first kind
+   changes the receiving store as [default_strategy] says (a point store
+   adds, a point remove drops, a batch replaces it, the rest leave it
+   alone) and no other store; one of the second changes no store.  Each
+   message goes to a freshly placed service, with a point store of a new
+   entry and a point remove of one the server holds beside
+   [every_message]'s. *)
+let test_every_strategy_default_handler_contract () =
+  let dst = 1 in
+  List.iter
+    (fun (module S : Strategy_intf.S) ->
+      let m = S.meta in
+      let name = m.Strategy_intf.name in
+      let fresh () =
+        let service =
+          Service.create ~seed:6 ~n:4 (Service.v ~kind:name ~params:(params_for m))
+        in
+        Service.place service (Helpers.entries 10);
+        Service.cluster service
+      in
+      let held = Server_store.nth (Cluster.store (fresh ()) dst) 0 in
+      List.iter
+        (fun msg ->
+          let plane, position = witness msg in
+          if plane <> "data" && not (List.mem position (owned_positions name)) then begin
+            let cluster = fresh () in
+            let ids s = List.sort compare (Server_store.ids (Cluster.store cluster s)) in
+            let expected = Array.init 4 ids in
+            let mine = expected.(dst) in
+            (match msg with
+            | Msg.Strategy (Msg.Store e) ->
+              expected.(dst) <- List.sort_uniq compare (Entry.id e :: mine)
+            | Msg.Strategy (Msg.Remove e) ->
+              expected.(dst) <- List.filter (fun id -> id <> Entry.id e) mine
+            | Msg.Strategy (Msg.Store_batch es) ->
+              expected.(dst) <- List.sort_uniq compare (List.map Entry.id es)
+            | Msg.Strategy _ | Msg.Repair _ | Msg.Data _ -> ());
+            let what = Printf.sprintf "%s, the %s message at position %d" name plane position in
+            (match Net.send (Cluster.net cluster) ~src:Net.Client ~dst msg with
+            | Some Msg.Ack -> ()
+            | Some _ | None -> Alcotest.failf "%s: no Ack" what);
+            for s = 0 to 3 do
+              Alcotest.(check (list int)) (Printf.sprintf "%s: server %d" what s) expected.(s)
+                (ids s)
+            done
+          end)
+        (every_message
+        @ [ Msg.store (Entry.v 12); Msg.store_batch [ Entry.v 30; Entry.v 31; Entry.v 30 ];
+            Msg.remove held ]))
+    (Strategy_registry.all ())
+
 (* The paper's client for each strategy: one server where every server
    holds the same entries, a y-stride where an entry's copies sit on y
    consecutive servers, random order otherwise.  A new strategy must be
@@ -265,6 +327,8 @@ let () =
             test_every_strategy_handles_every_message;
           Alcotest.test_case "lookup survives foreign traffic" `Quick
             test_every_strategy_lookup_after_foreign_traffic;
+          Alcotest.test_case "default handler contract" `Quick
+            test_every_strategy_default_handler_contract;
           Alcotest.test_case "every strategy declares its discipline" `Quick
             test_every_strategy_declares_its_discipline;
           Alcotest.test_case "every strategy rejects a target below 1" `Quick
