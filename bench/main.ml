@@ -317,9 +317,7 @@ let bench_core () =
                they are the paper's cost model);
    - disabled: planes + trace attached but tracing off — the production
                default, whose overhead must stay in the noise;
-   - traced:   tracing on at sample=1.0, spans into the bounded ring;
-   - sampled:  tracing on at sample=0.01 (head sampling per causal
-               tree).
+   - traced:   tracing on, every span into the bounded ring.
 
    The overhead rows are time ratios, tracing on over its reference
    (the bare net for async calls, tracing off for service updates),
@@ -341,10 +339,10 @@ let bench_core () =
 let bench_obs () =
   let n = 10 in
   let async_window = 10_000 and sync_window = 100_000 and service_window = 1000 in
-  let instrumented ?sample () =
+  let instrumented () =
     let net = Net.create ~n () in
     Net.set_planes net ~names:[| "data" |] ~classify:(fun _ -> 0);
-    let tr = Plookup_obs.Trace.create ~capacity:256 ?sample () in
+    let tr = Plookup_obs.Trace.create ~capacity:256 () in
     let pm = Plookup_obs.Trace.intern_message tr ~plane:"data" ~msg:"msg" in
     Net.set_trace net tr ~coder:(fun _ -> pm);
     (net, tr)
@@ -374,10 +372,9 @@ let bench_obs () =
        per-instance heap-layout luck needs separating from the signal:
        [reps] independent instances of every configuration, each row
        keeping its best across instances, so every row converges to its
-       true fastest.  One instrumented net per rep serves the off, on
-       and sampled rows: the right trace is (re)attached at the start of
-       each window, so those three rows differ only in tracing, never in
-       allocation luck. *)
+       true fastest.  One instrumented net per rep serves the off and
+       on rows, so they differ only in tracing, never in allocation
+       luck. *)
     let reps = 4 in
     let acc = ref [] in
     for _ = 1 to reps do
@@ -385,21 +382,12 @@ let bench_obs () =
       let bare_drive = async_drive bare (with_engine bare) in
       acc := (0, bare_drive) :: !acc;
       let net, tr = instrumented () in
-      let pm = Plookup_obs.Trace.intern_message tr ~plane:"data" ~msg:"msg" in
       let drive = async_drive net (with_engine net) in
-      let tr_smp = Plookup_obs.Trace.create ~capacity:256 ~sample:0.01 () in
-      let pm_smp = Plookup_obs.Trace.intern_message tr_smp ~plane:"data" ~msg:"msg" in
-      let full on () =
-        Net.set_trace net tr ~coder:(fun _ -> pm);
+      let traced on () =
         Plookup_obs.Trace.set_enabled tr on;
         drive ()
       in
-      let smp () =
-        Net.set_trace net tr_smp ~coder:(fun _ -> pm_smp);
-        Plookup_obs.Trace.set_enabled tr_smp true;
-        drive ()
-      in
-      acc := (3, smp) :: (2, full true) :: (1, full false) :: !acc
+      acc := (2, traced true) :: (1, traced false) :: !acc
     done;
     Array.of_list (List.rev !acc)
   in
@@ -446,7 +434,7 @@ let bench_obs () =
            [| sync_send (Net.create ~n ()); sync_send traced_sync; updates false;
               updates true |] ])
   in
-  let async = Array.make 4 0. in
+  let async = Array.make 3 0. in
   Array.iteri (fun i (row, _) -> async.(row) <- Float.max async.(row) rates.(i)) entries;
   let sync = Array.sub rates m 2 and svc = Array.sub rates (m + 2) 2 in
   Printf.printf "(sync sends: tracing adds %.1f ns per message)\n"
@@ -463,7 +451,6 @@ let bench_obs () =
     [ rate "async_calls_per_sec" "bare" async.(0);
       rate "async_calls_per_sec" "tracing_off" async.(1);
       rate "async_calls_per_sec" "tracing_on" async.(2);
-      rate "async_calls_per_sec" "sampled_1pct" async.(3);
       rate "sync_sends_per_sec" "bare" sync.(0);
       rate "sync_sends_per_sec" "tracing_on" sync.(1);
       rate "service_updates_per_sec" "tracing_off" svc.(0);

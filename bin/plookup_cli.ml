@@ -520,33 +520,15 @@ let sweep_cmd =
         $ csv_arg))
 
 (* trace subcommand: one experiment with the observability layer on *)
-let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_planes ctx csv
-    =
+let trace_experiment id trace_out metrics_dump trace_cap ctx csv =
   let module Obs = Plookup_obs.Obs in
   let module Trace = Plookup_obs.Trace in
   match find_experiment id with
   | Error msg -> `Error (false, msg)
-  | Ok e -> (
-    let known_planes = Array.to_list Plookup.Msg.plane_names in
-    let bad_planes =
-      match trace_planes with
-      | None -> []
-      | Some ps -> List.filter (fun p -> not (List.mem p known_planes)) ps
-    in
+  | Ok e ->
     if trace_cap <= 0 then `Error (false, "--trace-cap must be positive")
-    else if not (trace_sample > 0. && trace_sample <= 1.) then
-      `Error (false, "--trace-sample must be in (0, 1]")
-    else if bad_planes <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "--trace-planes: unknown plane%s %s; known planes are %s"
-            (if List.length bad_planes > 1 then "s" else "")
-            (String.concat ", " bad_planes)
-            (String.concat ", " known_planes) )
     else begin
-      let obs =
-        Obs.create ~trace_capacity:trace_cap ~trace_sample ?trace_planes:trace_planes ()
-      in
+      let obs = Obs.create ~trace_capacity:trace_cap () in
       Trace.set_enabled obs.Obs.trace true;
       match ctx (Some obs) with
       | Error msg -> `Error (false, msg)
@@ -566,11 +548,8 @@ let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_plan
         Trace.flush obs.Obs.trace;
         Option.iter close_out sink_channel;
         let tr = obs.Obs.trace in
-        Printf.printf "trace: %d spans emitted, %d retained, %d dropped%s%s\n"
+        Printf.printf "trace: %d spans emitted, %d retained, %d dropped%s\n"
           (Trace.emitted tr) (Trace.length tr) (Trace.dropped tr)
-          (if trace_sample < 1.0 || trace_planes <> None then
-             Printf.sprintf ", %d sampled out" (Trace.sampled_out tr)
-           else "")
           (match trace_out with
           | Some f -> Printf.sprintf ", streamed to %s" f
           | None -> "");
@@ -579,7 +558,7 @@ let trace_experiment id trace_out metrics_dump trace_cap trace_sample trace_plan
             (Plookup_obs.Metrics.to_json
                (Plookup_obs.Metrics.snapshot obs.Obs.metrics));
         `Ok ()
-    end)
+    end
 
 let trace_cmd =
   let id =
@@ -590,7 +569,8 @@ let trace_cmd =
     let doc =
       "Stream every span to $(docv) as JSON Lines (one object per span) while the \
        experiment runs.  The stream sees each span once, including spans later evicted \
-       from the in-memory ring."
+       from the in-memory ring.  Every send, recv and drop line names its plane, so one \
+       plane's spans can be filtered out afterwards."
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
@@ -608,26 +588,6 @@ let trace_cmd =
     in
     Arg.(value & opt int 1_048_576 & info [ "trace-cap" ] ~docv:"N" ~doc)
   in
-  let trace_sample =
-    let doc =
-      "Keep each causal span tree with probability $(docv) (in (0, 1]).  The decision is \
-       made once per tree at its root, from a pure hash of the span id, so a sampled \
-       trace is a strict subset of the unsampled one — same spans, same JSON — at any \
-       $(b,--jobs) split.  Spans sampled out are counted, not recorded."
-    in
-    Arg.(value & opt finite 1.0 & info [ "trace-sample" ] ~docv:"P" ~doc)
-  in
-  let trace_planes =
-    let doc =
-      "Only record message spans from these comma-separated planes (data, strategy, \
-       repair).  Non-message spans (timeouts, retries, repair rounds, migrations) always \
-       pass the filter."
-    in
-    Arg.(
-      value
-      & opt (some (list ~sep:',' string)) None
-      & info [ "trace-planes" ] ~docv:"PLANES" ~doc)
-  in
   let doc =
     "Run one experiment with tracing enabled: typed spans (sends, receives, drops, \
      retries, timeouts, repair rounds, migrations) to a JSONL file, plus an optional \
@@ -636,12 +596,12 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       ret
-        (const trace_experiment $ id $ trace_out $ metrics_dump $ trace_cap $ trace_sample
-        $ trace_planes $ ctx_term $ csv_arg))
+        (const trace_experiment $ id $ trace_out $ metrics_dump $ trace_cap $ ctx_term
+        $ csv_arg))
 
 let main_cmd =
   let doc = "partial lookup service — reproduction of Sun & Garcia-Molina (ICDCS 2003)" in
-  let info = Cmd.info "plookup" ~version:"1.36.0" ~doc in
+  let info = Cmd.info "plookup" ~version:"1.37.0" ~doc in
   Cmd.group info
     [ run_cmd; list_cmd; stars_cmd; strategies_cmd; demo_cmd; sweep_cmd; trace_cmd ]
 

@@ -47,6 +47,16 @@ let ledgers_equal a b =
   let rec from pos = pos >= a.tail || (Entry.equal (slot a pos) (slot b pos) && from (pos + 1)) in
   a.head = b.head && a.tail = b.tail && from a.head
 
+(* The id index holds exactly the live positions, each under the id of
+   the entry in its slot. *)
+let index_matches ledger =
+  let rec from pos =
+    pos >= ledger.tail
+    || Hashtbl.find_opt ledger.position_of_id (Entry.id (slot ledger pos)) = Some pos
+       && from (pos + 1)
+  in
+  Hashtbl.length ledger.position_of_id = ledger.tail - ledger.head && from ledger.head
+
 (* The owner queries below run once per live entry per repair event and
    on every update, so they are top-level and allocate no closure or
    option: only the owner list itself. *)
@@ -195,8 +205,10 @@ let handle_strategy t dst src (msg : Msg.strategy) : Msg.reply =
     if dst < t.coordinators then ignore (apply_delete t.ledgers.(dst) e);
     Msg.Ack
   | Msg.Sync_state ->
+    (* A replica never copies from itself: [copy_ledger] empties the
+       destination's index before reading the source's. *)
     (match src with
-    | Net.Server c when c < t.coordinators && dst < t.coordinators ->
+    | Net.Server c when c < t.coordinators && dst < t.coordinators && c <> dst ->
       copy_ledger ~src:t.ledgers.(c) ~dst:t.ledgers.(dst)
     | Net.Server _ | Net.Client -> ());
     Msg.Ack
@@ -315,11 +327,15 @@ let check_invariants t =
     match Strategy_common.check_placement t.cluster assigned with
     | Error _ as e -> e
     | Ok () ->
-      (* All operational replicas must agree with the acting one. *)
+      (* All operational replicas must agree with the acting one, and
+         each one's id index with its window. *)
       let rec agree c =
         if c >= t.coordinators then Ok ()
-        else if Cluster.is_up t.cluster c && not (ledgers_equal ledger t.ledgers.(c)) then
+        else if not (Cluster.is_up t.cluster c) then agree (c + 1)
+        else if not (ledgers_equal ledger t.ledgers.(c)) then
           Error (Printf.sprintf "coordinator replica %d diverged" c)
+        else if not (index_matches t.ledgers.(c)) then
+          Error (Printf.sprintf "coordinator replica %d's id index disagrees with its window" c)
         else agree (c + 1)
       in
       agree 0

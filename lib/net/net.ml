@@ -222,10 +222,9 @@ let messages_shed t = match t.capacity with None -> 0 | Some c -> Metrics.value 
    Every helper first checks that a trace is attached and enabled, so a
    quiet network pays one tag test per hook and allocates nothing.  A
    traced network allocates nothing either: each event is a coded emit
-   — plain ints into the trace's preallocated ring.  Span ids use 0 as
-   "no span" and negative ids for sampled-out spans, which lets cause
-   links thread through the delivery path as plain ints while keeping
-   whole causal trees in or out together. *)
+   — plain ints into the trace's preallocated ring.  A span id is 0
+   ("no span", tracing off) or positive, which lets cause links thread
+   through the delivery path as plain ints. *)
 
 let[@inline always] now t =
   match t.engine with Some e -> Plookup_sim.Engine.now e | None -> 0.
@@ -444,20 +443,14 @@ let transmit t engine ?(sid = 0) ?spanmsg ~from_code ~to_code ~base action =
    at arrival time — silently, or with the configured fast nack, which
    costs the server no service time at all (the point of nacking: an
    overloaded server spends nothing telling the client to go away).
-   Without a capacity model this is exactly [deliver], with no extra
-   engine event, so existing runs are untouched.  [k] fires with the
-   handler's reply (or the nack) once it is ready, or [None] when the
-   message died. *)
+   A request to a down server, or any request without a capacity model,
+   is exactly [deliver], with no extra engine event, so existing runs are
+   untouched.  [k] fires with the handler's reply (or the nack) once it
+   is ready, or [None] when the message died. *)
 let deliver_queued t engine ~sid ~src ~dst msg k =
   match t.capacity with
-  | None -> k (deliver t ~sid ~src ~dst msg)
-  | Some c ->
-    if not t.up.(dst) then begin
-      Metrics.incr t.dropped;
-      trace_drop t ~sid ~src ~dst ~reason:Span.Down msg;
-      k None
-    end
-    else if c.depth.(dst) >= c.queue_limit then begin
+  | Some c when t.up.(dst) ->
+    if c.depth.(dst) >= c.queue_limit then begin
       Metrics.incr c.shed;
       trace_drop t ~sid ~src ~dst ~reason:Span.Shed msg;
       k c.nack
@@ -478,6 +471,7 @@ let deliver_queued t engine ~sid ~src ~dst msg k =
                 have failed while the request sat in its queue. *)
              k (deliver t ~sid ~src ~dst msg)))
     end
+  | Some _ | None -> k (deliver t ~sid ~src ~dst msg)
 
 let call_async t engine ~latency ~src ~dst msg k =
   check_node t dst;

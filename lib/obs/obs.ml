@@ -1,10 +1,8 @@
 type t = { metrics : Metrics.t; trace : Trace.t }
 
-let create ?trace_capacity ?trace_sample ?trace_planes () =
+let create ?trace_capacity () =
   let metrics = Metrics.create () in
-  let trace =
-    Trace.create ?capacity:trace_capacity ?sample:trace_sample ?planes:trace_planes ()
-  in
+  let trace = Trace.create ?capacity:trace_capacity () in
   (* Mirror ring evictions into the registry so drained JSONL consumers
      can detect truncation from the metrics dump alone. *)
   let evicted = Metrics.counter metrics "obs.trace.evicted" in
@@ -12,10 +10,7 @@ let create ?trace_capacity ?trace_sample ?trace_planes () =
   { metrics; trace }
 
 let child t =
-  let c =
-    create ~trace_capacity:(Trace.capacity t.trace) ~trace_sample:(Trace.sample_rate t.trace)
-      ?trace_planes:(Trace.plane_filter t.trace) ()
-  in
+  let c = create ~trace_capacity:(Trace.capacity t.trace) () in
   Trace.set_enabled c.trace (Trace.enabled t.trace);
   c
 

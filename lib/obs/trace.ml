@@ -25,9 +25,9 @@
    — a [Send] at [id] immediately resolved by a [Recv] at [id + 1]
    whose cause is the send — in one compact cell: three stores total,
    and the cause slot is never read, so it is never written.  That cell
-   is the always-on budget: everything else about a delivery (decision
-   logic, eviction counting, emitted totals) is either precomputed into
-   one flag ([fast]) or derived lazily at drain time.
+   is the always-on budget: everything else about a delivery (sink
+   dispatch, eviction counting, emitted totals) is either precomputed
+   into one flag ([fast]) or derived lazily at drain time.
 
    Strings (plane, msg, mark label/detail) are interned per trace into a
    dense code table; message spans carry [pm = plane_code lsl 8 lor
@@ -72,31 +72,23 @@ type t = {
   (* Intern table.  Codes are dense, and survive {!clear} so message
      coders precomputed against this trace stay valid across runs. *)
   mutable strings : string array;
-  mutable plane_pass : Bytes.t; (* per-code verdict of the plane filter *)
   mutable n_strings : int;
   codes : (string, int) Hashtbl.t;
-  sample : float;
-  planes : string list option;
-  record_all : bool; (* sample = 1.0 and no plane filter *)
   mutable sinks : Sink.t list; (* attachment order *)
   mutable eager : bool; (* sinks <> []: decode and stream per emit *)
   mutable on : bool;
-  mutable fast : bool; (* on && record_all && not eager, precomputed *)
+  mutable fast : bool; (* on && not eager, precomputed *)
   mutable next_id : int;
-  mutable ring_sampled : int; (* sampled/filtered out by this trace *)
   mutable emitted_adjust : int; (* absorb's correction to the derived total *)
   mutable carried_dropped : int; (* inherited from absorbed children *)
-  mutable carried_sampled : int;
 }
 
 let pow2_at_least n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?(capacity = 4096) ?(sample = 1.0) ?planes () =
+let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  if not (sample > 0.0 && sample <= 1.0) then
-    invalid_arg "Trace.create: sample must be in (0, 1]";
   let slots = min 64 (pow2_at_least capacity) in
   { capacity;
     ints = Array.make (slots * cell_ints) 0;
@@ -108,31 +100,23 @@ let create ?(capacity = 4096) ?(sample = 1.0) ?planes () =
     on_evict = (fun _ -> ());
     evict_reported = 0;
     strings = Array.make 16 "";
-    plane_pass = Bytes.make 16 '\000';
     n_strings = 0;
     codes = Hashtbl.create 32;
-    sample;
-    planes;
-    record_all = (sample >= 1.0 && planes = None);
     sinks = [];
     eager = false;
     on = false;
     fast = false;
     next_id = 1;
-    ring_sampled = 0;
     emitted_adjust = 0;
-    carried_dropped = 0;
-    carried_sampled = 0 }
+    carried_dropped = 0 }
 
 let[@inline always] enabled t = t.on
 
 let set_enabled t on =
   t.on <- on;
-  t.fast <- on && t.record_all && not t.eager
+  t.fast <- on && not t.eager
 
 let capacity t = t.capacity
-let sample_rate t = t.sample
-let plane_filter t = t.planes
 let set_evict_hook t f = t.on_evict <- f
 
 let add_sink t sink =
@@ -150,16 +134,9 @@ let intern t s =
     if c = Array.length t.strings then begin
       let strings = Array.make (2 * c) "" in
       Array.blit t.strings 0 strings 0 c;
-      t.strings <- strings;
-      let pass = Bytes.make (2 * c) '\000' in
-      Bytes.blit t.plane_pass 0 pass 0 c;
-      t.plane_pass <- pass
+      t.strings <- strings
     end;
     t.strings.(c) <- s;
-    Bytes.set t.plane_pass c
-      (match t.planes with
-      | None -> '\001'
-      | Some ps -> if List.mem s ps then '\001' else '\000');
     Hashtbl.add t.codes s c;
     t.n_strings <- c + 1;
     c
@@ -170,61 +147,19 @@ let intern_message t ~plane ~msg =
     invalid_arg "Trace.intern_message: more than 256 distinct interned strings";
   (p lsl 8) lor m
 
-(* {2 Sampling}
-
-   Every emit mints an id whether or not the span is kept, so surviving
-   spans carry exactly the ids they would in an unsampled run (a sampled
-   JSONL is a line-subset of the unsampled one), and the keep decision —
-   a pure hash of the id — replays identically at any [--jobs] split. *)
-
-(* A pure xorshift-style scramble over native ints: no boxing, so a
-   sampled-out emit stays allocation-free.  Only the low 53 bits feed
-   the uniform; quality is ample for keep/drop coins. *)
-let[@inline always] keep_coin t id =
-  let h = id * 0x2545F4914F6CDD1D in
-  let h = h lxor (h lsr 29) in
-  let h = h * 0x106689D45497FDB5 in
-  let h = h lxor (h lsr 32) in
-  float_of_int (h land 0x1FFFFFFFFFFFFF) *. 0x1p-53 < t.sample
-
-(* Mint the next id and decide whether to record.  Positive result:
-   record under that id.  Negative: minted but sampled/filtered out —
-   callers thread the negative id into children's [cause], so a whole
-   causal tree stays out together and no kept span can dangle.  The
-   decision is made once at the root (cause = 0); children inherit. *)
-let decide t ~cause ~plane_code =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  if cause > 0 then id
-  else if cause < 0 then begin
-    t.ring_sampled <- t.ring_sampled + 1;
-    -id
-  end
-  else if
-    t.record_all
-    || (plane_code < 0 || Bytes.unsafe_get t.plane_pass plane_code <> '\000')
-       && (t.sample >= 1.0 || keep_coin t id)
-  then id
-  else begin
-    t.ring_sampled <- t.ring_sampled + 1;
-    -id
-  end
-
 (* {2 Derived totals}
 
-   The emit path maintains no counters beyond [next_id] (and
-   [ring_sampled], off the record-all path): everything else falls out
-   at drain time.  Locally, every minted id was either recorded or
-   counted sampled-out, so
+   The emit path maintains no counter beyond [next_id]: everything else
+   falls out at drain time.  Every minted id was recorded, so
 
-     emitted = (next_id - 1) - ring_sampled + emitted_adjust
+     emitted = (next_id - 1) + emitted_adjust
 
    where [emitted_adjust] is {!absorb}'s correction (a child advances
    [next_id] by its whole id watermark but re-records only its retained
    spans).  Every recorded span is either still retained or was evicted,
    so ring evictions are [emitted - retained]. *)
 
-let emitted t = t.next_id - 1 - t.ring_sampled + t.emitted_adjust
+let emitted t = t.next_id - 1 + t.emitted_adjust
 
 (* {2 The coded ring} *)
 
@@ -257,11 +192,11 @@ let reserve t =
   t.head <- (slot + 1) land t.mask;
   slot
 
-(* The hot writer: a message span whose actor code, dst and packed
-   plane/msg code all fit the compact header (they do unless a run has
-   over a million servers).  [src] is the actor code: -1 client,
-   otherwise the server index.  The slot indices are in range by
-   construction ([reserve] keeps head under [mask]), hence the unsafe
+(* The message writer behind the general paths: the compact header when
+   the actor code and dst fit it (they do unless a run has over a
+   million servers), the wide form otherwise.  [src] is the actor code:
+   -1 client, otherwise the server index.  The slot indices are in range
+   by construction ([reserve] keeps head under [mask]), hence the unsafe
    stores. *)
 let write_msg t ~id ~cause ~kind ~reason ~src ~dst ~pm ~time =
   let slot = reserve t in
@@ -283,10 +218,10 @@ let write_msg t ~id ~cause ~kind ~reason ~src ~dst ~pm ~time =
   Array.unsafe_set t.floats (slot * cell_floats) time;
   slot
 
-(* The wide writer: rare kinds, and message spans whose fields overflow
-   the compact header (arbitrary ints from the compat {!emit}). *)
-let write_wide t ~id ~cause ~kind ~reason ~a ~b ~c ~d ~time ~aux =
-  let slot = reserve t in
+(* A wide cell's stores: rare kinds, and message spans whose fields
+   overflow the compact header (arbitrary ints from the compat
+   {!emit}). *)
+let[@inline always] store_wide t slot ~id ~cause ~kind ~reason ~a ~b ~c ~d ~time ~aux =
   let ints = t.ints in
   let base = slot * cell_ints in
   Array.unsafe_set ints base id;
@@ -298,7 +233,11 @@ let write_wide t ~id ~cause ~kind ~reason ~a ~b ~c ~d ~time ~aux =
   Array.unsafe_set ints (base + 6) d;
   let fbase = slot * cell_floats in
   Array.unsafe_set t.floats fbase time;
-  Array.unsafe_set t.floats (fbase + 1) aux;
+  Array.unsafe_set t.floats (fbase + 1) aux
+
+let write_wide t ~id ~cause ~kind ~reason ~a ~b ~c ~d ~time ~aux =
+  let slot = reserve t in
+  store_wide t slot ~id ~cause ~kind ~reason ~a ~b ~c ~d ~time ~aux;
   slot
 
 (* {2 Decoding} — the lazy inverse of the writers. *)
@@ -379,7 +318,6 @@ let length t =
   !n
 
 let dropped t = emitted t - length t + t.carried_dropped
-let sampled_out t = t.ring_sampled + t.carried_sampled
 
 (* Push newly derived evictions to the hook ({!Obs} mirrors them into
    the metrics registry).  Called wherever the ring's contents become
@@ -398,10 +336,11 @@ let notify t slot = iter_slot t slot (fun span -> List.iter (fun sink -> Sink.em
 (* {2 Coded emitters} — the allocation-free hot interface.
 
    Each emitter is a small [@inline always] wrapper whose fast path —
-   record-all tracing, no sinks, fields that fit the compact header —
-   claims a slot and stores the cell inline at the call site (cmx bodies
-   make the attribute work across modules even in classic mode); every
-   other case falls to an out-of-line general body. *)
+   tracing on, no sinks, fields that fit the compact header — claims a
+   slot and stores the cell inline at the call site (cmx bodies make the
+   attribute work across modules even in classic mode); every other case
+   falls to one out-of-line general body, which answers 0 when tracing
+   is off. *)
 
 (* Claim the next slot on the fast path: in steady state (ring full) a
    lap is just a masked bump; while the ring is still filling, fall to
@@ -414,93 +353,21 @@ let[@inline always] claim t =
   end
   else reserve t
 
-let emit_send_gen t ~time ~src ~dst ~pm =
+let emit_msg_gen t ~time ~cause ~kind ~reason ~src ~dst ~pm =
   if not t.on then 0
   else begin
-    let id = decide t ~cause:0 ~plane_code:(pm lsr 8) in
-    if id > 0 then begin
-      let slot = write_msg t ~id ~cause:0 ~kind:k_send ~reason:0 ~src ~dst ~pm ~time in
-      if t.eager then notify t slot
-    end;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let slot = write_msg t ~id ~cause ~kind ~reason ~src ~dst ~pm ~time in
+    if t.eager then notify t slot;
     id
   end
 
-let[@inline always] emit_send t ~time ~src ~dst ~pm =
+(* One message span: [kind] is Send, Recv or Drop, [reason] a drop
+   reason's code (0 for the others).  Returns its id. *)
+let[@inline always] emit_msg t ~time ~cause ~kind ~reason ~src ~dst ~pm =
   let s = src + 1 in
   if t.fast && (s lor dst) lsr 20 = 0 then begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let slot = claim t in
-    let base = slot * cell_ints in
-    let ints = t.ints in
-    Array.unsafe_set ints base id;
-    Array.unsafe_set ints (base + 1) 0;
-    Array.unsafe_set ints (base + 2) (k_send lor (s lsl 6) lor (dst lsl 26) lor (pm lsl 46));
-    Array.unsafe_set t.floats (slot * cell_floats) time;
-    id
-  end
-  else if
-    t.on && t.sample < 1.0
-    && (s lor dst) lsr 20 = 0
-    && Bytes.unsafe_get t.plane_pass (pm lsr 8) <> '\000'
-  then begin
-    (* Sampled root: make the coin flip inline so the sampled-out common
-       case stores nothing and never boxes [time] across a call. *)
-    let id = t.next_id in
-    if keep_coin t id then emit_send_gen t ~time ~src ~dst ~pm
-    else begin
-      t.next_id <- id + 1;
-      t.ring_sampled <- t.ring_sampled + 1;
-      -id
-    end
-  end
-  else emit_send_gen t ~time ~src ~dst ~pm
-
-let emit_recv_gen t ~time ~cause ~src ~dst ~pm =
-  if t.on then begin
-    let id = decide t ~cause ~plane_code:(pm lsr 8) in
-    if id > 0 then begin
-      let cause = if cause > 0 then cause else 0 in
-      let slot = write_msg t ~id ~cause ~kind:k_recv ~reason:0 ~src ~dst ~pm ~time in
-      if t.eager then notify t slot
-    end
-  end
-
-let[@inline always] emit_recv t ~time ~cause ~src ~dst ~pm =
-  let s = src + 1 in
-  if t.fast && cause >= 0 && (s lor dst) lsr 20 = 0 then begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let slot = claim t in
-    let base = slot * cell_ints in
-    let ints = t.ints in
-    Array.unsafe_set ints base id;
-    Array.unsafe_set ints (base + 1) cause;
-    Array.unsafe_set ints (base + 2) (k_recv lor (s lsl 6) lor (dst lsl 26) lor (pm lsl 46));
-    Array.unsafe_set t.floats (slot * cell_floats) time
-  end
-  else if t.on && cause < 0 then begin
-    (* Parent sampled out: the child follows it out, no stores. *)
-    t.next_id <- t.next_id + 1;
-    t.ring_sampled <- t.ring_sampled + 1
-  end
-  else emit_recv_gen t ~time ~cause ~src ~dst ~pm
-
-let emit_drop_gen t ~time ~cause ~src ~dst ~pm ~reason =
-  if t.on then begin
-    let id = decide t ~cause ~plane_code:(pm lsr 8) in
-    if id > 0 then begin
-      let cause = if cause > 0 then cause else 0 in
-      let slot =
-        write_msg t ~id ~cause ~kind:k_drop ~reason:(reason_code reason) ~src ~dst ~pm ~time
-      in
-      if t.eager then notify t slot
-    end
-  end
-
-let[@inline always] emit_drop t ~time ~cause ~src ~dst ~pm ~reason =
-  let s = src + 1 in
-  if t.fast && cause >= 0 && (s lor dst) lsr 20 = 0 then begin
     let id = t.next_id in
     t.next_id <- id + 1;
     let slot = claim t in
@@ -509,60 +376,39 @@ let[@inline always] emit_drop t ~time ~cause ~src ~dst ~pm ~reason =
     Array.unsafe_set ints base id;
     Array.unsafe_set ints (base + 1) cause;
     Array.unsafe_set ints (base + 2)
-      (k_drop lor (reason_code reason lsl 3) lor (s lsl 6) lor (dst lsl 26) lor (pm lsl 46));
-    Array.unsafe_set t.floats (slot * cell_floats) time
-  end
-  else if t.on && cause < 0 then begin
-    t.next_id <- t.next_id + 1;
-    t.ring_sampled <- t.ring_sampled + 1
-  end
-  else emit_drop_gen t ~time ~cause ~src ~dst ~pm ~reason
-
-(* The unfused fallback: sampling, plane filters, eager sinks, or fields
-   too big for the compact header.  The pair is one causal tree, so the
-   keep decision is made once — exactly what chaining {!emit_send} and
-   {!emit_recv} through the returned id would decide, minus a level of
-   calls on the sampled-out path. *)
-let emit_send_recv_slow t ~time ~src ~dst ~pm =
-  let id = t.next_id in
-  t.next_id <- id + 2;
-  if
-    t.record_all
-    || Bytes.unsafe_get t.plane_pass (pm lsr 8) <> '\000'
-       && (t.sample >= 1.0 || keep_coin t id)
-  then begin
-    let slot = write_msg t ~id ~cause:0 ~kind:k_send ~reason:0 ~src ~dst ~pm ~time in
-    if t.eager then notify t slot;
-    let slot = write_msg t ~id:(id + 1) ~cause:id ~kind:k_recv ~reason:0 ~src ~dst ~pm ~time in
-    if t.eager then notify t slot;
+      (kind lor (reason lsl 3) lor (s lsl 6) lor (dst lsl 26) lor (pm lsl 46));
+    Array.unsafe_set t.floats (slot * cell_floats) time;
     id
   end
-  else begin
-    t.ring_sampled <- t.ring_sampled + 2;
-    -id
-  end
+  else emit_msg_gen t ~time ~cause ~kind ~reason ~src ~dst ~pm
+
+let[@inline always] emit_send t ~time ~src ~dst ~pm =
+  emit_msg t ~time ~cause:0 ~kind:k_send ~reason:0 ~src ~dst ~pm
+
+let[@inline always] emit_recv t ~time ~cause ~src ~dst ~pm =
+  ignore (emit_msg t ~time ~cause ~kind:k_recv ~reason:0 ~src ~dst ~pm)
+
+let[@inline always] emit_drop t ~time ~cause ~src ~dst ~pm ~reason =
+  ignore (emit_msg t ~time ~cause ~kind:k_drop ~reason:(reason_code reason) ~src ~dst ~pm)
+
+(* The unfused fallback: the Send and its Recv as two cells. *)
+let emit_send_recv_gen t ~time ~src ~dst ~pm =
+  let id = emit_msg_gen t ~time ~cause:0 ~kind:k_send ~reason:0 ~src ~dst ~pm in
+  if id > 0 then ignore (emit_msg_gen t ~time ~cause:id ~kind:k_recv ~reason:0 ~src ~dst ~pm);
+  id
 
 (* The fused hot pair: one delivered message = one [Send] plus its
    cause-linked [Recv], written as a single pair cell — three stores and
    no counter maintenance.  This is the per-delivery cost the <10%
    always-on budget is spent on, so the fast path is kept small enough
-   to inline into callers ([@inline always] reaches across modules via
-   cmx even in classic mode).  Returns the [Send]'s id (the [Recv] is
-   the next one). *)
+   to inline into callers.  Returns the [Send]'s id (the [Recv] is the
+   next one). *)
 let[@inline always] emit_send_recv t ~time ~src ~dst ~pm =
   let s = src + 1 in
   if t.fast && (s lor dst) lsr 20 = 0 then begin
     let id = t.next_id in
     t.next_id <- id + 2;
-    let slot =
-      if t.count = t.capacity then begin
-        (* steady state: lap the ring, no counting *)
-        let slot = t.head in
-        t.head <- (slot + 1) land t.mask;
-        slot
-      end
-      else reserve t
-    in
+    let slot = claim t in
     let base = slot * cell_ints in
     let ints = t.ints in
     Array.unsafe_set ints base id;
@@ -571,85 +417,49 @@ let[@inline always] emit_send_recv t ~time ~src ~dst ~pm =
     Array.unsafe_set t.floats (slot * cell_floats) time;
     id
   end
-  else if not t.on then 0
-  else if
-    t.sample < 1.0
-    && (s lor dst) lsr 20 = 0
-    && Bytes.unsafe_get t.plane_pass (pm lsr 8) <> '\000'
-  then begin
-    (* Sampled pair: flip the coin inline; the sampled-out common case
-       stores nothing and never boxes [time] across a call. *)
+  else emit_send_recv_gen t ~time ~src ~dst ~pm
+
+let emit_wide_gen t ~time ~cause ~kind ~a ~b ~c ~d ~aux =
+  if not t.on then 0
+  else begin
     let id = t.next_id in
-    if keep_coin t id then emit_send_recv_slow t ~time ~src ~dst ~pm
-    else begin
-      t.next_id <- id + 2;
-      t.ring_sampled <- t.ring_sampled + 2;
-      -id
-    end
-  end
-  else emit_send_recv_slow t ~time ~src ~dst ~pm
-
-(* Shared tail of the non-message emitters (these kinds ignore the plane
-   filter: they are not message traffic). *)
-let emit_plain t ~time ~cause ~kind ~a ~b ~c ~d ~aux =
-  let id = decide t ~cause ~plane_code:(-1) in
-  if id > 0 then begin
-    let cause = if cause > 0 then cause else 0 in
+    t.next_id <- id + 1;
     let slot = write_wide t ~id ~cause ~kind ~reason:0 ~a ~b ~c ~d ~time ~aux in
-    if t.eager then notify t slot
-  end;
-  id
+    if t.eager then notify t slot;
+    id
+  end
 
-(* The wide fast path: same record-all/no-sink preconditions as the
-   compact one, inlined so the float arguments never box between the
-   call site and the cell stores. *)
-let[@inline always] emit_wide_fast t ~time ~cause ~kind ~a ~b ~c ~d ~aux =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let slot = claim t in
-  let base = slot * cell_ints in
-  let ints = t.ints in
-  Array.unsafe_set ints base id;
-  Array.unsafe_set ints (base + 1) cause;
-  Array.unsafe_set ints (base + 2) (kind lor 32);
-  Array.unsafe_set ints (base + 3) a;
-  Array.unsafe_set ints (base + 4) b;
-  Array.unsafe_set ints (base + 5) c;
-  Array.unsafe_set ints (base + 6) d;
-  let fbase = slot * cell_floats in
-  Array.unsafe_set t.floats fbase time;
-  Array.unsafe_set t.floats (fbase + 1) aux;
-  id
+(* One span of the other coded kinds in a wide cell, inlined so the
+   float arguments never box between the call site and the cell
+   stores. *)
+let[@inline always] emit_wide t ~time ~cause ~kind ~a ~b ~c ~d ~aux =
+  if t.fast then begin
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    store_wide t (claim t) ~id ~cause ~kind ~reason:0 ~a ~b ~c ~d ~time ~aux;
+    id
+  end
+  else emit_wide_gen t ~time ~cause ~kind ~a ~b ~c ~d ~aux
 
 let[@inline always] emit_timeout t ~time ~dst ~after =
-  if t.fast then emit_wide_fast t ~time ~cause:0 ~kind:k_timeout ~a:dst ~b:0 ~c:0 ~d:0 ~aux:after
-  else if not t.on then 0
-  else emit_plain t ~time ~cause:0 ~kind:k_timeout ~a:dst ~b:0 ~c:0 ~d:0 ~aux:after
+  emit_wide t ~time ~cause:0 ~kind:k_timeout ~a:dst ~b:0 ~c:0 ~d:0 ~aux:after
 
 let[@inline always] emit_retry t ~time ~cause ~dst ~attempt =
-  if t.fast && cause >= 0 then
-    ignore (emit_wide_fast t ~time ~cause ~kind:k_retry ~a:dst ~b:attempt ~c:0 ~d:0 ~aux:0.)
-  else if t.on then
-    ignore (emit_plain t ~time ~cause ~kind:k_retry ~a:dst ~b:attempt ~c:0 ~d:0 ~aux:0.)
+  ignore (emit_wide t ~time ~cause ~kind:k_retry ~a:dst ~b:attempt ~c:0 ~d:0 ~aux:0.)
 
 let emit_repair_round t ~time ~coordinator ~tick ~re_replications ~trims =
-  if t.on then
-    ignore
-      (emit_plain t ~time ~cause:0 ~kind:k_repair ~a:coordinator ~b:tick ~c:re_replications
-         ~d:trims ~aux:0.)
+  ignore
+    (emit_wide t ~time ~cause:0 ~kind:k_repair ~a:coordinator ~b:tick ~c:re_replications
+       ~d:trims ~aux:0.)
 
 let[@inline always] emit_migration t ~time ~entry ~src ~dst =
-  if t.fast then
-    ignore (emit_wide_fast t ~time ~cause:0 ~kind:k_migration ~a:entry ~b:src ~c:dst ~d:0 ~aux:0.)
-  else if t.on then
-    ignore (emit_plain t ~time ~cause:0 ~kind:k_migration ~a:entry ~b:src ~c:dst ~d:0 ~aux:0.)
+  ignore (emit_wide t ~time ~cause:0 ~kind:k_migration ~a:entry ~b:src ~c:dst ~d:0 ~aux:0.)
 
 (* {2 The compat boxed interface} — encodes a {!Span.kind} into cells;
    used by tests, marks and {!absorb}'s re-recording. *)
 
-(* Encode one already-decided span.  Message spans take the compact
-   header when their fields fit, the wide form otherwise (so arbitrary
-   ints round-trip). *)
+(* Encode one span.  Message spans take the compact header when their
+   fields fit, the wide form otherwise (so arbitrary ints round-trip). *)
 let write_span t ~id ~cause ~time (kind : Span.kind) =
   let msg_span k reason src dst plane msg =
     let p = intern t plane and m = intern t msg in
@@ -677,21 +487,13 @@ let write_span t ~id ~cause ~time (kind : Span.kind) =
     write_wide t ~id ~cause ~kind:k_mark ~reason:0 ~a:(intern t label) ~b:(intern t detail)
       ~c:0 ~d:0 ~time ~aux:0.
 
-let plane_code_of t (kind : Span.kind) =
-  match kind with
-  | Span.Send { plane; _ } | Span.Recv { plane; _ } | Span.Drop { plane; _ } -> intern t plane
-  | _ -> -1
-
-let emit t ~time ?cause kind =
+let emit t ~time ?(cause = 0) kind =
   if not t.on then 0
   else begin
-    let cause = match cause with None -> 0 | Some c -> c in
-    let id = decide t ~cause ~plane_code:(plane_code_of t kind) in
-    if id > 0 then begin
-      let cause = if cause > 0 then cause else 0 in
-      let slot = write_span t ~id ~cause ~time kind in
-      if t.eager then notify t slot
-    end;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let slot = write_span t ~id ~cause ~time kind in
+    if t.eager then notify t slot;
     id
   end
 
@@ -713,10 +515,8 @@ let clear t =
   t.head <- 0;
   t.count <- 0;
   t.next_id <- 1;
-  t.ring_sampled <- 0;
   t.emitted_adjust <- 0;
   t.carried_dropped <- 0;
-  t.carried_sampled <- 0;
   t.evict_reported <- 0
 
 let absorb t child =
@@ -739,7 +539,6 @@ let absorb t child =
      contributed only its retained spans to the recorded total. *)
   t.emitted_adjust <- t.emitted_adjust + !merged - (child.next_id - 1);
   t.carried_dropped <- t.carried_dropped + (emitted child - !merged + child.carried_dropped);
-  t.carried_sampled <- t.carried_sampled + child.ring_sampled + child.carried_sampled;
   sync_evicted t
 
 let flush t =

@@ -6,46 +6,31 @@
     floats.  Nothing is boxed and nothing is rendered on the emit path —
     {!Span.t} is a {e decoded view} produced only when the ring is
     drained ({!spans}, {!absorb}) or when a streaming sink is attached.
-    A disabled trace drops events in O(1), and a sampled-out emit costs
-    one id increment and a branch.
+    A disabled trace drops events in O(1).
 
     The ring is bounded, so long runs evict oldest spans — but never
     silently: {!dropped} counts what a full dump is missing (the seed
     repo's ring evicted silently, making truncated dumps look
     complete).
 
-    {2 Sampling}
-
-    [create ?sample ?planes] installs head-based sampling: the keep
-    decision is made once per causal tree, at its root span, from a pure
-    hash of the span id — children inherit their root's fate through the
-    cause link, so no retained span ever names a sampled-out cause.
-    Every emit mints an id whether or not the span is kept, which makes
-    a sampled drain a strict subset of the unsampled drain with
-    byte-identical per-span JSON, at any [--jobs] split. *)
+    An enabled trace records every span it is given: each transmission
+    the network carries is one [Send] resolved by its [Recv]s or its
+    [Drop], so the [Recv] spans count exactly the messages the paper
+    prices.  Every message span's JSONL line names its [plane], so a
+    stream can be filtered afterwards. *)
 
 type t
 
-val create : ?capacity:int -> ?sample:float -> ?planes:string list -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the retained ring (default 4096); older spans are
     evicted first and counted in {!dropped}.  Extra sinks see every
-    retained-or-evicted span regardless of capacity.  [sample] keeps
-    each causal tree with the given probability (default 1.0, must be in
-    (0, 1]); [planes] restricts message spans (Send/Recv/Drop) to the
-    named planes — non-message spans always pass the plane filter.
-    Tracing starts disabled.  Raises [Invalid_argument] on a
-    non-positive capacity or an out-of-range sample. *)
+    retained-or-evicted span regardless of capacity.  Tracing starts
+    disabled.  Raises [Invalid_argument] on a non-positive capacity. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val capacity : t -> int
-
-val sample_rate : t -> float
-(** The [sample] given to {!create} (1.0 when unsampled). *)
-
-val plane_filter : t -> string list option
-(** The [planes] given to {!create}. *)
 
 val add_sink : t -> Sink.t -> unit
 (** Attach an extra sink; sinks fire in attachment order.  Attaching a
@@ -67,10 +52,13 @@ val set_evict_hook : t -> (int -> unit) -> unit
     code (-1 for a client, the server index otherwise), [pm] a packed
     plane/msg code from {!intern_message}.  [cause] follows the span-id
     convention of the coded emitters' return values: a positive id links
-    to that span, 0 means no cause, and a negative id (a sampled-out
-    parent) marks this span sampled-out too.  Intern codes survive
-    {!clear}, so a coder precomputed per trace stays valid across
-    runs. *)
+    to that span, 0 means no cause.  Intern codes survive {!clear}, so a
+    coder precomputed per trace stays valid across runs.
+
+    Every coded emitter writes the same spans whether it takes its
+    inline fast path (tracing on, no sink, actors that fit the compact
+    header) or its general body: a sink-free drain and a JSONL stream of
+    the same emits hold the same JSON. *)
 
 val intern_message : t -> plane:string -> msg:string -> int
 (** The packed code for a (plane, msg) pair.  Raises [Invalid_argument]
@@ -79,14 +67,14 @@ val intern_message : t -> plane:string -> msg:string -> int
 
 val emit_send : t -> time:float -> src:int -> dst:int -> pm:int -> int
 (** Record a [Send] and return its id for cause links — 0 when the trace
-    is disabled, negative when minted but sampled out. *)
+    is disabled. *)
 
 val emit_recv : t -> time:float -> cause:int -> src:int -> dst:int -> pm:int -> unit
 
 val emit_send_recv : t -> time:float -> src:int -> dst:int -> pm:int -> int
 (** The fused fast path for a synchronously delivered message: a [Send]
     immediately resolved by its cause-linked [Recv], producing exactly
-    the cells (and ids) the two separate emits would.  Returns the
+    the spans (and ids) the two separate emits would.  Returns the
     [Send]'s id. *)
 
 val emit_drop :
@@ -105,8 +93,8 @@ val emit_migration : t -> time:float -> entry:int -> src:int -> dst:int -> unit
 val emit : t -> time:float -> ?cause:int -> Span.kind -> int
 (** Record one span from its decoded form (interning any strings it
     carries) and return its id.  Returns 0 without recording when the
-    trace is disabled, a negative id when sampled out.  Handy for tests
-    and one-off annotations; hot paths use the coded emitters. *)
+    trace is disabled.  Handy for tests and one-off annotations; hot
+    paths use the coded emitters. *)
 
 val record : t -> time:float -> label:string -> string -> unit
 (** Free-form annotation — emits a [Mark] span (the legacy string-record
@@ -121,30 +109,23 @@ val length : t -> int
 (** Spans currently retained in the ring. *)
 
 val emitted : t -> int
-(** Total spans ever recorded (including evicted and absorbed ones;
-    sampled-out spans are {e not} recorded). *)
+(** Total spans ever recorded (including evicted and absorbed ones). *)
 
 val dropped : t -> int
 (** Spans missing from {!spans}: evicted from the ring, plus drops
     carried over by {!absorb}.  [emitted t = length t + dropped t]. *)
 
-val sampled_out : t -> int
-(** Spans minted but not recorded because of [sample]/[planes]
-    (including counts carried over by {!absorb}). *)
-
 val clear : t -> unit
-(** Empty the ring and reset the id, emitted, dropped and sampled-out
-    counts (extra sinks and the intern table are kept; sinks are not
-    notified). *)
+(** Empty the ring and reset the id, emitted and dropped counts (extra
+    sinks and the intern table are kept; sinks are not notified). *)
 
 val absorb : t -> t -> unit
 (** [absorb t child] re-records the child's retained spans into [t] in
     order — decoding each coded cell, remapping span ids (and their
     cause links) past [t]'s current id watermark, re-interning strings
-    against [t]'s table — and adds the child's dropped and sampled-out
-    counts to [t]'s.  This is how per-replicate traces merge
-    deterministically into the experiment context's trace
-    ({!Plookup_experiments.Runner}). *)
+    against [t]'s table — and adds the child's dropped count to [t]'s.
+    This is how per-replicate traces merge deterministically into the
+    experiment context's trace ({!Plookup_experiments.Runner}). *)
 
 val flush : t -> unit
 (** Flush every attached sink. *)

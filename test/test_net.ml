@@ -336,9 +336,9 @@ let prop_message_count_additive =
 
    One random schedule of failures, recoveries, sends and broadcasts,
    run on an untraced network and on traced ones with the same fault
-   seed: record-all, sampled, plane-filtered and one streaming JSONL.
+   seed: one recording every span and one streaming JSONL.
    Tracing is an observer, so replies, the order of handler calls and
-   every counter must agree; and the record-all trace must show each
+   every counter must agree; and the recorded trace must show each
    transmission as one Send plus one Recv per delivered copy, or one
    Drop with the reason the network's state predicts.
 
@@ -473,7 +473,7 @@ let resolves ~src ~dst = function
 
 let reason = function Span.Drop d -> Some d.reason | _ -> None
 
-(* Tally a record-all trace against the transmissions; [None] unless
+(* Tally a recorded trace against the transmissions; [None] unless
    its Sends are the transmissions in order, every other span resolves
    one of them, and each resolves as its destination's state predicts.
    A copy's nested sends come between its Recv and its duplicate's, so
@@ -514,8 +514,8 @@ let tally_sync_spans spans transmissions =
   then None
   else List.fold_left2 tally (Some (0, 0, 0, 0)) sends transmissions
 
-let traced ?sample ?planes () =
-  let tr = Trace.create ?sample ?planes () in
+let traced () =
+  let tr = Trace.create () in
   Trace.set_enabled tr true;
   tr
 
@@ -543,10 +543,7 @@ let prop_tracing_never_changes_sync_delivery =
         streamed (fun ~trace () -> run_sync_schedule ~trace schedule)
       in
       let spans = Trace.spans all in
-      let same_as_bare trace = fst (run_sync_schedule ~trace schedule) = bare in
       all_out = bare && streamed_out = bare
-      && same_as_bare (traced ~sample:0.3 ())
-      && same_as_bare (traced ~planes:[ "strategy" ] ())
       && lines = jsonl spans
       && tally_sync_spans spans transmissions
          = Some
@@ -562,7 +559,7 @@ let prop_tracing_never_changes_sync_delivery =
    optional fault layer (loss, duplication, jitter) and an optional
    capacity model, silent or nacking.  Reply callbacks (time and value),
    handler calls, and the metrics snapshot must not depend on tracing.
-   In the record-all trace each call is one Send, resolved by one Lost
+   In the recorded trace each call is one Send, resolved by one Lost
    Drop, or by one Recv, Down Drop or Shed Drop per copy that arrives.
    Only the request leg is spanned, while [lost] also counts lost
    replies, so the Lost spans are bounded by it, not equal to it. *)
@@ -596,7 +593,7 @@ let link_latency ~src ~dst =
 
 (* Run a schedule on the engine.  Returns the replies (time, call index,
    reply), the handler calls (time, dst, src, msg) and the network's
-   metrics snapshot and, for the record-all checks, each call's
+   metrics snapshot and, for the span checks, each call's
    endpoints in call order and the network. *)
 let run_async_schedule ?trace (n, (faults, capacity), seed, ops) =
   let engine = Engine.create () in
@@ -631,7 +628,7 @@ let run_async_schedule ?trace (n, (faults, capacity), seed, ops) =
   ( (List.rev !replies, List.rev !calls, Metrics.snapshot metrics),
     (List.rev !made, net) )
 
-(* Tally a record-all trace of engine-routed calls as (Recv, Down, Shed,
+(* Tally a recorded trace of engine-routed calls as (Recv, Down, Shed,
    Lost); [None] unless its Sends are the calls in order, every other
    span resolves one of them, and each resolves as one Lost Drop or as
    one or two arriving copies. *)
@@ -682,10 +679,7 @@ let prop_tracing_never_changes_async_delivery =
         streamed (fun ~trace () -> run_async_schedule ~trace schedule)
       in
       let spans = Trace.spans all in
-      let same_as_bare trace = fst (run_async_schedule ~trace schedule) = bare in
       all_out = bare && streamed_out = bare
-      && same_as_bare (traced ~sample:0.3 ())
-      && same_as_bare (traced ~planes:[ "strategy" ] ())
       && lines = jsonl spans
       &&
       match tally_async_spans spans made with

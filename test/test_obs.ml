@@ -506,40 +506,64 @@ let test_fig6_links_well_formed () =
       | _ -> ())
     spans
 
-(* The acceptance check from the issue: per-plane Recv span counts equal
-   the registry's per-plane received counters. *)
-let test_fig6_spans_agree_with_registry () =
-  let obs = Lazy.force shared_fig6_obs in
+(* A traced run's spans agree with its registry: Recv spans per plane
+   equal [net.messages.received{plane}] and the three planes partition
+   them, Down drops equal [net.messages.dropped], Shed drops
+   [net.messages.shed], and every Send resolves into exactly one Recv or
+   Drop.  Runs with faults cannot agree: a duplicated copy is a second
+   Recv, and a lost reply leg counts without a span. *)
+let check_spans_agree obs =
   let spans = Trace.spans obs.Obs.trace in
   let snap = Metrics.snapshot obs.Obs.metrics in
-  let span_recvs plane =
-    List.length
-      (List.filter
-         (fun s ->
-           match s.Span.kind with
-           | Span.Recv { plane = p; _ } -> p = plane
-           | _ -> false)
-         spans)
+  Helpers.check_int "nothing evicted" 0 (Trace.dropped obs.Obs.trace);
+  let count p = List.length (List.filter (fun s -> p s.Span.kind) spans) in
+  let planes = [ "data"; "strategy"; "repair" ] in
+  let received plane =
+    Metrics.sum_counters snap ~where:[ ("plane", plane) ] "net.messages.received"
   in
   List.iter
     (fun plane ->
       Helpers.check_int
-        (Printf.sprintf "plane %s: spans = registry" plane)
-        (Metrics.sum_counters snap ~where:[ ("plane", plane) ] "net.messages.received")
-        (span_recvs plane))
-    [ "data"; "strategy"; "repair" ];
-  (* And the plane cells partition the Recv total. *)
-  Helpers.check_int "planes partition the total"
-    (List.fold_left
-       (fun acc plane ->
-         acc
-         + Metrics.sum_counters snap ~where:[ ("plane", plane) ] "net.messages.received")
-       0
-       [ "data"; "strategy"; "repair" ])
-    (List.length
-       (List.filter
-          (fun s -> match s.Span.kind with Span.Recv _ -> true | _ -> false)
-          spans))
+        (Printf.sprintf "plane %s: Recv spans = received" plane)
+        (received plane)
+        (count (function Span.Recv { plane = p; _ } -> p = plane | _ -> false)))
+    planes;
+  Helpers.check_int "planes partition the Recv spans"
+    (List.fold_left (fun acc plane -> acc + received plane) 0 planes)
+    (count (function Span.Recv _ -> true | _ -> false));
+  let drops reason = count (function Span.Drop d -> d.reason = reason | _ -> false) in
+  Helpers.check_int "Down drops = dropped"
+    (Metrics.sum_counters snap "net.messages.dropped") (drops Span.Down);
+  Helpers.check_int "Shed drops = shed" (Metrics.sum_counters snap "net.messages.shed")
+    (drops Span.Shed);
+  let sends = Hashtbl.create 4096 in
+  List.iter
+    (fun s -> match s.Span.kind with Span.Send _ -> Hashtbl.replace sends s.Span.id 0 | _ -> ())
+    spans;
+  List.iter
+    (fun s ->
+      match (s.Span.kind, s.Span.cause) with
+      | (Span.Recv _ | Span.Drop _), Some c when Hashtbl.mem sends c ->
+        Hashtbl.replace sends c (Hashtbl.find sends c + 1)
+      | (Span.Recv _ | Span.Drop _), _ ->
+        Alcotest.failf "span #%d resolves no Send" s.Span.id
+      | _ -> ())
+    spans;
+  Helpers.check_bool "run sent a real stream" true (Hashtbl.length sends > 1000);
+  Hashtbl.iter
+    (fun id n -> if n <> 1 then Alcotest.failf "Send #%d resolves into %d spans" id n)
+    sends
+
+let test_fig6_spans_agree_with_registry () = check_spans_agree (Lazy.force shared_fig6_obs)
+
+(* The same check on experiments whose clusters fail servers, shed load,
+   run repair and drive the engine, each at scale 0.05 with no faults.
+   Experiments that reset the network's counters mid-run are left out. *)
+let test_spans_agree_with_registry run () =
+  let obs = Obs.create ~trace_capacity:10_000_000 () in
+  Trace.set_enabled obs.Obs.trace true;
+  ignore (run (E.Ctx.v ~seed:42 ~scale:0.05 ~obs ()));
+  check_spans_agree obs
 
 (* Metrics and traces merge in replicate input order: a run's
    observability is byte-identical at any worker count, like its
@@ -573,4 +597,13 @@ let () =
             test_fig6_links_well_formed;
           Alcotest.test_case "spans agree with registry" `Quick
             test_fig6_spans_agree_with_registry;
-          Alcotest.test_case "jobs=1 equals jobs=4" `Quick test_jobs_determinism ] ) ]
+          Alcotest.test_case "jobs=1 equals jobs=4" `Quick test_jobs_determinism ] );
+      ( "spans",
+        List.map
+          (fun (id, run) ->
+            Alcotest.test_case (id ^ " agrees with the registry") `Quick
+              (test_spans_agree_with_registry run))
+          [ ("day", E.Exp_day.run);
+            ("churn", E.Exp_churn.run);
+            ("latency", E.Exp_latency.run);
+            ("table1", E.Exp_table1.run) ] ) ]

@@ -245,6 +245,28 @@ let test_recovery_state_transfer () =
   check_invariants s;
   Helpers.check_int "live count correct" 13 (Round_robin.live_count s)
 
+(* A coordinator replica that receives its own [Sync_state] keeps its
+   ledger: the id index still places v3, so a later delete of v3 lands
+   and removes both copies. *)
+let test_self_sync_keeps_ledger () =
+  List.iter
+    (fun coordinators ->
+      let cluster, s, _ = make_replicated ~seed:2 ~n:10 ~h:10 ~y:2 ~coordinators () in
+      let v3 = Entry.v 3 in
+      Alcotest.(check (option int)) "v3 placed at 3" (Some 3) (Round_robin.position_of s v3);
+      ignore (Net.send (Cluster.net cluster) ~src:(Net.Server 0) ~dst:0 Msg.sync_state);
+      Alcotest.(check (option int)) "v3 still at 3" (Some 3) (Round_robin.position_of s v3);
+      check_invariants s;
+      Round_robin.delete s v3;
+      Helpers.check_int "delete accepted" 9 (Round_robin.live_count s);
+      List.iter
+        (fun i ->
+          Helpers.check_bool "copy removed" false
+            (Server_store.mem (Cluster.store cluster i) v3))
+        [ 3; 4 ];
+      check_invariants s)
+    [ 1; 2 ]
+
 let test_sync_message_cost () =
   let cluster, s, _ = make_replicated ~n:5 ~h:10 ~y:2 ~coordinators:3 () in
   Plookup_net.Net.reset_counters (Cluster.net cluster);
@@ -514,6 +536,7 @@ let () =
             test_single_coordinator_loses_updates;
           Alcotest.test_case "replica consistency" `Quick test_replicas_stay_consistent;
           Alcotest.test_case "recovery transfer" `Quick test_recovery_state_transfer;
+          Alcotest.test_case "self sync keeps the ledger" `Quick test_self_sync_keeps_ledger;
           Alcotest.test_case "sync cost" `Quick test_sync_message_cost;
           Alcotest.test_case "budget truncation" `Quick test_budget_truncates;
           Alcotest.test_case "budget below h" `Quick test_budget_below_h;

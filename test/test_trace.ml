@@ -81,13 +81,7 @@ let test_dump () =
 let test_bad_capacity () =
   Alcotest.check_raises "capacity 0"
     (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
-      ignore (Trace.create ~capacity:0 ()));
-  Alcotest.check_raises "sample 0"
-    (Invalid_argument "Trace.create: sample must be in (0, 1]") (fun () ->
-      ignore (Trace.create ~sample:0.0 ()));
-  Alcotest.check_raises "sample > 1"
-    (Invalid_argument "Trace.create: sample must be in (0, 1]") (fun () ->
-      ignore (Trace.create ~sample:1.5 ()))
+      ignore (Trace.create ~capacity:0 ()))
 
 let test_emit_returns_cause_ids () =
   let t = Trace.create () in
@@ -220,56 +214,63 @@ let test_span_float_precision () =
       Alcotest.(check (float 0.)) "after round-trips" x (json_num json "after"))
     [ 8388608.1; 1048576.75; 12345678.5; 1e15 +. 0.5; 0.1; 3.25 ]
 
-(* Sampling keeps or drops whole causal trees, decided at the root from
-   a pure hash of the span id — so the sampled drain must be a strict
-   subsequence of the unsampled drain with byte-identical per-span JSON,
-   every retained cause must resolve, and the minted-span pool must
-   account for every id. *)
-let prop_sampled_subset =
-  Helpers.qcheck "sampled drain is a subset with identical JSON"
-    QCheck2.Gen.(pair (int_range 1 9) (list_size (int_range 0 120) (int_range 0 24)))
-    (fun (tenths, ops) ->
-      let run sample =
-        let t = Trace.create ~capacity:4096 ?sample () in
+(* Every coded emitter writes the same spans on its inline fast path
+   (tracing on, no sink, actors that fit the compact header) as on its
+   general body (a sink attached, or actors past 2^20): the same random
+   emits into a sink-free trace and into one streaming JSONL drain the
+   same JSON, the stream is that drain, and every emitted span is
+   drained. *)
+let prop_emit_paths_agree =
+  let open QCheck2.Gen in
+  let near_2_20 = int_range 1_048_570 1_048_580 in
+  let src = oneof [ int_range (-1) 1000; near_2_20; int_range 2_000_000 3_000_000 ] in
+  let dst = oneof [ int_range 0 1000; near_2_20; int_range 2_000_000 3_000_000 ] in
+  let op = pair (int_range 0 8) (triple src dst (int_range 0 1)) in
+  Helpers.qcheck "fast and general emit paths agree" (list_size (int_range 0 80) op)
+    (fun ops ->
+      let run t =
         Trace.set_enabled t true;
-        let pm_data = Trace.intern_message t ~plane:"data" ~msg:"lookup" in
-        let pm_rep = Trace.intern_message t ~plane:"repair" ~msg:"re_replicate" in
+        let pms =
+          [| Trace.intern_message t ~plane:"data" ~msg:"lookup";
+             Trace.intern_message t ~plane:"repair" ~msg:"re_replicate" |]
+        in
         let last = ref 0 in
         List.iteri
-          (fun i op ->
-            let time = float_of_int i in
-            match op mod 5 with
-            | 0 -> last := Trace.emit_send t ~time ~src:(-1) ~dst:(op mod 7) ~pm:pm_data
-            | 1 -> Trace.emit_recv t ~time ~cause:!last ~src:(-1) ~dst:(op mod 7) ~pm:pm_data
-            | 2 ->
-              ignore (Trace.emit_send_recv t ~time ~src:(op mod 3) ~dst:(op mod 7) ~pm:pm_rep)
-            | 3 ->
-              Trace.emit_drop t ~time ~cause:!last ~src:(op mod 3) ~dst:(op mod 7)
-                ~pm:pm_data ~reason:Span.Lost
+          (fun i (k, (src, dst, p)) ->
+            let time = float_of_int i /. 3. and pm = pms.(p) in
+            match k with
+            | 0 -> last := Trace.emit_send t ~time ~src ~dst ~pm
+            | 1 -> Trace.emit_recv t ~time ~cause:!last ~src ~dst ~pm
+            | 2 | 3 | 4 ->
+              let reason = [| Span.Down; Span.Lost; Span.Shed |].(k - 2) in
+              Trace.emit_drop t ~time ~cause:!last ~src ~dst ~pm ~reason
+            | 5 -> last := Trace.emit_send_recv t ~time ~src ~dst ~pm
+            | 6 ->
+              let tid = Trace.emit_timeout t ~time ~dst ~after:(time +. 0.5) in
+              Trace.emit_retry t ~time ~cause:tid ~dst ~attempt:(2 + p)
+            | 7 -> Trace.emit_migration t ~time ~entry:i ~src:(src + 1) ~dst
             | _ ->
-              let tid = Trace.emit_timeout t ~time ~dst:(op mod 7) ~after:0.5 in
-              Trace.emit_retry t ~time ~cause:tid ~dst:(op mod 7) ~attempt:2)
-          ops;
-        t
+              Trace.emit_repair_round t ~time ~coordinator:dst ~tick:i ~re_replications:p
+                ~trims:(src + 1))
+          ops
       in
-      let full = run None in
-      let smp = run (Some (float_of_int tenths /. 10.)) in
-      let json t = List.map Span.to_json (Trace.spans t) in
-      let rec subseq xs ys =
-        match (xs, ys) with
-        | [], _ -> true
-        | _, [] -> false
-        | x :: xt, y :: yt -> if String.equal x y then subseq xt yt else subseq xs yt
-      in
-      let ids = List.map (fun s -> s.Span.id) (Trace.spans smp) in
-      let no_dangling =
-        List.for_all
-          (fun s -> match s.Span.cause with None -> true | Some c -> List.mem c ids)
-          (Trace.spans smp)
-      in
-      subseq (json smp) (json full)
-      && no_dangling
-      && Trace.emitted smp + Trace.sampled_out smp = Trace.emitted full)
+      let fast = Trace.create ~capacity:4096 () in
+      run fast;
+      let path = Filename.temp_file "plookup_trace" ".jsonl" in
+      let oc = open_out path in
+      let general = Trace.create ~capacity:4096 () in
+      Trace.add_sink general (Sink.jsonl oc);
+      run general;
+      Trace.flush general;
+      close_out oc;
+      let stream = In_channel.with_open_text path In_channel.input_all in
+      Sys.remove path;
+      let drained = Trace.spans fast in
+      let json spans = String.concat "" (List.map (fun s -> Span.to_json s ^ "\n") spans) in
+      json drained = json (Trace.spans general)
+      && stream = json drained
+      && Trace.emitted fast = List.length drained
+      && Trace.emitted general = List.length drained)
 
 (* The coded ring must decode back exactly what was emitted, across the
    whole cell space: compact and wide actor codes, every drop reason,
@@ -342,5 +343,5 @@ let () =
             test_jsonl_sink_sees_evicted_spans;
           Alcotest.test_case "span float precision" `Quick test_span_float_precision;
           prop_keeps_last_k;
-          prop_sampled_subset;
+          prop_emit_paths_agree;
           prop_decode_roundtrip ] ) ]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Write the 72 seeded outputs of a built tree into a fresh directory, so
+# Write the 60 seeded outputs of a built tree into a fresh directory, so
 # two trees can be compared with `diff -r`.
 #
 #   tools/byte_identity.sh TREE OUTDIR
@@ -49,14 +49,9 @@ $cli trace day --scale 0.05 --loss 0.05 --duplication 0.02 --metrics-dump | stri
 for e in churn day latency loss table2 fig6 hash-y coord-load coord-replicas; do
   $cli trace $e --scale 0.05 --trace-out trace_$e.jsonl --metrics-dump | strip > trace_$e.txt
 done
-# Jitter on the engine path, and sampled and plane-filtered traces
-# (each trace stream keeps the ids of the unfiltered run).
+# Jitter on the engine path.
 $cli run day latency --scale 0.1 --loss 0.05 --duplication 0.02 --jitter 3 --csv | strip > jitter.txt
 $cli trace day --scale 0.05 --loss 0.05 --duplication 0.02 --jitter 3 --trace-out trace_day_jitter.jsonl --metrics-dump | strip > trace_day_jitter.txt
-for e in churn day table2; do
-  $cli trace $e --scale 0.05 --loss 0.05 --trace-sample 0.3 --trace-out trace_sampled_$e.jsonl --metrics-dump | strip > trace_sampled_$e.txt
-  $cli trace $e --scale 0.05 --duplication 0.05 --trace-planes strategy,repair --trace-out trace_planes_$e.jsonl --metrics-dump | strip > trace_planes_$e.txt
-done
 # trace takes every context flag run takes (CLI 1.29.0 on): a cached day
 # and a sync-repaired churn, traced.
 $cli trace day --scale 0.05 --cache --trace-out trace_day_cache.jsonl --metrics-dump | strip > trace_day_cache.txt
